@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,7 +25,9 @@ from .suites import TOOLKIT_VERSION, RunReport, run_suite
 def emit_report(report: RunReport, fmt: str) -> bytes:
     """Render a run report; json form is byte-stable for golden files."""
     if fmt == "json":
-        payload = json.dumps(report.to_dict(include_timing=False), sort_keys=True, indent=2)
+        payload = json.dumps(
+            report.to_dict(include_timing=False), sort_keys=True, indent=2, allow_nan=False
+        )
         return payload.encode() + b"\n"
     if fmt == "text":
         lines = [f"conformal symmetry verification report (confsym {report.version})"]
@@ -53,23 +56,59 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+_NUMBER = (int, float)
+_MISSING = object()
+
+
+def _field(record, key, kind, where, default=_MISSING):
+    """``record[key]`` (``default`` when absent and optional), checked to be of
+    ``kind``; a bool never passes for a number."""
+    value = record.get(key, default)
+    if value is _MISSING:
+        raise ConfsymError(f"saved report: {where} has no {key!r}")
+    if not isinstance(value, kind) or (isinstance(value, bool) and bool not in kind):
+        raise ConfsymError(f"saved report: {where} {key!r} has the wrong type")
+    return value
+
+
+def _reject_non_finite(value, where="report"):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfsymError(f"saved report: non-finite number {value} in {where}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{index}]")
+
+
 def report_from_dict(data: dict) -> RunReport:
-    checks = [
-        CheckReport(
-            name=c["name"],
-            dim=c["dim"],
-            samples=c["samples"],
-            max_residual=c["max_residual"],
-            tolerance=c["tolerance"],
-            seed=c["seed"],
-            expected_fail=c.get("expected_fail", False),
-            error=c.get("error"),
-        )
-        for c in data["checks"]
-    ]
+    """Rebuild a run report from its saved json; raises ConfsymError on a
+    missing key, a value of the wrong type or a non-finite number."""
+    if not isinstance(data, dict):
+        raise ConfsymError("saved report: not a json object")
+    _reject_non_finite(data)
+    checks = []
+    for index, c in enumerate(_field(data, "checks", (list,), "report")):
+        where = f"check {index}"
+        if not isinstance(c, dict):
+            raise ConfsymError(f"saved report: {where} is not a json object")
+        checks.append(CheckReport(
+            name=_field(c, "name", (str,), where),
+            dim=_field(c, "dim", (int,), where),
+            samples=_field(c, "samples", (int,), where),
+            max_residual=_field(c, "max_residual", _NUMBER, where),
+            tolerance=_field(c, "tolerance", _NUMBER, where),
+            seed=_field(c, "seed", (int,), where),
+            expected_fail=_field(c, "expected_fail", (bool,), where, False),
+            error=_field(c, "error", (str, type(None)), where, None),
+        ))
     return RunReport(
-        data["version"], data["spec"], checks, data["seed"],
-        data.get("wall_time_seconds", 0.0),
+        _field(data, "version", (str,), "report"),
+        _field(data, "spec", (dict,), "report"),
+        checks,
+        _field(data, "seed", (int,), "report"),
+        _field(data, "wall_time_seconds", _NUMBER, "report", 0.0),
     )
 
 
@@ -118,6 +157,7 @@ def _cmd_scan_dims(args) -> int:
             },
             sort_keys=True,
             indent=2,
+            allow_nan=False,
         ).encode() + b"\n"
         _write_output(payload, args.out)
     else:
@@ -185,7 +225,11 @@ def _cmd_algebra(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
-        report = report_from_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # not json, or not utf-8
+            raise ConfsymError(f"{args.file} is not a json report: {exc}") from exc
+    report = report_from_dict(data)
     _write_output(emit_report(report, args.format), args.out)
     return 0 if report.overall_ok else 1
 

@@ -1,9 +1,8 @@
 """N-dimensional conformal mechanics: the inverse-square system obtained by
 reducing the conformal scalar multiplet to a single time dimension.
 
-The trajectory integrator is the one genuinely hot loop in the package; its
-kernel is numba-compiled when available (see :mod:`confsym._accel`), with a
-pure-numpy fallback selected by ``CONFSYM_NO_NUMBA=1``.
+The trajectory integrator is the one genuinely hot loop in the package: a
+fixed-step RK4 kernel in plain numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accel import maybe_jit
 from .errors import SingularApproach, SingularConfiguration
 
 MIN_RADIUS = 1e-6
@@ -135,7 +133,7 @@ def so21_bracket_residuals(state: MechState, params: MechParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_core_py(q0, p0, lam, dt, nsteps, qs, ps, min_radius):
+def _rk4_core(q0, p0, lam, dt, nsteps, qs, ps, min_radius):
     """Classic fixed-step RK4 for q' = p, p' = 2 lam q / (q.q)^2.
 
     Fills ``qs``/``ps`` (shape (nsteps + 1, n)) and returns the number of
@@ -181,9 +179,6 @@ def _rk4_core_py(q0, p0, lam, dt, nsteps, qs, ps, min_radius):
         qs[i + 1] = q
         ps[i + 1] = p
     return nsteps
-
-
-_rk4_core = maybe_jit(_rk4_core_py)
 
 
 @dataclass(frozen=True)

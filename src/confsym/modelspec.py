@@ -3,12 +3,13 @@
 Format: ``[section]`` headers followed by ``key = value`` lines.  Blank lines
 and lines starting with ``#`` are ignored.  Anything else is an error with
 an exact line number: unknown sections, unknown keys, duplicated keys,
-malformed values.  Semantic constraints (dimension versus model kind) raise
-:class:`SemanticError` after parsing.
+malformed or non-finite values.  Semantic constraints (dimension versus
+model kind) raise :class:`SemanticError` after parsing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,6 +104,12 @@ class ModelSpec:
         return out
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _convert(raw, kind, lineno):
     try:
         if kind == "str":
@@ -110,9 +117,9 @@ def _convert(raw, kind, lineno):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(float(raw))
         if kind == "floats":
-            return [float(part.strip()) for part in raw.split(",") if part.strip()]
+            return [_finite(float(part.strip())) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise ParseError(f"bad {kind} value {raw!r}", lineno) from exc
     raise ParseError(f"unknown schema type {kind!r}", lineno)

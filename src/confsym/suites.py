@@ -1,18 +1,22 @@
 """Named verification checks and the suite runner behind the CLI.
 
-Each check exercises one identity through the library API and returns a
-:class:`~confsym.noether.CheckReport`.  The mapping from check names to the
-identities they verify is tabulated in the README.  Checks draw their samples
-from a generator seeded by (suite seed, check name), so a report is
-deterministic however the checks are scheduled.
+Each check exercises one identity through the library API and returns one
+residual per drawn sample (``None`` for a sample it skips); :func:`run_suite`
+reduces them into a :class:`~confsym.noether.CheckReport` with the maximum,
+the number of samples evaluated, and an ``error`` when a residual is not
+finite or fewer than half of the samples (or none) were evaluated.  The
+mapping from check names to the identities they verify is tabulated in the
+README.  Checks draw their samples from a generator seeded by (suite seed,
+check name), so a report is deterministic however the checks are scheduled.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .clifford import (
 from .errors import ConfsymError
 from .fields import (
     GaussianMultiplet,
+    fd_gradient,
     field_strength_from_potential,
     make_gauge_function,
     make_onshell_maxwell_plane_wave,
@@ -34,9 +39,11 @@ from .geometry import (
     basis_generators,
     canonical_weight,
     conformal_factor,
+    conformal_jacobian,
     dilation,
     inversion,
     inversion_matrix,
+    killing_divergence,
     killing_residual,
     large_parameter_map,
     map_jacobian,
@@ -107,18 +114,22 @@ FIELD_KINDS = ("maxwell", "general-scalar", "interacting-multiplet", "dual-scala
 
 @dataclass(frozen=True)
 class CheckDef:
+    """A registered check; ``fn(spec, metric, rng)`` returns its residuals."""
+
     name: str
     kinds: tuple
     description: str
     fn: Callable
+    tolerance: Union[str, float] = "exact"  # a class in spec.tolerances, or a fixed number
+    expected_fail: Optional[Callable] = None  # spec -> True where the identity must fail
 
 
 CHECKS: dict = {}
 
 
-def _register(name, kinds, description):
+def _register(name, kinds, tolerance, description, expected_fail=None):
     def wrap(fn):
-        CHECKS[name] = CheckDef(name, tuple(kinds), description, fn)
+        CHECKS[name] = CheckDef(name, tuple(kinds), description, fn, tolerance, expected_fail)
         return fn
 
     return wrap
@@ -128,16 +139,21 @@ def _rng_for(spec: ModelSpec, name: str) -> np.random.Generator:
     return np.random.default_rng([spec.seed, zlib.crc32(name.encode())])
 
 
-def _report(spec, name, residual, tolerance, samples, expected_fail=False):
-    return CheckReport(
-        name=name,
-        dim=spec.dimension,
-        samples=samples,
-        max_residual=float(residual),
-        tolerance=float(tolerance),
-        seed=spec.seed,
-        expected_fail=expected_fail,
-    )
+def _maxabs(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
+def _gap(a, b) -> float:
+    """Largest entry of |a - b|."""
+    return _maxabs(a - b)
+
+
+def _agreement(first, second, x):
+    """Gap between two finite transforms at x, or None where either is singular."""
+    try:
+        return _gap(first.value(x), second.value(x))
+    except ConfsymError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -208,307 +224,237 @@ def _model_fixture(spec, metric, rng):
 # ---------------------------------------------------------------------------
 
 
-@_register("map-composition", FIELD_KINDS, "conformal factor and map compose additively in the parameter")
-def _chk_map_composition(spec, metric, rng, tol):
-    worst, n = 0.0, 250
-    xs, cs = sampling.nonsingular_pairs(rng, metric.dim, n)
-    _, cps = sampling.nonsingular_pairs(rng, metric.dim, n)
-    for x, c, cp in zip(xs, cs, cps):
+@_register("map-composition", FIELD_KINDS, "exact", "conformal factor and map compose additively in the parameter")
+def _chk_map_composition(spec, metric, rng):
+    xs, cs = sampling.nonsingular_pairs(rng, metric.dim, 250)
+    _, cps = sampling.nonsingular_pairs(rng, metric.dim, len(xs))
+
+    def residual(x, c, cp):
         s1 = conformal_factor(x, c, metric)
         xp = special_conformal_map(x, c, metric)
         s2 = conformal_factor(xp, cp, metric)
         if abs(s2) < 0.2 or abs(conformal_factor(x, c + cp, metric)) < 0.2:
-            continue
-        worst = max(worst, abs(s1 * s2 - conformal_factor(x, c + cp, metric)))
+            return None
         two_step = special_conformal_map(xp, cp, metric)
         one_step = special_conformal_map(x, c + cp, metric)
-        worst = max(worst, float(np.max(np.abs(two_step - one_step))))
-    return _report(spec, "map-composition", worst, tol["exact"], n)
+        return max(abs(s1 * s2 - conformal_factor(x, c + cp, metric)), _gap(two_step, one_step))
+
+    return [residual(x, c, cp) for x, c, cp in zip(xs, cs, cps)]
 
 
-@_register("map-inversion-route", FIELD_KINDS, "the map equals invert, translate, invert")
-def _chk_map_route(spec, metric, rng, tol):
-    worst, n = 0.0, 100
-    xs = sampling.off_cone_points(rng, metric.dim, n)
-    cs = sampling.small_parameters(rng, metric.dim, n)
-    for x, c in zip(xs, cs):
-        if abs(conformal_factor(x, c, metric)) < 0.2:
-            continue
-        a = special_conformal_map(x, c, metric)
-        b = special_conformal_map_via_inversion(x, c, metric)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return _report(spec, "map-inversion-route", worst, tol["exact"], n)
+@_register("map-inversion-route", FIELD_KINDS, "exact", "the map equals invert, translate, invert")
+def _chk_map_route(spec, metric, rng):
+    xs = sampling.off_cone_points(rng, metric.dim, 100)
+    cs = sampling.small_parameters(rng, metric.dim, len(xs))
+    return [
+        _gap(special_conformal_map(x, c, metric), special_conformal_map_via_inversion(x, c, metric))
+        if abs(conformal_factor(x, c, metric)) >= 0.2 else None
+        for x, c in zip(xs, cs)
+    ]
 
 
-@_register("inversion-involution", FIELD_KINDS, "inversion applied twice is the identity")
-def _chk_involution(spec, metric, rng, tol):
-    worst, n = 0.0, 100
-    for x in sampling.off_cone_points(rng, metric.dim, n):
-        worst = max(
-            worst, float(np.max(np.abs(inversion(inversion(x, metric), metric) - x)))
-        )
-    return _report(spec, "inversion-involution", worst, tol["exact"], n)
+@_register("inversion-involution", FIELD_KINDS, "exact", "inversion applied twice is the identity")
+def _chk_involution(spec, metric, rng):
+    pts = sampling.off_cone_points(rng, metric.dim, 100)
+    return [_gap(inversion(inversion(x, metric), metric), x) for x in pts]
 
 
-@_register("reflection-matrix", FIELD_KINDS, "reflection matrix squares to one, preserves the metric, det = -1")
-def _chk_reflection(spec, metric, rng, tol):
-    worst, n = 0.0, 100
-    eye = np.eye(metric.dim)
-    for x in sampling.off_cone_points(rng, metric.dim, n):
+@_register("reflection-matrix", FIELD_KINDS, "exact", "reflection matrix squares to one, preserves the metric, det = -1")
+def _chk_reflection(spec, metric, rng):
+    def residual(x):
         imat = inversion_matrix(x, metric)
-        worst = max(worst, float(np.max(np.abs(imat @ imat - eye))))
-        worst = max(
-            worst, float(np.max(np.abs(imat @ metric.matrix @ imat.T - metric.matrix)))
+        return max(
+            _gap(imat @ imat, np.eye(metric.dim)),
+            _gap(imat @ metric.matrix @ imat.T, metric.matrix),
+            abs(np.linalg.det(imat) + 1.0),
         )
-        worst = max(worst, abs(np.linalg.det(imat) + 1.0))
-    return _report(spec, "reflection-matrix", worst, tol["exact"], n)
+
+    return [residual(x) for x in sampling.off_cone_points(rng, metric.dim, 100)]
 
 
-@_register("reflection-derivative", FIELD_KINDS, "reflection matrix equals x^2 times the inversion Jacobian")
-def _chk_reflection_fd(spec, metric, rng, tol):
-    from .fields import fd_gradient
-
-    worst, n = 0.0, 50
-    for x in sampling.off_cone_points(rng, metric.dim, n, min_frac=0.15):
+@_register("reflection-derivative", FIELD_KINDS, "oracle", "reflection matrix equals x^2 times the inversion Jacobian")
+def _chk_reflection_fd(spec, metric, rng):
+    def residual(x):
         imat = inversion_matrix(x, metric)
-        fd = fd_gradient(lambda y: inversion(y, metric), x, 1e-6)
-        worst = max(worst, float(np.max(np.abs(imat - metric.norm2(x) * fd.T))))
-    return _report(spec, "reflection-derivative", worst, tol["oracle"], n)
+        return _gap(imat, metric.norm2(x) * fd_gradient(lambda y: inversion(y, metric), x, 1e-6).T)
+
+    return [residual(x) for x in sampling.off_cone_points(rng, metric.dim, 50, min_frac=0.15)]
 
 
-@_register("jacobian-identity", FIELD_KINDS, "map Jacobian factorises through the two reflection matrices")
-def _chk_jacobian(spec, metric, rng, tol):
-    from .geometry import conformal_jacobian
+@_register("jacobian-identity", FIELD_KINDS, "exact", "map Jacobian factorises through the two reflection matrices")
+def _chk_jacobian(spec, metric, rng):
+    xs = sampling.off_cone_points(rng, metric.dim, 60)
+    cs = sampling.small_parameters(rng, metric.dim, len(xs))
 
-    worst, n = 0.0, 60
-    xs = sampling.off_cone_points(rng, metric.dim, n)
-    cs = sampling.small_parameters(rng, metric.dim, n)
-    eye = np.eye(metric.dim)
-    for x, c in zip(xs, cs):
-        if abs(conformal_factor(x, c, metric)) < 0.3:
-            continue
-        xp = special_conformal_map(x, c, metric)
-        if abs(metric.norm2(xp)) < 0.02:
-            continue
+    def residual(x, c):
+        near_singular = abs(conformal_factor(x, c, metric)) < 0.3
+        if near_singular or abs(metric.norm2(special_conformal_map(x, c, metric))) < 0.02:
+            return None
         fwd, inv = conformal_jacobian(x, c, metric)
-        worst = max(worst, float(np.max(np.abs(fwd - map_jacobian(x, c, metric)))))
-        worst = max(worst, float(np.max(np.abs(fwd @ inv - eye))))
-    return _report(spec, "jacobian-identity", worst, tol["exact"], n)
+        return max(_gap(fwd, map_jacobian(x, c, metric)), _gap(fwd @ inv, np.eye(metric.dim)))
+
+    return [residual(x, c) for x, c in zip(xs, cs)]
 
 
-@_register("jacobian-oracle", FIELD_KINDS, "map Jacobian agrees with central finite differences")
-def _chk_jacobian_fd(spec, metric, rng, tol):
-    from .fields import fd_gradient
+@_register("jacobian-oracle", FIELD_KINDS, "oracle", "map Jacobian agrees with central finite differences")
+def _chk_jacobian_fd(spec, metric, rng):
+    xs = sampling.off_cone_points(rng, metric.dim, 30)
+    cs = sampling.small_parameters(rng, metric.dim, len(xs))
 
-    worst, n = 0.0, 30
-    xs = sampling.off_cone_points(rng, metric.dim, n)
-    cs = sampling.small_parameters(rng, metric.dim, n)
-    for x, c in zip(xs, cs):
+    def residual(x, c):
         if abs(conformal_factor(x, c, metric)) < 0.3:
-            continue
-        fwd = map_jacobian(x, c, metric)
+            return None
         fd = fd_gradient(lambda y: special_conformal_map(y, c, metric), x, 1e-5)
-        worst = max(worst, float(np.max(np.abs(fwd - fd))))
-    return _report(spec, "jacobian-oracle", worst, tol["oracle"], n)
+        return _gap(map_jacobian(x, c, metric), fd)
+
+    return [residual(x, c) for x, c in zip(xs, cs)]
 
 
-@_register("killing-equation", FIELD_KINDS, "every generator satisfies the conformal Killing equation")
-def _chk_killing(spec, metric, rng, tol):
-    worst = 0.0
-    gens = basis_generators(metric.dim)
+@_register("killing-equation", FIELD_KINDS, "exact", "every generator satisfies the conformal Killing equation")
+def _chk_killing(spec, metric, rng):
     pts = sampling.points(rng, metric.dim, 20, scale=1.0)
-    for gen in gens:
-        for x in pts:
-            worst = max(worst, killing_residual(gen, x, metric))
-    return _report(spec, "killing-equation", worst, tol["exact"], len(gens) * len(pts))
+    return [killing_residual(gen, x, metric) for gen in basis_generators(metric.dim) for x in pts]
 
 
-@_register("commutator-algebra", FIELD_KINDS, "translation/conformal commutator closes on dilation plus rotation")
-def _chk_commutator(spec, metric, rng, tol):
+@_register("commutator-algebra", FIELD_KINDS, "identity", "translation/conformal commutator closes on dilation plus rotation")
+def _chk_commutator(spec, metric, rng):
     wave = _scalar_fixture(spec, metric, rng, n_comp=2)
     poly = sampling.random_polynomial_multiplet(rng, metric.dim, 2)
-    worst, count = 0.0, 0
-    for f in (wave, poly):
-        for x in sampling.points(rng, metric.dim, 4):
-            for s in range(metric.dim):
-                for t in range(metric.dim):
-                    worst = max(
-                        worst,
-                        float(np.max(np.abs(commutator_residual(s, t, f, x, metric)))),
-                    )
-                    count += 1
-    return _report(spec, "commutator-algebra", worst, tol["identity"], count)
+    return [
+        _maxabs(commutator_residual(s, t, f, x, metric))
+        for f in (wave, poly)
+        for x in sampling.points(rng, metric.dim, 4)
+        for s in range(metric.dim) for t in range(metric.dim)
+    ]
 
 
-@_register("gamma-reflection", FIELD_KINDS, "gamma algebra holds and slashed units reproduce the reflection matrix")
-def _chk_gamma(spec, metric, rng, tol):
+@_register("gamma-reflection", FIELD_KINDS, "exact", "gamma algebra holds and slashed units reproduce the reflection matrix")
+def _chk_gamma(spec, metric, rng):
     gammas = build_gammas(metric.dim)
-    worst = anticommutator_residual(gammas, metric)
+    anti = anticommutator_residual(gammas, metric)
     pts = sampling.timelike_points(rng, metric.dim, 50)
-    for x in pts:
-        worst = max(worst, sandwich_identity_residual(x, gammas, metric))
-    return _report(spec, "gamma-reflection", worst, tol["exact"], len(pts))
+    return [max(anti, sandwich_identity_residual(x, gammas, metric)) for x in pts]
 
 
-@_register("decoupling-bracket", FIELD_KINDS, "the reflection-matrix transport bracket vanishes")
-def _chk_bracket(spec, metric, rng, tol):
-    worst, n = 0.0, 50
-    xs = sampling.off_cone_points(rng, metric.dim, n, min_frac=0.1)
-    cs = sampling.small_parameters(rng, metric.dim, n, scale=0.4)
-    for x, c in zip(xs, cs):
-        worst = max(worst, float(np.max(np.abs(decoupling_bracket_residual(x, c, metric)))))
-    return _report(spec, "decoupling-bracket", worst, tol["identity"], n)
+@_register("decoupling-bracket", FIELD_KINDS, "identity", "the reflection-matrix transport bracket vanishes")
+def _chk_bracket(spec, metric, rng):
+    xs = sampling.off_cone_points(rng, metric.dim, 50, min_frac=0.1)
+    cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
+    return [_maxabs(decoupling_bracket_residual(x, c, metric)) for x, c in zip(xs, cs)]
 
 
-@_register("vector-decoupling", FIELD_KINDS, "reflected vectors follow the scalar transformation rule")
-def _chk_vec_decoupling(spec, metric, rng, tol):
+@_register("vector-decoupling", FIELD_KINDS, "identity", "reflected vectors follow the scalar transformation rule")
+def _chk_vec_decoupling(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
-    worst, n = 0.0, 30
-    xs = sampling.off_cone_points(rng, metric.dim, n, min_frac=0.1)
-    cs = sampling.small_parameters(rng, metric.dim, n, scale=0.4)
-    for x, c in zip(xs, cs):
-        worst = max(worst, decoupled_vector_residual(A, x, c, metric))
-    return _report(spec, "vector-decoupling", worst, tol["identity"], n)
+    xs = sampling.off_cone_points(rng, metric.dim, 30, min_frac=0.1)
+    cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
+    return [decoupled_vector_residual(A, x, c, metric) for x, c in zip(xs, cs)]
 
 
-@_register("spinor-decoupling", FIELD_KINDS, "slashed spinors follow the scalar transformation rule")
-def _chk_spin_decoupling(spec, metric, rng, tol):
+@_register("spinor-decoupling", FIELD_KINDS, "identity", "slashed spinors follow the scalar transformation rule")
+def _chk_spin_decoupling(spec, metric, rng):
     gammas = build_gammas(metric.dim)
     psi = sampling.random_spinor(rng, metric, gammas.size)
-    worst, n = 0.0, 30
-    xs = sampling.timelike_points(rng, metric.dim, n)
-    cs = sampling.small_parameters(rng, metric.dim, n, scale=0.4)
-    for x, c in zip(xs, cs):
-        worst = max(worst, decoupled_spinor_residual(psi, x, c, metric, gammas))
-    return _report(spec, "spinor-decoupling", worst, tol["identity"], n)
+    xs = sampling.timelike_points(rng, metric.dim, 30)
+    cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
+    return [decoupled_spinor_residual(psi, x, c, metric, gammas) for x, c in zip(xs, cs)]
 
 
-@_register("large-parameter-decay", FIELD_KINDS, "large-parameter map error decays with the inverse parameter cube")
-def _chk_large_c(spec, metric, rng, tol):
-    worst = 0.0
-    for _ in range(5):
+@_register("large-parameter-decay", FIELD_KINDS, 0.2, "large-parameter map error decays with the inverse parameter cube")
+def _chk_large_c(spec, metric, rng):
+    def residual():
         x = sampling.timelike_points(rng, metric.dim, 1)[0]
         c0 = sampling.timelike_points(rng, metric.dim, 1)[0]
-        errs = []
-        for lam in (10.0, 20.0, 40.0):
-            c = lam * c0
-            exact = special_conformal_map(x, c, metric)
-            errs.append(
-                float(np.max(np.abs(exact - large_parameter_map(x, c, metric))))
-            )
-        for e1, e2 in zip(errs, errs[1:]):
-            worst = max(worst, abs(e1 / e2 - 8.0) / 8.0)
-    return _report(spec, "large-parameter-decay", worst, 0.2, 5)
+        errs = [
+            _gap(special_conformal_map(x, c, metric), large_parameter_map(x, c, metric))
+            for c in (10.0 * c0, 20.0 * c0, 40.0 * c0)
+        ]
+        return max(abs(e1 / e2 - 8.0) / 8.0 for e1, e2 in zip(errs, errs[1:]))
+
+    return [residual() for _ in range(5)]
 
 
-def _order_check(spec, metric, rng, tol, name, make_view, variation, points):
-    """Observed convergence order of the parameter derivative of a finite
-    transform towards the infinitesimal variation; must be >= 1.9."""
-    worst = -np.inf
-    for x in points:
+def _order_residuals(rng, metric, make_view, variation):
+    """Per point, how far the convergence order of the parameter derivative of
+    a finite transform ``make_view(c, weight)`` towards the infinitesimal
+    variation falls short of 1.9; 1.0 at least where the third regresses."""
+    d = canonical_weight(metric.dim)
+
+    def residual(x):
         c = sampling.small_parameters(rng, metric.dim, 1, scale=0.4)[0]
         target = variation(c, x)
-        errs = []
-        for eps in (1e-2, 1e-3, 1e-4):
-            est = finite_variation_fd(lambda t: make_view(t * c), x, eps)
-            errs.append(float(np.max(np.abs(est - target))) + 1e-30)
-        order = np.log10(errs[0] / errs[1])
-        worst = max(worst, 1.9 - order)
-        if errs[2] > 10.0 * errs[1]:
-            worst = max(worst, 1.0)  # third magnitude must not regress
-    return _report(spec, name, worst, 0.0, len(points))
+        errs = [
+            _gap(finite_variation_fd(lambda t: make_view(t * c, d), x, eps), target) + 1e-30
+            for eps in (1e-2, 1e-3, 1e-4)
+        ]
+        shortfall = 1.9 - np.log10(errs[0] / errs[1])
+        return max(shortfall, 1.0) if errs[2] > 10.0 * errs[1] else shortfall
+
+    return [residual(x) for x in sampling.timelike_points(rng, metric.dim, 5)]
 
 
-@_register("finite-infinitesimal-scalar", FIELD_KINDS, "finite scalar transform linearises to the scalar variation")
-def _chk_order_scalar(spec, metric, rng, tol):
+@_register("finite-infinitesimal-scalar", FIELD_KINDS, 0.0, "finite scalar transform linearises to the scalar variation")
+def _chk_order_scalar(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=2)
-    d = canonical_weight(metric.dim)
-    return _order_check(
-        spec, metric, rng, tol, "finite-infinitesimal-scalar",
-        lambda c: FiniteScalarTransform(phi, c, d, metric),
+    return _order_residuals(
+        rng, metric,
+        lambda c, d: FiniteScalarTransform(phi, c, d, metric),
         lambda c, x: delta_scalar(special_conformal(c), phi, x, metric),
-        sampling.timelike_points(rng, metric.dim, 5),
     )
 
 
-@_register("finite-infinitesimal-vector", FIELD_KINDS, "finite vector transform linearises to the vector variation")
-def _chk_order_vector(spec, metric, rng, tol):
+@_register("finite-infinitesimal-vector", FIELD_KINDS, 0.0, "finite vector transform linearises to the vector variation")
+def _chk_order_vector(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
-    d = canonical_weight(metric.dim)
-    return _order_check(
-        spec, metric, rng, tol, "finite-infinitesimal-vector",
-        lambda c: FiniteVectorTransform(A, c, d, metric),
+    return _order_residuals(
+        rng, metric,
+        lambda c, d: FiniteVectorTransform(A, c, d, metric),
         lambda c, x: delta_vector_potential(special_conformal(c, spin="vector"), A, x, metric),
-        sampling.timelike_points(rng, metric.dim, 5),
     )
 
 
-@_register("finite-infinitesimal-spinor", FIELD_KINDS, "finite spinor transform linearises to the spinor variation")
-def _chk_order_spinor(spec, metric, rng, tol):
+@_register("finite-infinitesimal-spinor", FIELD_KINDS, 0.0, "finite spinor transform linearises to the spinor variation")
+def _chk_order_spinor(spec, metric, rng):
     gammas = build_gammas(metric.dim)
     psi = sampling.random_spinor(rng, metric, gammas.size)
-    d = canonical_weight(metric.dim)
-    return _order_check(
-        spec, metric, rng, tol, "finite-infinitesimal-spinor",
-        lambda c: FiniteSpinorTransform(psi, c, d, metric, gammas, route="compact"),
+    return _order_residuals(
+        rng, metric,
+        lambda c, d: FiniteSpinorTransform(psi, c, d, metric, gammas, route="compact"),
         lambda c, x: delta_spinor(special_conformal(c, spin="spinor"), psi, x, metric, gammas),
-        sampling.timelike_points(rng, metric.dim, 5),
     )
 
 
-@_register("finite-vector-routes", FIELD_KINDS, "Jacobian and double-reflection vector transforms agree")
-def _chk_vec_routes(spec, metric, rng, tol):
+@_register("finite-vector-routes", FIELD_KINDS, "exact", "Jacobian and double-reflection vector transforms agree")
+def _chk_vec_routes(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
-    worst, n = 0.0, 40
-    count = 0
-    xs = sampling.timelike_points(rng, metric.dim, n)
-    cs = sampling.small_parameters(rng, metric.dim, n, scale=0.08)
-    for x, c in zip(xs, cs):
-        try:
-            a = FiniteVectorTransform(A, c, 1.0, metric, route="jacobian").value(x)
-            b = FiniteVectorTransform(A, c, 1.0, metric, route="reflection").value(x)
-        except ConfsymError:
-            continue
-        count += 1
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return _report(spec, "finite-vector-routes", worst, tol["exact"], count)
+    xs = sampling.timelike_points(rng, metric.dim, 40)
+    cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.08)
+    make = lambda c, route: FiniteVectorTransform(A, c, 1.0, metric, route=route)
+    return [_agreement(make(c, "jacobian"), make(c, "reflection"), x) for x, c in zip(xs, cs)]
 
 
-@_register("finite-spinor-routes", FIELD_KINDS, "paired-slash and compact spinor transforms agree")
-def _chk_spinor_routes(spec, metric, rng, tol):
+@_register("finite-spinor-routes", FIELD_KINDS, "exact", "paired-slash and compact spinor transforms agree")
+def _chk_spinor_routes(spec, metric, rng):
     gammas = build_gammas(metric.dim)
     psi = sampling.random_spinor(rng, metric, gammas.size)
-    worst, n, count = 0.0, 40, 0
-    xs = sampling.timelike_points(rng, metric.dim, n)
-    cs = sampling.small_parameters(rng, metric.dim, n, scale=0.05)
-    for x, c in zip(xs, cs):
-        try:
-            a = FiniteSpinorTransform(psi, c, 1.0, metric, gammas, route="pair").value(x)
-            b = FiniteSpinorTransform(psi, c, 1.0, metric, gammas, route="compact").value(x)
-        except ConfsymError:
-            continue
-        count += 1
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return _report(spec, "finite-spinor-routes", worst, tol["exact"], count)
+    xs = sampling.timelike_points(rng, metric.dim, 40)
+    cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.05)
+    make = lambda c, route: FiniteSpinorTransform(psi, c, 1.0, metric, gammas, route=route)
+    return [_agreement(make(c, "pair"), make(c, "compact"), x) for x, c in zip(xs, cs)]
 
 
-@_register("finite-scalar-composition", FIELD_KINDS, "finite scalar transforms compose additively in the parameter")
-def _chk_scalar_composition(spec, metric, rng, tol):
+@_register("finite-scalar-composition", FIELD_KINDS, "exact", "finite scalar transforms compose additively in the parameter")
+def _chk_scalar_composition(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
-    worst, n, count = 0.0, 40, 0
-    xs = sampling.points(rng, metric.dim, n)
-    for x in xs:
+
+    def residual(x):
         c1 = sampling.small_parameters(rng, metric.dim, 1, scale=0.06)[0]
         c2 = sampling.small_parameters(rng, metric.dim, 1, scale=0.06)[0]
-        try:
-            once = FiniteScalarTransform(phi, c1 + c2, 1.0, metric).value(x)
-            inner = FiniteScalarTransform(phi, c1, 1.0, metric)
-            twice = FiniteScalarTransform(inner, c2, 1.0, metric).value(x)
-        except ConfsymError:
-            continue
-        count += 1
-        worst = max(worst, float(np.max(np.abs(once - twice))))
-    return _report(spec, "finite-scalar-composition", worst, tol["exact"], count)
+        once = FiniteScalarTransform(phi, c1 + c2, 1.0, metric)
+        twice = FiniteScalarTransform(FiniteScalarTransform(phi, c1, 1.0, metric), c2, 1.0, metric)
+        return _agreement(once, twice, x)
+
+    return [residual(x) for x in sampling.points(rng, metric.dim, 40)]
 
 
 # ---------------------------------------------------------------------------
@@ -516,36 +462,26 @@ def _chk_scalar_composition(spec, metric, rng, tol):
 # ---------------------------------------------------------------------------
 
 
-@_register("action-scale-identity", FIELD_KINDS, "dilation changes the density by a pure total derivative, off shell")
-def _chk_action_scale(spec, metric, rng, tol):
+@_register("action-scale-identity", FIELD_KINDS, "identity", "dilation changes the density by a pure total derivative, off shell")
+def _chk_action_scale(spec, metric, rng):
     model, fixture = _model_fixture(spec, metric, rng)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 8):
-        worst = max(worst, abs(action_variation_identity("scale", model, fixture, x, metric)))
-    return _report(spec, "action-scale-identity", worst, tol["identity"], 8)
+    pts = sampling.points(rng, metric.dim, 8)
+    return [abs(action_variation_identity("scale", model, fixture, x, metric)) for x in pts]
 
 
-@_register("action-conformal-identity", FIELD_KINDS, "conformal variation of the density is the stated total derivative")
-def _chk_action_conformal(spec, metric, rng, tol):
+@_register("action-conformal-identity", FIELD_KINDS, "identity", "conformal variation of the density is the stated total derivative",
+           expected_fail=lambda spec: spec.kind == "general-scalar" and spec.profile != "linear")
+def _chk_action_conformal(spec, metric, rng):
     model, fixture = _model_fixture(spec, metric, rng)
-    expected_fail = spec.kind == "general-scalar" and spec.profile != "linear"
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 8):
-        for s in range(metric.dim):
-            worst = max(
-                worst,
-                abs(action_variation_identity("conformal", model, fixture, x, metric, s)),
-            )
-    return _report(
-        spec, "action-conformal-identity", worst, tol["identity"], 8 * metric.dim,
-        expected_fail=expected_fail,
-    )
+    pts = sampling.points(rng, metric.dim, 8)
+    return [
+        abs(action_variation_identity("conformal", model, fixture, x, metric, s))
+        for x in pts for s in range(metric.dim)
+    ]
 
 
-@_register("virial-structure", FIELD_KINDS, "virial total-divergence status and its potential check out")
-def _chk_virial_structure(spec, metric, rng, tol):
-    from .fields import fd_gradient
-
+@_register("virial-structure", FIELD_KINDS, "oracle", "virial total-divergence status and its potential check out")
+def _chk_virial_structure(spec, metric, rng):
     model, fixture = _model_fixture(spec, metric, rng)
     expect_flag = {
         "maxwell": metric.dim == 4,
@@ -553,16 +489,16 @@ def _chk_virial_structure(spec, metric, rng, tol):
         "dual-scalar-3": True,
         "general-scalar": spec.profile == "linear",
     }[spec.kind]
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 6):
+
+    def residual(x):
         info = field_virial(model, fixture, x, metric)
-        if info.is_total_divergence != expect_flag:
-            worst = max(worst, 1.0)
-        if info.is_total_divergence and info.potential is not None:
-            fd = fd_gradient(info.potential, x, 1e-5)  # fd[m, a, r] = d_r sigma^{ma}
-            div = np.einsum("mam->a", fd)
-            worst = max(worst, float(np.max(np.abs(div - info.value))))
-    return _report(spec, "virial-structure", worst, tol["oracle"], 6)
+        flag_error = 0.0 if info.is_total_divergence == expect_flag else 1.0
+        if not info.is_total_divergence or info.potential is None:
+            return flag_error
+        fd = fd_gradient(info.potential, x, 1e-5)  # fd[m, a, r] = d_r sigma^{ma}
+        return max(flag_error, _gap(np.einsum("mam->a", fd), info.value))
+
+    return [residual(x) for x in sampling.points(rng, metric.dim, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -570,186 +506,164 @@ def _chk_virial_structure(spec, metric, rng, tol):
 # ---------------------------------------------------------------------------
 
 
-@_register("stress-trace-law", ("maxwell",), "stress trace equals (-1 + D/4) F^2 at every point")
-def _chk_trace_law(spec, metric, rng, tol):
+@_register("stress-trace-law", ("maxwell",), "exact", "stress trace equals (-1 + D/4) F^2 at every point")
+def _chk_trace_law(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
+
+    def residual(x):
         F = field_strength_from_potential(A, x).F
         expected = (-1.0 + metric.dim / 4.0) * _f_squared(F, metric)
-        worst = max(worst, abs(maxwell_stress_trace(A, x, metric) - expected))
-    return _report(spec, "stress-trace-law", worst, tol["exact"], 10)
+        return abs(maxwell_stress_trace(A, x, metric) - expected)
+
+    return [residual(x) for x in sampling.points(rng, metric.dim, 10)]
 
 
-@_register("stress-conservation", ("maxwell",), "stress tensor is conserved on shell")
-def _chk_stress_cons(spec, metric, rng, tol):
+@_register("stress-conservation", ("maxwell",), "identity", "stress tensor is conserved on shell")
+def _chk_stress_cons(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        worst = max(worst, float(np.max(np.abs(maxwell_stress_divergence(A, x, metric)))))
-    return _report(spec, "stress-conservation", worst, tol["identity"], 10)
+    pts = sampling.points(rng, metric.dim, 10)
+    return [_maxabs(maxwell_stress_divergence(A, x, metric)) for x in pts]
 
 
-@_register("scale-current-conservation", ("maxwell",), "improved scale current is conserved on shell in every D")
-def _chk_scale_current(spec, metric, rng, tol):
+@_register("scale-current-conservation", ("maxwell",), "identity", "improved scale current is conserved on shell in every D")
+def _chk_scale_current(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        worst = max(worst, abs(scale_current_maxwell_divergence(A, x, metric)))
-    return _report(spec, "scale-current-conservation", worst, tol["identity"], 10)
+    pts = sampling.points(rng, metric.dim, 10)
+    return [abs(scale_current_maxwell_divergence(A, x, metric)) for x in pts]
 
 
-@_register("current-construction-equivalence", ("maxwell",), "raw and improved scale currents share one divergence")
-def _chk_current_equiv(spec, metric, rng, tol):
+@_register("current-construction-equivalence", ("maxwell",), "identity", "raw and improved scale currents share one divergence")
+def _chk_current_equiv(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        raw = noether_scale_current_maxwell_divergence(A, x, metric)
-        improved = scale_current_maxwell_divergence(A, x, metric)
-        worst = max(worst, abs(raw - improved))
-    return _report(spec, "current-construction-equivalence", worst, tol["identity"], 10)
+    raw, improved = noether_scale_current_maxwell_divergence, scale_current_maxwell_divergence
+    pts = sampling.points(rng, metric.dim, 10)
+    return [abs(raw(A, x, metric) - improved(A, x, metric)) for x in pts]
 
 
-@_register("conformal-current-identity", ("maxwell",), "conformal current divergence equals its closed-form anomaly")
-def _chk_conf_current(spec, metric, rng, tol):
+def _conformal_current_sides(spec, metric, rng):
+    """(divergence, closed-form anomaly) of the conformal current of an
+    on-shell potential, at each point for a parameter drawn per point."""
     A = _onshell_potential(spec, metric, rng)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        c = rng.normal(0.0, 0.4, metric.dim)
-        lhs, rhs = current_divergence_identity(special_conformal(c), A, x, metric)
-        worst = max(worst, abs(lhs - rhs))
-    return _report(spec, "conformal-current-identity", worst, tol["identity"], 10)
+    dim = metric.dim
+    return [
+        current_divergence_identity(special_conformal(rng.normal(0.0, 0.4, dim)), A, x, metric)
+        for x in sampling.points(rng, dim, 10)
+    ]
 
 
-@_register("conformal-current-naive", ("maxwell",), "naive conformal conservation: holds only in four dimensions")
-def _chk_conf_naive(spec, metric, rng, tol):
-    A = _onshell_potential(spec, metric, rng)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        c = rng.normal(0.0, 0.4, metric.dim)
-        lhs, _ = current_divergence_identity(special_conformal(c), A, x, metric)
-        worst = max(worst, abs(lhs))
-    return _report(
-        spec, "conformal-current-naive", worst, tol["identity"], 10,
-        expected_fail=(metric.dim != 4),
-    )
+@_register("conformal-current-identity", ("maxwell",), "identity", "conformal current divergence equals its closed-form anomaly")
+def _chk_conf_current(spec, metric, rng):
+    return [abs(lhs - rhs) for lhs, rhs in _conformal_current_sides(spec, metric, rng)]
 
 
-@_register("virial-closed-form", ("maxwell",), "first-principles virial equals its (4-D)/2 F A closed form")
-def _chk_virial(spec, metric, rng, tol):
+@_register("conformal-current-naive", ("maxwell",), "identity", "naive conformal conservation: holds only in four dimensions",
+           expected_fail=lambda spec: spec.dimension != 4)
+def _chk_conf_naive(spec, metric, rng):
+    return [abs(lhs) for lhs, _ in _conformal_current_sides(spec, metric, rng)]
+
+
+@_register("virial-closed-form", ("maxwell",), "exact", "first-principles virial equals its (4-D)/2 F A closed form")
+def _chk_virial(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
+
+    def residual(x):
         info = field_virial(MaxwellModel(metric.dim), A, x, metric)
-        direct = maxwell_virial_first_principles(A, x, metric)
-        worst = max(worst, float(np.max(np.abs(info.value - direct))))
-        if metric.dim == 4:
-            worst = max(worst, float(np.max(np.abs(info.value))))
-    return _report(spec, "virial-closed-form", worst, tol["exact"], 10)
+        mismatch = _gap(info.value, maxwell_virial_first_principles(A, x, metric))
+        return max(mismatch, _maxabs(info.value)) if metric.dim == 4 else mismatch
+
+    return [residual(x) for x in sampling.points(rng, metric.dim, 10)]
 
 
-@_register("action-assumed-primary", ("maxwell",), "pretend-primary conformal rule makes the action invariant")
-def _chk_assumed_primary(spec, metric, rng, tol):
+@_register("action-assumed-primary", ("maxwell",), "identity", "pretend-primary conformal rule makes the action invariant")
+def _chk_assumed_primary(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     model = MaxwellModel(metric.dim)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 6):
-        for s in range(metric.dim):
-            worst = max(
-                worst,
-                abs(action_variation_identity("conformal-assumed-primary", model, A, x, metric, s)),
-            )
-    return _report(spec, "action-assumed-primary", worst, tol["identity"], 6 * metric.dim)
+    pts = sampling.points(rng, metric.dim, 6)
+    return [
+        abs(action_variation_identity("conformal-assumed-primary", model, A, x, metric, s))
+        for x in pts for s in range(metric.dim)
+    ]
 
 
-@_register("gauge-shift-pointwise", ("maxwell",), "gauge change shifts the scale current by the predicted divergence")
-def _chk_gauge_shift(spec, metric, rng, tol):
+def _gauge_fixture(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
     omega = make_gauge_function(
         "plane-wave", metric, k=rng.normal(0.0, 0.5, metric.dim), amplitude=0.8, phase=0.3
     )
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        shift, predicted = gauge_shift_scale_current(A, omega, x, metric)
-        worst = max(worst, float(np.max(np.abs(shift - predicted))))
-    return _report(spec, "gauge-shift-pointwise", worst, tol["identity"], 10)
+    return A, omega
 
 
-@_register("gauge-shift-conserved", ("maxwell",), "the gauge-induced current shift is trivially conserved on shell")
-def _chk_gauge_shift_div(spec, metric, rng, tol):
-    A = _onshell_potential(spec, metric, rng)
-    omega = make_gauge_function(
-        "plane-wave", metric, k=rng.normal(0.0, 0.5, metric.dim), amplitude=0.8, phase=0.3
-    )
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        worst = max(worst, abs(gauge_shift_divergence(A, omega, x, metric)))
-    return _report(spec, "gauge-shift-conserved", worst, tol["identity"], 10)
+@_register("gauge-shift-pointwise", ("maxwell",), "identity", "gauge change shifts the scale current by the predicted divergence")
+def _chk_gauge_shift(spec, metric, rng):
+    A, omega = _gauge_fixture(spec, metric, rng)
+    pts = sampling.points(rng, metric.dim, 10)
+    return [_gap(*gauge_shift_scale_current(A, omega, x, metric)) for x in pts]
 
 
-@_register("lie-derivative-forms", ("maxwell",), "transport and gauge-covariant Lie derivative forms agree")
-def _chk_lie_forms(spec, metric, rng, tol):
-    A = sampling.random_offshell_potential(rng, metric)
-    worst = 0.0
-    gens = [
+@_register("gauge-shift-conserved", ("maxwell",), "identity", "the gauge-induced current shift is trivially conserved on shell")
+def _chk_gauge_shift_div(spec, metric, rng):
+    A, omega = _gauge_fixture(spec, metric, rng)
+    pts = sampling.points(rng, metric.dim, 10)
+    return [abs(gauge_shift_divergence(A, omega, x, metric)) for x in pts]
+
+
+def _vector_generators(metric, rng):
+    """A dilation and a random special conformal generator acting on vectors."""
+    return [
         dilation(0.7, metric.dim, spin="vector"),
         special_conformal(rng.normal(0.0, 0.3, metric.dim), spin="vector"),
     ]
-    for x in sampling.points(rng, metric.dim, 8):
-        for gen in gens:
-            a, b = lie_derivative_vector(gen, A, x, metric)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-    return _report(spec, "lie-derivative-forms", worst, tol["exact"], 16)
 
 
-@_register("lie-derivative-weight", ("maxwell",), "field variation differs from the Lie derivative by the weight term")
-def _chk_lie_weight(spec, metric, rng, tol):
-    from .geometry import killing_divergence
+@_register("lie-derivative-forms", ("maxwell",), "exact", "transport and gauge-covariant Lie derivative forms agree")
+def _chk_lie_forms(spec, metric, rng):
+    A = sampling.random_offshell_potential(rng, metric)
+    gens = _vector_generators(metric, rng)
+    pts = sampling.points(rng, metric.dim, 8)
+    return [_gap(*lie_derivative_vector(gen, A, x, metric)) for x in pts for gen in gens]
 
+
+@_register("lie-derivative-weight", ("maxwell",), "exact", "field variation differs from the Lie derivative by the weight term")
+def _chk_lie_weight(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     dim = metric.dim
-    worst = 0.0
-    gens = [
-        dilation(0.7, dim, spin="vector"),
-        special_conformal(rng.normal(0.0, 0.3, dim), spin="vector"),
-    ]
-    for x in sampling.points(rng, dim, 8):
-        for gen in gens:
-            lie, _ = lie_derivative_vector(gen, A, x, metric)
-            delta = delta_vector_potential(gen, A, x, metric)
-            shift = ((dim - 4.0) / (2.0 * dim)) * killing_divergence(gen, x, metric) * A.value(x)
-            worst = max(worst, float(np.max(np.abs(delta - lie - shift))))
-    return _report(spec, "lie-derivative-weight", worst, tol["exact"], 16)
+    gens = _vector_generators(metric, rng)
+
+    def residual(x, gen):
+        lie, _ = lie_derivative_vector(gen, A, x, metric)
+        delta = delta_vector_potential(gen, A, x, metric)
+        shift = ((dim - 4.0) / (2.0 * dim)) * killing_divergence(gen, x, metric) * A.value(x)
+        return _maxabs(delta - lie - shift)
+
+    return [residual(x, gen) for x in sampling.points(rng, dim, 8) for gen in gens]
 
 
-@_register("primary-rule-discrepancy", ("maxwell",), "induced and pretend-primary F variations differ by (D-4) potential terms")
-def _chk_primary_disc(spec, metric, rng, tol):
+@_register("primary-rule-discrepancy", ("maxwell",), "exact", "induced and pretend-primary F variations differ by (D-4) potential terms")
+def _chk_primary_disc(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     dim = metric.dim
-    worst = 0.0
-    for x in sampling.points(rng, dim, 8):
+
+    def residual(x):
         c = rng.normal(0.0, 0.3, dim)
-        gen = special_conformal(c, spin="vector")
-        induced = delta_field_strength(gen, A, x, metric)
+        induced = delta_field_strength(special_conformal(c, spin="vector"), A, x, metric)
         gen_f = special_conformal(c, weight=dim / 2.0, spin="field-strength")
         fs = field_strength_from_potential(A, x)
         primary = delta_field_strength_primary(gen_f, fs, x, metric)
         cl = metric.lower(c)
         val = A.value(x)
         expected = (dim - 4.0) * (np.outer(cl, val) - np.outer(cl, val).T)
-        worst = max(worst, float(np.max(np.abs(induced - primary - expected))))
-    return _report(spec, "primary-rule-discrepancy", worst, tol["exact"], 8)
+        return _maxabs(induced - primary - expected)
+
+    return [residual(x) for x in sampling.points(rng, dim, 8)]
 
 
-@_register("eom-conformal-violation", ("maxwell",), "the varied field strength violates the equations of motion off D = 4")
-def _chk_eom_violation(spec, metric, rng, tol):
+@_register("eom-conformal-violation", ("maxwell",), "identity", "the varied field strength violates the equations of motion off D = 4")
+def _chk_eom_violation(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 8):
-        c = rng.normal(0.0, 0.3, metric.dim)
-        lhs, rhs = eom_violation_conformal(A, x, metric, c)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _report(spec, "eom-conformal-violation", worst, tol["identity"], 8)
+    return [
+        _gap(*eom_violation_conformal(A, x, metric, rng.normal(0.0, 0.3, metric.dim)))
+        for x in sampling.points(rng, metric.dim, 8)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -757,60 +671,46 @@ def _chk_eom_violation(spec, metric, rng, tol):
 # ---------------------------------------------------------------------------
 
 
-@_register("multiplet-stress-conservation", ("interacting-multiplet",), "free canonical stress tensor is conserved on shell")
-def _chk_mult_cons(spec, metric, rng, tol):
+@_register("multiplet-stress-conservation", ("interacting-multiplet",), "identity", "free canonical stress tensor is conserved on shell")
+def _chk_mult_cons(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True)
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        worst = max(
-            worst, float(np.max(np.abs(scalar_stress_divergence(phi, x, metric))))
-        )
-    return _report(spec, "multiplet-stress-conservation", worst, tol["identity"], 10)
+    pts = sampling.points(rng, metric.dim, 10)
+    return [_maxabs(scalar_stress_divergence(phi, x, metric)) for x in pts]
 
 
-@_register("improved-trace-onshell", ("interacting-multiplet", "dual-scalar-3"), "improved stress tensor is traceless on shell")
-def _chk_improved_trace(spec, metric, rng, tol):
+@_register("improved-trace-onshell", ("interacting-multiplet", "dual-scalar-3"), "identity", "improved stress tensor is traceless on shell")
+def _chk_improved_trace(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True, n_comp=max(1, spec.components))
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        worst = max(worst, abs(improved_scalar_stress_trace(phi, x, metric)))
-    return _report(spec, "improved-trace-onshell", worst, tol["identity"], 10)
+    pts = sampling.points(rng, metric.dim, 10)
+    return [abs(improved_scalar_stress_trace(phi, x, metric)) for x in pts]
 
 
-@_register("improved-trace-law", ("interacting-multiplet",), "improved trace follows its hand-derived off-shell closed form")
-def _chk_trace_law_offshell(spec, metric, rng, tol):
+@_register("improved-trace-law", ("interacting-multiplet",), "identity", "improved trace follows its hand-derived off-shell closed form")
+def _chk_trace_law_offshell(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng)
     lam = spec.coupling
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
+
+    def residual(x):
         lhs = improved_scalar_stress_trace(phi, x, metric, lam)
-        rhs = offshell_trace_law(phi, x, metric, lam)
-        worst = max(worst, abs(lhs - rhs))
-    return _report(spec, "improved-trace-law", worst, tol["identity"], 10)
+        return abs(lhs - offshell_trace_law(phi, x, metric, lam))
+
+    return [residual(x) for x in sampling.points(rng, metric.dim, 10)]
 
 
-@_register("improved-conservation", ("interacting-multiplet", "dual-scalar-3"), "improved stress tensor stays conserved on shell")
-def _chk_improved_cons(spec, metric, rng, tol):
+@_register("improved-conservation", ("interacting-multiplet", "dual-scalar-3"), "identity", "improved stress tensor stays conserved on shell")
+def _chk_improved_cons(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True, n_comp=max(1, spec.components))
-    worst = 0.0
-    for x in sampling.points(rng, metric.dim, 10):
-        worst = max(
-            worst,
-            float(np.max(np.abs(improved_scalar_stress_divergence(phi, x, metric)))),
-        )
-    return _report(spec, "improved-conservation", worst, tol["identity"], 10)
+    pts = sampling.points(rng, metric.dim, 10)
+    return [_maxabs(improved_scalar_stress_divergence(phi, x, metric)) for x in pts]
 
 
-@_register("killing-current-conservation", ("interacting-multiplet",), "stress-times-Killing currents are conserved on shell (free)")
-def _chk_killing_current(spec, metric, rng, tol):
+@_register("killing-current-conservation", ("interacting-multiplet",), "identity", "stress-times-Killing currents are conserved on shell (free)")
+def _chk_killing_current(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True)
     model = MultipletModel(metric.dim, spec.components, 0.0)
-    worst = 0.0
     gens = basis_generators(metric.dim)
-    for x in sampling.points(rng, metric.dim, 4):
-        for gen in gens:
-            worst = max(worst, abs(bessel_hagen_divergence(gen, model, phi, x, metric)))
-    return _report(spec, "killing-current-conservation", worst, tol["identity"], 4 * len(gens))
+    pts = sampling.points(rng, metric.dim, 4)
+    return [abs(bessel_hagen_divergence(gen, model, phi, x, metric)) for x in pts for gen in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -818,77 +718,62 @@ def _chk_killing_current(spec, metric, rng, tol):
 # ---------------------------------------------------------------------------
 
 
-@_register("dual-roundtrip", ("dual-scalar-3",), "the dual map inverts: half the symbol contraction rebuilds the gradient")
-def _chk_dual_roundtrip(spec, metric, rng, tol):
+@_register("dual-roundtrip", ("dual-scalar-3",), "exact", "the dual map inverts: half the symbol contraction rebuilds the gradient")
+def _chk_dual_roundtrip(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1).component(0)
-    worst = 0.0
-    for x in sampling.points(rng, 3, 10):
-        worst = max(worst, dual3.dual_roundtrip_residual(phi, x, metric))
-    return _report(spec, "dual-roundtrip", worst, tol["exact"], 10)
+    return [dual3.dual_roundtrip_residual(phi, x, metric) for x in sampling.points(rng, 3, 10)]
 
 
-@_register("dual-motion-identity", ("dual-scalar-3",), "the field equation holds identically for any dual scalar")
-def _chk_dual_motion(spec, metric, rng, tol):
+@_register("dual-motion-identity", ("dual-scalar-3",), "exact", "the field equation holds identically for any dual scalar")
+def _chk_dual_motion(spec, metric, rng):
     poly = sampling.random_polynomial_multiplet(rng, 3, 1)
-    worst = 0.0
-    for phi in (poly.component(0), _scalar_fixture(spec, metric, rng, n_comp=1).component(0)):
-        for x in sampling.points(rng, 3, 8):
-            worst = max(worst, float(np.max(np.abs(dual3.maxwell_eom_from_dual(phi, x, metric)))))
-    return _report(spec, "dual-motion-identity", worst, tol["exact"], 16)
+    return [
+        _maxabs(dual3.maxwell_eom_from_dual(phi, x, metric))
+        for phi in (poly.component(0), _scalar_fixture(spec, metric, rng, n_comp=1).component(0))
+        for x in sampling.points(rng, 3, 8)
+    ]
 
 
-@_register("dual-bianchi-dynamics", ("dual-scalar-3",), "the cyclic identity carries the wave operator of the dual scalar")
-def _chk_dual_bianchi(spec, metric, rng, tol):
-    poly = sampling.random_polynomial_multiplet(rng, 3, 1)
-    phi = poly.component(0)
-    worst = 0.0
-    for x in sampling.points(rng, 3, 10):
-        worst = max(worst, dual3.bianchi_pattern_residual(phi, x, metric))
-    return _report(spec, "dual-bianchi-dynamics", worst, tol["exact"], 10)
+@_register("dual-bianchi-dynamics", ("dual-scalar-3",), "exact", "the cyclic identity carries the wave operator of the dual scalar")
+def _chk_dual_bianchi(spec, metric, rng):
+    phi = sampling.random_polynomial_multiplet(rng, 3, 1).component(0)
+    return [dual3.bianchi_pattern_residual(phi, x, metric) for x in sampling.points(rng, 3, 10)]
 
 
-@_register("dual-nonprimary-shift", ("dual-scalar-3",), "dual F variation exceeds the primary rule by the symbol times phi")
-def _chk_dual_nonprimary(spec, metric, rng, tol):
+@_register("dual-nonprimary-shift", ("dual-scalar-3",), "exact", "dual F variation exceeds the primary rule by the symbol times phi")
+def _chk_dual_nonprimary(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1).component(0)
-    worst = 0.0
-    for x in sampling.points(rng, 3, 8):
-        for s in range(3):
-            worst = max(worst, dual3.nonprimary_shift_residual(phi, x, s, metric))
-    return _report(spec, "dual-nonprimary-shift", worst, tol["exact"], 24)
+    pts = sampling.points(rng, 3, 8)
+    return [dual3.nonprimary_shift_residual(phi, x, s, metric) for x in pts for s in range(3)]
 
 
-@_register("dual-variation-consistency", ("dual-scalar-3",), "explicit dual F variation equals the chain rule through the gradient")
-def _chk_dual_chain(spec, metric, rng, tol):
+@_register("dual-variation-consistency", ("dual-scalar-3",), "identity", "explicit dual F variation equals the chain rule through the gradient")
+def _chk_dual_chain(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1).component(0)
-    worst = 0.0
-    for x in sampling.points(rng, 3, 8):
-        for s in range(3):
-            a = dual3.delta_bar_F(phi, x, s, metric)
-            b = dual3.delta_bar_F_chain_rule(phi, x, s, metric)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-    return _report(spec, "dual-variation-consistency", worst, tol["identity"], 24)
+    pts = sampling.points(rng, 3, 8)
+    return [
+        _gap(dual3.delta_bar_F(phi, x, s, metric), dual3.delta_bar_F_chain_rule(phi, x, s, metric))
+        for x in pts for s in range(3)
+    ]
 
 
-@_register("dual-stress-equality", ("dual-scalar-3",), "F-form and scalar-form improved stress tensors agree on shell")
-def _chk_dual_stress(spec, metric, rng, tol):
+@_register("dual-stress-equality", ("dual-scalar-3",), "identity", "F-form and scalar-form improved stress tensors agree on shell")
+def _chk_dual_stress(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True, n_comp=1).component(0)
-    worst = 0.0
-    for x in sampling.points(rng, 3, 10):
+
+    def residual(x):
         a = dual3.improved_stress_from_F(phi, x, metric)
         b = dual3.improved_stress_scalar_form(phi, x, metric)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-        worst = max(worst, abs(float(np.einsum("m,mm->", metric.diag, a))))
-    return _report(spec, "dual-stress-equality", worst, tol["identity"], 10)
+        return max(_gap(a, b), abs(float(np.einsum("m,mm->", metric.diag, a))))
+
+    return [residual(x) for x in sampling.points(rng, 3, 10)]
 
 
-@_register("duality-match", ("dual-scalar-3",), "a matched plane-wave pair satisfies the duality relation pointwise")
-def _chk_duality_match(spec, metric, rng, tol):
+@_register("duality-match", ("dual-scalar-3",), 1e-10, "a matched plane-wave pair satisfies the duality relation pointwise")
+def _chk_duality_match(spec, metric, rng):
     k = sampling.null_vector(rng, 3, scale=1.2)
     phi, A = dual3.matched_plane_wave_pair(k, 0.9, 0.4, metric)
-    worst = 0.0
-    for x in sampling.points(rng, 3, 10):
-        worst = max(worst, float(np.max(np.abs(dual3.duality_mismatch(A, phi, x, metric)))))
-    return _report(spec, "duality-match", worst, 1e-10, 10)
+    return [_maxabs(dual3.duality_mismatch(A, phi, x, metric)) for x in sampling.points(rng, 3, 10)]
 
 
 # ---------------------------------------------------------------------------
@@ -900,80 +785,66 @@ def _mech_initial(spec, n, rng):
     mech = spec.mechanics
     if "q0" in mech and "p0" in mech:
         return np.asarray(mech["q0"]), np.asarray(mech["p0"])
-    q0 = 1.2 * np.ones(n)
-    p0 = 0.3 * (-1.0) ** np.arange(n)
-    return q0, p0
+    return 1.2 * np.ones(n), 0.3 * (-1.0) ** np.arange(n)
 
 
-@_register("mech-free-motion", ("mechanics",), "the free flow reproduces straight lines to rounding")
-def _chk_mech_free(spec, metric, rng, tol):
-    q0 = np.array([1.0, 2.0])
-    p0 = np.array([0.3, -0.1])
-    traj = integrate(MechState.make(0.0, q0, p0), MechParams(2, 0.0), 2.0, 1e-3)
-    exact = q0[None, :] + traj.times[:, None] * p0[None, :]
-    worst = float(np.max(np.abs(traj.q - exact)))
-    return _report(spec, "mech-free-motion", worst, tol["exact"], traj.times.size)
+@_register("mech-free-motion", ("mechanics",), "exact", "the free flow reproduces straight lines to rounding")
+def _chk_mech_free(spec, metric, rng):
+    start = MechState.make(0.0, [1.0, 2.0], [0.3, -0.1])
+    traj = integrate(start, MechParams(2, 0.0), 2.0, 1e-3)
+    exact = start.q[None, :] + traj.times[:, None] * start.p[None, :]
+    return list(np.max(np.abs(traj.q - exact), axis=1))
 
 
-@_register("mech-charge-drift", ("mechanics",), "energy, dilation and conformal charges hold along trajectories")
-def _chk_mech_drift(spec, metric, rng, tol):
+@_register("mech-charge-drift", ("mechanics",), "drift", "energy, dilation and conformal charges hold along trajectories")
+def _chk_mech_drift(spec, metric, rng):
     mech = spec.mechanics
-    t_end = mech.get("t-end", 10.0)
-    step = mech.get("step", 1e-3)
+    t_end, step = mech.get("t-end", 10.0), mech.get("step", 1e-3)
     couplings = [spec.coupling] if spec.coupling else [0.0, 0.5, 2.0]
     sizes = [len(mech["q0"])] if "q0" in mech else [1, 2, 3]
-    worst, count = 0.0, 0
-    for lam in couplings:
-        for n in sizes:
-            q0, p0 = _mech_initial(spec, n, rng)
-            traj = integrate(
-                MechState.make(0.0, q0, p0), MechParams(n, lam), t_end, step
-            )
-            worst = max(worst, float(np.max(traj.charge_drift())))
-            count += 1
-    return _report(spec, "mech-charge-drift", worst, tol["drift"], count)
+
+    def drift(lam, n):
+        q0, p0 = _mech_initial(spec, n, rng)
+        traj = integrate(MechState.make(0.0, q0, p0), MechParams(n, lam), t_end, step)
+        return float(np.max(traj.charge_drift()))
+
+    return [drift(lam, n) for lam in couplings for n in sizes]
 
 
-@_register("mech-so21", ("mechanics",), "charge Poisson brackets close on the hand-derived table")
-def _chk_mech_so21(spec, metric, rng, tol):
-    worst = 0.0
-    for lam in (0.0, spec.coupling or 1.0):
-        for _ in range(10):
-            q = rng.normal(0.0, 1.0, 3) + 2.0
-            p = rng.normal(0.0, 1.0, 3)
-            res = so21_bracket_residuals(MechState.make(0.0, q, p), MechParams(3, lam))
-            worst = max(worst, float(np.max(res)))
-    return _report(spec, "mech-so21", worst, tol["exact"], 20)
+@_register("mech-so21", ("mechanics",), "exact", "charge Poisson brackets close on the hand-derived table")
+def _chk_mech_so21(spec, metric, rng):
+    def residual(lam):
+        q = rng.normal(0.0, 1.0, 3) + 2.0
+        p = rng.normal(0.0, 1.0, 3)
+        return float(np.max(so21_bracket_residuals(MechState.make(0.0, q, p), MechParams(3, lam))))
+
+    return [residual(lam) for lam in (0.0, spec.coupling or 1.0) for _ in range(10)]
 
 
-@_register("mech-rk4-order", ("mechanics",), "halving the step cuts the drift sixteenfold")
-def _chk_mech_order(spec, metric, rng, tol):
-    q0 = np.array([3.0])
-    p0 = np.array([-1.0])
-    params = MechParams(1, 1.0)
-    d1 = integrate(MechState.make(0.0, q0, p0), params, 8.0, 0.05).charge_drift()[0]
-    d2 = integrate(MechState.make(0.0, q0, p0), params, 8.0, 0.025).charge_drift()[0]
-    order = float(np.log2(d1 / d2))
-    return _report(spec, "mech-rk4-order", abs(order - 4.0), 0.5, 2)
+@_register("mech-rk4-order", ("mechanics",), 0.5, "halving the step cuts the drift sixteenfold")
+def _chk_mech_order(spec, metric, rng):
+    start = MechState.make(0.0, [3.0], [-1.0])
+    d1 = integrate(start, MechParams(1, 1.0), 8.0, 0.05).charge_drift()[0]
+    d2 = integrate(start, MechParams(1, 1.0), 8.0, 0.025).charge_drift()[0]
+    return [abs(float(np.log2(d1 / d2)) - 4.0)]
 
 
-@_register("mech-reduction", ("mechanics",), "one-dimensional scalar variations reduce to the mechanics rules")
-def _chk_mech_reduction(spec, metric, rng, tol):
+@_register("mech-reduction", ("mechanics",), "identity", "one-dimensional scalar variations reduce to the mechanics rules")
+def _chk_mech_reduction(spec, metric, rng):
     one = Metric(1)
     poly = sampling.random_polynomial_multiplet(rng, 1, 3, degree=4)
     gen_s = dilation(1.0, 1)
     gen_c = special_conformal(np.array([1.0]))
-    worst = 0.0
-    for t in rng.uniform(-2.0, 2.0, 12):
+
+    def residual(t):
         x = np.array([t])
-        q = poly.value(x)
-        p = poly.grad(x)[:, 0]
-        state = MechState.make(t, q, p)
-        ds = delta_scalar(gen_s, poly, x, one)
-        dc = delta_scalar(gen_c, poly, x, one)
-        worst = max(worst, float(np.max(np.abs(ds - delta_scale_q(state)))))
-        worst = max(worst, float(np.max(np.abs(dc - delta_conformal_q(state)))))
-    return _report(spec, "mech-reduction", worst, tol["identity"], 12)
+        state = MechState.make(t, poly.value(x), poly.grad(x)[:, 0])
+        return max(
+            _gap(delta_scalar(gen_s, poly, x, one), delta_scale_q(state)),
+            _gap(delta_scalar(gen_c, poly, x, one), delta_conformal_q(state)),
+        )
+
+    return [residual(t) for t in rng.uniform(-2.0, 2.0, 12)]
 
 
 # ---------------------------------------------------------------------------
@@ -1012,6 +883,30 @@ def applicable_checks(kind: str) -> list:
     return [name for name, cd in CHECKS.items() if kind in cd.kinds]
 
 
+def _reduce(residuals: list):
+    """(samples evaluated, max residual, error) of one check's residuals; the
+    max residual is 0.0 when there is an error, which keeps the json finite."""
+    values = [r for r in residuals if r is not None]
+    for index, r in enumerate(residuals):
+        if r is not None and not math.isfinite(r):
+            return len(values), 0.0, f"non-finite residual {r} at sample {index}"
+    if 2 * len(values) < len(residuals) or not values:
+        return len(values), 0.0, f"only {len(values)} of {len(residuals)} samples evaluated"
+    return len(values), float(max(values)), None
+
+
+def _run_check(spec: ModelSpec, metric: Metric, name: str) -> CheckReport:
+    cd = CHECKS[name]
+    tol, xfail = 0.0, False
+    try:
+        tol = float(spec.tolerances.get(cd.tolerance, cd.tolerance))  # a class, or a number
+        xfail = cd.expected_fail is not None and cd.expected_fail(spec)
+        samples, residual, error = _reduce(cd.fn(spec, metric, _rng_for(spec, name)))
+    except Exception as exc:  # deliberate: a broken check must not kill the run
+        samples, residual, error = 0, 0.0, f"{type(exc).__name__}: {exc}"
+    return CheckReport(name, spec.dimension, samples, residual, tol, spec.seed, xfail, error)
+
+
 def run_suite(spec: ModelSpec) -> RunReport:
     """Execute the selected checks; check failures become failed reports,
     never crashes."""
@@ -1025,23 +920,6 @@ def run_suite(spec: ModelSpec) -> RunReport:
         names = [n for n in names if n in spec.checks]
     metric = Metric(spec.dimension)
     started = time.perf_counter()
-    reports = []
-    for name in names:
-        cd = CHECKS[name]
-        rng = _rng_for(spec, name)
-        try:
-            reports.append(cd.fn(spec, metric, rng, spec.tolerances))
-        except Exception as exc:  # deliberate: a broken check must not kill the run
-            reports.append(
-                CheckReport(
-                    name=name,
-                    dim=spec.dimension,
-                    samples=0,
-                    max_residual=0.0,  # meaningless when error is set; keeps json finite
-                    tolerance=0.0,
-                    seed=spec.seed,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+    reports = [_run_check(spec, metric, name) for name in names]
     wall = time.perf_counter() - started
     return RunReport(TOOLKIT_VERSION, spec.echo(), reports, spec.seed, wall)

@@ -3,12 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import confsym.suites as suites
 from confsym.cli import emit_report, main, report_from_dict
+from confsym.errors import ConfsymError
 from confsym.modelspec import ModelSpec
 from confsym.suites import applicable_checks, run_suite
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 SMALL_MAXWELL = """
 [model]
@@ -111,7 +116,7 @@ def test_run_suite_never_crashes_on_broken_fixture(monkeypatch):
     # force one check to blow up; it must surface as an error report
     import confsym.suites as suites
 
-    def boom(spec, metric, rng, tol):
+    def boom(spec, metric, rng):
         raise RuntimeError("fixture exploded")
 
     monkeypatch.setitem(
@@ -185,3 +190,132 @@ def test_every_kind_has_checks():
     for kind in ("maxwell", "general-scalar", "interacting-multiplet",
                  "dual-scalar-3", "mechanics"):
         assert applicable_checks(kind)
+
+
+@pytest.mark.parametrize("spec_path", sorted(SPEC_DIR.glob("*.spec")), ids=lambda p: p.stem)
+def test_audit_json_matches_golden_file(spec_path, tmp_path):
+    out = tmp_path / "report.json"
+    main(["audit", str(spec_path), "--format", "json", "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN_DIR / f"{spec_path.stem}.json").read_bytes()
+
+
+def _run_patched(monkeypatch, residuals, tolerance="exact"):
+    """Run map-composition with its function replaced by one returning
+    ``residuals``; return its check report."""
+    monkeypatch.setitem(
+        suites.CHECKS,
+        "map-composition",
+        suites.CheckDef("map-composition", ("maxwell",), "demo",
+                        lambda spec, metric, rng: list(residuals), tolerance),
+    )
+    report = run_suite(ModelSpec(kind="maxwell", dimension=4, checks=["map-composition"]))
+    json.loads(emit_report(report, "json"))  # stays valid, finite json
+    assert report.overall_ok == report.checks[0].ok
+    return report.checks[0]
+
+
+def test_samples_counts_evaluated_residuals_only(monkeypatch):
+    check = _run_patched(monkeypatch, [None, 2e-13, 1e-13], tolerance="identity")
+    assert (check.samples, check.max_residual, check.tolerance) == (2, 2e-13, 1e-10)
+    assert check.ok and check.error is None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_residual_is_an_error(monkeypatch, bad):
+    check = _run_patched(monkeypatch, [1e-15, bad, 1e-15])
+    assert not check.ok and check.max_residual == 0.0
+    assert "non-finite residual" in check.error and "sample 1" in check.error
+
+
+@pytest.mark.parametrize("residuals", [[None] * 5, [], [None, None, None, 0.0, 0.0]])
+def test_vacuous_or_mostly_skipped_check_is_an_error(monkeypatch, residuals):
+    check = _run_patched(monkeypatch, residuals)
+    evaluated = sum(r is not None for r in residuals)
+    assert not check.ok and check.max_residual == 0.0 and check.samples == evaluated
+    assert f"only {evaluated} of {len(residuals)} samples evaluated" in check.error
+
+
+def test_half_evaluated_check_passes(monkeypatch):
+    check = _run_patched(monkeypatch, [None, 0.0])
+    assert check.ok and check.samples == 1
+
+
+def _saved_report():
+    report = run_suite(ModelSpec(kind="maxwell", dimension=4,
+                                 checks=["map-composition", "stress-trace-law"]))
+    return json.loads(emit_report(report, "json"))
+
+
+SAVED = _saved_report()
+
+
+def _edited_saved(path, value=None, delete=False):
+    """A copy of SAVED with the entry at ``path`` replaced or deleted."""
+    data = json.loads(json.dumps(SAVED))
+    *parents, key = path
+    target = data
+    for part in parents:
+        target = target[part]
+    if delete:
+        del target[key]
+    else:
+        target[key] = value
+    return data
+
+
+REQUIRED_TOP = ("checks", "version", "spec", "seed")
+REQUIRED_CHECK = ("name", "dim", "samples", "max_residual", "tolerance", "seed")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(
+    path=st.sampled_from([(k,) for k in REQUIRED_TOP + ("wall_time_seconds",)]
+                         + [("checks", 0, k) for k in REQUIRED_CHECK + ("expected_fail", "error")]
+                         + [("spec", "dimension")]),
+    value=JSON_VALUES,
+)
+@settings(max_examples=300, deadline=None)
+def test_report_from_dict_accepts_or_rejects_cleanly(path, value):
+    try:
+        report = report_from_dict(_edited_saved(path, value))
+    except ConfsymError:
+        return
+    json.loads(emit_report(report, "json"))
+    emit_report(report, "text")
+
+
+@given(path=st.sampled_from([(k,) for k in REQUIRED_TOP] + [("checks", 1, k) for k in REQUIRED_CHECK]))
+@settings(max_examples=50, deadline=None)
+def test_report_from_dict_rejects_missing_keys(path):
+    with pytest.raises(ConfsymError, match="has no"):
+        report_from_dict(_edited_saved(path, delete=True))
+
+
+@given(
+    path=st.sampled_from([("checks", 0, "max_residual"), ("checks", 1, "tolerance"),
+                          ("spec", "tolerances", "exact"), ("wall_time_seconds",)]),
+    value=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+@settings(max_examples=30, deadline=None)
+def test_report_from_dict_rejects_non_finite_numbers(path, value):
+    with pytest.raises(ConfsymError, match="non-finite"):
+        report_from_dict(_edited_saved(path, value))
+
+
+@pytest.mark.parametrize("text", [
+    '{"version": "0.1.0", "seed": 42, "spec": {}}',  # no checks
+    json.dumps(_edited_saved(("checks", 0, "max_residual"), float("nan"))),  # writes NaN
+    '{"checks": [',
+    "not json at all",
+], ids=["no-checks", "nan", "truncated", "not-json"])
+def test_report_rejects_bad_saved_files_with_exit_two(tmp_path, capsys, text):
+    saved = tmp_path / "bad.json"
+    saved.write_text(text)
+    out = tmp_path / "out.json"
+    assert main(["report", str(saved), "--format", "json", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")

@@ -11,8 +11,6 @@ from confsym.geometry import Metric, dilation, special_conformal
 from confsym.mechanics import (
     MechParams,
     MechState,
-    _rk4_core,
-    _rk4_core_py,
     charges,
     delta_conformal_q,
     delta_scale_q,
@@ -153,20 +151,6 @@ class TestIntegrator:
             integrate(state, MechParams(1, 0.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(state, MechParams(1, 0.0), -1.0, 0.1)
-
-    def test_jit_and_fallback_agree_bitwise(self):
-        q0 = np.array([1.2, 0.4])
-        p0 = np.array([0.3, -0.2])
-        n = 500
-        qs_a = np.empty((n + 1, 2))
-        ps_a = np.empty_like(qs_a)
-        qs_b = np.empty_like(qs_a)
-        ps_b = np.empty_like(qs_a)
-        done_a = _rk4_core(q0, p0, 0.5, 1e-3, n, qs_a, ps_a, 1e-6)
-        done_b = _rk4_core_py(q0, p0, 0.5, 1e-3, n, qs_b, ps_b, 1e-6)
-        assert done_a == done_b == n
-        npt.assert_array_equal(qs_a, qs_b)
-        npt.assert_array_equal(ps_a, ps_b)
 
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 2))
     @settings(max_examples=20, deadline=None)

@@ -130,3 +130,12 @@ def test_echo_is_deterministic():
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\n[model]\n# note\nkind = maxwell\ndimension = 4\n"
     assert parse_spec(text).kind == "maxwell"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_numbers_rejected(value):
+    with pytest.raises(ParseError) as err:
+        parse_spec(f"[model]\nkind = maxwell\ndimension = 4\n[tolerances]\nexact = {value}\n")
+    assert err.value.line == 5
+    with pytest.raises(ParseError):
+        parse_spec(f"[model]\nkind = maxwell\ndimension = 4\n[fixture]\nk = 1, {value}, 0, 1\n")
