@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from .errors import ConfsymError, ParseError, SemanticError
-from .mechanics import MechParams, MechState, dump_trajectory, integrate
-from .modelspec import DEFAULT_TOLERANCES, ModelSpec, parse_spec
+from .mechanics import MechParams, dump_trajectory, initial_state, integrate
+from .modelspec import DEFAULT_TOLERANCES, ModelSpec, check_dimension, parse_spec
 from .noether import CheckReport
 from .suites import TOOLKIT_VERSION, RunReport, run_suite
 
@@ -129,15 +129,27 @@ def _cmd_audit(args) -> int:
 
 
 def _parse_dims(raw: str):
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in raw.split(",") if part.strip()]
+    """``--dims`` as a list of dimensions; ConfsymError unless it is a
+    non-empty range like 3..6 or list like 3,5."""
+    try:
+        if ".." in raw:
+            lo, hi = raw.split("..", 1)
+            dims = list(range(int(lo), int(hi) + 1))
+        else:
+            dims = [int(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise ConfsymError(f"--dims {raw!r} is not a range like 3..6 or a list like 3,5") from None
+    if not dims:
+        raise ConfsymError(f"--dims {raw!r} selects no dimension")
+    return dims
 
 
 def _cmd_scan_dims(args) -> int:
+    dims = _parse_dims(args.dims)
+    for dim in dims:
+        check_dimension(args.kind, dim)
     reports = []
-    for dim in _parse_dims(args.dims):
+    for dim in dims:
         spec = ModelSpec(
             kind=args.kind,
             dimension=dim,
@@ -172,15 +184,10 @@ def _cmd_mech_sim(args) -> int:
     if spec.kind != "mechanics":
         raise SemanticError("mech-sim requires a mechanics model spec")
     mech = spec.mechanics
-    if "q0" in mech:
-        q0 = np.asarray(mech["q0"])
-        p0 = np.asarray(mech.get("p0", np.zeros_like(q0)))
-    else:
-        q0 = 1.2 * np.ones(spec.components)
-        p0 = 0.3 * (-1.0) ** np.arange(spec.components)
-    params = MechParams(q0.shape[0], spec.coupling)
+    state0 = initial_state(mech, spec.components)
+    params = MechParams(state0.q.shape[0], spec.coupling)
     traj = integrate(
-        MechState.make(0.0, q0, p0),
+        state0,
         params,
         mech.get("t-end", 10.0),
         mech.get("step", 1e-3),

@@ -2,7 +2,8 @@
 reducing the conformal scalar multiplet to a single time dimension.
 
 The trajectory integrator is the one genuinely hot loop in the package: a
-fixed-step RK4 kernel in plain numpy.
+fixed-step RK4 kernel in plain numpy that steps one trajectory or, for
+``integrate_many``, a whole ensemble per step.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import SingularApproach, SingularConfiguration
 
 MIN_RADIUS = 1e-6
+_DUMP_ROWS = 4096  # rows formatted per write, which bounds the dump's memory
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,16 @@ class MechState:
         if q.shape != p.shape:
             raise ValueError("q and p must have the same shape")
         return MechState(float(t), q, p)
+
+
+def initial_state(mech: dict, n: int) -> MechState:
+    """Start of a spec's trajectories at t = 0: ``q0`` from its [mechanics]
+    section with ``p0`` (zeros when absent), else the default point with ``n``
+    components."""
+    if "q0" in mech:
+        q0 = np.asarray(mech["q0"], dtype=float)
+        return MechState.make(0.0, q0, mech.get("p0", np.zeros_like(q0)))
+    return MechState.make(0.0, 1.2 * np.ones(n), 0.3 * (-1.0) ** np.arange(n))
 
 
 class ChargeTriple(NamedTuple):
@@ -136,48 +148,55 @@ def so21_bracket_residuals(state: MechState, params: MechParams) -> np.ndarray:
 def _rk4_core(q0, p0, lam, dt, nsteps, qs, ps, min_radius):
     """Classic fixed-step RK4 for q' = p, p' = 2 lam q / (q.q)^2.
 
-    Fills ``qs``/``ps`` (shape (nsteps + 1, n)) and returns the number of
-    completed steps; stops early when the radius drops below ``min_radius``
-    with a repulsive coupling active.
+    The state is components first: ``q0``/``p0`` have shape (n,) for one
+    trajectory or (n, B) for an ensemble of B members stepped together, and
+    ``lam`` is a float or has shape (B,).  Either every member is repulsive
+    (``lam > 0``) or the call is free (``lam == 0.0``) and never evaluates
+    the force, so a free member may pass through q = 0.  ``r2`` reduces the
+    component axis, which numpy sums left to right for fewer than eight
+    components on either layout, so each member of an ensemble matches its
+    own one-trajectory run bit for bit (zero-padded components add +0.0).
+
+    Fills ``qs``/``ps`` (shape (nsteps + 1,) + q0.shape) and returns the
+    number of completed steps; stops early when the radius of any member
+    drops below ``min_radius`` with a repulsive coupling active.
     """
     q = q0.copy()
     p = p0.copy()
     qs[0] = q
     ps[0] = p
+    half = 0.5 * dt
     sixth = dt / 6.0
+    repulsive = bool(np.any(lam > 0.0))
+    two_lam = 2.0 * lam
+    zero = np.zeros_like(q)
+    a1 = a2 = a3 = a4 = zero
+    # the stop test is a numpy bool for one trajectory (``.any()`` on it would
+    # cost a reduction per step) and an array over an ensemble
+    inside = bool if q.ndim == 1 else np.count_nonzero
     for i in range(nsteps):
-        if lam > 0.0:
-            r2 = (q * q).sum()
-            if np.sqrt(r2) < min_radius:
+        if repulsive:
+            r2 = np.add.reduce(q * q, 0)
+            if inside(np.sqrt(r2) < min_radius):
                 return i
-            a1 = (2.0 * lam / (r2 * r2)) * q
-        else:
-            a1 = np.zeros_like(q)
-        q2 = q + 0.5 * dt * p
-        p2 = p + 0.5 * dt * a1
-        if lam > 0.0:
-            r2 = (q2 * q2).sum()
-            a2 = (2.0 * lam / (r2 * r2)) * q2
-        else:
-            a2 = np.zeros_like(q)
-        q3 = q + 0.5 * dt * p2
-        p3 = p + 0.5 * dt * a2
-        if lam > 0.0:
-            r2 = (q3 * q3).sum()
-            a3 = (2.0 * lam / (r2 * r2)) * q3
-        else:
-            a3 = np.zeros_like(q)
+            a1 = (two_lam / (r2 * r2)) * q
+        q2 = q + half * p
+        p2 = p + half * a1
+        if repulsive:
+            r2 = np.add.reduce(q2 * q2, 0)
+            a2 = (two_lam / (r2 * r2)) * q2
+        q3 = q + half * p2
+        p3 = p + half * a2
+        if repulsive:
+            r2 = np.add.reduce(q3 * q3, 0)
+            a3 = (two_lam / (r2 * r2)) * q3
         q4 = q + dt * p3
         p4 = p + dt * a3
-        if lam > 0.0:
-            r2 = (q4 * q4).sum()
-            a4 = (2.0 * lam / (r2 * r2)) * q4
-        else:
-            a4 = np.zeros_like(q)
-        q = q + sixth * (p + 2.0 * p2 + 2.0 * p3 + p4)
-        p = p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        qs[i + 1] = q
-        ps[i + 1] = p
+        if repulsive:
+            r2 = np.add.reduce(q4 * q4, 0)
+            a4 = (two_lam / (r2 * r2)) * q4
+        q = np.add(q, sixth * (p + 2.0 * p2 + 2.0 * p3 + p4), out=qs[i + 1])
+        p = np.add(p, sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4), out=ps[i + 1])
     return nsteps
 
 
@@ -212,10 +231,9 @@ class Trajectory:
         return np.max(np.abs(series - series[0]), axis=0)
 
 
-def integrate(
-    state0: MechState, params: MechParams, t_end: float, step: float
-) -> Trajectory:
-    """Integrate the flow from ``state0`` to ``t_end`` at fixed ``step``."""
+def _start(state0: MechState, params: MechParams, t_end: float, step: float):
+    """Step count and initial arrays of one trajectory, after the argument and
+    singular-start checks."""
     if step <= 0:
         raise ValueError("step must be positive")
     if t_end <= state0.t:
@@ -225,27 +243,101 @@ def integrate(
     p0 = np.asarray(state0.p, dtype=float)
     if params.coupling > 0.0 and np.sqrt(q0 @ q0) < MIN_RADIUS:
         raise SingularConfiguration("initial point is inside the singular radius")
+    return nsteps, q0, p0
+
+
+def _approach(t0: float, done: int, step: float) -> SingularApproach:
+    return SingularApproach(
+        f"radius dropped below {MIN_RADIUS} after {done} steps (t = {t0 + done * step})"
+    )
+
+
+def integrate(
+    state0: MechState, params: MechParams, t_end: float, step: float
+) -> Trajectory:
+    """Integrate the flow from ``state0`` to ``t_end`` at fixed ``step``."""
+    nsteps, q0, p0 = _start(state0, params, t_end, step)
     qs = np.empty((nsteps + 1, q0.shape[0]))
     ps = np.empty_like(qs)
     done = _rk4_core(q0, p0, float(params.coupling), float(step), nsteps, qs, ps, MIN_RADIUS)
     if done < nsteps:
-        raise SingularApproach(
-            f"radius dropped below {MIN_RADIUS} after {done} steps "
-            f"(t = {state0.t + done * step})"
-        )
+        raise _approach(state0.t, done, step)
     times = state0.t + step * np.arange(nsteps + 1)
     return Trajectory(times, qs, ps, params)
 
 
+# numpy sums eight or more terms pairwise along a 1-D axis but left to right
+# down axis 0, so states this wide step alone to keep their one-trajectory bits
+_PAIRWISE_MIN = 8
+
+
+def integrate_many(states, params_list, t_end: float, step: float) -> list:
+    """Integrate an ensemble of trajectories that share their start time.
+
+    Returns what ``[integrate(s, p, t_end, step) for s, p in ...]`` returns,
+    bit for bit, and raises the error that loop would raise first.  The free
+    members are stepped together in one kernel call and the repulsive ones in
+    another, each zero-padded to the widest state of its call; a lone member,
+    or a state of eight or more components, is the 1-D case.
+    """
+    states, params_list = list(states), list(params_list)
+    if len(states) != len(params_list):
+        raise ValueError("one MechParams per state")
+    if len({s.t for s in states}) > 1:
+        raise ValueError("ensemble members must share their start time")
+    if len(states) < 2 or max(np.size(s.q) for s in states) >= _PAIRWISE_MIN:
+        return [integrate(s, p, t_end, step) for s, p in zip(states, params_list)]
+    starts = []
+    for state0, params in zip(states, params_list):
+        try:
+            starts.append(_start(state0, params, t_end, step))
+        except (ValueError, SingularConfiguration):
+            # the loop integrates the members before this one first
+            integrate_many(states[: len(starts)], params_list[: len(starts)], t_end, step)
+            raise
+    nsteps = starts[0][0]
+    times = states[0].t + step * np.arange(nsteps + 1)
+    lam = np.array([params.coupling for params in params_list])
+    free = lam == 0.0
+    trajs = [None] * len(starts)
+    for members, coupling in ((np.flatnonzero(free), 0.0), (np.flatnonzero(~free), lam[~free])):
+        if members.size == 0:
+            continue
+        width = max(starts[j][1].shape[0] for j in members)
+        q0s = np.zeros((width, members.size))
+        p0s = np.zeros_like(q0s)
+        for col, j in enumerate(members):
+            _, q0, p0 = starts[j]
+            q0s[: q0.shape[0], col] = q0
+            p0s[: p0.shape[0], col] = p0
+        qs = np.empty((nsteps + 1,) + q0s.shape)
+        ps = np.empty_like(qs)
+        done = _rk4_core(q0s, p0s, coupling, float(step), nsteps, qs, ps, MIN_RADIUS)
+        if done < nsteps:
+            q = qs[done]
+            first = int(members[np.sqrt(np.add.reduce(q * q, 0)) < MIN_RADIUS].min())
+            integrate_many(states[:first], params_list[:first], t_end, step)
+            raise _approach(states[first].t, done, step)
+        for col, j in enumerate(members):
+            n = starts[j][1].shape[0]
+            trajs[j] = Trajectory(
+                times,
+                np.ascontiguousarray(qs[:, :n, col]),
+                np.ascontiguousarray(ps[:, :n, col]),
+                params_list[j],
+            )
+    return trajs
+
+
 def dump_trajectory(traj: Trajectory, stream) -> None:
     """Write the delimited text dump: t, q components, p components, H, D, K."""
-    series = traj.charge_series()
+    table = np.column_stack([traj.times, traj.q, traj.p, traj.charge_series()])
     n = traj.q.shape[1]
     header = ["t"]
     header += [f"q{i}" for i in range(n)]
     header += [f"p{i}" for i in range(n)]
     header += ["H", "D", "K"]
     stream.write("# " + " ".join(header) + "\n")
-    for i in range(traj.times.shape[0]):
-        row = [traj.times[i], *traj.q[i], *traj.p[i], *series[i]]
-        stream.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], _DUMP_ROWS):
+        stream.write("".join([row % tuple(r) for r in table[start : start + _DUMP_ROWS].tolist()]))

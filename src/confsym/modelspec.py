@@ -104,6 +104,16 @@ class ModelSpec:
         return out
 
 
+def check_dimension(kind: str, dimension: int) -> None:
+    """Raise SemanticError unless ``kind`` is defined at ``dimension``."""
+    if kind == "dual-scalar-3" and dimension != 3:
+        raise SemanticError("dual-scalar-3 requires dimension = 3")
+    if kind == "mechanics" and dimension != 1:
+        raise SemanticError("mechanics has one-dimensional (time only) semantics")
+    if kind in FIELD_KINDS and not 3 <= dimension <= 6:
+        raise SemanticError("field models support 3 <= dimension <= 6")
+
+
 def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise ValueError("not a finite number")
@@ -175,12 +185,7 @@ def _validate(sections) -> ModelSpec:
     if kind not in MODEL_KINDS:
         raise SemanticError(f"unknown model kind {kind!r}")
 
-    if kind == "dual-scalar-3" and dimension != 3:
-        raise SemanticError("dual-scalar-3 requires dimension = 3")
-    if kind == "mechanics" and dimension != 1:
-        raise SemanticError("mechanics has one-dimensional (time only) semantics")
-    if kind in FIELD_KINDS and not 3 <= dimension <= 6:
-        raise SemanticError("field models support 3 <= dimension <= 6")
+    check_dimension(kind, dimension)
 
     coupling = _take(sections, "params", "lambda", 0.0)
     if coupling < 0:

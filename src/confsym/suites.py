@@ -56,7 +56,9 @@ from .mechanics import (
     MechState,
     delta_conformal_q,
     delta_scale_q,
+    initial_state,
     integrate,
+    integrate_many,
     so21_bracket_residuals,
 )
 from .modelspec import ModelSpec
@@ -781,13 +783,6 @@ def _chk_duality_match(spec, metric, rng):
 # ---------------------------------------------------------------------------
 
 
-def _mech_initial(spec, n, rng):
-    mech = spec.mechanics
-    if "q0" in mech and "p0" in mech:
-        return np.asarray(mech["q0"]), np.asarray(mech["p0"])
-    return 1.2 * np.ones(n), 0.3 * (-1.0) ** np.arange(n)
-
-
 @_register("mech-free-motion", ("mechanics",), "exact", "the free flow reproduces straight lines to rounding")
 def _chk_mech_free(spec, metric, rng):
     start = MechState.make(0.0, [1.0, 2.0], [0.3, -0.1])
@@ -802,13 +797,11 @@ def _chk_mech_drift(spec, metric, rng):
     t_end, step = mech.get("t-end", 10.0), mech.get("step", 1e-3)
     couplings = [spec.coupling] if spec.coupling else [0.0, 0.5, 2.0]
     sizes = [len(mech["q0"])] if "q0" in mech else [1, 2, 3]
-
-    def drift(lam, n):
-        q0, p0 = _mech_initial(spec, n, rng)
-        traj = integrate(MechState.make(0.0, q0, p0), MechParams(n, lam), t_end, step)
-        return float(np.max(traj.charge_drift()))
-
-    return [drift(lam, n) for lam in couplings for n in sizes]
+    grid = [(lam, n) for lam in couplings for n in sizes]
+    trajs = integrate_many(
+        [initial_state(mech, n) for _, n in grid], [MechParams(n, lam) for lam, n in grid], t_end, step
+    )
+    return [float(np.max(traj.charge_drift())) for traj in trajs]
 
 
 @_register("mech-so21", ("mechanics",), "exact", "charge Poisson brackets close on the hand-derived table")

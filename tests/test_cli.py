@@ -1,7 +1,9 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,21 @@ def test_scan_dims(tmp_path):
     assert data["overall_ok"] is True
 
 
+def test_scan_dims_rejects_a_dimension_the_parser_rejects(monkeypatch, capsys):
+    # D = 1 has no transverse polarisation: stress-conservation would never
+    # return, so the rule must hold before any check runs
+    monkeypatch.setattr("confsym.cli.run_suite", lambda spec: pytest.fail("a check ran"))
+    assert main(["scan-dims", "--dims", "1"]) == 2
+    assert main(["scan-dims", "--dims", "4,7"]) == 2
+    assert "3 <= dimension <= 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", ["3..x", "a,4", "5..3"])
+def test_scan_dims_bad_dims_exit_two(dims, capsys):
+    assert main(["scan-dims", "--dims", dims]) == 2
+    assert f"--dims {dims!r}" in capsys.readouterr().err
+
+
 def test_algebra_command(tmp_path):
     out = tmp_path / "alg.json"
     assert main(["algebra", "--dim", "6", "--format", "json", "--out", str(out)]) == 0
@@ -158,6 +175,41 @@ def test_mech_sim(tmp_path):
     assert len(lines) == 10002  # header plus 10001 samples
     row = np.array(lines[1].split(), dtype=float)
     assert row.size == 1 + 2 + 2 + 3
+
+
+# sha256 of `confsym mech-sim specs/mechanics.spec` output as written before
+# the ensemble integrator and the one-format-string dump replaced the
+# per-row loops; pins the kernel's bits and the dump's bytes together
+MECH_SIM_SHA256 = "5473d59f9255f1f7a3722be466f893f5e0c5988d2ce74dc6461e351eb9cabc3c"
+
+
+def test_mech_sim_dump_is_pinned(tmp_path):
+    out = tmp_path / "traj.txt"
+    assert main(["mech-sim", str(SPEC_DIR / "mechanics.spec"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MECH_SIM_SHA256
+
+
+def test_audit_and_mech_sim_start_from_the_same_state(tmp_path, monkeypatch):
+    spec = tmp_path / "q0.spec"
+    spec.write_text(
+        "[model]\nkind = mechanics\ndimension = 1\n[params]\nlambda = 0.5\n"
+        "[mechanics]\nq0 = 3.0, 1.0\nt-end = 0.5\nstep = 0.01\n"
+        "[suite]\nchecks = mech-charge-drift\n"
+    )
+    starts, integrate_many = [], suites.integrate_many
+
+    def recording(states, params, t_end, step):
+        starts.extend(states)
+        return integrate_many(states, params, t_end, step)
+
+    monkeypatch.setattr(suites, "integrate_many", recording)
+    assert main(["audit", str(spec)]) == 0
+    out = tmp_path / "traj.txt"
+    assert main(["mech-sim", str(spec), "--out", str(out)]) == 0
+    first = np.array(out.read_text().splitlines()[1].split(), dtype=float)
+    assert len(starts) == 1
+    npt.assert_array_equal(first[:5], [0.0, 3.0, 1.0, 0.0, 0.0])
+    npt.assert_array_equal(np.concatenate([starts[0].q, starts[0].p]), first[1:5])
 
 
 def test_report_reemit(tmp_path, small_spec):

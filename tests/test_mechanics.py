@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +17,9 @@ from confsym.mechanics import (
     delta_scale_q,
     dump_trajectory,
     hamiltonian,
+    initial_state,
     integrate,
+    integrate_many,
     so21_bracket_residuals,
 )
 from confsym.transforms import delta_scalar
@@ -159,6 +162,114 @@ class TestIntegrator:
             MechState.make(0.0, [q0], [v]), MechParams(1, 0.0), t_end, t_end / 100
         )
         npt.assert_allclose(traj.q[-1, 0], q0 + v * traj.times[-1], atol=1e-10)
+
+
+def _serial(states, params, t_end, step):
+    return [integrate(s, p, t_end, step) for s, p in zip(states, params)]
+
+
+def _same_bits(a, b):
+    return all(
+        x.tobytes() == y.tobytes() and x.shape == y.shape
+        for x, y in ((a.times, b.times), (a.q, b.q), (a.p, b.p))
+    )
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("couplings", [(0.0, 0.5, 2.0), (0.7,), (0.0,)])
+    def test_grid_matches_serial_bit_for_bit(self, couplings):
+        # the mech-charge-drift grid: free and repulsive members, sizes zero-padded to 3
+        grid = [(lam, n) for lam in couplings for n in (1, 2, 3)]
+        states = [initial_state({}, n) for _, n in grid]
+        params = [MechParams(n, lam) for lam, n in grid]
+        many = integrate_many(states, params, 2.0, 1e-3)
+        serial = _serial(states, params, 2.0, 1e-3)
+        for a, b in zip(many, serial):
+            assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
+            assert _same_bits(a, b)
+            assert a.params == b.params
+
+    def test_signed_zero_and_wide_states_keep_their_bits(self):
+        # free member at rest at q < 0 with p = -0.0: its run adds +0.0 forces and
+        # reaches p = +0.0; a force formed as 0 * q = -0.0 would keep p = -0.0
+        states = [MechState.make(0.0, [-1.0, -0.0], [-0.0, 0.5]), MechState.make(0.0, [2.0], [-0.0])]
+        params = [MechParams(2, 0.0), MechParams(1, 1.0)]
+        for a, b in zip(integrate_many(states, params, 1.0, 0.01), _serial(states, params, 1.0, 0.01)):
+            assert _same_bits(a, b)
+        # nine components: numpy sums them pairwise, not left to right
+        wide = [MechState.make(0.0, np.linspace(1.0, 2.0, 9) * k, np.full(9, 0.1)) for k in (1, 2)]
+        wide_params = [MechParams(9, 0.7), MechParams(9, 0.3)]
+        for a, b in zip(integrate_many(wide, wide_params, 1.0, 0.01), _serial(wide, wide_params, 1.0, 0.01)):
+            assert _same_bits(a, b)
+
+    def test_free_member_through_the_origin(self):
+        # q = -1 + t reaches q = 0 exactly at t = 1 (step 0.25), where the
+        # force 2 lam q / (q.q)^2 of a repulsive member would read 0 / 0
+        states = [MechState.make(0.0, [-1.0], [1.0]), initial_state({}, 2), MechState.make(0.0, [3.0], [-1.0])]
+        params = [MechParams(1, 0.0), MechParams(2, 0.5), MechParams(1, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            many = integrate_many(states, params, 2.0, 0.25)
+        assert many[0].q[4, 0] == 0.0
+        assert all(np.all(np.isfinite(t.q)) and np.all(np.isfinite(t.p)) for t in many)
+        for a, b in zip(many, _serial(states, params, 2.0, 0.25)):
+            assert _same_bits(a, b)
+
+    def test_singular_approach_is_the_serial_one(self):
+        # member 2 dips inside the radius after 10 steps, member 1 after 40;
+        # the serial loop raises member 1's error
+        states = [
+            initial_state({}, 2),
+            MechState.make(0.0, [0.02], [-5.0]),
+            MechState.make(0.0, [0.005], [-5.0]),
+        ]
+        params = [MechParams(2, 0.0), MechParams(1, 1e-13), MechParams(1, 1e-13)]
+        serial = _raised(lambda: _serial(states, params, 1.0, 1e-4))
+        assert serial == (SingularApproach, "radius dropped below 1e-06 after 40 steps (t = 0.004)")
+        assert _raised(lambda: integrate_many(states, params, 1.0, 1e-4)) == serial
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_singular_start_is_raised_in_grid_order(self, order):
+        pair = [(MechState.make(0.0, [0.02], [-5.0]), MechParams(1, 1e-13)),
+                (MechState.make(0.0, [1e-8], [0.0]), MechParams(1, 1.0))]
+        states, params = zip(*[pair[i] for i in order])
+        serial = _raised(lambda: _serial(states, params, 1.0, 1e-4))
+        assert serial[0] is (SingularApproach if order == (0, 1) else SingularConfiguration)
+        assert _raised(lambda: integrate_many(states, params, 1.0, 1e-4)) == serial
+
+    def test_lone_member_and_empty_ensemble(self):
+        state, params = initial_state({}, 3), MechParams(3, 0.5)
+        (one,) = integrate_many([state], [params], 1.0, 1e-2)
+        assert _same_bits(one, integrate(state, params, 1.0, 1e-2))
+        assert integrate_many([], [], 1.0, 1e-2) == []
+
+    def test_rejects_mismatched_members(self):
+        with pytest.raises(ValueError):
+            integrate_many([initial_state({}, 1)], [], 1.0, 0.1)
+        with pytest.raises(ValueError):
+            integrate_many(
+                [initial_state({}, 1), MechState.make(0.5, [1.0], [0.0])],
+                [MechParams(1, 0.0), MechParams(1, 0.0)], 1.0, 0.1,
+            )
+
+
+class TestInitialState:
+    def test_q0_without_p0_starts_at_rest(self):
+        state = initial_state({"q0": [3.0, 1.0]}, 5)
+        npt.assert_array_equal(state.q, [3.0, 1.0])
+        npt.assert_array_equal(state.p, [0.0, 0.0])
+        assert state.t == 0.0
+
+    def test_default_point(self):
+        state = initial_state({}, 3)
+        npt.assert_array_equal(state.q, [1.2, 1.2, 1.2])
+        npt.assert_array_equal(state.p, [0.3, -0.3, 0.3])
 
 
 class TestTrajectoryDump:
