@@ -38,7 +38,6 @@ from .geometry import (
     large_parameter_map,
     levi_civita3,
     lorentz_rotation,
-    minkowski_dot,
     special_conformal,
     special_conformal_map,
     translation,
@@ -78,7 +77,6 @@ __all__ = [
     "large_parameter_map",
     "levi_civita3",
     "lorentz_rotation",
-    "minkowski_dot",
     "special_conformal",
     "special_conformal_map",
     "translation",

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from .clifford import MAX_DIM, MIN_DIM
 from .errors import ConfsymError, ParseError, SemanticError
 from .mechanics import MechParams, dump_trajectory, initial_state, integrate
 from .modelspec import DEFAULT_TOLERANCES, ModelSpec, check_dimension, parse_spec
@@ -218,6 +219,8 @@ ALGEBRA_CHECKS = [
 
 
 def _cmd_algebra(args) -> int:
+    if not MIN_DIM <= args.dim <= MAX_DIM:
+        raise ConfsymError(f"algebra supports {MIN_DIM} <= D <= {MAX_DIM}, got --dim {args.dim}")
     spec = ModelSpec(
         kind="maxwell",
         dimension=args.dim,
@@ -269,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_mech_sim)
 
-    p = sub.add_parser("algebra", help="generator-algebra checks at one dimension")
+    p = sub.add_parser("algebra", help="generator-algebra checks at one dimension, 2..6")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("json", "text"), default="text")

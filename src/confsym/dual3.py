@@ -18,13 +18,12 @@ from .fields import (
     ScalarField,
     VectorPotential,
 )
-from .geometry import Metric, levi_civita3, levi_civita3_upper
+from .geometry import Metric, levi_civita3, levi_civita3_upper, sigma_basis_conformal
 from .noether import improved_scalar_stress, _raise2
 from .transforms import (
     delta_field_strength_primary,
     delta_scalar_with_gradient,
 )
-from .geometry import special_conformal
 
 
 def _check_dim3(metric: Metric, phi=None):
@@ -38,7 +37,7 @@ def field_strength_from_dual(phi: ScalarField, x, metric: Metric) -> FieldStreng
     """F_{ab} = eps_{abm} d^m phi, with first derivatives."""
     _check_dim3(metric, phi)
     eps = levi_civita3()
-    grad_up = metric.raise_index(phi.grad(x))
+    grad_up = metric.lower(phi.grad(x))
     hess_up = metric.diag[:, None] * phi.hess(x)  # d^m d_r phi, [m, r]
     F = np.einsum("abm,m->ab", eps, grad_up)
     dF = np.einsum("abm,mr->abr", eps, hess_up)
@@ -51,7 +50,7 @@ def dual_roundtrip_residual(phi: ScalarField, x, metric: Metric) -> float:
     fs = field_strength_from_dual(phi, x, metric)
     eps_up = levi_civita3_upper(metric)
     rebuilt = 0.5 * np.einsum("mab,ab->m", eps_up, fs.F)
-    return float(np.max(np.abs(rebuilt - metric.raise_index(phi.grad(x)))))
+    return float(np.max(np.abs(rebuilt - metric.lower(phi.grad(x)))))
 
 
 def maxwell_eom_from_dual(phi: ScalarField, x, metric: Metric) -> np.ndarray:
@@ -82,16 +81,10 @@ def bianchi_pattern_residual(phi: ScalarField, x, metric: Metric) -> float:
     return float(np.max(np.abs(cyc - expected)))
 
 
-def _sigma_basis_conformal(sigma, metric, weight, spin):
-    c = np.zeros(metric.dim)
-    c[sigma] = metric.diag[sigma]
-    return special_conformal(c, weight=weight, spin=spin)
-
-
 def primary_rule_F(phi: ScalarField, x, sigma: int, metric: Metric) -> np.ndarray:
     """The pretend-primary conformal rule applied to the dual-built F."""
     _check_dim3(metric, phi)
-    gen = _sigma_basis_conformal(sigma, metric, 1.5, "field-strength")
+    gen = sigma_basis_conformal(sigma, metric, 1.5, "field-strength")
     fs = field_strength_from_dual(phi, x, metric)
     return delta_field_strength_primary(gen, fs, x, metric)
 
@@ -111,7 +104,7 @@ def delta_bar_F_chain_rule(phi: ScalarField, x, sigma: int, metric: Metric):
     """Independent route: the symbol contraction of the raised gradient of
     the scalar conformal variation (weight one half)."""
     _check_dim3(metric, phi)
-    gen = _sigma_basis_conformal(sigma, metric, 0.5, "scalar")
+    gen = sigma_basis_conformal(sigma, metric, 0.5, "scalar")
     _, ddelta = delta_scalar_with_gradient(gen, phi, x, metric)
     d_up = metric.diag * ddelta[0]
     return np.einsum("abm,m->ab", levi_civita3(), d_up)
@@ -166,7 +159,7 @@ def duality_mismatch(A: VectorPotential, phi: ScalarField, x, metric: Metric):
     eps_up = levi_civita3_upper(metric)
     grad_a = A.grad(x)  # grad[b, a] = d_a A_b
     curl = np.einsum("mab,ba->m", eps_up, grad_a)
-    return curl - metric.raise_index(phi.grad(x))
+    return curl - metric.lower(phi.grad(x))
 
 
 def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):
@@ -186,5 +179,5 @@ def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):
     if np.max(np.abs(m @ w_low - rhs)) > 1e-10:
         raise OffShellParameters("no polarisation solves the duality condition")
     phi = CosineMultiplet(k, [amplitude], phase, metric).component(0)
-    A = CosineVectorPotential(k, metric.raise_index(w_low), phase, metric)
+    A = CosineVectorPotential(k, metric.lower(w_low), phase, metric)
     return phi, A

@@ -31,8 +31,6 @@ NULLNESS_TOL = 1e-12
 class ScalarMultiplet:
     """N-component scalar field with exact derivatives to third order."""
 
-    family = "generic"
-
     def __init__(self, dim: int, n_comp: int):
         self.dim = int(dim)
         self.n_comp = int(n_comp)
@@ -66,7 +64,6 @@ class ScalarField:
         self._m = multiplet
         self._i = index
         self.dim = multiplet.dim
-        self.family = multiplet.family
 
     def value(self, x) -> float:
         return float(self._m.value(x)[self._i])
@@ -86,8 +83,6 @@ class ScalarField:
 
 class CosineMultiplet(ScalarMultiplet):
     """amplitude_i * cos(k.x + phase); solves the wave equation iff k^2 = 0."""
-
-    family = "plane-wave"
 
     def __init__(self, k, amplitude, phase: float, metric: Metric):
         k = metric._check(k)
@@ -120,8 +115,6 @@ class CosineMultiplet(ScalarMultiplet):
 
 class PolynomialMultiplet(ScalarMultiplet):
     """Per-component polynomials given as [(coef, exponent-tuple), ...]."""
-
-    family = "polynomial"
 
     def __init__(self, dim: int, components):
         super().__init__(dim, len(components))
@@ -197,8 +190,6 @@ class PolynomialMultiplet(ScalarMultiplet):
 class GaussianMultiplet(ScalarMultiplet):
     """amplitude_i * exp(b.x + x.G x) with symmetric G (componentwise sums)."""
 
-    family = "gaussian"
-
     def __init__(self, dim: int, amplitude, linear, quad):
         amplitude = np.atleast_1d(np.asarray(amplitude, dtype=float))
         super().__init__(dim, amplitude.shape[0])
@@ -240,9 +231,15 @@ class GaussianMultiplet(ScalarMultiplet):
         return np.einsum("i,mnr->imnr", self.amplitude * e, core)
 
 
-def make_plane_wave_scalar(k, amplitude, phase, metric: Metric) -> CosineMultiplet:
-    """Plane-wave multiplet fixture; exactly harmonic when k is null."""
-    return CosineMultiplet(k, amplitude, phase, metric)
+def multiplet_stack(phi, x):
+    """(value (N,), grad (N, D), hess (N, D, D)) of a multiplet, with a
+    single-component :class:`ScalarField` given a leading axis of length one."""
+    value = np.atleast_1d(phi.value(x))
+    grad = np.atleast_2d(phi.grad(x))
+    hess = phi.hess(x)
+    if hess.ndim == 2:
+        hess = hess[None, ...]
+    return value, grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +249,6 @@ def make_plane_wave_scalar(k, amplitude, phase, metric: Metric) -> CosineMultipl
 
 class VectorPotential:
     """Covariant vector field A_alpha with exact derivatives to third order."""
-
-    family = "generic"
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -273,8 +268,6 @@ class VectorPotential:
 
 class CosineVectorPotential(VectorPotential):
     """A_alpha = eps_alpha cos(k.x + phase), eps stored with the index down."""
-
-    family = "plane-wave"
 
     def __init__(self, k, eps, phase: float, metric: Metric):
         k = metric._check(k)
@@ -308,8 +301,6 @@ class CosineVectorPotential(VectorPotential):
 class PolynomialVectorPotential(VectorPotential):
     """Each covariant component is an independent polynomial."""
 
-    family = "polynomial"
-
     def __init__(self, dim: int, components):
         super().__init__(dim)
         if len(components) != dim:
@@ -332,8 +323,6 @@ class PolynomialVectorPotential(VectorPotential):
 class ShiftedPotential(VectorPotential):
     """Gauge-shifted potential A_alpha + d_alpha Omega."""
 
-    family = "gauge-shifted"
-
     def __init__(self, base: VectorPotential, gauge: ScalarField):
         if gauge.dim != base.dim:
             raise DimensionMismatch("gauge function dimension mismatch")
@@ -349,11 +338,6 @@ class ShiftedPotential(VectorPotential):
 
     def hess(self, x):
         return self.base.hess(x) + self.gauge.third(x)
-
-
-def make_plane_wave_vector(k, eps, phase, metric: Metric) -> CosineVectorPotential:
-    """Unconstrained plane-wave potential (useful off shell)."""
-    return CosineVectorPotential(k, eps, phase, metric)
 
 
 def make_onshell_maxwell_plane_wave(
@@ -374,28 +358,21 @@ def make_onshell_maxwell_plane_wave(
 
 
 class FieldStrengthValue:
-    """Pointwise antisymmetric F_{ab} with first (and optional second)
-    derivatives, ``dF[a, b, m] = d_m F_{ab}``."""
+    """Pointwise antisymmetric F_{ab} with its first derivatives,
+    ``dF[a, b, m] = d_m F_{ab}``."""
 
-    def __init__(self, F, dF, d2F=None):
+    def __init__(self, F, dF):
         self.F = F
         self.dF = dF
-        self.d2F = d2F
 
 
-def field_strength_from_potential(
-    A: VectorPotential, x, with_second: bool = False
-) -> FieldStrengthValue:
-    """F_{ab} = d_a A_b - d_b A_a and its derivatives, built exactly."""
+def field_strength_from_potential(A: VectorPotential, x) -> FieldStrengthValue:
+    """F_{ab} = d_a A_b - d_b A_a and its first derivatives, built exactly."""
     grad = A.grad(x)  # grad[b, a] = d_a A_b
     hess = A.hess(x)
     F = grad.T - grad
     dF = np.transpose(hess, (1, 0, 2)) - hess
-    d2F = None
-    if with_second:
-        third = A.third(x)
-        d2F = np.transpose(third, (1, 0, 2, 3)) - third
-    return FieldStrengthValue(F, dF, d2F)
+    return FieldStrengthValue(F, dF)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +382,6 @@ def field_strength_from_potential(
 
 class CosineSpinor:
     """psi(x) = u cos(k.x + phase) + v sin(k.x + phase), complex u, v."""
-
-    family = "plane-wave"
 
     def __init__(self, k, u, v, phase: float, metric: Metric):
         k = metric._check(k)

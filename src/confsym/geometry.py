@@ -56,11 +56,8 @@ class Metric:
         return v
 
     def lower(self, v) -> np.ndarray:
-        """Lower an upper index: v_mu = g_{mu nu} v^nu."""
-        return self.diag * self._check(v)
-
-    def raise_index(self, v) -> np.ndarray:
-        """Raise a lower index; identical to :meth:`lower` for this metric."""
+        """Lower an upper index: v_mu = g_{mu nu} v^nu.  The metric is its own
+        inverse, so this also raises a lower index."""
         return self.diag * self._check(v)
 
     def dot(self, u, v) -> float:
@@ -74,19 +71,15 @@ class Metric:
         return self.dot(x, x)
 
 
-def minkowski_dot(u, v, metric: Metric) -> float:
-    return metric.dot(u, v)
-
-
-def _scale_floor(x, floor: float) -> float:
+def _scale_floor(x) -> float:
     x = np.asarray(x, dtype=float)
-    return floor * (1.0 + float(x @ x))
+    return SINGULARITY_FLOOR * (1.0 + float(x @ x))
 
 
-def invariant_square(x, metric: Metric, floor: float = SINGULARITY_FLOOR) -> float:
+def invariant_square(x, metric: Metric) -> float:
     """x.x, raising :class:`LightConePoint` when numerically null."""
     x2 = metric.norm2(x)
-    if abs(x2) < _scale_floor(x, floor):
+    if abs(x2) < _scale_floor(x):
         raise LightConePoint(f"x^2 = {x2} is below the singularity floor")
     return x2
 
@@ -96,35 +89,40 @@ def conformal_factor(x, c, metric: Metric) -> float:
     return 1.0 + 2.0 * metric.dot(c, x) + metric.norm2(c) * metric.norm2(x)
 
 
-def special_conformal_map(x, c, metric: Metric, floor: float = SINGULARITY_FLOOR):
-    """Finite special conformal coordinate map x -> (x + c x^2) / sigma."""
+def _regular_factor(x, c, metric: Metric):
+    """(x, c, sigma) with x and c checked, raising :class:`SingularMap` where
+    the conformal factor sigma is numerically zero."""
     x = metric._check(x)
     c = metric._check(c)
     s = conformal_factor(x, c, metric)
-    if abs(s) < _scale_floor(x, floor):
+    if abs(s) < _scale_floor(x):
         raise SingularMap(f"conformal factor {s} is below the singularity floor")
+    return x, c, s
+
+
+def special_conformal_map(x, c, metric: Metric):
+    """Finite special conformal coordinate map x -> (x + c x^2) / sigma."""
+    x, c, s = _regular_factor(x, c, metric)
     return (x + c * metric.norm2(x)) / s
 
 
-def inversion(x, metric: Metric, floor: float = SINGULARITY_FLOOR):
+def inversion(x, metric: Metric):
     """Coordinate inversion x^mu / x^2; an involution off the light cone."""
     x = metric._check(x)
-    return x / invariant_square(x, metric, floor)
+    return x / invariant_square(x, metric)
 
 
-def special_conformal_map_via_inversion(
-    x, c, metric: Metric, floor: float = SINGULARITY_FLOOR
-):
+def special_conformal_map_via_inversion(x, c, metric: Metric):
     """Alternative route: invert, translate by c, invert again.
 
     Requires x^2 != 0, unlike :func:`special_conformal_map`; both agree where
     both are defined.
     """
-    big_x = inversion(x, metric, floor)
-    return inversion(big_x + metric._check(c), metric, floor)
+    big_x = inversion(x, metric)
+    return inversion(big_x + metric._check(c), metric)
 
 
-def inversion_matrix(x, metric: Metric, floor: float = SINGULARITY_FLOOR):
+def inversion_matrix(x, metric: Metric):
     """Mixed-index reflection matrix I_a^b = delta_a^b - 2 x_a x^b / x^2.
 
     An improper Lorentz matrix: it squares to the identity, preserves the
@@ -133,14 +131,14 @@ def inversion_matrix(x, metric: Metric, floor: float = SINGULARITY_FLOOR):
     rejected.
     """
     x = metric._check(x)
-    x2 = invariant_square(x, metric, floor)
+    x2 = invariant_square(x, metric)
     return np.eye(metric.dim) - 2.0 * np.outer(metric.lower(x), x) / x2
 
 
-def inversion_matrix_gradient(x, metric: Metric, floor: float = SINGULARITY_FLOOR):
+def inversion_matrix_gradient(x, metric: Metric):
     """Exact gradient dI[a, b, m] = d_m I_a^b of the inversion matrix."""
     x = metric._check(x)
-    x2 = invariant_square(x, metric, floor)
+    x2 = invariant_square(x, metric)
     xl = metric.lower(x)
     dim = metric.dim
     grad = np.zeros((dim, dim, dim))
@@ -152,16 +150,12 @@ def inversion_matrix_gradient(x, metric: Metric, floor: float = SINGULARITY_FLOO
     return grad
 
 
-def map_jacobian(x, c, metric: Metric, floor: float = SINGULARITY_FLOOR):
+def map_jacobian(x, c, metric: Metric):
     """Forward Jacobian J[mu, beta] = d x'^mu / d x^beta by direct differentiation.
 
     Valid wherever the map itself is (x^2 may vanish here).
     """
-    x = metric._check(x)
-    c = metric._check(c)
-    s = conformal_factor(x, c, metric)
-    if abs(s) < _scale_floor(x, floor):
-        raise SingularMap(f"conformal factor {s} is below the singularity floor")
+    x, c, s = _regular_factor(x, c, metric)
     x2 = metric.norm2(x)
     c2 = metric.norm2(c)
     xl = metric.lower(x)
@@ -173,17 +167,17 @@ def map_jacobian(x, c, metric: Metric, floor: float = SINGULARITY_FLOOR):
     return jac
 
 
-def map_jacobian_inverse(x, c, metric: Metric, floor: float = SINGULARITY_FLOOR):
+def map_jacobian_inverse(x, c, metric: Metric):
     """Inverse Jacobian J[beta, mu] = d x^beta / d x'^mu.
 
     The inverse map is the map with parameter -c, so this is just the forward
     Jacobian of that map evaluated at the image point.
     """
-    xp = special_conformal_map(x, c, metric, floor)
-    return map_jacobian(xp, -np.asarray(c, dtype=float), metric, floor)
+    xp = special_conformal_map(x, c, metric)
+    return map_jacobian(xp, -np.asarray(c, dtype=float), metric)
 
 
-def conformal_jacobian(x, c, metric: Metric, floor: float = SINGULARITY_FLOOR):
+def conformal_jacobian(x, c, metric: Metric):
     """Jacobian pair of the special conformal map through inversion matrices.
 
     Returns ``(fwd, inv)`` with ``fwd[mu, beta] = d x'^mu / d x^beta`` given by
@@ -191,21 +185,17 @@ def conformal_jacobian(x, c, metric: Metric, floor: float = SINGULARITY_FLOOR):
     I(x') I(x) sigma.  Needs x^2 != 0 and x'^2 != 0 in addition to sigma != 0;
     use :func:`map_jacobian` for the unrestricted closed form.
     """
-    x = metric._check(x)
-    c = metric._check(c)
-    s = conformal_factor(x, c, metric)
-    if abs(s) < _scale_floor(x, floor):
-        raise SingularMap(f"conformal factor {s} is below the singularity floor")
+    x, c, s = _regular_factor(x, c, metric)
     xp = (x + c * metric.norm2(x)) / s
-    ix = inversion_matrix(x, metric, floor)
-    ixp = inversion_matrix(xp, metric, floor)
+    ix = inversion_matrix(x, metric)
+    ixp = inversion_matrix(xp, metric)
     # (I(x) I(x'))_b^m carries (lower b, upper m); transpose to row = output.
     fwd = (ix @ ixp).T / s
     inv = (ixp @ ix).T * s
     return fwd, inv
 
 
-def large_parameter_map(x, c, metric: Metric, floor: float = SINGULARITY_FLOOR):
+def large_parameter_map(x, c, metric: Metric):
     """Leading behaviour of the conformal map for large parameter c.
 
     Composition of a translation by c/c^2, a 1/c^2 dilation, the improper
@@ -214,8 +204,8 @@ def large_parameter_map(x, c, metric: Metric, floor: float = SINGULARITY_FLOOR):
     """
     x = metric._check(x)
     c = metric._check(c)
-    c2 = invariant_square(c, metric, floor)
-    big_x = inversion(x, metric, floor)
+    c2 = invariant_square(c, metric)
+    big_x = inversion(x, metric)
     reflected = big_x - 2.0 * c * metric.dot(c, big_x) / c2
     return c / c2 + reflected / c2
 
@@ -305,14 +295,14 @@ def _vector_param(param, dim):
     return param
 
 
-def translation(a, weight=None, spin="scalar") -> GeneratorAction:
+def translation(a, spin="scalar") -> GeneratorAction:
     a = np.asarray(a, dtype=float)
     dim = a.shape[0]
-    w = canonical_weight(dim) if weight is None else float(weight)
+    w = canonical_weight(dim)
     return GeneratorAction(KIND_TRANSLATION, _vector_param(a, dim), dim, w, spin)
 
 
-def lorentz_rotation(omega, weight=None, spin="scalar") -> GeneratorAction:
+def lorentz_rotation(omega) -> GeneratorAction:
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise DimensionMismatch("Lorentz parameter must be a square matrix")
@@ -321,8 +311,7 @@ def lorentz_rotation(omega, weight=None, spin="scalar") -> GeneratorAction:
     dim = omega.shape[0]
     omega = np.array(omega, dtype=float)
     omega.flags.writeable = False
-    w = canonical_weight(dim) if weight is None else float(weight)
-    return GeneratorAction(KIND_LORENTZ, omega, dim, w, spin)
+    return GeneratorAction(KIND_LORENTZ, omega, dim, canonical_weight(dim))
 
 
 def dilation(strength, dim, weight=None, spin="scalar") -> GeneratorAction:
@@ -335,6 +324,15 @@ def special_conformal(c, weight=None, spin="scalar") -> GeneratorAction:
     dim = c.shape[0]
     w = canonical_weight(dim) if weight is None else float(weight)
     return GeneratorAction(KIND_CONFORMAL, _vector_param(c, dim), dim, w, spin)
+
+
+def sigma_basis_conformal(sigma: int, metric: Metric, weight, spin) -> GeneratorAction:
+    """Special conformal generator whose parameter has the sigma-th basis
+    vector as its lower components, so that contracting its variation with
+    c gives the sigma-indexed variation."""
+    c = np.zeros(metric.dim)
+    c[sigma] = metric.diag[sigma]
+    return special_conformal(c, weight=weight, spin=spin)
 
 
 def killing_vector(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
@@ -404,6 +402,13 @@ def killing_divergence(gen: GeneratorAction, x, metric: Metric) -> float:
     raise ValueError(f"unknown generator kind {gen.kind!r}")
 
 
+def killing_divergence_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:
+    """d_m (d.f); nonzero only for special conformal generators (2 D c_m)."""
+    if gen.kind == KIND_CONFORMAL:
+        return 2.0 * metric.dim * metric.lower(gen.param)
+    return np.zeros(metric.dim)
+
+
 def killing_residual_from_gradient(df, metric: Metric) -> float:
     """Max-norm of d_mu f_nu + d_nu f_mu - (2/D) g_{mu nu} d.f for given df."""
     df = np.asarray(df, dtype=float)
@@ -419,22 +424,23 @@ def killing_residual(gen: GeneratorAction, x, metric: Metric) -> float:
     return killing_residual_from_gradient(killing_gradient(gen, x, metric), metric)
 
 
-def basis_generators(dim: int, spin="scalar", weight=None):
-    """The full (D+1)(D+2)/2 generator basis at dimension ``dim``."""
+def basis_generators(dim: int):
+    """The full (D+1)(D+2)/2 generator basis at dimension ``dim``, acting on
+    scalars of canonical weight."""
     gens = []
     for mu in range(dim):
         a = np.zeros(dim)
         a[mu] = 1.0
-        gens.append(translation(a, weight, spin))
+        gens.append(translation(a))
     for mu in range(dim):
         for nu in range(mu + 1, dim):
             omega = np.zeros((dim, dim))
             omega[mu, nu] = 1.0
             omega[nu, mu] = -1.0
-            gens.append(lorentz_rotation(omega, weight, spin))
-    gens.append(dilation(1.0, dim, weight, spin))
+            gens.append(lorentz_rotation(omega))
+    gens.append(dilation(1.0, dim))
     for mu in range(dim):
         c = np.zeros(dim)
         c[mu] = 1.0
-        gens.append(special_conformal(c, weight, spin))
+        gens.append(special_conformal(c))
     return gens

@@ -209,9 +209,6 @@ class Trajectory:
     p: np.ndarray
     params: MechParams
 
-    def state(self, index: int) -> MechState:
-        return MechState(float(self.times[index]), self.q[index], self.p[index])
-
     def charge_series(self) -> np.ndarray:
         """(n_samples, 3) array of (H, D, K) along the trajectory."""
         t = self.times

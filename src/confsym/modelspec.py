@@ -3,8 +3,9 @@
 Format: ``[section]`` headers followed by ``key = value`` lines.  Blank lines
 and lines starting with ``#`` are ignored.  Anything else is an error with
 an exact line number: unknown sections, unknown keys, duplicated keys,
-malformed or non-finite values.  Semantic constraints (dimension versus
-model kind) raise :class:`SemanticError` after parsing.
+malformed or non-finite values, number lists without a number.  Semantic
+constraints (dimension versus model kind, ``p0`` without ``q0``, an empty
+check selection) raise :class:`SemanticError` after parsing.
 """
 
 from __future__ import annotations
@@ -129,7 +130,10 @@ def _convert(raw, kind, lineno):
         if kind == "float":
             return _finite(float(raw))
         if kind == "floats":
-            return [_finite(float(part.strip())) for part in raw.split(",") if part.strip()]
+            values = [_finite(float(part.strip())) for part in raw.split(",") if part.strip()]
+            if values:
+                return values
+            raise ValueError("no numbers in the list")
     except ValueError as exc:
         raise ParseError(f"bad {kind} value {raw!r}", lineno) from exc
     raise ParseError(f"unknown schema type {kind!r}", lineno)
@@ -205,18 +209,19 @@ def _validate(sections) -> ModelSpec:
     mech = {k: v[0] for k, v in sections.get("mechanics", {}).items()}
     if kind != "mechanics" and mech:
         raise SemanticError("[mechanics] section is only valid for kind = mechanics")
+    if "p0" in mech and "q0" not in mech:
+        raise SemanticError("p0 needs q0")
     if "q0" in mech and "p0" in mech and len(mech["q0"]) != len(mech["p0"]):
         raise SemanticError("q0 and p0 must have equal lengths")
     if mech.get("step", 1.0) <= 0:
         raise SemanticError("step must be positive")
 
     checks_raw = _take(sections, "suite", "checks", "all")
-    if checks_raw == "all":
-        checks = None
-    elif checks_raw == "none":
-        checks = []
-    else:
+    checks = None
+    if checks_raw != "all":
         checks = [part.strip() for part in checks_raw.split(",") if part.strip()]
+        if not checks:
+            raise SemanticError("checks selects no check")
         from .suites import CHECKS  # deferred: avoid a cycle at import time
 
         for name in checks:

@@ -19,16 +19,19 @@ from .fields import (
     ShiftedPotential,
     VectorPotential,
     field_strength_from_potential,
+    multiplet_stack,
 )
 from .geometry import (
+    KIND_CONFORMAL,
     GeneratorAction,
     Metric,
     canonical_weight,
     dilation,
     killing_divergence,
+    killing_divergence_gradient,
     killing_gradient,
     killing_vector,
-    special_conformal,
+    sigma_basis_conformal,
 )
 from .transforms import (
     delta_field_strength_primary,
@@ -134,21 +137,13 @@ def _raise2(T, metric: Metric):
     return metric.diag[:, None] * T * metric.diag[None, :]
 
 
-def _fs(A, x, with_second=False):
-    return field_strength_from_potential(A, x, with_second)
+def _raise_dF(dF, metric: Metric):
+    """d_r F^{ab}: both field-strength indices of ``dF[a, b, r]`` raised."""
+    return metric.diag[:, None, None] * dF * metric.diag[None, :, None]
 
 
 def _f_squared(F, metric: Metric) -> float:
     return float(np.sum(_raise2(F, metric) * F))
-
-
-def _scalar_stack(phi, x):
-    value = np.atleast_1d(phi.value(x))
-    grad = np.atleast_2d(phi.grad(x))
-    hess = phi.hess(x)
-    if hess.ndim == 2:
-        hess = hess[None, ...]
-    return value, grad, hess
 
 
 def _scalar_third(phi, x):
@@ -176,20 +171,20 @@ def _potential_prime(model: MultipletModel, value) -> np.ndarray:
 def lagrangian_value(model, fields, x, metric: Metric) -> float:
     """Pointwise Lagrange density of the given model."""
     if isinstance(model, MaxwellModel):
-        F = _fs(fields, x).F
+        F = field_strength_from_potential(fields, x).F
         return -0.25 * _f_squared(F, metric)
     if isinstance(model, MultipletModel):
-        value, grad, _ = _scalar_stack(fields, x)
+        value, grad, _ = multiplet_stack(fields, x)
         kinetic = 0.5 * float(np.einsum("m,im,im->", metric.diag, grad, grad))
         return kinetic - _potential(model, float(value @ value))
     if isinstance(model, GeneralScalarModel):
-        value, grad, _ = _scalar_stack(fields, x)
+        value, grad, _ = multiplet_stack(fields, x)
         phi = float(value[0])
         power_term = phi**model.power
         s = float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
         return float(model.profile(s / power_term)) * power_term
     if isinstance(model, DualScalarModel):
-        value, grad, _ = _scalar_stack(fields, x)
+        value, grad, _ = multiplet_stack(fields, x)
         return -0.5 * float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
     raise TypeError(f"unknown model {model!r}")
 
@@ -197,19 +192,19 @@ def lagrangian_value(model, fields, x, metric: Metric) -> float:
 def lagrangian_gradient(model, fields, x, metric: Metric) -> np.ndarray:
     """Total derivative d_m L along the field configuration."""
     if isinstance(model, MaxwellModel):
-        fs = _fs(fields, x)
+        fs = field_strength_from_potential(fields, x)
         return -0.5 * np.einsum("ab,abm->m", _raise2(fs.F, metric), fs.dF)
     if isinstance(model, MultipletModel):
-        value, grad, hess = _scalar_stack(fields, x)
+        value, grad, hess = multiplet_stack(fields, x)
         out = np.einsum("a,ia,iam->m", metric.diag, grad, hess)
         out -= _potential_prime(model, value) @ grad
         return out
     if isinstance(model, GeneralScalarModel):
-        value, grad, hess = _scalar_stack(fields, x)
+        value, grad, hess = multiplet_stack(fields, x)
         dl_dphi, mom = _general_scalar_conjugates(model, value, grad, metric)
         return dl_dphi * grad[0] + np.einsum("a,am->m", mom, hess[0])
     if isinstance(model, DualScalarModel):
-        value, grad, hess = _scalar_stack(fields, x)
+        value, grad, hess = multiplet_stack(fields, x)
         return -np.einsum("a,a,am->m", metric.diag, grad[0], hess[0])
     raise TypeError(f"unknown model {model!r}")
 
@@ -236,7 +231,7 @@ def _general_scalar_conjugates(model: GeneralScalarModel, value, grad, metric):
 def maxwell_stress(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     """theta^{mn} = -F^{ma} F^n_a + g^{mn} F^2 / 4; symmetric, conserved on
     shell, traceless only at D = 4."""
-    F = _fs(A, x).F
+    F = field_strength_from_potential(A, x).F
     f_up = _raise2(F, metric)
     mixed = metric.diag[:, None] * F  # F^n_a stored [n, a]
     theta = -np.einsum("ma,na->mn", f_up, mixed)
@@ -246,9 +241,9 @@ def maxwell_stress(A: VectorPotential, x, metric: Metric) -> np.ndarray:
 
 def maxwell_stress_divergence(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     """d_m theta^{mn}; vanishes on shell."""
-    fs = _fs(A, x)
+    fs = field_strength_from_potential(A, x)
     f_up = _raise2(fs.F, metric)
-    df_up = metric.diag[:, None, None] * fs.dF * metric.diag[None, :, None]
+    df_up = _raise_dF(fs.dF, metric)
     mixed = metric.diag[:, None] * fs.F
     dmixed = metric.diag[:, None, None] * fs.dF
     dtheta = -np.einsum("mar,na->mnr", df_up, mixed)
@@ -266,14 +261,14 @@ def maxwell_stress_trace(A: VectorPotential, x, metric: Metric) -> float:
 
 def maxwell_eom_residual(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     """d_a F^{ab}; zero exactly on the on-shell plane-wave fixtures."""
-    fs = _fs(A, x)
+    fs = field_strength_from_potential(A, x)
     return np.einsum("a,b,aba->b", metric.diag, metric.diag, fs.dF)
 
 
 def bianchi_residual(A: VectorPotential, x) -> float:
     """Max-norm of the cyclic derivative sum of F; identically zero when F
     derives from a potential."""
-    dF = _fs(A, x).dF
+    dF = field_strength_from_potential(A, x).dF
     cyc = (
         np.einsum("bca->abc", dF)
         + np.einsum("cab->abc", dF)
@@ -290,7 +285,7 @@ def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
     the Maxwell stress tensor to it, regardless of the sign carried by the
     dual density).
     """
-    value, grad, _ = _scalar_stack(phi, x)
+    value, grad, _ = multiplet_stack(phi, x)
     grad_up = grad * metric.diag[None, :]
     theta = np.einsum("im,in->mn", grad_up, grad_up)
     model = MultipletModel(metric.dim, value.shape[0], coupling)
@@ -302,7 +297,7 @@ def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
 
 def scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 0.0):
     """d_m theta^{mn} for the canonical scalar tensor."""
-    value, grad, hess = _scalar_stack(phi, x)
+    value, grad, hess = multiplet_stack(phi, x)
     model = MultipletModel(metric.dim, value.shape[0], coupling)
     grad_up = grad * metric.diag[None, :]
     hess_up = hess * metric.diag[None, :, None]
@@ -322,7 +317,7 @@ def improvement_coefficient(dim: int) -> float:
 
 def _square_stacks(phi, x, with_third=False):
     """Derivative stacks of S = Phi.Phi, exactly symmetric by construction."""
-    value, grad, hess = _scalar_stack(phi, x)
+    value, grad, hess = multiplet_stack(phi, x)
     s_grad = 2.0 * np.einsum("i,im->m", value, grad)
     s_hess = 2.0 * (
         np.einsum("im,in->mn", grad, grad) + np.einsum("i,imn->mn", value, hess)
@@ -339,20 +334,18 @@ def _square_stacks(phi, x, with_third=False):
     return s_grad, s_hess, s_third
 
 
-def improved_scalar_stress(
-    phi, x, metric: Metric, coupling: float = 0.0, sign: float = 1.0
-) -> np.ndarray:
+def improved_scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
     """Canonical tensor plus xi (g^{mn} box - d^m d^n) of Phi.Phi.
 
-    ``sign`` scales the improvement term; the dual scalar sector passes the
-    same +1 as the standard scalar (its tensor is the standard one).
+    The dual scalar sector uses the same tensor: its improvement term has
+    the standard sign.
     """
     xi = improvement_coefficient(metric.dim)
     theta = scalar_stress(phi, x, metric, coupling)
     _, s_hess, _ = _square_stacks(phi, x)
     box_s = float(np.einsum("m,mm->", metric.diag, s_hess))
     improvement = np.diag(metric.diag) * box_s - _raise2(s_hess, metric)
-    return theta + sign * xi * improvement
+    return theta + xi * improvement
 
 
 def improved_scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 0.0):
@@ -375,7 +368,7 @@ def offshell_trace_law(phi, x, metric: Metric, coupling: float = 0.0) -> float:
     """Closed form of the improved trace valid off shell:
     D * potential + (D - 2)/2 * Phi . box Phi.  Derived by hand; serves as an
     independent oracle for the trace computation."""
-    value, grad, hess = _scalar_stack(phi, x)
+    value, grad, hess = multiplet_stack(phi, x)
     dim = metric.dim
     model = MultipletModel(dim, value.shape[0], coupling)
     box = np.einsum("m,imm->i", metric.diag, hess)
@@ -409,13 +402,13 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
     dim = metric.dim
     d = canonical_weight(dim)
     if isinstance(model, MaxwellModel):
-        fs = _fs(fields, x)
+        fs = field_strength_from_potential(fields, x)
         value = 0.5 * (4.0 - dim) * (_raise2(fs.F, metric) @ fields.value(x))
         if dim == 4:
             return VirialInfo(value, True, lambda y: np.zeros((dim, dim)))
         return VirialInfo(value, False)
     if isinstance(model, MultipletModel):
-        value_f, grad, _ = _scalar_stack(fields, x)
+        value_f, grad, _ = multiplet_stack(fields, x)
         v = d * metric.diag * np.einsum("i,im->m", value_f, grad)
 
         def potential(y):
@@ -424,7 +417,7 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
 
         return VirialInfo(v, True, potential)
     if isinstance(model, DualScalarModel):
-        value_f, grad, _ = _scalar_stack(fields, x)
+        value_f, grad, _ = multiplet_stack(fields, x)
         v = -d * metric.diag * np.einsum("i,im->m", value_f, grad)
 
         def potential(y):
@@ -433,7 +426,7 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
 
         return VirialInfo(v, True, potential)
     if isinstance(model, GeneralScalarModel):
-        value_f, grad, _ = _scalar_stack(fields, x)
+        value_f, grad, _ = multiplet_stack(fields, x)
         # mom is dL/d(d_m phi) and already carries an upper index
         _, mom = _general_scalar_conjugates(model, value_f, grad, metric)
         v = d * float(value_f[0]) * mom
@@ -454,7 +447,7 @@ def maxwell_virial_first_principles(A: VectorPotential, x, metric: Metric):
     matrix; an independent route to the (4 - D)/2 F A closed form."""
     dim = metric.dim
     d = canonical_weight(dim)
-    fs = _fs(A, x)
+    fs = field_strength_from_potential(A, x)
     value = A.value(x)
     # mom[m, b] = dL / d(d^m A_b) = -F_m^b
     mom = -metric.diag[None, :] * fs.F
@@ -473,7 +466,7 @@ def scale_current_maxwell(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     """J^m = theta^m_a x^a + (4 - D)/2 F^{ma} A_a (the improved form)."""
     x = metric._check(x)
     theta = maxwell_stress(A, x, metric)
-    fs = _fs(A, x)
+    fs = field_strength_from_potential(A, x)
     return theta @ metric.lower(x) + 0.5 * (4.0 - metric.dim) * (
         _raise2(fs.F, metric) @ A.value(x)
     )
@@ -483,35 +476,26 @@ def scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric) -> f
     """d_m J^m for the improved scale current; zero on shell in every D."""
     x = metric._check(x)
     dim = metric.dim
-    fs = _fs(A, x)
+    fs = field_strength_from_potential(A, x)
     theta_div = maxwell_stress_divergence(A, x, metric)
     trace = maxwell_stress_trace(A, x, metric)
     out = float(theta_div @ metric.lower(x)) + trace
     f_up = _raise2(fs.F, metric)
-    df_up = metric.diag[:, None, None] * fs.dF * metric.diag[None, :, None]
+    df_up = _raise_dF(fs.dF, metric)
     div_fa = float(np.einsum("mam,a->", df_up, A.value(x)))
     div_fa += float(np.einsum("ma,am->", f_up, A.grad(x)))
     return out + 0.5 * (4.0 - dim) * div_fa
 
 
-def noether_scale_current_maxwell(A: VectorPotential, x, metric: Metric):
-    """The raw construction before dropping the trivially conserved piece:
-    momentum times dilation variation minus x^m times the density."""
-    x = metric._check(x)
-    gen = dilation(1.0, metric.dim, spin="vector")
-    fs = _fs(A, x)
-    delta, _ = delta_vector_potential_with_gradient(gen, A, x, metric)
-    lag = lagrangian_value(MaxwellModel(metric.dim), A, x, metric)
-    return -_raise2(fs.F, metric) @ delta - x * lag
-
-
 def noether_scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric):
-    """Divergence of the raw current; equals the improved one identically."""
+    """Divergence of the raw Noether scale current, momentum times the
+    dilation variation minus x^m times the density, before the trivially
+    conserved piece is dropped; equals the improved one identically."""
     x = metric._check(x)
     gen = dilation(1.0, metric.dim, spin="vector")
-    fs = _fs(A, x)
+    fs = field_strength_from_potential(A, x)
     delta, ddelta = delta_vector_potential_with_gradient(gen, A, x, metric)
-    df_up = metric.diag[:, None, None] * fs.dF * metric.diag[None, :, None]
+    df_up = _raise_dF(fs.dF, metric)
     f_up = _raise2(fs.F, metric)
     out = -float(np.einsum("mam,a->", df_up, delta))
     out -= float(np.einsum("ma,am->", f_up, ddelta))
@@ -531,7 +515,7 @@ def bessel_hagen_current(gen: GeneratorAction, model, fields, x, metric: Metric)
     f_low = metric.lower(killing_vector(gen, x, metric))
     if isinstance(model, MaxwellModel):
         theta = maxwell_stress(fields, x, metric)
-        fs = _fs(fields, x)
+        fs = field_strength_from_potential(fields, x)
         div = killing_divergence(gen, x, metric)
         coeff = (4.0 - metric.dim) / (2.0 * metric.dim)
         return theta @ f_low + coeff * div * (_raise2(fs.F, metric) @ fields.value(x))
@@ -552,14 +536,12 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
         theta = maxwell_stress(fields, x, metric)
         theta_div = maxwell_stress_divergence(fields, x, metric)
         out = float(theta_div @ f_low) + float(np.sum(theta * grad_f_low))
-        fs = _fs(fields, x)
+        fs = field_strength_from_potential(fields, x)
         f_up = _raise2(fs.F, metric)
-        df_up = metric.diag[:, None, None] * fs.dF * metric.diag[None, :, None]
+        df_up = _raise_dF(fs.dF, metric)
         coeff = (4.0 - dim) / (2.0 * dim)
         div = killing_divergence(gen, x, metric)
-        ddiv = np.zeros(dim)
-        if gen.kind == "special-conformal":
-            ddiv = 2.0 * dim * metric.lower(gen.param)
+        ddiv = killing_divergence_gradient(gen, metric)
         fa = f_up @ fields.value(x)
         div_fa = float(np.einsum("mam,a->", df_up, fields.value(x)))
         div_fa += float(np.einsum("ma,am->", f_up, fields.grad(x)))
@@ -578,8 +560,8 @@ def current_divergence_identity(gen: GeneratorAction, A: VectorPotential, x, met
     value matches it.
     """
     lhs = bessel_hagen_divergence(gen, MaxwellModel(metric.dim), A, x, metric)
-    if gen.kind == "special-conformal":
-        fs = _fs(A, x)
+    if gen.kind == KIND_CONFORMAL:
+        fs = field_strength_from_potential(A, x)
         cl = metric.lower(gen.param)
         rhs = (4.0 - metric.dim) * float(cl @ (_raise2(fs.F, metric) @ A.value(x)))
     else:
@@ -604,9 +586,9 @@ def gauge_shift_scale_current(A: VectorPotential, gauge: ScalarField, x, metric)
     shift = scale_current_maxwell(shifted, x, metric) - scale_current_maxwell(
         A, x, metric
     )
-    fs = _fs(A, x)
+    fs = field_strength_from_potential(A, x)
     f_up = _raise2(fs.F, metric)
-    df_up = metric.diag[:, None, None] * fs.dF * metric.diag[None, :, None]
+    df_up = _raise_dF(fs.dF, metric)
     omega = gauge.value(x)
     d_omega = gauge.grad(x)
     coeff = 0.5 * (4.0 - metric.dim)
@@ -617,9 +599,9 @@ def gauge_shift_scale_current(A: VectorPotential, gauge: ScalarField, x, metric)
 def gauge_shift_divergence(A: VectorPotential, gauge: ScalarField, x, metric) -> float:
     """d_m of the scale-current shift; trivially conserved on shell."""
     x = metric._check(x)
-    fs = _fs(A, x)
+    fs = field_strength_from_potential(A, x)
     f_up = _raise2(fs.F, metric)
-    df_up = metric.diag[:, None, None] * fs.dF * metric.diag[None, :, None]
+    df_up = _raise_dF(fs.dF, metric)
     d_omega = gauge.grad(x)
     h_omega = gauge.hess(x)
     coeff = 0.5 * (4.0 - metric.dim)
@@ -633,22 +615,14 @@ def gauge_shift_divergence(A: VectorPotential, gauge: ScalarField, x, metric) ->
 # ---------------------------------------------------------------------------
 
 
-def _conformal_basis_generator(sigma, metric, weight, spin):
-    """Parameter choice making the contracted variation equal the
-    sigma-indexed one: lower components of c are the sigma basis vector."""
-    c = np.zeros(metric.dim)
-    c[sigma] = metric.diag[sigma]
-    return special_conformal(c, weight=weight, spin=spin)
-
-
 def _delta_lagrangian_maxwell(gen, A, x, metric):
-    fs = _fs(A, x)
+    fs = field_strength_from_potential(A, x)
     _, ddelta = delta_vector_potential_with_gradient(gen, A, x, metric)
     return -float(np.einsum("ma,am->", _raise2(fs.F, metric), ddelta))
 
 
 def _delta_lagrangian_scalar(model, gen, phi, x, metric):
-    value, grad, _ = _scalar_stack(phi, x)
+    value, grad, _ = multiplet_stack(phi, x)
     delta, ddelta = delta_scalar_with_gradient(gen, phi, x, metric)
     if isinstance(model, MultipletModel):
         mom = grad * metric.diag[None, :]  # dL/d(d_m phi_i) index up
@@ -709,23 +683,22 @@ def action_variation_identity(
         return delta_l - (dim * lag + float(x @ dlag))
 
     x2 = metric.norm2(x)
-    k_vec = 2.0 * x[sigma] * x - metric.diag[sigma] * _unit_vec(dim, sigma) * x2
+    k_vec = 2.0 * x[sigma] * x - metric.diag[sigma] * np.eye(dim)[sigma] * x2
     total_derivative = 2.0 * dim * x[sigma] * lag + float(k_vec @ dlag)
 
     if kind == "conformal":
         if isinstance(model, MaxwellModel):
-            gen = _conformal_basis_generator(sigma, metric, canonical_weight(dim), "vector")
+            gen = sigma_basis_conformal(sigma, metric, canonical_weight(dim), "vector")
             delta_l = _delta_lagrangian_maxwell(gen, fields, x, metric)
-            fs = _fs(fields, x)
+            fs = field_strength_from_potential(fields, x)
             anomaly = (4.0 - dim) * float(
                 (_raise2(fs.F, metric) @ fields.value(x))[sigma]
             )
             return delta_l - total_derivative - anomaly
-        gen = _conformal_basis_generator(sigma, metric, canonical_weight(dim), "scalar")
+        gen = sigma_basis_conformal(sigma, metric, canonical_weight(dim), "scalar")
         delta_l = _delta_lagrangian_scalar(model, gen, fields, x, metric)
         kappa = _improvement_kappa(model, metric)
-        value = np.atleast_1d(fields.value(x))
-        grad = np.atleast_2d(fields.grad(x))
+        value, grad, _ = multiplet_stack(fields, x)
         d_sq_sigma = 2.0 * metric.diag[sigma] * float(
             np.einsum("i,i->", value, grad[:, sigma])
         )
@@ -734,19 +707,13 @@ def action_variation_identity(
     if kind == "conformal-assumed-primary":
         if not isinstance(model, MaxwellModel):
             raise TypeError("the pretend-primary rule applies to the Maxwell model")
-        gen = _conformal_basis_generator(sigma, metric, 0.5 * dim, "field-strength")
-        fs = _fs(fields, x)
+        gen = sigma_basis_conformal(sigma, metric, 0.5 * dim, "field-strength")
+        fs = field_strength_from_potential(fields, x)
         delta_f = delta_field_strength_primary(gen, fs, x, metric)
         delta_l = -0.5 * float(np.sum(_raise2(fs.F, metric) * delta_f))
         return delta_l - total_derivative
 
     raise ValueError(f"unknown identity kind {kind!r}")
-
-
-def _unit_vec(dim, idx):
-    e = np.zeros(dim)
-    e[idx] = 1.0
-    return e
 
 
 # ---------------------------------------------------------------------------

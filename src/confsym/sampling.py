@@ -13,16 +13,8 @@ from .fields import (
     CosineSpinor,
     CosineVectorPotential,
     PolynomialMultiplet,
-    PolynomialVectorPotential,
 )
 from .geometry import Metric, conformal_factor
-
-DEFAULT_SEED = 42
-
-
-def rng_from_seed(seed: int = DEFAULT_SEED) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
 
 def points(rng, dim: int, n: int, scale: float = 0.6) -> np.ndarray:
     return rng.normal(0.0, scale, size=(n, dim))
@@ -120,13 +112,6 @@ def random_polynomial_multiplet(
             monos.append((float(rng.normal(0.0, scale)), exps))
         components.append(monos)
     return PolynomialMultiplet(dim, components)
-
-
-def random_polynomial_potential(
-    rng, dim: int, degree: int = 3, n_terms: int = 6, scale: float = 0.5
-) -> PolynomialVectorPotential:
-    comps = random_polynomial_multiplet(rng, dim, dim, degree, n_terms, scale)
-    return PolynomialVectorPotential(dim, comps.components)
 
 
 def random_plane_wave_multiplet(

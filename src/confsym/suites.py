@@ -61,7 +61,7 @@ from .mechanics import (
     integrate_many,
     so21_bracket_residuals,
 )
-from .modelspec import ModelSpec
+from .modelspec import FIELD_KINDS, ModelSpec
 from .noether import (
     CheckReport,
     DualScalarModel,
@@ -110,9 +110,6 @@ try:
     TOOLKIT_VERSION = _pkg_version("confsym")
 except Exception:  # pragma: no cover
     TOOLKIT_VERSION = "0.1.0"
-
-FIELD_KINDS = ("maxwell", "general-scalar", "interacting-multiplet", "dual-scalar-3")
-
 
 @dataclass(frozen=True)
 class CheckDef:
@@ -163,16 +160,9 @@ def _agreement(first, second, x):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_fixture(spec, metric, rng, null=False, n_comp=None, positive=False):
+def _scalar_fixture(spec, metric, rng, null=False, n_comp=None):
     n_comp = n_comp if n_comp is not None else spec.components
     fixture = spec.fixture
-    if positive:
-        return GaussianMultiplet(
-            metric.dim,
-            np.full(n_comp, 1.3),
-            rng.normal(0.0, 0.2, metric.dim),
-            0.08 * np.eye(metric.dim),
-        )
     if fixture.get("kind") == "plane-wave" and "k" in fixture and not null:
         amp = fixture.get("amplitude", [1.0])
         amp = (amp * n_comp)[:n_comp]
@@ -215,7 +205,9 @@ def _model_fixture(spec, metric, rng):
         return model, sampling.random_offshell_potential(rng, metric)
     if spec.kind == "general-scalar":
         # fractional powers of the field require a positive configuration
-        return model, _scalar_fixture(spec, metric, rng, n_comp=1, positive=True).component(0)
+        linear = rng.normal(0.0, 0.2, metric.dim)
+        gaussian = GaussianMultiplet(metric.dim, [1.3], linear, 0.08 * np.eye(metric.dim))
+        return model, gaussian.component(0)
     if spec.kind == "dual-scalar-3":
         return model, _scalar_fixture(spec, metric, rng, n_comp=1).component(0)
     return model, _scalar_fixture(spec, metric, rng)

@@ -26,15 +26,18 @@ from .fields import (
     FieldStrengthValue,
     VectorPotential,
     field_strength_from_potential,
+    multiplet_stack,
 )
 from .geometry import (
     SINGULARITY_FLOOR,
     GeneratorAction,
     Metric,
+    canonical_weight,
     conformal_factor,
     inversion_matrix,
     inversion_matrix_gradient,
     killing_divergence,
+    killing_divergence_gradient,
     killing_gradient,
     killing_second_gradient,
     killing_vector,
@@ -126,8 +129,7 @@ def delta_scalar(gen: GeneratorAction, field, x, metric: Metric) -> np.ndarray:
     """Infinitesimal variation of a scalar multiplet under ``gen``."""
     if gen.spin != "scalar":
         raise ValueError("generator is not tagged for scalar fields")
-    value = np.atleast_1d(field.value(x))
-    grad = np.atleast_2d(field.grad(x))
+    value, grad, _ = multiplet_stack(field, x)
     return _variation(gen, value, grad, x, metric)
 
 
@@ -163,15 +165,11 @@ def delta_scalar_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
     if gen.spin != "scalar":
         raise ValueError("generator is not tagged for scalar fields")
     x = metric._check(x)
-    value = np.atleast_1d(field.value(x))
-    grad = np.atleast_2d(field.grad(x))
-    hess = field.hess(x)
-    if hess.ndim == 2:
-        hess = hess[None, ...]
+    value, grad, hess = multiplet_stack(field, x)
     f = killing_vector(gen, x, metric)
     df = killing_gradient(gen, x, metric)
     div = killing_divergence(gen, x, metric)
-    ddiv = _divergence_gradient(gen, metric)
+    ddiv = killing_divergence_gradient(gen, metric)
     w = gen.weight / metric.dim
     delta = grad @ f + w * div * value
     dout = np.einsum("rm,ir->im", df, grad)
@@ -195,7 +193,7 @@ def delta_vector_potential_with_gradient(
     f = killing_vector(gen, x, metric)
     df = killing_gradient(gen, x, metric)
     div = killing_divergence(gen, x, metric)
-    ddiv = _divergence_gradient(gen, metric)
+    ddiv = killing_divergence_gradient(gen, metric)
     C = spin_coefficient(gen, x, metric)
     dC = _spin_coefficient_gradient(gen, metric)
     w = gen.weight / dim
@@ -214,13 +212,6 @@ def delta_vector_potential_with_gradient(
     return delta, dout
 
 
-def _divergence_gradient(gen, metric: Metric) -> np.ndarray:
-    """d_m (d.f); nonzero only for special conformal generators (2 D c_m)."""
-    if gen.kind == "special-conformal":
-        return 2.0 * metric.dim * metric.lower(gen.param)
-    return np.zeros(metric.dim)
-
-
 def _spin_coefficient_gradient(gen, metric: Metric) -> np.ndarray:
     """dC[m, n, r] = d_r C_{mn}; constant in x, built from the second
     gradient of the Killing vector (zero except for special conformal)."""
@@ -233,7 +224,7 @@ def _spin_coefficient_gradient(gen, metric: Metric) -> np.ndarray:
 
 def _as_vector_generator(gen: GeneratorAction, metric: Metric) -> GeneratorAction:
     """Same transformation acting on the potential at its canonical weight."""
-    return GeneratorAction(gen.kind, gen.param, gen.dim, 0.5 * (metric.dim - 2), "vector")
+    return GeneratorAction(gen.kind, gen.param, gen.dim, canonical_weight(metric.dim), "vector")
 
 
 def delta_field_strength(gen: GeneratorAction, A: VectorPotential, x, metric: Metric):
@@ -254,8 +245,7 @@ def delta_field_strength_with_gradient(
     of A because delta F already contains first derivatives."""
     gen = _as_vector_generator(gen, metric)
     x = metric._check(x)
-    dim = metric.dim
-    value = A.value(x)
+    _, d1 = delta_vector_potential_with_gradient(gen, A, x, metric)
     grad = A.grad(x)
     hess = A.hess(x)
     third = A.third(x)
@@ -263,24 +253,15 @@ def delta_field_strength_with_gradient(
     df = killing_gradient(gen, x, metric)
     d2f = killing_second_gradient(gen, metric)
     div = killing_divergence(gen, x, metric)
-    ddiv = _divergence_gradient(gen, metric)
+    ddiv = killing_divergence_gradient(gen, metric)
     C = spin_coefficient(gen, x, metric)
     dC = _spin_coefficient_gradient(gen, metric)
-    w = gen.weight / dim
+    w = gen.weight / metric.dim
 
     asym = C - C.T
     dasym = dC - np.swapaxes(dC, 0, 1)
-    upper = metric.diag * value
     dupper = metric.diag[:, None] * grad
     d2upper = metric.diag[:, None, None] * hess
-
-    # first derivative of delta A (same expression as the vector helper)
-    d1 = np.einsum("rm,ar->am", df, grad)
-    d1 += np.einsum("arm,r->am", hess, f)
-    d1 += w * np.outer(value, ddiv)
-    d1 += w * div * grad
-    d1 += np.einsum("akm,k->am", dasym, upper)
-    d1 += np.einsum("ak,km->am", asym, dupper)
 
     # second derivative d2[a, m, n] = d_n d_m (delta A)_a ; the Killing vector
     # is quadratic, so its own third gradient vanishes.
@@ -364,16 +345,17 @@ def _op_conformal(sigma, weight, metric, x, value, grad, hess=None):
     dim = metric.dim
     x2 = metric.norm2(x)
     xl = metric.lower(x)
-    k = 2.0 * x[sigma] * x - metric.diag[sigma] * _unit(dim, sigma) * x2
+    unit = np.eye(dim)[sigma]
+    k = 2.0 * x[sigma] * x - metric.diag[sigma] * unit * x2
     w = 2.0 * weight * x[sigma]
     new_value = grad @ k + w * value
     if hess is None:
         return new_value, None
     # dk[r, m] = d_m k^r
-    dk = 2.0 * np.einsum("r,m->rm", x, _unit(dim, sigma))
+    dk = 2.0 * np.einsum("r,m->rm", x, unit)
     dk += 2.0 * x[sigma] * np.eye(dim)
-    dk -= 2.0 * metric.diag[sigma] * np.einsum("r,m->rm", _unit(dim, sigma), xl)
-    dw = 2.0 * weight * _unit(dim, sigma)
+    dk -= 2.0 * metric.diag[sigma] * np.einsum("r,m->rm", unit, xl)
+    dw = 2.0 * weight * unit
     new_grad = np.einsum("...r,rm->...m", grad, dk)
     new_grad += np.einsum("...rm,r->...m", hess, k)
     new_grad += np.einsum("...,m->...m", value, dw)
@@ -381,28 +363,18 @@ def _op_conformal(sigma, weight, metric, x, value, grad, hess=None):
     return new_value, new_grad
 
 
-def _unit(dim, idx):
-    e = np.zeros(dim)
-    e[idx] = 1.0
-    return e
-
-
-def scalar_commutator_pair(sigma, tau, field, x, metric: Metric, weight=None):
+def scalar_commutator_pair(sigma, tau, field, x, metric: Metric):
     """(lhs, rhs) of the translation/special-conformal commutator on a scalar.
 
     lhs applies the two index-stripped variations successively in both
     orders; successive variations compose through the field argument, so the
     bare operators multiply in reversed order.  rhs is
-    -2 g^{sigma tau} (dilation) + 2 (Lorentz rotation) at the same weight.
+    -2 g^{sigma tau} (dilation) + 2 (Lorentz rotation), all at the canonical
+    weight.
     """
     x = metric._check(x)
-    if weight is None:
-        weight = 0.5 * (metric.dim - 2)
-    value = np.atleast_1d(field.value(x))
-    grad = np.atleast_2d(field.grad(x))
-    hess = field.hess(x)
-    if hess.ndim == 2:
-        hess = hess[None, ...]
+    weight = canonical_weight(metric.dim)
+    value, grad, hess = multiplet_stack(field, x)
 
     tv, tg = _op_translation(sigma, metric, x, value, grad, hess)
     first, _ = _op_conformal(tau, weight, metric, x, tv, tg)
@@ -418,9 +390,9 @@ def scalar_commutator_pair(sigma, tau, field, x, metric: Metric, weight=None):
     return lhs, rhs
 
 
-def commutator_residual(sigma, tau, field, x, metric: Metric, weight=None):
+def commutator_residual(sigma, tau, field, x, metric: Metric):
     """Residual of the commutator identity; ~0 for any smooth scalar field."""
-    lhs, rhs = scalar_commutator_pair(sigma, tau, field, x, metric, weight)
+    lhs, rhs = scalar_commutator_pair(sigma, tau, field, x, metric)
     return lhs - rhs
 
 
@@ -429,14 +401,14 @@ def commutator_residual(sigma, tau, field, x, metric: Metric, weight=None):
 # ---------------------------------------------------------------------------
 
 
-def _preimage(y, c, metric, floor):
+def _preimage(y, c, metric):
     """Point x mapping to y under the parameter-c conformal map."""
-    return special_conformal_map(y, -np.asarray(c, dtype=float), metric, floor)
+    return special_conformal_map(y, -np.asarray(c, dtype=float), metric)
 
 
-def _positive_factor(x, c, metric, floor):
+def _positive_factor(x, c, metric):
     s = conformal_factor(x, c, metric)
-    if s < floor:
+    if s < SINGULARITY_FLOOR:
         raise SingularMap(
             f"conformal factor {s} left the positive branch of the transformation"
         )
@@ -447,16 +419,15 @@ class FiniteScalarTransform:
     """View of the finitely transformed scalar: value at y is
     sigma(x, c)^weight times the original value at the preimage x."""
 
-    def __init__(self, field, c, weight, metric: Metric, floor: float = SINGULARITY_FLOOR):
+    def __init__(self, field, c, weight, metric: Metric):
         self.field = field
         self.c = np.asarray(c, dtype=float)
         self.weight = float(weight)
         self.metric = metric
-        self.floor = floor
 
     def value(self, y):
-        x = _preimage(y, self.c, self.metric, self.floor)
-        s = _positive_factor(x, self.c, self.metric, self.floor)
+        x = _preimage(y, self.c, self.metric)
+        s = _positive_factor(x, self.c, self.metric)
         return s**self.weight * self.field.value(x)
 
 
@@ -469,8 +440,7 @@ class FiniteVectorTransform:
     both are defined.
     """
 
-    def __init__(self, A, c, weight, metric: Metric, route="jacobian",
-                 floor: float = SINGULARITY_FLOOR):
+    def __init__(self, A, c, weight, metric: Metric, route="jacobian"):
         if route not in ("jacobian", "reflection"):
             raise ValueError(f"unknown route {route!r}")
         self.A = A
@@ -478,20 +448,17 @@ class FiniteVectorTransform:
         self.weight = float(weight)
         self.metric = metric
         self.route = route
-        self.floor = floor
 
     def value(self, y):
         y = self.metric._check(y)
-        x = _preimage(y, self.c, self.metric, self.floor)
-        s = _positive_factor(x, self.c, self.metric, self.floor)
+        x = _preimage(y, self.c, self.metric)
+        s = _positive_factor(x, self.c, self.metric)
         v = self.A.value(x)
         if self.route == "jacobian":
             # jac_inv[b, a] = d x^b / d y^a: forward Jacobian of the inverse map
-            jac_inv = map_jacobian(y, -self.c, self.metric, self.floor)
+            jac_inv = map_jacobian(y, -self.c, self.metric)
             return s ** (self.weight - 1.0) * (jac_inv.T @ v)
-        refl = inversion_matrix(y, self.metric, self.floor) @ inversion_matrix(
-            x, self.metric, self.floor
-        )
+        refl = inversion_matrix(y, self.metric) @ inversion_matrix(x, self.metric)
         return s**self.weight * (refl @ v)
 
 
@@ -503,8 +470,7 @@ class FiniteSpinorTransform:
     gamma^m gamma^n).  Requires timelike points along the evaluation.
     """
 
-    def __init__(self, psi, c, weight, metric: Metric, gammas: GammaSet,
-                 route="pair", floor: float = SINGULARITY_FLOOR):
+    def __init__(self, psi, c, weight, metric: Metric, gammas: GammaSet, route="pair"):
         if route not in ("pair", "compact"):
             raise ValueError(f"unknown route {route!r}")
         self.psi = psi
@@ -513,12 +479,11 @@ class FiniteSpinorTransform:
         self.metric = metric
         self.gammas = gammas
         self.route = route
-        self.floor = floor
 
     def value(self, y):
         y = self.metric._check(y)
-        x = _preimage(y, self.c, self.metric, self.floor)
-        s = _positive_factor(x, self.c, self.metric, self.floor)
+        x = _preimage(y, self.c, self.metric)
+        s = _positive_factor(x, self.c, self.metric)
         v = self.psi.value(x)
         if self.route == "pair":
             slash_y = gamma_slash_unit(y, self.gammas, self.metric)
@@ -595,15 +560,12 @@ def decoupled_vector_residual(A: VectorPotential, x, c, metric: Metric) -> float
     return float(np.max(np.abs(imat @ delta - scalar_rule)))
 
 
-def decoupled_spinor_residual(
-    psi, x, c, metric: Metric, gammas: GammaSet, weight=None
-) -> float:
+def decoupled_spinor_residual(psi, x, c, metric: Metric, gammas: GammaSet) -> float:
     """Slashed spinor transforms by the scalar rule: max-norm residual of
-    (slash x) delta psi against f.d(slash-x psi) + 2 (c.x) weight (...)."""
+    (slash x) delta psi against f.d(slash-x psi) + 2 (c.x) weight (...), at
+    the canonical weight."""
     x = metric._check(x)
-    if weight is None:
-        weight = 0.5 * (metric.dim - 2)
-    gen = special_conformal(c, weight=weight, spin="spinor")
+    gen = special_conformal(c, spin="spinor")
     delta = delta_spinor(gen, psi, x, metric, gammas)
     x2 = metric.norm2(x)
     if x2 <= 0:
@@ -624,5 +586,5 @@ def decoupled_spinor_residual(
     )
     f = killing_vector(gen, x, metric)
     cx = metric.dot(np.asarray(c, dtype=float), x)
-    scalar_rule = d_tilde @ f + 2.0 * cx * weight * tilde
+    scalar_rule = d_tilde @ f + 2.0 * cx * gen.weight * tilde
     return float(np.max(np.abs(slash @ delta - scalar_rule)))

@@ -20,7 +20,7 @@ from confsym.dual3 import (
     maxwell_eom_from_dual,
     nonprimary_shift_residual,
 )
-from confsym.fields import field_strength_from_potential, fd_gradient, make_plane_wave_scalar
+from confsym.fields import CosineMultiplet, field_strength_from_potential, fd_gradient
 from confsym.geometry import (
     Metric,
     basis_generators,
@@ -225,7 +225,7 @@ def test_criterion_09_dual_sector():
     rng = np.random.default_rng(SEED)
     poly = sampling.random_polynomial_multiplet(rng, 3, 1, degree=4).component(0)
     k = sampling.null_vector(rng, 3, scale=1.1)
-    onshell = make_plane_wave_scalar(k, [1.2], 0.4, g).component(0)
+    onshell = CosineMultiplet(k, [1.2], 0.4, g).component(0)
     worst_exact, worst_id = 0.0, 0.0
     for x in sampling.points(rng, 3, 15):
         worst_exact = max(worst_exact, dual_roundtrip_residual(poly, x, g))

@@ -212,6 +212,40 @@ def test_audit_and_mech_sim_start_from_the_same_state(tmp_path, monkeypatch):
     npt.assert_array_equal(np.concatenate([starts[0].q, starts[0].p]), first[1:5])
 
 
+MECH_HEAD = "[model]\nkind = mechanics\ndimension = 1\n[params]\ncomponents = 2\nlambda = 0.5\n"
+
+
+@pytest.mark.parametrize("command", ["audit", "mech-sim"])
+@pytest.mark.parametrize("mechanics", ["p0 = 5.0, 5.0", "q0 = ,", "q0 = 1.0\np0 = ,"])
+def test_mechanics_spec_errors_exit_two(command, mechanics, tmp_path, capsys):
+    # p0 without q0 used to be dropped silently, and a number list without a
+    # number used to reach the integrator as an empty state
+    spec = tmp_path / "bad.spec"
+    spec.write_text(MECH_HEAD + f"[mechanics]\n{mechanics}\nt-end = 0.1\n")
+    assert main([command, str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("spec error:")
+
+
+@pytest.mark.parametrize("extra", ["[fixture]\namplitude = ,\n", "[suite]\nchecks = ,\n",
+                                   "[suite]\nchecks = none\n"])
+def test_field_spec_errors_exit_two(extra, tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("[model]\nkind = interacting-multiplet\ndimension = 4\n" + extra)
+    assert main(["audit", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("spec error:")
+
+
+@pytest.mark.parametrize("dim, code", [(1, 2), (2, 0), (7, 2)])
+def test_algebra_dimension_range(dim, code, capsys):
+    assert main(["algebra", "--dim", str(dim)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""  # rejected before any check runs
+        assert "2 <= D <= 6" in captured.err
+    else:
+        assert "overall: PASS" in captured.out
+
+
 def test_report_reemit(tmp_path, small_spec):
     saved = tmp_path / "r.json"
     main(["audit", str(small_spec), "--format", "json", "--out", str(saved)])
@@ -249,6 +283,22 @@ def test_audit_json_matches_golden_file(spec_path, tmp_path):
     out = tmp_path / "report.json"
     main(["audit", str(spec_path), "--format", "json", "--out", str(out)])
     assert out.read_bytes() == (GOLDEN_DIR / f"{spec_path.stem}.json").read_bytes()
+
+
+# the shipped specs never run D = 2 or D = 6 through the algebra checks, nor
+# every multiplet dimension; these pin what the kernels compute there
+GOLDEN_COMMANDS = {
+    "algebra_d2": ["algebra", "--dim", "2"],
+    "algebra_d6": ["algebra", "--dim", "6"],
+    "scan_multiplet_d3-6": ["scan-dims", "--kind", "interacting-multiplet", "--dims", "3..6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_command_json_matches_golden_file(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(GOLDEN_COMMANDS[name] + ["--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 def _run_patched(monkeypatch, residuals, tolerance="exact"):

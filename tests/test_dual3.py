@@ -18,7 +18,7 @@ from confsym.dual3 import (
     primary_rule_F,
 )
 from confsym.errors import OffShellParameters, WrongDimension
-from confsym.fields import PolynomialMultiplet, make_plane_wave_scalar
+from confsym.fields import CosineMultiplet, PolynomialMultiplet
 from confsym.geometry import Metric, levi_civita3
 from confsym import sampling
 
@@ -31,12 +31,12 @@ def poly_phi(rng):
 @pytest.fixture
 def onshell_phi(rng, metric3):
     k = sampling.null_vector(rng, 3, scale=1.1)
-    return make_plane_wave_scalar(k, [1.2], 0.4, metric3).component(0)
+    return CosineMultiplet(k, [1.2], 0.4, metric3).component(0)
 
 
 class TestDualMap:
     def test_constant_scalar_gives_zero_field(self, metric3):
-        phi = make_plane_wave_scalar(np.zeros(3), [2.0], 0.0, metric3).component(0)
+        phi = CosineMultiplet(np.zeros(3), [2.0], 0.0, metric3).component(0)
         fs = field_strength_from_dual(phi, np.zeros(3), metric3)
         npt.assert_array_equal(fs.F, 0.0)
 
@@ -130,7 +130,7 @@ class TestDualStress:
             npt.assert_allclose(b - a, expected, atol=1e-10)
 
     def test_constant_scalar_gives_zero(self, metric3):
-        phi = make_plane_wave_scalar(np.zeros(3), [3.0], 0.0, metric3).component(0)
+        phi = CosineMultiplet(np.zeros(3), [3.0], 0.0, metric3).component(0)
         npt.assert_allclose(
             improved_stress_from_F(phi, np.ones(3), metric3), 0.0, atol=1e-14
         )
@@ -138,10 +138,10 @@ class TestDualStress:
 
 class TestDualityMismatch:
     def test_zero_pair(self, metric3):
-        phi = make_plane_wave_scalar(np.zeros(3), [0.0], 0.0, metric3).component(0)
-        from confsym.fields import make_plane_wave_vector
+        phi = CosineMultiplet(np.zeros(3), [0.0], 0.0, metric3).component(0)
+        from confsym.fields import CosineVectorPotential
 
-        A = make_plane_wave_vector(np.zeros(3), np.zeros(3), 0.0, metric3)
+        A = CosineVectorPotential(np.zeros(3), np.zeros(3), 0.0, metric3)
         npt.assert_array_equal(duality_mismatch(A, phi, np.zeros(3), metric3), 0.0)
 
     def test_matched_pair_is_dual(self, metric3, rng):

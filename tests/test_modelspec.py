@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsym.errors import ParseError, SemanticError
-from confsym.modelspec import DEFAULT_TOLERANCES, parse_spec
+from confsym.modelspec import _SCHEMA, DEFAULT_TOLERANCES, ModelSpec, parse_spec
 
 MINIMAL_MAXWELL = """
 [model]
@@ -100,8 +102,11 @@ def test_unknown_check_name_rejected():
 
 
 def test_empty_selection():
-    text = "[model]\nkind = maxwell\ndimension = 4\n[suite]\nchecks = none\n"
-    assert parse_spec(text).checks == []
+    # a run of zero checks would report overall PASS having verified nothing
+    for value in ("none", ",", " , ,"):
+        text = f"[model]\nkind = maxwell\ndimension = 4\n[suite]\nchecks = {value}\n"
+        with pytest.raises(SemanticError):
+            parse_spec(text)
 
 
 def test_named_selection():
@@ -139,3 +144,88 @@ def test_non_finite_numbers_rejected(value):
     assert err.value.line == 5
     with pytest.raises(ParseError):
         parse_spec(f"[model]\nkind = maxwell\ndimension = 4\n[fixture]\nk = 1, {value}, 0, 1\n")
+
+
+@pytest.mark.parametrize("section, key", [("fixture", "k"), ("fixture", "amplitude"),
+                                          ("mechanics", "q0"), ("mechanics", "p0")])
+@pytest.mark.parametrize("value", [",", " , , "])
+def test_number_list_without_a_number_is_parse_error(section, key, value):
+    kind = "mechanics" if section == "mechanics" else "maxwell"
+    dim = 1 if kind == "mechanics" else 4
+    text = f"[model]\nkind = {kind}\ndimension = {dim}\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert err.value.line == 5
+
+
+def test_p0_without_q0_rejected():
+    text = "[model]\nkind = mechanics\ndimension = 1\n[mechanics]\np0 = 5.0, 5.0\n"
+    with pytest.raises(SemanticError):
+        parse_spec(text)
+    spec = parse_spec(text.replace("p0", "q0"))
+    assert spec.mechanics == {"q0": [5.0, 5.0]}
+
+
+_FLOAT_LISTS = [(section, key) for section, keys in _SCHEMA.items()
+                for key, kind in keys.items() if kind == "floats"]
+_NUMBER = st.floats(1e-3, 2.0).map(repr)
+# a value of each schema type; number lists include some without a number
+_TYPED = {
+    "int": st.integers(1, 6).map(str),
+    "float": _NUMBER,
+    "floats": st.one_of(
+        st.lists(_NUMBER, min_size=1, max_size=4).map(", ".join), st.sampled_from([",", " , ,"])
+    ),
+    "str": st.sampled_from(["all", "none", "linear", "quadratic", "plane-wave", "mech-so21"]),
+}
+_ARBITRARY = st.one_of(
+    st.sampled_from(["1e400", "nan", "-1", "0", "1, 2", "1,,2"]), st.text(max_size=12)
+)
+# each kind at a dimension it supports, so that enough specs parse for the
+# success branch to run
+_MODELS = st.sampled_from([
+    ("maxwell", "4"), ("general-scalar", "5"), ("interacting-multiplet", "6"),
+    ("dual-scalar-3", "3"), ("mechanics", "1"),
+])
+
+
+def _block(section, entries):
+    """``[section]`` and a line per (key, value strategy); one value in four
+    is arbitrary text instead."""
+    values = (st.integers(0, 3).flatmap(lambda i, v=v: _ARBITRARY if i == 3 else v)
+              for _, v in entries)
+    return st.tuples(*values).map(
+        lambda vs: [f"[{section}]"] + [f"{k} = {v}" for (k, _), v in zip(entries, vs)]
+    )
+
+
+def _any_block(section):
+    keys = st.lists(st.sampled_from(sorted(_SCHEMA[section])), unique=True)
+    return keys.flatmap(
+        lambda names: _block(section, [(k, _TYPED[_SCHEMA[section][k]]) for k in names])
+    )
+
+
+# [model] comes first, then other sections in any order
+_SPEC_TEXT = st.tuples(
+    _MODELS.flatmap(lambda m: _block("model", [("kind", st.just(m[0])),
+                                               ("dimension", st.just(m[1]))])),
+    st.lists(st.sampled_from(sorted(set(_SCHEMA) - {"model"})), unique=True).flatmap(
+        lambda sections: st.tuples(*map(_any_block, sections))
+    ),
+).map(lambda pair: [pair[0], *pair[1]])
+
+
+@given(_SPEC_TEXT, st.sampled_from(["\n", "\n\n# note\n"]))
+@settings(max_examples=300, deadline=None)
+def test_parse_spec_returns_a_spec_or_a_spec_error(blocks, sep):
+    text = sep.join(line for block in blocks for line in block)
+    try:
+        spec = parse_spec(text)
+    except (ParseError, SemanticError):
+        return
+    assert isinstance(spec, ModelSpec)
+    sections = {"fixture": spec.fixture, "mechanics": spec.mechanics}
+    for section, key in _FLOAT_LISTS:
+        if key in sections[section]:
+            assert sections[section][key], (section, key)

@@ -3,12 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from confsym.fields import (
+    CosineMultiplet,
+    CosineVectorPotential,
     GaussianMultiplet,
     field_strength_from_potential,
     fd_gradient,
     make_gauge_function,
-    make_plane_wave_scalar,
-    make_plane_wave_vector,
 )
 from confsym.geometry import (
     Metric,
@@ -57,13 +57,13 @@ def _f_squared(F, metric):
 
 class TestLagrangianValues:
     def test_maxwell_constant_potential(self, metric4, rng):
-        A = make_plane_wave_vector(np.zeros(4), rng.normal(size=4), 0.0, metric4)
+        A = CosineVectorPotential(np.zeros(4), rng.normal(size=4), 0.0, metric4)
         assert lagrangian_value(MaxwellModel(4), A, rng.normal(size=4), metric4) == 0.0
 
     def test_dual_scalar_closed_form(self, metric3, rng):
         # density by direct substitution: -(a^2 k.k / 2) sin^2(k.x + ph)
         k = rng.normal(size=3)
-        phi = make_plane_wave_scalar(k, [1.2], 0.3, metric3).component(0)
+        phi = CosineMultiplet(k, [1.2], 0.3, metric3).component(0)
         model = DualScalarModel()
         for x in sampling.points(rng, 3, 6):
             phase = metric3.dot(k, x) + 0.3
@@ -90,7 +90,7 @@ class TestLagrangianValues:
 
 class TestMaxwellStress:
     def test_vanishes_for_zero_field(self, metric4, rng):
-        A = make_plane_wave_vector(np.zeros(4), rng.normal(size=4), 0.0, metric4)
+        A = CosineVectorPotential(np.zeros(4), rng.normal(size=4), 0.0, metric4)
         npt.assert_array_equal(maxwell_stress(A, rng.normal(size=4), metric4), 0.0)
 
     def test_trace_law(self, metric, rng):
@@ -127,7 +127,7 @@ class TestMaxwellStress:
 
 class TestScalarStress:
     def test_constant_free_field_vanishes(self, metric4, rng):
-        phi = make_plane_wave_scalar(np.zeros(4), [1.5], 0.0, metric4)
+        phi = CosineMultiplet(np.zeros(4), [1.5], 0.0, metric4)
         npt.assert_array_equal(scalar_stress(phi, rng.normal(size=4), metric4), 0.0)
 
     def test_conserved_on_shell_three_dimensions(self, rng):

@@ -5,11 +5,11 @@ import pytest
 from confsym.clifford import build_gammas
 from confsym.errors import SingularMap
 from confsym.fields import (
+    CosineMultiplet,
+    CosineVectorPotential,
     PolynomialMultiplet,
     field_strength_from_potential,
     make_gauge_function,
-    make_plane_wave_scalar,
-    make_plane_wave_vector,
     ShiftedPotential,
 )
 from confsym.geometry import (
@@ -50,7 +50,7 @@ from confsym import sampling
 
 class TestDeltaScalar:
     def test_dilation_on_constant_field(self, metric, rng):
-        f = make_plane_wave_scalar(np.zeros(metric.dim), [2.0, -0.5], 0.0, metric)
+        f = CosineMultiplet(np.zeros(metric.dim), [2.0, -0.5], 0.0, metric)
         gen = dilation(1.0, metric.dim)
         x = rng.normal(size=metric.dim)
         npt.assert_allclose(
@@ -62,7 +62,7 @@ class TestDeltaScalar:
     def test_translation_on_cosine(self, metric4, rng):
         # closed-form oracle: a contracted with the upper-index derivative
         k = rng.normal(size=4)
-        f = make_plane_wave_scalar(k, [1.3], 0.2, metric4)
+        f = CosineMultiplet(k, [1.3], 0.2, metric4)
         a = rng.normal(size=4)
         gen = translation(a)
         for x in sampling.points(rng, 4, 5):
@@ -96,7 +96,7 @@ class TestDeltaScalar:
 
 class TestDeltaVector:
     def test_dilation_on_constant_potential(self, metric, rng):
-        A = make_plane_wave_vector(
+        A = CosineVectorPotential(
             np.zeros(metric.dim), rng.normal(size=metric.dim), 0.0, metric
         )
         gen = dilation(1.0, metric.dim, spin="vector")
@@ -380,7 +380,7 @@ class TestFiniteScalar:
     def test_singular_branch_rejected(self, metric4):
         from confsym.geometry import conformal_factor, special_conformal_map
 
-        f = make_plane_wave_scalar(np.zeros(4), [1.0], 0.0, metric4)
+        f = CosineMultiplet(np.zeros(4), [1.0], 0.0, metric4)
         c = np.array([1.0, 0, 0, 0])
         x = np.array([0.0, 2, 0, 0])
         assert conformal_factor(x, c, metric4) < 0  # negative branch
