@@ -450,7 +450,7 @@ def fd_oracle(func, x, direction: int, step: float):
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
-    e = np.zeros_like(x)
+    e = np.zeros(x.shape[-1])
     e[direction] = step
     plus = np.asarray(func(x + e))
     minus = np.asarray(func(x - e))
@@ -458,6 +458,9 @@ def fd_oracle(func, x, direction: int, step: float):
 
 
 def fd_gradient(func, x, step: float):
-    """Stack :func:`fd_oracle` over all directions, derivative axis last."""
-    cols = [fd_oracle(func, x, mu, step) for mu in range(len(x))]
+    """Stack :func:`fd_oracle` over all directions, derivative axis last.
+
+    ``x`` may carry a leading sample axis, points ``(..., D)``, when ``func``
+    takes one; each direction is then one call over all samples."""
+    cols = [fd_oracle(func, x, mu, step) for mu in range(np.shape(x)[-1])]
     return np.stack(cols, axis=-1)

@@ -7,7 +7,20 @@ Conventions used across the package:
 * coordinate arrays hold upper components ``x^mu``;
 * mixed-index matrices store the lower index first, ``M[a, b] = M_a^b``,
   so index chains contract as ordinary matrix products;
-* derivative axes always come last: ``df[mu, nu] = d_nu f^mu``.
+* derivative axes always come last: ``df[mu, nu] = d_nu f^mu``;
+* leading sample axis: the map kernels (the metric's ``lower``, ``dot``
+  and ``norm2``, ``invariant_square``, ``conformal_factor``,
+  ``special_conformal_map``, ``inversion``,
+  ``special_conformal_map_via_inversion``, ``inversion_matrix``,
+  ``map_jacobian``, ``conformal_jacobian``, ``killing_gradient``,
+  ``killing_residual_from_gradient`` and ``killing_residual``) take points
+  of shape ``(..., D)`` and return one result per sample.  A single point is
+  the case without that axis and gives the float or array it always gave.
+  Each sample's result is bit for bit its single-point result: per-sample
+  dot products are stacked ``matmul`` calls, ``(..., 1, D) @ (..., D, 1)``,
+  which sum in the order a 1-D ``u @ v`` sums (``einsum`` and ``sum(-1)``
+  do not).  A floor test raises for the first sample in sample order that
+  fails it.  The other functions here take one point.
 """
 
 from __future__ import annotations
@@ -49,9 +62,9 @@ class Metric:
 
     def _check(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
+        if not v.ndim or v.shape[-1] != self.dim:
             raise DimensionMismatch(
-                f"expected a {self.dim}-vector, got shape {v.shape}"
+                f"expected {self.dim}-vectors, got shape {v.shape}"
             )
         return v
 
@@ -60,33 +73,67 @@ class Metric:
         inverse, so this also raises a lower index."""
         return self.diag * self._check(v)
 
-    def dot(self, u, v) -> float:
+    def dot(self, u, v):
         """Minkowski inner product u^0 v^0 - sum_i u^i v^i."""
-        u = self._check(u)
-        v = self._check(v)
-        return float(u @ (self.diag * v))
+        return _inner(self._check(u), self.lower(v))
 
-    def norm2(self, x) -> float:
+    def norm2(self, x):
         """Invariant square x.x (any sign)."""
-        return self.dot(x, x)
+        x = self._check(x)
+        return _inner(x, self.diag * x)
 
 
-def _scale_floor(x) -> float:
-    x = np.asarray(x, dtype=float)
-    return SINGULARITY_FLOOR * (1.0 + float(x @ x))
+def _inner(u, v):
+    """u . v over the last axis: a float for two single vectors, else one
+    value per sample.  The stacked matmul runs numpy's dot routine once per
+    sample, the routine a 1-D ``u @ v`` runs, so each value has the bits of
+    the single-vector product."""
+    if u.ndim == 1 and v.ndim == 1:
+        return float(u @ v)
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def invariant_square(x, metric: Metric) -> float:
+def _lift(a, axes: int = 1):
+    """Per-sample values with ``axes`` trailing axes, to broadcast against
+    per-sample vectors (1) or matrices (2); a single sample's float as is."""
+    return a.reshape(a.shape + (1,) * axes) if isinstance(a, np.ndarray) else a
+
+
+def _outer(u, v):
+    """Per-sample outer product u^a v^b."""
+    return u[..., :, None] * v[..., None, :]
+
+
+def _scale_floor(x):
+    return SINGULARITY_FLOOR * (1.0 + _inner(x, x))
+
+
+def _reject(bad, value, error, what):
+    """Raise ``error`` naming ``value`` at the first sample where ``bad``
+    holds (``bad`` and ``value`` are scalars for a single sample)."""
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        value = np.broadcast_to(value, bad.shape).flat[np.argmax(bad)]
+    elif not bad:
+        return
+    raise error(f"{what} {float(value)} is below the singularity floor")
+
+
+def invariant_square(x, metric: Metric):
     """x.x, raising :class:`LightConePoint` when numerically null."""
+    x = metric._check(x)
     x2 = metric.norm2(x)
-    if abs(x2) < _scale_floor(x):
-        raise LightConePoint(f"x^2 = {x2} is below the singularity floor")
+    _reject(abs(x2) < _scale_floor(x), x2, LightConePoint, "x^2 =")
     return x2
 
 
-def conformal_factor(x, c, metric: Metric) -> float:
+def conformal_factor(x, c, metric: Metric):
     """Scalar denominator 1 + 2 c.x + c^2 x^2 of the special conformal map."""
-    return 1.0 + 2.0 * metric.dot(c, x) + metric.norm2(c) * metric.norm2(x)
+    x = metric._check(x)
+    c = metric._check(c)
+    xl = metric.diag * x
+    return 1.0 + 2.0 * _inner(c, xl) + _inner(c, metric.diag * c) * _inner(x, xl)
 
 
 def _regular_factor(x, c, metric: Metric):
@@ -95,21 +142,20 @@ def _regular_factor(x, c, metric: Metric):
     x = metric._check(x)
     c = metric._check(c)
     s = conformal_factor(x, c, metric)
-    if abs(s) < _scale_floor(x):
-        raise SingularMap(f"conformal factor {s} is below the singularity floor")
+    _reject(abs(s) < _scale_floor(x), s, SingularMap, "conformal factor")
     return x, c, s
 
 
 def special_conformal_map(x, c, metric: Metric):
     """Finite special conformal coordinate map x -> (x + c x^2) / sigma."""
     x, c, s = _regular_factor(x, c, metric)
-    return (x + c * metric.norm2(x)) / s
+    return (x + c * _lift(metric.norm2(x))) / _lift(s)
 
 
 def inversion(x, metric: Metric):
     """Coordinate inversion x^mu / x^2; an involution off the light cone."""
     x = metric._check(x)
-    return x / invariant_square(x, metric)
+    return x / _lift(invariant_square(x, metric))
 
 
 def special_conformal_map_via_inversion(x, c, metric: Metric):
@@ -132,7 +178,7 @@ def inversion_matrix(x, metric: Metric):
     """
     x = metric._check(x)
     x2 = invariant_square(x, metric)
-    return np.eye(metric.dim) - 2.0 * np.outer(metric.lower(x), x) / x2
+    return np.eye(metric.dim) - 2.0 * _outer(metric.lower(x), x) / _lift(x2, 2)
 
 
 def inversion_matrix_gradient(x, metric: Metric):
@@ -160,10 +206,13 @@ def map_jacobian(x, c, metric: Metric):
     c2 = metric.norm2(c)
     xl = metric.lower(x)
     cl = metric.lower(c)
-    num = x + c * x2
-    ds = 2.0 * cl + 2.0 * c2 * xl  # d_beta sigma
-    jac = (np.eye(metric.dim) + 2.0 * np.outer(c, xl)) / s
-    jac -= np.outer(num, ds) / s**2
+    num = x + c * _lift(x2)
+    ds = 2.0 * cl + 2.0 * _lift(c2) * xl  # d_beta sigma
+    s = _lift(s, 2)
+    jac = (np.eye(metric.dim) + 2.0 * _outer(c, xl)) / s
+    # a float's s**2 is libm's pow, which is not always s * s; float_power
+    # calls pow for an array too, where ** would square
+    jac -= _outer(num, ds) / np.float_power(s, 2)
     return jac
 
 
@@ -186,12 +235,13 @@ def conformal_jacobian(x, c, metric: Metric):
     use :func:`map_jacobian` for the unrestricted closed form.
     """
     x, c, s = _regular_factor(x, c, metric)
-    xp = (x + c * metric.norm2(x)) / s
+    xp = (x + c * _lift(metric.norm2(x))) / _lift(s)
     ix = inversion_matrix(x, metric)
     ixp = inversion_matrix(xp, metric)
     # (I(x) I(x'))_b^m carries (lower b, upper m); transpose to row = output.
-    fwd = (ix @ ixp).T / s
-    inv = (ixp @ ix).T * s
+    s = _lift(s, 2)
+    fwd = np.swapaxes(ix @ ixp, -1, -2) / s
+    inv = np.swapaxes(ixp @ ix, -1, -2) * s
     return fwd, inv
 
 
@@ -359,20 +409,21 @@ def killing_gradient(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
     """Exact gradient df[mu, nu] = d_nu f^mu (f is polynomial in x)."""
     x = metric._check(x)
     dim = metric.dim
+    shape = x.shape[:-1] + (dim, dim)
     if gen.kind == KIND_TRANSLATION:
-        return np.zeros((dim, dim))
+        return np.zeros(shape)
     if gen.kind == KIND_LORENTZ:
-        return gen.param * metric.diag[None, :]
+        return np.broadcast_to(gen.param * metric.diag[None, :], shape)
     if gen.kind == KIND_SCALE:
-        return gen.param * np.eye(dim)
+        return np.broadcast_to(gen.param * np.eye(dim), shape)
     if gen.kind == KIND_CONFORMAL:
         c = gen.param
         cl = metric.lower(c)
         xl = metric.lower(x)
         return (
-            2.0 * np.outer(x, cl)
-            + 2.0 * metric.dot(c, x) * np.eye(dim)
-            - 2.0 * np.outer(c, xl)
+            2.0 * _outer(x, cl)
+            + 2.0 * _lift(metric.dot(c, x), 2) * np.eye(dim)
+            - 2.0 * _outer(c, xl)
         )
     raise ValueError(f"unknown generator kind {gen.kind!r}")
 
@@ -409,17 +460,18 @@ def killing_divergence_gradient(gen: GeneratorAction, metric: Metric) -> np.ndar
     return np.zeros(metric.dim)
 
 
-def killing_residual_from_gradient(df, metric: Metric) -> float:
+def killing_residual_from_gradient(df, metric: Metric):
     """Max-norm of d_mu f_nu + d_nu f_mu - (2/D) g_{mu nu} d.f for given df."""
     df = np.asarray(df, dtype=float)
     lowered = metric.diag[:, None] * df  # f_nu gradient: [nu, mu] = d_mu f_nu
-    sym = lowered.T + lowered
-    div = float(np.trace(df))
-    residual = sym - (2.0 / metric.dim) * metric.matrix * div
-    return float(np.max(np.abs(residual)))
+    sym = np.swapaxes(lowered, -1, -2) + lowered
+    div = np.trace(df, axis1=-2, axis2=-1)
+    residual = sym - (2.0 / metric.dim) * metric.matrix * _lift(div, 2)
+    worst = np.max(np.abs(residual), axis=(-2, -1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
-def killing_residual(gen: GeneratorAction, x, metric: Metric) -> float:
+def killing_residual(gen: GeneratorAction, x, metric: Metric):
     """Conformal Killing equation residual for ``gen`` at x (exactly ~0)."""
     return killing_residual_from_gradient(killing_gradient(gen, x, metric), metric)
 

@@ -4,8 +4,11 @@ Format: ``[section]`` headers followed by ``key = value`` lines.  Blank lines
 and lines starting with ``#`` are ignored.  Anything else is an error with
 an exact line number: unknown sections, unknown keys, duplicated keys,
 malformed or non-finite values, number lists without a number.  Semantic
-constraints (dimension versus model kind, ``p0`` without ``q0``, an empty
-check selection) raise :class:`SemanticError` after parsing.
+constraints (dimension versus model kind, ``p0`` without ``q0``,
+``components`` other than the length of ``q0``, a ``[fixture]`` whose
+``kind`` is not ``plane-wave``, an empty check selection) raise
+:class:`SemanticError` after parsing.  A mechanics spec with ``q0`` and no
+``components`` takes its component count from ``q0``.
 """
 
 from __future__ import annotations
@@ -194,14 +197,16 @@ def _validate(sections) -> ModelSpec:
     coupling = _take(sections, "params", "lambda", 0.0)
     if coupling < 0:
         raise SemanticError("lambda must be non-negative")
-    components = _take(sections, "params", "components", 1)
-    if components < 1:
+    components = _take(sections, "params", "components")
+    if components is not None and components < 1:
         raise SemanticError("components must be >= 1")
     profile = _take(sections, "params", "profile", "linear")
     if profile not in ("linear", "quadratic"):
         raise SemanticError(f"unknown profile {profile!r}")
 
     fixture = {k: v[0] for k, v in sections.get("fixture", {}).items()}
+    if "fixture" in sections and fixture.get("kind") != "plane-wave":
+        raise SemanticError("[fixture] needs kind = plane-wave, the only fixture kind")
     for key in ("k", "epsilon"):
         if key in fixture and len(fixture[key]) != dimension:
             raise SemanticError(f"fixture {key} must have {dimension} components")
@@ -213,6 +218,10 @@ def _validate(sections) -> ModelSpec:
         raise SemanticError("p0 needs q0")
     if "q0" in mech and "p0" in mech and len(mech["q0"]) != len(mech["p0"]):
         raise SemanticError("q0 and p0 must have equal lengths")
+    if "q0" in mech:
+        if components is not None and components != len(mech["q0"]):
+            raise SemanticError(f"components = {components} but q0 has {len(mech['q0'])}")
+        components = len(mech["q0"])
     if mech.get("step", 1.0) <= 0:
         raise SemanticError("step must be positive")
 
@@ -238,7 +247,7 @@ def _validate(sections) -> ModelSpec:
         kind=kind,
         dimension=dimension,
         coupling=coupling,
-        components=components,
+        components=1 if components is None else components,
         profile=profile,
         l0=_take(sections, "params", "l0", 0.0),
         l1=_take(sections, "params", "l1", 0.5),

@@ -90,7 +90,7 @@ from .transforms import (
     FiniteScalarTransform,
     FiniteSpinorTransform,
     FiniteVectorTransform,
-    commutator_residual,
+    commutator_residuals,
     decoupled_spinor_residual,
     decoupled_vector_residual,
     decoupling_bracket_residual,
@@ -145,6 +145,41 @@ def _maxabs(a) -> float:
 def _gap(a, b) -> float:
     """Largest entry of |a - b|."""
     return _maxabs(a - b)
+
+
+def _sample_gap(a, b):
+    """Largest entry of |a - b| per sample (the leading axis)."""
+    gap = np.abs(a - b)
+    return np.max(gap, axis=tuple(range(1, gap.ndim)))
+
+
+def _first_max(first, *rest):
+    """Per-sample ``max(first, *rest)`` under Python's rule: a later value
+    wins only where it is greater."""
+    for other in rest:
+        first = np.where(other > first, other, first)
+    return first
+
+
+def _scatter(keep, values) -> list:
+    """One residual per sample: ``values`` at the kept samples, in order, and
+    None at the skipped ones."""
+    out = [None] * len(keep)
+    for index, value in zip(np.flatnonzero(keep).tolist(), values.tolist()):
+        out[index] = value
+    return out
+
+
+def _in_sample_order(residuals, *samples):
+    """``residuals(*samples)`` on whole sample arrays.  When a kernel raises,
+    the samples run again one at a time, so that the error raised is the one
+    a per-sample loop would raise first."""
+    try:
+        return residuals(*samples)
+    except ConfsymError:
+        for index in range(len(samples[0])):
+            residuals(*(sample[index:index + 1] for sample in samples))
+        raise
 
 
 def _agreement(first, second, x):
@@ -223,56 +258,62 @@ def _chk_map_composition(spec, metric, rng):
     xs, cs = sampling.nonsingular_pairs(rng, metric.dim, 250)
     _, cps = sampling.nonsingular_pairs(rng, metric.dim, len(xs))
 
-    def residual(x, c, cp):
+    def residuals(x, c, cp):
         s1 = conformal_factor(x, c, metric)
         xp = special_conformal_map(x, c, metric)
         s2 = conformal_factor(xp, cp, metric)
-        if abs(s2) < 0.2 or abs(conformal_factor(x, c + cp, metric)) < 0.2:
-            return None
-        two_step = special_conformal_map(xp, cp, metric)
-        one_step = special_conformal_map(x, c + cp, metric)
-        return max(abs(s1 * s2 - conformal_factor(x, c + cp, metric)), _gap(two_step, one_step))
+        s12 = conformal_factor(x, c + cp, metric)
+        keep = ~((abs(s2) < 0.2) | (abs(s12) < 0.2))
+        two_step = special_conformal_map(xp[keep], cp[keep], metric)
+        one_step = special_conformal_map(x[keep], (c + cp)[keep], metric)
+        return _scatter(keep, _first_max(abs(s1 * s2 - s12)[keep], _sample_gap(two_step, one_step)))
 
-    return [residual(x, c, cp) for x, c, cp in zip(xs, cs, cps)]
+    return _in_sample_order(residuals, xs, cs, cps)
 
 
 @_register("map-inversion-route", FIELD_KINDS, "exact", "the map equals invert, translate, invert")
 def _chk_map_route(spec, metric, rng):
     xs = sampling.off_cone_points(rng, metric.dim, 100)
     cs = sampling.small_parameters(rng, metric.dim, len(xs))
-    return [
-        _gap(special_conformal_map(x, c, metric), special_conformal_map_via_inversion(x, c, metric))
-        if abs(conformal_factor(x, c, metric)) >= 0.2 else None
-        for x, c in zip(xs, cs)
-    ]
+
+    def residuals(x, c):
+        keep = abs(conformal_factor(x, c, metric)) >= 0.2
+        x, c = x[keep], c[keep]
+        route = special_conformal_map_via_inversion(x, c, metric)
+        return _scatter(keep, _sample_gap(special_conformal_map(x, c, metric), route))
+
+    return _in_sample_order(residuals, xs, cs)
 
 
 @_register("inversion-involution", FIELD_KINDS, "exact", "inversion applied twice is the identity")
 def _chk_involution(spec, metric, rng):
     pts = sampling.off_cone_points(rng, metric.dim, 100)
-    return [_gap(inversion(inversion(x, metric), metric), x) for x in pts]
+    return _in_sample_order(lambda x: _sample_gap(inversion(inversion(x, metric), metric), x).tolist(), pts)
 
 
 @_register("reflection-matrix", FIELD_KINDS, "exact", "reflection matrix squares to one, preserves the metric, det = -1")
 def _chk_reflection(spec, metric, rng):
-    def residual(x):
+    def residuals(x):
         imat = inversion_matrix(x, metric)
-        return max(
-            _gap(imat @ imat, np.eye(metric.dim)),
-            _gap(imat @ metric.matrix @ imat.T, metric.matrix),
+        g = metric.matrix
+        return _first_max(
+            _sample_gap(imat @ imat, np.eye(metric.dim)),
+            _sample_gap(imat @ g @ np.swapaxes(imat, -1, -2), g),
             abs(np.linalg.det(imat) + 1.0),
-        )
+        ).tolist()
 
-    return [residual(x) for x in sampling.off_cone_points(rng, metric.dim, 100)]
+    return _in_sample_order(residuals, sampling.off_cone_points(rng, metric.dim, 100))
 
 
 @_register("reflection-derivative", FIELD_KINDS, "oracle", "reflection matrix equals x^2 times the inversion Jacobian")
 def _chk_reflection_fd(spec, metric, rng):
-    def residual(x):
+    def residuals(x):
         imat = inversion_matrix(x, metric)
-        return _gap(imat, metric.norm2(x) * fd_gradient(lambda y: inversion(y, metric), x, 1e-6).T)
+        x2 = metric.norm2(x)[:, None, None]
+        fd = fd_gradient(lambda y: inversion(y, metric), x, 1e-6)
+        return _sample_gap(imat, x2 * np.swapaxes(fd, -1, -2)).tolist()
 
-    return [residual(x) for x in sampling.off_cone_points(rng, metric.dim, 50, min_frac=0.15)]
+    return _in_sample_order(residuals, sampling.off_cone_points(rng, metric.dim, 50, min_frac=0.15))
 
 
 @_register("jacobian-identity", FIELD_KINDS, "exact", "map Jacobian factorises through the two reflection matrices")
@@ -280,14 +321,16 @@ def _chk_jacobian(spec, metric, rng):
     xs = sampling.off_cone_points(rng, metric.dim, 60)
     cs = sampling.small_parameters(rng, metric.dim, len(xs))
 
-    def residual(x, c):
-        near_singular = abs(conformal_factor(x, c, metric)) < 0.3
-        if near_singular or abs(metric.norm2(special_conformal_map(x, c, metric))) < 0.02:
-            return None
+    def residuals(x, c):
+        keep = ~(abs(conformal_factor(x, c, metric)) < 0.3)
+        image = special_conformal_map(x[keep], c[keep], metric)
+        keep[keep] = ~(abs(metric.norm2(image)) < 0.02)
+        x, c = x[keep], c[keep]
         fwd, inv = conformal_jacobian(x, c, metric)
-        return max(_gap(fwd, map_jacobian(x, c, metric)), _gap(fwd @ inv, np.eye(metric.dim)))
+        jac_gap = _sample_gap(fwd, map_jacobian(x, c, metric))
+        return _scatter(keep, _first_max(jac_gap, _sample_gap(fwd @ inv, np.eye(metric.dim))))
 
-    return [residual(x, c) for x, c in zip(xs, cs)]
+    return _in_sample_order(residuals, xs, cs)
 
 
 @_register("jacobian-oracle", FIELD_KINDS, "oracle", "map Jacobian agrees with central finite differences")
@@ -295,19 +338,19 @@ def _chk_jacobian_fd(spec, metric, rng):
     xs = sampling.off_cone_points(rng, metric.dim, 30)
     cs = sampling.small_parameters(rng, metric.dim, len(xs))
 
-    def residual(x, c):
-        if abs(conformal_factor(x, c, metric)) < 0.3:
-            return None
+    def residuals(x, c):
+        keep = ~(abs(conformal_factor(x, c, metric)) < 0.3)
+        x, c = x[keep], c[keep]
         fd = fd_gradient(lambda y: special_conformal_map(y, c, metric), x, 1e-5)
-        return _gap(map_jacobian(x, c, metric), fd)
+        return _scatter(keep, _sample_gap(map_jacobian(x, c, metric), fd))
 
-    return [residual(x, c) for x, c in zip(xs, cs)]
+    return _in_sample_order(residuals, xs, cs)
 
 
 @_register("killing-equation", FIELD_KINDS, "exact", "every generator satisfies the conformal Killing equation")
 def _chk_killing(spec, metric, rng):
     pts = sampling.points(rng, metric.dim, 20, scale=1.0)
-    return [killing_residual(gen, x, metric) for gen in basis_generators(metric.dim) for x in pts]
+    return [r for gen in basis_generators(metric.dim) for r in killing_residual(gen, pts, metric).tolist()]
 
 
 @_register("commutator-algebra", FIELD_KINDS, "identity", "translation/conformal commutator closes on dilation plus rotation")
@@ -315,10 +358,10 @@ def _chk_commutator(spec, metric, rng):
     wave = _scalar_fixture(spec, metric, rng, n_comp=2)
     poly = sampling.random_polynomial_multiplet(rng, metric.dim, 2)
     return [
-        _maxabs(commutator_residual(s, t, f, x, metric))
+        _maxabs(residual)
         for f in (wave, poly)
         for x in sampling.points(rng, metric.dim, 4)
-        for s in range(metric.dim) for t in range(metric.dim)
+        for residual in commutator_residuals(f, x, metric)
     ]
 
 

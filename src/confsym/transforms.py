@@ -59,6 +59,7 @@ __all__ = [
     "eom_violation_conformal",
     "lie_derivative_vector",
     "commutator_residual",
+    "commutator_residuals",
     "scalar_commutator_pair",
     "FiniteScalarTransform",
     "FiniteVectorTransform",
@@ -373,27 +374,45 @@ def scalar_commutator_pair(sigma, tau, field, x, metric: Metric):
     weight.
     """
     x = metric._check(x)
+    return _commutator_pairs([sigma], [tau], metric, x, *multiplet_stack(field, x))[0]
+
+
+def _commutator_pairs(sigmas, taus, metric, x, value, grad, hess):
+    """:func:`scalar_commutator_pair` for every (sigma, tau), sigma-major, from
+    the field's stack at a checked x; each one-index operator acts on the
+    stack once."""
     weight = canonical_weight(metric.dim)
-    value, grad, hess = multiplet_stack(field, x)
-
-    tv, tg = _op_translation(sigma, metric, x, value, grad, hess)
-    first, _ = _op_conformal(tau, weight, metric, x, tv, tg)
-    cv, cg = _op_conformal(tau, weight, metric, x, value, grad, hess)
-    second, _ = _op_translation(sigma, metric, x, cv, cg)
-    lhs = first - second
-
-    g_st = metric.diag[sigma] if sigma == tau else 0.0
+    translated = [_op_translation(sigma, metric, x, value, grad, hess) for sigma in sigmas]
+    conformal = [_op_conformal(tau, weight, metric, x, value, grad, hess) for tau in taus]
     dilat = grad @ x + weight * value
-    ds, dt = metric.diag[sigma], metric.diag[tau]
-    lorentz = x[sigma] * dt * grad[..., tau] - x[tau] * ds * grad[..., sigma]
-    rhs = -2.0 * g_st * dilat + 2.0 * lorentz
-    return lhs, rhs
+    pairs = []
+    for sigma, (tv, tg) in zip(sigmas, translated):
+        for tau, (cv, cg) in zip(taus, conformal):
+            first, _ = _op_conformal(tau, weight, metric, x, tv, tg)
+            second, _ = _op_translation(sigma, metric, x, cv, cg)
+            lhs = first - second
+
+            g_st = metric.diag[sigma] if sigma == tau else 0.0
+            ds, dt = metric.diag[sigma], metric.diag[tau]
+            lorentz = x[sigma] * dt * grad[..., tau] - x[tau] * ds * grad[..., sigma]
+            rhs = -2.0 * g_st * dilat + 2.0 * lorentz
+            pairs.append((lhs, rhs))
+    return pairs
 
 
 def commutator_residual(sigma, tau, field, x, metric: Metric):
     """Residual of the commutator identity; ~0 for any smooth scalar field."""
     lhs, rhs = scalar_commutator_pair(sigma, tau, field, x, metric)
     return lhs - rhs
+
+
+def commutator_residuals(field, x, metric: Metric) -> list:
+    """:func:`commutator_residual` for every (sigma, tau), sigma-major, from
+    one evaluation of the field's derivative stack at x."""
+    x = metric._check(x)
+    indices = range(metric.dim)
+    pairs = _commutator_pairs(indices, indices, metric, x, *multiplet_stack(field, x))
+    return [lhs - rhs for lhs, rhs in pairs]
 
 
 # ---------------------------------------------------------------------------

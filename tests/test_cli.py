@@ -210,6 +210,30 @@ def test_audit_and_mech_sim_start_from_the_same_state(tmp_path, monkeypatch):
     assert len(starts) == 1
     npt.assert_array_equal(first[:5], [0.0, 3.0, 1.0, 0.0, 0.0])
     npt.assert_array_equal(np.concatenate([starts[0].q, starts[0].p]), first[1:5])
+    report = tmp_path / "report.json"
+    assert main(["audit", str(spec), "--format", "json", "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["spec"]["components"] == 2  # from q0
+
+
+@pytest.mark.parametrize("command", ["audit", "mech-sim"])
+def test_components_other_than_q0_exit_two(command, tmp_path, capsys):
+    # the state size came from q0 while the report echoed components = 3
+    spec = tmp_path / "bad.spec"
+    spec.write_text("[model]\nkind = mechanics\ndimension = 1\n[params]\ncomponents = 3\n"
+                    "[mechanics]\nq0 = 1.0, 2.0\nt-end = 0.1\n")
+    assert main([command, str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("spec error:")
+
+
+@pytest.mark.parametrize("kind_line", ["kind = planewave\n", ""])
+def test_fixture_without_the_plane_wave_kind_exits_two(kind_line, tmp_path, capsys):
+    # such a fixture used to be ignored, the checks falling back to random ones
+    spec = tmp_path / "bad.spec"
+    spec.write_text("[model]\nkind = interacting-multiplet\ndimension = 4\n"
+                    f"[fixture]\n{kind_line}k = 1, 0, 0, 1\n"
+                    "[suite]\nchecks = commutator-algebra\n")
+    assert main(["audit", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("spec error:")
 
 
 MECH_HEAD = "[model]\nkind = mechanics\ndimension = 1\n[params]\ncomponents = 2\nlambda = 0.5\n"
@@ -421,3 +445,29 @@ def test_report_rejects_bad_saved_files_with_exit_two(tmp_path, capsys, text):
     assert main(["report", str(saved), "--format", "json", "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_batched_check_raises_the_first_error_in_sample_order():
+    # sample 4 is null, which the first (inversion) stage rejects; sample 2
+    # has sigma = 0, which only the second (map) stage rejects.  A loop over
+    # samples meets sample 2 first, the whole-batch stages meet sample 4 first.
+    from confsym.errors import SingularMap
+    from confsym.geometry import Metric, inversion, special_conformal_map
+
+    g = Metric(4)
+    rng = np.random.default_rng(5)
+    xs = rng.normal(0.0, 0.6, (6, 4)) + [2.0, 0.0, 0.0, 0.0]
+    cs = rng.normal(0.0, 0.1, (6, 4))
+    xs[4] = [1.0, 1.0, 0.0, 0.0]
+    cs[2] = -xs[2] / g.norm2(xs[2])
+
+    def residuals(x, c):
+        inversion(x, g)
+        return special_conformal_map(x, c, g)
+
+    with pytest.raises(SingularMap) as serial:
+        for x, c in zip(xs, cs):
+            residuals(x, c)
+    with pytest.raises(SingularMap) as batched:
+        suites._in_sample_order(residuals, xs, cs)
+    assert str(batched.value) == str(serial.value)

@@ -14,6 +14,7 @@ from confsym.fields import fd_gradient
 from confsym.geometry import (
     GeneratorAction,
     Metric,
+    _regular_factor,
     basis_generators,
     conformal_factor,
     conformal_jacobian,
@@ -21,6 +22,7 @@ from confsym.geometry import (
     inversion,
     inversion_matrix,
     inversion_matrix_gradient,
+    invariant_square,
     killing_divergence,
     killing_gradient,
     killing_residual,
@@ -350,3 +352,114 @@ class TestLeviCivita:
     def test_raised_symbol_keeps_sign(self, metric3):
         # two spatial sign flips cancel in this signature
         npt.assert_array_equal(levi_civita3_upper(metric3), levi_civita3())
+
+
+def _same_bits(batch, rows):
+    """The batched result equals the stacked per-row results bit for bit,
+    signed zeros included."""
+    rows = np.array(rows, dtype=float)
+    batch = np.asarray(batch)
+    assert batch.shape == rows.shape
+    assert np.array_equal(batch, rows)
+    assert batch.tobytes() == rows.tobytes()
+
+
+def _sample_axis_case(dim, n):
+    """n points and parameters, drawn so that every map kernel is defined."""
+    metric = Metric(dim)
+    rng = np.random.default_rng([dim, n])
+    xs = sampling.off_cone_points(rng, dim, n)
+    cs = sampling.small_parameters(rng, dim, n)
+    return metric, xs, cs
+
+
+class TestSampleAxis:
+    """Each map kernel on an (N, D) stack gives, bit for bit, what it gives
+    one row at a time; a single row keeps its float or array type."""
+
+    @pytest.mark.parametrize("n", [1, 257])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_stack_equals_rows(self, dim, n):
+        g, xs, cs = _sample_axis_case(dim, n)
+        pairs = list(zip(xs, cs))
+        _same_bits(g.dot(xs, cs), [g.dot(x, c) for x, c in pairs])
+        _same_bits(g.norm2(xs), [g.norm2(x) for x in xs])
+        _same_bits(g._check(xs), [g._check(x) for x in xs])
+        _same_bits(g.lower(xs), [g.lower(x) for x in xs])
+        _same_bits(invariant_square(xs, g), [invariant_square(x, g) for x in xs])
+        _same_bits(conformal_factor(xs, cs, g), [conformal_factor(x, c, g) for x, c in pairs])
+        for batch, rows in zip(_regular_factor(xs, cs, g), zip(*[_regular_factor(x, c, g) for x, c in pairs])):
+            _same_bits(batch, rows)
+        for fn in (special_conformal_map, special_conformal_map_via_inversion, map_jacobian):
+            _same_bits(fn(xs, cs, g), [fn(x, c, g) for x, c in pairs])
+        fwd, inv = conformal_jacobian(xs, cs, g)
+        _same_bits(fwd, [conformal_jacobian(x, c, g)[0] for x, c in pairs])
+        _same_bits(inv, [conformal_jacobian(x, c, g)[1] for x, c in pairs])
+        for fn in (inversion, inversion_matrix):
+            _same_bits(fn(xs, g), [fn(x, g) for x in xs])
+        # one parameter for every point, as a finite-difference oracle calls it
+        _same_bits(special_conformal_map(xs, cs[0], g), [special_conformal_map(x, cs[0], g) for x in xs])
+        _same_bits(fd_gradient(lambda y: inversion(y, g), xs, 1e-6),
+                   [fd_gradient(lambda y: inversion(y, g), x, 1e-6) for x in xs])
+        for gen in basis_generators(dim) + [special_conformal(cs[0])]:
+            df = killing_gradient(gen, xs, g)
+            _same_bits(df, [killing_gradient(gen, x, g) for x in xs])
+            _same_bits(killing_residual_from_gradient(df, g),
+                       [killing_residual_from_gradient(row, g) for row in df])
+            _same_bits(killing_residual(gen, xs, g), [killing_residual(gen, x, g) for x in xs])
+
+    def test_single_point_returns_floats(self, metric4):
+        x, c = np.array([0.3, 0.1, -0.2, 0.4]), np.array([0.05, 0.0, 0.1, -0.02])
+        for value in (metric4.dot(x, c), metric4.norm2(x), conformal_factor(x, c, metric4),
+                      killing_residual(special_conformal(c), x, metric4)):
+            assert type(value) is float
+        assert special_conformal_map(x, c, metric4).shape == (4,)
+        assert map_jacobian(x, c, metric4).shape == (4, 4)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_first_singular_row_raises(self, dim):
+        g, xs, cs = _sample_axis_case(dim, 257)
+        null, singular = xs.copy(), cs.copy()
+        for row in (3, 5):
+            # x^2 and sigma below the floor, at different values in each row
+            null[row] = 0.0
+            null[row, :2] = 1.0, 1.0 + 1e-12 * row
+            lam = 1.0 + 1e-6 * row  # sigma(x, -lam x / x^2) = (1 - lam)^2
+            singular[row] = -lam * xs[row] / g.norm2(xs[row])
+        cases = [
+            (LightConePoint, inversion, (null,)),
+            (LightConePoint, inversion_matrix, (null,)),
+            (LightConePoint, special_conformal_map_via_inversion, (null, cs)),
+            (SingularMap, special_conformal_map, (xs, singular)),
+            (SingularMap, map_jacobian, (xs, singular)),
+            (SingularMap, conformal_jacobian, (xs, singular)),
+        ]
+        for error, fn, args in cases:
+            messages = []
+            for rows in (slice(None), 3, 5):
+                with pytest.raises(error) as err:
+                    fn(*(a[rows] for a in args), g)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1] != messages[2]
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_commutator_algebra_builds_one_stack_per_point(dim, monkeypatch):
+    # two fields at four points each: eight stacks, where one stack per
+    # (sigma, tau) pair made 8 D^2
+    from confsym import transforms
+    from confsym.modelspec import ModelSpec
+    from confsym.suites import run_suite
+
+    calls = []
+    stack = transforms.multiplet_stack
+
+    def counting(phi, x):
+        calls.append(x)
+        return stack(phi, x)
+
+    monkeypatch.setattr(transforms, "multiplet_stack", counting)
+    report = run_suite(ModelSpec(kind="interacting-multiplet", dimension=dim,
+                                 checks=["commutator-algebra"]))
+    assert report.checks[0].ok and report.checks[0].samples == 8 * dim * dim
+    assert len(calls) == 8

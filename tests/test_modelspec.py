@@ -84,7 +84,7 @@ def test_field_dimension_bounds():
 
 
 def test_fixture_length_checked():
-    text = "[model]\nkind = maxwell\ndimension = 4\n[fixture]\nk = 1, 0\n"
+    text = "[model]\nkind = maxwell\ndimension = 4\n[fixture]\nkind = plane-wave\nk = 1, 0\n"
     with pytest.raises(SemanticError):
         parse_spec(text)
 
@@ -229,3 +229,21 @@ def test_parse_spec_returns_a_spec_or_a_spec_error(blocks, sep):
     for section, key in _FLOAT_LISTS:
         if key in sections[section]:
             assert sections[section][key], (section, key)
+
+
+@pytest.mark.parametrize("fixture", ["kind = planewave\nk = 1, 0, 0, 1\n", "k = 1, 0, 0, 1\n", ""])
+def test_fixture_kind_must_be_plane_wave(fixture):
+    with pytest.raises(SemanticError, match="plane-wave"):
+        parse_spec(f"[model]\nkind = maxwell\ndimension = 4\n[fixture]\n{fixture}")
+
+
+MECH = "[model]\nkind = mechanics\ndimension = 1\n"
+
+
+def test_components_follow_q0():
+    assert parse_spec(MECH + "[mechanics]\nq0 = 1.0, 2.0, 3.0\n").components == 3
+    assert parse_spec(MECH + "[params]\ncomponents = 2\n[mechanics]\nq0 = 1.0, 2.0\n").components == 2
+    assert parse_spec(MECH + "[params]\ncomponents = 4\n").components == 4
+    assert parse_spec(MECH).components == 1
+    with pytest.raises(SemanticError, match="q0"):
+        parse_spec(MECH + "[params]\ncomponents = 3\n[mechanics]\nq0 = 1.0, 2.0\n")
