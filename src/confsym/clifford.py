@@ -1,13 +1,20 @@
 """Gamma matrices in 2..6 dimensions, spin matrices, and the reflection
 identity that decouples spinor indices from finite conformal transformations.
+
+Leading sample axis: ``GammaSet.slash_lower``, :func:`gamma_slash_unit` and
+:func:`sandwich_identity_residual` take vectors of shape ``(..., D)`` and
+return one result per sample, each bit for bit its single-point result, by
+the rules stated in :mod:`confsym.geometry`: a per-point matrix product is a
+stacked ``matmul`` and a sum over the vector index keeps its order, broadcast
+over the samples.  A single vector gives the array or float it always gave.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonTimelikePoint, UnsupportedDimension
-from .geometry import Metric, inversion_matrix
+from .errors import DimensionMismatch, NonTimelikePoint, UnsupportedDimension
+from .geometry import Metric, _lift, _reject, inversion_matrix
 
 MIN_DIM = 2
 MAX_DIM = 6
@@ -17,29 +24,48 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 class GammaSet:
-    """Gamma matrices satisfying {gamma^mu, gamma^nu} = 2 g^{mu nu} exactly."""
+    """Gamma matrices satisfying {gamma^mu, gamma^nu} = 2 g^{mu nu} exactly.
+
+    Holds read-only copies of the ``dim`` matrices and the spin matrices
+    ``spins[mu, nu]``, built once from each index pair's two products.
+    """
 
     def __init__(self, dim: int, matrices):
         self.dim = int(dim)
-        self.matrices = tuple(np.asarray(m, dtype=complex) for m in matrices)
-        self.size = self.matrices[0].shape[0]
-        for m in self.matrices:
+        matrices = tuple(np.array(m, dtype=complex) for m in matrices)
+        if not matrices or len(matrices) != self.dim:
+            raise DimensionMismatch(f"need {self.dim} gamma matrices, got {len(matrices)}")
+        shape = matrices[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in matrices):
+            raise DimensionMismatch("gamma matrices must be square and of one size")
+        size = shape[0]
+        spins = np.zeros((self.dim, self.dim, size, size), dtype=complex)
+        for mu in range(self.dim):
+            for nu in range(mu + 1, self.dim):
+                forward = matrices[mu] @ matrices[nu]
+                backward = matrices[nu] @ matrices[mu]
+                spins[mu, nu] = 0.25 * (forward - backward)
+                spins[nu, mu] = 0.25 * (backward - forward)
+        for m in matrices + (spins,):
             m.flags.writeable = False
+        self.matrices = matrices
+        self.size = size
+        self.spins = spins
 
     def __getitem__(self, mu: int) -> np.ndarray:
         return self.matrices[mu]
 
     def spin_matrix(self, mu: int, nu: int) -> np.ndarray:
         """Antisymmetric spin matrix, one quarter of the gamma commutator."""
-        g_mu, g_nu = self.matrices[mu], self.matrices[nu]
-        return 0.25 * (g_mu @ g_nu - g_nu @ g_mu)
+        return self.spins[mu, nu]
 
     def slash_lower(self, v_lower) -> np.ndarray:
-        """Contraction v_mu gamma^mu for a lower-index coefficient vector."""
+        """Contraction v_mu gamma^mu for lower-index coefficient vectors
+        ``(..., D)``, summed in index order."""
         v_lower = np.asarray(v_lower)
-        out = np.zeros((self.size, self.size), dtype=complex)
+        out = np.zeros(v_lower.shape[:-1] + (self.size, self.size), dtype=complex)
         for mu in range(self.dim):
-            out += v_lower[mu] * self.matrices[mu]
+            out += _lift(v_lower[..., mu], 2) * self.matrices[mu]
         return out
 
 
@@ -86,23 +112,25 @@ def gamma_slash_unit(x, gammas: GammaSet, metric: Metric) -> np.ndarray:
     """gamma_mu x^mu / sqrt(x^2); squares to the identity for timelike x."""
     x = metric._check(x)
     x2 = metric.norm2(x)
-    if x2 <= 0:
-        raise NonTimelikePoint(f"x^2 = {x2} must be positive")
-    return gammas.slash_lower(metric.lower(x) / np.sqrt(x2))
+    _reject(x2 <= 0, x2, NonTimelikePoint, "x^2 = {} must be positive")
+    return gammas.slash_lower(metric.diag * x / _lift(np.sqrt(x2)))
 
 
-def sandwich_identity_residual(x, gammas: GammaSet, metric: Metric) -> float:
+def sandwich_identity_residual(x, gammas: GammaSet, metric: Metric):
     """Residual of the reflection identity tying the slashed unit vector to
-    the inversion matrix:  (slash x) gamma_mu (slash x) = -I_mu^nu gamma_nu.
+    the inversion matrix:  (slash x) gamma_mu (slash x) = -I_mu^nu gamma_nu,
+    the largest entry over every mu.
     """
-    slash = gamma_slash_unit(x, gammas, metric)
+    slash = gamma_slash_unit(x, gammas, metric)[..., None, :, :]
     imat = inversion_matrix(x, metric)
+    # axis -3 runs over mu
+    lhs = slash @ (metric.diag[:, None, None] * np.stack(gammas.matrices)) @ slash
+    rhs = np.zeros_like(lhs)
+    for nu in range(gammas.dim):
+        rhs -= _lift(imat[..., :, nu] * metric.diag[nu], 2) * gammas[nu]
+    gaps = np.max(np.abs(lhs - rhs), axis=(-2, -1))
     worst = 0.0
     for mu in range(gammas.dim):
-        gamma_mu_low = metric.diag[mu] * gammas[mu]
-        lhs = slash @ gamma_mu_low @ slash
-        rhs = np.zeros_like(lhs)
-        for nu in range(gammas.dim):
-            rhs -= imat[mu, nu] * metric.diag[nu] * gammas[nu]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        # Python's running max: a later value wins only where it is greater
+        worst = np.where(gaps[..., mu] > worst, gaps[..., mu], worst)
+    return float(worst) if worst.ndim == 0 else worst

@@ -9,6 +9,17 @@ layout (derivative axes last):
 * vector potential: lower-component ``value (D,)`` giving A_alpha and
   ``grad[alpha, mu] = d_mu A_alpha`` and so on;
 * spinors carry complex values and first derivatives only.
+
+Leading sample axis: ``value``, ``grad``, ``hess`` and ``third`` of
+:class:`CosineMultiplet` and :class:`CosineVectorPotential`, ``value`` and
+``grad`` of :class:`CosineSpinor`, the component view :class:`ScalarField`
+of a cosine multiplet and :class:`ShiftedPotential` over them take points of
+shape ``(..., D)`` and return the shapes above with the sample axes in front,
+each sample bit for bit its single-point result (the rules are stated in
+:mod:`confsym.geometry`): the phase ``k.x`` is a stacked ``matmul`` and the
+constant amplitude tensors are scaled per sample.  A single point gives the
+array or float it always gave.  The polynomial and Gaussian families take
+one point.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, OffShellParameters
-from .geometry import Metric
+from .geometry import Metric, _inner, _lift
 
 MAX_POLY_DEGREE = 4
 
@@ -65,17 +76,18 @@ class ScalarField:
         self._i = index
         self.dim = multiplet.dim
 
-    def value(self, x) -> float:
-        return float(self._m.value(x)[self._i])
+    def value(self, x):
+        value = self._m.value(x)[..., self._i]
+        return float(value) if value.ndim == 0 else value
 
     def grad(self, x) -> np.ndarray:
-        return self._m.grad(x)[self._i]
+        return self._m.grad(x)[..., self._i, :]
 
     def hess(self, x) -> np.ndarray:
-        return self._m.hess(x)[self._i]
+        return self._m.hess(x)[..., self._i, :, :]
 
     def third(self, x) -> np.ndarray:
-        return self._m.third(x)[self._i]
+        return self._m.third(x)[..., self._i, :, :, :]
 
     def box(self, x, metric: Metric) -> float:
         return float(self._m.box(x, metric)[self._i])
@@ -94,23 +106,23 @@ class CosineMultiplet(ScalarMultiplet):
         self.phase = float(phase)
 
     def _angle(self, x):
-        return float(np.asarray(x, dtype=float) @ self.k_low) + self.phase
+        return _inner(np.asarray(x, dtype=float), self.k_low) + self.phase
 
     def value(self, x):
-        return self.amplitude * np.cos(self._angle(x))
+        return self.amplitude * _lift(np.cos(self._angle(x)))
 
     def grad(self, x):
         s = np.sin(self._angle(x))
-        return -np.einsum("i,m->im", self.amplitude, self.k_low) * s
+        return -np.einsum("i,m->im", self.amplitude, self.k_low) * _lift(s, 2)
 
     def hess(self, x):
         c = np.cos(self._angle(x))
-        return -np.einsum("i,m,n->imn", self.amplitude, self.k_low, self.k_low) * c
+        return -np.einsum("i,m,n->imn", self.amplitude, self.k_low, self.k_low) * _lift(c, 3)
 
     def third(self, x):
         s = np.sin(self._angle(x))
         kl = self.k_low
-        return np.einsum("i,m,n,r->imnr", self.amplitude, kl, kl, kl) * s
+        return np.einsum("i,m,n,r->imnr", self.amplitude, kl, kl, kl) * _lift(s, 4)
 
 
 class PolynomialMultiplet(ScalarMultiplet):
@@ -279,22 +291,22 @@ class CosineVectorPotential(VectorPotential):
         self.phase = float(phase)
 
     def _angle(self, x):
-        return float(np.asarray(x, dtype=float) @ self.k_low) + self.phase
+        return _inner(np.asarray(x, dtype=float), self.k_low) + self.phase
 
     def value(self, x):
-        return self.eps_low * np.cos(self._angle(x))
+        return self.eps_low * _lift(np.cos(self._angle(x)))
 
     def grad(self, x):
-        return -np.outer(self.eps_low, self.k_low) * np.sin(self._angle(x))
+        return -np.outer(self.eps_low, self.k_low) * _lift(np.sin(self._angle(x)), 2)
 
     def hess(self, x):
         kl = self.k_low
-        return -np.einsum("a,m,n->amn", self.eps_low, kl, kl) * np.cos(self._angle(x))
+        return -np.einsum("a,m,n->amn", self.eps_low, kl, kl) * _lift(np.cos(self._angle(x)), 3)
 
     def third(self, x):
         kl = self.k_low
-        return np.einsum("a,m,n,r->amnr", self.eps_low, kl, kl, kl) * np.sin(
-            self._angle(x)
+        return np.einsum("a,m,n,r->amnr", self.eps_low, kl, kl, kl) * _lift(
+            np.sin(self._angle(x)), 4
         )
 
 
@@ -395,16 +407,16 @@ class CosineSpinor:
         self.phase = float(phase)
 
     def _angle(self, x):
-        return float(np.asarray(x, dtype=float) @ self.k_low) + self.phase
+        return _inner(np.asarray(x, dtype=float), self.k_low) + self.phase
 
     def value(self, x):
         t = self._angle(x)
-        return self.u * np.cos(t) + self.v * np.sin(t)
+        return self.u * _lift(np.cos(t)) + self.v * _lift(np.sin(t))
 
     def grad(self, x):
         t = self._angle(x)
-        coeff = -self.u * np.sin(t) + self.v * np.cos(t)
-        return np.einsum("i,m->im", coeff, self.k_low.astype(complex))
+        coeff = -self.u * _lift(np.sin(t)) + self.v * _lift(np.cos(t))
+        return np.einsum("...i,m->...im", coeff, self.k_low.astype(complex))
 
 
 def make_gauge_function(kind: str, metric: Metric, **params) -> ScalarField:

@@ -12,15 +12,20 @@ Conventions used across the package:
   and ``norm2``, ``invariant_square``, ``conformal_factor``,
   ``special_conformal_map``, ``inversion``,
   ``special_conformal_map_via_inversion``, ``inversion_matrix``,
-  ``map_jacobian``, ``conformal_jacobian``, ``killing_gradient``,
+  ``inversion_matrix_gradient``, ``map_jacobian``, ``conformal_jacobian``,
+  ``killing_vector``, ``killing_gradient``, ``killing_divergence``,
   ``killing_residual_from_gradient`` and ``killing_residual``) take points
-  of shape ``(..., D)`` and return one result per sample.  A single point is
-  the case without that axis and gives the float or array it always gave.
-  Each sample's result is bit for bit its single-point result: per-sample
-  dot products are stacked ``matmul`` calls, ``(..., 1, D) @ (..., D, 1)``,
-  which sum in the order a 1-D ``u @ v`` sums (``einsum`` and ``sum(-1)``
-  do not).  A floor test raises for the first sample in sample order that
-  fails it.  The other functions here take one point.
+  of shape ``(..., D)`` and return one result per sample; a special
+  conformal generator may carry a parameter stack ``(..., D)``, one
+  parameter per sample.  A single point is the case without that axis and
+  gives the float or array it always gave.  Each sample's result is bit for
+  bit its single-point result: per-sample dot products are stacked
+  ``matmul`` calls, ``(..., 1, D) @ (..., D, 1)``, which sum in the order a
+  1-D ``u @ v`` sums (``einsum`` and ``sum(-1)`` do not), and a power of a
+  per-sample value is ``np.float_power``, which calls libm's ``pow`` as a
+  Python float's ``**`` does (numpy's ``**`` squares or takes ``sqrt``).  A
+  floor test raises for the first sample in sample order that fails it.
+  The other functions here take one point.
 """
 
 from __future__ import annotations
@@ -104,27 +109,41 @@ def _outer(u, v):
     return u[..., :, None] * v[..., None, :]
 
 
+def _mv(matrix, vector):
+    """Per-sample matrix @ vector as a stacked matmul; for one sample it is
+    the matrix-vector product ``matrix @ vector`` itself."""
+    return (matrix @ vector[..., None])[..., 0]
+
+
 def _scale_floor(x):
     return SINGULARITY_FLOOR * (1.0 + _inner(x, x))
 
 
-def _reject(bad, value, error, what):
-    """Raise ``error`` naming ``value`` at the first sample where ``bad``
-    holds (``bad`` and ``value`` are scalars for a single sample)."""
+def _reject(bad, value, error, message):
+    """Raise ``error`` with ``message`` formatted with ``value`` at the first
+    sample where ``bad`` holds (``bad`` and ``value`` are scalars for a
+    single sample)."""
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return
         value = np.broadcast_to(value, bad.shape).flat[np.argmax(bad)]
     elif not bad:
         return
-    raise error(f"{what} {float(value)} is below the singularity floor")
+    raise error(message.format(float(value)))
+
+
+def _max_abs(a, axes: int):
+    """Largest |entry| over the last ``axes`` axes: one value per sample, a
+    float for a single sample."""
+    worst = np.max(np.abs(a), axis=tuple(range(-axes, 0)))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def invariant_square(x, metric: Metric):
     """x.x, raising :class:`LightConePoint` when numerically null."""
     x = metric._check(x)
     x2 = metric.norm2(x)
-    _reject(abs(x2) < _scale_floor(x), x2, LightConePoint, "x^2 =")
+    _reject(abs(x2) < _scale_floor(x), x2, LightConePoint, "x^2 = {} is below the singularity floor")
     return x2
 
 
@@ -142,7 +161,7 @@ def _regular_factor(x, c, metric: Metric):
     x = metric._check(x)
     c = metric._check(c)
     s = conformal_factor(x, c, metric)
-    _reject(abs(s) < _scale_floor(x), s, SingularMap, "conformal factor")
+    _reject(abs(s) < _scale_floor(x), s, SingularMap, "conformal factor {} is below the singularity floor")
     return x, c, s
 
 
@@ -184,15 +203,14 @@ def inversion_matrix(x, metric: Metric):
 def inversion_matrix_gradient(x, metric: Metric):
     """Exact gradient dI[a, b, m] = d_m I_a^b of the inversion matrix."""
     x = metric._check(x)
-    x2 = invariant_square(x, metric)
-    xl = metric.lower(x)
+    x2 = _lift(invariant_square(x, metric), 3)
+    xl = metric.diag * x
     dim = metric.dim
-    grad = np.zeros((dim, dim, dim))
-    eye = np.eye(dim)
+    grad = np.zeros(x.shape[:-1] + (dim, dim, dim))
     g = metric.matrix
     # d_m (x_a x^b) = g_{am} x^b + x_a delta^b_m
-    grad -= 2.0 * (g[:, None, :] * x[None, :, None] + xl[:, None, None] * eye[None, :, :]) / x2
-    grad += 4.0 * np.einsum("a,b,m->abm", xl, x, xl) / x2**2
+    grad -= 2.0 * (g[:, None, :] * x[..., None, :, None] + xl[..., :, None, None] * np.eye(dim)) / x2
+    grad += 4.0 * np.einsum("...a,...b,...m->...abm", xl, x, xl) / np.float_power(x2, 2)
     return grad
 
 
@@ -320,8 +338,9 @@ class GeneratorAction:
     """One conformal-group generator with its parameters and field action.
 
     ``param`` is a D-vector for translations and special conformal
-    transformations, an exactly antisymmetric DxD matrix for Lorentz
-    rotations, and a scalar for dilations.  ``weight`` is the scale dimension
+    transformations (for the latter also a ``(..., D)`` stack, one parameter
+    per sample), an exactly antisymmetric DxD matrix for Lorentz rotations,
+    and a scalar for dilations.  ``weight`` is the scale dimension
     assigned to the transformed field and ``spin`` selects how the spin
     matrix acts on its components.
     """
@@ -337,9 +356,9 @@ class GeneratorAction:
             raise ValueError(f"unknown spin tag {self.spin!r}")
 
 
-def _vector_param(param, dim):
+def _vector_param(param, dim, stack=()):
     param = np.array(param, dtype=float)
-    if param.shape != (dim,):
+    if param.shape != stack + (dim,):
         raise DimensionMismatch(f"parameter must be a {dim}-vector")
     param.flags.writeable = False
     return param
@@ -370,10 +389,12 @@ def dilation(strength, dim, weight=None, spin="scalar") -> GeneratorAction:
 
 
 def special_conformal(c, weight=None, spin="scalar") -> GeneratorAction:
+    """Special conformal generator of parameter c, or of a parameter stack
+    ``(..., D)`` with one parameter per sample."""
     c = np.asarray(c, dtype=float)
-    dim = c.shape[0]
+    dim = c.shape[-1]
     w = canonical_weight(dim) if weight is None else float(weight)
-    return GeneratorAction(KIND_CONFORMAL, _vector_param(c, dim), dim, w, spin)
+    return GeneratorAction(KIND_CONFORMAL, _vector_param(c, dim, c.shape[:-1]), dim, w, spin)
 
 
 def sigma_basis_conformal(sigma: int, metric: Metric, weight, spin) -> GeneratorAction:
@@ -394,14 +415,14 @@ def killing_vector(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
     """
     x = metric._check(x)
     if gen.kind == KIND_TRANSLATION:
-        return gen.param.copy()
+        return np.broadcast_to(gen.param, x.shape).copy()
     if gen.kind == KIND_LORENTZ:
-        return gen.param @ metric.lower(x)
+        return _mv(gen.param, metric.lower(x))
     if gen.kind == KIND_SCALE:
         return gen.param * x
     if gen.kind == KIND_CONFORMAL:
         c = gen.param
-        return 2.0 * metric.dot(c, x) * x - c * metric.norm2(x)
+        return 2.0 * _lift(metric.dot(c, x)) * x - c * _lift(metric.norm2(x))
     raise ValueError(f"unknown generator kind {gen.kind!r}")
 
 
@@ -442,15 +463,18 @@ def killing_second_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:
     return d2
 
 
-def killing_divergence(gen: GeneratorAction, x, metric: Metric) -> float:
+def killing_divergence(gen: GeneratorAction, x, metric: Metric):
     """d_mu f^mu; vanishes for Poincare, c D for dilations, 2 D c.x here."""
-    if gen.kind in (KIND_TRANSLATION, KIND_LORENTZ):
-        return 0.0
-    if gen.kind == KIND_SCALE:
-        return gen.param * metric.dim
     if gen.kind == KIND_CONFORMAL:
         return 2.0 * metric.dim * metric.dot(gen.param, x)
-    raise ValueError(f"unknown generator kind {gen.kind!r}")
+    if gen.kind in (KIND_TRANSLATION, KIND_LORENTZ):
+        div = 0.0
+    elif gen.kind == KIND_SCALE:
+        div = gen.param * metric.dim
+    else:
+        raise ValueError(f"unknown generator kind {gen.kind!r}")
+    x = metric._check(x)
+    return div if x.ndim == 1 else np.full(x.shape[:-1], div)
 
 
 def killing_divergence_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:
@@ -467,8 +491,7 @@ def killing_residual_from_gradient(df, metric: Metric):
     sym = np.swapaxes(lowered, -1, -2) + lowered
     div = np.trace(df, axis1=-2, axis2=-1)
     residual = sym - (2.0 / metric.dim) * metric.matrix * _lift(div, 2)
-    worst = np.max(np.abs(residual), axis=(-2, -1))
-    return float(worst) if worst.ndim == 0 else worst
+    return _max_abs(residual, 2)
 
 
 def killing_residual(gen: GeneratorAction, x, metric: Metric):

@@ -36,6 +36,7 @@ from .fields import (
 )
 from .geometry import (
     Metric,
+    _max_abs,
     basis_generators,
     canonical_weight,
     conformal_factor,
@@ -149,8 +150,8 @@ def _gap(a, b) -> float:
 
 def _sample_gap(a, b):
     """Largest entry of |a - b| per sample (the leading axis)."""
-    gap = np.abs(a - b)
-    return np.max(gap, axis=tuple(range(1, gap.ndim)))
+    gap = a - b
+    return _max_abs(gap, gap.ndim - 1)
 
 
 def _first_max(first, *rest):
@@ -180,6 +181,18 @@ def _in_sample_order(residuals, *samples):
         for index in range(len(samples[0])):
             residuals(*(sample[index:index + 1] for sample in samples))
         raise
+
+
+def _route_gaps(make, routes, ys, cs):
+    """Per sample, the gap between the finite transforms that ``make`` builds
+    on the parameter stack ``cs`` by the two ``routes``, at ``ys``.  When a
+    route raises a ConfsymError the samples run again one at a time through
+    :func:`_agreement`, which gives None where either route raises."""
+    first, second = routes
+    try:
+        return _sample_gap(make(cs, first).value(ys), make(cs, second).value(ys)).tolist()
+    except ConfsymError:
+        return [_agreement(make(c, first), make(c, second), y) for y, c in zip(ys, cs)]
 
 
 def _agreement(first, second, x):
@@ -370,14 +383,14 @@ def _chk_gamma(spec, metric, rng):
     gammas = build_gammas(metric.dim)
     anti = anticommutator_residual(gammas, metric)
     pts = sampling.timelike_points(rng, metric.dim, 50)
-    return [max(anti, sandwich_identity_residual(x, gammas, metric)) for x in pts]
+    return _in_sample_order(lambda x: _first_max(anti, sandwich_identity_residual(x, gammas, metric)).tolist(), pts)
 
 
 @_register("decoupling-bracket", FIELD_KINDS, "identity", "the reflection-matrix transport bracket vanishes")
 def _chk_bracket(spec, metric, rng):
     xs = sampling.off_cone_points(rng, metric.dim, 50, min_frac=0.1)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
-    return [_maxabs(decoupling_bracket_residual(x, c, metric)) for x, c in zip(xs, cs)]
+    return _in_sample_order(lambda x, c: _max_abs(decoupling_bracket_residual(x, c, metric), 2).tolist(), xs, cs)
 
 
 @_register("vector-decoupling", FIELD_KINDS, "identity", "reflected vectors follow the scalar transformation rule")
@@ -385,7 +398,7 @@ def _chk_vec_decoupling(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     xs = sampling.off_cone_points(rng, metric.dim, 30, min_frac=0.1)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
-    return [decoupled_vector_residual(A, x, c, metric) for x, c in zip(xs, cs)]
+    return _in_sample_order(lambda x, c: decoupled_vector_residual(A, x, c, metric).tolist(), xs, cs)
 
 
 @_register("spinor-decoupling", FIELD_KINDS, "identity", "slashed spinors follow the scalar transformation rule")
@@ -394,7 +407,7 @@ def _chk_spin_decoupling(spec, metric, rng):
     psi = sampling.random_spinor(rng, metric, gammas.size)
     xs = sampling.timelike_points(rng, metric.dim, 30)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
-    return [decoupled_spinor_residual(psi, x, c, metric, gammas) for x, c in zip(xs, cs)]
+    return _in_sample_order(lambda x, c: decoupled_spinor_residual(psi, x, c, metric, gammas).tolist(), xs, cs)
 
 
 @_register("large-parameter-decay", FIELD_KINDS, 0.2, "large-parameter map error decays with the inverse parameter cube")
@@ -467,7 +480,7 @@ def _chk_vec_routes(spec, metric, rng):
     xs = sampling.timelike_points(rng, metric.dim, 40)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.08)
     make = lambda c, route: FiniteVectorTransform(A, c, 1.0, metric, route=route)
-    return [_agreement(make(c, "jacobian"), make(c, "reflection"), x) for x, c in zip(xs, cs)]
+    return _route_gaps(make, ("jacobian", "reflection"), xs, cs)
 
 
 @_register("finite-spinor-routes", FIELD_KINDS, "exact", "paired-slash and compact spinor transforms agree")
@@ -477,7 +490,7 @@ def _chk_spinor_routes(spec, metric, rng):
     xs = sampling.timelike_points(rng, metric.dim, 40)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.05)
     make = lambda c, route: FiniteSpinorTransform(psi, c, 1.0, metric, gammas, route=route)
-    return [_agreement(make(c, "pair"), make(c, "compact"), x) for x, c in zip(xs, cs)]
+    return _route_gaps(make, ("pair", "compact"), xs, cs)
 
 
 @_register("finite-scalar-composition", FIELD_KINDS, "exact", "finite scalar transforms compose additively in the parameter")

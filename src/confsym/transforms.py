@@ -14,6 +14,22 @@ A note on operator composition: commutators of variations compose through
 the field argument, so successive variations multiply in the opposite order
 to the bare differential operators.  :func:`commutator_residual` follows the
 successive-variation convention.
+
+Leading sample axis: :func:`spin_coefficient`, the vector and spinor spin
+actions, :func:`delta_vector_potential` and :func:`delta_spinor` on the
+cosine fixtures, :func:`vector_spin_term`, :func:`decoupling_bracket_with`,
+:func:`decoupling_bracket_residual`, :func:`decoupled_vector_residual`,
+:func:`decoupled_spinor_residual` and the ``value`` of
+:class:`FiniteVectorTransform` and :class:`FiniteSpinorTransform` take points
+``x`` (or ``y``) of shape ``(..., D)`` with a parameter stack ``c`` of the
+same shape, and return one result per sample.  Each sample's result is bit
+for bit its single-point result, by mirroring the single point's operations
+(see :mod:`confsym.geometry`): a per-point ``@``, ``dot`` or ``tensordot``
+is a stacked ``matmul`` on operands of the same memory layout, a per-point
+``einsum`` is the same ``einsum`` with a leading sample index, and a power of
+a per-sample value is ``np.float_power``.  A single point gives the float or
+array it always gave; a floor or timelike test raises for the first sample
+that fails it.  The other functions here take one point.
 """
 
 from __future__ import annotations
@@ -32,6 +48,11 @@ from .geometry import (
     SINGULARITY_FLOOR,
     GeneratorAction,
     Metric,
+    _lift,
+    _max_abs,
+    _mv,
+    _outer,
+    _reject,
     canonical_weight,
     conformal_factor,
     inversion_matrix,
@@ -78,6 +99,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _contract(grad, f):
+    """grad[..., i, m] f^m per sample, every component index i in one
+    matrix-vector product, as ``tensordot(grad, f, axes=([-1], [0]))`` forms
+    it for one point."""
+    rows = grad.reshape(f.shape[:-1] + (-1, f.shape[-1]))
+    return _mv(rows, f).reshape(grad.shape[:-1])
+
+
 def spin_coefficient(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
     """Antisymmetric lower-index coefficient C of the spin term C_{mn} Sigma^{mn}.
 
@@ -85,8 +114,8 @@ def spin_coefficient(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
     the gradient never reach the spin matrix.
     """
     df = killing_gradient(gen, x, metric)
-    lowered = (metric.diag[:, None] * df).T  # P[m, n] = d_m f_n
-    return 0.25 * (lowered - lowered.T)
+    lowered = np.swapaxes(metric.diag[:, None] * df, -1, -2)  # P[m, n] = d_m f_n
+    return 0.25 * (lowered - np.swapaxes(lowered, -1, -2))
 
 
 def _spin_action(C, value, spin, metric: Metric, gammas: GammaSet | None):
@@ -94,30 +123,30 @@ def _spin_action(C, value, spin, metric: Metric, gammas: GammaSet | None):
     ``spin``; C need not be antisymmetric (only its odd part contributes)."""
     if spin == "scalar":
         return np.zeros_like(value)
-    asym = C - C.T
+    asym = C - np.swapaxes(C, -1, -2)
     if spin == "vector":
-        upper = metric.diag * value
-        return asym @ upper
+        return _mv(asym, metric.diag * value)
     if spin == "field-strength":
         up_first = metric.diag[:, None] * value  # F^m_b
         up_second = value * metric.diag[None, :]  # F_a^m
-        return asym @ up_first + up_second @ asym.T
+        return asym @ up_first + up_second @ np.swapaxes(asym, -1, -2)
     if spin == "spinor":
         if gammas is None:
             raise ValueError("spinor action requires a GammaSet")
-        mat = np.zeros((gammas.size, gammas.size), dtype=complex)
+        mat = np.zeros(C.shape[:-2] + (gammas.size, gammas.size), dtype=complex)
         for mu in range(metric.dim):
             for nu in range(mu + 1, metric.dim):
-                mat += (C[mu, nu] - C[nu, mu]) * gammas.spin_matrix(mu, nu)
-        return mat @ value
+                mat += _lift(C[..., mu, nu] - C[..., nu, mu], 2) * gammas.spins[mu, nu]
+        return _mv(mat, value)
     raise ValueError(f"unknown spin representation {spin!r}")
 
 
 def _variation(gen, value, grad, x, metric, gammas=None):
     f = killing_vector(gen, x, metric)
     div = killing_divergence(gen, x, metric)
-    out = np.tensordot(grad, f, axes=([-1], [0]))
-    out = out + (gen.weight / metric.dim) * div * value
+    out = _contract(grad, f)
+    # one trailing axis per component index of the value
+    out = out + _lift((gen.weight / metric.dim) * div, value.ndim - f.ndim + 1) * value
     return out + _spin_action(spin_coefficient(gen, x, metric), value, gen.spin, metric, gammas)
 
 
@@ -427,10 +456,8 @@ def _preimage(y, c, metric):
 
 def _positive_factor(x, c, metric):
     s = conformal_factor(x, c, metric)
-    if s < SINGULARITY_FLOOR:
-        raise SingularMap(
-            f"conformal factor {s} left the positive branch of the transformation"
-        )
+    _reject(s < SINGULARITY_FLOOR, s, SingularMap,
+            "conformal factor {} left the positive branch of the transformation")
     return s
 
 
@@ -476,9 +503,12 @@ class FiniteVectorTransform:
         if self.route == "jacobian":
             # jac_inv[b, a] = d x^b / d y^a: forward Jacobian of the inverse map
             jac_inv = map_jacobian(y, -self.c, self.metric)
-            return s ** (self.weight - 1.0) * (jac_inv.T @ v)
-        refl = inversion_matrix(y, self.metric) @ inversion_matrix(x, self.metric)
-        return s**self.weight * (refl @ v)
+            scale = np.float_power(s, self.weight - 1.0)
+            mat = np.swapaxes(jac_inv, -1, -2)
+        else:
+            scale = np.float_power(s, self.weight)
+            mat = inversion_matrix(y, self.metric) @ inversion_matrix(x, self.metric)
+        return _lift(scale) * _mv(mat, v)
 
 
 class FiniteSpinorTransform:
@@ -500,21 +530,21 @@ class FiniteSpinorTransform:
         self.route = route
 
     def value(self, y):
-        y = self.metric._check(y)
-        x = _preimage(y, self.c, self.metric)
-        s = _positive_factor(x, self.c, self.metric)
+        metric, gammas = self.metric, self.gammas
+        y = metric._check(y)
+        x = _preimage(y, self.c, metric)
+        s = _positive_factor(x, self.c, metric)
         v = self.psi.value(x)
         if self.route == "pair":
-            slash_y = gamma_slash_unit(y, self.gammas, self.metric)
-            slash_x = gamma_slash_unit(x, self.gammas, self.metric)
-            return s**self.weight * (slash_y @ slash_x @ v)
-        if self.metric.norm2(x) <= 0 or self.metric.norm2(y) <= 0:
-            raise NonTimelikePoint("spinor transform requires timelike points")
-        mat = np.eye(self.gammas.size, dtype=complex)
-        mat += self.gammas.slash_lower(self.metric.lower(self.c)) @ self.gammas.slash_lower(
-            self.metric.lower(x)
-        )
-        return s ** (self.weight - 0.5) * (mat @ v)
+            scale = np.float_power(s, self.weight)
+            mat = gamma_slash_unit(y, gammas, metric) @ gamma_slash_unit(x, gammas, metric)
+        else:
+            spacelike = (metric.norm2(x) <= 0) | (metric.norm2(y) <= 0)
+            _reject(spacelike, 0.0, NonTimelikePoint, "spinor transform requires timelike points")
+            scale = np.float_power(s, self.weight - 0.5)
+            slashes = gammas.slash_lower(metric.diag * self.c) @ gammas.slash_lower(metric.diag * x)
+            mat = np.eye(gammas.size, dtype=complex) + slashes
+        return _lift(scale) * _mv(mat, v)
 
 
 def finite_variation_fd(factory, x, eps: float):
@@ -538,7 +568,7 @@ def vector_spin_term(c, x, metric: Metric) -> np.ndarray:
     """n[a, b] = 2 c_a x^b - 2 c^b x_a, the vector spin action of parameter c."""
     c = np.asarray(c, dtype=float)
     x = metric._check(x)
-    return 2.0 * np.outer(metric.lower(c), x) - 2.0 * np.outer(c, metric.lower(x)).T
+    return 2.0 * _outer(metric.lower(c), x) - np.swapaxes(2.0 * _outer(c, metric.diag * x), -1, -2)
 
 
 def decoupling_bracket_with(f, x, c, metric: Metric) -> np.ndarray:
@@ -551,7 +581,7 @@ def decoupling_bracket_with(f, x, c, metric: Metric) -> np.ndarray:
     grad_i = inversion_matrix_gradient(x, metric)
     imat = inversion_matrix(x, metric)
     n = vector_spin_term(c, x, metric)
-    return np.einsum("abm,m->ab", grad_i, f) - imat @ n
+    return np.einsum("...abm,...m->...ab", grad_i, f) - imat @ n
 
 
 def decoupling_bracket_residual(x, c, metric: Metric) -> np.ndarray:
@@ -561,7 +591,15 @@ def decoupling_bracket_residual(x, c, metric: Metric) -> np.ndarray:
     return decoupling_bracket_with(f, x, c, metric)
 
 
-def decoupled_vector_residual(A: VectorPotential, x, c, metric: Metric) -> float:
+def _scalar_rule(gen, tilde, d_tilde, x, metric):
+    """f.d(tilde) + 2 (c.x) weight tilde: the scalar rule's special conformal
+    variation of a field ``tilde`` with gradient ``d_tilde``."""
+    f = killing_vector(gen, x, metric)
+    cx = metric.dot(gen.param, x)
+    return _mv(d_tilde, f) + _lift(2.0 * cx * gen.weight) * tilde
+
+
+def decoupled_vector_residual(A: VectorPotential, x, c, metric: Metric):
     """Reflected vector transforms by the scalar rule: max-norm residual of
     I . (delta A) against f.d(I A) + 2 (c.x) weight (I A)."""
     x = metric._check(x)
@@ -570,16 +608,12 @@ def decoupled_vector_residual(A: VectorPotential, x, c, metric: Metric) -> float
     imat = inversion_matrix(x, metric)
     grad_i = inversion_matrix_gradient(x, metric)
     value = A.value(x)
-    grad = A.grad(x)
-    tilde = imat @ value
-    d_tilde = np.einsum("abm,b->am", grad_i, value) + imat @ grad
-    f = killing_vector(gen, x, metric)
-    cx = metric.dot(np.asarray(c, dtype=float), x)
-    scalar_rule = d_tilde @ f + 2.0 * cx * gen.weight * tilde
-    return float(np.max(np.abs(imat @ delta - scalar_rule)))
+    tilde = _mv(imat, value)
+    d_tilde = np.einsum("...abm,...b->...am", grad_i, value) + imat @ A.grad(x)
+    return _max_abs(_mv(imat, delta) - _scalar_rule(gen, tilde, d_tilde, x, metric), 1)
 
 
-def decoupled_spinor_residual(psi, x, c, metric: Metric, gammas: GammaSet) -> float:
+def decoupled_spinor_residual(psi, x, c, metric: Metric, gammas: GammaSet):
     """Slashed spinor transforms by the scalar rule: max-norm residual of
     (slash x) delta psi against f.d(slash-x psi) + 2 (c.x) weight (...), at
     the canonical weight."""
@@ -587,23 +621,17 @@ def decoupled_spinor_residual(psi, x, c, metric: Metric, gammas: GammaSet) -> fl
     gen = special_conformal(c, spin="spinor")
     delta = delta_spinor(gen, psi, x, metric, gammas)
     x2 = metric.norm2(x)
-    if x2 <= 0:
-        raise NonTimelikePoint(f"x^2 = {x2} must be positive")
+    _reject(x2 <= 0, x2, NonTimelikePoint, "x^2 = {} must be positive")
     slash = gamma_slash_unit(x, gammas, metric)
     value = psi.value(x)
-    grad = psi.grad(x)
-    tilde = slash @ value
+    tilde = _mv(slash, value)
     # d_m (x^n / sqrt(x^2)) = delta^n_m / sqrt(x^2) - x^n x_m / (x^2)^(3/2)
-    xl = metric.lower(x)
-    dxhat = np.eye(metric.dim) / np.sqrt(x2) - np.outer(x, xl) / x2**1.5
-    d_tilde = np.stack(
-        [
-            gammas.slash_lower(metric.diag * dxhat[:, m]) @ value + slash @ grad[:, m]
-            for m in range(metric.dim)
-        ],
-        axis=-1,
-    )
-    f = killing_vector(gen, x, metric)
-    cx = metric.dot(np.asarray(c, dtype=float), x)
-    scalar_rule = d_tilde @ f + 2.0 * cx * gen.weight * tilde
-    return float(np.max(np.abs(slash @ delta - scalar_rule)))
+    x2 = _lift(x2, 2)
+    dxhat = np.eye(metric.dim) / np.sqrt(x2) - _outer(x, metric.diag * x) / np.float_power(x2, 1.5)
+    # column m of d_tilde, one slashed derivative per m on axis -3
+    dslash = gammas.slash_lower(metric.diag * np.swapaxes(dxhat, -1, -2))
+    columns = _mv(dslash, value[..., None, :]) + _mv(slash[..., None, :, :], np.swapaxes(psi.grad(x), -1, -2))
+    # C order per sample, as one point's np.stack(axis=-1) gives it: the
+    # layout selects the BLAS routine the product with f runs
+    d_tilde = np.ascontiguousarray(np.swapaxes(columns, -1, -2))
+    return _max_abs(_mv(slash, delta) - _scalar_rule(gen, tilde, d_tilde, x, metric), 1)

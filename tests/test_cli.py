@@ -471,3 +471,47 @@ def test_batched_check_raises_the_first_error_in_sample_order():
     with pytest.raises(SingularMap) as batched:
         suites._in_sample_order(residuals, xs, cs)
     assert str(batched.value) == str(serial.value)
+
+
+@pytest.mark.parametrize(
+    "seed,skipped,samples,max_residual",
+    [(102447505, [36], 39, "0x1.b000000000000p-48"), (1822532997, [39], 39, "0x1.6e00000000000p-41")],
+)
+def test_finite_vector_routes_skips_the_samples_the_serial_loop_skipped(seed, skipped, samples, max_residual):
+    # at these suite seeds one (x, c) draw leaves the positive branch of the
+    # finite map (sigma < 0), so both routes raise there and the sample is
+    # skipped; the pinned figures are those of the per-sample loop
+    from confsym.geometry import Metric
+    from confsym.modelspec import parse_spec
+
+    text = f"[model]\nkind = maxwell\ndimension = 4\n\n[suite]\nchecks = all\nseed = {seed}\n"
+    spec = parse_spec(text)
+    residuals = suites.CHECKS["finite-vector-routes"].fn(spec, Metric(4), suites._rng_for(spec, "finite-vector-routes"))
+    assert len(residuals) == 40
+    assert [i for i, r in enumerate(residuals) if r is None] == skipped
+    report = next(c for c in run_suite(spec).checks if c.name == "finite-vector-routes")
+    assert report.ok and report.samples == samples
+    assert report.max_residual.hex() == max_residual
+
+
+@pytest.mark.parametrize("bad_rows", [[0, 5, 6, 11], list(range(12))], ids=["some", "all"])
+def test_route_gaps_skip_exactly_where_the_serial_agreement_skips(bad_rows):
+    # rows in bad_rows leave the positive branch (both routes raise); row 8 is
+    # null, which only the reflection route rejects
+    from confsym import sampling
+    from confsym.geometry import Metric
+    from confsym.transforms import FiniteVectorTransform
+
+    g = Metric(4)
+    rng = np.random.default_rng(11)
+    A = sampling.random_offshell_potential(rng, g)
+    ys = sampling.timelike_points(rng, 4, 12)
+    cs = sampling.small_parameters(rng, 4, 12, scale=0.02)
+    ys[8] = [1.0, 1.0, 0.0, 0.0]
+    for row in bad_rows:
+        ys[row] = [1.0, 0.0, 0.0, 0.0]
+        cs[row] = [1.0, 0.5 + 0.01 * row, 0.0, 0.0]
+    make = lambda c, route: FiniteVectorTransform(A, c, 1.0, g, route=route)
+    serial = [suites._agreement(make(c, "jacobian"), make(c, "reflection"), y) for y, c in zip(ys, cs)]
+    assert [i for i, r in enumerate(serial) if r is None] == sorted(set(bad_rows) | {8})
+    assert suites._route_gaps(make, ("jacobian", "reflection"), ys, cs) == serial

@@ -9,9 +9,14 @@ from confsym.clifford import (
     gamma_slash_unit,
     sandwich_identity_residual,
 )
-from confsym.errors import NonTimelikePoint, UnsupportedDimension
+from confsym.errors import DimensionMismatch, NonTimelikePoint, UnsupportedDimension
 from confsym.geometry import Metric, inversion_matrix
+from confsym.transforms import _spin_action
 from confsym import sampling
+
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -38,6 +43,55 @@ def test_three_dimensional_pauli_oracle():
 def test_unsupported_dimension(dim):
     with pytest.raises(UnsupportedDimension):
         build_gammas(dim)
+
+
+def test_gamma_set_copies_the_callers_matrices():
+    mats = [_SX.copy(), np.eye(2, dtype=complex)]
+    gammas = GammaSet(2, mats)
+    assert all(m.flags.writeable for m in mats)
+    mats[1][0, 0] = 5.0
+    assert gammas[1][0, 0] == 1.0
+    assert not any(m.flags.writeable for m in gammas.matrices + (gammas.spins,))
+
+
+@pytest.mark.parametrize(
+    "dim,matrices",
+    [
+        (3, [_SX, _SY]),
+        (2, [_SX, _SY, _SZ]),
+        (2, [_SX, np.eye(4)]),
+        (2, [np.ones((2, 3)), np.ones((2, 3))]),
+        (2, [np.ones(2), np.ones(2)]),
+        (0, []),
+    ],
+    ids=["too-few", "too-many", "mixed-sizes", "not-square", "not-matrices", "none"],
+)
+def test_gamma_set_needs_dim_square_matrices_of_one_size(dim, matrices):
+    with pytest.raises(DimensionMismatch):
+        GammaSet(dim, matrices)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_spin_matrices_are_stored_commutators(dim):
+    gammas = build_gammas(dim)
+    for mu in range(dim):
+        for nu in range(dim):
+            commut = 0.25 * (gammas[mu] @ gammas[nu] - gammas[nu] @ gammas[mu])
+            assert gammas.spin_matrix(mu, nu).tobytes() == commut.tobytes()
+            assert np.shares_memory(gammas.spin_matrix(mu, nu), gammas.spins)
+
+
+def test_spinor_spin_action_reads_the_stored_spin_matrices(rng):
+    # with every stored spin matrix replaced by one marker matrix the action
+    # is that marker times the summed coefficients
+    g = Metric(4)
+    gammas = build_gammas(4)
+    marker = np.arange(16.0).reshape(4, 4).astype(complex)
+    gammas.spins = np.broadcast_to(marker, gammas.spins.shape)
+    C = rng.normal(size=(4, 4))
+    value = rng.normal(size=4) + 0j
+    coefficient = sum(C[mu, nu] - C[nu, mu] for mu in range(4) for nu in range(mu + 1, 4))
+    npt.assert_allclose(_spin_action(C, value, "spinor", g, gammas), coefficient * marker @ value)
 
 
 def test_spin_matrices_antisymmetric():
@@ -73,6 +127,19 @@ class TestSlashedUnit:
             gamma_slash_unit(np.array([0.0, 1, 0, 0]), build_gammas(4), Metric(4))
 
 
+def _sandwich_by_index(x, gammas, g, imat):
+    """The reflection identity's residual, one index pair at a time."""
+    slash = gamma_slash_unit(x, gammas, g)
+    worst = 0.0
+    for mu in range(g.dim):
+        lhs = slash @ (g.diag[mu] * gammas[mu]) @ slash
+        rhs = np.zeros_like(lhs)
+        for nu in range(g.dim):
+            rhs -= imat[mu, nu] * g.diag[nu] * gammas[nu]
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
 class TestSandwichIdentity:
     def test_rest_frame_by_hand(self):
         # at x = e_0 the left side for mu = 0 is gamma_0 and the reflection
@@ -93,17 +160,52 @@ class TestSandwichIdentity:
         g = Metric(4)
         gammas = build_gammas(4)
         x = sampling.timelike_points(rng, 4, 1)[0]
-        slash = gamma_slash_unit(x, gammas, g)
-        imat = -inversion_matrix(x, g)  # corrupted
-        worst = 0.0
-        for mu in range(4):
-            lhs = slash @ (g.diag[mu] * gammas[mu]) @ slash
-            rhs = np.zeros_like(lhs)
-            for nu in range(4):
-                rhs -= imat[mu, nu] * g.diag[nu] * gammas[nu]
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        assert worst > 1.0
+        assert _sandwich_by_index(x, gammas, g, -inversion_matrix(x, g)) > 1.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_equals_the_loop_over_indices(self, dim, rng):
+        g = Metric(dim)
+        gammas = build_gammas(dim)
+        for x in sampling.timelike_points(rng, dim, 25):
+            expected = _sandwich_by_index(x, gammas, g, inversion_matrix(x, g))
+            assert sandwich_identity_residual(x, gammas, g).hex() == expected.hex()
 
     def test_spacelike_rejected(self):
         with pytest.raises(NonTimelikePoint):
             sandwich_identity_residual(np.array([0.0, 2, 0, 0]), build_gammas(4), Metric(4))
+
+
+class TestSampleAxis:
+    """The slashed kernels on an (N, D) stack give, bit for bit and in the
+    same dtype, what they give one row at a time."""
+
+    @pytest.mark.parametrize("n", [1, 257])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_stack_equals_rows(self, dim, n, same_bits):
+        g, gammas = Metric(dim), build_gammas(dim)
+        rng = np.random.default_rng([dim, n])
+        xs = sampling.timelike_points(rng, dim, n)
+        vs = rng.normal(size=(n, dim))
+        assert gammas.slash_lower(vs).dtype == complex
+        same_bits(gammas.slash_lower(vs), [gammas.slash_lower(v) for v in vs])
+        for fn in (gamma_slash_unit, sandwich_identity_residual):
+            same_bits(fn(xs, gammas, g), [fn(x, gammas, g) for x in xs])
+
+    def test_single_point_returns_a_float(self):
+        x = np.array([1.5, 0.2, -0.1, 0.3])
+        assert type(sandwich_identity_residual(x, build_gammas(4), Metric(4))) is float
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_first_spacelike_row_raises(self, dim):
+        g, gammas = Metric(dim), build_gammas(dim)
+        xs = sampling.timelike_points(np.random.default_rng(dim), dim, 9)
+        for row in (3, 5):
+            xs[row] = 0.0
+            xs[row, :2] = 0.1 * row, 1.0  # x^2 differs per row
+        for fn in (gamma_slash_unit, sandwich_identity_residual):
+            messages = []
+            for rows in (slice(None), 3, 5):
+                with pytest.raises(NonTimelikePoint) as err:
+                    fn(xs[rows], gammas, g)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1] != messages[2]

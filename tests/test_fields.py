@@ -17,6 +17,7 @@ from confsym.fields import (
     make_onshell_maxwell_plane_wave,
 )
 from confsym.noether import bianchi_residual, maxwell_eom_residual
+from confsym.geometry import Metric
 from confsym import sampling
 
 
@@ -221,3 +222,41 @@ class TestDerivativeContract:
                 fd = fd_gradient(f.value, x, 1e-5)
                 scale = 1.0 + np.max(np.abs(grad))
                 assert np.max(np.abs(grad - fd)) / scale < 1e-6
+
+
+class TestSampleAxis:
+    """The cosine fixtures on an (N, D) stack give, bit for bit and in the
+    same dtype, what they give one row at a time."""
+
+    @staticmethod
+    def _fixtures(dim, rng):
+        g = Metric(dim)
+        multiplet = sampling.random_plane_wave_multiplet(rng, g, 3)
+        potential = sampling.random_offshell_potential(rng, g)
+        gauge = make_gauge_function("plane-wave", g, k=rng.normal(size=dim), amplitude=0.7, phase=0.3)
+        return g, multiplet, potential, gauge
+
+    @pytest.mark.parametrize("n", [1, 257])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_stack_equals_rows(self, dim, n, same_bits):
+        rng = np.random.default_rng([dim, n])
+        g, multiplet, potential, gauge = self._fixtures(dim, rng)
+        xs = sampling.points(rng, dim, n)
+        shifted = ShiftedPotential(potential, gauge)
+        spinor = sampling.random_spinor(rng, g, 4)
+        evaluators = [
+            getattr(field, method)
+            for field in (multiplet, potential, gauge)
+            for method in ("value", "grad", "hess", "third")
+        ]
+        evaluators += [shifted.value, shifted.grad, shifted.hess, spinor.value, spinor.grad]
+        for fn in evaluators:
+            same_bits(fn(xs), [fn(x) for x in xs])
+        assert spinor.value(xs).dtype == spinor.grad(xs).dtype == complex
+
+    def test_single_point_keeps_its_type(self, rng):
+        g, multiplet, _, gauge = self._fixtures(4, rng)
+        x = rng.normal(size=4)
+        assert type(gauge.value(x)) is float
+        assert multiplet.value(x).shape == (3,)
+        assert gauge.grad(x).shape == (4,)

@@ -354,16 +354,6 @@ class TestLeviCivita:
         npt.assert_array_equal(levi_civita3_upper(metric3), levi_civita3())
 
 
-def _same_bits(batch, rows):
-    """The batched result equals the stacked per-row results bit for bit,
-    signed zeros included."""
-    rows = np.array(rows, dtype=float)
-    batch = np.asarray(batch)
-    assert batch.shape == rows.shape
-    assert np.array_equal(batch, rows)
-    assert batch.tobytes() == rows.tobytes()
-
-
 def _sample_axis_case(dim, n):
     """n points and parameters, drawn so that every map kernel is defined."""
     metric = Metric(dim)
@@ -379,39 +369,51 @@ class TestSampleAxis:
 
     @pytest.mark.parametrize("n", [1, 257])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-    def test_stack_equals_rows(self, dim, n):
+    def test_stack_equals_rows(self, dim, n, same_bits):
         g, xs, cs = _sample_axis_case(dim, n)
         pairs = list(zip(xs, cs))
-        _same_bits(g.dot(xs, cs), [g.dot(x, c) for x, c in pairs])
-        _same_bits(g.norm2(xs), [g.norm2(x) for x in xs])
-        _same_bits(g._check(xs), [g._check(x) for x in xs])
-        _same_bits(g.lower(xs), [g.lower(x) for x in xs])
-        _same_bits(invariant_square(xs, g), [invariant_square(x, g) for x in xs])
-        _same_bits(conformal_factor(xs, cs, g), [conformal_factor(x, c, g) for x, c in pairs])
+        same_bits(g.dot(xs, cs), [g.dot(x, c) for x, c in pairs])
+        same_bits(g.norm2(xs), [g.norm2(x) for x in xs])
+        same_bits(g._check(xs), [g._check(x) for x in xs])
+        same_bits(g.lower(xs), [g.lower(x) for x in xs])
+        same_bits(invariant_square(xs, g), [invariant_square(x, g) for x in xs])
+        same_bits(conformal_factor(xs, cs, g), [conformal_factor(x, c, g) for x, c in pairs])
         for batch, rows in zip(_regular_factor(xs, cs, g), zip(*[_regular_factor(x, c, g) for x, c in pairs])):
-            _same_bits(batch, rows)
+            same_bits(batch, rows)
         for fn in (special_conformal_map, special_conformal_map_via_inversion, map_jacobian):
-            _same_bits(fn(xs, cs, g), [fn(x, c, g) for x, c in pairs])
+            same_bits(fn(xs, cs, g), [fn(x, c, g) for x, c in pairs])
         fwd, inv = conformal_jacobian(xs, cs, g)
-        _same_bits(fwd, [conformal_jacobian(x, c, g)[0] for x, c in pairs])
-        _same_bits(inv, [conformal_jacobian(x, c, g)[1] for x, c in pairs])
-        for fn in (inversion, inversion_matrix):
-            _same_bits(fn(xs, g), [fn(x, g) for x in xs])
+        same_bits(fwd, [conformal_jacobian(x, c, g)[0] for x, c in pairs])
+        same_bits(inv, [conformal_jacobian(x, c, g)[1] for x, c in pairs])
+        for fn in (inversion, inversion_matrix, inversion_matrix_gradient):
+            same_bits(fn(xs, g), [fn(x, g) for x in xs])
         # one parameter for every point, as a finite-difference oracle calls it
-        _same_bits(special_conformal_map(xs, cs[0], g), [special_conformal_map(x, cs[0], g) for x in xs])
-        _same_bits(fd_gradient(lambda y: inversion(y, g), xs, 1e-6),
+        same_bits(special_conformal_map(xs, cs[0], g), [special_conformal_map(x, cs[0], g) for x in xs])
+        same_bits(fd_gradient(lambda y: inversion(y, g), xs, 1e-6),
                    [fd_gradient(lambda y: inversion(y, g), x, 1e-6) for x in xs])
         for gen in basis_generators(dim) + [special_conformal(cs[0])]:
+            for fn in (killing_vector, killing_divergence):
+                same_bits(fn(gen, xs, g), [fn(gen, x, g) for x in xs])
             df = killing_gradient(gen, xs, g)
-            _same_bits(df, [killing_gradient(gen, x, g) for x in xs])
-            _same_bits(killing_residual_from_gradient(df, g),
+            same_bits(df, [killing_gradient(gen, x, g) for x in xs])
+            same_bits(killing_residual_from_gradient(df, g),
                        [killing_residual_from_gradient(row, g) for row in df])
-            _same_bits(killing_residual(gen, xs, g), [killing_residual(gen, x, g) for x in xs])
+            same_bits(killing_residual(gen, xs, g), [killing_residual(gen, x, g) for x in xs])
+        # one special conformal parameter per sample
+        stack = special_conformal(cs)
+        for fn in (killing_vector, killing_gradient, killing_divergence):
+            same_bits(fn(stack, xs, g), [fn(special_conformal(c), x, g) for x, c in pairs])
+
+    def test_parameter_stack_must_end_in_the_dimension(self):
+        assert special_conformal(np.zeros((5, 3))).param.shape == (5, 3)
+        with pytest.raises(DimensionMismatch):
+            translation(np.zeros((5, 3)))
 
     def test_single_point_returns_floats(self, metric4):
         x, c = np.array([0.3, 0.1, -0.2, 0.4]), np.array([0.05, 0.0, 0.1, -0.02])
         for value in (metric4.dot(x, c), metric4.norm2(x), conformal_factor(x, c, metric4),
-                      killing_residual(special_conformal(c), x, metric4)):
+                      killing_residual(special_conformal(c), x, metric4),
+                      *(killing_divergence(gen, x, metric4) for gen in basis_generators(4))):
             assert type(value) is float
         assert special_conformal_map(x, c, metric4).shape == (4,)
         assert map_jacobian(x, c, metric4).shape == (4, 4)
@@ -429,6 +431,7 @@ class TestSampleAxis:
         cases = [
             (LightConePoint, inversion, (null,)),
             (LightConePoint, inversion_matrix, (null,)),
+            (LightConePoint, inversion_matrix_gradient, (null,)),
             (LightConePoint, special_conformal_map_via_inversion, (null, cs)),
             (SingularMap, special_conformal_map, (xs, singular)),
             (SingularMap, map_jacobian, (xs, singular)),

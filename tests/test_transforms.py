@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from confsym.clifford import build_gammas
+from confsym.clifford import build_gammas, gamma_slash_unit
 from confsym.errors import SingularMap
 from confsym.fields import (
     CosineMultiplet,
@@ -14,7 +16,12 @@ from confsym.fields import (
 )
 from confsym.geometry import (
     Metric,
+    basis_generators,
     canonical_weight,
+    conformal_factor,
+    inversion_matrix,
+    map_jacobian,
+    special_conformal_map,
     dilation,
     killing_divergence,
     killing_gradient,
@@ -43,6 +50,7 @@ from confsym.transforms import (
     finite_variation_fd,
     lie_derivative_vector,
     scalar_commutator_pair,
+    spin_coefficient,
     vector_spin_term,
 )
 from confsym import sampling
@@ -516,3 +524,177 @@ class TestDecoupling:
         cs = sampling.small_parameters(rng, metric.dim, 20, scale=0.4)
         for x, c in zip(xs, cs):
             assert decoupled_spinor_residual(psi, x, c, metric, gammas) < 1e-10
+
+
+class TestSampleAxis:
+    """The spin and vector kernels on (N, D) stacks of points and parameters
+    give, bit for bit and in the same dtype, what they give one row at a
+    time."""
+
+    @staticmethod
+    def _case(dim, n):
+        g = Metric(dim)
+        rng = np.random.default_rng([dim, n])
+        xs = sampling.timelike_points(rng, dim, n)
+        cs = sampling.small_parameters(rng, dim, n, scale=0.02)
+        return g, rng, xs, cs
+
+    @pytest.mark.parametrize("n", [1, 257])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_stack_equals_rows(self, dim, n, same_bits):
+        g, rng, xs, cs = self._case(dim, n)
+        pairs = list(zip(xs, cs))
+        gammas = build_gammas(dim)
+        A = sampling.random_offshell_potential(rng, g)
+        psi = sampling.random_spinor(rng, g, gammas.size)
+        fs = rng.normal(size=(n, dim))
+        for spin, field in (("vector", A), ("spinor", psi)):
+            stack = special_conformal(cs, spin=spin)
+            same_bits(spin_coefficient(stack, xs, g),
+                      [spin_coefficient(special_conformal(c, spin=spin), x, g) for x, c in pairs])
+        same_bits(delta_vector_potential(special_conformal(cs, spin="vector"), A, xs, g),
+                  [delta_vector_potential(special_conformal(c, spin="vector"), A, x, g) for x, c in pairs])
+        for gen in basis_generators(dim):
+            vec, spinor = replace(gen, spin="vector"), replace(gen, spin="spinor")
+            same_bits(delta_vector_potential(vec, A, xs, g), [delta_vector_potential(vec, A, x, g) for x in xs])
+            same_bits(delta_spinor(spinor, psi, xs, g, gammas), [delta_spinor(spinor, psi, x, g, gammas) for x in xs])
+        batch = delta_spinor(special_conformal(cs, spin="spinor"), psi, xs, g, gammas)
+        assert batch.dtype == complex
+        same_bits(batch, [delta_spinor(special_conformal(c, spin="spinor"), psi, x, g, gammas) for x, c in pairs])
+        same_bits(vector_spin_term(cs, xs, g), [vector_spin_term(c, x, g) for x, c in pairs])
+        same_bits(decoupling_bracket_residual(xs, cs, g),
+                  [decoupling_bracket_residual(x, c, g) for x, c in pairs])
+        same_bits(decoupling_bracket_with(fs, xs, cs, g),
+                  [decoupling_bracket_with(f, x, c, g) for f, (x, c) in zip(fs, pairs)])
+        same_bits(decoupled_vector_residual(A, xs, cs, g),
+                  [decoupled_vector_residual(A, x, c, g) for x, c in pairs])
+        same_bits(decoupled_spinor_residual(psi, xs, cs, g, gammas),
+                  [decoupled_spinor_residual(psi, x, c, g, gammas) for x, c in pairs])
+        for weight in (1.0, 1.3):
+            for make in self._finite_transforms(A, psi, g, gammas, weight):
+                same_bits(make(cs).value(xs), [make(c).value(x) for x, c in pairs])
+        assert make(cs).value(xs).dtype == complex
+
+    @staticmethod
+    def _finite_transforms(A, psi, g, gammas, weight=1.0):
+        return [
+            lambda c: FiniteVectorTransform(A, c, weight, g, route="jacobian"),
+            lambda c: FiniteVectorTransform(A, c, weight, g, route="reflection"),
+            lambda c: FiniteSpinorTransform(psi, c, weight, g, gammas, route="pair"),
+            lambda c: FiniteSpinorTransform(psi, c, weight, g, gammas, route="compact"),
+        ]
+
+    def test_single_point_residuals_are_floats(self, metric4, rng):
+        x, c = sampling.timelike_points(rng, 4, 1)[0], rng.normal(0.0, 0.1, 4)
+        A = sampling.random_offshell_potential(rng, metric4)
+        gammas = build_gammas(4)
+        psi = sampling.random_spinor(rng, metric4, gammas.size)
+        assert type(decoupled_vector_residual(A, x, c, metric4)) is float
+        assert type(decoupled_spinor_residual(psi, x, c, metric4, gammas)) is float
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_first_row_off_the_positive_branch_raises(self, dim):
+        g, rng, ys, cs = self._case(dim, 9)
+        gammas = build_gammas(dim)
+        A = sampling.random_offshell_potential(rng, g)
+        psi = sampling.random_spinor(rng, g, gammas.size)
+        for row in (3, 5):
+            # sigma(preimage, c) = -1 / b^2 for y = e_0 and c = e_0 + b e_1
+            ys[row] = 0.0
+            ys[row, 0] = 1.0
+            cs[row] = 0.0
+            cs[row, :2] = 1.0, 0.5 + 0.01 * row
+        for make in self._finite_transforms(A, psi, g, gammas):
+            messages = []
+            for rows in (slice(None), 3, 5):
+                with pytest.raises(SingularMap) as err:
+                    make(cs[rows]).value(ys[rows])
+                messages.append(str(err.value))
+            assert messages[0] == messages[1] != messages[2]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_matches_the_per_point_formulas(self, dim):
+        # the decoupling residuals written one point at a time, with numpy's
+        # per-point operations; the kernels must reproduce their bits
+        g, rng, xs, cs = self._case(dim, 40)
+        gammas = build_gammas(dim)
+        A = sampling.random_offshell_potential(rng, g)
+        psi = sampling.random_spinor(rng, g, gammas.size)
+        for x, c in zip(xs, cs):
+            assert decoupling_bracket_residual(x, c, g).tobytes() == _bracket_per_point(x, c, g).tobytes()
+            assert decoupled_vector_residual(A, x, c, g) == _vector_residual_per_point(A, x, c, g)
+            assert decoupled_spinor_residual(psi, x, c, g, gammas) == _spinor_residual_per_point(psi, x, c, g, gammas)
+            for weight in (1.0, 1.3):
+                for route in ("jacobian", "reflection"):
+                    value = FiniteVectorTransform(A, c, weight, g, route=route).value(x)
+                    assert value.tobytes() == _finite_vector_per_point(A, c, weight, g, route, x).tobytes()
+                for route in ("pair", "compact"):
+                    value = FiniteSpinorTransform(psi, c, weight, g, gammas, route=route).value(x)
+                    assert value.tobytes() == _finite_spinor_per_point(psi, c, weight, g, gammas, route, x).tobytes()
+
+
+def _inversion_per_point(x, g):
+    """(I, dI) of the reflection matrix at one point."""
+    x2 = g.norm2(x)
+    xl, eye = g.lower(x), np.eye(g.dim)
+    grad = np.zeros((g.dim,) * 3)
+    grad -= 2.0 * (g.matrix[:, None, :] * x[None, :, None] + xl[:, None, None] * eye[None, :, :]) / x2
+    grad += 4.0 * np.einsum("a,b,m->abm", xl, x, xl) / x2**2
+    return eye - 2.0 * np.outer(xl, x) / x2, grad
+
+
+def _killing_per_point(x, c, g):
+    return 2.0 * g.dot(c, x) * x - c * g.norm2(x)
+
+
+def _bracket_per_point(x, c, g):
+    imat, grad_i = _inversion_per_point(x, g)
+    n = 2.0 * np.outer(g.lower(c), x) - 2.0 * np.outer(c, g.lower(x)).T
+    return np.einsum("abm,m->ab", grad_i, _killing_per_point(x, c, g)) - imat @ n
+
+
+def _scalar_rule_per_point(tilde, d_tilde, x, c, g, weight):
+    return d_tilde @ _killing_per_point(x, c, g) + 2.0 * g.dot(c, x) * weight * tilde
+
+
+def _vector_residual_per_point(A, x, c, g):
+    gen = special_conformal(c, spin="vector")
+    delta = delta_vector_potential(gen, A, x, g)
+    imat, grad_i = _inversion_per_point(x, g)
+    value = A.value(x)
+    d_tilde = np.einsum("abm,b->am", grad_i, value) + imat @ A.grad(x)
+    rule = _scalar_rule_per_point(imat @ value, d_tilde, x, c, g, gen.weight)
+    return float(np.max(np.abs(imat @ delta - rule)))
+
+
+def _spinor_residual_per_point(psi, x, c, g, gammas):
+    gen = special_conformal(c, spin="spinor")
+    delta = delta_spinor(gen, psi, x, g, gammas)
+    x2 = g.norm2(x)
+    slash = gammas.slash_lower(g.lower(x) / np.sqrt(x2))
+    value, grad = psi.value(x), psi.grad(x)
+    dxhat = np.eye(g.dim) / np.sqrt(x2) - np.outer(x, g.lower(x)) / x2**1.5
+    d_tilde = np.stack(
+        [gammas.slash_lower(g.diag * dxhat[:, m]) @ value + slash @ grad[:, m] for m in range(g.dim)],
+        axis=-1,
+    )
+    rule = _scalar_rule_per_point(slash @ value, d_tilde, x, c, g, gen.weight)
+    return float(np.max(np.abs(slash @ delta - rule)))
+
+
+def _finite_vector_per_point(A, c, weight, g, route, y):
+    x = special_conformal_map(y, -c, g)
+    s = conformal_factor(x, c, g)
+    if route == "jacobian":
+        return s ** (weight - 1.0) * (map_jacobian(y, -c, g).T @ A.value(x))
+    return s**weight * (inversion_matrix(y, g) @ inversion_matrix(x, g) @ A.value(x))
+
+
+def _finite_spinor_per_point(psi, c, weight, g, gammas, route, y):
+    x = special_conformal_map(y, -c, g)
+    s = conformal_factor(x, c, g)
+    if route == "pair":
+        return s**weight * (gamma_slash_unit(y, gammas, g) @ gamma_slash_unit(x, gammas, g) @ psi.value(x))
+    mat = np.eye(gammas.size, dtype=complex)
+    mat += gammas.slash_lower(g.lower(c)) @ gammas.slash_lower(g.lower(x))
+    return s ** (weight - 0.5) * (mat @ psi.value(x))
