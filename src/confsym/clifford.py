@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NonTimelikePoint, UnsupportedDimension
-from .geometry import Metric, _lift, _reject, inversion_matrix
+from .geometry import Metric, _lift, _max_abs, _reject, inversion_matrix
 
 MIN_DIM = 2
 MAX_DIM = 6
@@ -55,10 +55,6 @@ class GammaSet:
     def __getitem__(self, mu: int) -> np.ndarray:
         return self.matrices[mu]
 
-    def spin_matrix(self, mu: int, nu: int) -> np.ndarray:
-        """Antisymmetric spin matrix, one quarter of the gamma commutator."""
-        return self.spins[mu, nu]
-
     def slash_lower(self, v_lower) -> np.ndarray:
         """Contraction v_mu gamma^mu for lower-index coefficient vectors
         ``(..., D)``, summed in index order."""
@@ -98,14 +94,10 @@ def build_gammas(dim: int) -> GammaSet:
 
 def anticommutator_residual(gammas: GammaSet, metric: Metric) -> float:
     """Max-norm violation of the defining relation over all index pairs."""
-    worst = 0.0
-    eye = np.eye(gammas.size, dtype=complex)
-    for mu in range(gammas.dim):
-        for nu in range(gammas.dim):
-            acomm = gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu]
-            target = 2.0 * (metric.diag[mu] if mu == nu else 0.0) * eye
-            worst = max(worst, float(np.max(np.abs(acomm - target))))
-    return worst
+    g = np.stack(gammas.matrices)
+    acomm = g[:, None] @ g[None, :] + g[None, :] @ g[:, None]
+    target = 2.0 * _lift(np.diag(metric.diag), 2) * np.eye(gammas.size)
+    return _max_abs(acomm - target, 4)
 
 
 def gamma_slash_unit(x, gammas: GammaSet, metric: Metric) -> np.ndarray:
@@ -128,9 +120,4 @@ def sandwich_identity_residual(x, gammas: GammaSet, metric: Metric):
     rhs = np.zeros_like(lhs)
     for nu in range(gammas.dim):
         rhs -= _lift(imat[..., :, nu] * metric.diag[nu], 2) * gammas[nu]
-    gaps = np.max(np.abs(lhs - rhs), axis=(-2, -1))
-    worst = 0.0
-    for mu in range(gammas.dim):
-        # Python's running max: a later value wins only where it is greater
-        worst = np.where(gaps[..., mu] > worst, gaps[..., mu], worst)
-    return float(worst) if worst.ndim == 0 else worst
+    return _max_abs(lhs - rhs, 3)

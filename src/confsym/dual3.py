@@ -60,12 +60,6 @@ def maxwell_eom_from_dual(phi: ScalarField, x, metric: Metric) -> np.ndarray:
     return np.einsum("a,b,aba->b", metric.diag, metric.diag, fs.dF)
 
 
-def dual_onshell_residual(phi: ScalarField, x, metric: Metric) -> float:
-    """The wave operator on phi; the dynamics carried by the cyclic identity."""
-    _check_dim3(metric, phi)
-    return float(phi.box(x, metric))
-
-
 def bianchi_pattern_residual(phi: ScalarField, x, metric: Metric) -> float:
     """Cyclic derivative sum of the dual F against its closed form
     eps_{bca} box phi (hand-worked symbol identity)."""

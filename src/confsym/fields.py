@@ -310,28 +310,6 @@ class CosineVectorPotential(VectorPotential):
         )
 
 
-class PolynomialVectorPotential(VectorPotential):
-    """Each covariant component is an independent polynomial."""
-
-    def __init__(self, dim: int, components):
-        super().__init__(dim)
-        if len(components) != dim:
-            raise DimensionMismatch("need one polynomial per component")
-        self._poly = PolynomialMultiplet(dim, components)
-
-    def value(self, x):
-        return self._poly.value(x)
-
-    def grad(self, x):
-        return self._poly.grad(x)
-
-    def hess(self, x):
-        return self._poly.hess(x)
-
-    def third(self, x):
-        return self._poly.third(x)
-
-
 class ShiftedPotential(VectorPotential):
     """Gauge-shifted potential A_alpha + d_alpha Omega."""
 

@@ -24,8 +24,11 @@ Conventions used across the package:
   1-D ``u @ v`` sums (``einsum`` and ``sum(-1)`` do not), and a power of a
   per-sample value is ``np.float_power``, which calls libm's ``pow`` as a
   Python float's ``**`` does (numpy's ``**`` squares or takes ``sqrt``).  A
-  floor test raises for the first sample in sample order that fails it.
-  The other functions here take one point.
+  floor test raises for the first sample in sample order that fails it, so
+  a chain of kernels over a sample array raises the error of the first
+  kernel that meets a singular sample, naming that kernel's first bad
+  sample; a per-sample loop may meet another error first.  The other
+  functions here take one point.
 """
 
 from __future__ import annotations
@@ -232,16 +235,6 @@ def map_jacobian(x, c, metric: Metric):
     # calls pow for an array too, where ** would square
     jac -= _outer(num, ds) / np.float_power(s, 2)
     return jac
-
-
-def map_jacobian_inverse(x, c, metric: Metric):
-    """Inverse Jacobian J[beta, mu] = d x^beta / d x'^mu.
-
-    The inverse map is the map with parameter -c, so this is just the forward
-    Jacobian of that map evaluated at the image point.
-    """
-    xp = special_conformal_map(x, c, metric)
-    return map_jacobian(xp, -np.asarray(c, dtype=float), metric)
 
 
 def conformal_jacobian(x, c, metric: Metric):

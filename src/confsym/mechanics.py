@@ -9,7 +9,6 @@ fixed-step RK4 kernel in plain numpy that steps one trajectory or, for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +59,6 @@ def initial_state(mech: dict, n: int) -> MechState:
     return MechState.make(0.0, 1.2 * np.ones(n), 0.3 * (-1.0) ** np.arange(n))
 
 
-class ChargeTriple(NamedTuple):
-    hamiltonian: float
-    dilation: float
-    conformal: float
-
-
 def _q2(q, coupling):
     r2 = float(q @ q)
     if coupling > 0.0 and r2 == 0.0:
@@ -89,21 +82,6 @@ def delta_scale_q(state: MechState) -> np.ndarray:
 def delta_conformal_q(state: MechState) -> np.ndarray:
     """Conformal variation t^2 q' - t q."""
     return state.t**2 * state.p - state.t * state.q
-
-
-def charges(state: MechState, params: MechParams) -> ChargeTriple:
-    """Conserved charges of time translation, dilation and the conformal map.
-
-    The dilation and conformal charges are the standard Noether charges of
-    the two variations above; their conservation along the flow is derived by
-    hand (d/dt of each vanishes using the equations of motion) and verified
-    by the integrator tests.
-    """
-    h = hamiltonian(state, params)
-    qp = float(state.q @ state.p)
-    d = state.t * h - 0.5 * qp
-    k = state.t**2 * h - state.t * qp + 0.5 * float(state.q @ state.q)
-    return ChargeTriple(h, d, k)
 
 
 def so21_bracket_residuals(state: MechState, params: MechParams) -> np.ndarray:
@@ -272,26 +250,22 @@ def integrate_many(states, params_list, t_end: float, step: float) -> list:
     """Integrate an ensemble of trajectories that share their start time.
 
     Returns what ``[integrate(s, p, t_end, step) for s, p in ...]`` returns,
-    bit for bit, and raises the error that loop would raise first.  The free
-    members are stepped together in one kernel call and the repulsive ones in
-    another, each zero-padded to the widest state of its call; a lone member,
-    or a state of eight or more components, is the 1-D case.
+    bit for bit.  Every member's arguments and start are checked, in member
+    order, before any member is integrated; a member that then comes inside
+    the singular radius stops its kernel call, which raises that call's first
+    stop.  The free members are stepped together in one kernel call and the
+    repulsive ones in another, each zero-padded to the widest state of its
+    call; a lone member, or a state of eight or more components, is the 1-D
+    case.
     """
     states, params_list = list(states), list(params_list)
     if len(states) != len(params_list):
         raise ValueError("one MechParams per state")
     if len({s.t for s in states}) > 1:
         raise ValueError("ensemble members must share their start time")
+    starts = [_start(state0, params, t_end, step) for state0, params in zip(states, params_list)]
     if len(states) < 2 or max(np.size(s.q) for s in states) >= _PAIRWISE_MIN:
         return [integrate(s, p, t_end, step) for s, p in zip(states, params_list)]
-    starts = []
-    for state0, params in zip(states, params_list):
-        try:
-            starts.append(_start(state0, params, t_end, step))
-        except (ValueError, SingularConfiguration):
-            # the loop integrates the members before this one first
-            integrate_many(states[: len(starts)], params_list[: len(starts)], t_end, step)
-            raise
     nsteps = starts[0][0]
     times = states[0].t + step * np.arange(nsteps + 1)
     lam = np.array([params.coupling for params in params_list])
@@ -311,10 +285,7 @@ def integrate_many(states, params_list, t_end: float, step: float) -> list:
         ps = np.empty_like(qs)
         done = _rk4_core(q0s, p0s, coupling, float(step), nsteps, qs, ps, MIN_RADIUS)
         if done < nsteps:
-            q = qs[done]
-            first = int(members[np.sqrt(np.add.reduce(q * q, 0)) < MIN_RADIUS].min())
-            integrate_many(states[:first], params_list[:first], t_end, step)
-            raise _approach(states[first].t, done, step)
+            raise _approach(states[0].t, done, step)
         for col, j in enumerate(members):
             n = starts[j][1].shape[0]
             trajs[j] = Trajectory(

@@ -259,24 +259,6 @@ def maxwell_stress_trace(A: VectorPotential, x, metric: Metric) -> float:
     return float(np.einsum("m,mm->", metric.diag, theta))
 
 
-def maxwell_eom_residual(A: VectorPotential, x, metric: Metric) -> np.ndarray:
-    """d_a F^{ab}; zero exactly on the on-shell plane-wave fixtures."""
-    fs = field_strength_from_potential(A, x)
-    return np.einsum("a,b,aba->b", metric.diag, metric.diag, fs.dF)
-
-
-def bianchi_residual(A: VectorPotential, x) -> float:
-    """Max-norm of the cyclic derivative sum of F; identically zero when F
-    derives from a potential."""
-    dF = field_strength_from_potential(A, x).dF
-    cyc = (
-        np.einsum("bca->abc", dF)
-        + np.einsum("cab->abc", dF)
-        + np.einsum("abc->abc", dF)
-    )
-    return float(np.max(np.abs(cyc)))
-
-
 def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
     """Canonical scalar stress tensor d^m Phi . d^n Phi - g^{mn} density.
 
@@ -505,27 +487,13 @@ def noether_scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metr
     return out
 
 
-def bessel_hagen_current(gen: GeneratorAction, model, fields, x, metric: Metric):
-    """Currents built from the stress tensor and a conformal Killing vector.
-
-    Maxwell: theta^{ma} f_a + (4 - D)/(2D) (d.f) F^{mb} A_b.
-    Scalar sectors: theta_improved^{mn} f_n.
-    """
-    x = metric._check(x)
-    f_low = metric.lower(killing_vector(gen, x, metric))
-    if isinstance(model, MaxwellModel):
-        theta = maxwell_stress(fields, x, metric)
-        fs = field_strength_from_potential(fields, x)
-        div = killing_divergence(gen, x, metric)
-        coeff = (4.0 - metric.dim) / (2.0 * metric.dim)
-        return theta @ f_low + coeff * div * (_raise2(fs.F, metric) @ fields.value(x))
-    coupling = model.coupling if isinstance(model, MultipletModel) else 0.0
-    theta = improved_scalar_stress(fields, x, metric, coupling)
-    return theta @ f_low
-
-
 def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metric):
-    """d_m J^m for :func:`bessel_hagen_current`, all derivatives analytic."""
+    """d_m J^m of the current built from the stress tensor and a conformal
+    Killing vector f, all derivatives analytic.
+
+    Maxwell: J^m = theta^{ma} f_a + (4 - D)/(2D) (d.f) F^{mb} A_b.
+    Scalar sectors: J^m = theta_improved^{mn} f_n.
+    """
     x = metric._check(x)
     f = killing_vector(gen, x, metric)
     f_low = metric.lower(f)

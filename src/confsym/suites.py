@@ -4,10 +4,15 @@ Each check exercises one identity through the library API and returns one
 residual per drawn sample (``None`` for a sample it skips); :func:`run_suite`
 reduces them into a :class:`~confsym.noether.CheckReport` with the maximum,
 the number of samples evaluated, and an ``error`` when a residual is not
-finite or fewer than half of the samples (or none) were evaluated.  The
-mapping from check names to the identities they verify is tabulated in the
-README.  Checks draw their samples from a generator seeded by (suite seed,
-check name), so a report is deterministic however the checks are scheduled.
+finite or fewer than half of the samples (or none) were evaluated.  A
+batched check evaluates its whole sample array once: when a kernel meets a
+singular sample the check raises the first error any kernel raises, which
+names that kernel's first bad sample, and that error becomes the report's.
+Each fold of per-sample terms propagates NaN, so a non-finite term reaches
+the non-finite error rather than a pass.  The mapping from check names to
+the identities they verify is tabulated in the README.  Checks draw their
+samples from a generator seeded by (suite seed, check name), so a report is
+deterministic however the checks are scheduled.
 """
 
 from __future__ import annotations
@@ -154,14 +159,6 @@ def _sample_gap(a, b):
     return _max_abs(gap, gap.ndim - 1)
 
 
-def _first_max(first, *rest):
-    """Per-sample ``max(first, *rest)`` under Python's rule: a later value
-    wins only where it is greater."""
-    for other in rest:
-        first = np.where(other > first, other, first)
-    return first
-
-
 def _scatter(keep, values) -> list:
     """One residual per sample: ``values`` at the kept samples, in order, and
     None at the skipped ones."""
@@ -169,18 +166,6 @@ def _scatter(keep, values) -> list:
     for index, value in zip(np.flatnonzero(keep).tolist(), values.tolist()):
         out[index] = value
     return out
-
-
-def _in_sample_order(residuals, *samples):
-    """``residuals(*samples)`` on whole sample arrays.  When a kernel raises,
-    the samples run again one at a time, so that the error raised is the one
-    a per-sample loop would raise first."""
-    try:
-        return residuals(*samples)
-    except ConfsymError:
-        for index in range(len(samples[0])):
-            residuals(*(sample[index:index + 1] for sample in samples))
-        raise
 
 
 def _route_gaps(make, routes, ys, cs):
@@ -270,94 +255,71 @@ def _model_fixture(spec, metric, rng):
 def _chk_map_composition(spec, metric, rng):
     xs, cs = sampling.nonsingular_pairs(rng, metric.dim, 250)
     _, cps = sampling.nonsingular_pairs(rng, metric.dim, len(xs))
-
-    def residuals(x, c, cp):
-        s1 = conformal_factor(x, c, metric)
-        xp = special_conformal_map(x, c, metric)
-        s2 = conformal_factor(xp, cp, metric)
-        s12 = conformal_factor(x, c + cp, metric)
-        keep = ~((abs(s2) < 0.2) | (abs(s12) < 0.2))
-        two_step = special_conformal_map(xp[keep], cp[keep], metric)
-        one_step = special_conformal_map(x[keep], (c + cp)[keep], metric)
-        return _scatter(keep, _first_max(abs(s1 * s2 - s12)[keep], _sample_gap(two_step, one_step)))
-
-    return _in_sample_order(residuals, xs, cs, cps)
+    s1 = conformal_factor(xs, cs, metric)
+    xps = special_conformal_map(xs, cs, metric)
+    s2 = conformal_factor(xps, cps, metric)
+    s12 = conformal_factor(xs, cs + cps, metric)
+    keep = ~((abs(s2) < 0.2) | (abs(s12) < 0.2))
+    two_step = special_conformal_map(xps[keep], cps[keep], metric)
+    one_step = special_conformal_map(xs[keep], (cs + cps)[keep], metric)
+    return _scatter(keep, np.maximum(abs(s1 * s2 - s12)[keep], _sample_gap(two_step, one_step)))
 
 
 @_register("map-inversion-route", FIELD_KINDS, "exact", "the map equals invert, translate, invert")
 def _chk_map_route(spec, metric, rng):
     xs = sampling.off_cone_points(rng, metric.dim, 100)
     cs = sampling.small_parameters(rng, metric.dim, len(xs))
-
-    def residuals(x, c):
-        keep = abs(conformal_factor(x, c, metric)) >= 0.2
-        x, c = x[keep], c[keep]
-        route = special_conformal_map_via_inversion(x, c, metric)
-        return _scatter(keep, _sample_gap(special_conformal_map(x, c, metric), route))
-
-    return _in_sample_order(residuals, xs, cs)
+    keep = abs(conformal_factor(xs, cs, metric)) >= 0.2
+    xs, cs = xs[keep], cs[keep]
+    route = special_conformal_map_via_inversion(xs, cs, metric)
+    return _scatter(keep, _sample_gap(special_conformal_map(xs, cs, metric), route))
 
 
 @_register("inversion-involution", FIELD_KINDS, "exact", "inversion applied twice is the identity")
 def _chk_involution(spec, metric, rng):
     pts = sampling.off_cone_points(rng, metric.dim, 100)
-    return _in_sample_order(lambda x: _sample_gap(inversion(inversion(x, metric), metric), x).tolist(), pts)
+    return _sample_gap(inversion(inversion(pts, metric), metric), pts).tolist()
 
 
 @_register("reflection-matrix", FIELD_KINDS, "exact", "reflection matrix squares to one, preserves the metric, det = -1")
 def _chk_reflection(spec, metric, rng):
-    def residuals(x):
-        imat = inversion_matrix(x, metric)
-        g = metric.matrix
-        return _first_max(
-            _sample_gap(imat @ imat, np.eye(metric.dim)),
-            _sample_gap(imat @ g @ np.swapaxes(imat, -1, -2), g),
-            abs(np.linalg.det(imat) + 1.0),
-        ).tolist()
-
-    return _in_sample_order(residuals, sampling.off_cone_points(rng, metric.dim, 100))
+    imat = inversion_matrix(sampling.off_cone_points(rng, metric.dim, 100), metric)
+    g = metric.matrix
+    square_gap = _sample_gap(imat @ imat, np.eye(metric.dim))
+    metric_gap = _sample_gap(imat @ g @ np.swapaxes(imat, -1, -2), g)
+    return np.maximum.reduce([square_gap, metric_gap, abs(np.linalg.det(imat) + 1.0)]).tolist()
 
 
 @_register("reflection-derivative", FIELD_KINDS, "oracle", "reflection matrix equals x^2 times the inversion Jacobian")
 def _chk_reflection_fd(spec, metric, rng):
-    def residuals(x):
-        imat = inversion_matrix(x, metric)
-        x2 = metric.norm2(x)[:, None, None]
-        fd = fd_gradient(lambda y: inversion(y, metric), x, 1e-6)
-        return _sample_gap(imat, x2 * np.swapaxes(fd, -1, -2)).tolist()
-
-    return _in_sample_order(residuals, sampling.off_cone_points(rng, metric.dim, 50, min_frac=0.15))
+    pts = sampling.off_cone_points(rng, metric.dim, 50, min_frac=0.15)
+    imat = inversion_matrix(pts, metric)
+    x2 = metric.norm2(pts)[:, None, None]
+    fd = fd_gradient(lambda y: inversion(y, metric), pts, 1e-6)
+    return _sample_gap(imat, x2 * np.swapaxes(fd, -1, -2)).tolist()
 
 
 @_register("jacobian-identity", FIELD_KINDS, "exact", "map Jacobian factorises through the two reflection matrices")
 def _chk_jacobian(spec, metric, rng):
     xs = sampling.off_cone_points(rng, metric.dim, 60)
     cs = sampling.small_parameters(rng, metric.dim, len(xs))
-
-    def residuals(x, c):
-        keep = ~(abs(conformal_factor(x, c, metric)) < 0.3)
-        image = special_conformal_map(x[keep], c[keep], metric)
-        keep[keep] = ~(abs(metric.norm2(image)) < 0.02)
-        x, c = x[keep], c[keep]
-        fwd, inv = conformal_jacobian(x, c, metric)
-        jac_gap = _sample_gap(fwd, map_jacobian(x, c, metric))
-        return _scatter(keep, _first_max(jac_gap, _sample_gap(fwd @ inv, np.eye(metric.dim))))
-
-    return _in_sample_order(residuals, xs, cs)
+    keep = ~(abs(conformal_factor(xs, cs, metric)) < 0.3)
+    image = special_conformal_map(xs[keep], cs[keep], metric)
+    keep[keep] = ~(abs(metric.norm2(image)) < 0.02)
+    xs, cs = xs[keep], cs[keep]
+    fwd, inv = conformal_jacobian(xs, cs, metric)
+    jac_gap = _sample_gap(fwd, map_jacobian(xs, cs, metric))
+    return _scatter(keep, np.maximum(jac_gap, _sample_gap(fwd @ inv, np.eye(metric.dim))))
 
 
 @_register("jacobian-oracle", FIELD_KINDS, "oracle", "map Jacobian agrees with central finite differences")
 def _chk_jacobian_fd(spec, metric, rng):
     xs = sampling.off_cone_points(rng, metric.dim, 30)
     cs = sampling.small_parameters(rng, metric.dim, len(xs))
-
-    def residuals(x, c):
-        keep = ~(abs(conformal_factor(x, c, metric)) < 0.3)
-        x, c = x[keep], c[keep]
-        fd = fd_gradient(lambda y: special_conformal_map(y, c, metric), x, 1e-5)
-        return _scatter(keep, _sample_gap(map_jacobian(x, c, metric), fd))
-
-    return _in_sample_order(residuals, xs, cs)
+    keep = ~(abs(conformal_factor(xs, cs, metric)) < 0.3)
+    xs, cs = xs[keep], cs[keep]
+    fd = fd_gradient(lambda y: special_conformal_map(y, cs, metric), xs, 1e-5)
+    return _scatter(keep, _sample_gap(map_jacobian(xs, cs, metric), fd))
 
 
 @_register("killing-equation", FIELD_KINDS, "exact", "every generator satisfies the conformal Killing equation")
@@ -383,14 +345,14 @@ def _chk_gamma(spec, metric, rng):
     gammas = build_gammas(metric.dim)
     anti = anticommutator_residual(gammas, metric)
     pts = sampling.timelike_points(rng, metric.dim, 50)
-    return _in_sample_order(lambda x: _first_max(anti, sandwich_identity_residual(x, gammas, metric)).tolist(), pts)
+    return np.maximum(anti, sandwich_identity_residual(pts, gammas, metric)).tolist()
 
 
 @_register("decoupling-bracket", FIELD_KINDS, "identity", "the reflection-matrix transport bracket vanishes")
 def _chk_bracket(spec, metric, rng):
     xs = sampling.off_cone_points(rng, metric.dim, 50, min_frac=0.1)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
-    return _in_sample_order(lambda x, c: _max_abs(decoupling_bracket_residual(x, c, metric), 2).tolist(), xs, cs)
+    return _max_abs(decoupling_bracket_residual(xs, cs, metric), 2).tolist()
 
 
 @_register("vector-decoupling", FIELD_KINDS, "identity", "reflected vectors follow the scalar transformation rule")
@@ -398,7 +360,7 @@ def _chk_vec_decoupling(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     xs = sampling.off_cone_points(rng, metric.dim, 30, min_frac=0.1)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
-    return _in_sample_order(lambda x, c: decoupled_vector_residual(A, x, c, metric).tolist(), xs, cs)
+    return decoupled_vector_residual(A, xs, cs, metric).tolist()
 
 
 @_register("spinor-decoupling", FIELD_KINDS, "identity", "slashed spinors follow the scalar transformation rule")
@@ -407,7 +369,7 @@ def _chk_spin_decoupling(spec, metric, rng):
     psi = sampling.random_spinor(rng, metric, gammas.size)
     xs = sampling.timelike_points(rng, metric.dim, 30)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
-    return _in_sample_order(lambda x, c: decoupled_spinor_residual(psi, x, c, metric, gammas).tolist(), xs, cs)
+    return decoupled_spinor_residual(psi, xs, cs, metric, gammas).tolist()
 
 
 @_register("large-parameter-decay", FIELD_KINDS, 0.2, "large-parameter map error decays with the inverse parameter cube")
@@ -415,11 +377,11 @@ def _chk_large_c(spec, metric, rng):
     def residual():
         x = sampling.timelike_points(rng, metric.dim, 1)[0]
         c0 = sampling.timelike_points(rng, metric.dim, 1)[0]
-        errs = [
+        errs = np.array([
             _gap(special_conformal_map(x, c, metric), large_parameter_map(x, c, metric))
             for c in (10.0 * c0, 20.0 * c0, 40.0 * c0)
-        ]
-        return max(abs(e1 / e2 - 8.0) / 8.0 for e1, e2 in zip(errs, errs[1:]))
+        ])
+        return float(np.max(abs(errs[:-1] / errs[1:] - 8.0) / 8.0))
 
     return [residual() for _ in range(5)]
 
@@ -546,7 +508,7 @@ def _chk_virial_structure(spec, metric, rng):
         if not info.is_total_divergence or info.potential is None:
             return flag_error
         fd = fd_gradient(info.potential, x, 1e-5)  # fd[m, a, r] = d_r sigma^{ma}
-        return max(flag_error, _gap(np.einsum("mam->a", fd), info.value))
+        return float(np.maximum(flag_error, _gap(np.einsum("mam->a", fd), info.value)))
 
     return [residual(x) for x in sampling.points(rng, metric.dim, 6)]
 
@@ -619,7 +581,7 @@ def _chk_virial(spec, metric, rng):
     def residual(x):
         info = field_virial(MaxwellModel(metric.dim), A, x, metric)
         mismatch = _gap(info.value, maxwell_virial_first_principles(A, x, metric))
-        return max(mismatch, _maxabs(info.value)) if metric.dim == 4 else mismatch
+        return float(np.maximum(mismatch, _maxabs(info.value))) if metric.dim == 4 else mismatch
 
     return [residual(x) for x in sampling.points(rng, metric.dim, 10)]
 
@@ -814,7 +776,7 @@ def _chk_dual_stress(spec, metric, rng):
     def residual(x):
         a = dual3.improved_stress_from_F(phi, x, metric)
         b = dual3.improved_stress_scalar_form(phi, x, metric)
-        return max(_gap(a, b), abs(float(np.einsum("m,mm->", metric.diag, a))))
+        return float(np.maximum(_gap(a, b), abs(float(np.einsum("m,mm->", metric.diag, a)))))
 
     return [residual(x) for x in sampling.points(rng, 3, 10)]
 
@@ -880,10 +842,10 @@ def _chk_mech_reduction(spec, metric, rng):
     def residual(t):
         x = np.array([t])
         state = MechState.make(t, poly.value(x), poly.grad(x)[:, 0])
-        return max(
+        return float(np.maximum(
             _gap(delta_scalar(gen_s, poly, x, one), delta_scale_q(state)),
             _gap(delta_scalar(gen_c, poly, x, one), delta_conformal_q(state)),
-        )
+        ))
 
     return [residual(t) for t in rng.uniform(-2.0, 2.0, 12)]
 

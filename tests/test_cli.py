@@ -447,30 +447,43 @@ def test_report_rejects_bad_saved_files_with_exit_two(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_batched_check_raises_the_first_error_in_sample_order():
-    # sample 4 is null, which the first (inversion) stage rejects; sample 2
-    # has sigma = 0, which only the second (map) stage rejects.  A loop over
-    # samples meets sample 2 first, the whole-batch stages meet sample 4 first.
-    from confsym.errors import SingularMap
-    from confsym.geometry import Metric, inversion, special_conformal_map
+def test_batched_check_reports_the_first_rejecting_kernel(monkeypatch):
+    # rows 3 and 5 are null, which the first kernel (inversion_matrix) rejects;
+    # row 1 is not, but its finite-difference step x - h e_0 is, which only
+    # the second kernel (inversion, inside fd_gradient) rejects.  The check
+    # reports the first kernel's error for its first bad row, row 3.
+    from confsym.errors import LightConePoint
+    from confsym.geometry import Metric, inversion, inversion_matrix
 
     g = Metric(4)
-    rng = np.random.default_rng(5)
-    xs = rng.normal(0.0, 0.6, (6, 4)) + [2.0, 0.0, 0.0, 0.0]
-    cs = rng.normal(0.0, 0.1, (6, 4))
-    xs[4] = [1.0, 1.0, 0.0, 0.0]
-    cs[2] = -xs[2] / g.norm2(xs[2])
+    real = suites.sampling.off_cone_points
+    pts = real(np.random.default_rng(5), 4, 50, min_frac=0.15)
+    pts[1] = [1.0 + 1e-6, 1.0, 0.0, 0.0]
+    pts[3] = [1.0, 1.0, 3e-5, 0.0]
+    pts[5] = [1.0, 1.0, 0.0, 0.0]
+    monkeypatch.setattr(suites.sampling, "off_cone_points", lambda *args, **kwargs: pts.copy())
+    inversion_matrix(pts[1], g)
+    with pytest.raises(LightConePoint):
+        inversion(pts[1] - [1e-6, 0.0, 0.0, 0.0], g)
+    with pytest.raises(LightConePoint) as first:
+        inversion_matrix(pts[3], g)
+    (check,) = run_suite(ModelSpec(kind="maxwell", dimension=4, checks=["reflection-derivative"])).checks
+    assert check.error == f"LightConePoint: {first.value}"
+    assert not check.ok and check.samples == 0
 
-    def residuals(x, c):
-        inversion(x, g)
-        return special_conformal_map(x, c, g)
 
-    with pytest.raises(SingularMap) as serial:
-        for x, c in zip(xs, cs):
-            residuals(x, c)
-    with pytest.raises(SingularMap) as batched:
-        suites._in_sample_order(residuals, xs, cs)
-    assert str(batched.value) == str(serial.value)
+@pytest.mark.parametrize("name,kernel,kind", [
+    ("gamma-reflection", "sandwich_identity_residual", "maxwell"),
+    ("mech-reduction", "delta_conformal_q", "mechanics"),
+])
+def test_nan_second_term_is_a_non_finite_error(monkeypatch, name, kernel, kind):
+    # the check's residual folds a first term with this kernel's term; a NaN
+    # in the second term must reach the non-finite error, not read as a pass
+    real = getattr(suites, kernel)
+    monkeypatch.setattr(suites, kernel, lambda *args: np.full(np.shape(real(*args)), np.nan))
+    (check,) = run_suite(ModelSpec(kind=kind, dimension=4 if kind == "maxwell" else 1, checks=[name])).checks
+    assert not check.ok
+    assert check.error == "non-finite residual nan at sample 0"
 
 
 @pytest.mark.parametrize(

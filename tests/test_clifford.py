@@ -25,6 +25,12 @@ def test_defining_relation_exact(dim):
     assert anticommutator_residual(gammas, Metric(dim)) == 0.0
 
 
+def test_defining_relation_propagates_nan():
+    # a NaN entry must read as NaN, not as an exact pass
+    broken = GammaSet(2, [_SX, np.full((2, 2), np.nan)])
+    assert np.isnan(anticommutator_residual(broken, Metric(2)))
+
+
 @pytest.mark.parametrize("dim,size", [(2, 2), (3, 2), (4, 4), (5, 4), (6, 8)])
 def test_matrix_sizes(dim, size):
     assert build_gammas(dim).size == size
@@ -77,8 +83,7 @@ def test_spin_matrices_are_stored_commutators(dim):
     for mu in range(dim):
         for nu in range(dim):
             commut = 0.25 * (gammas[mu] @ gammas[nu] - gammas[nu] @ gammas[mu])
-            assert gammas.spin_matrix(mu, nu).tobytes() == commut.tobytes()
-            assert np.shares_memory(gammas.spin_matrix(mu, nu), gammas.spins)
+            assert gammas.spins[mu, nu].tobytes() == commut.tobytes()
 
 
 def test_spinor_spin_action_reads_the_stored_spin_matrices(rng):
@@ -97,13 +102,11 @@ def test_spinor_spin_action_reads_the_stored_spin_matrices(rng):
 def test_spin_matrices_antisymmetric():
     gammas = build_gammas(4)
     for mu in range(4):
-        npt.assert_array_equal(gammas.spin_matrix(mu, mu), np.zeros((4, 4)))
+        npt.assert_array_equal(gammas.spins[mu, mu], np.zeros((4, 4)))
         for nu in range(4):
-            npt.assert_array_equal(
-                gammas.spin_matrix(mu, nu), -gammas.spin_matrix(nu, mu)
-            )
+            npt.assert_array_equal(gammas.spins[mu, nu], -gammas.spins[nu, mu])
             commut = gammas[mu] @ gammas[nu] - gammas[nu] @ gammas[mu]
-            npt.assert_array_equal(gammas.spin_matrix(mu, nu), 0.25 * commut)
+            npt.assert_array_equal(gammas.spins[mu, nu], 0.25 * commut)
 
 
 class TestSlashedUnit:
@@ -173,6 +176,11 @@ class TestSandwichIdentity:
     def test_spacelike_rejected(self):
         with pytest.raises(NonTimelikePoint):
             sandwich_identity_residual(np.array([0.0, 2, 0, 0]), build_gammas(4), Metric(4))
+
+    def test_nan_point_gives_nan(self):
+        # a NaN coordinate must read as NaN, not as an exact pass
+        x = np.array([1.0, np.nan, 0.0, 0.0])
+        assert np.isnan(sandwich_identity_residual(x, build_gammas(4), Metric(4)))
 
 
 class TestSampleAxis:

@@ -8,7 +8,6 @@ from confsym.fields import (
     CosineVectorPotential,
     GaussianMultiplet,
     PolynomialMultiplet,
-    PolynomialVectorPotential,
     ShiftedPotential,
     fd_gradient,
     fd_oracle,
@@ -16,7 +15,6 @@ from confsym.fields import (
     make_gauge_function,
     make_onshell_maxwell_plane_wave,
 )
-from confsym.noether import bianchi_residual, maxwell_eom_residual
 from confsym.geometry import Metric
 from confsym import sampling
 
@@ -56,15 +54,6 @@ class TestPlaneWaveScalar:
 
 
 class TestOnShellMaxwellWave:
-    def test_solves_field_equations(self, metric4, rng):
-        A = make_onshell_maxwell_plane_wave(
-            np.array([1.0, 0, 0, 1]), np.array([0.0, 1, 0, 0]), metric4
-        )
-        for x in sampling.points(rng, 4, 10):
-            # direct substitution oracle: both residuals vanish identically
-            assert np.max(np.abs(maxwell_eom_residual(A, x, metric4))) < 1e-12
-            assert bianchi_residual(A, x) < 1e-12
-
     def test_non_null_wavevector_rejected(self, metric4):
         with pytest.raises(OffShellParameters):
             make_onshell_maxwell_plane_wave(
@@ -86,11 +75,10 @@ class TestFieldStrength:
         assert np.all(fs.dF == 0)
 
     def test_linear_potential_hand_values(self, metric4):
-        # A_1 = x^0 gives F_{01} = 1, F_{10} = -1, everything else zero
-        comps = [[(0.0, (0, 0, 0, 0))] for _ in range(4)]
-        comps[1] = [(1.0, (1, 0, 0, 0))]
-        A = PolynomialVectorPotential(4, comps)
-        fs = field_strength_from_potential(A, np.array([0.3, -0.2, 0.5, 0.1]))
+        # A_1 = sin(x^0), linear in x^0 at x^0 = 0: F_{01} = 1, F_{10} = -1,
+        # everything else zero
+        A = CosineVectorPotential([1.0, 0, 0, 0], [0.0, -1, 0, 0], -np.pi / 2, metric4)
+        fs = field_strength_from_potential(A, np.array([0.0, -0.2, 0.5, 0.1]))
         expected = np.zeros((4, 4))
         expected[0, 1] = 1.0
         expected[1, 0] = -1.0

@@ -12,7 +12,7 @@ from confsym.geometry import Metric, dilation, special_conformal
 from confsym.mechanics import (
     MechParams,
     MechState,
-    charges,
+    Trajectory,
     delta_conformal_q,
     delta_scale_q,
     dump_trajectory,
@@ -23,7 +23,7 @@ from confsym.mechanics import (
     so21_bracket_residuals,
 )
 from confsym.transforms import delta_scalar
-from confsym import sampling
+from confsym import mechanics, sampling
 
 
 class TestHamiltonian:
@@ -74,21 +74,17 @@ class TestVariations:
 
 class TestCharges:
     def test_simple_state(self):
-        state = MechState.make(0.0, [0.0], [1.0])
-        triple = charges(state, MechParams(1, 0.0))
-        assert triple.hamiltonian == 0.5
-        assert triple.dilation == 0.0
-        assert triple.conformal == 0.0
+        # (H, D, K) at t = 0, q = 0, p = 1
+        traj = Trajectory(np.array([0.0]), np.array([[0.0]]), np.array([[1.0]]), MechParams(1, 0.0))
+        assert traj.charge_series().tolist() == [[0.5, 0.0, 0.0]]
 
     def test_constant_along_free_motion(self, rng):
         # analytic oracle: D(t) = -q0.v / 2 for q = q0 + v t
         q0 = rng.normal(size=3)
         v = rng.normal(size=3)
-        params = MechParams(3, 0.0)
-        expected_d = -0.5 * float(q0 @ v)
-        for t in (0.0, 0.5, 2.0, 7.0):
-            triple = charges(MechState.make(t, q0 + v * t, v), params)
-            assert triple.dilation == pytest.approx(expected_d, abs=1e-12)
+        t = np.array([0.0, 0.5, 2.0, 7.0])
+        traj = Trajectory(t, q0 + v * t[:, None], np.tile(v, (4, 1)), MechParams(3, 0.0))
+        npt.assert_allclose(traj.charge_series()[:, 1], -0.5 * float(q0 @ v), atol=1e-12)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -221,27 +217,31 @@ class TestEnsemble:
         for a, b in zip(many, _serial(states, params, 2.0, 0.25)):
             assert _same_bits(a, b)
 
-    def test_singular_approach_is_the_serial_one(self):
+    def test_singular_approach_is_the_kernels_first_stop(self):
         # member 2 dips inside the radius after 10 steps, member 1 after 40;
-        # the serial loop raises member 1's error
+        # the repulsive members share one kernel call, which stops at step 10
         states = [
             initial_state({}, 2),
             MechState.make(0.0, [0.02], [-5.0]),
             MechState.make(0.0, [0.005], [-5.0]),
         ]
         params = [MechParams(2, 0.0), MechParams(1, 1e-13), MechParams(1, 1e-13)]
-        serial = _raised(lambda: _serial(states, params, 1.0, 1e-4))
-        assert serial == (SingularApproach, "radius dropped below 1e-06 after 40 steps (t = 0.004)")
-        assert _raised(lambda: integrate_many(states, params, 1.0, 1e-4)) == serial
+        first_stop = _raised(lambda: integrate(states[2], params[2], 1.0, 1e-4))
+        assert first_stop == (SingularApproach, "radius dropped below 1e-06 after 10 steps (t = 0.001)")
+        assert _raised(lambda: integrate_many(states, params, 1.0, 1e-4)) == first_stop
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_singular_start_is_raised_in_grid_order(self, order):
+    def test_singular_start_is_raised_before_any_member_runs(self, order, monkeypatch):
+        # the first member of the pair would come inside the radius after 40
+        # steps; the second starts inside it
         pair = [(MechState.make(0.0, [0.02], [-5.0]), MechParams(1, 1e-13)),
                 (MechState.make(0.0, [1e-8], [0.0]), MechParams(1, 1.0))]
         states, params = zip(*[pair[i] for i in order])
-        serial = _raised(lambda: _serial(states, params, 1.0, 1e-4))
-        assert serial[0] is (SingularApproach if order == (0, 1) else SingularConfiguration)
-        assert _raised(lambda: integrate_many(states, params, 1.0, 1e-4)) == serial
+        calls, kernel = [], mechanics._rk4_core
+        monkeypatch.setattr(mechanics, "_rk4_core", lambda *args: calls.append(args) or kernel(*args))
+        raised = _raised(lambda: integrate_many(states, params, 1.0, 1e-4))
+        assert raised == (SingularConfiguration, "initial point is inside the singular radius")
+        assert calls == []
 
     def test_lone_member_and_empty_ensemble(self):
         state, params = initial_state({}, 3), MechParams(3, 0.5)

@@ -221,10 +221,7 @@ class TestEomViolation:
             npt.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_constant_potential_gives_zero(self, metric, rng):
-        comps = [[(float(v), (0,) * metric.dim)] for v in rng.normal(size=metric.dim)]
-        from confsym.fields import PolynomialVectorPotential
-
-        A = PolynomialVectorPotential(metric.dim, comps)
+        A = CosineVectorPotential(np.zeros(metric.dim), rng.normal(size=metric.dim), 0.0, metric)
         lhs, rhs = eom_violation_conformal(
             A, rng.normal(size=metric.dim), metric, np.ones(metric.dim)
         )
