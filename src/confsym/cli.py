@@ -15,12 +15,13 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .clifford import MAX_DIM, MIN_DIM
 from .errors import ConfsymError, ParseError, SemanticError
 from .mechanics import MechParams, dump_trajectory, initial_state, integrate
 from .modelspec import DEFAULT_TOLERANCES, ModelSpec, check_dimension, parse_spec
 from .noether import CheckReport
-from .suites import TOOLKIT_VERSION, RunReport, run_suite
+from .suites import RunReport, run_suite
 
 
 def emit_report(report: RunReport, fmt: str) -> bytes:
@@ -163,7 +164,7 @@ def _cmd_scan_dims(args) -> int:
     if args.format == "json":
         payload = json.dumps(
             {
-                "version": TOOLKIT_VERSION,
+                "version": __version__,
                 "kind": args.kind,
                 "overall_ok": ok,
                 "scans": [r.to_dict(include_timing=False) for r in reports],
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="confsym",
         description="verify scale and conformal symmetry identities of classical fields",
     )
-    parser.add_argument("--version", action="version", version=f"confsym {TOOLKIT_VERSION}")
+    parser.add_argument("--version", action="version", version=f"confsym {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("audit", help="run the check suite for a model spec file")

@@ -3,7 +3,8 @@
 The antisymmetric field strength is represented through the rank-3 symbol
 and the gradient of a single scalar, which interchanges the roles of the
 equation of motion and the cyclic (Bianchi) identity: the former becomes an
-identity, the latter carries the dynamics.
+identity, the latter carries the dynamics.  The dual scalar is a
+one-component multiplet; its evaluators are read at component 0.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .fields import (
     CosineMultiplet,
     CosineVectorPotential,
     FieldStrengthValue,
-    ScalarField,
+    ScalarMultiplet,
     VectorPotential,
 )
 from .geometry import Metric, levi_civita3, levi_civita3_upper, sigma_basis_conformal
@@ -31,36 +32,38 @@ def _check_dim3(metric: Metric, phi=None):
         raise WrongDimension("the dual scalar formulation lives at D = 3")
     if phi is not None and phi.dim != 3:
         raise WrongDimension("dual scalar field must be three-dimensional")
+    if phi is not None and phi.n_comp != 1:
+        raise WrongDimension(f"dual scalar field must have one component, not {phi.n_comp}")
 
 
-def field_strength_from_dual(phi: ScalarField, x, metric: Metric) -> FieldStrengthValue:
+def field_strength_from_dual(phi: ScalarMultiplet, x, metric: Metric) -> FieldStrengthValue:
     """F_{ab} = eps_{abm} d^m phi, with first derivatives."""
     _check_dim3(metric, phi)
     eps = levi_civita3()
-    grad_up = metric.lower(phi.grad(x))
-    hess_up = metric.diag[:, None] * phi.hess(x)  # d^m d_r phi, [m, r]
+    grad_up = metric.lower(phi.grad(x)[0])
+    hess_up = metric.diag[:, None] * phi.hess(x)[0]  # d^m d_r phi, [m, r]
     F = np.einsum("abm,m->ab", eps, grad_up)
     dF = np.einsum("abm,mr->abr", eps, hess_up)
     return FieldStrengthValue(F, dF)
 
 
-def dual_roundtrip_residual(phi: ScalarField, x, metric: Metric) -> float:
+def dual_roundtrip_residual(phi: ScalarMultiplet, x, metric: Metric) -> float:
     """Half the symbol contraction of F must rebuild the raised gradient."""
     _check_dim3(metric, phi)
     fs = field_strength_from_dual(phi, x, metric)
     eps_up = levi_civita3_upper(metric)
     rebuilt = 0.5 * np.einsum("mab,ab->m", eps_up, fs.F)
-    return float(np.max(np.abs(rebuilt - metric.lower(phi.grad(x)))))
+    return float(np.max(np.abs(rebuilt - metric.lower(phi.grad(x)[0]))))
 
 
-def maxwell_eom_from_dual(phi: ScalarField, x, metric: Metric) -> np.ndarray:
+def maxwell_eom_from_dual(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
     """d_a F^{ab} for the dual-built F: an identity (zero for any phi)."""
     _check_dim3(metric, phi)
     fs = field_strength_from_dual(phi, x, metric)
     return np.einsum("a,b,aba->b", metric.diag, metric.diag, fs.dF)
 
 
-def bianchi_pattern_residual(phi: ScalarField, x, metric: Metric) -> float:
+def bianchi_pattern_residual(phi: ScalarMultiplet, x, metric: Metric) -> float:
     """Cyclic derivative sum of the dual F against its closed form
     eps_{bca} box phi (hand-worked symbol identity)."""
     _check_dim3(metric, phi)
@@ -71,11 +74,11 @@ def bianchi_pattern_residual(phi: ScalarField, x, metric: Metric) -> float:
         + fs.dF
     )
     eps = levi_civita3()
-    expected = np.einsum("bca->abc", eps) * phi.box(x, metric)
+    expected = np.einsum("bca->abc", eps) * phi.box(x, metric)[0]
     return float(np.max(np.abs(cyc - expected)))
 
 
-def primary_rule_F(phi: ScalarField, x, sigma: int, metric: Metric) -> np.ndarray:
+def primary_rule_F(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> np.ndarray:
     """The pretend-primary conformal rule applied to the dual-built F."""
     _check_dim3(metric, phi)
     gen = sigma_basis_conformal(sigma, metric, 1.5, "field-strength")
@@ -83,7 +86,7 @@ def primary_rule_F(phi: ScalarField, x, sigma: int, metric: Metric) -> np.ndarra
     return delta_field_strength_primary(gen, fs, x, metric)
 
 
-def delta_bar_F(phi: ScalarField, x, sigma: int, metric: Metric) -> np.ndarray:
+def delta_bar_F(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> np.ndarray:
     """Conformal variation of F induced by the scalar-potential rule.
 
     Equals the pretend-primary rule plus the inhomogeneous eps_{ab}^sigma phi
@@ -91,10 +94,10 @@ def delta_bar_F(phi: ScalarField, x, sigma: int, metric: Metric) -> np.ndarray:
     """
     _check_dim3(metric, phi)
     eps_mixed = levi_civita3()[:, :, sigma] * metric.diag[sigma]
-    return primary_rule_F(phi, x, sigma, metric) + eps_mixed * phi.value(x)
+    return primary_rule_F(phi, x, sigma, metric) + eps_mixed * phi.value(x)[0]
 
 
-def delta_bar_F_chain_rule(phi: ScalarField, x, sigma: int, metric: Metric):
+def delta_bar_F_chain_rule(phi: ScalarMultiplet, x, sigma: int, metric: Metric):
     """Independent route: the symbol contraction of the raised gradient of
     the scalar conformal variation (weight one half)."""
     _check_dim3(metric, phi)
@@ -104,16 +107,16 @@ def delta_bar_F_chain_rule(phi: ScalarField, x, sigma: int, metric: Metric):
     return np.einsum("abm,m->ab", levi_civita3(), d_up)
 
 
-def nonprimary_shift_residual(phi: ScalarField, x, sigma: int, metric: Metric) -> float:
+def nonprimary_shift_residual(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> float:
     """delta-bar F minus the pretend-primary rule minus eps_{ab}^sigma phi."""
     shift = delta_bar_F_chain_rule(phi, x, sigma, metric) - primary_rule_F(
         phi, x, sigma, metric
     )
     eps_mixed = levi_civita3()[:, :, sigma] * metric.diag[sigma]
-    return float(np.max(np.abs(shift - eps_mixed * phi.value(x))))
+    return float(np.max(np.abs(shift - eps_mixed * phi.value(x)[0])))
 
 
-def improved_stress_from_F(phi: ScalarField, x, metric: Metric) -> np.ndarray:
+def improved_stress_from_F(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
     """The improved, traceless stress tensor written through F and phi.
 
     -3/4 F^{ma} F^n_a + 1/4 g^{mn} F^2 - phi/16 (d^m W^n + d^n W^m) with
@@ -131,17 +134,17 @@ def improved_stress_from_F(phi: ScalarField, x, metric: Metric) -> np.ndarray:
     dW_up = dW * metric.diag[None, :]
     theta = -0.75 * np.einsum("ma,na->mn", f_up, mixed)
     theta += 0.25 * np.diag(metric.diag) * f2
-    theta -= (phi.value(x) / 16.0) * (dW_up + dW_up.T)
+    theta -= (phi.value(x)[0] / 16.0) * (dW_up + dW_up.T)
     return theta
 
 
-def improved_stress_scalar_form(phi: ScalarField, x, metric: Metric) -> np.ndarray:
+def improved_stress_scalar_form(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
     """The same tensor from the scalar side (canonical plus improvement)."""
     _check_dim3(metric, phi)
     return improved_scalar_stress(phi, x, metric, coupling=0.0)
 
 
-def duality_mismatch(A: VectorPotential, phi: ScalarField, x, metric: Metric):
+def duality_mismatch(A: VectorPotential, phi: ScalarMultiplet, x, metric: Metric):
     """Diagnostic eps^{mab} d_a A_b - d^m phi.
 
     Carries no pass/fail contract: the relation between the two formulations
@@ -153,7 +156,7 @@ def duality_mismatch(A: VectorPotential, phi: ScalarField, x, metric: Metric):
     eps_up = levi_civita3_upper(metric)
     grad_a = A.grad(x)  # grad[b, a] = d_a A_b
     curl = np.einsum("mab,ba->m", eps_up, grad_a)
-    return curl - metric.lower(phi.grad(x))
+    return curl - metric.lower(phi.grad(x)[0])
 
 
 def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):
@@ -172,6 +175,6 @@ def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):
     w_low, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     if np.max(np.abs(m @ w_low - rhs)) > 1e-10:
         raise OffShellParameters("no polarisation solves the duality condition")
-    phi = CosineMultiplet(k, [amplitude], phase, metric).component(0)
+    phi = CosineMultiplet(k, [amplitude], phase, metric)
     A = CosineVectorPotential(k, metric.lower(w_low), phase, metric)
     return phi, A

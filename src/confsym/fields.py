@@ -10,16 +10,18 @@ layout (derivative axes last):
   ``grad[alpha, mu] = d_mu A_alpha`` and so on;
 * spinors carry complex values and first derivatives only.
 
+A single scalar field is a one-component multiplet: its evaluators keep the
+component axis, ``value (1,)``, ``grad (1, D)`` and so on.
+
 Leading sample axis: ``value``, ``grad``, ``hess`` and ``third`` of
 :class:`CosineMultiplet` and :class:`CosineVectorPotential`, ``value`` and
-``grad`` of :class:`CosineSpinor`, the component view :class:`ScalarField`
-of a cosine multiplet and :class:`ShiftedPotential` over them take points of
-shape ``(..., D)`` and return the shapes above with the sample axes in front,
-each sample bit for bit its single-point result (the rules are stated in
-:mod:`confsym.geometry`): the phase ``k.x`` is a stacked ``matmul`` and the
-constant amplitude tensors are scaled per sample.  A single point gives the
-array or float it always gave.  The polynomial and Gaussian families take
-one point.
+``grad`` of :class:`CosineSpinor` and :class:`ShiftedPotential` over them
+take points of shape ``(..., D)`` and return the shapes above with the
+sample axes in front, each sample bit for bit its single-point result (the
+rules are stated in :mod:`confsym.geometry`): the phase ``k.x`` is a stacked
+``matmul`` and the constant amplitude tensors are scaled per sample.  A
+single point gives the array it always gave.  The polynomial and Gaussian
+families take one point.
 """
 
 from __future__ import annotations
@@ -46,51 +48,9 @@ class ScalarMultiplet:
         self.dim = int(dim)
         self.n_comp = int(n_comp)
 
-    def value(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def hess(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def third(self, x) -> np.ndarray:
-        raise NotImplementedError
-
     def box(self, x, metric: Metric) -> np.ndarray:
         """Wave operator g^{mu nu} d_mu d_nu applied to each component."""
         return np.einsum("m,imm->i", metric.diag, self.hess(x))
-
-    def component(self, index: int) -> "ScalarField":
-        return ScalarField(self, index)
-
-
-class ScalarField:
-    """Single-component view of a multiplet, with scalar-shaped evaluators."""
-
-    def __init__(self, multiplet: ScalarMultiplet, index: int = 0):
-        if not 0 <= index < multiplet.n_comp:
-            raise IndexError(f"component {index} out of range")
-        self._m = multiplet
-        self._i = index
-        self.dim = multiplet.dim
-
-    def value(self, x):
-        value = self._m.value(x)[..., self._i]
-        return float(value) if value.ndim == 0 else value
-
-    def grad(self, x) -> np.ndarray:
-        return self._m.grad(x)[..., self._i, :]
-
-    def hess(self, x) -> np.ndarray:
-        return self._m.hess(x)[..., self._i, :, :]
-
-    def third(self, x) -> np.ndarray:
-        return self._m.third(x)[..., self._i, :, :, :]
-
-    def box(self, x, metric: Metric) -> float:
-        return float(self._m.box(x, metric)[self._i])
 
 
 class CosineMultiplet(ScalarMultiplet):
@@ -244,14 +204,8 @@ class GaussianMultiplet(ScalarMultiplet):
 
 
 def multiplet_stack(phi, x):
-    """(value (N,), grad (N, D), hess (N, D, D)) of a multiplet, with a
-    single-component :class:`ScalarField` given a leading axis of length one."""
-    value = np.atleast_1d(phi.value(x))
-    grad = np.atleast_2d(phi.grad(x))
-    hess = phi.hess(x)
-    if hess.ndim == 2:
-        hess = hess[None, ...]
-    return value, grad, hess
+    """(value (N,), grad (N, D), hess (N, D, D)) of a multiplet, or N = D of a potential."""
+    return phi.value(x), phi.grad(x), phi.hess(x)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +218,6 @@ class VectorPotential:
 
     def __init__(self, dim: int):
         self.dim = int(dim)
-
-    def value(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def hess(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def third(self, x) -> np.ndarray:
-        raise NotImplementedError
 
 
 class CosineVectorPotential(VectorPotential):
@@ -311,9 +253,10 @@ class CosineVectorPotential(VectorPotential):
 
 
 class ShiftedPotential(VectorPotential):
-    """Gauge-shifted potential A_alpha + d_alpha Omega."""
+    """Gauge-shifted potential A_alpha + d_alpha Omega, with Omega component 0
+    of the ``gauge`` multiplet."""
 
-    def __init__(self, base: VectorPotential, gauge: ScalarField):
+    def __init__(self, base: VectorPotential, gauge: ScalarMultiplet):
         if gauge.dim != base.dim:
             raise DimensionMismatch("gauge function dimension mismatch")
         super().__init__(base.dim)
@@ -321,13 +264,13 @@ class ShiftedPotential(VectorPotential):
         self.gauge = gauge
 
     def value(self, x):
-        return self.base.value(x) + self.gauge.grad(x)
+        return self.base.value(x) + self.gauge.grad(x)[..., 0, :]
 
     def grad(self, x):
-        return self.base.grad(x) + self.gauge.hess(x)
+        return self.base.grad(x) + self.gauge.hess(x)[..., 0, :, :]
 
     def hess(self, x):
-        return self.base.hess(x) + self.gauge.third(x)
+        return self.base.hess(x) + self.gauge.third(x)[..., 0, :, :, :]
 
 
 def make_onshell_maxwell_plane_wave(
@@ -366,7 +309,7 @@ def field_strength_from_potential(A: VectorPotential, x) -> FieldStrengthValue:
 
 
 # ---------------------------------------------------------------------------
-# spinors and gauge functions
+# spinors
 # ---------------------------------------------------------------------------
 
 
@@ -395,35 +338,6 @@ class CosineSpinor:
         t = self._angle(x)
         coeff = -self.u * _lift(np.sin(t)) + self.v * _lift(np.cos(t))
         return np.einsum("...i,m->...im", coeff, self.k_low.astype(complex))
-
-
-def make_gauge_function(kind: str, metric: Metric, **params) -> ScalarField:
-    """Convenience constructor for gauge functions Omega(x).
-
-    ``kind`` is one of ``linear`` (params ``slope``, ``offset``),
-    ``plane-wave`` (``k``, ``amplitude``, ``phase``) or ``polynomial``
-    (``monomials``).
-    """
-    dim = metric.dim
-    if kind == "linear":
-        slope = np.asarray(params["slope"], dtype=float)
-        offset = float(params.get("offset", 0.0))
-        monos = [(offset, (0,) * dim)] if offset else []
-        for mu in range(dim):
-            if slope[mu]:
-                exps = [0] * dim
-                exps[mu] = 1
-                monos.append((slope[mu], tuple(exps)))
-        if not monos:
-            monos = [(0.0, (0,) * dim)]
-        return PolynomialMultiplet(dim, [monos]).component(0)
-    if kind == "plane-wave":
-        return CosineMultiplet(
-            params["k"], [params.get("amplitude", 1.0)], params.get("phase", 0.0), metric
-        ).component(0)
-    if kind == "polynomial":
-        return PolynomialMultiplet(dim, [params["monomials"]]).component(0)
-    raise ValueError(f"unknown gauge function kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

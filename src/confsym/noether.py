@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UnsupportedDimension
 from .fields import (
-    ScalarField,
+    ScalarMultiplet,
     ShiftedPotential,
     VectorPotential,
     field_strength_from_potential,
@@ -146,11 +146,10 @@ def _f_squared(F, metric: Metric) -> float:
     return float(np.sum(_raise2(F, metric) * F))
 
 
-def _scalar_third(phi, x):
-    third = phi.third(x)
-    if third.ndim == 3:
-        third = third[None, ...]
-    return third
+def _div_f_times(fs, v, dv, metric: Metric) -> float:
+    """d_m (F^{ma} v_a) for a co-vector v with ``dv[a, m] = d_m v_a``."""
+    out = float(np.einsum("mam,a->", _raise_dF(fs.dF, metric), v))
+    return out + float(np.einsum("ma,am->", _raise2(fs.F, metric), dv))
 
 
 # ---------------------------------------------------------------------------
@@ -168,44 +167,29 @@ def _potential_prime(model: MultipletModel, value) -> np.ndarray:
     return 2.0 * model.coupling * model.power * s ** (model.power - 1.0) * value
 
 
-def lagrangian_value(model, fields, x, metric: Metric) -> float:
-    """Pointwise Lagrange density of the given model."""
+def lagrangian(model, fields, x, metric: Metric):
+    """(L, d_m L): the pointwise Lagrange density of the given model and its
+    total derivative along the field configuration."""
     if isinstance(model, MaxwellModel):
-        F = field_strength_from_potential(fields, x).F
-        return -0.25 * _f_squared(F, metric)
+        fs = field_strength_from_potential(fields, x)
+        lag = -0.25 * _f_squared(fs.F, metric)
+        return lag, -0.5 * np.einsum("ab,abm->m", _raise2(fs.F, metric), fs.dF)
+    value, grad, hess = multiplet_stack(fields, x)
     if isinstance(model, MultipletModel):
-        value, grad, _ = multiplet_stack(fields, x)
         kinetic = 0.5 * float(np.einsum("m,im,im->", metric.diag, grad, grad))
-        return kinetic - _potential(model, float(value @ value))
+        dlag = np.einsum("a,ia,iam->m", metric.diag, grad, hess)
+        dlag -= _potential_prime(model, value) @ grad
+        return kinetic - _potential(model, float(value @ value)), dlag
     if isinstance(model, GeneralScalarModel):
-        value, grad, _ = multiplet_stack(fields, x)
         phi = float(value[0])
         power_term = phi**model.power
         s = float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
-        return float(model.profile(s / power_term)) * power_term
-    if isinstance(model, DualScalarModel):
-        value, grad, _ = multiplet_stack(fields, x)
-        return -0.5 * float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
-    raise TypeError(f"unknown model {model!r}")
-
-
-def lagrangian_gradient(model, fields, x, metric: Metric) -> np.ndarray:
-    """Total derivative d_m L along the field configuration."""
-    if isinstance(model, MaxwellModel):
-        fs = field_strength_from_potential(fields, x)
-        return -0.5 * np.einsum("ab,abm->m", _raise2(fs.F, metric), fs.dF)
-    if isinstance(model, MultipletModel):
-        value, grad, hess = multiplet_stack(fields, x)
-        out = np.einsum("a,ia,iam->m", metric.diag, grad, hess)
-        out -= _potential_prime(model, value) @ grad
-        return out
-    if isinstance(model, GeneralScalarModel):
-        value, grad, hess = multiplet_stack(fields, x)
         dl_dphi, mom = _general_scalar_conjugates(model, value, grad, metric)
-        return dl_dphi * grad[0] + np.einsum("a,am->m", mom, hess[0])
+        dlag = dl_dphi * grad[0] + np.einsum("a,am->m", mom, hess[0])
+        return float(model.profile(s / power_term)) * power_term, dlag
     if isinstance(model, DualScalarModel):
-        value, grad, hess = multiplet_stack(fields, x)
-        return -np.einsum("a,a,am->m", metric.diag, grad[0], hess[0])
+        lag = -0.5 * float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
+        return lag, -np.einsum("a,a,am->m", metric.diag, grad[0], hess[0])
     raise TypeError(f"unknown model {model!r}")
 
 
@@ -306,7 +290,7 @@ def _square_stacks(phi, x, with_third=False):
     )
     if not with_third:
         return s_grad, s_hess, None
-    third = _scalar_third(phi, x)
+    third = phi.third(x)
     s_third = 2.0 * (
         np.einsum("imn,ir->mnr", hess, grad)
         + np.einsum("imr,in->mnr", hess, grad)
@@ -394,7 +378,7 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
         v = d * metric.diag * np.einsum("i,im->m", value_f, grad)
 
         def potential(y):
-            val = np.atleast_1d(fields.value(y))
+            val = fields.value(y)
             return 0.5 * d * np.diag(metric.diag) * float(val @ val)
 
         return VirialInfo(v, True, potential)
@@ -403,7 +387,7 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
         v = -d * metric.diag * np.einsum("i,im->m", value_f, grad)
 
         def potential(y):
-            val = np.atleast_1d(fields.value(y))
+            val = fields.value(y)
             return -0.5 * d * np.diag(metric.diag) * float(val @ val)
 
         return VirialInfo(v, True, potential)
@@ -417,7 +401,7 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
         l1 = model.linear_part[1]
 
         def potential(y):
-            val = float(np.atleast_1d(fields.value(y))[0])
+            val = float(fields.value(y)[0])
             return d * l1 * np.diag(metric.diag) * val * val
 
         return VirialInfo(v, True, potential)
@@ -462,11 +446,7 @@ def scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric) -> f
     theta_div = maxwell_stress_divergence(A, x, metric)
     trace = maxwell_stress_trace(A, x, metric)
     out = float(theta_div @ metric.lower(x)) + trace
-    f_up = _raise2(fs.F, metric)
-    df_up = _raise_dF(fs.dF, metric)
-    div_fa = float(np.einsum("mam,a->", df_up, A.value(x)))
-    div_fa += float(np.einsum("ma,am->", f_up, A.grad(x)))
-    return out + 0.5 * (4.0 - dim) * div_fa
+    return out + 0.5 * (4.0 - dim) * _div_f_times(fs, A.value(x), A.grad(x), metric)
 
 
 def noether_scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric):
@@ -477,13 +457,10 @@ def noether_scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metr
     gen = dilation(1.0, metric.dim, spin="vector")
     fs = field_strength_from_potential(A, x)
     delta, ddelta = delta_vector_potential_with_gradient(gen, A, x, metric)
-    df_up = _raise_dF(fs.dF, metric)
-    f_up = _raise2(fs.F, metric)
-    out = -float(np.einsum("mam,a->", df_up, delta))
-    out -= float(np.einsum("ma,am->", f_up, ddelta))
-    model = MaxwellModel(metric.dim)
-    out -= metric.dim * lagrangian_value(model, A, x, metric)
-    out -= float(x @ lagrangian_gradient(model, A, x, metric))
+    lag, dlag = lagrangian(MaxwellModel(metric.dim), A, x, metric)
+    out = -_div_f_times(fs, delta, ddelta, metric)
+    out -= metric.dim * lag
+    out -= float(x @ dlag)
     return out
 
 
@@ -505,14 +482,12 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
         theta_div = maxwell_stress_divergence(fields, x, metric)
         out = float(theta_div @ f_low) + float(np.sum(theta * grad_f_low))
         fs = field_strength_from_potential(fields, x)
-        f_up = _raise2(fs.F, metric)
-        df_up = _raise_dF(fs.dF, metric)
         coeff = (4.0 - dim) / (2.0 * dim)
         div = killing_divergence(gen, x, metric)
         ddiv = killing_divergence_gradient(gen, metric)
-        fa = f_up @ fields.value(x)
-        div_fa = float(np.einsum("mam,a->", df_up, fields.value(x)))
-        div_fa += float(np.einsum("ma,am->", f_up, fields.grad(x)))
+        value = fields.value(x)
+        fa = _raise2(fs.F, metric) @ value
+        div_fa = _div_f_times(fs, value, fields.grad(x), metric)
         return out + coeff * (float(ddiv @ fa) + div * div_fa)
     coupling = model.coupling if isinstance(model, MultipletModel) else 0.0
     theta = improved_scalar_stress(fields, x, metric, coupling)
@@ -542,8 +517,9 @@ def current_divergence_identity(gen: GeneratorAction, A: VectorPotential, x, met
 # ---------------------------------------------------------------------------
 
 
-def gauge_shift_scale_current(A: VectorPotential, gauge: ScalarField, x, metric):
-    """(shift, predicted) change of the scale current under A -> A + d Omega.
+def gauge_shift_scale_current(A: VectorPotential, gauge: ScalarMultiplet, x, metric):
+    """(shift, predicted) change of the scale current under A -> A + d Omega,
+    with Omega component 0 of ``gauge``.
 
     ``shift`` is evaluated literally as the difference of the two currents;
     ``predicted`` is the divergence form (4-D)/2 d_a (F^{ma} Omega), which
@@ -557,25 +533,19 @@ def gauge_shift_scale_current(A: VectorPotential, gauge: ScalarField, x, metric)
     fs = field_strength_from_potential(A, x)
     f_up = _raise2(fs.F, metric)
     df_up = _raise_dF(fs.dF, metric)
-    omega = gauge.value(x)
-    d_omega = gauge.grad(x)
+    omega = gauge.value(x)[0]
+    d_omega = gauge.grad(x)[0]
     coeff = 0.5 * (4.0 - metric.dim)
     predicted = coeff * (np.einsum("maa->m", df_up) * omega + f_up @ d_omega)
     return shift, predicted
 
 
-def gauge_shift_divergence(A: VectorPotential, gauge: ScalarField, x, metric) -> float:
+def gauge_shift_divergence(A: VectorPotential, gauge: ScalarMultiplet, x, metric) -> float:
     """d_m of the scale-current shift; trivially conserved on shell."""
     x = metric._check(x)
     fs = field_strength_from_potential(A, x)
-    f_up = _raise2(fs.F, metric)
-    df_up = _raise_dF(fs.dF, metric)
-    d_omega = gauge.grad(x)
-    h_omega = gauge.hess(x)
     coeff = 0.5 * (4.0 - metric.dim)
-    out = float(np.einsum("mam,a->", df_up, d_omega))
-    out += float(np.einsum("ma,am->", f_up, h_omega))
-    return coeff * out
+    return coeff * _div_f_times(fs, gauge.grad(x)[0], gauge.hess(x)[0], metric)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +608,7 @@ def action_variation_identity(
     """
     x = metric._check(x)
     dim = metric.dim
-    lag = lagrangian_value(model, fields, x, metric)
-    dlag = lagrangian_gradient(model, fields, x, metric)
+    lag, dlag = lagrangian(model, fields, x, metric)
 
     if kind == "scale":
         if isinstance(model, MaxwellModel):

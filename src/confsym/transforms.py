@@ -76,7 +76,7 @@ __all__ = [
     "delta_spinor",
     "delta_field_strength_primary",
     "delta_field_strength",
-    "delta_field_strength_with_gradient",
+    "delta_field_strength_gradient",
     "eom_violation_conformal",
     "lie_derivative_vector",
     "commutator_residual",
@@ -194,19 +194,7 @@ def delta_scalar_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
     """(delta phi, d(delta phi)) for a scalar multiplet, all analytic."""
     if gen.spin != "scalar":
         raise ValueError("generator is not tagged for scalar fields")
-    x = metric._check(x)
-    value, grad, hess = multiplet_stack(field, x)
-    f = killing_vector(gen, x, metric)
-    df = killing_gradient(gen, x, metric)
-    div = killing_divergence(gen, x, metric)
-    ddiv = killing_divergence_gradient(gen, metric)
-    w = gen.weight / metric.dim
-    delta = grad @ f + w * div * value
-    dout = np.einsum("rm,ir->im", df, grad)
-    dout += np.einsum("irm,r->im", hess, f)
-    dout += w * np.outer(value, ddiv)
-    dout += w * div * grad
-    return delta, dout
+    return _delta_with_gradient(gen, field, x, metric)
 
 
 def delta_vector_potential_with_gradient(
@@ -215,30 +203,34 @@ def delta_vector_potential_with_gradient(
     """(delta A, d(delta A)) with dout[a, m] = d_m (delta A)_a, all analytic."""
     if gen.spin != "vector":
         raise ValueError("generator is not tagged for vector fields")
+    return _delta_with_gradient(gen, A, x, metric)
+
+
+def _delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
+    """(delta, d(delta)) with dout[a, m] = d_m delta_a for the components a
+    of a scalar multiplet or a covector; the vector case adds two spin terms."""
     x = metric._check(x)
-    dim = metric.dim
-    value = A.value(x)
-    grad = A.grad(x)
-    hess = A.hess(x)
+    value, grad, hess = multiplet_stack(field, x)
     f = killing_vector(gen, x, metric)
     df = killing_gradient(gen, x, metric)
     div = killing_divergence(gen, x, metric)
     ddiv = killing_divergence_gradient(gen, metric)
-    C = spin_coefficient(gen, x, metric)
-    dC = _spin_coefficient_gradient(gen, metric)
-    w = gen.weight / dim
+    w = gen.weight / metric.dim
 
-    delta = grad @ f + w * div * value + _spin_action(C, value, "vector", metric, None)
-
-    upper = metric.diag * value
-    dupper = metric.diag[:, None] * grad  # d_m A^k stored [k, m]
-    asym = C - C.T
+    delta = grad @ f + w * div * value
     dout = np.einsum("rm,ar->am", df, grad)
     dout += np.einsum("arm,r->am", hess, f)
     dout += w * np.outer(value, ddiv)
     dout += w * div * grad
-    dout += np.einsum("akm,k->am", dC - np.swapaxes(dC, 0, 1), upper)
-    dout += np.einsum("ak,km->am", asym, dupper)
+    if gen.spin == "vector":
+        C = spin_coefficient(gen, x, metric)
+        dC = _spin_coefficient_gradient(gen, metric)
+        delta = delta + _spin_action(C, value, "vector", metric, None)
+        upper = metric.diag * value
+        dupper = metric.diag[:, None] * grad  # d_m A^k stored [k, m]
+        asym = C - C.T
+        dout += np.einsum("akm,k->am", dC - np.swapaxes(dC, 0, 1), upper)
+        dout += np.einsum("ak,km->am", asym, dupper)
     return delta, dout
 
 
@@ -268,14 +260,14 @@ def delta_field_strength(gen: GeneratorAction, A: VectorPotential, x, metric: Me
     return dout.T - dout
 
 
-def delta_field_strength_with_gradient(
+def delta_field_strength_gradient(
     gen: GeneratorAction, A: VectorPotential, x, metric: Metric
 ):
-    """(delta F, d(delta F)) from the potential route; needs third derivatives
-    of A because delta F already contains first derivatives."""
+    """d(delta F) from the potential route, ``[a, b, m] = d_m (delta F)_{ab}``;
+    needs third derivatives of A because delta F already contains first
+    derivatives."""
     gen = _as_vector_generator(gen, metric)
     x = metric._check(x)
-    _, d1 = delta_vector_potential_with_gradient(gen, A, x, metric)
     grad = A.grad(x)
     hess = A.hess(x)
     third = A.third(x)
@@ -306,9 +298,7 @@ def delta_field_strength_with_gradient(
     d2 += np.einsum("akn,km->amn", dasym, dupper)
     d2 += np.einsum("ak,kmn->amn", asym, d2upper)
 
-    delta_F = d1.T - d1
-    d_delta_F = np.einsum("bam->abm", d2) - d2
-    return delta_F, d_delta_F
+    return np.einsum("bam->abm", d2) - d2
 
 
 def eom_violation_conformal(A: VectorPotential, x, metric: Metric, c):
@@ -320,7 +310,7 @@ def eom_violation_conformal(A: VectorPotential, x, metric: Metric, c):
     showing the equations of motion are not conformally invariant off D = 4.
     """
     gen = special_conformal(c, spin="vector")
-    _, d_delta_F = delta_field_strength_with_gradient(gen, A, x, metric)
+    d_delta_F = delta_field_strength_gradient(gen, A, x, metric)
     d = metric.diag
     lhs = np.einsum("a,b,aba->b", d, d, d_delta_F)
 

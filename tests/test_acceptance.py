@@ -212,7 +212,7 @@ def test_criterion_08_offshell_action_identities():
                     abs(action_variation_identity("conformal-assumed-primary", model, A, x, g, s)),
                 )
     g3 = Metric(3)
-    phi = sampling.random_polynomial_multiplet(rng, 3, 1).component(0)
+    phi = sampling.random_polynomial_multiplet(rng, 3, 1)
     dual = DualScalarModel()
     for x in sampling.points(rng, 3, 6):
         for s in range(3):
@@ -223,9 +223,9 @@ def test_criterion_08_offshell_action_identities():
 def test_criterion_09_dual_sector():
     g = Metric(3)
     rng = np.random.default_rng(SEED)
-    poly = sampling.random_polynomial_multiplet(rng, 3, 1, degree=4).component(0)
+    poly = sampling.random_polynomial_multiplet(rng, 3, 1, degree=4)
     k = sampling.null_vector(rng, 3, scale=1.1)
-    onshell = CosineMultiplet(k, [1.2], 0.4, g).component(0)
+    onshell = CosineMultiplet(k, [1.2], 0.4, g)
     worst_exact, worst_id = 0.0, 0.0
     for x in sampling.points(rng, 3, 15):
         worst_exact = max(worst_exact, dual_roundtrip_residual(poly, x, g))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -484,6 +485,45 @@ def test_nan_second_term_is_a_non_finite_error(monkeypatch, name, kernel, kind):
     (check,) = run_suite(ModelSpec(kind=kind, dimension=4 if kind == "maxwell" else 1, checks=[name])).checks
     assert not check.ok
     assert check.error == "non-finite residual nan at sample 0"
+
+
+class _CubicFamily:
+    """Stand-in finite transform family, exact up to a cubic term in the
+    parameter: value t c + (t c)^3 against the variation c, so the parameter
+    derivative's error falls 100-fold per 10-fold step (order 2).  The view
+    is NaN at the step ``nan_step``."""
+
+    def __init__(self, nan_step):
+        self.nan_step = nan_step
+
+    def variation(self, c, x):
+        self.c = c
+        return c
+
+    def view(self, tc, weight):
+        if self.nan_step and np.isclose(abs(tc[0] / self.c[0]), self.nan_step):
+            return SimpleNamespace(value=lambda x: np.full_like(tc, np.nan))
+        return SimpleNamespace(value=lambda x: tc + tc**3)
+
+
+def test_order_residuals_of_an_order_two_family_pass():
+    from confsym.geometry import Metric
+
+    family = _CubicFamily(nan_step=None)
+    residuals = suites._order_residuals(np.random.default_rng(5), Metric(4), family.view, family.variation)
+    npt.assert_allclose(residuals, -0.1, atol=1e-3)
+
+
+@pytest.mark.parametrize("nan_step", [1e-2, 1e-3, 1e-4])
+def test_non_finite_error_at_any_step_is_a_non_finite_residual(nan_step):
+    # a NaN error at the smallest step used to fail the regression test
+    # errs[2] > 10 errs[1] and so read as the first pair's passing shortfall
+    from confsym.geometry import Metric
+
+    family = _CubicFamily(nan_step)
+    residuals = suites._order_residuals(np.random.default_rng(5), Metric(4), family.view, family.variation)
+    assert len(residuals) == 5 and all(np.isnan(r) for r in residuals)
+    assert suites._reduce(residuals)[2] == "non-finite residual nan at sample 0"
 
 
 @pytest.mark.parametrize(

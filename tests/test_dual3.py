@@ -24,18 +24,18 @@ from confsym import sampling
 
 @pytest.fixture
 def poly_phi(rng):
-    return sampling.random_polynomial_multiplet(rng, 3, 1, degree=4).component(0)
+    return sampling.random_polynomial_multiplet(rng, 3, 1, degree=4)
 
 
 @pytest.fixture
 def onshell_phi(rng, metric3):
     k = sampling.null_vector(rng, 3, scale=1.1)
-    return CosineMultiplet(k, [1.2], 0.4, metric3).component(0)
+    return CosineMultiplet(k, [1.2], 0.4, metric3)
 
 
 class TestDualMap:
     def test_constant_scalar_gives_zero_field(self, metric3):
-        phi = CosineMultiplet(np.zeros(3), [2.0], 0.0, metric3).component(0)
+        phi = CosineMultiplet(np.zeros(3), [2.0], 0.0, metric3)
         fs = field_strength_from_dual(phi, np.zeros(3), metric3)
         npt.assert_array_equal(fs.F, 0.0)
 
@@ -50,9 +50,19 @@ class TestDualMap:
 
     def test_wrong_dimension_rejected(self, rng):
         g4 = Metric(4)
-        phi = sampling.random_polynomial_multiplet(rng, 4, 1).component(0)
+        phi = sampling.random_polynomial_multiplet(rng, 4, 1)
         with pytest.raises(WrongDimension):
             field_strength_from_dual(phi, np.zeros(4), g4)
+
+
+    @pytest.mark.parametrize("fn", [
+        field_strength_from_dual, dual_roundtrip_residual, maxwell_eom_from_dual,
+        bianchi_pattern_residual, improved_stress_from_F, improved_stress_scalar_form,
+    ])
+    def test_two_components_rejected(self, fn, metric3, rng):
+        phi = sampling.random_polynomial_multiplet(rng, 3, 2)
+        with pytest.raises(WrongDimension, match="one component"):
+            fn(phi, np.ones(3), metric3)
 
 
 class TestDualDynamics:
@@ -62,7 +72,7 @@ class TestDualDynamics:
 
     def test_quadratic_time_profile(self, metric3):
         # phi = (x^0)^2 has wave-operator value 2
-        phi = PolynomialMultiplet(3, [[(1.0, (2, 0, 0))]]).component(0)
+        phi = PolynomialMultiplet(3, [[(1.0, (2, 0, 0))]])
         assert phi.box(np.array([0.3, 1.0, -2.0]), metric3) == 2.0
 
     def test_cyclic_identity_pattern(self, metric3, poly_phi, rng):
@@ -129,7 +139,7 @@ class TestDualStress:
             npt.assert_allclose(b - a, expected, atol=1e-10)
 
     def test_constant_scalar_gives_zero(self, metric3):
-        phi = CosineMultiplet(np.zeros(3), [3.0], 0.0, metric3).component(0)
+        phi = CosineMultiplet(np.zeros(3), [3.0], 0.0, metric3)
         npt.assert_allclose(
             improved_stress_from_F(phi, np.ones(3), metric3), 0.0, atol=1e-14
         )
@@ -137,7 +147,7 @@ class TestDualStress:
 
 class TestDualityMismatch:
     def test_zero_pair(self, metric3):
-        phi = CosineMultiplet(np.zeros(3), [0.0], 0.0, metric3).component(0)
+        phi = CosineMultiplet(np.zeros(3), [0.0], 0.0, metric3)
         from confsym.fields import CosineVectorPotential
 
         A = CosineVectorPotential(np.zeros(3), np.zeros(3), 0.0, metric3)
@@ -150,7 +160,7 @@ class TestDualityMismatch:
             assert np.max(np.abs(duality_mismatch(A, phi, x, metric3))) < 1e-12
 
     def test_generic_pair_mismatches(self, metric3, rng):
-        phi = sampling.random_polynomial_multiplet(rng, 3, 1).component(0)
+        phi = sampling.random_polynomial_multiplet(rng, 3, 1)
         A = sampling.random_offshell_potential(rng, metric3)
         worst = 0.0
         for x in sampling.points(rng, 3, 8):

@@ -12,7 +12,6 @@ from confsym.fields import (
     fd_gradient,
     fd_oracle,
     field_strength_from_potential,
-    make_gauge_function,
     make_onshell_maxwell_plane_wave,
 )
 from confsym.geometry import Metric
@@ -175,20 +174,21 @@ class TestSpinorFields:
 class TestGaugeFunctions:
     def test_linear_gradient_exact(self, metric4, rng):
         slope = np.array([1.0, -2.0, 0.5, 0.0])
-        om = make_gauge_function("linear", metric4, slope=slope, offset=3.0)
+        om = PolynomialMultiplet(4, [[(3.0, (0, 0, 0, 0)), (1.0, (1, 0, 0, 0)),
+                                      (-2.0, (0, 1, 0, 0)), (0.5, (0, 0, 1, 0))]])
         x = rng.normal(size=4)
-        assert om.value(x) == pytest.approx(3.0 + slope @ x)
-        npt.assert_array_equal(om.grad(x), slope)
+        assert om.value(x)[0] == pytest.approx(3.0 + slope @ x)
+        npt.assert_array_equal(om.grad(x)[0], slope)
         assert np.all(om.hess(x) == 0)
 
     def test_gradient_against_fd(self, metric4, rng):
-        om = make_gauge_function("plane-wave", metric4, k=rng.normal(size=4), amplitude=0.7)
+        om = CosineMultiplet(rng.normal(size=4), [0.7], 0.0, metric4)
         for x in sampling.points(rng, 4, 5):
             npt.assert_allclose(om.grad(x), fd_gradient(om.value, x, 1e-5), atol=1e-6)
 
     def test_shift_keeps_field_strength(self, metric4, rng):
         A = sampling.random_offshell_potential(rng, metric4)
-        om = make_gauge_function("plane-wave", metric4, k=rng.normal(size=4), amplitude=0.7)
+        om = CosineMultiplet(rng.normal(size=4), [0.7], 0.0, metric4)
         shifted = ShiftedPotential(A, om)
         for x in sampling.points(rng, 4, 5):
             fs0 = field_strength_from_potential(A, x)
@@ -221,7 +221,7 @@ class TestSampleAxis:
         g = Metric(dim)
         multiplet = sampling.random_plane_wave_multiplet(rng, g, 3)
         potential = sampling.random_offshell_potential(rng, g)
-        gauge = make_gauge_function("plane-wave", g, k=rng.normal(size=dim), amplitude=0.7, phase=0.3)
+        gauge = CosineMultiplet(rng.normal(size=dim), [0.7], 0.3, g)
         return g, multiplet, potential, gauge
 
     @pytest.mark.parametrize("n", [1, 257])
@@ -245,6 +245,6 @@ class TestSampleAxis:
     def test_single_point_keeps_its_type(self, rng):
         g, multiplet, _, gauge = self._fixtures(4, rng)
         x = rng.normal(size=4)
-        assert type(gauge.value(x)) is float
+        assert gauge.value(x).shape == (1,)
         assert multiplet.value(x).shape == (3,)
-        assert gauge.grad(x).shape == (4,)
+        assert gauge.grad(x).shape == (1, 4)

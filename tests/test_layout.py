@@ -4,6 +4,8 @@ Library code that only tests call never runs in a report, so it is checked
 by nothing that a user sees.  The scan walks the syntax tree of each module
 in ``src/confsym``: every module-level function and class, and every public
 method, must be named somewhere in the package outside its own definition.
+No function or method is a stub whose body only raises NotImplementedError:
+every field family defines the evaluators it has.
 """
 
 import ast
@@ -66,3 +68,26 @@ def test_every_definition_has_a_caller_in_the_package():
     uncalled = _uncalled() - set(confsym.__all__)
     assert sorted(uncalled - ALLOWED) == [], "only tests call these; delete them or call them"
     assert sorted(ALLOWED - uncalled) == [], "these have a caller now; drop them from ALLOWED"
+
+
+def _only_raises_not_implemented(node):
+    """True when the body, after any docstring, is ``raise NotImplementedError``."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def test_no_not_implemented_stubs():
+    stubs = [
+        f"{path.stem}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _only_raises_not_implemented(node)
+    ]
+    assert stubs == [], "a stub no caller reaches; delete it"

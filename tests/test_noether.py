@@ -8,7 +8,7 @@ from confsym.fields import (
     GaussianMultiplet,
     field_strength_from_potential,
     fd_gradient,
-    make_gauge_function,
+    PolynomialMultiplet,
 )
 from confsym.geometry import (
     Metric,
@@ -32,7 +32,7 @@ from confsym.noether import (
     improved_scalar_stress,
     improved_scalar_stress_divergence,
     improved_scalar_stress_trace,
-    lagrangian_value,
+    lagrangian,
     linear_scalar_model,
     maxwell_stress,
     maxwell_stress_divergence,
@@ -57,24 +57,24 @@ def _f_squared(F, metric):
 class TestLagrangianValues:
     def test_maxwell_constant_potential(self, metric4, rng):
         A = CosineVectorPotential(np.zeros(4), rng.normal(size=4), 0.0, metric4)
-        assert lagrangian_value(MaxwellModel(4), A, rng.normal(size=4), metric4) == 0.0
+        assert lagrangian(MaxwellModel(4), A, rng.normal(size=4), metric4)[0] == 0.0
 
     def test_dual_scalar_closed_form(self, metric3, rng):
         # density by direct substitution: -(a^2 k.k / 2) sin^2(k.x + ph)
         k = rng.normal(size=3)
-        phi = CosineMultiplet(k, [1.2], 0.3, metric3).component(0)
+        phi = CosineMultiplet(k, [1.2], 0.3, metric3)
         model = DualScalarModel()
         for x in sampling.points(rng, 3, 6):
             phase = metric3.dot(k, x) + 0.3
             expected = -0.5 * 1.2**2 * metric3.norm2(k) * np.sin(phase) ** 2
-            assert lagrangian_value(model, phi, x, metric3) == pytest.approx(
+            assert lagrangian(model, phi, x, metric3)[0] == pytest.approx(
                 expected, abs=1e-12
             )
             # and through the field strength: minus a quarter of F squared
             from confsym.dual3 import field_strength_from_dual
 
             F = field_strength_from_dual(phi, x, metric3).F
-            assert lagrangian_value(model, phi, x, metric3) == pytest.approx(
+            assert lagrangian(model, phi, x, metric3)[0] == pytest.approx(
                 -0.25 * _f_squared(F, metric3), abs=1e-12
             )
 
@@ -84,7 +84,7 @@ class TestLagrangianValues:
         x = rng.normal(size=4)
         grad = phi.grad(x)
         kinetic = 0.5 * float(np.einsum("m,im,im->", metric4.diag, grad, grad))
-        assert lagrangian_value(free, phi, x, metric4) == pytest.approx(kinetic)
+        assert lagrangian(free, phi, x, metric4)[0] == pytest.approx(kinetic)
 
 
 class TestMaxwellStress:
@@ -348,7 +348,7 @@ class TestActionVariationIdentities:
 
     def test_dual_scalar_conformal_identity(self, metric3, rng):
         # off-shell configuration: generic polynomial
-        phi = sampling.random_polynomial_multiplet(rng, 3, 1).component(0)
+        phi = sampling.random_polynomial_multiplet(rng, 3, 1)
         model = DualScalarModel()
         for x in sampling.points(rng, 3, 6):
             for s in range(3):
@@ -401,7 +401,7 @@ class TestActionVariationIdentities:
 class TestGaugeShift:
     def test_constant_gauge_function_no_shift(self, metric, rng):
         A = sampling.random_onshell_potential(rng, metric)
-        om = make_gauge_function("linear", metric, slope=np.zeros(metric.dim), offset=5.0)
+        om = PolynomialMultiplet(metric.dim, [[(5.0, (0,) * metric.dim)]])
         x = rng.normal(size=metric.dim)
         shift, predicted = gauge_shift_scale_current(A, om, x, metric)
         npt.assert_allclose(shift, 0.0, atol=1e-13)
@@ -410,7 +410,7 @@ class TestGaugeShift:
     def test_four_dimensions_no_shift(self, rng):
         g = Metric(4)
         A = sampling.random_onshell_potential(rng, g)
-        om = make_gauge_function("plane-wave", g, k=rng.normal(size=4), amplitude=0.8)
+        om = CosineMultiplet(rng.normal(size=4), [0.8], 0.0, g)
         for x in sampling.points(rng, 4, 5):
             shift, _ = gauge_shift_scale_current(A, om, x, g)
             npt.assert_allclose(shift, 0.0, atol=1e-12)
@@ -419,9 +419,7 @@ class TestGaugeShift:
         # time-coordinate gauge function on an on-shell fixture
         g = Metric(5)
         A = sampling.random_onshell_potential(rng, g)
-        slope = np.zeros(5)
-        slope[0] = 1.0
-        om = make_gauge_function("linear", g, slope=slope)
+        om = PolynomialMultiplet(5, [[(1.0, (1, 0, 0, 0, 0))]])
         for x in sampling.points(rng, 5, 6):
             shift, predicted = gauge_shift_scale_current(A, om, x, g)
             npt.assert_allclose(shift, predicted, atol=1e-10)
@@ -429,8 +427,7 @@ class TestGaugeShift:
 
     def test_shift_matches_prediction_pointwise(self, metric, rng):
         A = sampling.random_onshell_potential(rng, metric)
-        om = make_gauge_function("plane-wave", metric, k=rng.normal(0, 0.5, metric.dim),
-                                 amplitude=0.8, phase=0.3)
+        om = CosineMultiplet(rng.normal(0, 0.5, metric.dim), [0.8], 0.3, metric)
         for x in sampling.points(rng, metric.dim, 6):
             shift, predicted = gauge_shift_scale_current(A, om, x, metric)
             npt.assert_allclose(shift, predicted, atol=1e-10)
