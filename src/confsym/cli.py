@@ -28,7 +28,7 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
     """Render a run report; json form is byte-stable for golden files."""
     if fmt == "json":
         payload = json.dumps(
-            report.to_dict(include_timing=False), sort_keys=True, indent=2, allow_nan=False
+            report.to_dict(), sort_keys=True, indent=2, allow_nan=False
         )
         return payload.encode() + b"\n"
     if fmt == "text":
@@ -146,10 +146,17 @@ def _parse_dims(raw: str):
     return dims
 
 
+def _check_seed(seed: int) -> None:
+    """ConfsymError unless ``--seed`` can seed the check generators."""
+    if seed < 0:
+        raise ConfsymError(f"--seed must be non-negative, got {seed}")
+
+
 def _cmd_scan_dims(args) -> int:
     dims = _parse_dims(args.dims)
     for dim in dims:
         check_dimension(args.kind, dim)
+    _check_seed(args.seed)
     reports = []
     for dim in dims:
         spec = ModelSpec(
@@ -167,7 +174,7 @@ def _cmd_scan_dims(args) -> int:
                 "version": __version__,
                 "kind": args.kind,
                 "overall_ok": ok,
-                "scans": [r.to_dict(include_timing=False) for r in reports],
+                "scans": [r.to_dict() for r in reports],
             },
             sort_keys=True,
             indent=2,
@@ -222,6 +229,7 @@ ALGEBRA_CHECKS = [
 def _cmd_algebra(args) -> int:
     if not MIN_DIM <= args.dim <= MAX_DIM:
         raise ConfsymError(f"algebra supports {MIN_DIM} <= D <= {MAX_DIM}, got --dim {args.dim}")
+    _check_seed(args.seed)
     spec = ModelSpec(
         kind="maxwell",
         dimension=args.dim,

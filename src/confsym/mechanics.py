@@ -211,9 +211,9 @@ def _start(state0: MechState, params: MechParams, t_end: float, step: float):
     singular-start checks."""
     if step <= 0:
         raise ValueError("step must be positive")
-    if t_end <= state0.t:
-        raise ValueError("t_end must exceed the initial time")
     nsteps = int(round((t_end - state0.t) / step))
+    if nsteps < 1:
+        raise ValueError("t_end must lie at least half a step past the initial time")
     q0 = np.asarray(state0.q, dtype=float)
     p0 = np.asarray(state0.p, dtype=float)
     if params.coupling > 0.0 and np.sqrt(q0 @ q0) < MIN_RADIUS:

@@ -6,7 +6,8 @@ an exact line number: unknown sections, unknown keys, duplicated keys,
 malformed or non-finite values, number lists without a number.  Semantic
 constraints (dimension versus model kind, ``p0`` without ``q0``,
 ``components`` other than the length of ``q0``, a ``[fixture]`` whose
-``kind`` is not ``plane-wave``, an empty check selection) raise
+``kind`` is not ``plane-wave``, a ``t-end`` shorter than half a ``step``,
+a negative seed, an empty check selection) raise
 :class:`SemanticError` after parsing.  A mechanics spec with ``q0`` and no
 ``components`` takes its component count from ``q0``.
 """
@@ -224,7 +225,12 @@ def _validate(sections) -> ModelSpec:
         components = len(mech["q0"])
     if mech.get("step", 1.0) <= 0:
         raise SemanticError("step must be positive")
+    if round(mech.get("t-end", 10.0) / mech.get("step", 1e-3)) < 1:
+        raise SemanticError("t-end / step must round to at least one step")
 
+    seed = _take(sections, "suite", "seed", 42)
+    if seed < 0:
+        raise SemanticError("seed must be non-negative")
     checks_raw = _take(sections, "suite", "checks", "all")
     checks = None
     if checks_raw != "all":
@@ -254,6 +260,6 @@ def _validate(sections) -> ModelSpec:
         fixture=fixture,
         mechanics=mech,
         checks=checks,
-        seed=_take(sections, "suite", "seed", 42),
+        seed=seed,
         tolerances=tolerances,
     )

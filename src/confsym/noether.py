@@ -1,5 +1,11 @@
 """Lagrangian models, stress tensors, improvements, virials and currents.
 
+Each scalar model owns its formulas at one point: ``density(value, grad,
+metric)`` is L, ``conjugates(value, grad, metric)`` is (dL/dPhi_i, shape (N,);
+Pi^{im} = dL/d(d_m Phi_i), index up, shape (N, D)), ``kinetic_coefficient`` is
+L'(0) and ``linear_part`` is (L0, L1) when L is linear in the kinetic ratio z
+(the multiplet is -coupling + z/2, the dual scalar -z/2), else None.
+
 Index conventions follow the rest of the package: stress tensors are stored
 with both indices up, ``theta[m, n] = theta^{mn}``, and their analytic
 derivative stacks carry the derivative axis last,
@@ -62,6 +68,7 @@ class MultipletModel:
     dim: int
     n_comp: int
     coupling: float = 0.0
+    kinetic_coefficient = 0.5
 
     def __post_init__(self):
         if self.dim < 3:
@@ -72,6 +79,23 @@ class MultipletModel:
     @property
     def power(self) -> float:
         return self.dim / (self.dim - 2.0)
+
+    @property
+    def linear_part(self) -> tuple:
+        return (-self.coupling, 0.5)
+
+    def potential(self, s: float) -> float:
+        """The power potential at s = Phi.Phi."""
+        return self.coupling * s**self.power
+
+    def density(self, value, grad, metric: Metric) -> float:
+        kinetic = 0.5 * float(np.einsum("m,im,im->", metric.diag, grad, grad))
+        return kinetic - self.potential(float(value @ value))
+
+    def conjugates(self, value, grad, metric: Metric):
+        s = float(value @ value)
+        dl_dphi = -2.0 * self.coupling * self.power * s ** (self.power - 1.0) * value
+        return dl_dphi, grad * metric.diag[None, :]
 
 
 @dataclass(frozen=True)
@@ -101,6 +125,22 @@ class GeneralScalarModel:
         """L'(0); the coefficient entering the conformal improvement term."""
         return float(self.profile_prime(0.0))
 
+    def density(self, value, grad, metric: Metric) -> float:
+        power_term = float(value[0]) ** self.power
+        s = float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
+        return float(self.profile(s / power_term)) * power_term
+
+    def conjugates(self, value, grad, metric: Metric):
+        phi = float(value[0])
+        p = self.power
+        power_term = phi**p
+        s = float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
+        z = s / power_term
+        lp = float(self.profile_prime(z))
+        lv = float(self.profile(z))
+        dl_dphi = p * phi ** (p - 1.0) * (lv - z * lp)
+        return np.array([dl_dphi]), 2.0 * lp * metric.diag * grad
+
 
 def linear_scalar_model(dim: int, l0: float, l1: float) -> GeneralScalarModel:
     return GeneralScalarModel(
@@ -122,10 +162,18 @@ class DualScalarModel:
     """
 
     dim: int = 3
+    kinetic_coefficient = -0.5
+    linear_part = (0.0, -0.5)
 
     def __post_init__(self):
         if self.dim != 3:
             raise UnsupportedDimension("the dual scalar formulation lives at D = 3")
+
+    def density(self, value, grad, metric: Metric) -> float:
+        return -0.5 * float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
+
+    def conjugates(self, value, grad, metric: Metric):
+        return np.zeros_like(value), -metric.diag * grad
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +205,6 @@ def _div_f_times(fs, v, dv, metric: Metric) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _potential(model: MultipletModel, s: float) -> float:
-    return model.coupling * s**model.power
-
-
-def _potential_prime(model: MultipletModel, value) -> np.ndarray:
-    """dU/dphi_i for the power potential."""
-    s = float(value @ value)
-    return 2.0 * model.coupling * model.power * s ** (model.power - 1.0) * value
-
-
 def lagrangian(model, fields, x, metric: Metric):
     """(L, d_m L): the pointwise Lagrange density of the given model and its
     total derivative along the field configuration."""
@@ -175,36 +213,13 @@ def lagrangian(model, fields, x, metric: Metric):
         lag = -0.25 * _f_squared(fs.F, metric)
         return lag, -0.5 * np.einsum("ab,abm->m", _raise2(fs.F, metric), fs.dF)
     value, grad, hess = multiplet_stack(fields, x)
-    if isinstance(model, MultipletModel):
-        kinetic = 0.5 * float(np.einsum("m,im,im->", metric.diag, grad, grad))
-        dlag = np.einsum("a,ia,iam->m", metric.diag, grad, hess)
-        dlag -= _potential_prime(model, value) @ grad
-        return kinetic - _potential(model, float(value @ value)), dlag
-    if isinstance(model, GeneralScalarModel):
-        phi = float(value[0])
-        power_term = phi**model.power
-        s = float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
-        dl_dphi, mom = _general_scalar_conjugates(model, value, grad, metric)
-        dlag = dl_dphi * grad[0] + np.einsum("a,am->m", mom, hess[0])
-        return float(model.profile(s / power_term)) * power_term, dlag
-    if isinstance(model, DualScalarModel):
-        lag = -0.5 * float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
-        return lag, -np.einsum("a,a,am->m", metric.diag, grad[0], hess[0])
-    raise TypeError(f"unknown model {model!r}")
+    return model.density(value, grad, metric), _density_gradient(model, value, grad, hess, metric)
 
 
-def _general_scalar_conjugates(model: GeneralScalarModel, value, grad, metric):
-    """(dL/dphi, dL/d(d_m phi)) for the profile density."""
-    phi = float(value[0])
-    p = model.power
-    power_term = phi**p
-    s = float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
-    z = s / power_term
-    lp = float(model.profile_prime(z))
-    lv = float(model.profile(z))
-    dl_dphi = p * phi ** (p - 1.0) * (lv - z * lp)
-    mom = 2.0 * lp * metric.diag * grad[0]  # dL/d(d_m phi) carries an upper index
-    return dl_dphi, mom
+def _density_gradient(model, value, grad, hess, metric: Metric) -> np.ndarray:
+    """d_m L = Pi^{ia} d_m d_a Phi_i + dL/dPhi_i d_m Phi_i of a scalar model."""
+    dl_dphi, mom = model.conjugates(value, grad, metric)
+    return np.einsum("ia,iam->m", mom, hess) + dl_dphi @ grad
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +270,7 @@ def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
     grad_up = grad * metric.diag[None, :]
     theta = np.einsum("im,in->mn", grad_up, grad_up)
     model = MultipletModel(metric.dim, value.shape[0], coupling)
-    density = 0.5 * float(np.einsum("m,im,im->", metric.diag, grad, grad))
-    density -= _potential(model, float(value @ value))
-    theta -= np.diag(metric.diag) * density
+    theta -= np.diag(metric.diag) * model.density(value, grad, metric)
     return theta
 
 
@@ -269,8 +282,7 @@ def scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 0.0):
     hess_up = hess * metric.diag[None, :, None]
     dtheta = np.einsum("imr,in->mnr", hess_up, grad_up)
     dtheta += np.einsum("im,inr->mnr", grad_up, hess_up)
-    dl = np.einsum("a,ia,iar->r", metric.diag, grad, hess)
-    dl -= _potential_prime(model, value) @ grad
+    dl = _density_gradient(model, value, grad, hess, metric)
     dtheta -= np.einsum("mn,r->mnr", np.diag(metric.diag), dl)
     return np.einsum("mnm->n", dtheta)
 
@@ -281,25 +293,6 @@ def improvement_coefficient(dim: int) -> float:
     return (dim - 2.0) / (4.0 * (dim - 1.0))
 
 
-def _square_stacks(phi, x, with_third=False):
-    """Derivative stacks of S = Phi.Phi, exactly symmetric by construction."""
-    value, grad, hess = multiplet_stack(phi, x)
-    s_grad = 2.0 * np.einsum("i,im->m", value, grad)
-    s_hess = 2.0 * (
-        np.einsum("im,in->mn", grad, grad) + np.einsum("i,imn->mn", value, hess)
-    )
-    if not with_third:
-        return s_grad, s_hess, None
-    third = phi.third(x)
-    s_third = 2.0 * (
-        np.einsum("imn,ir->mnr", hess, grad)
-        + np.einsum("imr,in->mnr", hess, grad)
-        + np.einsum("inr,im->mnr", hess, grad)
-        + np.einsum("i,imnr->mnr", value, third)
-    )
-    return s_grad, s_hess, s_third
-
-
 def improved_scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
     """Canonical tensor plus xi (g^{mn} box - d^m d^n) of Phi.Phi.
 
@@ -308,7 +301,11 @@ def improved_scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.
     """
     xi = improvement_coefficient(metric.dim)
     theta = scalar_stress(phi, x, metric, coupling)
-    _, s_hess, _ = _square_stacks(phi, x)
+    value, grad, hess = multiplet_stack(phi, x)
+    # the derivative stacks of S = Phi.Phi are exactly symmetric by construction
+    s_hess = 2.0 * (
+        np.einsum("im,in->mn", grad, grad) + np.einsum("i,imn->mn", value, hess)
+    )
     box_s = float(np.einsum("m,mm->", metric.diag, s_hess))
     improvement = np.diag(metric.diag) * box_s - _raise2(s_hess, metric)
     return theta + xi * improvement
@@ -318,7 +315,14 @@ def improved_scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 
     """d_m theta_improved^{mn}; the improvement part cancels identically."""
     div = scalar_stress_divergence(phi, x, metric, coupling)
     xi = improvement_coefficient(metric.dim)
-    _, _, s_third = _square_stacks(phi, x, with_third=True)
+    value, grad, hess = multiplet_stack(phi, x)
+    third = phi.third(x)
+    s_third = 2.0 * (
+        np.einsum("imn,ir->mnr", hess, grad)
+        + np.einsum("imr,in->mnr", hess, grad)
+        + np.einsum("inr,im->mnr", hess, grad)
+        + np.einsum("i,imnr->mnr", value, third)
+    )
     d_box = np.einsum("a,aar->r", metric.diag, s_third)
     box_d = np.einsum("m,mnm->n", metric.diag, s_third)
     return div + xi * (metric.diag * d_box - metric.diag * box_d)
@@ -338,7 +342,7 @@ def offshell_trace_law(phi, x, metric: Metric, coupling: float = 0.0) -> float:
     dim = metric.dim
     model = MultipletModel(dim, value.shape[0], coupling)
     box = np.einsum("m,imm->i", metric.diag, hess)
-    return dim * _potential(model, float(value @ value)) + 0.5 * (dim - 2.0) * float(
+    return dim * model.potential(float(value @ value)) + 0.5 * (dim - 2.0) * float(
         value @ box
     )
 
@@ -373,39 +377,18 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
         if dim == 4:
             return VirialInfo(value, True, lambda y: np.zeros((dim, dim)))
         return VirialInfo(value, False)
-    if isinstance(model, MultipletModel):
-        value_f, grad, _ = multiplet_stack(fields, x)
-        v = d * metric.diag * np.einsum("i,im->m", value_f, grad)
+    value_f, grad, _ = multiplet_stack(fields, x)
+    _, mom = model.conjugates(value_f, grad, metric)  # mom carries an upper index
+    v = d * np.einsum("i,im->m", value_f, mom)
+    if model.linear_part is None:
+        return VirialInfo(v, False)
+    coeff = d * model.kinetic_coefficient
 
-        def potential(y):
-            val = fields.value(y)
-            return 0.5 * d * np.diag(metric.diag) * float(val @ val)
+    def potential(y):
+        val = fields.value(y)
+        return coeff * np.diag(metric.diag) * float(val @ val)
 
-        return VirialInfo(v, True, potential)
-    if isinstance(model, DualScalarModel):
-        value_f, grad, _ = multiplet_stack(fields, x)
-        v = -d * metric.diag * np.einsum("i,im->m", value_f, grad)
-
-        def potential(y):
-            val = fields.value(y)
-            return -0.5 * d * np.diag(metric.diag) * float(val @ val)
-
-        return VirialInfo(v, True, potential)
-    if isinstance(model, GeneralScalarModel):
-        value_f, grad, _ = multiplet_stack(fields, x)
-        # mom is dL/d(d_m phi) and already carries an upper index
-        _, mom = _general_scalar_conjugates(model, value_f, grad, metric)
-        v = d * float(value_f[0]) * mom
-        if model.linear_part is None:
-            return VirialInfo(v, False)
-        l1 = model.linear_part[1]
-
-        def potential(y):
-            val = float(fields.value(y)[0])
-            return d * l1 * np.diag(metric.diag) * val * val
-
-        return VirialInfo(v, True, potential)
-    raise TypeError(f"unknown model {model!r}")
+    return VirialInfo(v, True, potential)
 
 
 def maxwell_virial_first_principles(A: VectorPotential, x, metric: Metric):
@@ -469,8 +452,11 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
     Killing vector f, all derivatives analytic.
 
     Maxwell: J^m = theta^{ma} f_a + (4 - D)/(2D) (d.f) F^{mb} A_b.
-    Scalar sectors: J^m = theta_improved^{mn} f_n.
+    Multiplet and dual scalar: J^m = theta_improved^{mn} f_n.  The general
+    scalar's stress tensor is not that tensor, so it raises TypeError.
     """
+    if not isinstance(model, (MaxwellModel, MultipletModel, DualScalarModel)):
+        raise TypeError(f"no stress-tensor current is built for {model!r}")
     x = metric._check(x)
     f = killing_vector(gen, x, metric)
     f_low = metric.lower(f)
@@ -553,39 +539,16 @@ def gauge_shift_divergence(A: VectorPotential, gauge: ScalarMultiplet, x, metric
 # ---------------------------------------------------------------------------
 
 
-def _delta_lagrangian_maxwell(gen, A, x, metric):
-    fs = field_strength_from_potential(A, x)
-    _, ddelta = delta_vector_potential_with_gradient(gen, A, x, metric)
-    return -float(np.einsum("ma,am->", _raise2(fs.F, metric), ddelta))
-
-
-def _delta_lagrangian_scalar(model, gen, phi, x, metric):
-    value, grad, _ = multiplet_stack(phi, x)
-    delta, ddelta = delta_scalar_with_gradient(gen, phi, x, metric)
-    if isinstance(model, MultipletModel):
-        mom = grad * metric.diag[None, :]  # dL/d(d_m phi_i) index up
-        dl_dphi = -_potential_prime(model, value)
-        return float(dl_dphi @ delta) + float(np.sum(mom * ddelta))
-    if isinstance(model, GeneralScalarModel):
-        dl_dphi, mom = _general_scalar_conjugates(model, value, grad, metric)
-        return dl_dphi * float(delta[0]) + float(mom @ ddelta[0])
-    if isinstance(model, DualScalarModel):
-        mom = -metric.diag * grad[0]
-        return float(mom @ ddelta[0])
-    raise TypeError(f"unknown model {model!r}")
-
-
-def _improvement_kappa(model, metric) -> float:
-    """Coefficient of the g^{st} Phi^2 improvement in the conformal identity:
-    twice the canonical weight times the kinetic coefficient."""
-    d = canonical_weight(metric.dim)
-    if isinstance(model, MultipletModel):
-        return d  # kinetic coefficient 1/2
-    if isinstance(model, DualScalarModel):
-        return -d  # kinetic coefficient -1/2
-    if isinstance(model, GeneralScalarModel):
-        return 2.0 * d * model.kinetic_coefficient
-    raise TypeError(f"unknown model {model!r}")
+def _delta_lagrangian(model, gen, fields, x, metric):
+    """delta L = dL/dPhi . delta Phi + Pi . d(delta Phi); Maxwell's Pi is -F."""
+    if isinstance(model, MaxwellModel):
+        fs = field_strength_from_potential(fields, x)
+        _, ddelta = delta_vector_potential_with_gradient(gen, fields, x, metric)
+        return -float(np.einsum("ma,am->", _raise2(fs.F, metric), ddelta))
+    value, grad, _ = multiplet_stack(fields, x)
+    delta, ddelta = delta_scalar_with_gradient(gen, fields, x, metric)
+    dl_dphi, mom = model.conjugates(value, grad, metric)
+    return float(dl_dphi @ delta) + float(np.sum(mom * ddelta))
 
 
 def action_variation_identity(
@@ -608,15 +571,11 @@ def action_variation_identity(
     """
     x = metric._check(x)
     dim = metric.dim
+    spin = "vector" if isinstance(model, MaxwellModel) else "scalar"
     lag, dlag = lagrangian(model, fields, x, metric)
 
     if kind == "scale":
-        if isinstance(model, MaxwellModel):
-            gen = dilation(1.0, dim, spin="vector")
-            delta_l = _delta_lagrangian_maxwell(gen, fields, x, metric)
-        else:
-            gen = dilation(1.0, dim, spin="scalar")
-            delta_l = _delta_lagrangian_scalar(model, gen, fields, x, metric)
+        delta_l = _delta_lagrangian(model, dilation(1.0, dim, spin=spin), fields, x, metric)
         return delta_l - (dim * lag + float(x @ dlag))
 
     x2 = metric.norm2(x)
@@ -624,17 +583,16 @@ def action_variation_identity(
     total_derivative = 2.0 * dim * x[sigma] * lag + float(k_vec @ dlag)
 
     if kind == "conformal":
+        gen = sigma_basis_conformal(sigma, metric, canonical_weight(dim), spin)
+        delta_l = _delta_lagrangian(model, gen, fields, x, metric)
         if isinstance(model, MaxwellModel):
-            gen = sigma_basis_conformal(sigma, metric, canonical_weight(dim), "vector")
-            delta_l = _delta_lagrangian_maxwell(gen, fields, x, metric)
             fs = field_strength_from_potential(fields, x)
             anomaly = (4.0 - dim) * float(
                 (_raise2(fs.F, metric) @ fields.value(x))[sigma]
             )
             return delta_l - total_derivative - anomaly
-        gen = sigma_basis_conformal(sigma, metric, canonical_weight(dim), "scalar")
-        delta_l = _delta_lagrangian_scalar(model, gen, fields, x, metric)
-        kappa = _improvement_kappa(model, metric)
+        # the g^{st} Phi^2 improvement: twice the weight times the kinetic coefficient
+        kappa = 2.0 * canonical_weight(dim) * model.kinetic_coefficient
         value, grad, _ = multiplet_stack(fields, x)
         d_sq_sigma = 2.0 * metric.diag[sigma] * float(
             np.einsum("i,i->", value, grad[:, sigma])

@@ -865,17 +865,15 @@ class RunReport:
     def overall_ok(self) -> bool:
         return all(check.ok for check in self.checks)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The golden json form; timing stays out of it."""
+        return {
             "version": self.version,
             "seed": self.seed,
             "spec": self.spec_echo,
             "checks": [check.to_dict() for check in self.checks],
             "overall_ok": self.overall_ok,
         }
-        if include_timing:
-            out["wall_time_seconds"] = self.wall_time
-        return out
 
 
 def applicable_checks(kind: str) -> list:

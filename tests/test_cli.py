@@ -251,6 +251,32 @@ def test_mechanics_spec_errors_exit_two(command, mechanics, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("spec error:")
 
 
+@pytest.mark.parametrize("command", ["audit", "mech-sim"])
+@pytest.mark.parametrize("t_end", ["0.0", "-3.0", "0.0004"])
+def test_zero_step_trajectory_exits_two(command, t_end, tmp_path, capsys):
+    # 0.0 and -3.0 used to escape main as a ValueError traceback; 0.0004 made
+    # a one-point trajectory on which mech-charge-drift passed with drift 0
+    spec = tmp_path / "bad.spec"
+    spec.write_text(MECH_HEAD + f"[mechanics]\nt-end = {t_end}\nstep = 0.001\n")
+    assert main([command, str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("spec error:")
+
+
+def test_negative_suite_seed_exits_two(tmp_path, capsys):
+    # every check used to report "expected non-negative integer", exit 1
+    spec = tmp_path / "bad.spec"
+    spec.write_text("[model]\nkind = maxwell\ndimension = 4\n[suite]\nseed = -5\n")
+    assert main(["audit", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("spec error:")
+
+
+@pytest.mark.parametrize("argv", [["algebra", "--dim", "4"], ["scan-dims", "--dims", "3..4"]])
+def test_negative_command_seed_exits_two_before_any_check(argv, monkeypatch, capsys):
+    monkeypatch.setattr("confsym.cli.run_suite", lambda spec: pytest.fail("a check ran"))
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", ["[fixture]\namplitude = ,\n", "[suite]\nchecks = ,\n",
                                    "[suite]\nchecks = none\n"])
 def test_field_spec_errors_exit_two(extra, tmp_path, capsys):

@@ -150,6 +150,8 @@ class TestIntegrator:
             integrate(state, MechParams(1, 0.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(state, MechParams(1, 0.0), -1.0, 0.1)
+        with pytest.raises(ValueError):  # rounds to zero steps
+            integrate(state, MechParams(1, 0.0), 0.04, 0.1)
 
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 2))
     @settings(max_examples=20, deadline=None)

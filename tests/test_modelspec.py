@@ -166,6 +166,18 @@ def test_p0_without_q0_rejected():
     assert spec.mechanics == {"q0": [5.0, 5.0]}
 
 
+@pytest.mark.parametrize("mechanics, steps", [("t-end = 0.0004", 0), ("t-end = 0.0006", 1),
+                                              ("step = 20.0", 0), ("t-end = 0.0\nstep = 1.0", 0)])
+def test_a_trajectory_takes_at_least_one_step(mechanics, steps):
+    # t-end and step default to 10.0 and 1e-3
+    text = f"[model]\nkind = mechanics\ndimension = 1\n[mechanics]\n{mechanics}\n"
+    if steps:
+        parse_spec(text)
+        return
+    with pytest.raises(SemanticError):
+        parse_spec(text)
+
+
 _FLOAT_LISTS = [(section, key) for section, keys in _SCHEMA.items()
                 for key, kind in keys.items() if kind == "floats"]
 _NUMBER = st.floats(1e-3, 2.0).map(repr)

@@ -87,6 +87,53 @@ class TestLagrangianValues:
         assert lagrangian(free, phi, x, metric4)[0] == pytest.approx(kinetic)
 
 
+def _scalar_models(dim):
+    """One of each scalar model at ``dim``, with its component count."""
+    models = [(MultipletModel(dim, 2, 0.7), 2), (MultipletModel(dim, 1, 1.3), 1),
+              (linear_scalar_model(dim, -0.4, 0.5), 1), (quadratic_scalar_model(dim), 1)]
+    return models + [(DualScalarModel(), 1)] * (dim == 3)
+
+
+class TestModelConjugates:
+    # the oracle is central differences of each model's own density
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_conjugates_are_the_density_derivatives(self, dim, rng):
+        g, h = Metric(dim), 1e-6
+        for model, n in _scalar_models(dim):
+            for _ in range(4):
+                value = rng.uniform(0.5, 1.5, n)  # positive: phi^p is real
+                grad = rng.normal(0.0, 0.6, (n, dim))
+                dl_dphi, mom = model.conjugates(value, grad, g)
+                assert dl_dphi.shape == (n,) and mom.shape == (n, dim)
+                for i in range(n):
+                    step = h * np.eye(n)[i]
+                    fd = (model.density(value + step, grad, g)
+                          - model.density(value - step, grad, g)) / (2 * h)
+                    assert dl_dphi[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+                    for m in range(dim):
+                        step = np.zeros((n, dim))
+                        step[i, m] = h
+                        fd = (model.density(value, grad + step, g)
+                              - model.density(value, grad - step, g)) / (2 * h)
+                        assert mom[i, m] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_linear_momentum_is_the_raised_gradient(self, dim, rng):
+        g = Metric(dim)
+        for model, n in _scalar_models(dim):
+            if model.linear_part is None:
+                continue
+            value = rng.uniform(0.5, 1.5, n)
+            grad = rng.normal(0.0, 0.6, (n, dim))
+            _, mom = model.conjugates(value, grad, g)
+            expected = 2.0 * model.kinetic_coefficient * grad * g.diag[None, :]
+            npt.assert_allclose(mom, expected, rtol=1e-14, atol=0.0)
+
+    def test_only_the_quadratic_profile_is_not_linear(self):
+        flags = [model.linear_part is None for model, _ in _scalar_models(3)]
+        assert flags == [False, False, False, True, False]
+
+
 class TestMaxwellStress:
     def test_vanishes_for_zero_field(self, metric4, rng):
         A = CosineVectorPotential(np.zeros(4), rng.normal(size=4), 0.0, metric4)
@@ -274,6 +321,21 @@ class TestBesselHagen:
         gen = special_conformal(rng.normal(0, 0.4, 3))
         for x in sampling.points(rng, 3, 8):
             assert abs(bessel_hagen_divergence(gen, model, phi, x, g)) < 1e-10
+
+    def test_dual_scalar_current_conserved(self, metric3, rng):
+        # the dual sector's stress tensor is the free improved one
+        phi = sampling.random_plane_wave_multiplet(rng, metric3, 1, null=True)
+        for gen in basis_generators(3):
+            for x in sampling.points(rng, 3, 2):
+                assert abs(bessel_hagen_divergence(gen, DualScalarModel(), phi, x, metric3)) < 1e-10
+
+    @pytest.mark.parametrize("model", [linear_scalar_model(4, -0.4, 0.5), quadratic_scalar_model(4),
+                                       object()], ids=["linear", "quadratic", "unknown"])
+    def test_models_without_a_current_are_rejected(self, model, metric4, rng):
+        # the general scalar's stress tensor is not the free improved tensor
+        phi = GaussianMultiplet(4, [1.3], rng.normal(0, 0.2, 4), 0.08 * np.eye(4))
+        with pytest.raises(TypeError):
+            bessel_hagen_divergence(dilation(1.0, 4), model, phi, np.full(4, 0.1), metric4)
 
     def test_all_generators_conserved_free_scalar(self, metric, rng):
         phi = sampling.random_plane_wave_multiplet(rng, metric, 1, null=True)
