@@ -12,6 +12,7 @@ reduction to inverse-square conformal mechanics.
 from .errors import (
     ConfsymError,
     DimensionMismatch,
+    FieldDomainError,
     LightConePoint,
     NonTimelikePoint,
     OffShellParameters,
@@ -53,6 +54,7 @@ except Exception:  # pragma: no cover
 __all__ = [
     "ConfsymError",
     "DimensionMismatch",
+    "FieldDomainError",
     "LightConePoint",
     "NonTimelikePoint",
     "OffShellParameters",

@@ -47,7 +47,8 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
             else:
                 status = "PASS" if check.ok else "FAIL"
                 detail = f"max {check.max_residual:.3e}  tol {check.tolerance:.1e}"
-            lines.append(f"  {status:<15} {check.name:<32} {detail}  (n={check.samples})")
+            timing = "" if check.wall_ms is None else f", {check.wall_ms:.1f} ms"
+            lines.append(f"  {status:<15} {check.name:<32} {detail}  (n={check.samples}{timing})")
         n_ok = sum(1 for c in report.checks if c.ok)
         lines.append(
             f"checks: {len(report.checks)}  ok: {n_ok}  "

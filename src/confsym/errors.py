@@ -53,3 +53,7 @@ class ParseError(ConfsymError, ValueError):
 
 class SemanticError(ConfsymError, ValueError):
     """Model-spec is well formed but internally inconsistent."""
+
+
+class FieldDomainError(ConfsymError, ValueError):
+    """Field value outside the domain where a model's density is defined."""

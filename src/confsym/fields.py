@@ -14,14 +14,16 @@ A single scalar field is a one-component multiplet: its evaluators keep the
 component axis, ``value (1,)``, ``grad (1, D)`` and so on.
 
 Leading sample axis: ``value``, ``grad``, ``hess`` and ``third`` of
-:class:`CosineMultiplet` and :class:`CosineVectorPotential`, ``value`` and
-``grad`` of :class:`CosineSpinor` and :class:`ShiftedPotential` over them
-take points of shape ``(..., D)`` and return the shapes above with the
-sample axes in front, each sample bit for bit its single-point result (the
-rules are stated in :mod:`confsym.geometry`): the phase ``k.x`` is a stacked
-``matmul`` and the constant amplitude tensors are scaled per sample.  A
-single point gives the array it always gave.  The polynomial and Gaussian
-families take one point.
+:class:`CosineMultiplet`, :class:`GaussianMultiplet` and
+:class:`CosineVectorPotential`, ``value`` and ``grad`` of
+:class:`CosineSpinor` and :class:`ShiftedPotential` over them, and
+:func:`field_strength_from_potential` take points of shape ``(..., D)`` and
+return the shapes above with the sample axes in front, each sample bit for
+bit its single-point result (the rules are stated in
+:mod:`confsym.geometry`): the phase ``k.x`` and the Gaussian's exponent are
+stacked ``matmul`` calls and the constant amplitude tensors are scaled per
+sample.  A single point gives the array it always gave.  The polynomial
+family takes one point.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, OffShellParameters
-from .geometry import Metric, _inner, _lift
+from .geometry import Metric, _inner, _lift, _mv, _outer
 
 MAX_POLY_DEGREE = 4
 
@@ -175,32 +177,33 @@ class GaussianMultiplet(ScalarMultiplet):
 
     def _core(self, x):
         x = np.asarray(x, dtype=float)
-        q = float(self.linear @ x + x @ self.quad @ x)
-        u = self.linear + 2.0 * self.quad @ x
+        x_quad = (x[..., None, :] @ self.quad)[..., 0, :]
+        q = _inner(self.linear, x) + _inner(x_quad, x)
+        u = self.linear + _mv(2.0 * self.quad, x)
         return np.exp(q), u
 
     def value(self, x):
         e, _ = self._core(x)
-        return self.amplitude * e
+        return self.amplitude * _lift(e)
 
     def grad(self, x):
         e, u = self._core(x)
-        return np.einsum("i,m->im", self.amplitude * e, u)
+        return np.einsum("...i,...m->...im", self.amplitude * _lift(e), u)
 
     def hess(self, x):
         e, u = self._core(x)
-        core = np.outer(u, u) + 2.0 * self.quad
-        return np.einsum("i,mn->imn", self.amplitude * e, core)
+        core = _outer(u, u) + 2.0 * self.quad
+        return np.einsum("...i,...mn->...imn", self.amplitude * _lift(e), core)
 
     def third(self, x):
         e, u = self._core(x)
-        core = np.einsum("m,n,r->mnr", u, u, u)
+        core = np.einsum("...m,...n,...r->...mnr", u, u, u)
         core = core + 2.0 * (
-            np.einsum("mn,r->mnr", self.quad, u)
-            + np.einsum("mr,n->mnr", self.quad, u)
-            + np.einsum("nr,m->mnr", self.quad, u)
+            np.einsum("mn,...r->...mnr", self.quad, u)
+            + np.einsum("mr,...n->...mnr", self.quad, u)
+            + np.einsum("nr,...m->...mnr", self.quad, u)
         )
-        return np.einsum("i,mnr->imnr", self.amplitude * e, core)
+        return np.einsum("...i,...mnr->...imnr", self.amplitude * _lift(e), core)
 
 
 def multiplet_stack(phi, x):
@@ -303,8 +306,8 @@ def field_strength_from_potential(A: VectorPotential, x) -> FieldStrengthValue:
     """F_{ab} = d_a A_b - d_b A_a and its first derivatives, built exactly."""
     grad = A.grad(x)  # grad[b, a] = d_a A_b
     hess = A.hess(x)
-    F = grad.T - grad
-    dF = np.transpose(hess, (1, 0, 2)) - hess
+    F = np.swapaxes(grad, -1, -2) - grad
+    dF = np.swapaxes(hess, -3, -2) - hess
     return FieldStrengthValue(F, dF)
 
 

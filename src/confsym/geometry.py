@@ -17,7 +17,9 @@ Conventions used across the package:
   ``killing_residual_from_gradient`` and ``killing_residual``) take points
   of shape ``(..., D)`` and return one result per sample; a special
   conformal generator may carry a parameter stack ``(..., D)``, one
-  parameter per sample.  A single point is the case without that axis and
+  parameter per sample, which ``killing_divergence_gradient`` and
+  ``killing_second_gradient`` follow, and ``sigma_basis_conformal`` builds
+  one from an index stack.  A single point is the case without that axis and
   gives the float or array it always gave.  Each sample's result is bit for
   bit its single-point result: per-sample dot products are stacked
   ``matmul`` calls, ``(..., 1, D) @ (..., D, 1)``, which sum in the order a
@@ -390,13 +392,25 @@ def special_conformal(c, weight=None, spin="scalar") -> GeneratorAction:
     return GeneratorAction(KIND_CONFORMAL, _vector_param(c, dim, c.shape[:-1]), dim, w, spin)
 
 
-def sigma_basis_conformal(sigma: int, metric: Metric, weight, spin) -> GeneratorAction:
+def sigma_basis_conformal(sigma, metric: Metric, weight, spin) -> GeneratorAction:
     """Special conformal generator whose parameter has the sigma-th basis
     vector as its lower components, so that contracting its variation with
-    c gives the sigma-indexed variation."""
-    c = np.zeros(metric.dim)
-    c[sigma] = metric.diag[sigma]
+    c gives the sigma-indexed variation.  ``sigma`` is an integer or an
+    integer index stack, one index per sample, each in 0..D-1; anything else
+    raises ValueError."""
+    sigma = _axis_index(sigma, metric.dim)
+    c = np.zeros(sigma.shape + (metric.dim,))
+    np.put_along_axis(c, sigma[..., None], metric.diag[sigma][..., None], axis=-1)
     return special_conformal(c, weight=weight, spin=spin)
+
+
+def _axis_index(sigma, dim: int) -> np.ndarray:
+    """``sigma`` as an integer array, ValueError unless every entry is an
+    integer (not a bool) in 0..dim-1."""
+    index = np.asarray(sigma)
+    if index.dtype.kind not in "iu" or not ((0 <= index) & (index < dim)).all():
+        raise ValueError(f"sigma must be an integer index in 0..{dim - 1}, got {sigma!r}")
+    return index
 
 
 def killing_vector(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
@@ -443,16 +457,18 @@ def killing_gradient(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
 
 
 def killing_second_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:
-    """Constant second gradient d2f[mu, nu, rho] = d_rho d_nu f^mu."""
+    """Constant second gradient d2f[mu, nu, rho] = d_rho d_nu f^mu, one per
+    parameter of a special conformal parameter stack."""
     dim = metric.dim
-    d2 = np.zeros((dim, dim, dim))
-    if gen.kind == KIND_CONFORMAL:
-        c = gen.param
-        cl = metric.lower(c)
-        eye = np.eye(dim)
-        d2 += 2.0 * np.einsum("n,mr->mnr", cl, eye)
-        d2 += 2.0 * np.einsum("r,mn->mnr", cl, eye)
-        d2 -= 2.0 * np.einsum("m,nr->mnr", c, metric.matrix)
+    if gen.kind != KIND_CONFORMAL:
+        return np.zeros((dim, dim, dim))
+    c = gen.param
+    cl = metric.lower(c)
+    eye = np.eye(dim)
+    d2 = np.zeros(c.shape[:-1] + (dim, dim, dim))
+    d2 += 2.0 * np.einsum("...n,mr->...mnr", cl, eye)
+    d2 += 2.0 * np.einsum("...r,mn->...mnr", cl, eye)
+    d2 -= 2.0 * np.einsum("...m,nr->...mnr", c, metric.matrix)
     return d2
 
 

@@ -1,15 +1,36 @@
 """Lagrangian models, stress tensors, improvements, virials and currents.
 
-Each scalar model owns its formulas at one point: ``density(value, grad,
-metric)`` is L, ``conjugates(value, grad, metric)`` is (dL/dPhi_i, shape (N,);
-Pi^{im} = dL/d(d_m Phi_i), index up, shape (N, D)), ``kinetic_coefficient`` is
-L'(0) and ``linear_part`` is (L0, L1) when L is linear in the kinetic ratio z
-(the multiplet is -coupling + z/2, the dual scalar -z/2), else None.
+Each scalar model owns its formulas: ``density(value, grad, metric)`` is L,
+``conjugates(value, grad, metric)`` is (dL/dPhi_i, shape (N,); Pi^{im} =
+dL/d(d_m Phi_i), index up, shape (N, D)), ``kinetic_coefficient`` is L'(0)
+and ``linear_part`` is (L0, L1) when L is linear in the kinetic ratio z (the
+multiplet is -coupling + z/2, the dual scalar -z/2), else None.
 
 Index conventions follow the rest of the package: stress tensors are stored
 with both indices up, ``theta[m, n] = theta^{mn}``, and their analytic
 derivative stacks carry the derivative axis last,
 ``dtheta[m, n, r] = d_r theta^{mn}``.
+
+Leading sample axis: each model's ``density`` and ``conjugates`` (on value
+and gradient stacks ``(..., N)`` and ``(..., N, D)``), :func:`lagrangian`,
+:func:`maxwell_stress`, :func:`maxwell_stress_divergence`,
+:func:`maxwell_stress_trace`, :func:`scalar_stress`,
+:func:`scalar_stress_divergence`, :func:`improved_scalar_stress`,
+:func:`improved_scalar_stress_divergence`,
+:func:`improved_scalar_stress_trace`, :func:`killing_current_divergence`,
+:func:`bessel_hagen_divergence`, :func:`current_divergence_identity` and
+:func:`action_variation_identity` take points ``x`` of shape ``(..., D)``
+with a special conformal parameter stack of the same shape, or a ``sigma``
+index stack of shape ``(...)``, and return one result per sample.  Each
+sample's result is bit for bit its single-point result, by the rules of
+:mod:`confsym.transforms`: a per-point ``@`` is a stacked ``matmul``, a
+per-point ``einsum`` is the same ``einsum`` with a leading sample index, a
+per-point ``sum`` sums over the trailing axes of the same memory layout, and
+a power of a per-sample value is ``np.float_power``.  The one exception is
+the 1-D ``einsum`` over a strided column in the scalar conformal identity,
+which sums left to right; its stacked form is that sum written out
+(:func:`_sum_left_to_right`).  A single point gives the float or array it
+always gave.  The other functions here take one point.
 """
 
 from __future__ import annotations
@@ -19,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnsupportedDimension
+from .errors import FieldDomainError, UnsupportedDimension
 from .fields import (
     ScalarMultiplet,
     ShiftedPotential,
@@ -31,6 +52,9 @@ from .geometry import (
     KIND_CONFORMAL,
     GeneratorAction,
     Metric,
+    _inner,
+    _lift,
+    _mv,
     canonical_weight,
     dilation,
     killing_divergence,
@@ -84,18 +108,18 @@ class MultipletModel:
     def linear_part(self) -> tuple:
         return (-self.coupling, 0.5)
 
-    def potential(self, s: float) -> float:
+    def potential(self, s):
         """The power potential at s = Phi.Phi."""
-        return self.coupling * s**self.power
+        return self.coupling * np.float_power(s, self.power)
 
-    def density(self, value, grad, metric: Metric) -> float:
-        kinetic = 0.5 * float(np.einsum("m,im,im->", metric.diag, grad, grad))
-        return kinetic - self.potential(float(value @ value))
+    def density(self, value, grad, metric: Metric):
+        kinetic = 0.5 * np.einsum("m,...im,...im->...", metric.diag, grad, grad)
+        return kinetic - self.potential(_inner(value, value))
 
     def conjugates(self, value, grad, metric: Metric):
-        s = float(value @ value)
-        dl_dphi = -2.0 * self.coupling * self.power * s ** (self.power - 1.0) * value
-        return dl_dphi, grad * metric.diag[None, :]
+        s = _inner(value, value)
+        scale = -2.0 * self.coupling * self.power * np.float_power(s, self.power - 1.0)
+        return _lift(scale) * value, grad * metric.diag
 
 
 @dataclass(frozen=True)
@@ -104,7 +128,10 @@ class GeneralScalarModel:
 
     Scale invariant for every profile L; conformally invariant only when L is
     linear.  ``linear_part`` carries (L0, L1) when the profile is known to be
-    linear, which also fixes the closed-form virial potential.
+    linear, which also fixes the closed-form virial potential.  The density
+    is defined where phi^p is real and nonzero: phi > 0, or phi != 0 when p
+    is an integer; elsewhere ``density`` and ``conjugates`` raise
+    :class:`~confsym.errors.FieldDomainError`.
     """
 
     dim: int
@@ -125,21 +152,31 @@ class GeneralScalarModel:
         """L'(0); the coefficient entering the conformal improvement term."""
         return float(self.profile_prime(0.0))
 
-    def density(self, value, grad, metric: Metric) -> float:
-        power_term = float(value[0]) ** self.power
-        s = float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
-        return float(self.profile(s / power_term)) * power_term
+    def _ratio(self, value, grad, metric: Metric):
+        """(phi, phi^p, z) per sample, after the domain test."""
+        phi = value[..., 0]
+        bad = phi == 0.0 if self.power.is_integer() else ~(phi > 0.0)
+        if np.any(bad):
+            index = int(np.argmax(bad))
+            where = f" at sample {index}" if np.ndim(bad) else ""
+            raise FieldDomainError(
+                f"phi = {float(np.ravel(phi)[index])}{where}: the general scalar "
+                f"needs phi^p real and nonzero, p = {self.power:g}"
+            )
+        power_term = np.float_power(phi, self.power)
+        s = np.einsum("m,...m,...m->...", metric.diag, grad[..., 0, :], grad[..., 0, :])
+        return phi, power_term, s / power_term
+
+    def density(self, value, grad, metric: Metric):
+        _, power_term, z = self._ratio(value, grad, metric)
+        return self.profile(z) * power_term
 
     def conjugates(self, value, grad, metric: Metric):
-        phi = float(value[0])
+        phi, _, z = self._ratio(value, grad, metric)
         p = self.power
-        power_term = phi**p
-        s = float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
-        z = s / power_term
-        lp = float(self.profile_prime(z))
-        lv = float(self.profile(z))
-        dl_dphi = p * phi ** (p - 1.0) * (lv - z * lp)
-        return np.array([dl_dphi]), 2.0 * lp * metric.diag * grad
+        lp = self.profile_prime(z)
+        dl_dphi = p * np.float_power(phi, p - 1.0) * (self.profile(z) - z * lp)
+        return np.asarray(dl_dphi)[..., None], 2.0 * _lift(lp, 2) * metric.diag * grad
 
 
 def linear_scalar_model(dim: int, l0: float, l1: float) -> GeneralScalarModel:
@@ -169,8 +206,8 @@ class DualScalarModel:
         if self.dim != 3:
             raise UnsupportedDimension("the dual scalar formulation lives at D = 3")
 
-    def density(self, value, grad, metric: Metric) -> float:
-        return -0.5 * float(np.einsum("m,m,m->", metric.diag, grad[0], grad[0]))
+    def density(self, value, grad, metric: Metric):
+        return -0.5 * np.einsum("m,...m,...m->...", metric.diag, grad[..., 0, :], grad[..., 0, :])
 
     def conjugates(self, value, grad, metric: Metric):
         return np.zeros_like(value), -metric.diag * grad
@@ -179,6 +216,31 @@ class DualScalarModel:
 # ---------------------------------------------------------------------------
 # small index helpers
 # ---------------------------------------------------------------------------
+
+
+def _one(a):
+    """A single sample's 0-d result as a float; per-sample results as they are."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _vm(v, m):
+    """Per-sample vector @ matrix; for one sample the product ``v @ m``."""
+    return v @ m if v.ndim == 1 else (v[..., None, :] @ m)[..., 0, :]
+
+
+def _at(a, index):
+    """``a[..., index]`` with one index per sample from an index stack."""
+    return np.take_along_axis(a, index[..., None], axis=-1)[..., 0]
+
+
+def _sum_left_to_right(terms):
+    """sum_i terms[..., i], accumulated from 0.0 left to right as numpy's 1-D
+    ``einsum("i,i->", u, v)`` sums when ``v`` is strided (its contiguous and
+    stacked forms may add in SIMD lanes)."""
+    total = 0.0
+    for i in range(terms.shape[-1]):
+        total = total + terms[..., i]
+    return total
 
 
 def _raise2(T, metric: Metric):
@@ -190,14 +252,14 @@ def _raise_dF(dF, metric: Metric):
     return metric.diag[:, None, None] * dF * metric.diag[None, :, None]
 
 
-def _f_squared(F, metric: Metric) -> float:
-    return float(np.sum(_raise2(F, metric) * F))
+def _f_squared(F, metric: Metric):
+    return _one(np.sum(_raise2(F, metric) * F, axis=(-2, -1)))
 
 
-def _div_f_times(fs, v, dv, metric: Metric) -> float:
+def _div_f_times(fs, v, dv, metric: Metric):
     """d_m (F^{ma} v_a) for a co-vector v with ``dv[a, m] = d_m v_a``."""
-    out = float(np.einsum("mam,a->", _raise_dF(fs.dF, metric), v))
-    return out + float(np.einsum("ma,am->", _raise2(fs.F, metric), dv))
+    out = np.einsum("...mam,...a->...", _raise_dF(fs.dF, metric), v)
+    return _one(out + np.einsum("...ma,...am->...", _raise2(fs.F, metric), dv))
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +273,15 @@ def lagrangian(model, fields, x, metric: Metric):
     if isinstance(model, MaxwellModel):
         fs = field_strength_from_potential(fields, x)
         lag = -0.25 * _f_squared(fs.F, metric)
-        return lag, -0.5 * np.einsum("ab,abm->m", _raise2(fs.F, metric), fs.dF)
+        return lag, -0.5 * np.einsum("...ab,...abm->...m", _raise2(fs.F, metric), fs.dF)
     value, grad, hess = multiplet_stack(fields, x)
-    return model.density(value, grad, metric), _density_gradient(model, value, grad, hess, metric)
+    return _one(model.density(value, grad, metric)), _density_gradient(model, value, grad, hess, metric)
 
 
 def _density_gradient(model, value, grad, hess, metric: Metric) -> np.ndarray:
     """d_m L = Pi^{ia} d_m d_a Phi_i + dL/dPhi_i d_m Phi_i of a scalar model."""
     dl_dphi, mom = model.conjugates(value, grad, metric)
-    return np.einsum("ia,iam->m", mom, hess) + dl_dphi @ grad
+    return np.einsum("...ia,...iam->...m", mom, hess) + _vm(dl_dphi, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +295,8 @@ def maxwell_stress(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     F = field_strength_from_potential(A, x).F
     f_up = _raise2(F, metric)
     mixed = metric.diag[:, None] * F  # F^n_a stored [n, a]
-    theta = -np.einsum("ma,na->mn", f_up, mixed)
-    theta += np.diag(metric.diag) * (0.25 * _f_squared(F, metric))
+    theta = -np.einsum("...ma,...na->...mn", f_up, mixed)
+    theta += np.diag(metric.diag) * _lift(0.25 * _f_squared(F, metric), 2)
     return theta
 
 
@@ -245,17 +307,17 @@ def maxwell_stress_divergence(A: VectorPotential, x, metric: Metric) -> np.ndarr
     df_up = _raise_dF(fs.dF, metric)
     mixed = metric.diag[:, None] * fs.F
     dmixed = metric.diag[:, None, None] * fs.dF
-    dtheta = -np.einsum("mar,na->mnr", df_up, mixed)
-    dtheta -= np.einsum("ma,nar->mnr", f_up, dmixed)
-    df2 = 2.0 * np.einsum("ab,abr->r", f_up, fs.dF)
-    dtheta += 0.25 * np.einsum("mn,r->mnr", np.diag(metric.diag), df2)
-    return np.einsum("mnm->n", dtheta)
+    dtheta = -np.einsum("...mar,...na->...mnr", df_up, mixed)
+    dtheta -= np.einsum("...ma,...nar->...mnr", f_up, dmixed)
+    df2 = 2.0 * np.einsum("...ab,...abr->...r", f_up, fs.dF)
+    dtheta += 0.25 * np.einsum("mn,...r->...mnr", np.diag(metric.diag), df2)
+    return np.einsum("...mnm->...n", dtheta)
 
 
-def maxwell_stress_trace(A: VectorPotential, x, metric: Metric) -> float:
+def maxwell_stress_trace(A: VectorPotential, x, metric: Metric):
     """g_{mn} theta^{mn}; equals (-1 + D/4) F^2 identically."""
     theta = maxwell_stress(A, x, metric)
-    return float(np.einsum("m,mm->", metric.diag, theta))
+    return _one(np.einsum("m,...mm->...", metric.diag, theta))
 
 
 def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
@@ -268,23 +330,23 @@ def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
     """
     value, grad, _ = multiplet_stack(phi, x)
     grad_up = grad * metric.diag[None, :]
-    theta = np.einsum("im,in->mn", grad_up, grad_up)
-    model = MultipletModel(metric.dim, value.shape[0], coupling)
-    theta -= np.diag(metric.diag) * model.density(value, grad, metric)
+    theta = np.einsum("...im,...in->...mn", grad_up, grad_up)
+    model = MultipletModel(metric.dim, value.shape[-1], coupling)
+    theta -= np.diag(metric.diag) * _lift(model.density(value, grad, metric), 2)
     return theta
 
 
 def scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 0.0):
     """d_m theta^{mn} for the canonical scalar tensor."""
     value, grad, hess = multiplet_stack(phi, x)
-    model = MultipletModel(metric.dim, value.shape[0], coupling)
+    model = MultipletModel(metric.dim, value.shape[-1], coupling)
     grad_up = grad * metric.diag[None, :]
     hess_up = hess * metric.diag[None, :, None]
-    dtheta = np.einsum("imr,in->mnr", hess_up, grad_up)
-    dtheta += np.einsum("im,inr->mnr", grad_up, hess_up)
+    dtheta = np.einsum("...imr,...in->...mnr", hess_up, grad_up)
+    dtheta += np.einsum("...im,...inr->...mnr", grad_up, hess_up)
     dl = _density_gradient(model, value, grad, hess, metric)
-    dtheta -= np.einsum("mn,r->mnr", np.diag(metric.diag), dl)
-    return np.einsum("mnm->n", dtheta)
+    dtheta -= np.einsum("mn,...r->...mnr", np.diag(metric.diag), dl)
+    return np.einsum("...mnm->...n", dtheta)
 
 
 def improvement_coefficient(dim: int) -> float:
@@ -304,10 +366,11 @@ def improved_scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.
     value, grad, hess = multiplet_stack(phi, x)
     # the derivative stacks of S = Phi.Phi are exactly symmetric by construction
     s_hess = 2.0 * (
-        np.einsum("im,in->mn", grad, grad) + np.einsum("i,imn->mn", value, hess)
+        np.einsum("...im,...in->...mn", grad, grad)
+        + np.einsum("...i,...imn->...mn", value, hess)
     )
-    box_s = float(np.einsum("m,mm->", metric.diag, s_hess))
-    improvement = np.diag(metric.diag) * box_s - _raise2(s_hess, metric)
+    box_s = np.einsum("m,...mm->...", metric.diag, s_hess)
+    improvement = np.diag(metric.diag) * _lift(box_s, 2) - _raise2(s_hess, metric)
     return theta + xi * improvement
 
 
@@ -318,20 +381,20 @@ def improved_scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 
     value, grad, hess = multiplet_stack(phi, x)
     third = phi.third(x)
     s_third = 2.0 * (
-        np.einsum("imn,ir->mnr", hess, grad)
-        + np.einsum("imr,in->mnr", hess, grad)
-        + np.einsum("inr,im->mnr", hess, grad)
-        + np.einsum("i,imnr->mnr", value, third)
+        np.einsum("...imn,...ir->...mnr", hess, grad)
+        + np.einsum("...imr,...in->...mnr", hess, grad)
+        + np.einsum("...inr,...im->...mnr", hess, grad)
+        + np.einsum("...i,...imnr->...mnr", value, third)
     )
-    d_box = np.einsum("a,aar->r", metric.diag, s_third)
-    box_d = np.einsum("m,mnm->n", metric.diag, s_third)
+    d_box = np.einsum("a,...aar->...r", metric.diag, s_third)
+    box_d = np.einsum("m,...mnm->...n", metric.diag, s_third)
     return div + xi * (metric.diag * d_box - metric.diag * box_d)
 
 
 def improved_scalar_stress_trace(phi, x, metric: Metric, coupling: float = 0.0):
     """g_{mn} theta_improved^{mn}; vanishes on shell."""
     theta = improved_scalar_stress(phi, x, metric, coupling)
-    return float(np.einsum("m,mm->", metric.diag, theta))
+    return _one(np.einsum("m,...mm->...", metric.diag, theta))
 
 
 def offshell_trace_law(phi, x, metric: Metric, coupling: float = 0.0) -> float:
@@ -342,7 +405,7 @@ def offshell_trace_law(phi, x, metric: Metric, coupling: float = 0.0) -> float:
     dim = metric.dim
     model = MultipletModel(dim, value.shape[0], coupling)
     box = np.einsum("m,imm->i", metric.diag, hess)
-    return dim * model.potential(float(value @ value)) + 0.5 * (dim - 2.0) * float(
+    return float(dim * model.potential(float(value @ value))) + 0.5 * (dim - 2.0) * float(
         value @ box
     )
 
@@ -447,6 +510,17 @@ def noether_scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metr
     return out
 
 
+def killing_current_divergence(theta, theta_div, gen: GeneratorAction, x, metric: Metric):
+    """d_m (theta^{mn} f_n) for a stress tensor ``theta`` with divergence
+    ``theta_div`` at x and f the conformal Killing vector of ``gen``: the
+    stress may be built once and contracted with every generator."""
+    x = metric._check(x)
+    f_low = metric.lower(killing_vector(gen, x, metric))
+    # [m, n] = d_m f_n
+    grad_f_low = np.swapaxes(metric.diag[:, None] * killing_gradient(gen, x, metric), -1, -2)
+    return _one(_inner(theta_div, f_low) + np.sum(theta * grad_f_low, axis=(-2, -1)))
+
+
 def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metric):
     """d_m J^m of the current built from the stress tensor and a conformal
     Killing vector f, all derivatives analytic.
@@ -458,27 +532,23 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
     if not isinstance(model, (MaxwellModel, MultipletModel, DualScalarModel)):
         raise TypeError(f"no stress-tensor current is built for {model!r}")
     x = metric._check(x)
-    f = killing_vector(gen, x, metric)
-    f_low = metric.lower(f)
-    df = killing_gradient(gen, x, metric)
-    grad_f_low = (metric.diag[:, None] * df).T  # [m, n] = d_m f_n
     if isinstance(model, MaxwellModel):
         dim = metric.dim
         theta = maxwell_stress(fields, x, metric)
         theta_div = maxwell_stress_divergence(fields, x, metric)
-        out = float(theta_div @ f_low) + float(np.sum(theta * grad_f_low))
+        out = killing_current_divergence(theta, theta_div, gen, x, metric)
         fs = field_strength_from_potential(fields, x)
         coeff = (4.0 - dim) / (2.0 * dim)
         div = killing_divergence(gen, x, metric)
         ddiv = killing_divergence_gradient(gen, metric)
         value = fields.value(x)
-        fa = _raise2(fs.F, metric) @ value
+        fa = _mv(_raise2(fs.F, metric), value)
         div_fa = _div_f_times(fs, value, fields.grad(x), metric)
-        return out + coeff * (float(ddiv @ fa) + div * div_fa)
+        return _one(out + coeff * (_inner(ddiv, fa) + div * div_fa))
     coupling = model.coupling if isinstance(model, MultipletModel) else 0.0
     theta = improved_scalar_stress(fields, x, metric, coupling)
     theta_div = improved_scalar_stress_divergence(fields, x, metric, coupling)
-    return float(theta_div @ f_low) + float(np.sum(theta * grad_f_low))
+    return killing_current_divergence(theta, theta_div, gen, x, metric)
 
 
 def current_divergence_identity(gen: GeneratorAction, A: VectorPotential, x, metric):
@@ -489,12 +559,11 @@ def current_divergence_identity(gen: GeneratorAction, A: VectorPotential, x, met
     value matches it.
     """
     lhs = bessel_hagen_divergence(gen, MaxwellModel(metric.dim), A, x, metric)
-    if gen.kind == KIND_CONFORMAL:
-        fs = field_strength_from_potential(A, x)
-        cl = metric.lower(gen.param)
-        rhs = (4.0 - metric.dim) * float(cl @ (_raise2(fs.F, metric) @ A.value(x)))
-    else:
-        rhs = 0.0
+    if gen.kind != KIND_CONFORMAL:
+        return lhs, _one(np.zeros(np.shape(lhs)))
+    fs = field_strength_from_potential(A, x)
+    cl = metric.lower(gen.param)
+    rhs = (4.0 - metric.dim) * _inner(cl, _mv(_raise2(fs.F, metric), A.value(x)))
     return lhs, rhs
 
 
@@ -544,16 +613,14 @@ def _delta_lagrangian(model, gen, fields, x, metric):
     if isinstance(model, MaxwellModel):
         fs = field_strength_from_potential(fields, x)
         _, ddelta = delta_vector_potential_with_gradient(gen, fields, x, metric)
-        return -float(np.einsum("ma,am->", _raise2(fs.F, metric), ddelta))
+        return -np.einsum("...ma,...am->...", _raise2(fs.F, metric), ddelta)
     value, grad, _ = multiplet_stack(fields, x)
     delta, ddelta = delta_scalar_with_gradient(gen, fields, x, metric)
     dl_dphi, mom = model.conjugates(value, grad, metric)
-    return float(dl_dphi @ delta) + float(np.sum(mom * ddelta))
+    return _inner(dl_dphi, delta) + np.sum(mom * ddelta, axis=(-2, -1))
 
 
-def action_variation_identity(
-    kind: str, model, fields, x, metric: Metric, sigma: int = 0
-) -> float:
+def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma=0):
     """Residual of an off-shell action variation identity at the point x.
 
     ``kind``:
@@ -568,47 +635,53 @@ def action_variation_identity(
       profiles).
     * ``"conformal-assumed-primary"``: Maxwell only; the variation computed
       with the pretend-primary rule for F is a pure total derivative.
+
+    With points ``(..., D)``, ``sigma`` may be an index stack ``(...)``, one
+    index per sample; :func:`~confsym.geometry.sigma_basis_conformal` rejects
+    an index outside 0..D-1.
     """
     x = metric._check(x)
     dim = metric.dim
-    spin = "vector" if isinstance(model, MaxwellModel) else "scalar"
+    maxwell = isinstance(model, MaxwellModel)
+    spin = "vector" if maxwell else "scalar"
+    if kind == "scale":
+        gen = dilation(1.0, dim, spin=spin)
+    elif kind == "conformal":
+        gen = sigma_basis_conformal(sigma, metric, canonical_weight(dim), spin)
+    elif kind == "conformal-assumed-primary":
+        if not maxwell:
+            raise TypeError("the pretend-primary rule applies to the Maxwell model")
+        gen = sigma_basis_conformal(sigma, metric, 0.5 * dim, "field-strength")
+    else:
+        raise ValueError(f"unknown identity kind {kind!r}")
     lag, dlag = lagrangian(model, fields, x, metric)
 
     if kind == "scale":
-        delta_l = _delta_lagrangian(model, dilation(1.0, dim, spin=spin), fields, x, metric)
-        return delta_l - (dim * lag + float(x @ dlag))
+        delta_l = _delta_lagrangian(model, gen, fields, x, metric)
+        return _one(delta_l - (dim * lag + _inner(x, dlag)))
 
+    sigma = np.broadcast_to(sigma, x.shape[:-1])
+    x_sigma, diag_sigma = _at(x, sigma), metric.diag[sigma]
     x2 = metric.norm2(x)
-    k_vec = 2.0 * x[sigma] * x - metric.diag[sigma] * np.eye(dim)[sigma] * x2
-    total_derivative = 2.0 * dim * x[sigma] * lag + float(k_vec @ dlag)
+    k_vec = 2.0 * _lift(x_sigma) * x - _lift(diag_sigma) * np.eye(dim)[sigma] * _lift(x2)
+    total_derivative = 2.0 * dim * x_sigma * lag + _inner(k_vec, dlag)
 
     if kind == "conformal":
-        gen = sigma_basis_conformal(sigma, metric, canonical_weight(dim), spin)
         delta_l = _delta_lagrangian(model, gen, fields, x, metric)
-        if isinstance(model, MaxwellModel):
+        if maxwell:
             fs = field_strength_from_potential(fields, x)
-            anomaly = (4.0 - dim) * float(
-                (_raise2(fs.F, metric) @ fields.value(x))[sigma]
-            )
-            return delta_l - total_derivative - anomaly
+            anomaly = (4.0 - dim) * _at(_mv(_raise2(fs.F, metric), fields.value(x)), sigma)
+            return _one(delta_l - total_derivative - anomaly)
         # the g^{st} Phi^2 improvement: twice the weight times the kinetic coefficient
         kappa = 2.0 * canonical_weight(dim) * model.kinetic_coefficient
         value, grad, _ = multiplet_stack(fields, x)
-        d_sq_sigma = 2.0 * metric.diag[sigma] * float(
-            np.einsum("i,i->", value, grad[:, sigma])
-        )
-        return delta_l - total_derivative - kappa * d_sq_sigma
+        d_sq_sigma = 2.0 * diag_sigma * _sum_left_to_right(value * _at(grad, sigma[..., None]))
+        return _one(delta_l - total_derivative - kappa * d_sq_sigma)
 
-    if kind == "conformal-assumed-primary":
-        if not isinstance(model, MaxwellModel):
-            raise TypeError("the pretend-primary rule applies to the Maxwell model")
-        gen = sigma_basis_conformal(sigma, metric, 0.5 * dim, "field-strength")
-        fs = field_strength_from_potential(fields, x)
-        delta_f = delta_field_strength_primary(gen, fs, x, metric)
-        delta_l = -0.5 * float(np.sum(_raise2(fs.F, metric) * delta_f))
-        return delta_l - total_derivative
-
-    raise ValueError(f"unknown identity kind {kind!r}")
+    fs = field_strength_from_potential(fields, x)
+    delta_f = delta_field_strength_primary(gen, fs, x, metric)
+    delta_l = -0.5 * np.sum(_raise2(fs.F, metric) * delta_f, axis=(-2, -1))
+    return _one(delta_l - total_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +691,11 @@ def action_variation_identity(
 
 @dataclass
 class CheckReport:
-    """Structured outcome of one verification: residual against tolerance."""
+    """Structured outcome of one verification: residual against tolerance.
+
+    ``wall_ms`` is the check's wall time when it ran in this process; it
+    stays out of :meth:`to_dict`, so saved reports carry no timing.
+    """
 
     name: str
     dim: int
@@ -628,6 +705,7 @@ class CheckReport:
     seed: int
     expected_fail: bool = False
     error: Optional[str] = None
+    wall_ms: Optional[float] = None
 
     @property
     def passed(self) -> bool:

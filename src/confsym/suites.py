@@ -74,13 +74,14 @@ from .noether import (
     MaxwellModel,
     MultipletModel,
     action_variation_identity,
-    bessel_hagen_divergence,
     current_divergence_identity,
     field_virial,
     gauge_shift_divergence,
     gauge_shift_scale_current,
+    improved_scalar_stress,
     improved_scalar_stress_divergence,
     improved_scalar_stress_trace,
+    killing_current_divergence,
     linear_scalar_model,
     maxwell_stress_divergence,
     maxwell_stress_trace,
@@ -476,18 +477,21 @@ def _chk_scalar_composition(spec, metric, rng):
 def _chk_action_scale(spec, metric, rng):
     model, fixture = _model_fixture(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 8)
-    return [abs(action_variation_identity("scale", model, fixture, x, metric)) for x in pts]
+    return abs(action_variation_identity("scale", model, fixture, pts, metric)).tolist()
+
+
+def _by_sigma(pts, dim):
+    """(points, sigma) stacks with every point once per sigma = 0..D-1,
+    points-major."""
+    return np.repeat(pts, dim, axis=0), np.tile(np.arange(dim), len(pts))
 
 
 @_register("action-conformal-identity", FIELD_KINDS, "identity", "conformal variation of the density is the stated total derivative",
            expected_fail=lambda spec: spec.kind == "general-scalar" and spec.profile != "linear")
 def _chk_action_conformal(spec, metric, rng):
     model, fixture = _model_fixture(spec, metric, rng)
-    pts = sampling.points(rng, metric.dim, 8)
-    return [
-        abs(action_variation_identity("conformal", model, fixture, x, metric, s))
-        for x in pts for s in range(metric.dim)
-    ]
+    xs, sigmas = _by_sigma(sampling.points(rng, metric.dim, 8), metric.dim)
+    return abs(action_variation_identity("conformal", model, fixture, xs, metric, sigmas)).tolist()
 
 
 @_register("virial-structure", FIELD_KINDS, "oracle", "virial total-divergence status and its potential check out")
@@ -555,21 +559,22 @@ def _conformal_current_sides(spec, metric, rng):
     on-shell potential, at each point for a parameter drawn per point."""
     A = _onshell_potential(spec, metric, rng)
     dim = metric.dim
-    return [
-        current_divergence_identity(special_conformal(rng.normal(0.0, 0.4, dim)), A, x, metric)
-        for x in sampling.points(rng, dim, 10)
-    ]
+    pts = sampling.points(rng, dim, 10)
+    cs = np.array([rng.normal(0.0, 0.4, dim) for _ in pts])
+    return current_divergence_identity(special_conformal(cs), A, pts, metric)
 
 
 @_register("conformal-current-identity", ("maxwell",), "identity", "conformal current divergence equals its closed-form anomaly")
 def _chk_conf_current(spec, metric, rng):
-    return [abs(lhs - rhs) for lhs, rhs in _conformal_current_sides(spec, metric, rng)]
+    lhs, rhs = _conformal_current_sides(spec, metric, rng)
+    return abs(lhs - rhs).tolist()
 
 
 @_register("conformal-current-naive", ("maxwell",), "identity", "naive conformal conservation: holds only in four dimensions",
            expected_fail=lambda spec: spec.dimension != 4)
 def _chk_conf_naive(spec, metric, rng):
-    return [abs(lhs) for lhs, _ in _conformal_current_sides(spec, metric, rng)]
+    lhs, _ = _conformal_current_sides(spec, metric, rng)
+    return abs(lhs).tolist()
 
 
 @_register("virial-closed-form", ("maxwell",), "exact", "first-principles virial equals its (4-D)/2 F A closed form")
@@ -587,12 +592,9 @@ def _chk_virial(spec, metric, rng):
 @_register("action-assumed-primary", ("maxwell",), "identity", "pretend-primary conformal rule makes the action invariant")
 def _chk_assumed_primary(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
-    model = MaxwellModel(metric.dim)
-    pts = sampling.points(rng, metric.dim, 6)
-    return [
-        abs(action_variation_identity("conformal-assumed-primary", model, A, x, metric, s))
-        for x in pts for s in range(metric.dim)
-    ]
+    xs, sigmas = _by_sigma(sampling.points(rng, metric.dim, 6), metric.dim)
+    identity = action_variation_identity("conformal-assumed-primary", MaxwellModel(metric.dim), A, xs, metric, sigmas)
+    return abs(identity).tolist()
 
 
 def _gauge_fixture(spec, metric, rng):
@@ -715,10 +717,12 @@ def _chk_improved_cons(spec, metric, rng):
 @_register("killing-current-conservation", ("interacting-multiplet",), "identity", "stress-times-Killing currents are conserved on shell (free)")
 def _chk_killing_current(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True)
-    model = MultipletModel(metric.dim, spec.components, 0.0)
-    gens = basis_generators(metric.dim)
     pts = sampling.points(rng, metric.dim, 4)
-    return [abs(bessel_hagen_divergence(gen, model, phi, x, metric)) for x in pts for gen in gens]
+    # the free improved stress, built once and contracted with every generator
+    theta = improved_scalar_stress(phi, pts, metric)
+    theta_div = improved_scalar_stress_divergence(phi, pts, metric)
+    per_gen = [killing_current_divergence(theta, theta_div, gen, pts, metric) for gen in basis_generators(metric.dim)]
+    return abs(np.stack(per_gen, axis=-1)).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -895,13 +899,15 @@ def _reduce(residuals: list):
 def _run_check(spec: ModelSpec, metric: Metric, name: str) -> CheckReport:
     cd = CHECKS[name]
     tol, xfail = 0.0, False
+    started = time.perf_counter()
     try:
         tol = float(spec.tolerances.get(cd.tolerance, cd.tolerance))  # a class, or a number
         xfail = cd.expected_fail is not None and cd.expected_fail(spec)
         samples, residual, error = _reduce(cd.fn(spec, metric, _rng_for(spec, name)))
     except Exception as exc:  # deliberate: a broken check must not kill the run
         samples, residual, error = 0, 0.0, f"{type(exc).__name__}: {exc}"
-    return CheckReport(name, spec.dimension, samples, residual, tol, spec.seed, xfail, error)
+    wall_ms = 1e3 * (time.perf_counter() - started)
+    return CheckReport(name, spec.dimension, samples, residual, tol, spec.seed, xfail, error, wall_ms)
 
 
 def run_suite(spec: ModelSpec) -> RunReport:

@@ -17,19 +17,22 @@ successive-variation convention.
 
 Leading sample axis: :func:`spin_coefficient`, the vector and spinor spin
 actions, :func:`delta_vector_potential` and :func:`delta_spinor` on the
-cosine fixtures, :func:`vector_spin_term`, :func:`decoupling_bracket_with`,
-:func:`decoupling_bracket_residual`, :func:`decoupled_vector_residual`,
-:func:`decoupled_spinor_residual` and the ``value`` of
-:class:`FiniteVectorTransform` and :class:`FiniteSpinorTransform` take points
-``x`` (or ``y``) of shape ``(..., D)`` with a parameter stack ``c`` of the
-same shape, and return one result per sample.  Each sample's result is bit
-for bit its single-point result, by mirroring the single point's operations
-(see :mod:`confsym.geometry`): a per-point ``@``, ``dot`` or ``tensordot``
-is a stacked ``matmul`` on operands of the same memory layout, a per-point
-``einsum`` is the same ``einsum`` with a leading sample index, and a power of
-a per-sample value is ``np.float_power``.  A single point gives the float or
-array it always gave; a floor or timelike test raises for the first sample
-that fails it.  The other functions here take one point.
+cosine fixtures, :func:`delta_scalar_with_gradient` and
+:func:`delta_vector_potential_with_gradient` on the cosine and Gaussian
+fixtures, :func:`delta_field_strength_primary`, :func:`vector_spin_term`,
+:func:`decoupling_bracket_with`, :func:`decoupling_bracket_residual`,
+:func:`decoupled_vector_residual`, :func:`decoupled_spinor_residual` and the
+``value`` of :class:`FiniteVectorTransform` and :class:`FiniteSpinorTransform`
+take points ``x`` (or ``y``) of shape ``(..., D)`` with a parameter stack
+``c`` of the same shape, and return one result per sample.  Each sample's
+result is bit for bit its single-point result, by mirroring the single
+point's operations (see :mod:`confsym.geometry`): a per-point ``@``, ``dot``
+or ``tensordot`` is a stacked ``matmul`` on operands of the same memory
+layout, a per-point ``einsum`` is the same ``einsum`` with a leading sample
+index, and a power of a per-sample value is ``np.float_power``.  A single
+point gives the float or array it always gave; a floor or timelike test
+raises for the first sample that fails it.  The other functions here take
+one point.
 """
 
 from __future__ import annotations
@@ -217,20 +220,20 @@ def _delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
     ddiv = killing_divergence_gradient(gen, metric)
     w = gen.weight / metric.dim
 
-    delta = grad @ f + w * div * value
-    dout = np.einsum("rm,ar->am", df, grad)
-    dout += np.einsum("arm,r->am", hess, f)
-    dout += w * np.outer(value, ddiv)
-    dout += w * div * grad
+    delta = _contract(grad, f) + _lift(w * div) * value
+    dout = np.einsum("...rm,...ar->...am", df, grad)
+    dout += np.einsum("...arm,...r->...am", hess, f)
+    dout += w * _outer(value, ddiv)
+    dout += _lift(w * div, 2) * grad
     if gen.spin == "vector":
         C = spin_coefficient(gen, x, metric)
         dC = _spin_coefficient_gradient(gen, metric)
         delta = delta + _spin_action(C, value, "vector", metric, None)
         upper = metric.diag * value
         dupper = metric.diag[:, None] * grad  # d_m A^k stored [k, m]
-        asym = C - C.T
-        dout += np.einsum("akm,k->am", dC - np.swapaxes(dC, 0, 1), upper)
-        dout += np.einsum("ak,km->am", asym, dupper)
+        asym = C - np.swapaxes(C, -1, -2)
+        dout += np.einsum("...akm,...k->...am", dC - np.swapaxes(dC, -3, -2), upper)
+        dout += np.einsum("...ak,...km->...am", asym, dupper)
     return delta, dout
 
 
@@ -240,7 +243,7 @@ def _spin_coefficient_gradient(gen, metric: Metric) -> np.ndarray:
     d2 = killing_second_gradient(gen, metric)  # d2[m, n, r] = d_r d_n f^m
     low = metric.diag[:, None, None] * d2  # d_r d_n f_m
     # C = (1/4)(d_m f_n - d_n f_m)  ->  dC[m, n, r] = (1/4)(d2 f_n;mr - d2 f_m;nr)
-    term = np.einsum("nmr->mnr", low)
+    term = np.swapaxes(low, -3, -2)
     return 0.25 * (term - low)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from confsym.suites import applicable_checks, run_suite
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+CHECK_KEYS = {"name", "dim", "samples", "max_residual", "tolerance", "seed", "expected_fail", "passed", "ok", "error"}
 
 SMALL_MAXWELL = """
 [model]
@@ -50,6 +52,17 @@ def test_audit_text_output(small_spec, tmp_path):
     text = out.read_text()
     assert "PASS" in text
     assert "overall: PASS" in text
+    # each check line carries its wall time beside the sample count; the
+    # json has no timing, so a report of the saved file prints none
+    lines = [line for line in text.splitlines() if line.startswith("  ")]
+    assert len(lines) == 3
+    assert all(re.search(r"\(n=\d+, \d+\.\d ms\)$", line) for line in lines)
+    saved, again = tmp_path / "r.json", tmp_path / "again.txt"
+    assert main(["audit", str(small_spec), "--format", "json", "--out", str(saved)]) == 0
+    assert all(set(check) == CHECK_KEYS for check in json.loads(saved.read_text())["checks"])
+    assert main(["report", str(saved), "--format", "text", "--out", str(again)]) == 0
+    reported = [line for line in again.read_text().splitlines() if line.startswith("  ")]
+    assert reported == [re.sub(r", \d+\.\d ms\)$", ")", line) for line in lines]
 
 
 def test_audit_bad_spec_exits_two(tmp_path):
@@ -594,3 +607,83 @@ def test_route_gaps_skip_exactly_where_the_serial_agreement_skips(bad_rows):
     serial = [suites._agreement(make(c, "jacobian"), make(c, "reflection"), y) for y, c in zip(ys, cs)]
     assert [i for i, r in enumerate(serial) if r is None] == sorted(set(bad_rows) | {8})
     assert suites._route_gaps(make, ("jacobian", "reflection"), ys, cs) == serial
+
+
+# The six Noether-layer checks evaluate whole sample arrays; each must return
+# the residuals that single-point library calls give in the per-point loop
+# order (points-major, sigma or generator minor), drawn in the same order.
+ORDER_SPECS = {
+    "maxwell": "[model]\nkind = maxwell\ndimension = {dim}\n",
+    "interacting-multiplet": "[model]\nkind = interacting-multiplet\ndimension = {dim}\n[params]\ncomponents = 3\nlambda = 0.8\n",
+    "general-scalar-linear": "[model]\nkind = general-scalar\ndimension = {dim}\n[params]\nprofile = linear\n",
+    "general-scalar-quadratic": "[model]\nkind = general-scalar\ndimension = {dim}\n[params]\nprofile = quadratic\n",
+    "dual-scalar-3": "[model]\nkind = dual-scalar-3\ndimension = {dim}\n",
+}
+
+
+def _order_case(kind, dim, name):
+    from confsym.geometry import Metric
+    from confsym.modelspec import parse_spec
+
+    spec = parse_spec(ORDER_SPECS[kind].format(dim=dim) + "[suite]\nseed = 1234\n")
+    metric = Metric(dim)
+    got = suites.CHECKS[name].fn(spec, metric, suites._rng_for(spec, name))
+    return spec, metric, got, suites._rng_for(spec, name)
+
+
+@pytest.mark.parametrize("kind,dim", [
+    ("maxwell", 3), ("maxwell", 6), ("interacting-multiplet", 4), ("general-scalar-linear", 5),
+    ("general-scalar-quadratic", 6), ("dual-scalar-3", 3),
+])
+def test_action_checks_keep_the_per_point_order(kind, dim):
+    from confsym import sampling
+    from confsym.noether import action_variation_identity
+
+    spec, metric, got, rng = _order_case(kind, dim, "action-scale-identity")
+    model, fixture = suites._model_fixture(spec, metric, rng)
+    expected = [abs(action_variation_identity("scale", model, fixture, x, metric))
+                for x in sampling.points(rng, dim, 8)]
+    assert got == expected and len(got) == 8
+
+    spec, metric, got, rng = _order_case(kind, dim, "action-conformal-identity")
+    model, fixture = suites._model_fixture(spec, metric, rng)
+    expected = [abs(action_variation_identity("conformal", model, fixture, x, metric, s))
+                for x in sampling.points(rng, dim, 8) for s in range(dim)]
+    assert got == expected and len(got) == 8 * dim
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_maxwell_current_checks_keep_the_per_point_order(dim):
+    from confsym import sampling
+    from confsym.geometry import special_conformal
+    from confsym.noether import MaxwellModel, action_variation_identity, current_divergence_identity
+
+    spec, metric, got, rng = _order_case("maxwell", dim, "action-assumed-primary")
+    A = sampling.random_offshell_potential(rng, metric)
+    expected = [abs(action_variation_identity("conformal-assumed-primary", MaxwellModel(dim), A, x, metric, s))
+                for x in sampling.points(rng, dim, 6) for s in range(dim)]
+    assert got == expected and len(got) == 6 * dim
+
+    for name in ("conformal-current-identity", "conformal-current-naive"):
+        spec, metric, got, rng = _order_case("maxwell", dim, name)
+        A = suites._onshell_potential(spec, metric, rng)
+        # all points first, then one parameter per point
+        sides = [current_divergence_identity(special_conformal(rng.normal(0.0, 0.4, dim)), A, x, metric)
+                 for x in sampling.points(rng, dim, 10)]
+        expected = [abs(lhs - rhs) if name.endswith("identity") else abs(lhs) for lhs, rhs in sides]
+        assert got == expected and len(got) == 10
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_killing_current_check_keeps_the_per_point_order(dim):
+    from confsym import sampling
+    from confsym.geometry import basis_generators
+    from confsym.noether import MultipletModel, bessel_hagen_divergence
+
+    spec, metric, got, rng = _order_case("interacting-multiplet", dim, "killing-current-conservation")
+    phi = suites._scalar_fixture(spec, metric, rng, null=True)
+    model = MultipletModel(dim, spec.components, 0.0)
+    gens = basis_generators(dim)
+    expected = [abs(bessel_hagen_divergence(gen, model, phi, x, metric))
+                for x in sampling.points(rng, dim, 4) for gen in gens]
+    assert got == expected and len(got) == 4 * len(gens)

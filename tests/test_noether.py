@@ -2,18 +2,22 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from confsym.errors import ConfsymError, FieldDomainError
 from confsym.fields import (
     CosineMultiplet,
     CosineVectorPotential,
     GaussianMultiplet,
     field_strength_from_potential,
     fd_gradient,
+    multiplet_stack,
     PolynomialMultiplet,
 )
 from confsym.geometry import (
     Metric,
     basis_generators,
     dilation,
+    killing_second_gradient,
+    sigma_basis_conformal,
     special_conformal,
     translation,
 )
@@ -32,6 +36,7 @@ from confsym.noether import (
     improved_scalar_stress,
     improved_scalar_stress_divergence,
     improved_scalar_stress_trace,
+    killing_current_divergence,
     lagrangian,
     linear_scalar_model,
     maxwell_stress,
@@ -45,6 +50,12 @@ from confsym.noether import (
     scalar_stress_divergence,
     scale_current_maxwell,
     scale_current_maxwell_divergence,
+    _sum_left_to_right,
+)
+from confsym.transforms import (
+    delta_field_strength_primary,
+    delta_scalar_with_gradient,
+    delta_vector_potential_with_gradient,
 )
 from confsym import sampling
 
@@ -512,3 +523,183 @@ class TestCheckReport:
         broken = CheckReport("demo", 4, 0, 0.0, 1e-12, 42, error="boom")
         assert not broken.passed and not broken.ok
         assert broken.to_dict()["error"] == "boom"
+
+
+def _field_kinds(dim, rng):
+    """(model, off-shell fixture, on-shell fixture or None) for each field
+    kind at ``dim``: Maxwell, the multiplet at N = 1..3, both general-scalar
+    profiles on a Gaussian and, at D = 3, the dual scalar."""
+    g = Metric(dim)
+    kinds = [(MaxwellModel(dim), sampling.random_offshell_potential(rng, g),
+              sampling.random_onshell_potential(rng, g))]
+    for n in (1, 2, 3):
+        kinds.append((MultipletModel(dim, n, 0.7), sampling.random_plane_wave_multiplet(rng, g, n),
+                      sampling.random_plane_wave_multiplet(rng, g, n, null=True)))
+    gaussian = GaussianMultiplet(dim, [1.3], rng.normal(0, 0.2, dim), 0.08 * np.eye(dim))
+    kinds += [(linear_scalar_model(dim, -0.4, 0.5), gaussian, None), (quadratic_scalar_model(dim), gaussian, None)]
+    if dim == 3:
+        kinds.append((DualScalarModel(), sampling.random_plane_wave_multiplet(rng, g, 1),
+                      sampling.random_plane_wave_multiplet(rng, g, 1, null=True)))
+    return kinds
+
+
+class TestSampleAxis:
+    """The Noether kernels on (S, D) stacks of points, with a special
+    conformal parameter stack or a sigma index stack, give bit for bit and in
+    the same dtype what they give one row at a time."""
+
+    @pytest.mark.parametrize("n", [1, 37])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_stack_equals_rows(self, dim, n, same_bits):
+        g = Metric(dim)
+        rng = np.random.default_rng([dim, n])
+        xs = sampling.points(rng, dim, n)
+        cs = rng.normal(0.0, 0.4, (n, dim))
+        sigmas = rng.integers(0, dim, n)
+
+        def check(fn):
+            """fn(x, c, sigma) on the stacks against the rows; a tuple
+            result is compared part by part."""
+            batch = fn(xs, cs, sigmas)
+            rows = [fn(x, c, s) for x, c, s in zip(xs, cs, sigmas)]
+            for k, part in enumerate(batch if isinstance(batch, tuple) else (batch,)):
+                same_bits(part, [row[k] if isinstance(batch, tuple) else row for row in rows])
+
+        check(lambda x, c, s: sigma_basis_conformal(s, g, 1.0, "vector").param)
+        check(lambda x, c, s: killing_second_gradient(special_conformal(c), g))
+        gens = [lambda c, gen=gen: gen for gen in basis_generators(dim)] + [special_conformal]
+        gaussian = GaussianMultiplet(dim, [1.3, -0.6], rng.normal(0, 0.2, dim), rng.normal(0, 0.1, (dim, dim)))
+        for name in ("value", "grad", "hess", "third"):
+            check(lambda x, c, s: getattr(gaussian, name)(x))
+        for model, off, on in _field_kinds(dim, rng):
+            check(lambda x, c, s: lagrangian(model, off, x, g))
+            check(lambda x, c, s: action_variation_identity("scale", model, off, x, g))
+            check(lambda x, c, s: action_variation_identity("conformal", model, off, x, g, s))
+            if isinstance(model, MaxwellModel):
+                check(lambda x, c, s: action_variation_identity("conformal-assumed-primary", model, off, x, g, s))
+                check(lambda x, c, s: field_strength_from_potential(off, x).dF)
+                check(lambda x, c, s: delta_field_strength_primary(
+                    special_conformal(c, weight=0.5 * dim, spin="field-strength"),
+                    field_strength_from_potential(off, x), x, g))
+                for gen in (lambda c: special_conformal(c, spin="vector"), lambda c: dilation(0.7, dim, spin="vector")):
+                    check(lambda x, c, s: delta_vector_potential_with_gradient(gen(c), off, x, g))
+                for kernel in (maxwell_stress, maxwell_stress_divergence, maxwell_stress_trace):
+                    check(lambda x, c, s: kernel(on, x, g))
+                for gen in gens:
+                    check(lambda x, c, s: bessel_hagen_divergence(gen(c), model, on, x, g))
+                    check(lambda x, c, s: current_divergence_identity(gen(c), on, x, g))
+                continue
+            check(lambda x, c, s: model.density(*multiplet_stack(off, x)[:2], g))
+            check(lambda x, c, s: model.conjugates(*multiplet_stack(off, x)[:2], g))
+            check(lambda x, c, s: delta_scalar_with_gradient(sigma_basis_conformal(s, g, 0.5, "scalar"), off, x, g))
+            if on is None:
+                continue
+            coupling = getattr(model, "coupling", 0.0)
+            for kernel in (scalar_stress, scalar_stress_divergence, improved_scalar_stress,
+                           improved_scalar_stress_divergence, improved_scalar_stress_trace):
+                check(lambda x, c, s: kernel(on, x, g, coupling))
+            for gen in gens:
+                check(lambda x, c, s: bessel_hagen_divergence(gen(c), model, on, x, g))
+                check(lambda x, c, s: killing_current_divergence(
+                    improved_scalar_stress(on, x, g), improved_scalar_stress_divergence(on, x, g), gen(c), x, g))
+
+    # the scalar conformal identity's residuals at N = 3, as the per-point
+    # code rounded them: the stacked and single-point forms share one sum
+    # order, so only fixed figures show a change of that order
+    PINNED_CONFORMAL = [
+        ["-0x1.8000000000000p-52", "-0x1.8000000000000p-55", "0x1.8000000000000p-53", "0x0.0p+0"],
+        ["-0x1.0000000000000p-50", "-0x1.0000000000000p-54", "0x1.0000000000000p-52", "0x1.4000000000000p-49"],
+        ["-0x1.0000000000000p-51", "-0x1.0000000000000p-53", "-0x1.0000000000000p-52", "0x1.4000000000000p-49"],
+        ["-0x1.0000000000000p-51", "-0x1.0000000000000p-51", "0x1.8000000000000p-55", "-0x1.0000000000000p-51", "-0x1.0000000000000p-51", "0x1.0000000000000p-51"],
+        ["-0x1.0000000000000p-50", "0x1.0000000000000p-52", "0x1.2000000000000p-53", "-0x1.0000000000000p-51", "-0x1.0000000000000p-50", "-0x1.8000000000000p-50"],
+        ["0x1.0000000000000p-49", "0x1.4000000000000p-51", "-0x1.0000000000000p-54", "0x0.0p+0", "-0x1.0000000000000p-51", "0x0.0p+0"],
+    ]
+
+    def test_scalar_conformal_identity_keeps_its_rounding(self):
+        got = []
+        for dim in (4, 6):
+            g = Metric(dim)
+            phi = CosineMultiplet(np.linspace(0.3, -0.5, dim), [0.9, -1.1, 0.7], 0.4, g)
+            model = MultipletModel(dim, 3, 0.6)
+            for j in range(3):
+                x = np.linspace(-0.4, 0.5, dim) * (j + 1) / 2.0
+                got.append([action_variation_identity("conformal", model, phi, x, g, s).hex() for s in range(dim)])
+        assert got == self.PINNED_CONFORMAL
+
+    def test_left_to_right_sum_is_the_strided_einsum(self, rng):
+        for n in range(1, 10):
+            value, grad = rng.normal(size=(50, n)), rng.normal(size=(50, n, 5))
+            sigma = rng.integers(0, 5, 50)
+            columns = np.take_along_axis(grad, sigma[:, None, None], -1)[..., 0]
+            rows = [np.einsum("i,i->", v, gr[:, s]) for v, gr, s in zip(value, grad, sigma)]
+            assert _sum_left_to_right(value * columns).tobytes() == np.array(rows).tobytes()
+
+    def test_single_points_give_floats(self, metric4, rng):
+        x = rng.normal(0.0, 0.6, 4)
+        A = sampling.random_offshell_potential(rng, metric4)
+        phi = sampling.random_plane_wave_multiplet(rng, metric4, 2, null=True)
+        assert type(action_variation_identity("conformal", MaxwellModel(4), A, x, metric4, 2)) is float
+        assert type(maxwell_stress_trace(A, x, metric4)) is float
+        assert type(bessel_hagen_divergence(special_conformal(x), MultipletModel(4, 2), phi, x, metric4)) is float
+        assert current_divergence_identity(dilation(1.0, 4), A, x, metric4)[1] == 0.0
+
+
+class TestSigmaIndex:
+    # every sigma passes through sigma_basis_conformal, which accepts only
+    # integers 0 <= sigma < D; a negative one used to alias a real axis
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_out_of_range_or_non_integer_sigma_rejected(self, dim, rng):
+        g = Metric(dim)
+        x = rng.normal(0.0, 0.6, dim)
+        xs = sampling.points(rng, dim, 3)
+        for model, off, _ in _field_kinds(dim, rng):
+            kinds = ["conformal"] + ["conformal-assumed-primary"] * isinstance(model, MaxwellModel)
+            for kind in kinds:
+                for sigma in (-1, dim, 1.0, True):
+                    with pytest.raises(ValueError, match="sigma must be an integer index"):
+                        action_variation_identity(kind, model, off, x, g, sigma)
+                for stack in ([0, dim, 1], [0, -1, 1], [0.0, 1.0, 2.0], [True, False, True]):
+                    with pytest.raises(ValueError, match="sigma must be an integer index"):
+                        action_variation_identity(kind, model, off, xs, g, np.array(stack))
+
+    def test_integer_types_accepted(self, metric4):
+        for sigma in (3, np.int64(3), np.uint8(3)):
+            assert sigma_basis_conformal(sigma, metric4, 1.0, "scalar").param.tolist() == [0.0, 0.0, 0.0, -1.0]
+
+
+class TestGeneralScalarDomain:
+    # phi^p must be real and nonzero: a bare TypeError (complex power) or
+    # ZeroDivisionError used to escape, and a batched power would give NaN
+    def test_negative_phi_at_a_fractional_power(self, rng):
+        g = Metric(5)  # p = 10/3
+        value, grad = np.array([-0.7]), rng.normal(0.0, 0.5, (1, 5))
+        for model in (linear_scalar_model(5, -0.4, 0.5), quadratic_scalar_model(5)):
+            for method in (model.density, model.conjugates):
+                with pytest.raises(FieldDomainError, match=r"phi = -0\.7: .*p = 3\.33333"):
+                    method(value, grad, g)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_zero_phi(self, dim):
+        g = Metric(dim)
+        poly = PolynomialMultiplet(dim, [[(1.0, (1,) + (0,) * (dim - 1)), (0.5, (0, 1) + (0,) * (dim - 2))]])
+        model = linear_scalar_model(dim, -0.4, 0.5)
+        for kind in ("scale", "conformal"):
+            with pytest.raises(FieldDomainError, match="phi = 0.0"):
+                action_variation_identity(kind, model, poly, np.zeros(dim), g)
+        assert issubclass(FieldDomainError, ConfsymError)
+
+    def test_first_bad_sample_is_named(self, rng):
+        g = Metric(5)
+        value = np.array([[0.4], [0.9], [-0.2], [0.0], [1.1]])
+        grad = rng.normal(0.0, 0.5, (5, 1, 5))
+        with pytest.raises(FieldDomainError, match=r"phi = -0\.2 at sample 2"):
+            quadratic_scalar_model(5).conjugates(value, grad, g)
+        with pytest.raises(FieldDomainError, match=r"phi = 0\.0 at sample 3"):
+            quadratic_scalar_model(4).density(value, grad[..., :4], Metric(4))
+
+    def test_negative_phi_at_an_integer_power(self, rng):
+        # p = 4 at D = 4: phi^p is real, and the density is even in phi
+        g = Metric(4)
+        grad = rng.normal(0.0, 0.5, (1, 4))
+        model = quadratic_scalar_model(4)
+        assert model.density(np.array([-0.8]), grad, g) == model.density(np.array([0.8]), grad, g)
