@@ -20,8 +20,7 @@ from .clifford import MAX_DIM, MIN_DIM
 from .errors import ConfsymError, ParseError, SemanticError
 from .mechanics import MechParams, dump_trajectory, initial_state, integrate
 from .modelspec import DEFAULT_TOLERANCES, ModelSpec, check_dimension, parse_spec
-from .noether import CheckReport
-from .suites import RunReport, run_suite
+from .suites import CheckReport, RunReport, run_suite
 
 
 def emit_report(report: RunReport, fmt: str) -> bytes:

@@ -4,7 +4,9 @@ The antisymmetric field strength is represented through the rank-3 symbol
 and the gradient of a single scalar, which interchanges the roles of the
 equation of motion and the cyclic (Bianchi) identity: the former becomes an
 identity, the latter carries the dynamics.  The dual scalar is a
-one-component multiplet; its evaluators are read at component 0.
+one-component multiplet, read through its :class:`~confsym.fields.Jet` at
+component 0; each function takes the scalar or its jet on ``x`` and one
+point.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from .errors import OffShellParameters, WrongDimension
 from .fields import (
     CosineMultiplet,
     CosineVectorPotential,
-    FieldStrengthValue,
+    Jet,
     ScalarMultiplet,
     VectorPotential,
+    as_jet,
 )
 from .geometry import Metric, levi_civita3, levi_civita3_upper, sigma_basis_conformal
 from .noether import improved_scalar_stress, _raise2
@@ -36,54 +39,57 @@ def _check_dim3(metric: Metric, phi=None):
         raise WrongDimension(f"dual scalar field must have one component, not {phi.n_comp}")
 
 
-def field_strength_from_dual(phi: ScalarMultiplet, x, metric: Metric) -> FieldStrengthValue:
-    """F_{ab} = eps_{abm} d^m phi, with first derivatives."""
-    _check_dim3(metric, phi)
+def _dual_jet(phi, x, metric: Metric) -> Jet:
+    """The jet of the dual scalar (or ``phi`` itself, a jet on x), after the
+    dimension checks."""
+    jet = as_jet(phi, x)
+    _check_dim3(metric, jet.field)
+    return jet
+
+
+def field_strength_from_dual(phi: ScalarMultiplet, x, metric: Metric):
+    """(F, dF): F_{ab} = eps_{abm} d^m phi and ``dF[a, b, r] = d_r F_{ab}``."""
+    jet = _dual_jet(phi, x, metric)
     eps = levi_civita3()
-    grad_up = metric.lower(phi.grad(x)[0])
-    hess_up = metric.diag[:, None] * phi.hess(x)[0]  # d^m d_r phi, [m, r]
-    F = np.einsum("abm,m->ab", eps, grad_up)
-    dF = np.einsum("abm,mr->abr", eps, hess_up)
-    return FieldStrengthValue(F, dF)
+    grad_up = metric.lower(jet.grad[0])
+    hess_up = metric.diag[:, None] * jet.hess[0]  # d^m d_r phi, [m, r]
+    return np.einsum("abm,m->ab", eps, grad_up), np.einsum("abm,mr->abr", eps, hess_up)
 
 
 def dual_roundtrip_residual(phi: ScalarMultiplet, x, metric: Metric) -> float:
     """Half the symbol contraction of F must rebuild the raised gradient."""
-    _check_dim3(metric, phi)
-    fs = field_strength_from_dual(phi, x, metric)
-    eps_up = levi_civita3_upper(metric)
-    rebuilt = 0.5 * np.einsum("mab,ab->m", eps_up, fs.F)
-    return float(np.max(np.abs(rebuilt - metric.lower(phi.grad(x)[0]))))
+    jet = _dual_jet(phi, x, metric)
+    F, _ = field_strength_from_dual(jet, x, metric)
+    rebuilt = 0.5 * np.einsum("mab,ab->m", levi_civita3_upper(metric), F)
+    return float(np.max(np.abs(rebuilt - metric.lower(jet.grad[0]))))
 
 
 def maxwell_eom_from_dual(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
     """d_a F^{ab} for the dual-built F: an identity (zero for any phi)."""
-    _check_dim3(metric, phi)
-    fs = field_strength_from_dual(phi, x, metric)
-    return np.einsum("a,b,aba->b", metric.diag, metric.diag, fs.dF)
+    _, dF = field_strength_from_dual(phi, x, metric)
+    return np.einsum("a,b,aba->b", metric.diag, metric.diag, dF)
 
 
 def bianchi_pattern_residual(phi: ScalarMultiplet, x, metric: Metric) -> float:
     """Cyclic derivative sum of the dual F against its closed form
     eps_{bca} box phi (hand-worked symbol identity)."""
-    _check_dim3(metric, phi)
-    fs = field_strength_from_dual(phi, x, metric)
-    cyc = (
-        np.einsum("bca->abc", fs.dF)
-        + np.einsum("cab->abc", fs.dF)
-        + fs.dF
-    )
-    eps = levi_civita3()
-    expected = np.einsum("bca->abc", eps) * phi.box(x, metric)[0]
+    jet = _dual_jet(phi, x, metric)
+    _, dF = field_strength_from_dual(jet, x, metric)
+    cyc = np.einsum("bca->abc", dF) + np.einsum("cab->abc", dF) + dF
+    expected = np.einsum("bca->abc", levi_civita3()) * jet.box(metric)[0]
     return float(np.max(np.abs(cyc - expected)))
 
 
 def primary_rule_F(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> np.ndarray:
     """The pretend-primary conformal rule applied to the dual-built F."""
-    _check_dim3(metric, phi)
+    F, dF = field_strength_from_dual(phi, x, metric)
     gen = sigma_basis_conformal(sigma, metric, 1.5, "field-strength")
-    fs = field_strength_from_dual(phi, x, metric)
-    return delta_field_strength_primary(gen, fs, x, metric)
+    return delta_field_strength_primary(gen, F, dF, x, metric)
+
+
+def _symbol_phi(jet: Jet, sigma: int, metric: Metric) -> np.ndarray:
+    """eps_{ab}^sigma phi, the inhomogeneous term of the dual F variation."""
+    return levi_civita3()[:, :, sigma] * metric.diag[sigma] * jet.value[0]
 
 
 def delta_bar_F(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> np.ndarray:
@@ -92,28 +98,25 @@ def delta_bar_F(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> np.ndarr
     Equals the pretend-primary rule plus the inhomogeneous eps_{ab}^sigma phi
     term, so F stays non-primary in the dual formulation as well.
     """
-    _check_dim3(metric, phi)
-    eps_mixed = levi_civita3()[:, :, sigma] * metric.diag[sigma]
-    return primary_rule_F(phi, x, sigma, metric) + eps_mixed * phi.value(x)[0]
+    jet = _dual_jet(phi, x, metric)
+    return primary_rule_F(jet, x, sigma, metric) + _symbol_phi(jet, sigma, metric)
 
 
 def delta_bar_F_chain_rule(phi: ScalarMultiplet, x, sigma: int, metric: Metric):
     """Independent route: the symbol contraction of the raised gradient of
     the scalar conformal variation (weight one half)."""
-    _check_dim3(metric, phi)
+    jet = _dual_jet(phi, x, metric)
     gen = sigma_basis_conformal(sigma, metric, 0.5, "scalar")
-    _, ddelta = delta_scalar_with_gradient(gen, phi, x, metric)
+    _, ddelta = delta_scalar_with_gradient(gen, jet, x, metric)
     d_up = metric.diag * ddelta[0]
     return np.einsum("abm,m->ab", levi_civita3(), d_up)
 
 
 def nonprimary_shift_residual(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> float:
     """delta-bar F minus the pretend-primary rule minus eps_{ab}^sigma phi."""
-    shift = delta_bar_F_chain_rule(phi, x, sigma, metric) - primary_rule_F(
-        phi, x, sigma, metric
-    )
-    eps_mixed = levi_civita3()[:, :, sigma] * metric.diag[sigma]
-    return float(np.max(np.abs(shift - eps_mixed * phi.value(x)[0])))
+    jet = _dual_jet(phi, x, metric)
+    shift = delta_bar_F_chain_rule(jet, x, sigma, metric) - primary_rule_F(jet, x, sigma, metric)
+    return float(np.max(np.abs(shift - _symbol_phi(jet, sigma, metric))))
 
 
 def improved_stress_from_F(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
@@ -123,25 +126,24 @@ def improved_stress_from_F(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarra
     W^n the symbol contraction of F.  Equals the scalar-form improved tensor
     when phi is on shell (their difference is proportional to box phi).
     """
-    _check_dim3(metric, phi)
-    fs = field_strength_from_dual(phi, x, metric)
-    f_up = _raise2(fs.F, metric)
-    mixed = metric.diag[:, None] * fs.F  # F^n_a
-    f2 = float(np.sum(f_up * fs.F))
+    jet = _dual_jet(phi, x, metric)
+    F, dF = field_strength_from_dual(jet, x, metric)
+    f_up = _raise2(F, metric)
+    mixed = metric.diag[:, None] * F  # F^n_a
+    f2 = float(np.sum(f_up * F))
     eps_up = levi_civita3_upper(metric)
     # dW[n, r] = d_r W^n, then raise r
-    dW = np.einsum("nab,abr->nr", eps_up, fs.dF)
+    dW = np.einsum("nab,abr->nr", eps_up, dF)
     dW_up = dW * metric.diag[None, :]
     theta = -0.75 * np.einsum("ma,na->mn", f_up, mixed)
     theta += 0.25 * np.diag(metric.diag) * f2
-    theta -= (phi.value(x)[0] / 16.0) * (dW_up + dW_up.T)
+    theta -= (jet.value[0] / 16.0) * (dW_up + dW_up.T)
     return theta
 
 
 def improved_stress_scalar_form(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
     """The same tensor from the scalar side (canonical plus improvement)."""
-    _check_dim3(metric, phi)
-    return improved_scalar_stress(phi, x, metric, coupling=0.0)
+    return improved_scalar_stress(_dual_jet(phi, x, metric), x, metric, coupling=0.0)
 
 
 def duality_mismatch(A: VectorPotential, phi: ScalarMultiplet, x, metric: Metric):
@@ -150,13 +152,13 @@ def duality_mismatch(A: VectorPotential, phi: ScalarMultiplet, x, metric: Metric
     Carries no pass/fail contract: the relation between the two formulations
     is non-local and only special pairs satisfy it pointwise.
     """
-    _check_dim3(metric, phi)
-    if A.dim != 3:
+    jet = _dual_jet(phi, x, metric)
+    potential = as_jet(A, x)
+    if potential.field.dim != 3:
         raise WrongDimension("vector potential must be three-dimensional")
-    eps_up = levi_civita3_upper(metric)
-    grad_a = A.grad(x)  # grad[b, a] = d_a A_b
-    curl = np.einsum("mab,ba->m", eps_up, grad_a)
-    return curl - metric.lower(phi.grad(x)[0])
+    # grad[b, a] = d_a A_b
+    curl = np.einsum("mab,ba->m", levi_civita3_upper(metric), potential.grad)
+    return curl - metric.lower(jet.grad[0])
 
 
 def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):

@@ -15,18 +15,23 @@ component axis, ``value (1,)``, ``grad (1, D)`` and so on.
 
 Leading sample axis: ``value``, ``grad``, ``hess`` and ``third`` of
 :class:`CosineMultiplet`, :class:`GaussianMultiplet` and
-:class:`CosineVectorPotential`, ``value`` and ``grad`` of
-:class:`CosineSpinor` and :class:`ShiftedPotential` over them, and
-:func:`field_strength_from_potential` take points of shape ``(..., D)`` and
-return the shapes above with the sample axes in front, each sample bit for
-bit its single-point result (the rules are stated in
-:mod:`confsym.geometry`): the phase ``k.x`` and the Gaussian's exponent are
-stacked ``matmul`` calls and the constant amplitude tensors are scaled per
-sample.  A single point gives the array it always gave.  The polynomial
-family takes one point.
+:class:`CosineVectorPotential`, and ``value`` and ``grad`` of
+:class:`CosineSpinor` and :class:`ShiftedPotential` over them, take points
+of shape ``(..., D)`` and return the shapes above with the sample axes in
+front, each sample bit for bit its single-point result (the rules are
+stated in :mod:`confsym.geometry`): the phase ``k.x`` and the Gaussian's
+exponent are stacked ``matmul`` calls and the constant amplitude tensors are
+scaled per sample.  A single point gives the array it always gave.  The
+polynomial family takes one point.
+
+The kernels of :mod:`confsym.noether`, :mod:`confsym.transforms` and
+:mod:`confsym.dual3` read a fixture only through its :class:`Jet` on their
+points, which evaluates each derivative order once (:func:`as_jet`).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +54,6 @@ class ScalarMultiplet:
     def __init__(self, dim: int, n_comp: int):
         self.dim = int(dim)
         self.n_comp = int(n_comp)
-
-    def box(self, x, metric: Metric) -> np.ndarray:
-        """Wave operator g^{mu nu} d_mu d_nu applied to each component."""
-        return np.einsum("m,imm->i", metric.diag, self.hess(x))
 
 
 class CosineMultiplet(ScalarMultiplet):
@@ -206,11 +207,6 @@ class GaussianMultiplet(ScalarMultiplet):
         return np.einsum("...i,...mnr->...imnr", self.amplitude * _lift(e), core)
 
 
-def multiplet_stack(phi, x):
-    """(value (N,), grad (N, D), hess (N, D, D)) of a multiplet, or N = D of a potential."""
-    return phi.value(x), phi.grad(x), phi.hess(x)
-
-
 # ---------------------------------------------------------------------------
 # vector potentials and field strengths
 # ---------------------------------------------------------------------------
@@ -293,24 +289,6 @@ def make_onshell_maxwell_plane_wave(
     return CosineVectorPotential(k, eps, phase, metric)
 
 
-class FieldStrengthValue:
-    """Pointwise antisymmetric F_{ab} with its first derivatives,
-    ``dF[a, b, m] = d_m F_{ab}``."""
-
-    def __init__(self, F, dF):
-        self.F = F
-        self.dF = dF
-
-
-def field_strength_from_potential(A: VectorPotential, x) -> FieldStrengthValue:
-    """F_{ab} = d_a A_b - d_b A_a and its first derivatives, built exactly."""
-    grad = A.grad(x)  # grad[b, a] = d_a A_b
-    hess = A.hess(x)
-    F = np.swapaxes(grad, -1, -2) - grad
-    dF = np.swapaxes(hess, -3, -2) - hess
-    return FieldStrengthValue(F, dF)
-
-
 # ---------------------------------------------------------------------------
 # spinors
 # ---------------------------------------------------------------------------
@@ -341,6 +319,50 @@ class CosineSpinor:
         t = self._angle(x)
         coeff = -self.u * _lift(np.sin(t)) + self.v * _lift(np.cos(t))
         return np.einsum("...i,m->...im", coeff, self.k_low.astype(complex))
+
+
+# ---------------------------------------------------------------------------
+# jets
+# ---------------------------------------------------------------------------
+
+
+class Jet:
+    """One field on one point stack ``x`` of shape ``(..., D)``.
+
+    ``value``, ``grad``, ``hess`` and ``third`` are the field's evaluators on
+    ``x``, each evaluated on first use and then kept.  For a vector potential
+    ``F[a, b] = d_a A_b - d_b A_a`` and ``dF[a, b, m] = d_m F_{ab}`` are built
+    from ``grad`` and ``hess``.
+    """
+
+    def __init__(self, field, x):
+        self.field = field
+        self.x = x
+
+    value = cached_property(lambda self: self.field.value(self.x))
+    grad = cached_property(lambda self: self.field.grad(self.x))
+    hess = cached_property(lambda self: self.field.hess(self.x))
+    third = cached_property(lambda self: self.field.third(self.x))
+    # grad[b, a] = d_a A_b
+    F = cached_property(lambda self: np.swapaxes(self.grad, -1, -2) - self.grad)
+    dF = cached_property(lambda self: np.swapaxes(self.hess, -3, -2) - self.hess)
+
+    def box(self, metric: Metric) -> np.ndarray:
+        """Wave operator g^{mu nu} d_mu d_nu applied to each component."""
+        return np.einsum("m,...imm->...i", metric.diag, self.hess)
+
+
+def as_jet(field, x) -> Jet:
+    """The jet of ``field`` on the points ``x``: ``field`` itself when it is a
+    jet on those points, a new jet when it is a fixture.  A jet on other
+    points raises ValueError."""
+    if not isinstance(field, Jet):
+        return Jet(field, x)
+    if field.x is not x and not np.array_equal(field.x, x):
+        raise ValueError(
+            f"a jet on points of shape {np.shape(field.x)} was passed with other points"
+        )
+    return field
 
 
 # ---------------------------------------------------------------------------

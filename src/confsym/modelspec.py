@@ -239,9 +239,11 @@ def _validate(sections) -> ModelSpec:
             raise SemanticError("checks selects no check")
         from .suites import CHECKS  # deferred: avoid a cycle at import time
 
-        for name in checks:
+        for index, name in enumerate(checks):
             if name not in CHECKS:
                 raise SemanticError(f"unknown check name {name!r}")
+            if name in checks[:index]:
+                raise SemanticError(f"check {name!r} is listed twice")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, entry in sections.get("tolerances", {}).items():

@@ -11,26 +11,26 @@ with both indices up, ``theta[m, n] = theta^{mn}``, and their analytic
 derivative stacks carry the derivative axis last,
 ``dtheta[m, n, r] = d_r theta^{mn}``.
 
-Leading sample axis: each model's ``density`` and ``conjugates`` (on value
-and gradient stacks ``(..., N)`` and ``(..., N, D)``), :func:`lagrangian`,
-:func:`maxwell_stress`, :func:`maxwell_stress_divergence`,
-:func:`maxwell_stress_trace`, :func:`scalar_stress`,
-:func:`scalar_stress_divergence`, :func:`improved_scalar_stress`,
-:func:`improved_scalar_stress_divergence`,
-:func:`improved_scalar_stress_trace`, :func:`killing_current_divergence`,
-:func:`bessel_hagen_divergence`, :func:`current_divergence_identity` and
-:func:`action_variation_identity` take points ``x`` of shape ``(..., D)``
-with a special conformal parameter stack of the same shape, or a ``sigma``
-index stack of shape ``(...)``, and return one result per sample.  Each
-sample's result is bit for bit its single-point result, by the rules of
-:mod:`confsym.transforms`: a per-point ``@`` is a stacked ``matmul``, a
-per-point ``einsum`` is the same ``einsum`` with a leading sample index, a
-per-point ``sum`` sums over the trailing axes of the same memory layout, and
-a power of a per-sample value is ``np.float_power``.  The one exception is
-the 1-D ``einsum`` over a strided column in the scalar conformal identity,
-which sums left to right; its stacked form is that sum written out
-(:func:`_sum_left_to_right`).  A single point gives the float or array it
-always gave.  The other functions here take one point.
+Leading sample axis: every kernel here, and each model's ``density`` and
+``conjugates`` on value and gradient stacks ``(..., N)`` and ``(..., N, D)``,
+takes points ``x`` of shape ``(..., D)`` (with a special conformal parameter
+stack of the same shape, or a ``sigma`` index stack of shape ``(...)``) and
+returns one result per sample.  Each sample's result is bit for bit its
+single-point result, by the rules of :mod:`confsym.transforms`: a per-point
+``@`` is a stacked ``matmul``, a per-point ``einsum`` is the same ``einsum``
+with a leading sample index, a per-point ``sum`` or ``trace`` reduces the
+trailing axes of the same memory layout, and a power of a per-sample value
+is ``np.float_power``.  The one exception is the 1-D ``einsum`` over a
+strided column in the scalar conformal identity, which sums left to right;
+its stacked form is that sum written out (:func:`_sum_left_to_right`).  A
+single point gives the float or array it always gave.
+
+Each kernel takes ``fields`` as a fixture or as its
+:class:`~confsym.fields.Jet` on the same ``x`` (a jet on other points raises
+ValueError) and reads the fixture only through that jet; a kernel built on
+others passes its jet down, so one call evaluates each derivative order of
+a fixture at most once (the gauge shift evaluates the shifted potential, a
+fixture of its own).
 """
 
 from __future__ import annotations
@@ -41,13 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FieldDomainError, UnsupportedDimension
-from .fields import (
-    ScalarMultiplet,
-    ShiftedPotential,
-    VectorPotential,
-    field_strength_from_potential,
-    multiplet_stack,
-)
+from .fields import Jet, ScalarMultiplet, ShiftedPotential, VectorPotential, as_jet
 from .geometry import (
     KIND_CONFORMAL,
     GeneratorAction,
@@ -256,10 +250,11 @@ def _f_squared(F, metric: Metric):
     return _one(np.sum(_raise2(F, metric) * F, axis=(-2, -1)))
 
 
-def _div_f_times(fs, v, dv, metric: Metric):
-    """d_m (F^{ma} v_a) for a co-vector v with ``dv[a, m] = d_m v_a``."""
-    out = np.einsum("...mam,...a->...", _raise_dF(fs.dF, metric), v)
-    return _one(out + np.einsum("...ma,...am->...", _raise2(fs.F, metric), dv))
+def _div_f_times(jet, v, dv, metric: Metric):
+    """d_m (F^{ma} v_a) for the potential's jet and a co-vector v with
+    ``dv[a, m] = d_m v_a``."""
+    out = np.einsum("...mam,...a->...", _raise_dF(jet.dF, metric), v)
+    return _one(out + np.einsum("...ma,...am->...", _raise2(jet.F, metric), dv))
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +265,12 @@ def _div_f_times(fs, v, dv, metric: Metric):
 def lagrangian(model, fields, x, metric: Metric):
     """(L, d_m L): the pointwise Lagrange density of the given model and its
     total derivative along the field configuration."""
+    jet = as_jet(fields, x)
     if isinstance(model, MaxwellModel):
-        fs = field_strength_from_potential(fields, x)
-        lag = -0.25 * _f_squared(fs.F, metric)
-        return lag, -0.5 * np.einsum("...ab,...abm->...m", _raise2(fs.F, metric), fs.dF)
-    value, grad, hess = multiplet_stack(fields, x)
-    return _one(model.density(value, grad, metric)), _density_gradient(model, value, grad, hess, metric)
+        lag = -0.25 * _f_squared(jet.F, metric)
+        return lag, -0.5 * np.einsum("...ab,...abm->...m", _raise2(jet.F, metric), jet.dF)
+    density = model.density(jet.value, jet.grad, metric)
+    return _one(density), _density_gradient(model, jet.value, jet.grad, jet.hess, metric)
 
 
 def _density_gradient(model, value, grad, hess, metric: Metric) -> np.ndarray:
@@ -292,7 +287,7 @@ def _density_gradient(model, value, grad, hess, metric: Metric) -> np.ndarray:
 def maxwell_stress(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     """theta^{mn} = -F^{ma} F^n_a + g^{mn} F^2 / 4; symmetric, conserved on
     shell, traceless only at D = 4."""
-    F = field_strength_from_potential(A, x).F
+    F = as_jet(A, x).F
     f_up = _raise2(F, metric)
     mixed = metric.diag[:, None] * F  # F^n_a stored [n, a]
     theta = -np.einsum("...ma,...na->...mn", f_up, mixed)
@@ -302,14 +297,14 @@ def maxwell_stress(A: VectorPotential, x, metric: Metric) -> np.ndarray:
 
 def maxwell_stress_divergence(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     """d_m theta^{mn}; vanishes on shell."""
-    fs = field_strength_from_potential(A, x)
-    f_up = _raise2(fs.F, metric)
-    df_up = _raise_dF(fs.dF, metric)
-    mixed = metric.diag[:, None] * fs.F
-    dmixed = metric.diag[:, None, None] * fs.dF
+    jet = as_jet(A, x)
+    f_up = _raise2(jet.F, metric)
+    df_up = _raise_dF(jet.dF, metric)
+    mixed = metric.diag[:, None] * jet.F
+    dmixed = metric.diag[:, None, None] * jet.dF
     dtheta = -np.einsum("...mar,...na->...mnr", df_up, mixed)
     dtheta -= np.einsum("...ma,...nar->...mnr", f_up, dmixed)
-    df2 = 2.0 * np.einsum("...ab,...abr->...r", f_up, fs.dF)
+    df2 = 2.0 * np.einsum("...ab,...abr->...r", f_up, jet.dF)
     dtheta += 0.25 * np.einsum("mn,...r->...mnr", np.diag(metric.diag), df2)
     return np.einsum("...mnm->...n", dtheta)
 
@@ -328,7 +323,8 @@ def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
     the Maxwell stress tensor to it, regardless of the sign carried by the
     dual density).
     """
-    value, grad, _ = multiplet_stack(phi, x)
+    jet = as_jet(phi, x)
+    value, grad = jet.value, jet.grad
     grad_up = grad * metric.diag[None, :]
     theta = np.einsum("...im,...in->...mn", grad_up, grad_up)
     model = MultipletModel(metric.dim, value.shape[-1], coupling)
@@ -338,7 +334,8 @@ def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
 
 def scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 0.0):
     """d_m theta^{mn} for the canonical scalar tensor."""
-    value, grad, hess = multiplet_stack(phi, x)
+    jet = as_jet(phi, x)
+    value, grad, hess = jet.value, jet.grad, jet.hess
     model = MultipletModel(metric.dim, value.shape[-1], coupling)
     grad_up = grad * metric.diag[None, :]
     hess_up = hess * metric.diag[None, :, None]
@@ -362,8 +359,9 @@ def improved_scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.
     the standard sign.
     """
     xi = improvement_coefficient(metric.dim)
-    theta = scalar_stress(phi, x, metric, coupling)
-    value, grad, hess = multiplet_stack(phi, x)
+    jet = as_jet(phi, x)
+    theta = scalar_stress(jet, x, metric, coupling)
+    value, grad, hess = jet.value, jet.grad, jet.hess
     # the derivative stacks of S = Phi.Phi are exactly symmetric by construction
     s_hess = 2.0 * (
         np.einsum("...im,...in->...mn", grad, grad)
@@ -376,10 +374,10 @@ def improved_scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.
 
 def improved_scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 0.0):
     """d_m theta_improved^{mn}; the improvement part cancels identically."""
-    div = scalar_stress_divergence(phi, x, metric, coupling)
+    jet = as_jet(phi, x)
+    div = scalar_stress_divergence(jet, x, metric, coupling)
     xi = improvement_coefficient(metric.dim)
-    value, grad, hess = multiplet_stack(phi, x)
-    third = phi.third(x)
+    value, grad, hess, third = jet.value, jet.grad, jet.hess, jet.third
     s_third = 2.0 * (
         np.einsum("...imn,...ir->...mnr", hess, grad)
         + np.einsum("...imr,...in->...mnr", hess, grad)
@@ -397,17 +395,15 @@ def improved_scalar_stress_trace(phi, x, metric: Metric, coupling: float = 0.0):
     return _one(np.einsum("m,...mm->...", metric.diag, theta))
 
 
-def offshell_trace_law(phi, x, metric: Metric, coupling: float = 0.0) -> float:
+def offshell_trace_law(phi, x, metric: Metric, coupling: float = 0.0):
     """Closed form of the improved trace valid off shell:
     D * potential + (D - 2)/2 * Phi . box Phi.  Derived by hand; serves as an
     independent oracle for the trace computation."""
-    value, grad, hess = multiplet_stack(phi, x)
+    jet = as_jet(phi, x)
     dim = metric.dim
-    model = MultipletModel(dim, value.shape[0], coupling)
-    box = np.einsum("m,imm->i", metric.diag, hess)
-    return float(dim * model.potential(float(value @ value))) + 0.5 * (dim - 2.0) * float(
-        value @ box
-    )
+    model = MultipletModel(dim, jet.value.shape[-1], coupling)
+    potential = dim * model.potential(_inner(jet.value, jet.value))
+    return _one(potential + 0.5 * (dim - 2.0) * _inner(jet.value, jet.box(metric)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +430,21 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
     conformal symmetry when it fails to be a total divergence."""
     dim = metric.dim
     d = canonical_weight(dim)
+    jet = as_jet(fields, x)
     if isinstance(model, MaxwellModel):
-        fs = field_strength_from_potential(fields, x)
-        value = 0.5 * (4.0 - dim) * (_raise2(fs.F, metric) @ fields.value(x))
+        value = 0.5 * (4.0 - dim) * _mv(_raise2(jet.F, metric), jet.value)
         if dim == 4:
-            return VirialInfo(value, True, lambda y: np.zeros((dim, dim)))
+            return VirialInfo(value, True, lambda y: np.zeros(np.shape(y)[:-1] + (dim, dim)))
         return VirialInfo(value, False)
-    value_f, grad, _ = multiplet_stack(fields, x)
-    _, mom = model.conjugates(value_f, grad, metric)  # mom carries an upper index
-    v = d * np.einsum("i,im->m", value_f, mom)
+    _, mom = model.conjugates(jet.value, jet.grad, metric)  # mom carries an upper index
+    v = d * np.einsum("...i,...im->...m", jet.value, mom)
     if model.linear_part is None:
         return VirialInfo(v, False)
     coeff = d * model.kinetic_coefficient
 
     def potential(y):
-        val = fields.value(y)
-        return coeff * np.diag(metric.diag) * float(val @ val)
+        val = Jet(jet.field, y).value
+        return coeff * np.diag(metric.diag) * _lift(_inner(val, val), 2)
 
     return VirialInfo(v, True, potential)
 
@@ -457,16 +452,15 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
 def maxwell_virial_first_principles(A: VectorPotential, x, metric: Metric):
     """The virial evaluated straight from its definition with the vector spin
     matrix; an independent route to the (4 - D)/2 F A closed form."""
-    dim = metric.dim
-    d = canonical_weight(dim)
-    fs = field_strength_from_potential(A, x)
-    value = A.value(x)
+    d = canonical_weight(metric.dim)
+    jet = as_jet(A, x)
+    value = jet.value
     # mom[m, b] = dL / d(d^m A_b) = -F_m^b
-    mom = -metric.diag[None, :] * fs.F
+    mom = -metric.diag[None, :] * jet.F
     upper = metric.diag * value
-    term1 = d * metric.diag * (mom @ value)
-    term2 = -np.trace(mom) * upper + mom.T @ upper
-    return term1 + term2
+    term1 = d * metric.diag * _mv(mom, value)
+    trace = np.trace(mom, axis1=-2, axis2=-1)
+    return term1 + (-_lift(trace) * upper + _mv(np.swapaxes(mom, -1, -2), upper))
 
 
 # ---------------------------------------------------------------------------
@@ -477,22 +471,20 @@ def maxwell_virial_first_principles(A: VectorPotential, x, metric: Metric):
 def scale_current_maxwell(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     """J^m = theta^m_a x^a + (4 - D)/2 F^{ma} A_a (the improved form)."""
     x = metric._check(x)
-    theta = maxwell_stress(A, x, metric)
-    fs = field_strength_from_potential(A, x)
-    return theta @ metric.lower(x) + 0.5 * (4.0 - metric.dim) * (
-        _raise2(fs.F, metric) @ A.value(x)
+    jet = as_jet(A, x)
+    theta = maxwell_stress(jet, x, metric)
+    return _mv(theta, metric.lower(x)) + 0.5 * (4.0 - metric.dim) * _mv(
+        _raise2(jet.F, metric), jet.value
     )
 
 
-def scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric) -> float:
+def scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric):
     """d_m J^m for the improved scale current; zero on shell in every D."""
     x = metric._check(x)
-    dim = metric.dim
-    fs = field_strength_from_potential(A, x)
-    theta_div = maxwell_stress_divergence(A, x, metric)
-    trace = maxwell_stress_trace(A, x, metric)
-    out = float(theta_div @ metric.lower(x)) + trace
-    return out + 0.5 * (4.0 - dim) * _div_f_times(fs, A.value(x), A.grad(x), metric)
+    jet = as_jet(A, x)
+    theta_div = maxwell_stress_divergence(jet, x, metric)
+    out = _inner(theta_div, metric.lower(x)) + maxwell_stress_trace(jet, x, metric)
+    return out + 0.5 * (4.0 - metric.dim) * _div_f_times(jet, jet.value, jet.grad, metric)
 
 
 def noether_scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric):
@@ -501,13 +493,10 @@ def noether_scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metr
     conserved piece is dropped; equals the improved one identically."""
     x = metric._check(x)
     gen = dilation(1.0, metric.dim, spin="vector")
-    fs = field_strength_from_potential(A, x)
-    delta, ddelta = delta_vector_potential_with_gradient(gen, A, x, metric)
-    lag, dlag = lagrangian(MaxwellModel(metric.dim), A, x, metric)
-    out = -_div_f_times(fs, delta, ddelta, metric)
-    out -= metric.dim * lag
-    out -= float(x @ dlag)
-    return out
+    jet = as_jet(A, x)
+    delta, ddelta = delta_vector_potential_with_gradient(gen, jet, x, metric)
+    lag, dlag = lagrangian(MaxwellModel(metric.dim), jet, x, metric)
+    return -_div_f_times(jet, delta, ddelta, metric) - metric.dim * lag - _inner(x, dlag)
 
 
 def killing_current_divergence(theta, theta_div, gen: GeneratorAction, x, metric: Metric):
@@ -532,22 +521,21 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
     if not isinstance(model, (MaxwellModel, MultipletModel, DualScalarModel)):
         raise TypeError(f"no stress-tensor current is built for {model!r}")
     x = metric._check(x)
+    jet = as_jet(fields, x)
     if isinstance(model, MaxwellModel):
         dim = metric.dim
-        theta = maxwell_stress(fields, x, metric)
-        theta_div = maxwell_stress_divergence(fields, x, metric)
+        theta = maxwell_stress(jet, x, metric)
+        theta_div = maxwell_stress_divergence(jet, x, metric)
         out = killing_current_divergence(theta, theta_div, gen, x, metric)
-        fs = field_strength_from_potential(fields, x)
         coeff = (4.0 - dim) / (2.0 * dim)
         div = killing_divergence(gen, x, metric)
         ddiv = killing_divergence_gradient(gen, metric)
-        value = fields.value(x)
-        fa = _mv(_raise2(fs.F, metric), value)
-        div_fa = _div_f_times(fs, value, fields.grad(x), metric)
+        fa = _mv(_raise2(jet.F, metric), jet.value)
+        div_fa = _div_f_times(jet, jet.value, jet.grad, metric)
         return _one(out + coeff * (_inner(ddiv, fa) + div * div_fa))
     coupling = model.coupling if isinstance(model, MultipletModel) else 0.0
-    theta = improved_scalar_stress(fields, x, metric, coupling)
-    theta_div = improved_scalar_stress_divergence(fields, x, metric, coupling)
+    theta = improved_scalar_stress(jet, x, metric, coupling)
+    theta_div = improved_scalar_stress_divergence(jet, x, metric, coupling)
     return killing_current_divergence(theta, theta_div, gen, x, metric)
 
 
@@ -558,12 +546,13 @@ def current_divergence_identity(gen: GeneratorAction, A: VectorPotential, x, met
     (4 - D) c_m F^{mb} A_b for special conformal ones; on shell the computed
     value matches it.
     """
-    lhs = bessel_hagen_divergence(gen, MaxwellModel(metric.dim), A, x, metric)
+    x = metric._check(x)
+    jet = as_jet(A, x)
+    lhs = bessel_hagen_divergence(gen, MaxwellModel(metric.dim), jet, x, metric)
     if gen.kind != KIND_CONFORMAL:
         return lhs, _one(np.zeros(np.shape(lhs)))
-    fs = field_strength_from_potential(A, x)
     cl = metric.lower(gen.param)
-    rhs = (4.0 - metric.dim) * _inner(cl, _mv(_raise2(fs.F, metric), A.value(x)))
+    rhs = (4.0 - metric.dim) * _inner(cl, _mv(_raise2(jet.F, metric), jet.value))
     return lhs, rhs
 
 
@@ -581,26 +570,21 @@ def gauge_shift_scale_current(A: VectorPotential, gauge: ScalarMultiplet, x, met
     matches pointwise on shell.
     """
     x = metric._check(x)
-    shifted = ShiftedPotential(A, gauge)
-    shift = scale_current_maxwell(shifted, x, metric) - scale_current_maxwell(
-        A, x, metric
-    )
-    fs = field_strength_from_potential(A, x)
-    f_up = _raise2(fs.F, metric)
-    df_up = _raise_dF(fs.dF, metric)
-    omega = gauge.value(x)[0]
-    d_omega = gauge.grad(x)[0]
+    jet, omega = as_jet(A, x), as_jet(gauge, x)
+    shifted = ShiftedPotential(jet.field, omega.field)
+    shift = scale_current_maxwell(shifted, x, metric) - scale_current_maxwell(jet, x, metric)
+    trace_df = np.einsum("...maa->...m", _raise_dF(jet.dF, metric))
     coeff = 0.5 * (4.0 - metric.dim)
-    predicted = coeff * (np.einsum("maa->m", df_up) * omega + f_up @ d_omega)
-    return shift, predicted
+    f_d_omega = _mv(_raise2(jet.F, metric), omega.grad[..., 0, :])
+    return shift, coeff * (trace_df * _lift(omega.value[..., 0]) + f_d_omega)
 
 
-def gauge_shift_divergence(A: VectorPotential, gauge: ScalarMultiplet, x, metric) -> float:
+def gauge_shift_divergence(A: VectorPotential, gauge: ScalarMultiplet, x, metric):
     """d_m of the scale-current shift; trivially conserved on shell."""
     x = metric._check(x)
-    fs = field_strength_from_potential(A, x)
-    coeff = 0.5 * (4.0 - metric.dim)
-    return coeff * _div_f_times(fs, gauge.grad(x)[0], gauge.hess(x)[0], metric)
+    omega = as_jet(gauge, x)
+    d_omega, dd_omega = omega.grad[..., 0, :], omega.hess[..., 0, :, :]
+    return 0.5 * (4.0 - metric.dim) * _div_f_times(as_jet(A, x), d_omega, dd_omega, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -608,15 +592,13 @@ def gauge_shift_divergence(A: VectorPotential, gauge: ScalarMultiplet, x, metric
 # ---------------------------------------------------------------------------
 
 
-def _delta_lagrangian(model, gen, fields, x, metric):
+def _delta_lagrangian(model, gen, jet, x, metric):
     """delta L = dL/dPhi . delta Phi + Pi . d(delta Phi); Maxwell's Pi is -F."""
     if isinstance(model, MaxwellModel):
-        fs = field_strength_from_potential(fields, x)
-        _, ddelta = delta_vector_potential_with_gradient(gen, fields, x, metric)
-        return -np.einsum("...ma,...am->...", _raise2(fs.F, metric), ddelta)
-    value, grad, _ = multiplet_stack(fields, x)
-    delta, ddelta = delta_scalar_with_gradient(gen, fields, x, metric)
-    dl_dphi, mom = model.conjugates(value, grad, metric)
+        _, ddelta = delta_vector_potential_with_gradient(gen, jet, x, metric)
+        return -np.einsum("...ma,...am->...", _raise2(jet.F, metric), ddelta)
+    delta, ddelta = delta_scalar_with_gradient(gen, jet, x, metric)
+    dl_dphi, mom = model.conjugates(jet.value, jet.grad, metric)
     return _inner(dl_dphi, delta) + np.sum(mom * ddelta, axis=(-2, -1))
 
 
@@ -654,10 +636,11 @@ def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma
         gen = sigma_basis_conformal(sigma, metric, 0.5 * dim, "field-strength")
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
-    lag, dlag = lagrangian(model, fields, x, metric)
+    jet = as_jet(fields, x)
+    lag, dlag = lagrangian(model, jet, x, metric)
 
     if kind == "scale":
-        delta_l = _delta_lagrangian(model, gen, fields, x, metric)
+        delta_l = _delta_lagrangian(model, gen, jet, x, metric)
         return _one(delta_l - (dim * lag + _inner(x, dlag)))
 
     sigma = np.broadcast_to(sigma, x.shape[:-1])
@@ -667,67 +650,15 @@ def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma
     total_derivative = 2.0 * dim * x_sigma * lag + _inner(k_vec, dlag)
 
     if kind == "conformal":
-        delta_l = _delta_lagrangian(model, gen, fields, x, metric)
+        delta_l = _delta_lagrangian(model, gen, jet, x, metric)
         if maxwell:
-            fs = field_strength_from_potential(fields, x)
-            anomaly = (4.0 - dim) * _at(_mv(_raise2(fs.F, metric), fields.value(x)), sigma)
+            anomaly = (4.0 - dim) * _at(_mv(_raise2(jet.F, metric), jet.value), sigma)
             return _one(delta_l - total_derivative - anomaly)
         # the g^{st} Phi^2 improvement: twice the weight times the kinetic coefficient
         kappa = 2.0 * canonical_weight(dim) * model.kinetic_coefficient
-        value, grad, _ = multiplet_stack(fields, x)
-        d_sq_sigma = 2.0 * diag_sigma * _sum_left_to_right(value * _at(grad, sigma[..., None]))
+        d_sq_sigma = 2.0 * diag_sigma * _sum_left_to_right(jet.value * _at(jet.grad, sigma[..., None]))
         return _one(delta_l - total_derivative - kappa * d_sq_sigma)
 
-    fs = field_strength_from_potential(fields, x)
-    delta_f = delta_field_strength_primary(gen, fs, x, metric)
-    delta_l = -0.5 * np.sum(_raise2(fs.F, metric) * delta_f, axis=(-2, -1))
+    delta_f = delta_field_strength_primary(gen, jet.F, jet.dF, x, metric)
+    delta_l = -0.5 * np.sum(_raise2(jet.F, metric) * delta_f, axis=(-2, -1))
     return _one(delta_l - total_derivative)
-
-
-# ---------------------------------------------------------------------------
-# check report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckReport:
-    """Structured outcome of one verification: residual against tolerance.
-
-    ``wall_ms`` is the check's wall time when it ran in this process; it
-    stays out of :meth:`to_dict`, so saved reports carry no timing.
-    """
-
-    name: str
-    dim: int
-    samples: int
-    max_residual: float
-    tolerance: float
-    seed: int
-    expected_fail: bool = False
-    error: Optional[str] = None
-    wall_ms: Optional[float] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.error is None and self.max_residual <= self.tolerance
-
-    @property
-    def ok(self) -> bool:
-        """True when the outcome matches the expectation."""
-        if self.expected_fail:
-            return self.error is None and not self.passed
-        return self.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "expected_fail": self.expected_fail,
-            "passed": self.passed,
-            "ok": self.ok,
-            "error": self.error,
-        }

@@ -2,9 +2,9 @@
 
 Each check exercises one identity through the library API and returns one
 residual per drawn sample (``None`` for a sample it skips); :func:`run_suite`
-reduces them into a :class:`~confsym.noether.CheckReport` with the maximum,
-the number of samples evaluated, and an ``error`` when a residual is not
-finite or fewer than half of the samples (or none) were evaluated.  A
+reduces them into a :class:`CheckReport` with the maximum, the number of
+samples evaluated, and an ``error`` when a residual is not finite or fewer
+than half of the samples (or none) were evaluated.  A
 batched check evaluates its whole sample array once: when a kernel meets a
 singular sample the check raises the first error any kernel raises, which
 names that kernel's first bad sample, and that error becomes the report's.
@@ -35,8 +35,8 @@ from .errors import ConfsymError
 from .fields import (
     CosineMultiplet,
     GaussianMultiplet,
+    Jet,
     fd_gradient,
-    field_strength_from_potential,
     make_onshell_maxwell_plane_wave,
 )
 from .geometry import (
@@ -69,7 +69,6 @@ from .mechanics import (
 )
 from .modelspec import FIELD_KINDS, ModelSpec
 from .noether import (
-    CheckReport,
     DualScalarModel,
     MaxwellModel,
     MultipletModel,
@@ -480,18 +479,19 @@ def _chk_action_scale(spec, metric, rng):
     return abs(action_variation_identity("scale", model, fixture, pts, metric)).tolist()
 
 
-def _by_sigma(pts, dim):
-    """(points, sigma) stacks with every point once per sigma = 0..D-1,
-    points-major."""
-    return np.repeat(pts, dim, axis=0), np.tile(np.arange(dim), len(pts))
+def _per_sigma(kind, model, fixture, pts, metric):
+    """|identity| of ``kind`` at every point once per sigma = 0..D-1,
+    points-major, from one jet of the fixture on the points."""
+    jet = Jet(fixture, pts)
+    per_sigma = [action_variation_identity(kind, model, jet, pts, metric, s) for s in range(metric.dim)]
+    return abs(np.stack(per_sigma, axis=-1)).ravel().tolist()
 
 
 @_register("action-conformal-identity", FIELD_KINDS, "identity", "conformal variation of the density is the stated total derivative",
            expected_fail=lambda spec: spec.kind == "general-scalar" and spec.profile != "linear")
 def _chk_action_conformal(spec, metric, rng):
     model, fixture = _model_fixture(spec, metric, rng)
-    xs, sigmas = _by_sigma(sampling.points(rng, metric.dim, 8), metric.dim)
-    return abs(action_variation_identity("conformal", model, fixture, xs, metric, sigmas)).tolist()
+    return _per_sigma("conformal", model, fixture, sampling.points(rng, metric.dim, 8), metric)
 
 
 @_register("virial-structure", FIELD_KINDS, "oracle", "virial total-divergence status and its potential check out")
@@ -504,15 +504,13 @@ def _chk_virial_structure(spec, metric, rng):
         "general-scalar": spec.profile == "linear",
     }[spec.kind]
 
-    def residual(x):
-        info = field_virial(model, fixture, x, metric)
-        flag_error = 0.0 if info.is_total_divergence == expect_flag else 1.0
-        if not info.is_total_divergence or info.potential is None:
-            return flag_error
-        fd = fd_gradient(info.potential, x, 1e-5)  # fd[m, a, r] = d_r sigma^{ma}
-        return float(np.maximum(flag_error, _gap(np.einsum("mam->a", fd), info.value)))
-
-    return [residual(x) for x in sampling.points(rng, metric.dim, 6)]
+    pts = sampling.points(rng, metric.dim, 6)
+    info = field_virial(model, fixture, pts, metric)
+    flag_error = 0.0 if info.is_total_divergence == expect_flag else 1.0
+    if not info.is_total_divergence or info.potential is None:
+        return [flag_error] * len(pts)
+    fd = fd_gradient(info.potential, pts, 1e-5)  # fd[..., m, a, r] = d_r sigma^{ma}
+    return np.maximum(flag_error, _sample_gap(np.einsum("...mam->...a", fd), info.value)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -523,35 +521,31 @@ def _chk_virial_structure(spec, metric, rng):
 @_register("stress-trace-law", ("maxwell",), "exact", "stress trace equals (-1 + D/4) F^2 at every point")
 def _chk_trace_law(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
-
-    def residual(x):
-        F = field_strength_from_potential(A, x).F
-        expected = (-1.0 + metric.dim / 4.0) * _f_squared(F, metric)
-        return abs(maxwell_stress_trace(A, x, metric) - expected)
-
-    return [residual(x) for x in sampling.points(rng, metric.dim, 10)]
+    jet = Jet(A, sampling.points(rng, metric.dim, 10))
+    expected = (-1.0 + metric.dim / 4.0) * _f_squared(jet.F, metric)
+    return abs(maxwell_stress_trace(jet, jet.x, metric) - expected).tolist()
 
 
 @_register("stress-conservation", ("maxwell",), "identity", "stress tensor is conserved on shell")
 def _chk_stress_cons(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
-    return [_maxabs(maxwell_stress_divergence(A, x, metric)) for x in pts]
+    return _max_abs(maxwell_stress_divergence(A, pts, metric), 1).tolist()
 
 
 @_register("scale-current-conservation", ("maxwell",), "identity", "improved scale current is conserved on shell in every D")
 def _chk_scale_current(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
-    return [abs(scale_current_maxwell_divergence(A, x, metric)) for x in pts]
+    return abs(scale_current_maxwell_divergence(A, pts, metric)).tolist()
 
 
 @_register("current-construction-equivalence", ("maxwell",), "identity", "raw and improved scale currents share one divergence")
 def _chk_current_equiv(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
-    raw, improved = noether_scale_current_maxwell_divergence, scale_current_maxwell_divergence
-    pts = sampling.points(rng, metric.dim, 10)
-    return [abs(raw(A, x, metric) - improved(A, x, metric)) for x in pts]
+    jet = Jet(A, sampling.points(rng, metric.dim, 10))
+    raw = noether_scale_current_maxwell_divergence(jet, jet.x, metric)
+    return abs(raw - scale_current_maxwell_divergence(jet, jet.x, metric)).tolist()
 
 
 def _conformal_current_sides(spec, metric, rng):
@@ -580,21 +574,19 @@ def _chk_conf_naive(spec, metric, rng):
 @_register("virial-closed-form", ("maxwell",), "exact", "first-principles virial equals its (4-D)/2 F A closed form")
 def _chk_virial(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
-
-    def residual(x):
-        info = field_virial(MaxwellModel(metric.dim), A, x, metric)
-        mismatch = _gap(info.value, maxwell_virial_first_principles(A, x, metric))
-        return float(np.maximum(mismatch, _maxabs(info.value))) if metric.dim == 4 else mismatch
-
-    return [residual(x) for x in sampling.points(rng, metric.dim, 10)]
+    jet = Jet(A, sampling.points(rng, metric.dim, 10))
+    info = field_virial(MaxwellModel(metric.dim), jet, jet.x, metric)
+    mismatch = _sample_gap(info.value, maxwell_virial_first_principles(jet, jet.x, metric))
+    if metric.dim == 4:
+        mismatch = np.maximum(mismatch, _max_abs(info.value, 1))
+    return mismatch.tolist()
 
 
 @_register("action-assumed-primary", ("maxwell",), "identity", "pretend-primary conformal rule makes the action invariant")
 def _chk_assumed_primary(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
-    xs, sigmas = _by_sigma(sampling.points(rng, metric.dim, 6), metric.dim)
-    identity = action_variation_identity("conformal-assumed-primary", MaxwellModel(metric.dim), A, xs, metric, sigmas)
-    return abs(identity).tolist()
+    pts = sampling.points(rng, metric.dim, 6)
+    return _per_sigma("conformal-assumed-primary", MaxwellModel(metric.dim), A, pts, metric)
 
 
 def _gauge_fixture(spec, metric, rng):
@@ -607,14 +599,14 @@ def _gauge_fixture(spec, metric, rng):
 def _chk_gauge_shift(spec, metric, rng):
     A, omega = _gauge_fixture(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
-    return [_gap(*gauge_shift_scale_current(A, omega, x, metric)) for x in pts]
+    return _sample_gap(*gauge_shift_scale_current(A, omega, pts, metric)).tolist()
 
 
 @_register("gauge-shift-conserved", ("maxwell",), "identity", "the gauge-induced current shift is trivially conserved on shell")
 def _chk_gauge_shift_div(spec, metric, rng):
     A, omega = _gauge_fixture(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
-    return [abs(gauge_shift_divergence(A, omega, x, metric)) for x in pts]
+    return abs(gauge_shift_divergence(A, omega, pts, metric)).tolist()
 
 
 def _vector_generators(metric, rng):
@@ -629,8 +621,8 @@ def _vector_generators(metric, rng):
 def _chk_lie_forms(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     gens = _vector_generators(metric, rng)
-    pts = sampling.points(rng, metric.dim, 8)
-    return [_gap(*lie_derivative_vector(gen, A, x, metric)) for x in pts for gen in gens]
+    jets = [Jet(A, x) for x in sampling.points(rng, metric.dim, 8)]
+    return [_gap(*lie_derivative_vector(gen, jet, jet.x, metric)) for jet in jets for gen in gens]
 
 
 @_register("lie-derivative-weight", ("maxwell",), "exact", "field variation differs from the Lie derivative by the weight term")
@@ -639,13 +631,14 @@ def _chk_lie_weight(spec, metric, rng):
     dim = metric.dim
     gens = _vector_generators(metric, rng)
 
-    def residual(x, gen):
-        lie, _ = lie_derivative_vector(gen, A, x, metric)
-        delta = delta_vector_potential(gen, A, x, metric)
-        shift = ((dim - 4.0) / (2.0 * dim)) * killing_divergence(gen, x, metric) * A.value(x)
+    def residual(jet, gen):
+        lie, _ = lie_derivative_vector(gen, jet, jet.x, metric)
+        delta = delta_vector_potential(gen, jet, jet.x, metric)
+        shift = ((dim - 4.0) / (2.0 * dim)) * killing_divergence(gen, jet.x, metric) * jet.value
         return _maxabs(delta - lie - shift)
 
-    return [residual(x, gen) for x in sampling.points(rng, dim, 8) for gen in gens]
+    jets = [Jet(A, x) for x in sampling.points(rng, dim, 8)]
+    return [residual(jet, gen) for jet in jets for gen in gens]
 
 
 @_register("primary-rule-discrepancy", ("maxwell",), "exact", "induced and pretend-primary F variations differ by (D-4) potential terms")
@@ -655,12 +648,12 @@ def _chk_primary_disc(spec, metric, rng):
 
     def residual(x):
         c = rng.normal(0.0, 0.3, dim)
-        induced = delta_field_strength(special_conformal(c, spin="vector"), A, x, metric)
+        jet = Jet(A, x)
+        induced = delta_field_strength(special_conformal(c, spin="vector"), jet, x, metric)
         gen_f = special_conformal(c, weight=dim / 2.0, spin="field-strength")
-        fs = field_strength_from_potential(A, x)
-        primary = delta_field_strength_primary(gen_f, fs, x, metric)
+        primary = delta_field_strength_primary(gen_f, jet.F, jet.dF, x, metric)
         cl = metric.lower(c)
-        val = A.value(x)
+        val = jet.value
         expected = (dim - 4.0) * (np.outer(cl, val) - np.outer(cl, val).T)
         return _maxabs(induced - primary - expected)
 
@@ -685,33 +678,29 @@ def _chk_eom_violation(spec, metric, rng):
 def _chk_mult_cons(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True)
     pts = sampling.points(rng, metric.dim, 10)
-    return [_maxabs(scalar_stress_divergence(phi, x, metric)) for x in pts]
+    return _max_abs(scalar_stress_divergence(phi, pts, metric), 1).tolist()
 
 
 @_register("improved-trace-onshell", ("interacting-multiplet", "dual-scalar-3"), "identity", "improved stress tensor is traceless on shell")
 def _chk_improved_trace(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True, n_comp=max(1, spec.components))
     pts = sampling.points(rng, metric.dim, 10)
-    return [abs(improved_scalar_stress_trace(phi, x, metric)) for x in pts]
+    return abs(improved_scalar_stress_trace(phi, pts, metric)).tolist()
 
 
 @_register("improved-trace-law", ("interacting-multiplet",), "identity", "improved trace follows its hand-derived off-shell closed form")
 def _chk_trace_law_offshell(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng)
-    lam = spec.coupling
-
-    def residual(x):
-        lhs = improved_scalar_stress_trace(phi, x, metric, lam)
-        return abs(lhs - offshell_trace_law(phi, x, metric, lam))
-
-    return [residual(x) for x in sampling.points(rng, metric.dim, 10)]
+    jet = Jet(phi, sampling.points(rng, metric.dim, 10))
+    lhs = improved_scalar_stress_trace(jet, jet.x, metric, spec.coupling)
+    return abs(lhs - offshell_trace_law(jet, jet.x, metric, spec.coupling)).tolist()
 
 
 @_register("improved-conservation", ("interacting-multiplet", "dual-scalar-3"), "identity", "improved stress tensor stays conserved on shell")
 def _chk_improved_cons(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True, n_comp=max(1, spec.components))
     pts = sampling.points(rng, metric.dim, 10)
-    return [_maxabs(improved_scalar_stress_divergence(phi, x, metric)) for x in pts]
+    return _max_abs(improved_scalar_stress_divergence(phi, pts, metric), 1).tolist()
 
 
 @_register("killing-current-conservation", ("interacting-multiplet",), "identity", "stress-times-Killing currents are conserved on shell (free)")
@@ -719,8 +708,9 @@ def _chk_killing_current(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True)
     pts = sampling.points(rng, metric.dim, 4)
     # the free improved stress, built once and contracted with every generator
-    theta = improved_scalar_stress(phi, pts, metric)
-    theta_div = improved_scalar_stress_divergence(phi, pts, metric)
+    jet = Jet(phi, pts)
+    theta = improved_scalar_stress(jet, pts, metric)
+    theta_div = improved_scalar_stress_divergence(jet, pts, metric)
     per_gen = [killing_current_divergence(theta, theta_div, gen, pts, metric) for gen in basis_generators(metric.dim)]
     return abs(np.stack(per_gen, axis=-1)).ravel().tolist()
 
@@ -755,17 +745,17 @@ def _chk_dual_bianchi(spec, metric, rng):
 @_register("dual-nonprimary-shift", ("dual-scalar-3",), "exact", "dual F variation exceeds the primary rule by the symbol times phi")
 def _chk_dual_nonprimary(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
-    pts = sampling.points(rng, 3, 8)
-    return [dual3.nonprimary_shift_residual(phi, x, s, metric) for x in pts for s in range(3)]
+    jets = [Jet(phi, x) for x in sampling.points(rng, 3, 8)]
+    return [dual3.nonprimary_shift_residual(jet, jet.x, s, metric) for jet in jets for s in range(3)]
 
 
 @_register("dual-variation-consistency", ("dual-scalar-3",), "identity", "explicit dual F variation equals the chain rule through the gradient")
 def _chk_dual_chain(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
-    pts = sampling.points(rng, 3, 8)
+    jets = [Jet(phi, x) for x in sampling.points(rng, 3, 8)]
     return [
-        _gap(dual3.delta_bar_F(phi, x, s, metric), dual3.delta_bar_F_chain_rule(phi, x, s, metric))
-        for x in pts for s in range(3)
+        _gap(dual3.delta_bar_F(jet, jet.x, s, metric), dual3.delta_bar_F_chain_rule(jet, jet.x, s, metric))
+        for jet in jets for s in range(3)
     ]
 
 
@@ -773,12 +763,12 @@ def _chk_dual_chain(spec, metric, rng):
 def _chk_dual_stress(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True, n_comp=1)
 
-    def residual(x):
-        a = dual3.improved_stress_from_F(phi, x, metric)
-        b = dual3.improved_stress_scalar_form(phi, x, metric)
+    def residual(jet):
+        a = dual3.improved_stress_from_F(jet, jet.x, metric)
+        b = dual3.improved_stress_scalar_form(jet, jet.x, metric)
         return float(np.maximum(_gap(a, b), abs(float(np.einsum("m,mm->", metric.diag, a)))))
 
-    return [residual(x) for x in sampling.points(rng, 3, 10)]
+    return [residual(Jet(phi, x)) for x in sampling.points(rng, 3, 10)]
 
 
 @_register("duality-match", ("dual-scalar-3",), 1e-10, "a matched plane-wave pair satisfies the duality relation pointwise")
@@ -840,11 +830,11 @@ def _chk_mech_reduction(spec, metric, rng):
     gen_c = special_conformal(np.array([1.0]))
 
     def residual(t):
-        x = np.array([t])
-        state = MechState.make(t, poly.value(x), poly.grad(x)[:, 0])
+        jet = Jet(poly, np.array([t]))
+        state = MechState.make(t, jet.value, jet.grad[:, 0])
         return float(np.maximum(
-            _gap(delta_scalar(gen_s, poly, x, one), delta_scale_q(state)),
-            _gap(delta_scalar(gen_c, poly, x, one), delta_conformal_q(state)),
+            _gap(delta_scalar(gen_s, jet, jet.x, one), delta_scale_q(state)),
+            _gap(delta_scalar(gen_c, jet, jet.x, one), delta_conformal_q(state)),
         ))
 
     return [residual(t) for t in rng.uniform(-2.0, 2.0, 12)]
@@ -853,6 +843,50 @@ def _chk_mech_reduction(spec, metric, rng):
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class CheckReport:
+    """Structured outcome of one verification: residual against tolerance.
+
+    ``wall_ms`` is the check's wall time when it ran in this process; it
+    stays out of :meth:`to_dict`, so saved reports carry no timing.
+    """
+
+    name: str
+    dim: int
+    samples: int
+    max_residual: float
+    tolerance: float
+    seed: int
+    expected_fail: bool = False
+    error: Optional[str] = None
+    wall_ms: Optional[float] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.error is None and self.max_residual <= self.tolerance
+
+    @property
+    def ok(self) -> bool:
+        """True when the outcome matches the expectation."""
+        if self.expected_fail:
+            return self.error is None and not self.passed
+        return self.passed
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "dim": self.dim,
+            "samples": self.samples,
+            "max_residual": self.max_residual,
+            "tolerance": self.tolerance,
+            "seed": self.seed,
+            "expected_fail": self.expected_fail,
+            "passed": self.passed,
+            "ok": self.ok,
+            "error": self.error,
+        }
 
 
 @dataclass

@@ -32,7 +32,9 @@ layout, a per-point ``einsum`` is the same ``einsum`` with a leading sample
 index, and a power of a per-sample value is ``np.float_power``.  A single
 point gives the float or array it always gave; a floor or timelike test
 raises for the first sample that fails it.  The other functions here take
-one point.
+one point.  Every kernel reads a fixture through its
+:class:`~confsym.fields.Jet` on ``x``, as in :mod:`confsym.noether`; the
+finite transforms are field views and evaluate the field they wrap.
 """
 
 from __future__ import annotations
@@ -41,12 +43,7 @@ import numpy as np
 
 from .clifford import GammaSet, gamma_slash_unit
 from .errors import NonTimelikePoint, SingularMap
-from .fields import (
-    FieldStrengthValue,
-    VectorPotential,
-    field_strength_from_potential,
-    multiplet_stack,
-)
+from .fields import VectorPotential, as_jet
 from .geometry import (
     SINGULARITY_FLOOR,
     GeneratorAction,
@@ -162,35 +159,36 @@ def delta_scalar(gen: GeneratorAction, field, x, metric: Metric) -> np.ndarray:
     """Infinitesimal variation of a scalar multiplet under ``gen``."""
     if gen.spin != "scalar":
         raise ValueError("generator is not tagged for scalar fields")
-    value, grad, _ = multiplet_stack(field, x)
-    return _variation(gen, value, grad, x, metric)
+    jet = as_jet(field, x)
+    return _variation(gen, jet.value, jet.grad, x, metric)
 
 
 def delta_vector_potential(gen: GeneratorAction, A: VectorPotential, x, metric: Metric):
     """Infinitesimal variation of a covariant vector field under ``gen``."""
     if gen.spin != "vector":
         raise ValueError("generator is not tagged for vector fields")
-    return _variation(gen, A.value(x), A.grad(x), x, metric)
+    jet = as_jet(A, x)
+    return _variation(gen, jet.value, jet.grad, x, metric)
 
 
 def delta_spinor(gen: GeneratorAction, psi, x, metric: Metric, gammas: GammaSet):
     """Infinitesimal variation of a spinor field under ``gen``."""
     if gen.spin != "spinor":
         raise ValueError("generator is not tagged for spinor fields")
-    return _variation(gen, psi.value(x), psi.grad(x), x, metric, gammas)
+    jet = as_jet(psi, x)
+    return _variation(gen, jet.value, jet.grad, x, metric, gammas)
 
 
-def delta_field_strength_primary(
-    gen: GeneratorAction, fs: FieldStrengthValue, x, metric: Metric
-):
-    """Variation of F under the rule that pretends F is primary.
+def delta_field_strength_primary(gen: GeneratorAction, F, dF, x, metric: Metric):
+    """Variation of F under the rule that pretends F is primary, from F_{ab}
+    and its derivatives ``dF[a, b, m] = d_m F_{ab}``.
 
     The physically induced variation (from the potential) differs from this
     by (D - 4)(g^s_a A_b - g^s_b A_a); the two coincide only at D = 4.
     """
     if gen.spin != "field-strength":
         raise ValueError("generator is not tagged for field-strength values")
-    return _variation(gen, fs.F, fs.dF, x, metric)
+    return _variation(gen, F, dF, x, metric)
 
 
 def delta_scalar_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
@@ -213,7 +211,8 @@ def _delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
     """(delta, d(delta)) with dout[a, m] = d_m delta_a for the components a
     of a scalar multiplet or a covector; the vector case adds two spin terms."""
     x = metric._check(x)
-    value, grad, hess = multiplet_stack(field, x)
+    jet = as_jet(field, x)
+    value, grad, hess = jet.value, jet.grad, jet.hess
     f = killing_vector(gen, x, metric)
     df = killing_gradient(gen, x, metric)
     div = killing_divergence(gen, x, metric)
@@ -271,9 +270,8 @@ def delta_field_strength_gradient(
     derivatives."""
     gen = _as_vector_generator(gen, metric)
     x = metric._check(x)
-    grad = A.grad(x)
-    hess = A.hess(x)
-    third = A.third(x)
+    jet = as_jet(A, x)
+    grad, hess, third = jet.grad, jet.hess, jet.third
     f = killing_vector(gen, x, metric)
     df = killing_gradient(gen, x, metric)
     d2f = killing_second_gradient(gen, metric)
@@ -313,11 +311,13 @@ def eom_violation_conformal(A: VectorPotential, x, metric: Metric, c):
     showing the equations of motion are not conformally invariant off D = 4.
     """
     gen = special_conformal(c, spin="vector")
-    d_delta_F = delta_field_strength_gradient(gen, A, x, metric)
+    x = metric._check(x)
+    jet = as_jet(A, x)
+    d_delta_F = delta_field_strength_gradient(gen, jet, x, metric)
     d = metric.diag
     lhs = np.einsum("a,b,aba->b", d, d, d_delta_F)
 
-    grad = A.grad(x)  # grad[a, m] = d_m A_a
+    grad = jet.grad  # grad[a, m] = d_m A_a
     cl = metric.lower(np.asarray(c, dtype=float))
     div_A = float(np.einsum("m,mm->", d, grad))
     # d^b A^s = g^{bm} g^{sa} d_m A_a
@@ -341,11 +341,10 @@ def lie_derivative_vector(gen: GeneratorAction, A: VectorPotential, x, metric: M
     x = metric._check(x)
     f = killing_vector(gen, x, metric)
     df = killing_gradient(gen, x, metric)  # df[m, a] = d_a f^m
-    value = A.value(x)
-    grad = A.grad(x)
+    jet = as_jet(A, x)
+    value, grad = jet.value, jet.grad
     direct = grad @ f + df.T @ value
-    fs = field_strength_from_potential(A, x)
-    via_fs = fs.F.T @ f + df.T @ value + grad.T @ f
+    via_fs = jet.F.T @ f + df.T @ value + grad.T @ f
     return direct, via_fs
 
 
@@ -396,13 +395,14 @@ def scalar_commutator_pair(sigma, tau, field, x, metric: Metric):
     weight.
     """
     x = metric._check(x)
-    return _commutator_pairs([sigma], [tau], metric, x, *multiplet_stack(field, x))[0]
+    return _commutator_pairs([sigma], [tau], metric, x, as_jet(field, x))[0]
 
 
-def _commutator_pairs(sigmas, taus, metric, x, value, grad, hess):
+def _commutator_pairs(sigmas, taus, metric, x, jet):
     """:func:`scalar_commutator_pair` for every (sigma, tau), sigma-major, from
-    the field's stack at a checked x; each one-index operator acts on the
-    stack once."""
+    the field's jet at a checked x; each one-index operator acts on the
+    jet once."""
+    value, grad, hess = jet.value, jet.grad, jet.hess
     weight = canonical_weight(metric.dim)
     translated = [_op_translation(sigma, metric, x, value, grad, hess) for sigma in sigmas]
     conformal = [_op_conformal(tau, weight, metric, x, value, grad, hess) for tau in taus]
@@ -430,10 +430,10 @@ def commutator_residual(sigma, tau, field, x, metric: Metric):
 
 def commutator_residuals(field, x, metric: Metric) -> list:
     """:func:`commutator_residual` for every (sigma, tau), sigma-major, from
-    one evaluation of the field's derivative stack at x."""
+    one jet of the field at x."""
     x = metric._check(x)
     indices = range(metric.dim)
-    pairs = _commutator_pairs(indices, indices, metric, x, *multiplet_stack(field, x))
+    pairs = _commutator_pairs(indices, indices, metric, x, as_jet(field, x))
     return [lhs - rhs for lhs, rhs in pairs]
 
 
@@ -597,12 +597,13 @@ def decoupled_vector_residual(A: VectorPotential, x, c, metric: Metric):
     I . (delta A) against f.d(I A) + 2 (c.x) weight (I A)."""
     x = metric._check(x)
     gen = special_conformal(c, spin="vector")
-    delta = delta_vector_potential(gen, A, x, metric)
+    jet = as_jet(A, x)
+    delta = delta_vector_potential(gen, jet, x, metric)
     imat = inversion_matrix(x, metric)
     grad_i = inversion_matrix_gradient(x, metric)
-    value = A.value(x)
+    value = jet.value
     tilde = _mv(imat, value)
-    d_tilde = np.einsum("...abm,...b->...am", grad_i, value) + imat @ A.grad(x)
+    d_tilde = np.einsum("...abm,...b->...am", grad_i, value) + imat @ jet.grad
     return _max_abs(_mv(imat, delta) - _scalar_rule(gen, tilde, d_tilde, x, metric), 1)
 
 
@@ -612,18 +613,19 @@ def decoupled_spinor_residual(psi, x, c, metric: Metric, gammas: GammaSet):
     the canonical weight."""
     x = metric._check(x)
     gen = special_conformal(c, spin="spinor")
-    delta = delta_spinor(gen, psi, x, metric, gammas)
+    jet = as_jet(psi, x)
+    delta = delta_spinor(gen, jet, x, metric, gammas)
     x2 = metric.norm2(x)
     _reject(x2 <= 0, x2, NonTimelikePoint, "x^2 = {} must be positive")
     slash = gamma_slash_unit(x, gammas, metric)
-    value = psi.value(x)
+    value = jet.value
     tilde = _mv(slash, value)
     # d_m (x^n / sqrt(x^2)) = delta^n_m / sqrt(x^2) - x^n x_m / (x^2)^(3/2)
     x2 = _lift(x2, 2)
     dxhat = np.eye(metric.dim) / np.sqrt(x2) - _outer(x, metric.diag * x) / np.float_power(x2, 1.5)
     # column m of d_tilde, one slashed derivative per m on axis -3
     dslash = gammas.slash_lower(metric.diag * np.swapaxes(dxhat, -1, -2))
-    columns = _mv(dslash, value[..., None, :]) + _mv(slash[..., None, :, :], np.swapaxes(psi.grad(x), -1, -2))
+    columns = _mv(dslash, value[..., None, :]) + _mv(slash[..., None, :, :], np.swapaxes(jet.grad, -1, -2))
     # C order per sample, as one point's np.stack(axis=-1) gives it: the
     # layout selects the BLAS routine the product with f runs
     d_tilde = np.ascontiguousarray(np.swapaxes(columns, -1, -2))

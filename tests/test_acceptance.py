@@ -20,7 +20,7 @@ from confsym.dual3 import (
     maxwell_eom_from_dual,
     nonprimary_shift_residual,
 )
-from confsym.fields import CosineMultiplet, field_strength_from_potential, fd_gradient
+from confsym.fields import CosineMultiplet, Jet, fd_gradient
 from confsym.geometry import (
     Metric,
     basis_generators,
@@ -150,7 +150,7 @@ def test_criterion_05_trace_law():
         g = Metric(dim)
         A = sampling.random_offshell_potential(rng, g)
         for x in sampling.points(rng, dim, 20):
-            F = field_strength_from_potential(A, x).F
+            F = Jet(A, x).F
             f_up = g.diag[:, None] * F * g.diag[None, :]
             expected = (-1.0 + dim / 4.0) * float(np.sum(f_up * F))
             worst = max(worst, abs(maxwell_stress_trace(A, x, g) - expected))

@@ -283,6 +283,14 @@ def test_negative_suite_seed_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("spec error:")
 
 
+def test_duplicated_check_name_exits_two(tmp_path, capsys):
+    spec = tmp_path / "twice.spec"
+    spec.write_text("[model]\nkind = maxwell\ndimension = 4\n"
+                    "[suite]\nchecks = stress-conservation, stress-conservation\n")
+    assert main(["audit", str(spec)]) == 2
+    assert "check 'stress-conservation' is listed twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["algebra", "--dim", "4"], ["scan-dims", "--dims", "3..4"]])
 def test_negative_command_seed_exits_two_before_any_check(argv, monkeypatch, capsys):
     monkeypatch.setattr("confsym.cli.run_suite", lambda spec: pytest.fail("a check ran"))
@@ -327,13 +335,20 @@ def test_report_text_from_saved(tmp_path, small_spec):
 
 
 def test_check_names_have_descriptions():
-    # the README index is generated from these descriptions; every check
-    # must carry one
     from confsym.suites import CHECKS
 
     for name, cd in CHECKS.items():
         assert cd.description, name
         assert cd.kinds, name
+
+
+def test_every_check_has_a_readme_index_row():
+    from confsym.suites import CHECKS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    index = readme.split("## Check index", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip().strip("`") for line in index.splitlines() if line.startswith("| `")]
+    assert sorted(rows) == sorted(CHECKS)
 
 
 def test_every_kind_has_checks():

@@ -7,11 +7,11 @@ from confsym.fields import (
     CosineMultiplet,
     CosineVectorPotential,
     GaussianMultiplet,
+    Jet,
     PolynomialMultiplet,
     ShiftedPotential,
     fd_gradient,
     fd_oracle,
-    field_strength_from_potential,
     make_onshell_maxwell_plane_wave,
 )
 from confsym.geometry import Metric
@@ -29,7 +29,7 @@ class TestPlaneWaveScalar:
     def test_null_wave_is_harmonic(self, metric4, rng):
         f = CosineMultiplet(np.array([1.0, 1, 0, 0]), [1.3], 0.2, metric4)
         for x in sampling.points(rng, 4, 10):
-            assert abs(f.box(x, metric4)[0]) < 1e-12
+            assert abs(Jet(f, x).box(metric4)[0]) < 1e-12
 
     def test_gradient_against_fd(self, metric, rng):
         k = rng.normal(size=metric.dim)
@@ -69,7 +69,7 @@ class TestOnShellMaxwellWave:
 class TestFieldStrength:
     def test_constant_potential_gives_zero(self, metric4, rng):
         A = CosineVectorPotential(np.zeros(4), np.array([0.3, 1, 0, 0]), 0.0, metric4)
-        fs = field_strength_from_potential(A, rng.normal(size=4))
+        fs = Jet(A, rng.normal(size=4))
         assert np.all(fs.F == 0)
         assert np.all(fs.dF == 0)
 
@@ -77,7 +77,7 @@ class TestFieldStrength:
         # A_1 = sin(x^0), linear in x^0 at x^0 = 0: F_{01} = 1, F_{10} = -1,
         # everything else zero
         A = CosineVectorPotential([1.0, 0, 0, 0], [0.0, -1, 0, 0], -np.pi / 2, metric4)
-        fs = field_strength_from_potential(A, np.array([0.0, -0.2, 0.5, 0.1]))
+        fs = Jet(A, np.array([0.0, -0.2, 0.5, 0.1]))
         expected = np.zeros((4, 4))
         expected[0, 1] = 1.0
         expected[1, 0] = -1.0
@@ -91,13 +91,13 @@ class TestFieldStrength:
         kl, el = metric4.lower(k), metric4.lower(eps)
         wedge = np.outer(kl, el) - np.outer(el, kl)
         for x in sampling.points(rng, 4, 10):
-            fs = field_strength_from_potential(A, x)
+            fs = Jet(A, x)
             phase = float(kl @ x) + 0.4
             npt.assert_allclose(fs.F, -wedge * np.sin(phase), atol=1e-12)
 
     def test_antisymmetry_is_exact(self, metric, rng):
         A = sampling.random_offshell_potential(rng, metric)
-        fs = field_strength_from_potential(A, rng.normal(size=metric.dim))
+        fs = Jet(A, rng.normal(size=metric.dim))
         npt.assert_array_equal(fs.F, -fs.F.T)
         npt.assert_array_equal(fs.dF, -np.swapaxes(fs.dF, 0, 1))
 
@@ -191,8 +191,8 @@ class TestGaugeFunctions:
         om = CosineMultiplet(rng.normal(size=4), [0.7], 0.0, metric4)
         shifted = ShiftedPotential(A, om)
         for x in sampling.points(rng, 4, 5):
-            fs0 = field_strength_from_potential(A, x)
-            fs1 = field_strength_from_potential(shifted, x)
+            fs0 = Jet(A, x)
+            fs1 = Jet(shifted, x)
             npt.assert_allclose(fs1.F, fs0.F, atol=1e-14)
 
 

@@ -446,21 +446,23 @@ class TestSampleAxis:
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_commutator_algebra_builds_one_stack_per_point(dim, monkeypatch):
-    # two fields at four points each: eight stacks, where one stack per
-    # (sigma, tau) pair made 8 D^2
-    from confsym import transforms
+    # two fields at four points each: eight (value, grad, hess) stacks, where
+    # one stack per (sigma, tau) pair made 8 D^2
+    from collections import Counter
+
+    from confsym.fields import CosineMultiplet, PolynomialMultiplet
     from confsym.modelspec import ModelSpec
     from confsym.suites import run_suite
 
-    calls = []
-    stack = transforms.multiplet_stack
+    calls = Counter()
+    for cls in (CosineMultiplet, PolynomialMultiplet):
+        for name in ("value", "grad", "hess", "third"):
+            def counting(self, x, _name=name, _evaluate=getattr(cls, name)):
+                calls[_name] += 1
+                return _evaluate(self, x)
 
-    def counting(phi, x):
-        calls.append(x)
-        return stack(phi, x)
-
-    monkeypatch.setattr(transforms, "multiplet_stack", counting)
+            monkeypatch.setattr(cls, name, counting)
     report = run_suite(ModelSpec(kind="interacting-multiplet", dimension=dim,
                                  checks=["commutator-algebra"]))
     assert report.checks[0].ok and report.checks[0].samples == 8 * dim * dim
-    assert len(calls) == 8
+    assert calls == {"value": 8, "grad": 8, "hess": 8}

@@ -91,3 +91,19 @@ def test_no_not_implemented_stubs():
         and _only_raises_not_implemented(node)
     ]
     assert stubs == [], "a stub no caller reaches; delete it"
+
+
+EVALUATORS = {"value", "grad", "hess", "third"}
+
+
+def test_noether_and_dual3_read_fixtures_only_through_a_jet():
+    # a kernel that calls a fixture's evaluator itself evaluates it again on
+    # points a jet has already evaluated; the jet's orders are attributes
+    calls = [
+        f"{stem}:{node.lineno} .{node.func.attr}("
+        for stem in ("noether", "dual3")
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in EVALUATORS
+    ]
+    assert calls == [], "read the fixture through confsym.fields.Jet"

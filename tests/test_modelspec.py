@@ -101,6 +101,13 @@ def test_unknown_check_name_rejected():
         parse_spec(text)
 
 
+def test_duplicated_check_name_rejected():
+    # the repeat used to be dropped: one check ran, the echo listed it twice
+    text = "[model]\nkind = maxwell\ndimension = 4\n[suite]\nchecks = stress-conservation, stress-conservation\n"
+    with pytest.raises(SemanticError, match="check 'stress-conservation' is listed twice"):
+        parse_spec(text)
+
+
 def test_empty_selection():
     # a run of zero checks would report overall PASS having verified nothing
     for value in ("none", ",", " , ,"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,9 +9,8 @@ from confsym.fields import (
     CosineMultiplet,
     CosineVectorPotential,
     GaussianMultiplet,
-    field_strength_from_potential,
+    Jet,
     fd_gradient,
-    multiplet_stack,
     PolynomialMultiplet,
 )
 from confsym.geometry import (
@@ -22,7 +23,6 @@ from confsym.geometry import (
     translation,
 )
 from confsym.noether import (
-    CheckReport,
     DualScalarModel,
     MaxwellModel,
     MultipletModel,
@@ -58,6 +58,7 @@ from confsym.transforms import (
     delta_vector_potential_with_gradient,
 )
 from confsym import sampling
+from confsym.suites import CheckReport
 
 
 def _f_squared(F, metric):
@@ -84,7 +85,7 @@ class TestLagrangianValues:
             # and through the field strength: minus a quarter of F squared
             from confsym.dual3 import field_strength_from_dual
 
-            F = field_strength_from_dual(phi, x, metric3).F
+            F, _ = field_strength_from_dual(phi, x, metric3)
             assert lagrangian(model, phi, x, metric3)[0] == pytest.approx(
                 -0.25 * _f_squared(F, metric3), abs=1e-12
             )
@@ -154,7 +155,7 @@ class TestMaxwellStress:
         A = sampling.random_offshell_potential(rng, metric)
         dim = metric.dim
         for x in sampling.points(rng, dim, 8):
-            F = field_strength_from_potential(A, x).F
+            F = Jet(A, x).F
             expected = (-1.0 + dim / 4.0) * _f_squared(F, metric)
             assert maxwell_stress_trace(A, x, metric) == pytest.approx(
                 expected, abs=1e-12
@@ -543,6 +544,11 @@ def _field_kinds(dim, rng):
     return kinds
 
 
+def _value_grad(field, x):
+    jet = Jet(field, x)
+    return jet.value, jet.grad
+
+
 class TestSampleAxis:
     """The Noether kernels on (S, D) stacks of points, with a special
     conformal parameter stack or a sigma index stack, give bit for bit and in
@@ -571,26 +577,39 @@ class TestSampleAxis:
         gaussian = GaussianMultiplet(dim, [1.3, -0.6], rng.normal(0, 0.2, dim), rng.normal(0, 0.1, (dim, dim)))
         for name in ("value", "grad", "hess", "third"):
             check(lambda x, c, s: getattr(gaussian, name)(x))
+        omega = CosineMultiplet(rng.normal(0.0, 0.5, dim), [0.8], 0.3, g)
         for model, off, on in _field_kinds(dim, rng):
+            for name in ("value", "grad", "hess", "third"):
+                check(lambda x, c, s: getattr(Jet(off, x), name))
+            check(lambda x, c, s: field_virial(model, off, x, g).value)
             check(lambda x, c, s: lagrangian(model, off, x, g))
             check(lambda x, c, s: action_variation_identity("scale", model, off, x, g))
             check(lambda x, c, s: action_variation_identity("conformal", model, off, x, g, s))
             if isinstance(model, MaxwellModel):
                 check(lambda x, c, s: action_variation_identity("conformal-assumed-primary", model, off, x, g, s))
-                check(lambda x, c, s: field_strength_from_potential(off, x).dF)
+                check(lambda x, c, s: (Jet(off, x).F, Jet(off, x).dF))
                 check(lambda x, c, s: delta_field_strength_primary(
                     special_conformal(c, weight=0.5 * dim, spin="field-strength"),
-                    field_strength_from_potential(off, x), x, g))
+                    Jet(off, x).F, Jet(off, x).dF, x, g))
+                check(lambda x, c, s: maxwell_virial_first_principles(off, x, g))
                 for gen in (lambda c: special_conformal(c, spin="vector"), lambda c: dilation(0.7, dim, spin="vector")):
                     check(lambda x, c, s: delta_vector_potential_with_gradient(gen(c), off, x, g))
-                for kernel in (maxwell_stress, maxwell_stress_divergence, maxwell_stress_trace):
+                for kernel in (maxwell_stress, maxwell_stress_divergence, maxwell_stress_trace,
+                               scale_current_maxwell, scale_current_maxwell_divergence,
+                               noether_scale_current_maxwell_divergence):
                     check(lambda x, c, s: kernel(on, x, g))
+                check(lambda x, c, s: gauge_shift_scale_current(on, omega, x, g))
+                check(lambda x, c, s: gauge_shift_divergence(on, omega, x, g))
                 for gen in gens:
                     check(lambda x, c, s: bessel_hagen_divergence(gen(c), model, on, x, g))
                     check(lambda x, c, s: current_divergence_identity(gen(c), on, x, g))
                 continue
-            check(lambda x, c, s: model.density(*multiplet_stack(off, x)[:2], g))
-            check(lambda x, c, s: model.conjugates(*multiplet_stack(off, x)[:2], g))
+            check(lambda x, c, s: model.density(*_value_grad(off, x), g))
+            check(lambda x, c, s: model.conjugates(*_value_grad(off, x), g))
+            check(lambda x, c, s: Jet(off, x).box(g))
+            check(lambda x, c, s: offshell_trace_law(off, x, g, 0.7))
+            if model.linear_part is not None:
+                check(lambda x, c, s: field_virial(model, off, x, g).potential(x))
             check(lambda x, c, s: delta_scalar_with_gradient(sigma_basis_conformal(s, g, 0.5, "scalar"), off, x, g))
             if on is None:
                 continue
@@ -642,6 +661,61 @@ class TestSampleAxis:
         assert type(maxwell_stress_trace(A, x, metric4)) is float
         assert type(bessel_hagen_divergence(special_conformal(x), MultipletModel(4, 2), phi, x, metric4)) is float
         assert current_divergence_identity(dilation(1.0, 4), A, x, metric4)[1] == 0.0
+
+
+class TestOneJetPerCall:
+    """Each kernel call evaluates each derivative order of its fixture at most
+    once: a composite kernel passes its jet down."""
+
+    @staticmethod
+    def _counted(field):
+        calls = []
+        for name in ("value", "grad", "hess", "third"):
+            def counting(x, _name=name, _evaluate=getattr(field, name)):
+                calls.append(_name)
+                return _evaluate(x)
+
+            setattr(field, name, counting)
+        return calls
+
+    def _assert_once(self, field, kernel):
+        calls = self._counted(field)
+        kernel(field)
+        assert calls and sorted(calls) == sorted(set(calls)), calls
+
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    def test_each_order_evaluated_at_most_once(self, dim, rng):
+        g = Metric(dim)
+        xs = sampling.points(rng, dim, 5)
+        gens = [dilation(0.7, dim), special_conformal(rng.normal(0.0, 0.3, dim))]
+        cosine = lambda: sampling.random_plane_wave_multiplet(rng, g, 2)
+        gaussian = lambda: GaussianMultiplet(dim, [1.3], rng.normal(0, 0.2, dim), 0.08 * np.eye(dim))
+        potential = lambda: sampling.random_offshell_potential(rng, g)
+        cases = [(MultipletModel(dim, 2, 0.7), cosine), (linear_scalar_model(dim, -0.4, 0.5), gaussian),
+                 (quadratic_scalar_model(dim), gaussian), (MaxwellModel(dim), potential)]
+        for model, make in cases:
+            kinds = ["scale", "conformal"] + ["conformal-assumed-primary"] * isinstance(model, MaxwellModel)
+            for kind in kinds:
+                self._assert_once(make(), lambda f: action_variation_identity(kind, model, f, xs, g, 1))
+        for make in (cosine, gaussian):
+            self._assert_once(make(), lambda f: improved_scalar_stress_divergence(f, xs, g, 0.7))
+        for gen in gens:
+            self._assert_once(cosine(), lambda f: bessel_hagen_divergence(gen, MultipletModel(dim, 2), f, xs, g))
+            vector_gen = replace(gen, spin="vector")
+            self._assert_once(potential(), lambda f: bessel_hagen_divergence(vector_gen, MaxwellModel(dim), f, xs, g))
+            self._assert_once(potential(), lambda f: current_divergence_identity(vector_gen, f, xs, g))
+        for kernel in (scale_current_maxwell_divergence, noether_scale_current_maxwell_divergence):
+            self._assert_once(potential(), lambda f: kernel(f, xs, g))
+
+    def test_a_jet_on_other_points_is_rejected(self, metric4, rng):
+        A = sampling.random_offshell_potential(rng, metric4)
+        xs = sampling.points(rng, 4, 3)
+        jet = Jet(A, xs)
+        assert maxwell_stress(jet, xs.copy(), metric4).tobytes() == maxwell_stress(A, xs, metric4).tobytes()
+        with pytest.raises(ValueError, match="other points"):
+            maxwell_stress(jet, xs[:2], metric4)
+        with pytest.raises(ValueError, match="other points"):
+            action_variation_identity("scale", MaxwellModel(4), jet, xs + 1e-9, metric4)
 
 
 class TestSigmaIndex:

@@ -9,8 +9,8 @@ from confsym.errors import SingularMap
 from confsym.fields import (
     CosineMultiplet,
     CosineVectorPotential,
+    Jet,
     PolynomialMultiplet,
-    field_strength_from_potential,
     ShiftedPotential,
 )
 from confsym.geometry import (
@@ -157,8 +157,8 @@ class TestDeltaFieldStrength:
         gen_f = special_conformal(c, weight=2.0, spin="field-strength")
         for x in sampling.points(rng, 4, 6):
             induced = delta_field_strength(gen, A, x, g)
-            fs = field_strength_from_potential(A, x)
-            primary = delta_field_strength_primary(gen_f, fs, x, g)
+            fs = Jet(A, x)
+            primary = delta_field_strength_primary(gen_f, fs.F, fs.dF, x, g)
             npt.assert_allclose(induced, primary, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [3, 5, 6])
@@ -170,8 +170,8 @@ class TestDeltaFieldStrength:
         gen_f = special_conformal(c, weight=dim / 2.0, spin="field-strength")
         for x in sampling.points(rng, dim, 6):
             induced = delta_field_strength(gen, A, x, g)
-            fs = field_strength_from_potential(A, x)
-            primary = delta_field_strength_primary(gen_f, fs, x, g)
+            fs = Jet(A, x)
+            primary = delta_field_strength_primary(gen_f, fs.F, fs.dF, x, g)
             cl = g.lower(c)
             val = A.value(x)
             expected = (dim - 4.0) * (np.outer(cl, val) - np.outer(cl, val).T)
@@ -182,8 +182,8 @@ class TestDeltaFieldStrength:
         A = sampling.random_offshell_potential(rng, metric)
         gen = dilation(1.0, metric.dim, weight=metric.dim / 2.0, spin="field-strength")
         for x in sampling.points(rng, metric.dim, 5):
-            fs = field_strength_from_potential(A, x)
-            via_primary = delta_field_strength_primary(gen, fs, x, metric)
+            fs = Jet(A, x)
+            via_primary = delta_field_strength_primary(gen, fs.F, fs.dF, x, metric)
             expected = np.einsum("abm,m->ab", fs.dF, x) + 0.5 * metric.dim * fs.F
             npt.assert_allclose(via_primary, expected, atol=1e-12)
             # the induced variation agrees: dilations never mix in the potential
