@@ -5,8 +5,9 @@ and the gradient of a single scalar, which interchanges the roles of the
 equation of motion and the cyclic (Bianchi) identity: the former becomes an
 identity, the latter carries the dynamics.  The dual scalar is a
 one-component multiplet, read through its :class:`~confsym.fields.Jet` at
-component 0; each function takes the scalar or its jet on ``x`` and one
-point.
+component 0; each function takes the scalar or its jet on points ``x`` of
+shape ``(..., D)``, with ``sigma`` an index or an index stack, and returns
+one result per sample (the contract of :mod:`confsym.geometry`).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .fields import (
     VectorPotential,
     as_jet,
 )
-from .geometry import Metric, levi_civita3, levi_civita3_upper, sigma_basis_conformal
-from .noether import improved_scalar_stress, _raise2
+from .geometry import Metric, _lift, _max_abs, levi_civita3, levi_civita3_upper, sigma_basis_conformal
+from .noether import improved_scalar_stress, _f_squared, _raise2
 from .transforms import (
     delta_field_strength_primary,
     delta_scalar_with_gradient,
@@ -51,48 +52,49 @@ def field_strength_from_dual(phi: ScalarMultiplet, x, metric: Metric):
     """(F, dF): F_{ab} = eps_{abm} d^m phi and ``dF[a, b, r] = d_r F_{ab}``."""
     jet = _dual_jet(phi, x, metric)
     eps = levi_civita3()
-    grad_up = metric.lower(jet.grad[0])
-    hess_up = metric.diag[:, None] * jet.hess[0]  # d^m d_r phi, [m, r]
-    return np.einsum("abm,m->ab", eps, grad_up), np.einsum("abm,mr->abr", eps, hess_up)
+    grad_up = metric.lower(jet.grad[..., 0, :])
+    hess_up = metric.diag[:, None] * jet.hess[..., 0, :, :]  # d^m d_r phi, [m, r]
+    return np.einsum("abm,...m->...ab", eps, grad_up), np.einsum("abm,...mr->...abr", eps, hess_up)
 
 
-def dual_roundtrip_residual(phi: ScalarMultiplet, x, metric: Metric) -> float:
+def dual_roundtrip_residual(phi: ScalarMultiplet, x, metric: Metric):
     """Half the symbol contraction of F must rebuild the raised gradient."""
     jet = _dual_jet(phi, x, metric)
     F, _ = field_strength_from_dual(jet, x, metric)
-    rebuilt = 0.5 * np.einsum("mab,ab->m", levi_civita3_upper(metric), F)
-    return float(np.max(np.abs(rebuilt - metric.lower(jet.grad[0]))))
+    rebuilt = 0.5 * np.einsum("mab,...ab->...m", levi_civita3_upper(metric), F)
+    return _max_abs(rebuilt - metric.lower(jet.grad[..., 0, :]), 1)
 
 
 def maxwell_eom_from_dual(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
     """d_a F^{ab} for the dual-built F: an identity (zero for any phi)."""
     _, dF = field_strength_from_dual(phi, x, metric)
-    return np.einsum("a,b,aba->b", metric.diag, metric.diag, dF)
+    return np.einsum("a,b,...aba->...b", metric.diag, metric.diag, dF)
 
 
-def bianchi_pattern_residual(phi: ScalarMultiplet, x, metric: Metric) -> float:
+def bianchi_pattern_residual(phi: ScalarMultiplet, x, metric: Metric):
     """Cyclic derivative sum of the dual F against its closed form
     eps_{bca} box phi (hand-worked symbol identity)."""
     jet = _dual_jet(phi, x, metric)
     _, dF = field_strength_from_dual(jet, x, metric)
-    cyc = np.einsum("bca->abc", dF) + np.einsum("cab->abc", dF) + dF
-    expected = np.einsum("bca->abc", levi_civita3()) * jet.box(metric)[0]
-    return float(np.max(np.abs(cyc - expected)))
+    cyc = np.einsum("...bca->...abc", dF) + np.einsum("...cab->...abc", dF) + dF
+    expected = np.einsum("bca->abc", levi_civita3()) * _lift(jet.box(metric)[..., 0], 3)
+    return _max_abs(cyc - expected, 3)
 
 
-def primary_rule_F(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> np.ndarray:
+def primary_rule_F(phi: ScalarMultiplet, x, sigma, metric: Metric) -> np.ndarray:
     """The pretend-primary conformal rule applied to the dual-built F."""
     F, dF = field_strength_from_dual(phi, x, metric)
     gen = sigma_basis_conformal(sigma, metric, 1.5, "field-strength")
     return delta_field_strength_primary(gen, F, dF, x, metric)
 
 
-def _symbol_phi(jet: Jet, sigma: int, metric: Metric) -> np.ndarray:
+def _symbol_phi(jet: Jet, sigma, metric: Metric) -> np.ndarray:
     """eps_{ab}^sigma phi, the inhomogeneous term of the dual F variation."""
-    return levi_civita3()[:, :, sigma] * metric.diag[sigma] * jet.value[0]
+    eps = np.moveaxis(levi_civita3()[:, :, sigma], (0, 1), (-2, -1))
+    return eps * _lift(metric.diag[sigma], 2) * _lift(jet.value[..., 0], 2)
 
 
-def delta_bar_F(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> np.ndarray:
+def delta_bar_F(phi: ScalarMultiplet, x, sigma, metric: Metric) -> np.ndarray:
     """Conformal variation of F induced by the scalar-potential rule.
 
     Equals the pretend-primary rule plus the inhomogeneous eps_{ab}^sigma phi
@@ -102,21 +104,21 @@ def delta_bar_F(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> np.ndarr
     return primary_rule_F(jet, x, sigma, metric) + _symbol_phi(jet, sigma, metric)
 
 
-def delta_bar_F_chain_rule(phi: ScalarMultiplet, x, sigma: int, metric: Metric):
+def delta_bar_F_chain_rule(phi: ScalarMultiplet, x, sigma, metric: Metric):
     """Independent route: the symbol contraction of the raised gradient of
     the scalar conformal variation (weight one half)."""
     jet = _dual_jet(phi, x, metric)
     gen = sigma_basis_conformal(sigma, metric, 0.5, "scalar")
     _, ddelta = delta_scalar_with_gradient(gen, jet, x, metric)
-    d_up = metric.diag * ddelta[0]
-    return np.einsum("abm,m->ab", levi_civita3(), d_up)
+    d_up = metric.diag * ddelta[..., 0, :]
+    return np.einsum("abm,...m->...ab", levi_civita3(), d_up)
 
 
-def nonprimary_shift_residual(phi: ScalarMultiplet, x, sigma: int, metric: Metric) -> float:
+def nonprimary_shift_residual(phi: ScalarMultiplet, x, sigma, metric: Metric):
     """delta-bar F minus the pretend-primary rule minus eps_{ab}^sigma phi."""
     jet = _dual_jet(phi, x, metric)
     shift = delta_bar_F_chain_rule(jet, x, sigma, metric) - primary_rule_F(jet, x, sigma, metric)
-    return float(np.max(np.abs(shift - _symbol_phi(jet, sigma, metric))))
+    return _max_abs(shift - _symbol_phi(jet, sigma, metric), 2)
 
 
 def improved_stress_from_F(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
@@ -130,14 +132,13 @@ def improved_stress_from_F(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarra
     F, dF = field_strength_from_dual(jet, x, metric)
     f_up = _raise2(F, metric)
     mixed = metric.diag[:, None] * F  # F^n_a
-    f2 = float(np.sum(f_up * F))
     eps_up = levi_civita3_upper(metric)
     # dW[n, r] = d_r W^n, then raise r
-    dW = np.einsum("nab,abr->nr", eps_up, dF)
+    dW = np.einsum("nab,...abr->...nr", eps_up, dF)
     dW_up = dW * metric.diag[None, :]
-    theta = -0.75 * np.einsum("ma,na->mn", f_up, mixed)
-    theta += 0.25 * np.diag(metric.diag) * f2
-    theta -= (jet.value[0] / 16.0) * (dW_up + dW_up.T)
+    theta = -0.75 * np.einsum("...ma,...na->...mn", f_up, mixed)
+    theta += 0.25 * np.diag(metric.diag) * _lift(_f_squared(F, metric), 2)
+    theta -= _lift(jet.value[..., 0] / 16.0, 2) * (dW_up + np.swapaxes(dW_up, -1, -2))
     return theta
 
 
@@ -157,8 +158,8 @@ def duality_mismatch(A: VectorPotential, phi: ScalarMultiplet, x, metric: Metric
     if potential.field.dim != 3:
         raise WrongDimension("vector potential must be three-dimensional")
     # grad[b, a] = d_a A_b
-    curl = np.einsum("mab,ba->m", levi_civita3_upper(metric), potential.grad)
-    return curl - metric.lower(jet.grad[0])
+    curl = np.einsum("mab,...ba->...m", levi_civita3_upper(metric), potential.grad)
+    return curl - metric.lower(jet.grad[..., 0, :])
 
 
 def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):

@@ -13,16 +13,9 @@ layout (derivative axes last):
 A single scalar field is a one-component multiplet: its evaluators keep the
 component axis, ``value (1,)``, ``grad (1, D)`` and so on.
 
-Leading sample axis: ``value``, ``grad``, ``hess`` and ``third`` of
-:class:`CosineMultiplet`, :class:`GaussianMultiplet` and
-:class:`CosineVectorPotential`, and ``value`` and ``grad`` of
-:class:`CosineSpinor` and :class:`ShiftedPotential` over them, take points
-of shape ``(..., D)`` and return the shapes above with the sample axes in
-front, each sample bit for bit its single-point result (the rules are
-stated in :mod:`confsym.geometry`): the phase ``k.x`` and the Gaussian's
-exponent are stacked ``matmul`` calls and the constant amplitude tensors are
-scaled per sample.  A single point gives the array it always gave.  The
-polynomial family takes one point.
+Every evaluator takes points of shape ``(..., D)`` and returns the shapes
+above with the sample axes in front, C-ordered, each sample bit for bit its
+single-point result (the contract of :mod:`confsym.geometry`).
 
 The kernels of :mod:`confsym.noether`, :mod:`confsym.transforms` and
 :mod:`confsym.dual3` read a fixture only through its :class:`Jet` on their
@@ -109,6 +102,7 @@ class PolynomialMultiplet(ScalarMultiplet):
                 comp.append((float(coef), exps))
             cleaned.append(tuple(comp))
         self.components = tuple(cleaned)
+        self._tables = {}
 
     @staticmethod
     def _mono_derive(coef, exps, direction):
@@ -119,38 +113,50 @@ class PolynomialMultiplet(ScalarMultiplet):
         new[direction] = e - 1
         return coef * e, tuple(new)
 
-    @staticmethod
-    def _mono_eval(coef, exps, x):
-        out = coef
-        for xi, e in zip(x, exps):
-            if e:
-                out *= xi**e
-        return out
+    def _table(self, order: int):
+        """(coefficients, exponents) of the monomials of every derivative entry
+        ``[i, mu_1, ..., mu_order]``, one row per entry in C order, padded with
+        zero monomials to a common width; built on first use."""
+        if order not in self._tables:
+            entries = []
+            for comp in self.components:
+                for idx in np.ndindex(*(self.dim,) * order):
+                    terms = []
+                    for coef, exps in comp:
+                        for d in idx:
+                            coef, exps = self._mono_derive(coef, exps, d)
+                            if coef == 0.0:
+                                break
+                        else:
+                            terms.append((coef, exps))
+                    entries.append(terms)
+            width = max([1] + [len(terms) for terms in entries])
+            coefs = np.zeros((len(entries), width))
+            exps = np.zeros((len(entries), width, self.dim), dtype=int)
+            for row, terms in enumerate(entries):
+                for col, (coef, e) in enumerate(terms):
+                    coefs[row, col] = coef
+                    exps[row, col] = e
+            self._tables[order] = coefs, exps
+        return self._tables[order]
 
     def _derive_eval(self, x, order: int):
+        """Each entry's monomials at x, multiplied coordinate by coordinate in
+        axis order (a zero exponent multiplies by an exact 1.0) and summed
+        left to right from 0.0."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros((self.n_comp,) + (self.dim,) * order)
-        for i, comp in enumerate(self.components):
-            for idx in np.ndindex(*(self.dim,) * order):
-                total = 0.0
-                for coef, exps in comp:
-                    for d in idx:
-                        coef, exps = self._mono_derive(coef, exps, d)
-                        if coef == 0.0:
-                            break
-                    else:
-                        total += self._mono_eval(coef, exps, x)
-                out[(i,) + idx] = total
-        return out
+        coefs, exps = self._table(order)
+        powers = np.float_power(x[..., :, None], np.arange(MAX_POLY_DEGREE + 1))
+        terms = coefs
+        for mu in range(self.dim):
+            terms = terms * np.take(powers[..., mu, :], exps[..., mu], axis=-1)
+        total = 0.0
+        for col in range(terms.shape[-1]):
+            total = total + terms[..., col]
+        return total.reshape(x.shape[:-1] + (self.n_comp,) + (self.dim,) * order)
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array(
-            [
-                sum(self._mono_eval(c, e, x) for c, e in comp)
-                for comp in self.components
-            ]
-        )
+        return self._derive_eval(x, 0)
 
     def grad(self, x):
         return self._derive_eval(x, 1)
@@ -253,7 +259,8 @@ class CosineVectorPotential(VectorPotential):
 
 class ShiftedPotential(VectorPotential):
     """Gauge-shifted potential A_alpha + d_alpha Omega, with Omega component 0
-    of the ``gauge`` multiplet."""
+    of the ``gauge`` multiplet.  ``base`` and ``gauge`` are fixtures or their
+    jets, read through their jets on the points evaluated."""
 
     def __init__(self, base: VectorPotential, gauge: ScalarMultiplet):
         if gauge.dim != base.dim:
@@ -263,13 +270,13 @@ class ShiftedPotential(VectorPotential):
         self.gauge = gauge
 
     def value(self, x):
-        return self.base.value(x) + self.gauge.grad(x)[..., 0, :]
+        return as_jet(self.base, x).value + as_jet(self.gauge, x).grad[..., 0, :]
 
     def grad(self, x):
-        return self.base.grad(x) + self.gauge.hess(x)[..., 0, :, :]
+        return as_jet(self.base, x).grad + as_jet(self.gauge, x).hess[..., 0, :, :]
 
     def hess(self, x):
-        return self.base.hess(x) + self.gauge.third(x)[..., 0, :, :, :]
+        return as_jet(self.base, x).hess + as_jet(self.gauge, x).third[..., 0, :, :, :]
 
 
 def make_onshell_maxwell_plane_wave(
@@ -337,6 +344,7 @@ class Jet:
 
     def __init__(self, field, x):
         self.field = field
+        self.dim = field.dim
         self.x = x
 
     value = cached_property(lambda self: self.field.value(self.x))

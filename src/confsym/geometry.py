@@ -8,29 +8,30 @@ Conventions used across the package:
 * mixed-index matrices store the lower index first, ``M[a, b] = M_a^b``,
   so index chains contract as ordinary matrix products;
 * derivative axes always come last: ``df[mu, nu] = d_nu f^mu``;
-* leading sample axis: the map kernels (the metric's ``lower``, ``dot``
-  and ``norm2``, ``invariant_square``, ``conformal_factor``,
-  ``special_conformal_map``, ``inversion``,
-  ``special_conformal_map_via_inversion``, ``inversion_matrix``,
-  ``inversion_matrix_gradient``, ``map_jacobian``, ``conformal_jacobian``,
-  ``killing_vector``, ``killing_gradient``, ``killing_divergence``,
-  ``killing_residual_from_gradient`` and ``killing_residual``) take points
-  of shape ``(..., D)`` and return one result per sample; a special
-  conformal generator may carry a parameter stack ``(..., D)``, one
-  parameter per sample, which ``killing_divergence_gradient`` and
-  ``killing_second_gradient`` follow, and ``sigma_basis_conformal`` builds
-  one from an index stack.  A single point is the case without that axis and
-  gives the float or array it always gave.  Each sample's result is bit for
-  bit its single-point result: per-sample dot products are stacked
-  ``matmul`` calls, ``(..., 1, D) @ (..., D, 1)``, which sum in the order a
-  1-D ``u @ v`` sums (``einsum`` and ``sum(-1)`` do not), and a power of a
+* leading sample axis: every kernel of the package that takes points, here
+  and in :mod:`confsym.fields`, :mod:`confsym.clifford`,
+  :mod:`confsym.transforms`, :mod:`confsym.noether` and
+  :mod:`confsym.dual3`, takes points of shape ``(..., D)`` and returns one
+  result per sample.  A special conformal generator may carry a parameter
+  stack ``(..., D)``, one parameter per sample, which
+  ``killing_divergence_gradient`` and ``killing_second_gradient`` follow,
+  and ``sigma_basis_conformal`` builds one from an index stack.  A single
+  point is the case without that axis and gives the float or array it always
+  gave.  Each sample's result is bit for bit its single-point result, by
+  mirroring the single point's operations: per-sample dot products are
+  stacked ``matmul`` calls, ``(..., 1, D) @ (..., D, 1)``, which sum in the
+  order a 1-D ``u @ v`` sums (``einsum`` and ``sum(-1)`` do not); a
+  per-point ``@``, ``dot`` or ``tensordot`` is a stacked ``matmul`` on
+  operands of the same memory layout (the layout selects the BLAS routine,
+  so a fixture returns C-ordered samples); a per-point ``einsum`` is the
+  same ``einsum`` with a leading sample index; a per-point ``sum`` or
+  ``trace`` reduces the trailing axes of the same layout; and a power of a
   per-sample value is ``np.float_power``, which calls libm's ``pow`` as a
   Python float's ``**`` does (numpy's ``**`` squares or takes ``sqrt``).  A
   floor test raises for the first sample in sample order that fails it, so
   a chain of kernels over a sample array raises the error of the first
   kernel that meets a singular sample, naming that kernel's first bad
-  sample; a per-sample loop may meet another error first.  The other
-  functions here take one point.
+  sample; a per-sample loop may meet another error first.
 """
 
 from __future__ import annotations
@@ -267,9 +268,9 @@ def large_parameter_map(x, c, metric: Metric):
     """
     x = metric._check(x)
     c = metric._check(c)
-    c2 = invariant_square(c, metric)
+    c2 = _lift(invariant_square(c, metric))
     big_x = inversion(x, metric)
-    reflected = big_x - 2.0 * c * metric.dot(c, big_x) / c2
+    reflected = big_x - 2.0 * c * _lift(metric.dot(c, big_x)) / c2
     return c / c2 + reflected / c2
 
 

@@ -16,11 +16,8 @@ Leading sample axis: every kernel here, and each model's ``density`` and
 takes points ``x`` of shape ``(..., D)`` (with a special conformal parameter
 stack of the same shape, or a ``sigma`` index stack of shape ``(...)``) and
 returns one result per sample.  Each sample's result is bit for bit its
-single-point result, by the rules of :mod:`confsym.transforms`: a per-point
-``@`` is a stacked ``matmul``, a per-point ``einsum`` is the same ``einsum``
-with a leading sample index, a per-point ``sum`` or ``trace`` reduces the
-trailing axes of the same memory layout, and a power of a per-sample value
-is ``np.float_power``.  The one exception is the 1-D ``einsum`` over a
+single-point result, by the rules of :mod:`confsym.geometry`.  The one
+exception is the 1-D ``einsum`` over a
 strided column in the scalar conformal identity, which sums left to right;
 its stacked form is that sum written out (:func:`_sum_left_to_right`).  A
 single point gives the float or array it always gave.
@@ -29,8 +26,8 @@ Each kernel takes ``fields`` as a fixture or as its
 :class:`~confsym.fields.Jet` on the same ``x`` (a jet on other points raises
 ValueError) and reads the fixture only through that jet; a kernel built on
 others passes its jet down, so one call evaluates each derivative order of
-a fixture at most once (the gauge shift evaluates the shifted potential, a
-fixture of its own).
+a fixture at most once (the gauge shift's shifted potential reads the
+potential and the gauge function through their jets).
 """
 
 from __future__ import annotations
@@ -571,7 +568,7 @@ def gauge_shift_scale_current(A: VectorPotential, gauge: ScalarMultiplet, x, met
     """
     x = metric._check(x)
     jet, omega = as_jet(A, x), as_jet(gauge, x)
-    shifted = ShiftedPotential(jet.field, omega.field)
+    shifted = ShiftedPotential(jet, omega)
     shift = scale_current_maxwell(shifted, x, metric) - scale_current_maxwell(jet, x, metric)
     trace_df = np.einsum("...maa->...m", _raise_dF(jet.dF, metric))
     coeff = 0.5 * (4.0 - metric.dim)

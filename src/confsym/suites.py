@@ -41,7 +41,9 @@ from .fields import (
 )
 from .geometry import (
     Metric,
+    _lift,
     _max_abs,
+    _outer,
     basis_generators,
     canonical_weight,
     conformal_factor,
@@ -96,7 +98,7 @@ from .transforms import (
     FiniteScalarTransform,
     FiniteSpinorTransform,
     FiniteVectorTransform,
-    commutator_residuals,
+    commutator_stack,
     decoupled_spinor_residual,
     decoupled_vector_residual,
     decoupling_bracket_residual,
@@ -138,19 +140,21 @@ def _rng_for(spec: ModelSpec, name: str) -> np.random.Generator:
     return np.random.default_rng([spec.seed, zlib.crc32(name.encode())])
 
 
-def _maxabs(a) -> float:
-    return float(np.max(np.abs(a)))
-
-
 def _gap(a, b) -> float:
     """Largest entry of |a - b|."""
-    return _maxabs(a - b)
+    return float(np.max(np.abs(a - b)))
 
 
 def _sample_gap(a, b):
     """Largest entry of |a - b| per sample (the leading axis)."""
     gap = a - b
     return _max_abs(gap, gap.ndim - 1)
+
+
+def _points_major(columns) -> list:
+    """One residual per (point, column), points-major, from one residual
+    array per column (a generator, a sigma), each with one entry per point."""
+    return np.stack(columns, axis=-1).ravel().tolist()
 
 
 def _scatter(keep, values) -> list:
@@ -326,12 +330,10 @@ def _chk_killing(spec, metric, rng):
 def _chk_commutator(spec, metric, rng):
     wave = _scalar_fixture(spec, metric, rng, n_comp=2)
     poly = sampling.random_polynomial_multiplet(rng, metric.dim, 2)
-    return [
-        _maxabs(residual)
-        for f in (wave, poly)
-        for x in sampling.points(rng, metric.dim, 4)
-        for residual in commutator_residuals(f, x, metric)
-    ]
+    # four points per field, drawn one block after the other
+    pts = sampling.points(rng, metric.dim, 8)
+    stacks = [commutator_stack(f, x, metric) for f, x in ((wave, pts[:4]), (poly, pts[4:]))]
+    return np.concatenate([_max_abs(lhs - rhs, 1) for lhs, rhs in stacks]).ravel().tolist()
 
 
 @_register("gamma-reflection", FIELD_KINDS, "exact", "gamma algebra holds and slashed units reproduce the reflection matrix")
@@ -384,23 +386,22 @@ def _order_residuals(rng, metric, make_view, variation):
     """Per point, how far the convergence order of the parameter derivative of
     a finite transform ``make_view(c, weight)`` towards the infinitesimal
     variation falls short of 1.9; 1.0 at least where the third regresses,
-    and the first non-finite error where a step has one."""
+    and the first non-finite error where a step has one.  One parameter is
+    drawn per point."""
     d = canonical_weight(metric.dim)
-
-    def residual(x):
-        c = sampling.small_parameters(rng, metric.dim, 1, scale=0.4)[0]
-        target = variation(c, x)
-        errs = [
-            _gap(finite_variation_fd(lambda t: make_view(t * c, d), x, eps), target) + 1e-30
-            for eps in (1e-2, 1e-3, 1e-4)
-        ]
-        bad = [e for e in errs if not math.isfinite(e)]
-        if bad:
-            return bad[0]
-        shortfall = 1.9 - np.log10(errs[0] / errs[1])
-        return max(shortfall, 1.0) if errs[2] > 10.0 * errs[1] else shortfall
-
-    return [residual(x) for x in sampling.timelike_points(rng, metric.dim, 5)]
+    xs = sampling.timelike_points(rng, metric.dim, 5)
+    cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
+    target = variation(cs, xs)
+    errs = np.stack([
+        _sample_gap(finite_variation_fd(lambda t: make_view(t * cs, d), xs, eps), target) + 1e-30
+        for eps in (1e-2, 1e-3, 1e-4)
+    ], axis=-1)
+    finite = np.isfinite(errs)
+    with np.errstate(invalid="ignore"):
+        shortfall = 1.9 - np.log10(errs[:, 0] / errs[:, 1])
+    shortfall = np.where(errs[:, 2] > 10.0 * errs[:, 1], np.maximum(shortfall, 1.0), shortfall)
+    first_bad = np.take_along_axis(errs, np.argmin(finite, axis=-1)[:, None], -1)[:, 0]
+    return np.where(finite.all(axis=-1), shortfall, first_bad).tolist()
 
 
 @_register("finite-infinitesimal-scalar", FIELD_KINDS, 0.0, "finite scalar transform linearises to the scalar variation")
@@ -456,15 +457,17 @@ def _chk_spinor_routes(spec, metric, rng):
 @_register("finite-scalar-composition", FIELD_KINDS, "exact", "finite scalar transforms compose additively in the parameter")
 def _chk_scalar_composition(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
+    xs = sampling.points(rng, metric.dim, 40)
+    # the two parameters (c1, c2) of each point, on axis -2
+    cs = sampling.small_parameters(rng, metric.dim, 2 * len(xs), scale=0.06).reshape(len(xs), 2, metric.dim)
 
-    def residual(x):
-        c1 = sampling.small_parameters(rng, metric.dim, 1, scale=0.06)[0]
-        c2 = sampling.small_parameters(rng, metric.dim, 1, scale=0.06)[0]
-        once = FiniteScalarTransform(phi, c1 + c2, 1.0, metric)
-        twice = FiniteScalarTransform(FiniteScalarTransform(phi, c1, 1.0, metric), c2, 1.0, metric)
-        return _agreement(once, twice, x)
+    def make(c, route):
+        c1, c2 = c[..., 0, :], c[..., 1, :]
+        if route == "once":
+            return FiniteScalarTransform(phi, c1 + c2, 1.0, metric)
+        return FiniteScalarTransform(FiniteScalarTransform(phi, c1, 1.0, metric), c2, 1.0, metric)
 
-    return [residual(x) for x in sampling.points(rng, metric.dim, 40)]
+    return _route_gaps(make, ("once", "twice"), xs, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +486,7 @@ def _per_sigma(kind, model, fixture, pts, metric):
     """|identity| of ``kind`` at every point once per sigma = 0..D-1,
     points-major, from one jet of the fixture on the points."""
     jet = Jet(fixture, pts)
-    per_sigma = [action_variation_identity(kind, model, jet, pts, metric, s) for s in range(metric.dim)]
-    return abs(np.stack(per_sigma, axis=-1)).ravel().tolist()
+    return _points_major([abs(action_variation_identity(kind, model, jet, pts, metric, s)) for s in range(metric.dim)])
 
 
 @_register("action-conformal-identity", FIELD_KINDS, "identity", "conformal variation of the density is the stated total derivative",
@@ -554,7 +556,7 @@ def _conformal_current_sides(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
     dim = metric.dim
     pts = sampling.points(rng, dim, 10)
-    cs = np.array([rng.normal(0.0, 0.4, dim) for _ in pts])
+    cs = rng.normal(0.0, 0.4, (len(pts), dim))
     return current_divergence_identity(special_conformal(cs), A, pts, metric)
 
 
@@ -621,8 +623,9 @@ def _vector_generators(metric, rng):
 def _chk_lie_forms(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     gens = _vector_generators(metric, rng)
-    jets = [Jet(A, x) for x in sampling.points(rng, metric.dim, 8)]
-    return [_gap(*lie_derivative_vector(gen, jet, jet.x, metric)) for jet in jets for gen in gens]
+    jet = Jet(A, sampling.points(rng, metric.dim, 8))
+    per_gen = [_sample_gap(*lie_derivative_vector(gen, jet, jet.x, metric)) for gen in gens]
+    return _points_major(per_gen)
 
 
 @_register("lie-derivative-weight", ("maxwell",), "exact", "field variation differs from the Lie derivative by the weight term")
@@ -630,43 +633,37 @@ def _chk_lie_weight(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     dim = metric.dim
     gens = _vector_generators(metric, rng)
+    jet = Jet(A, sampling.points(rng, dim, 8))
 
-    def residual(jet, gen):
+    def residual(gen):
         lie, _ = lie_derivative_vector(gen, jet, jet.x, metric)
         delta = delta_vector_potential(gen, jet, jet.x, metric)
-        shift = ((dim - 4.0) / (2.0 * dim)) * killing_divergence(gen, jet.x, metric) * jet.value
-        return _maxabs(delta - lie - shift)
+        shift = _lift(((dim - 4.0) / (2.0 * dim)) * killing_divergence(gen, jet.x, metric)) * jet.value
+        return _sample_gap(delta - lie, shift)
 
-    jets = [Jet(A, x) for x in sampling.points(rng, dim, 8)]
-    return [residual(jet, gen) for jet in jets for gen in gens]
+    return _points_major([residual(gen) for gen in gens])
 
 
 @_register("primary-rule-discrepancy", ("maxwell",), "exact", "induced and pretend-primary F variations differ by (D-4) potential terms")
 def _chk_primary_disc(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     dim = metric.dim
-
-    def residual(x):
-        c = rng.normal(0.0, 0.3, dim)
-        jet = Jet(A, x)
-        induced = delta_field_strength(special_conformal(c, spin="vector"), jet, x, metric)
-        gen_f = special_conformal(c, weight=dim / 2.0, spin="field-strength")
-        primary = delta_field_strength_primary(gen_f, jet.F, jet.dF, x, metric)
-        cl = metric.lower(c)
-        val = jet.value
-        expected = (dim - 4.0) * (np.outer(cl, val) - np.outer(cl, val).T)
-        return _maxabs(induced - primary - expected)
-
-    return [residual(x) for x in sampling.points(rng, dim, 8)]
+    jet = Jet(A, sampling.points(rng, dim, 8))
+    cs = rng.normal(0.0, 0.3, (len(jet.x), dim))
+    induced = delta_field_strength(special_conformal(cs, spin="vector"), jet, jet.x, metric)
+    gen_f = special_conformal(cs, weight=dim / 2.0, spin="field-strength")
+    primary = delta_field_strength_primary(gen_f, jet.F, jet.dF, jet.x, metric)
+    outer = _outer(metric.lower(cs), jet.value)
+    expected = (dim - 4.0) * (outer - np.swapaxes(outer, -1, -2))
+    return _sample_gap(induced - primary, expected).tolist()
 
 
 @_register("eom-conformal-violation", ("maxwell",), "identity", "the varied field strength violates the equations of motion off D = 4")
 def _chk_eom_violation(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
-    return [
-        _gap(*eom_violation_conformal(A, x, metric, rng.normal(0.0, 0.3, metric.dim)))
-        for x in sampling.points(rng, metric.dim, 8)
-    ]
+    pts = sampling.points(rng, metric.dim, 8)
+    cs = rng.normal(0.0, 0.3, pts.shape)
+    return _sample_gap(*eom_violation_conformal(A, pts, metric, cs)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +709,7 @@ def _chk_killing_current(spec, metric, rng):
     theta = improved_scalar_stress(jet, pts, metric)
     theta_div = improved_scalar_stress_divergence(jet, pts, metric)
     per_gen = [killing_current_divergence(theta, theta_div, gen, pts, metric) for gen in basis_generators(metric.dim)]
-    return abs(np.stack(per_gen, axis=-1)).ravel().tolist()
+    return _points_major([abs(div) for div in per_gen])
 
 
 # ---------------------------------------------------------------------------
@@ -723,59 +720,58 @@ def _chk_killing_current(spec, metric, rng):
 @_register("dual-roundtrip", ("dual-scalar-3",), "exact", "the dual map inverts: half the symbol contraction rebuilds the gradient")
 def _chk_dual_roundtrip(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
-    return [dual3.dual_roundtrip_residual(phi, x, metric) for x in sampling.points(rng, 3, 10)]
+    return dual3.dual_roundtrip_residual(phi, sampling.points(rng, 3, 10), metric).tolist()
 
 
 @_register("dual-motion-identity", ("dual-scalar-3",), "exact", "the field equation holds identically for any dual scalar")
 def _chk_dual_motion(spec, metric, rng):
     poly = sampling.random_polynomial_multiplet(rng, 3, 1)
-    return [
-        _maxabs(dual3.maxwell_eom_from_dual(phi, x, metric))
-        for phi in (poly, _scalar_fixture(spec, metric, rng, n_comp=1))
-        for x in sampling.points(rng, 3, 8)
-    ]
+    wave = _scalar_fixture(spec, metric, rng, n_comp=1)
+    # eight points per field, drawn one block after the other
+    pts = sampling.points(rng, 3, 16)
+    eom = [dual3.maxwell_eom_from_dual(phi, x, metric) for phi, x in ((poly, pts[:8]), (wave, pts[8:]))]
+    return _max_abs(np.concatenate(eom), 1).tolist()
 
 
 @_register("dual-bianchi-dynamics", ("dual-scalar-3",), "exact", "the cyclic identity carries the wave operator of the dual scalar")
 def _chk_dual_bianchi(spec, metric, rng):
     phi = sampling.random_polynomial_multiplet(rng, 3, 1)
-    return [dual3.bianchi_pattern_residual(phi, x, metric) for x in sampling.points(rng, 3, 10)]
+    return dual3.bianchi_pattern_residual(phi, sampling.points(rng, 3, 10), metric).tolist()
 
 
 @_register("dual-nonprimary-shift", ("dual-scalar-3",), "exact", "dual F variation exceeds the primary rule by the symbol times phi")
 def _chk_dual_nonprimary(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
-    jets = [Jet(phi, x) for x in sampling.points(rng, 3, 8)]
-    return [dual3.nonprimary_shift_residual(jet, jet.x, s, metric) for jet in jets for s in range(3)]
+    jet = Jet(phi, sampling.points(rng, 3, 8))
+    per_sigma = [dual3.nonprimary_shift_residual(jet, jet.x, s, metric) for s in range(3)]
+    return _points_major(per_sigma)
 
 
 @_register("dual-variation-consistency", ("dual-scalar-3",), "identity", "explicit dual F variation equals the chain rule through the gradient")
 def _chk_dual_chain(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
-    jets = [Jet(phi, x) for x in sampling.points(rng, 3, 8)]
-    return [
-        _gap(dual3.delta_bar_F(jet, jet.x, s, metric), dual3.delta_bar_F_chain_rule(jet, jet.x, s, metric))
-        for jet in jets for s in range(3)
+    jet = Jet(phi, sampling.points(rng, 3, 8))
+    per_sigma = [
+        _sample_gap(dual3.delta_bar_F(jet, jet.x, s, metric), dual3.delta_bar_F_chain_rule(jet, jet.x, s, metric))
+        for s in range(3)
     ]
+    return _points_major(per_sigma)
 
 
 @_register("dual-stress-equality", ("dual-scalar-3",), "identity", "F-form and scalar-form improved stress tensors agree on shell")
 def _chk_dual_stress(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True, n_comp=1)
-
-    def residual(jet):
-        a = dual3.improved_stress_from_F(jet, jet.x, metric)
-        b = dual3.improved_stress_scalar_form(jet, jet.x, metric)
-        return float(np.maximum(_gap(a, b), abs(float(np.einsum("m,mm->", metric.diag, a)))))
-
-    return [residual(Jet(phi, x)) for x in sampling.points(rng, 3, 10)]
+    jet = Jet(phi, sampling.points(rng, 3, 10))
+    a = dual3.improved_stress_from_F(jet, jet.x, metric)
+    b = dual3.improved_stress_scalar_form(jet, jet.x, metric)
+    return np.maximum(_sample_gap(a, b), abs(np.einsum("m,...mm->...", metric.diag, a))).tolist()
 
 
 @_register("duality-match", ("dual-scalar-3",), 1e-10, "a matched plane-wave pair satisfies the duality relation pointwise")
 def _chk_duality_match(spec, metric, rng):
     k = sampling.null_vector(rng, 3, scale=1.2)
     phi, A = dual3.matched_plane_wave_pair(k, 0.9, 0.4, metric)
-    return [_maxabs(dual3.duality_mismatch(A, phi, x, metric)) for x in sampling.points(rng, 3, 10)]
+    return _max_abs(dual3.duality_mismatch(A, phi, sampling.points(rng, 3, 10), metric), 1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -12,29 +12,16 @@ special-conformal rules for every spin representation.
 
 A note on operator composition: commutators of variations compose through
 the field argument, so successive variations multiply in the opposite order
-to the bare differential operators.  :func:`commutator_residual` follows the
+to the bare differential operators.  :func:`commutator_stack` follows the
 successive-variation convention.
 
-Leading sample axis: :func:`spin_coefficient`, the vector and spinor spin
-actions, :func:`delta_vector_potential` and :func:`delta_spinor` on the
-cosine fixtures, :func:`delta_scalar_with_gradient` and
-:func:`delta_vector_potential_with_gradient` on the cosine and Gaussian
-fixtures, :func:`delta_field_strength_primary`, :func:`vector_spin_term`,
-:func:`decoupling_bracket_with`, :func:`decoupling_bracket_residual`,
-:func:`decoupled_vector_residual`, :func:`decoupled_spinor_residual` and the
-``value`` of :class:`FiniteVectorTransform` and :class:`FiniteSpinorTransform`
-take points ``x`` (or ``y``) of shape ``(..., D)`` with a parameter stack
-``c`` of the same shape, and return one result per sample.  Each sample's
-result is bit for bit its single-point result, by mirroring the single
-point's operations (see :mod:`confsym.geometry`): a per-point ``@``, ``dot``
-or ``tensordot`` is a stacked ``matmul`` on operands of the same memory
-layout, a per-point ``einsum`` is the same ``einsum`` with a leading sample
-index, and a power of a per-sample value is ``np.float_power``.  A single
-point gives the float or array it always gave; a floor or timelike test
-raises for the first sample that fails it.  The other functions here take
-one point.  Every kernel reads a fixture through its
-:class:`~confsym.fields.Jet` on ``x``, as in :mod:`confsym.noether`; the
-finite transforms are field views and evaluate the field they wrap.
+Every kernel takes points ``x`` (or ``y``) of shape ``(..., D)``, with a
+parameter stack ``c`` of the same shape, and returns one result per sample,
+bit for bit its single-point result (the contract of :mod:`confsym.geometry`);
+a floor or timelike test raises for the first sample that fails it.  Every
+kernel reads a fixture through its :class:`~confsym.fields.Jet` on ``x``, as
+in :mod:`confsym.noether`; the finite transforms are field views and
+evaluate the field they wrap.
 """
 
 from __future__ import annotations
@@ -79,9 +66,8 @@ __all__ = [
     "delta_field_strength_gradient",
     "eom_violation_conformal",
     "lie_derivative_vector",
+    "commutator_stack",
     "commutator_residual",
-    "commutator_residuals",
-    "scalar_commutator_pair",
     "FiniteScalarTransform",
     "FiniteVectorTransform",
     "FiniteSpinorTransform",
@@ -259,7 +245,7 @@ def delta_field_strength(gen: GeneratorAction, A: VectorPotential, x, metric: Me
     """
     gen_vec = _as_vector_generator(gen, metric)
     _, dout = delta_vector_potential_with_gradient(gen_vec, A, x, metric)
-    return dout.T - dout
+    return np.swapaxes(dout, -1, -2) - dout
 
 
 def delta_field_strength_gradient(
@@ -281,25 +267,25 @@ def delta_field_strength_gradient(
     dC = _spin_coefficient_gradient(gen, metric)
     w = gen.weight / metric.dim
 
-    asym = C - C.T
-    dasym = dC - np.swapaxes(dC, 0, 1)
+    asym = C - np.swapaxes(C, -1, -2)
+    dasym = dC - np.swapaxes(dC, -3, -2)
     dupper = metric.diag[:, None] * grad
     d2upper = metric.diag[:, None, None] * hess
 
     # second derivative d2[a, m, n] = d_n d_m (delta A)_a ; the Killing vector
     # is quadratic, so its own third gradient vanishes.
-    d2 = np.einsum("rmn,ar->amn", d2f, grad)
-    d2 += np.einsum("rm,arn->amn", df, hess)
-    d2 += np.einsum("rn,arm->amn", df, hess)
-    d2 += np.einsum("armn,r->amn", third, f)
-    d2 += w * np.einsum("an,m->amn", grad, ddiv)
-    d2 += w * np.einsum("am,n->amn", grad, ddiv)
-    d2 += w * div * hess
-    d2 += np.einsum("akm,kn->amn", dasym, dupper)
-    d2 += np.einsum("akn,km->amn", dasym, dupper)
-    d2 += np.einsum("ak,kmn->amn", asym, d2upper)
+    d2 = np.einsum("...rmn,...ar->...amn", d2f, grad)
+    d2 += np.einsum("...rm,...arn->...amn", df, hess)
+    d2 += np.einsum("...rn,...arm->...amn", df, hess)
+    d2 += np.einsum("...armn,...r->...amn", third, f)
+    d2 += w * np.einsum("...an,...m->...amn", grad, ddiv)
+    d2 += w * np.einsum("...am,...n->...amn", grad, ddiv)
+    d2 += _lift(w * div, 3) * hess
+    d2 += np.einsum("...akm,...kn->...amn", dasym, dupper)
+    d2 += np.einsum("...akn,...km->...amn", dasym, dupper)
+    d2 += np.einsum("...ak,...kmn->...amn", asym, d2upper)
 
-    return np.einsum("bam->abm", d2) - d2
+    return np.einsum("...bam->...abm", d2) - d2
 
 
 def eom_violation_conformal(A: VectorPotential, x, metric: Metric, c):
@@ -315,14 +301,14 @@ def eom_violation_conformal(A: VectorPotential, x, metric: Metric, c):
     jet = as_jet(A, x)
     d_delta_F = delta_field_strength_gradient(gen, jet, x, metric)
     d = metric.diag
-    lhs = np.einsum("a,b,aba->b", d, d, d_delta_F)
+    lhs = np.einsum("a,b,...aba->...b", d, d, d_delta_F)
 
     grad = jet.grad  # grad[a, m] = d_m A_a
     cl = metric.lower(np.asarray(c, dtype=float))
-    div_A = float(np.einsum("m,mm->", d, grad))
+    div_A = np.einsum("m,...mm->...", d, grad)
     # d^b A^s = g^{bm} g^{sa} d_m A_a
-    dba = np.einsum("b,s,sb->bs", d, d, grad)
-    rhs = (metric.dim - 4.0) * (dba @ cl - d * cl * div_A)
+    dba = np.einsum("b,s,...sb->...bs", d, d, grad)
+    rhs = (metric.dim - 4.0) * (_mv(dba, cl) - d * cl * _lift(div_A))
     return lhs, rhs
 
 
@@ -343,8 +329,9 @@ def lie_derivative_vector(gen: GeneratorAction, A: VectorPotential, x, metric: M
     df = killing_gradient(gen, x, metric)  # df[m, a] = d_a f^m
     jet = as_jet(A, x)
     value, grad = jet.value, jet.grad
-    direct = grad @ f + df.T @ value
-    via_fs = jet.F.T @ f + df.T @ value + grad.T @ f
+    df_t = np.swapaxes(df, -1, -2)
+    direct = _mv(grad, f) + _mv(df_t, value)
+    via_fs = _mv(np.swapaxes(jet.F, -1, -2), f) + _mv(df_t, value) + _mv(np.swapaxes(grad, -1, -2), f)
     return direct, via_fs
 
 
@@ -353,40 +340,9 @@ def lie_derivative_vector(gen: GeneratorAction, A: VectorPotential, x, metric: M
 # ---------------------------------------------------------------------------
 
 
-def _op_translation(sigma, metric, x, value, grad, hess=None):
-    """Index-stripped translation acting on a scalar: upper-index derivative."""
-    s = metric.diag[sigma]
-    new_value = s * grad[..., sigma]
-    if hess is None:
-        return new_value, None
-    return new_value, s * hess[..., sigma, :]
-
-
-def _op_conformal(sigma, weight, metric, x, value, grad, hess=None):
-    """Index-stripped special conformal operator on a scalar multiplet."""
-    dim = metric.dim
-    x2 = metric.norm2(x)
-    xl = metric.lower(x)
-    unit = np.eye(dim)[sigma]
-    k = 2.0 * x[sigma] * x - metric.diag[sigma] * unit * x2
-    w = 2.0 * weight * x[sigma]
-    new_value = grad @ k + w * value
-    if hess is None:
-        return new_value, None
-    # dk[r, m] = d_m k^r
-    dk = 2.0 * np.einsum("r,m->rm", x, unit)
-    dk += 2.0 * x[sigma] * np.eye(dim)
-    dk -= 2.0 * metric.diag[sigma] * np.einsum("r,m->rm", unit, xl)
-    dw = 2.0 * weight * unit
-    new_grad = np.einsum("...r,rm->...m", grad, dk)
-    new_grad += np.einsum("...rm,r->...m", hess, k)
-    new_grad += np.einsum("...,m->...m", value, dw)
-    new_grad += w * grad
-    return new_value, new_grad
-
-
-def scalar_commutator_pair(sigma, tau, field, x, metric: Metric):
-    """(lhs, rhs) of the translation/special-conformal commutator on a scalar.
+def commutator_stack(field, x, metric: Metric):
+    """(lhs, rhs) of the translation/special-conformal commutator on a scalar
+    multiplet, ``[..., sigma, tau, i]`` for every index pair, from one jet.
 
     lhs applies the two index-stripped variations successively in both
     orders; successive variations compose through the field argument, so the
@@ -395,46 +351,48 @@ def scalar_commutator_pair(sigma, tau, field, x, metric: Metric):
     weight.
     """
     x = metric._check(x)
-    return _commutator_pairs([sigma], [tau], metric, x, as_jet(field, x))[0]
-
-
-def _commutator_pairs(sigmas, taus, metric, x, jet):
-    """:func:`scalar_commutator_pair` for every (sigma, tau), sigma-major, from
-    the field's jet at a checked x; each one-index operator acts on the
-    jet once."""
+    jet = as_jet(field, x)
     value, grad, hess = jet.value, jet.grad, jet.hess
+    d, eye = metric.diag, np.eye(metric.dim)
     weight = canonical_weight(metric.dim)
-    translated = [_op_translation(sigma, metric, x, value, grad, hess) for sigma in sigmas]
-    conformal = [_op_conformal(tau, weight, metric, x, value, grad, hess) for tau in taus]
-    dilat = grad @ x + weight * value
-    pairs = []
-    for sigma, (tv, tg) in zip(sigmas, translated):
-        for tau, (cv, cg) in zip(taus, conformal):
-            first, _ = _op_conformal(tau, weight, metric, x, tv, tg)
-            second, _ = _op_translation(sigma, metric, x, cv, cg)
-            lhs = first - second
-
-            g_st = metric.diag[sigma] if sigma == tau else 0.0
-            ds, dt = metric.diag[sigma], metric.diag[tau]
-            lorentz = x[sigma] * dt * grad[..., tau] - x[tau] * ds * grad[..., sigma]
-            rhs = -2.0 * g_st * dilat + 2.0 * lorentz
-            pairs.append((lhs, rhs))
-    return pairs
+    grad_t = np.swapaxes(grad, -1, -2)  # [..., mu, i] = d_mu phi_i
+    # the translation by sigma, an upper-index derivative: value [sigma, i],
+    # gradient [sigma, i, m]
+    t_value = d[:, None] * grad_t
+    t_grad = d[:, None, None] * np.moveaxis(hess, -2, -3)
+    # the special conformal operator by tau: its vector field k[tau] and
+    # weight term w[tau], their gradients dk[tau] and dw[tau], and the
+    # gradient of the varied field [tau, i, m]
+    k = 2.0 * x[..., :, None] * x[..., None, :] - (d[:, None] * eye) * _lift(metric.norm2(x), 2)
+    w = 2.0 * weight * x
+    dk = 2.0 * np.einsum("...r,tm->...trm", x, eye)
+    dk += _lift(2.0 * x, 2) * eye
+    dk -= 2.0 * d[:, None, None] * np.einsum("tr,...m->...trm", eye, metric.lower(x))
+    dw = 2.0 * weight * eye
+    c_grad = np.einsum("...nr,...trm->...tnm", grad, dk)
+    c_grad += np.einsum("...nrm,...tr->...tnm", hess, k)
+    c_grad += np.einsum("...n,tm->...tnm", value, dw)
+    c_grad += _lift(w, 2) * grad[..., None, :, :]
+    # lhs[sigma, tau]: the conformal operator on the translated field, less
+    # the translation of the conformally varied one
+    first = _mv(t_grad[..., :, None, :, :], k[..., None, :, :])
+    first = first + w[..., None, :, None] * t_value[..., :, None, :]
+    second = d[:, None, None] * np.moveaxis(c_grad, -1, -3)
+    # rhs[sigma, tau]: -2 g^{sigma tau} times the dilation, plus twice the
+    # rotation x^sigma d^tau phi - x^tau d^sigma phi
+    dilat = _mv(grad, x) + weight * value
+    x_d = x[..., :, None] * d
+    lorentz = x_d[..., None] * grad_t[..., None, :, :]
+    lorentz = lorentz - np.swapaxes(x_d, -1, -2)[..., None] * grad_t[..., :, None, :]
+    rhs = (-2.0 * np.diag(d))[..., None] * dilat[..., None, None, :] + 2.0 * lorentz
+    return first - second, rhs
 
 
 def commutator_residual(sigma, tau, field, x, metric: Metric):
-    """Residual of the commutator identity; ~0 for any smooth scalar field."""
-    lhs, rhs = scalar_commutator_pair(sigma, tau, field, x, metric)
-    return lhs - rhs
-
-
-def commutator_residuals(field, x, metric: Metric) -> list:
-    """:func:`commutator_residual` for every (sigma, tau), sigma-major, from
-    one jet of the field at x."""
-    x = metric._check(x)
-    indices = range(metric.dim)
-    pairs = _commutator_pairs(indices, indices, metric, x, as_jet(field, x))
-    return [lhs - rhs for lhs, rhs in pairs]
+    """Residual of the commutator identity for one index pair, sliced from
+    :func:`commutator_stack`; ~0 for any smooth scalar field."""
+    lhs, rhs = commutator_stack(field, x, metric)
+    return lhs[..., sigma, tau, :] - rhs[..., sigma, tau, :]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +425,7 @@ class FiniteScalarTransform:
     def value(self, y):
         x = _preimage(y, self.c, self.metric)
         s = _positive_factor(x, self.c, self.metric)
-        return s**self.weight * self.field.value(x)
+        return _lift(np.float_power(s, self.weight)) * self.field.value(x)
 
 
 class FiniteVectorTransform:

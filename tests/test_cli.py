@@ -545,7 +545,8 @@ class _CubicFamily:
     """Stand-in finite transform family, exact up to a cubic term in the
     parameter: value t c + (t c)^3 against the variation c, so the parameter
     derivative's error falls 100-fold per 10-fold step (order 2).  The view
-    is NaN at the step ``nan_step``."""
+    is NaN at the step ``nan_step``.  ``c`` is the check's parameter stack,
+    one parameter per point."""
 
     def __init__(self, nan_step):
         self.nan_step = nan_step
@@ -555,7 +556,7 @@ class _CubicFamily:
         return c
 
     def view(self, tc, weight):
-        if self.nan_step and np.isclose(abs(tc[0] / self.c[0]), self.nan_step):
+        if self.nan_step and np.isclose(abs(tc.flat[0] / self.c.flat[0]), self.nan_step):
             return SimpleNamespace(value=lambda x: np.full_like(tc, np.nan))
         return SimpleNamespace(value=lambda x: tc + tc**3)
 

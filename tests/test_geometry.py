@@ -380,6 +380,7 @@ class TestSampleAxis:
             same_bits(batch, rows)
         for fn in (special_conformal_map, special_conformal_map_via_inversion, map_jacobian):
             same_bits(fn(xs, cs, g), [fn(x, c, g) for x, c in pairs])
+        same_bits(large_parameter_map(xs, 30.0 * cs, g), [large_parameter_map(x, 30.0 * c, g) for x, c in pairs])
         fwd, inv = conformal_jacobian(xs, cs, g)
         same_bits(fwd, [conformal_jacobian(x, c, g)[0] for x, c in pairs])
         same_bits(inv, [conformal_jacobian(x, c, g)[1] for x, c in pairs])
@@ -445,9 +446,9 @@ class TestSampleAxis:
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
-def test_commutator_algebra_builds_one_stack_per_point(dim, monkeypatch):
-    # two fields at four points each: eight (value, grad, hess) stacks, where
-    # one stack per (sigma, tau) pair made 8 D^2
+def test_commutator_algebra_evaluates_each_fixture_once(dim, monkeypatch):
+    # two fields at four points each: one (value, grad, hess) call per field
+    # on its four points, where one call per point made eight
     from collections import Counter
 
     from confsym.fields import CosineMultiplet, PolynomialMultiplet
@@ -465,4 +466,4 @@ def test_commutator_algebra_builds_one_stack_per_point(dim, monkeypatch):
     report = run_suite(ModelSpec(kind="interacting-multiplet", dimension=dim,
                                  checks=["commutator-algebra"]))
     assert report.checks[0].ok and report.checks[0].samples == 8 * dim * dim
-    assert calls == {"value": 8, "grad": 8, "hess": 8}
+    assert calls == {"value": 2, "grad": 2, "hess": 2}

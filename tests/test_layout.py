@@ -5,7 +5,8 @@ by nothing that a user sees.  The scan walks the syntax tree of each module
 in ``src/confsym``: every module-level function and class, and every public
 method, must be named somewhere in the package outside its own definition.
 No function or method is a stub whose body only raises NotImplementedError:
-every field family defines the evaluators it has.
+every field family defines the evaluators it has.  No check loops over its
+drawn samples: each kernel takes the whole sample array in one call.
 """
 
 import ast
@@ -17,8 +18,8 @@ SRC = Path(confsym.__file__).resolve().parent
 
 # Names kept without a caller in the package, each with the reason it stays.
 ALLOWED = {
-    # the per-pair reference that tests/test_acceptance.py compares the
-    # batched commutator-algebra check against, pair by pair
+    # one (sigma, tau) slice of the commutator stack: the benchmark's
+    # commutator kernel row calls it per pair
     "commutator_residual",
 }
 
@@ -107,3 +108,77 @@ def test_noether_and_dual3_read_fixtures_only_through_a_jet():
         and node.func.attr in EVALUATORS
     ]
     assert calls == [], "read the fixture through confsym.fields.Jet"
+
+
+# Checks that still loop over their samples, each with the reason.
+PER_SAMPLE_CHECKS = {
+    "large-parameter-decay": "draws one point and one parameter per sample; a per-sample "
+                             "choice of the parameter scale is to replace the fixed scales",
+    "mech-so21": "builds one MechState per sample",
+    "mech-reduction": "builds one MechState per sample",
+}
+
+
+def _draws(node):
+    """True when ``node`` is a call that draws samples: a method of ``rng``
+    or a function of ``confsym.sampling``."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("rng", "sampling")
+
+
+def _sample_loops(function):
+    """Line numbers of the loops in ``function`` (nested functions included)
+    that run over drawn samples: their iterable is a draw, or a name bound to
+    one, possibly inside zip() or enumerate(); or their body draws, directly
+    or through a nested function that draws."""
+    drawn, drawing = set(), set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign) and _draws(node.value):
+            for target in node.targets:
+                drawn |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.FunctionDef) and node is not function:
+            if any(_draws(sub) for sub in ast.walk(node)):
+                drawing.add(node.name)
+
+    def over_draws(iterable):
+        if isinstance(iterable, ast.Call) and getattr(iterable.func, "id", None) in ("zip", "enumerate"):
+            return any(over_draws(arg) for arg in iterable.args)
+        return _draws(iterable) or (isinstance(iterable, ast.Name) and iterable.id in drawn)
+
+    def body_draws(nodes):
+        return any(
+            _draws(sub) or (isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in drawing)
+            for node in nodes for sub in ast.walk(node)
+        )
+
+    lines = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.For):
+            if over_draws(node.iter) or body_draws(node.body):
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            elements = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            gens = node.generators
+            if any(over_draws(g.iter) for g in gens) or body_draws(elements + [g.iter for g in gens[1:]]):
+                lines.append(node.lineno)
+    return lines
+
+
+def _check_name(function):
+    """The name a function is registered under in ``CHECKS``, else its own."""
+    for decorator in function.decorator_list:
+        if isinstance(decorator, ast.Call) and getattr(decorator.func, "id", None) == "_register":
+            return decorator.args[0].value
+    return function.name
+
+
+def test_no_check_loops_over_its_samples():
+    tree = ast.parse((SRC / "suites.py").read_text())
+    loops = {
+        _check_name(node): _sample_loops(node)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    looping = {name for name, lines in loops.items() if lines}
+    assert sorted(looping - set(PER_SAMPLE_CHECKS)) == [], "pass the whole sample array to each kernel"
+    assert sorted(set(PER_SAMPLE_CHECKS) - looping) == [], "these no longer loop; drop them from PER_SAMPLE_CHECKS"

@@ -53,11 +53,16 @@ from confsym.noether import (
     _sum_left_to_right,
 )
 from confsym.transforms import (
+    commutator_stack,
+    delta_field_strength,
+    delta_field_strength_gradient,
     delta_field_strength_primary,
     delta_scalar_with_gradient,
     delta_vector_potential_with_gradient,
+    eom_violation_conformal,
+    lie_derivative_vector,
 )
-from confsym import sampling
+from confsym import dual3, sampling
 from confsym.suites import CheckReport
 
 
@@ -550,13 +555,17 @@ def _value_grad(field, x):
 
 
 class TestSampleAxis:
-    """The Noether kernels on (S, D) stacks of points, with a special
-    conformal parameter stack or a sigma index stack, give bit for bit and in
-    the same dtype what they give one row at a time."""
+    """The field kernels of fields, transforms, noether and dual3 on (S, D)
+    stacks of points, with a special conformal parameter stack or a sigma
+    index stack, give bit for bit and in the same dtype what they give one
+    row at a time."""
 
-    @pytest.mark.parametrize("n", [1, 37])
+    # "D": as many samples as dimensions, where a kernel that mixes up the
+    # sample axis and an index axis still broadcasts
+    @pytest.mark.parametrize("n", [1, "D", 37])
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_stack_equals_rows(self, dim, n, same_bits):
+        n = dim if n == "D" else n
         g = Metric(dim)
         rng = np.random.default_rng([dim, n])
         xs = sampling.points(rng, dim, n)
@@ -575,8 +584,11 @@ class TestSampleAxis:
         check(lambda x, c, s: killing_second_gradient(special_conformal(c), g))
         gens = [lambda c, gen=gen: gen for gen in basis_generators(dim)] + [special_conformal]
         gaussian = GaussianMultiplet(dim, [1.3, -0.6], rng.normal(0, 0.2, dim), rng.normal(0, 0.1, (dim, dim)))
+        poly = sampling.random_polynomial_multiplet(rng, dim, 3, degree=4, n_terms=9)
         for name in ("value", "grad", "hess", "third"):
             check(lambda x, c, s: getattr(gaussian, name)(x))
+            check(lambda x, c, s: getattr(poly, name)(x))
+        check(lambda x, c, s: commutator_stack(poly, x, g))
         omega = CosineMultiplet(rng.normal(0.0, 0.5, dim), [0.8], 0.3, g)
         for model, off, on in _field_kinds(dim, rng):
             for name in ("value", "grad", "hess", "third"):
@@ -600,9 +612,12 @@ class TestSampleAxis:
                     check(lambda x, c, s: kernel(on, x, g))
                 check(lambda x, c, s: gauge_shift_scale_current(on, omega, x, g))
                 check(lambda x, c, s: gauge_shift_divergence(on, omega, x, g))
+                check(lambda x, c, s: eom_violation_conformal(on, x, g, c))
                 for gen in gens:
                     check(lambda x, c, s: bessel_hagen_divergence(gen(c), model, on, x, g))
                     check(lambda x, c, s: current_divergence_identity(gen(c), on, x, g))
+                    for kernel in (lie_derivative_vector, delta_field_strength, delta_field_strength_gradient):
+                        check(lambda x, c, s: kernel(gen(c), off, x, g))
                 continue
             check(lambda x, c, s: model.density(*_value_grad(off, x), g))
             check(lambda x, c, s: model.conjugates(*_value_grad(off, x), g))
@@ -611,6 +626,18 @@ class TestSampleAxis:
             if model.linear_part is not None:
                 check(lambda x, c, s: field_virial(model, off, x, g).potential(x))
             check(lambda x, c, s: delta_scalar_with_gradient(sigma_basis_conformal(s, g, 0.5, "scalar"), off, x, g))
+            check(lambda x, c, s: commutator_stack(off, x, g))
+            if isinstance(model, DualScalarModel):
+                A = sampling.random_offshell_potential(rng, g)
+                for phi in (off, on, sampling.random_polynomial_multiplet(rng, 3, 1)):
+                    for kernel in (dual3.field_strength_from_dual, dual3.dual_roundtrip_residual,
+                                   dual3.maxwell_eom_from_dual, dual3.bianchi_pattern_residual,
+                                   dual3.improved_stress_from_F, dual3.improved_stress_scalar_form):
+                        check(lambda x, c, s: kernel(phi, x, g))
+                    for kernel in (dual3.primary_rule_F, dual3.delta_bar_F, dual3.delta_bar_F_chain_rule,
+                                   dual3.nonprimary_shift_residual):
+                        check(lambda x, c, s: kernel(phi, x, s, g))
+                    check(lambda x, c, s: dual3.duality_mismatch(A, phi, x, g))
             if on is None:
                 continue
             coupling = getattr(model, "coupling", 0.0)
@@ -706,6 +733,13 @@ class TestOneJetPerCall:
             self._assert_once(potential(), lambda f: current_divergence_identity(vector_gen, f, xs, g))
         for kernel in (scale_current_maxwell_divergence, noether_scale_current_maxwell_divergence):
             self._assert_once(potential(), lambda f: kernel(f, xs, g))
+        # the gauge pair: the shifted potential reads both through their jets
+        for kernel in (gauge_shift_scale_current, gauge_shift_divergence):
+            A, omega = potential(), CosineMultiplet(rng.normal(0.0, 0.5, dim), [0.8], 0.3, g)
+            calls = self._counted(A), self._counted(omega)
+            kernel(A, omega, xs, g)
+            for called in calls:
+                assert called and sorted(called) == sorted(set(called)), called
 
     def test_a_jet_on_other_points_is_rejected(self, metric4, rng):
         A = sampling.random_offshell_potential(rng, metric4)

@@ -32,7 +32,7 @@ from confsym.transforms import (
     FiniteScalarTransform,
     FiniteSpinorTransform,
     FiniteVectorTransform,
-    commutator_residual,
+    commutator_stack,
     decoupled_spinor_residual,
     decoupled_vector_residual,
     decoupling_bracket_residual,
@@ -48,7 +48,6 @@ from confsym.transforms import (
     eom_violation_conformal,
     finite_variation_fd,
     lie_derivative_vector,
-    scalar_commutator_pair,
     spin_coefficient,
     vector_spin_term,
 )
@@ -309,38 +308,34 @@ class TestCommutator:
         # -2((x^0)^2 + (x^1)^2)
         g = Metric(3)
         phi = PolynomialMultiplet(3, [[(1.0, (1, 1, 0))]])
-        for x in sampling.points(rng, 3, 6):
-            lhs, rhs = scalar_commutator_pair(0, 1, phi, x, g)
-            oracle = -2.0 * (x[0] ** 2 + x[1] ** 2)
-            assert abs(lhs[0] - oracle) < 1e-12
-            assert abs(rhs[0] - oracle) < 1e-12
+        xs = sampling.points(rng, 3, 6)
+        lhs, rhs = commutator_stack(phi, xs, g)
+        oracle = -2.0 * (xs[:, 0] ** 2 + xs[:, 1] ** 2)
+        npt.assert_allclose(lhs[:, 0, 1, 0], oracle, rtol=0, atol=1e-12)
+        npt.assert_allclose(rhs[:, 0, 1, 0], oracle, rtol=0, atol=1e-12)
 
     def test_plane_wave_all_pairs(self, metric, rng):
         f = sampling.random_plane_wave_multiplet(rng, metric, 2)
-        for x in sampling.points(rng, metric.dim, 4):
-            for s in range(metric.dim):
-                for t in range(metric.dim):
-                    res = commutator_residual(s, t, f, x, metric)
-                    assert np.max(np.abs(res)) < 1e-10
+        lhs, rhs = commutator_stack(f, sampling.points(rng, metric.dim, 4), metric)
+        assert lhs.shape == (4, metric.dim, metric.dim, 2)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_polynomial_fields(self, rng):
         g = Metric(3)
         f = sampling.random_polynomial_multiplet(rng, 3, 2)
-        for x in sampling.points(rng, 3, 4):
-            for s in range(3):
-                for t in range(3):
-                    assert np.max(np.abs(commutator_residual(s, t, f, x, g))) < 1e-10
+        lhs, rhs = commutator_stack(f, sampling.points(rng, 3, 4), g)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_equal_indices_reduce_to_dilation(self, metric4, rng):
         # no rotation term survives when the two indices coincide
         f = sampling.random_plane_wave_multiplet(rng, metric4, 1)
         d = canonical_weight(4)
-        for x in sampling.points(rng, 4, 4):
-            for s in range(4):
-                lhs, rhs = scalar_commutator_pair(s, s, f, x, metric4)
-                dilat = f.grad(x) @ x + d * f.value(x)
-                npt.assert_allclose(rhs, -2.0 * metric4.diag[s] * dilat, atol=1e-12)
-                npt.assert_allclose(lhs, rhs, atol=1e-10)
+        xs = sampling.points(rng, 4, 4)
+        lhs, rhs = commutator_stack(f, xs, metric4)
+        dilat = np.einsum("pim,pm->pi", f.grad(xs), xs) + d * f.value(xs)
+        for s in range(4):
+            npt.assert_allclose(rhs[:, s, s], -2.0 * metric4.diag[s] * dilat, atol=1e-12)
+            npt.assert_allclose(lhs[:, s, s], rhs[:, s, s], atol=1e-10)
 
 
 class TestFiniteScalar:
@@ -364,6 +359,20 @@ class TestFiniteScalar:
             except SingularMap:
                 continue
             npt.assert_allclose(steps, once, atol=1e-12)
+
+    @pytest.mark.parametrize("n_comp", [2, 3])
+    def test_as_many_points_as_components(self, n_comp, same_bits):
+        # the conformal factor scales each point's components: with one
+        # point per component it used to scale across points instead
+        g = Metric(4)
+        rng = np.random.default_rng(n_comp)
+        f = sampling.random_plane_wave_multiplet(rng, g, n_comp)
+        xs = sampling.points(rng, 4, n_comp)
+        cs = sampling.small_parameters(rng, 4, n_comp, scale=0.05)
+        for c in (cs[0], cs):
+            view = FiniteScalarTransform(f, c, 1.3, g)
+            rows = [FiniteScalarTransform(f, c if c.ndim == 1 else c[i], 1.3, g).value(x) for i, x in enumerate(xs)]
+            same_bits(view.value(xs), rows)
 
     def test_small_parameter_limit(self, metric4, rng):
         f = sampling.random_plane_wave_multiplet(rng, metric4, 2)
@@ -566,8 +575,10 @@ class TestSampleAxis:
                   [decoupled_vector_residual(A, x, c, g) for x, c in pairs])
         same_bits(decoupled_spinor_residual(psi, xs, cs, g, gammas),
                   [decoupled_spinor_residual(psi, x, c, g, gammas) for x, c in pairs])
+        phi = sampling.random_plane_wave_multiplet(rng, g, 2)
         for weight in (1.0, 1.3):
-            for make in self._finite_transforms(A, psi, g, gammas, weight):
+            scalar = lambda c: FiniteScalarTransform(phi, c, weight, g)
+            for make in [scalar] + self._finite_transforms(A, psi, g, gammas, weight):
                 same_bits(make(cs).value(xs), [make(c).value(x) for x, c in pairs])
         assert make(cs).value(xs).dtype == complex
 
