@@ -1,7 +1,9 @@
 """Seeded sample generators shared by the test suite and the CLI checks.
 
 Every generator takes a ``numpy.random.Generator`` so runs are reproducible
-from a single recorded seed.
+from a single recorded seed.  A rejection sampler draws its tries in blocks,
+yet gives the values of its one-try loop and leaves the generator in that
+loop's end state (:func:`_accepted`): the sample stream is the loop's.
 """
 
 from __future__ import annotations
@@ -14,7 +16,30 @@ from .fields import (
     CosineVectorPotential,
     PolynomialMultiplet,
 )
-from .geometry import Metric, conformal_factor
+from .geometry import Metric, _inner, conformal_factor
+
+
+def _accepted(rng, n: int, draw, accept) -> np.ndarray:
+    """The first ``n`` accepted tries of a rejection loop, one per row.
+
+    ``draw(m)`` gives m tries as rows, the values m one-try draws give in
+    turn, and ``accept`` one bool per row.  When the blocks drew past the n-th
+    accepted try, the generator is set back and exactly the used tries are
+    drawn again, so it ends where the one-try loop ends.
+    """
+    start = rng.bit_generator.state
+    tries = draw(n)
+    passed = accept(tries)
+    while np.count_nonzero(passed) < n:
+        more = draw(len(tries) + 16)
+        tries = np.concatenate([tries, more])
+        passed = np.concatenate([passed, accept(more)])
+    used = np.flatnonzero(passed)[:n]
+    if n and used[-1] + 1 < len(tries):
+        rng.bit_generator.state = start
+        draw(used[-1] + 1)
+    return tries[used]
+
 
 def points(rng, dim: int, n: int, scale: float = 0.6) -> np.ndarray:
     return rng.normal(0.0, scale, size=(n, dim))
@@ -23,14 +48,10 @@ def points(rng, dim: int, n: int, scale: float = 0.6) -> np.ndarray:
 def off_cone_points(rng, dim: int, n: int, scale: float = 0.6, min_frac: float = 0.05):
     """Points with |x.x| bounded away from zero relative to their size."""
     metric = Metric(dim)
-    out = np.empty((n, dim))
-    count = 0
-    while count < n:
-        x = rng.normal(0.0, scale, size=dim)
-        if abs(metric.norm2(x)) > min_frac * (1.0 + float(x @ x)):
-            out[count] = x
-            count += 1
-    return out
+    return _accepted(
+        rng, n, lambda m: rng.normal(0.0, scale, size=(m, dim)),
+        lambda x: abs(metric.norm2(x)) > min_frac * (1.0 + _inner(x, x)),
+    )
 
 
 def timelike_points(rng, dim: int, n: int, min_square: float = 0.2) -> np.ndarray:
@@ -40,7 +61,7 @@ def timelike_points(rng, dim: int, n: int, min_square: float = 0.2) -> np.ndarra
     count = 0
     while count < n:
         x = rng.normal(0.0, 0.4, size=dim)
-        x[0] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
+        x[0] = (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(1.0, 2.0)
         if metric.norm2(x) > min_square:
             out[count] = x
             count += 1
@@ -57,17 +78,12 @@ def nonsingular_pairs(
 ):
     """(x, c) samples keeping the conformal factor away from zero."""
     metric = Metric(dim)
-    xs = np.empty((n, dim))
-    cs = np.empty((n, dim))
-    count = 0
-    while count < n:
-        x = rng.normal(0.0, point_scale, size=dim)
-        c = rng.normal(0.0, param_scale, size=dim)
-        if abs(conformal_factor(x, c, metric)) > min_factor:
-            xs[count] = x
-            cs[count] = c
-            count += 1
-    return xs, cs
+    scales = np.repeat([point_scale, param_scale], dim)
+    pairs = _accepted(
+        rng, n, lambda m: rng.normal(0.0, scales, size=(m, 2 * dim)),
+        lambda xc: abs(conformal_factor(xc[:, :dim], xc[:, dim:], metric)) > min_factor,
+    )
+    return pairs[:, :dim], pairs[:, dim:]
 
 
 def null_vector(rng, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -105,11 +121,11 @@ def random_polynomial_multiplet(
     for _ in range(n_comp):
         monos = []
         for _ in range(n_terms):
-            while True:
-                exps = tuple(int(e) for e in rng.integers(0, degree + 1, size=dim))
-                if sum(exps) <= degree:
-                    break
-            monos.append((float(rng.normal(0.0, scale)), exps))
+            exps = _accepted(
+                rng, 1, lambda m: rng.integers(0, degree + 1, size=(m, dim)),
+                lambda e: e.sum(axis=1) <= degree,
+            )[0]
+            monos.append((float(rng.normal(0.0, scale)), tuple(exps.tolist())))
         components.append(monos)
     return PolynomialMultiplet(dim, components)
 

@@ -370,16 +370,13 @@ def _chk_spin_decoupling(spec, metric, rng):
 
 @_register("large-parameter-decay", FIELD_KINDS, 0.2, "large-parameter map error decays with the inverse parameter cube")
 def _chk_large_c(spec, metric, rng):
-    def residual():
-        x = sampling.timelike_points(rng, metric.dim, 1)[0]
-        c0 = sampling.timelike_points(rng, metric.dim, 1)[0]
-        errs = np.array([
-            _gap(special_conformal_map(x, c, metric), large_parameter_map(x, c, metric))
-            for c in (10.0 * c0, 20.0 * c0, 40.0 * c0)
-        ])
-        return float(np.max(abs(errs[:-1] / errs[1:] - 8.0) / 8.0))
-
-    return [residual() for _ in range(5)]
+    # sample i is the point at row 2i and the direction c0 at row 2i + 1, the
+    # order of two one-point draws; rows of xs, cs are (sample, scale) pairs
+    pts = sampling.timelike_points(rng, metric.dim, 10)
+    xs = np.repeat(pts[0::2], 3, axis=0)
+    cs = (np.array([10.0, 20.0, 40.0])[:, None] * pts[1::2, None, :]).reshape(xs.shape)
+    errs = _sample_gap(special_conformal_map(xs, cs, metric), large_parameter_map(xs, cs, metric)).reshape(5, 3)
+    return np.max(abs(errs[:, :-1] / errs[:, 1:] - 8.0) / 8.0, axis=1).tolist()
 
 
 def _order_residuals(rng, metric, make_view, variation):

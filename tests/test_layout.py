@@ -6,7 +6,8 @@ in ``src/confsym``: every module-level function and class, and every public
 method, must be named somewhere in the package outside its own definition.
 No function or method is a stub whose body only raises NotImplementedError:
 every field family defines the evaluators it has.  No check loops over its
-drawn samples: each kernel takes the whole sample array in one call.
+drawn samples: each kernel takes the whole sample array in one call.  No
+rejection loop of ``sampling`` draws one try per pass: the tries come in blocks.
 """
 
 import ast
@@ -112,8 +113,6 @@ def test_noether_and_dual3_read_fixtures_only_through_a_jet():
 
 # Checks that still loop over their samples, each with the reason.
 PER_SAMPLE_CHECKS = {
-    "large-parameter-decay": "draws one point and one parameter per sample; a per-sample "
-                             "choice of the parameter scale is to replace the fixed scales",
     "mech-so21": "builds one MechState per sample",
     "mech-reduction": "builds one MechState per sample",
 }
@@ -182,3 +181,29 @@ def test_no_check_loops_over_its_samples():
     looping = {name for name, lines in loops.items() if lines}
     assert sorted(looping - set(PER_SAMPLE_CHECKS)) == [], "pass the whole sample array to each kernel"
     assert sorted(set(PER_SAMPLE_CHECKS) - looping) == [], "these no longer loop; drop them from PER_SAMPLE_CHECKS"
+
+
+# Rejection loops in sampling that still draw one try per pass, each with the
+# reason; every other sampler draws its tries in blocks through
+# sampling._accepted, which keeps the one-try loop's stream.
+PER_TRY_SAMPLERS = {
+    "timelike_points": "a try mixes normal, bounded-integer and uniform draws, and the "
+                       "integer comes from the bit generator's half-word buffer, so no "
+                       "block draw gives the loop's stream",
+    "transverse_polarisation": "a polarisation is rejected almost never, so the loop "
+                               "runs once",
+}
+
+
+def test_no_sampler_draws_one_try_per_loop_pass():
+    tree = ast.parse((SRC / "sampling.py").read_text())
+    looping = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for loop in ast.walk(node)
+        if isinstance(loop, ast.While)
+        and any(_draws(sub) for stmt in loop.body for sub in ast.walk(stmt))
+    }
+    assert sorted(looping - set(PER_TRY_SAMPLERS)) == [], "draw the tries in blocks with sampling._accepted"
+    assert sorted(set(PER_TRY_SAMPLERS) - looping) == [], "these no longer loop; drop them from PER_TRY_SAMPLERS"

@@ -1,0 +1,146 @@
+"""The rejection samplers keep the sample stream of their one-try loops.
+
+Each reference below is the one-try loop the sampler replaced, kept as the
+oracle: for the same generator state a sampler must return the same values
+and leave the generator in the same state, so the next draw is the same.
+"""
+
+import numpy as np
+import pytest
+
+from confsym import sampling
+from confsym.geometry import Metric, conformal_factor
+
+
+def ref_off_cone_points(rng, dim, n, scale=0.6, min_frac=0.05):
+    metric = Metric(dim)
+    out = np.empty((n, dim))
+    count = 0
+    while count < n:
+        x = rng.normal(0.0, scale, size=dim)
+        if abs(metric.norm2(x)) > min_frac * (1.0 + float(x @ x)):
+            out[count] = x
+            count += 1
+    return out
+
+
+def ref_timelike_points(rng, dim, n, min_square=0.2):
+    metric = Metric(dim)
+    out = np.empty((n, dim))
+    count = 0
+    while count < n:
+        x = rng.normal(0.0, 0.4, size=dim)
+        x[0] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
+        if metric.norm2(x) > min_square:
+            out[count] = x
+            count += 1
+    return out
+
+
+def ref_nonsingular_pairs(rng, dim, n, point_scale=0.6, param_scale=0.15, min_factor=0.2):
+    metric = Metric(dim)
+    xs = np.empty((n, dim))
+    cs = np.empty((n, dim))
+    count = 0
+    while count < n:
+        x = rng.normal(0.0, point_scale, size=dim)
+        c = rng.normal(0.0, param_scale, size=dim)
+        if abs(conformal_factor(x, c, metric)) > min_factor:
+            xs[count] = x
+            cs[count] = c
+            count += 1
+    return xs, cs
+
+
+def ref_polynomial_components(rng, dim, n_comp, degree=3, n_terms=6, scale=0.5):
+    components = []
+    for _ in range(n_comp):
+        monos = []
+        for _ in range(n_terms):
+            while True:
+                exps = tuple(int(e) for e in rng.integers(0, degree + 1, size=dim))
+                if sum(exps) <= degree:
+                    break
+            monos.append((float(rng.normal(0.0, scale)), exps))
+        components.append(tuple(monos))
+    return tuple(components)
+
+
+def _polynomial_components(rng, *args, **kwargs):
+    return sampling.random_polynomial_multiplet(rng, *args, **kwargs).components
+
+
+def _pairs(draw):
+    return lambda rng, *args, **kwargs: np.concatenate(draw(rng, *args, **kwargs), axis=-1)
+
+
+SAMPLERS = {
+    "off_cone_points": (sampling.off_cone_points, ref_off_cone_points),
+    "timelike_points": (sampling.timelike_points, ref_timelike_points),
+    "nonsingular_pairs": (_pairs(sampling.nonsingular_pairs), _pairs(ref_nonsingular_pairs)),
+}
+
+
+def _same_stream(new, ref, seed, *args, **kwargs):
+    """Both samplers, from one generator state: equal values, equal end
+    state and an equal next draw."""
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = new(rng_new, *args, **kwargs), ref(rng_ref, *args, **kwargs)
+    if isinstance(want, np.ndarray):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert np.array_equal(rng_new.normal(size=3), rng_ref.normal(size=3))
+    assert rng_new.integers(0, 7) == rng_ref.integers(0, 7)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [0, 1, 7, 250])
+def test_sampler_keeps_the_one_try_stream(name, dim, n):
+    new, ref = SAMPLERS[name]
+    _same_stream(new, ref, [dim, n, 13], dim, n)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n_comp", [1, 3])
+def test_polynomial_multiplet_keeps_the_one_try_stream(dim, n_comp):
+    _same_stream(_polynomial_components, ref_polynomial_components, [dim, n_comp], dim, n_comp)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_rare_acceptance_draws_several_blocks(dim):
+    # few tries pass, so each call needs more than its first block
+    _same_stream(sampling.off_cone_points, ref_off_cone_points, dim, dim, 40, min_frac=0.5)
+    _same_stream(
+        _pairs(sampling.nonsingular_pairs), _pairs(ref_nonsingular_pairs), dim, dim, 40, min_factor=0.9
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polynomial_multiplet_at_both_extremes(seed):
+    # about 2% of exponent tries pass at D = 6; every try passes at D = 1
+    _same_stream(_polynomial_components, ref_polynomial_components, seed, 6, 2, n_terms=9)
+    _same_stream(_polynomial_components, ref_polynomial_components, seed, 1, 3, degree=4)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_negative_count_raises(name):
+    new, ref = SAMPLERS[name]
+    with pytest.raises(ValueError):
+        ref(np.random.default_rng(0), 3, -1)
+    with pytest.raises(ValueError):
+        new(np.random.default_rng(0), 3, -1)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize("dim", [2, 6])
+def test_zero_count_draws_nothing(name, dim):
+    new, _ = SAMPLERS[name]
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    width = 2 * dim if name == "nonsingular_pairs" else dim
+    assert new(rng, dim, 0).shape == (0, width)
+    assert rng.bit_generator.state == before
