@@ -2,12 +2,15 @@
 reducing the conformal scalar multiplet to a single time dimension.
 
 The trajectory integrator is the one genuinely hot loop in the package: a
-fixed-step RK4 kernel in plain numpy that steps one trajectory or, for
-``integrate_many``, a whole ensemble per step.
+fixed-step RK4 kernel in float arithmetic, generated per component count and
+unrolled over the components, that steps one trajectory at a time.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +18,7 @@ import numpy as np
 from .errors import SingularApproach, SingularConfiguration
 
 MIN_RADIUS = 1e-6
+MAX_STEPS = 10**7  # longest trajectory; its rows are held in memory
 _DUMP_ROWS = 4096  # rows formatted per write, which bounds the dump's memory
 
 
@@ -123,59 +127,85 @@ def so21_bracket_residuals(state: MechState, params: MechParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_core(q0, p0, lam, dt, nsteps, qs, ps, min_radius):
-    """Classic fixed-step RK4 for q' = p, p' = 2 lam q / (q.q)^2.
+def _sum_source(terms: list) -> str:
+    """Source that adds ``terms`` in ``np.add.reduce``'s order along a 1-D
+    array: left to right below eight terms, eight pairwise accumulators up to
+    128, and above that two halves split on a multiple of eight."""
+    n = len(terms)
+    if n < 8:
+        return " + ".join(terms)
+    if n <= 128:
+        m = n - n % 8
+        a = ["(" + " + ".join(terms[j:m:8]) + ")" for j in range(8)]
+        blocks = f"((({a[0]} + {a[1]}) + ({a[2]} + {a[3]})) + (({a[4]} + {a[5]}) + ({a[6]} + {a[7]})))"
+        return " + ".join([blocks] + terms[m:])
+    half = n // 2 - (n // 2) % 8
+    return f"({_sum_source(terms[:half])}) + ({_sum_source(terms[half:])})"
 
-    The state is components first: ``q0``/``p0`` have shape (n,) for one
-    trajectory or (n, B) for an ensemble of B members stepped together, and
-    ``lam`` is a float or has shape (B,).  Either every member is repulsive
-    (``lam > 0``) or the call is free (``lam == 0.0``) and never evaluates
-    the force, so a free member may pass through q = 0.  ``r2`` reduces the
-    component axis, which numpy sums left to right for fewer than eight
-    components on either layout, so each member of an ensemble matches its
-    own one-trajectory run bit for bit (zero-padded components add +0.0).
 
-    Fills ``qs``/``ps`` (shape (nsteps + 1,) + q0.shape) and returns the
-    number of completed steps; stops early when the radius of any member
-    drops below ``min_radius`` with a repulsive coupling active.
-    """
-    q = q0.copy()
-    p = p0.copy()
-    qs[0] = q
-    ps[0] = p
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    repulsive = bool(np.any(lam > 0.0))
-    two_lam = 2.0 * lam
-    zero = np.zeros_like(q)
-    a1 = a2 = a3 = a4 = zero
-    # the stop test is a numpy bool for one trajectory (``.any()`` on it would
-    # cost a reduction per step) and an array over an ensemble
-    inside = bool if q.ndim == 1 else np.count_nonzero
+@functools.cache
+def _kernel(n: int):
+    """The RK4 loop for ``n`` components, unrolled over them in float
+    arithmetic and compiled on first use (see ``_rk4_core``)."""
+
+    def each(template):
+        return "; ".join(template.format(k=k) for k in range(n))
+
+    def r2(q):
+        return "r2 = " + _sum_source([f"{q}_{k} * {q}_{k}" for k in range(n)])
+
+    def force(a, q):
+        return "f = two_lam / r4 if (r4 := r2 * r2) else inf; " + each(f"{a}_{{k}} = f * {q}_{{k}}")
+
+    row = ", ".join([f"q_{k}" for k in range(n)] + [f"p_{k}" for k in range(n)])
+    source = f"""
+def rk4(q0, p0, repulsive, two_lam, half, dt, sixth, nsteps, min_radius, extend):
+    {each("q_{k} = q0[{k}]; p_{k} = p0[{k}]; a1_{k} = a2_{k} = a3_{k} = a4_{k} = 0.0")}
+    extend(({row}))
     for i in range(nsteps):
         if repulsive:
-            r2 = np.add.reduce(q * q, 0)
-            if inside(np.sqrt(r2) < min_radius):
+            {r2("q")}
+            if sqrt(r2) < min_radius:
                 return i
-            a1 = (two_lam / (r2 * r2)) * q
-        q2 = q + half * p
-        p2 = p + half * a1
+            {force("a1", "q")}
+        {each("q2_{k} = q_{k} + half * p_{k}; p2_{k} = p_{k} + half * a1_{k}")}
         if repulsive:
-            r2 = np.add.reduce(q2 * q2, 0)
-            a2 = (two_lam / (r2 * r2)) * q2
-        q3 = q + half * p2
-        p3 = p + half * a2
+            {r2("q2")}; {force("a2", "q2")}
+        {each("q3_{k} = q_{k} + half * p2_{k}; p3_{k} = p_{k} + half * a2_{k}")}
         if repulsive:
-            r2 = np.add.reduce(q3 * q3, 0)
-            a3 = (two_lam / (r2 * r2)) * q3
-        q4 = q + dt * p3
-        p4 = p + dt * a3
+            {r2("q3")}; {force("a3", "q3")}
+        {each("q4_{k} = q_{k} + dt * p3_{k}; p4_{k} = p_{k} + dt * a3_{k}")}
         if repulsive:
-            r2 = np.add.reduce(q4 * q4, 0)
-            a4 = (two_lam / (r2 * r2)) * q4
-        q = np.add(q, sixth * (p + 2.0 * p2 + 2.0 * p3 + p4), out=qs[i + 1])
-        p = np.add(p, sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4), out=ps[i + 1])
+            {r2("q4")}; {force("a4", "q4")}
+        {each("q_{k} = q_{k} + sixth * (p_{k} + 2.0 * p2_{k} + 2.0 * p3_{k} + p4_{k})")}
+        {each("p_{k} = p_{k} + sixth * (a1_{k} + 2.0 * a2_{k} + 2.0 * a3_{k} + a4_{k})")}
+        extend(({row}))
     return nsteps
+"""
+    namespace = {"sqrt": math.sqrt, "inf": math.inf}
+    exec(compile(source, f"<rk4 kernel, n = {n}>", "exec"), namespace)
+    return namespace["rk4"]
+
+
+def _rk4_core(q0, p0, lam, dt, nsteps, min_radius):
+    """Classic fixed-step RK4 for q' = p, p' = 2 lam q / (q.q)^2 from the
+    (n,) start ``q0``, ``p0``.
+
+    Returns the completed steps ``done`` and the (done + 1, n) rows of q and
+    of p.  A free call (``lam == 0.0``) never evaluates the force, so it may
+    pass through q = 0; a repulsive one stops when the radius drops below
+    ``min_radius``.  The kernel does numpy's float64 operations in numpy's
+    order, ``r2`` included, so a trajectory keeps the bits of an array-wise
+    RK4 step; where a stage lands on q = 0 the force factor is inf and the
+    force NaN, as numpy's ``2 lam / 0.0`` gives.
+    """
+    n = q0.shape[0]
+    rows = array("d")
+    done = _kernel(n)(
+        q0.tolist(), p0.tolist(), lam > 0.0, 2.0 * lam, 0.5 * dt, dt, dt / 6.0, nsteps, min_radius, rows.extend
+    )
+    rows = np.frombuffer(rows).reshape(done + 1, 2 * n)
+    return done, np.ascontiguousarray(rows[:, :n]), np.ascontiguousarray(rows[:, n:])
 
 
 @dataclass(frozen=True)
@@ -211,7 +241,10 @@ def _start(state0: MechState, params: MechParams, t_end: float, step: float):
     singular-start checks."""
     if step <= 0:
         raise ValueError("step must be positive")
-    nsteps = int(round((t_end - state0.t) / step))
+    steps = (t_end - state0.t) / step
+    if steps > MAX_STEPS:
+        raise ValueError(f"a trajectory takes at most {MAX_STEPS} steps")
+    nsteps = int(round(steps))
     if nsteps < 1:
         raise ValueError("t_end must lie at least half a step past the initial time")
     q0 = np.asarray(state0.q, dtype=float)
@@ -221,42 +254,21 @@ def _start(state0: MechState, params: MechParams, t_end: float, step: float):
     return nsteps, q0, p0
 
 
-def _approach(t0: float, done: int, step: float) -> SingularApproach:
-    return SingularApproach(
-        f"radius dropped below {MIN_RADIUS} after {done} steps (t = {t0 + done * step})"
-    )
-
-
 def integrate(
     state0: MechState, params: MechParams, t_end: float, step: float
 ) -> Trajectory:
     """Integrate the flow from ``state0`` to ``t_end`` at fixed ``step``."""
-    nsteps, q0, p0 = _start(state0, params, t_end, step)
-    qs = np.empty((nsteps + 1, q0.shape[0]))
-    ps = np.empty_like(qs)
-    done = _rk4_core(q0, p0, float(params.coupling), float(step), nsteps, qs, ps, MIN_RADIUS)
-    if done < nsteps:
-        raise _approach(state0.t, done, step)
-    times = state0.t + step * np.arange(nsteps + 1)
-    return Trajectory(times, qs, ps, params)
-
-
-# numpy sums eight or more terms pairwise along a 1-D axis but left to right
-# down axis 0, so states this wide step alone to keep their one-trajectory bits
-_PAIRWISE_MIN = 8
+    return integrate_many([state0], [params], t_end, step)[0]
 
 
 def integrate_many(states, params_list, t_end: float, step: float) -> list:
-    """Integrate an ensemble of trajectories that share their start time.
+    """Integrate trajectories that share their start time: returns
+    ``[integrate(s, p, t_end, step) for s, p in ...]``.
 
-    Returns what ``[integrate(s, p, t_end, step) for s, p in ...]`` returns,
-    bit for bit.  Every member's arguments and start are checked, in member
-    order, before any member is integrated; a member that then comes inside
-    the singular radius stops its kernel call, which raises that call's first
-    stop.  The free members are stepped together in one kernel call and the
-    repulsive ones in another, each zero-padded to the widest state of its
-    call; a lone member, or a state of eight or more components, is the 1-D
-    case.
+    Every member's arguments and start are checked, in member order, before
+    any member is integrated.  Each member then runs through the kernel on
+    its own; if any comes inside the singular radius, the ``SingularApproach``
+    raised names the fewest completed steps among the members that stopped.
     """
     states, params_list = list(states), list(params_list)
     if len(states) != len(params_list):
@@ -264,37 +276,20 @@ def integrate_many(states, params_list, t_end: float, step: float) -> list:
     if len({s.t for s in states}) > 1:
         raise ValueError("ensemble members must share their start time")
     starts = [_start(state0, params, t_end, step) for state0, params in zip(states, params_list)]
-    if len(states) < 2 or max(np.size(s.q) for s in states) >= _PAIRWISE_MIN:
-        return [integrate(s, p, t_end, step) for s, p in zip(states, params_list)]
-    nsteps = starts[0][0]
-    times = states[0].t + step * np.arange(nsteps + 1)
-    lam = np.array([params.coupling for params in params_list])
-    free = lam == 0.0
-    trajs = [None] * len(starts)
-    for members, coupling in ((np.flatnonzero(free), 0.0), (np.flatnonzero(~free), lam[~free])):
-        if members.size == 0:
-            continue
-        width = max(starts[j][1].shape[0] for j in members)
-        q0s = np.zeros((width, members.size))
-        p0s = np.zeros_like(q0s)
-        for col, j in enumerate(members):
-            _, q0, p0 = starts[j]
-            q0s[: q0.shape[0], col] = q0
-            p0s[: p0.shape[0], col] = p0
-        qs = np.empty((nsteps + 1,) + q0s.shape)
-        ps = np.empty_like(qs)
-        done = _rk4_core(q0s, p0s, coupling, float(step), nsteps, qs, ps, MIN_RADIUS)
-        if done < nsteps:
-            raise _approach(states[0].t, done, step)
-        for col, j in enumerate(members):
-            n = starts[j][1].shape[0]
-            trajs[j] = Trajectory(
-                times,
-                np.ascontiguousarray(qs[:, :n, col]),
-                np.ascontiguousarray(ps[:, :n, col]),
-                params_list[j],
-            )
-    return trajs
+    runs = [
+        _rk4_core(q0, p0, float(params.coupling), float(step), nsteps, MIN_RADIUS)
+        for (nsteps, q0, p0), params in zip(starts, params_list)
+    ]
+    if not runs:
+        return []
+    t0, nsteps = states[0].t, starts[0][0]
+    done = min(run[0] for run in runs)
+    if done < nsteps:
+        raise SingularApproach(
+            f"radius dropped below {MIN_RADIUS} after {done} steps (t = {t0 + done * step})"
+        )
+    times = t0 + step * np.arange(nsteps + 1)
+    return [Trajectory(times, qs, ps, params) for (_, qs, ps), params in zip(runs, params_list)]
 
 
 def dump_trajectory(traj: Trajectory, stream) -> None:
@@ -308,4 +303,5 @@ def dump_trajectory(traj: Trajectory, stream) -> None:
     stream.write("# " + " ".join(header) + "\n")
     row = " ".join(["%.17g"] * table.shape[1]) + "\n"
     for start in range(0, table.shape[0], _DUMP_ROWS):
-        stream.write("".join([row % tuple(r) for r in table[start : start + _DUMP_ROWS].tolist()]))
+        block = table[start : start + _DUMP_ROWS]
+        stream.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -6,9 +6,9 @@ an exact line number: unknown sections, unknown keys, duplicated keys,
 malformed or non-finite values, number lists without a number.  Semantic
 constraints (dimension versus model kind, ``p0`` without ``q0``,
 ``components`` other than the length of ``q0``, a ``[fixture]`` whose
-``kind`` is not ``plane-wave``, a ``t-end`` shorter than half a ``step``,
-a negative seed, an empty check selection) raise
-:class:`SemanticError` after parsing.  A mechanics spec with ``q0`` and no
+``kind`` is not ``plane-wave``, a ``t-end`` shorter than half a ``step``
+or longer than ``MAX_STEPS`` steps, a negative seed, an empty check
+selection) raise :class:`SemanticError` after parsing.  A mechanics spec with ``q0`` and no
 ``components`` takes its component count from ``q0``.
 """
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ParseError, SemanticError
+from .mechanics import MAX_STEPS
 
 MODEL_KINDS = (
     "maxwell",
@@ -225,7 +226,10 @@ def _validate(sections) -> ModelSpec:
         components = len(mech["q0"])
     if mech.get("step", 1.0) <= 0:
         raise SemanticError("step must be positive")
-    if round(mech.get("t-end", 10.0) / mech.get("step", 1e-3)) < 1:
+    steps = mech.get("t-end", 10.0) / mech.get("step", 1e-3)
+    if steps > MAX_STEPS:
+        raise SemanticError(f"t-end / step must be at most {MAX_STEPS}")
+    if round(steps) < 1:
         raise SemanticError("t-end / step must round to at least one step")
 
     seed = _take(sections, "suite", "seed", 42)

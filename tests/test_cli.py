@@ -275,6 +275,30 @@ def test_zero_step_trajectory_exits_two(command, t_end, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("spec error:")
 
 
+@pytest.mark.parametrize("command", ["audit", "mech-sim"])
+@pytest.mark.parametrize("mechanics", ["step = 1e-300", "t-end = 1e300\nstep = 1e-300"])
+def test_too_many_steps_exits_two(command, mechanics, tmp_path, capsys):
+    # both used to escape main as a traceback (exit 1): numpy's "Maximum
+    # allowed dimension exceeded" and round()'s OverflowError
+    spec = tmp_path / "bad.spec"
+    spec.write_text(MECH_HEAD + f"[mechanics]\n{mechanics}\n")
+    assert main([command, str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("spec error: t-end / step must be at most")
+
+
+def test_mech_sim_stage_on_zero_radius_writes_nan_rows(tmp_path, capsys):
+    # RK4 stage 2 of the first step lands on q = 0 exactly: the rows turn NaN
+    # and the NaN drift fails the run, without a traceback
+    spec, out = tmp_path / "zero.spec", tmp_path / "traj.txt"
+    spec.write_text("[model]\nkind = mechanics\ndimension = 1\n[params]\nlambda = 1.0\n"
+                    "[mechanics]\nq0 = 1.0\np0 = -4.0\nt-end = 2.0\nstep = 0.5\n")
+    assert main(["mech-sim", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "steps: 4  coupling: 1.0  drift H/D/K: nan nan nan\n"
+    assert out.read_text().splitlines()[1:] == ["0 1 -4 9 2 0.5"] + [
+        f"{t} nan nan nan nan nan" for t in ("0.5", "1", "1.5", "2")
+    ]
+
+
 def test_negative_suite_seed_exits_two(tmp_path, capsys):
     # every check used to report "expected non-negative integer", exit 1
     spec = tmp_path / "bad.spec"

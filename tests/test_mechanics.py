@@ -182,7 +182,7 @@ def _raised(fn):
 class TestEnsemble:
     @pytest.mark.parametrize("couplings", [(0.0, 0.5, 2.0), (0.7,), (0.0,)])
     def test_grid_matches_serial_bit_for_bit(self, couplings):
-        # the mech-charge-drift grid: free and repulsive members, sizes zero-padded to 3
+        # the mech-charge-drift grid: free and repulsive members of 1 to 3 components
         grid = [(lam, n) for lam in couplings for n in (1, 2, 3)]
         states = [initial_state({}, n) for _, n in grid]
         params = [MechParams(n, lam) for lam, n in grid]
@@ -221,7 +221,7 @@ class TestEnsemble:
 
     def test_singular_approach_is_the_kernels_first_stop(self):
         # member 2 dips inside the radius after 10 steps, member 1 after 40;
-        # the repulsive members share one kernel call, which stops at step 10
+        # the stop raised is the one with the fewest completed steps
         states = [
             initial_state({}, 2),
             MechState.make(0.0, [0.02], [-5.0]),
@@ -259,6 +259,107 @@ class TestEnsemble:
                 [initial_state({}, 1), MechState.make(0.5, [1.0], [0.0])],
                 [MechParams(1, 0.0), MechParams(1, 0.0)], 1.0, 0.1,
             )
+
+
+def _numpy_rk4(q0, p0, lam, dt, nsteps, qs, ps, min_radius):
+    """Reference RK4 in array-wise numpy for one (n,) trajectory: fills
+    ``qs``/``ps`` (shape (nsteps + 1, n)) and returns the completed steps."""
+    q = q0.copy()
+    p = p0.copy()
+    qs[0] = q
+    ps[0] = p
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    repulsive = bool(np.any(lam > 0.0))
+    two_lam = 2.0 * lam
+    zero = np.zeros_like(q)
+    a1 = a2 = a3 = a4 = zero
+    for i in range(nsteps):
+        if repulsive:
+            r2 = np.add.reduce(q * q, 0)
+            if bool(np.sqrt(r2) < min_radius):
+                return i
+            a1 = (two_lam / (r2 * r2)) * q
+        q2 = q + half * p
+        p2 = p + half * a1
+        if repulsive:
+            r2 = np.add.reduce(q2 * q2, 0)
+            a2 = (two_lam / (r2 * r2)) * q2
+        q3 = q + half * p2
+        p3 = p + half * a2
+        if repulsive:
+            r2 = np.add.reduce(q3 * q3, 0)
+            a3 = (two_lam / (r2 * r2)) * q3
+        q4 = q + dt * p3
+        p4 = p + dt * a3
+        if repulsive:
+            r2 = np.add.reduce(q4 * q4, 0)
+            a4 = (two_lam / (r2 * r2)) * q4
+        q = np.add(q, sixth * (p + 2.0 * p2 + 2.0 * p3 + p4), out=qs[i + 1])
+        p = np.add(p, sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4), out=ps[i + 1])
+    return nsteps
+
+
+def _assert_kernel_matches_numpy(q0, p0, lam, dt, nsteps):
+    q0, p0 = np.asarray(q0, dtype=float), np.asarray(p0, dtype=float)
+    qs = np.empty((nsteps + 1, q0.shape[0]))
+    ps = np.empty_like(qs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = _numpy_rk4(q0, p0, lam, dt, nsteps, qs, ps, mechanics.MIN_RADIUS)
+    done, q, p = mechanics._rk4_core(q0, p0, lam, dt, nsteps, mechanics.MIN_RADIUS)
+    assert done == expected
+    for got, want in ((q, qs[: done + 1]), (p, ps[: done + 1])):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return done, q, p
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("n", [*range(1, 10), 16, 127, 128, 129, 130, 200])
+    def test_matches_numpy_bit_for_bit(self, n, lam):
+        # q.q near 1 and small velocities: the force's low bits reach p at
+        # once, so a sum of q.q taken in another order than numpy's shows
+        rng = np.random.default_rng(n)
+        q0 = rng.uniform(0.5, 1.5, n) / np.sqrt(n)
+        p0 = rng.normal(size=n) * 1e-3
+        assert _assert_kernel_matches_numpy(q0, p0, lam, 0.01, 40)[0] == 40
+
+    def test_signed_zero_starts(self):
+        _assert_kernel_matches_numpy([-1.0, -0.0], [-0.0, 0.5], 0.0, 0.01, 100)
+        _assert_kernel_matches_numpy([2.0], [-0.0], 1.0, 0.01, 100)
+
+    def test_early_stop(self):
+        done, q, _ = _assert_kernel_matches_numpy([0.005], [-5.0], 1e-13, 1e-4, 10_000)
+        assert done == 10 and q.shape == (11, 1)
+
+    def test_stage_on_zero_radius_gives_nan_rows(self):
+        # stage 1 passes the radius test at q = 1; stage 2 lands on q = 0
+        # exactly, where the force factor 2 lam / (q.q)^2 is inf and inf * 0 NaN
+        done, q, p = _assert_kernel_matches_numpy([1.0], [-4.0], 1.0, 0.5, 4)
+        assert done == 4 and np.isnan(q[1:]).all() and np.isnan(p[1:]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(MechState.make(0.0, [1.0], [-4.0]), MechParams(1, 1.0), 2.0, 0.5)
+        assert np.isnan(traj.charge_drift()).all()
+
+    def test_r2_source_sums_in_numpys_order(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 301):
+            source = mechanics._sum_source([f"q[{k}] * q[{k}]" for k in range(n)])
+            r2 = eval("lambda q: " + source)
+            for _ in range(3):
+                q = rng.normal(size=n) * np.exp(rng.normal(size=n) * 5)
+                assert r2(q.tolist()) == np.add.reduce(q * q, 0), n
+
+
+class TestStepCeiling:
+    def test_start_rejects_more_than_max_steps(self):
+        state, params = MechState.make(0.0, [1.0], [0.0]), MechParams(1, 0.0)
+        assert mechanics._start(state, params, 0.5 * mechanics.MAX_STEPS, 0.5)[0] == mechanics.MAX_STEPS
+        for t_end, step in ((0.5 * mechanics.MAX_STEPS + 0.5, 0.5), (10.0, 1e-300), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="at most"):
+                integrate(state, params, t_end, step)
 
 
 class TestInitialState:

@@ -185,6 +185,21 @@ def test_a_trajectory_takes_at_least_one_step(mechanics, steps):
         parse_spec(text)
 
 
+@pytest.mark.parametrize("mechanics, ok", [("t-end = 5000000.0\nstep = 0.5", True),
+                                           ("t-end = 5000000.5\nstep = 0.5", False),
+                                           ("step = 1e-300", False),
+                                           ("t-end = 1e300\nstep = 1e-300", False)])
+def test_a_trajectory_takes_at_most_max_steps(mechanics, ok):
+    # MAX_STEPS = 10**7; 1e300 / 1e-300 overflows to inf, which used to
+    # escape the parser as an OverflowError from round()
+    text = f"[model]\nkind = mechanics\ndimension = 1\n[mechanics]\n{mechanics}\n"
+    if ok:
+        parse_spec(text)
+        return
+    with pytest.raises(SemanticError, match="at most 10000000"):
+        parse_spec(text)
+
+
 _FLOAT_LISTS = [(section, key) for section, keys in _SCHEMA.items()
                 for key, kind in keys.items() if kind == "floats"]
 _NUMBER = st.floats(1e-3, 2.0).map(repr)
