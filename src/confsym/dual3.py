@@ -5,9 +5,12 @@ and the gradient of a single scalar, which interchanges the roles of the
 equation of motion and the cyclic (Bianchi) identity: the former becomes an
 identity, the latter carries the dynamics.  The dual scalar is a
 one-component multiplet, read through its :class:`~confsym.fields.Jet` at
-component 0; each function takes the scalar or its jet on points ``x`` of
-shape ``(..., D)``, with ``sigma`` an index or an index stack, and returns
-one result per sample (the contract of :mod:`confsym.geometry`).
+component 0, and the vector potential the three-component multiplet of its
+lower components; each function takes the scalar or its jet on points ``x``
+of shape ``(..., D)``, with ``sigma`` an index or an index stack, and
+returns one result per sample (the contract of :mod:`confsym.geometry`).
+F varies by the ``field-strength`` tag's rule through
+:func:`~confsym.transforms.variation`.
 """
 
 from __future__ import annotations
@@ -15,20 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OffShellParameters, WrongDimension
-from .fields import (
-    CosineMultiplet,
-    CosineVectorPotential,
-    Jet,
-    ScalarMultiplet,
-    VectorPotential,
-    as_jet,
-)
+from .fields import CosineMultiplet, Jet, as_jet
 from .geometry import Metric, _lift, _max_abs, levi_civita3, levi_civita3_upper, sigma_basis_conformal
 from .noether import improved_scalar_stress, _f_squared, _raise2
-from .transforms import (
-    delta_field_strength_primary,
-    delta_scalar_with_gradient,
-)
+from .transforms import delta_with_gradient, variation
 
 
 def _check_dim3(metric: Metric, phi=None):
@@ -48,7 +41,7 @@ def _dual_jet(phi, x, metric: Metric) -> Jet:
     return jet
 
 
-def field_strength_from_dual(phi: ScalarMultiplet, x, metric: Metric):
+def field_strength_from_dual(phi, x, metric: Metric):
     """(F, dF): F_{ab} = eps_{abm} d^m phi and ``dF[a, b, r] = d_r F_{ab}``."""
     jet = _dual_jet(phi, x, metric)
     eps = levi_civita3()
@@ -57,7 +50,7 @@ def field_strength_from_dual(phi: ScalarMultiplet, x, metric: Metric):
     return np.einsum("abm,...m->...ab", eps, grad_up), np.einsum("abm,...mr->...abr", eps, hess_up)
 
 
-def dual_roundtrip_residual(phi: ScalarMultiplet, x, metric: Metric):
+def dual_roundtrip_residual(phi, x, metric: Metric):
     """Half the symbol contraction of F must rebuild the raised gradient."""
     jet = _dual_jet(phi, x, metric)
     F, _ = field_strength_from_dual(jet, x, metric)
@@ -65,13 +58,13 @@ def dual_roundtrip_residual(phi: ScalarMultiplet, x, metric: Metric):
     return _max_abs(rebuilt - metric.lower(jet.grad[..., 0, :]), 1)
 
 
-def maxwell_eom_from_dual(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
+def maxwell_eom_from_dual(phi, x, metric: Metric) -> np.ndarray:
     """d_a F^{ab} for the dual-built F: an identity (zero for any phi)."""
     _, dF = field_strength_from_dual(phi, x, metric)
     return np.einsum("a,b,...aba->...b", metric.diag, metric.diag, dF)
 
 
-def bianchi_pattern_residual(phi: ScalarMultiplet, x, metric: Metric):
+def bianchi_pattern_residual(phi, x, metric: Metric):
     """Cyclic derivative sum of the dual F against its closed form
     eps_{bca} box phi (hand-worked symbol identity)."""
     jet = _dual_jet(phi, x, metric)
@@ -81,11 +74,11 @@ def bianchi_pattern_residual(phi: ScalarMultiplet, x, metric: Metric):
     return _max_abs(cyc - expected, 3)
 
 
-def primary_rule_F(phi: ScalarMultiplet, x, sigma, metric: Metric) -> np.ndarray:
+def primary_rule_F(phi, x, sigma, metric: Metric) -> np.ndarray:
     """The pretend-primary conformal rule applied to the dual-built F."""
     F, dF = field_strength_from_dual(phi, x, metric)
     gen = sigma_basis_conformal(sigma, metric, 1.5, "field-strength")
-    return delta_field_strength_primary(gen, F, dF, x, metric)
+    return variation(gen, F, dF, x, metric)
 
 
 def _symbol_phi(jet: Jet, sigma, metric: Metric) -> np.ndarray:
@@ -94,7 +87,7 @@ def _symbol_phi(jet: Jet, sigma, metric: Metric) -> np.ndarray:
     return eps * _lift(metric.diag[sigma], 2) * _lift(jet.value[..., 0], 2)
 
 
-def delta_bar_F(phi: ScalarMultiplet, x, sigma, metric: Metric) -> np.ndarray:
+def delta_bar_F(phi, x, sigma, metric: Metric) -> np.ndarray:
     """Conformal variation of F induced by the scalar-potential rule.
 
     Equals the pretend-primary rule plus the inhomogeneous eps_{ab}^sigma phi
@@ -104,24 +97,24 @@ def delta_bar_F(phi: ScalarMultiplet, x, sigma, metric: Metric) -> np.ndarray:
     return primary_rule_F(jet, x, sigma, metric) + _symbol_phi(jet, sigma, metric)
 
 
-def delta_bar_F_chain_rule(phi: ScalarMultiplet, x, sigma, metric: Metric):
+def delta_bar_F_chain_rule(phi, x, sigma, metric: Metric):
     """Independent route: the symbol contraction of the raised gradient of
     the scalar conformal variation (weight one half)."""
     jet = _dual_jet(phi, x, metric)
     gen = sigma_basis_conformal(sigma, metric, 0.5, "scalar")
-    _, ddelta = delta_scalar_with_gradient(gen, jet, x, metric)
+    _, ddelta = delta_with_gradient(gen, jet, x, metric)
     d_up = metric.diag * ddelta[..., 0, :]
     return np.einsum("abm,...m->...ab", levi_civita3(), d_up)
 
 
-def nonprimary_shift_residual(phi: ScalarMultiplet, x, sigma, metric: Metric):
+def nonprimary_shift_residual(phi, x, sigma, metric: Metric):
     """delta-bar F minus the pretend-primary rule minus eps_{ab}^sigma phi."""
     jet = _dual_jet(phi, x, metric)
     shift = delta_bar_F_chain_rule(jet, x, sigma, metric) - primary_rule_F(jet, x, sigma, metric)
     return _max_abs(shift - _symbol_phi(jet, sigma, metric), 2)
 
 
-def improved_stress_from_F(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
+def improved_stress_from_F(phi, x, metric: Metric) -> np.ndarray:
     """The improved, traceless stress tensor written through F and phi.
 
     -3/4 F^{ma} F^n_a + 1/4 g^{mn} F^2 - phi/16 (d^m W^n + d^n W^m) with
@@ -142,12 +135,12 @@ def improved_stress_from_F(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarra
     return theta
 
 
-def improved_stress_scalar_form(phi: ScalarMultiplet, x, metric: Metric) -> np.ndarray:
+def improved_stress_scalar_form(phi, x, metric: Metric) -> np.ndarray:
     """The same tensor from the scalar side (canonical plus improvement)."""
     return improved_scalar_stress(_dual_jet(phi, x, metric), x, metric, coupling=0.0)
 
 
-def duality_mismatch(A: VectorPotential, phi: ScalarMultiplet, x, metric: Metric):
+def duality_mismatch(A, phi, x, metric: Metric):
     """Diagnostic eps^{mab} d_a A_b - d^m phi.
 
     Carries no pass/fail contract: the relation between the two formulations
@@ -179,5 +172,5 @@ def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):
     if np.max(np.abs(m @ w_low - rhs)) > 1e-10:
         raise OffShellParameters("no polarisation solves the duality condition")
     phi = CosineMultiplet(k, [amplitude], phase, metric)
-    A = CosineVectorPotential(k, metric.lower(w_low), phase, metric)
+    A = CosineMultiplet(k, w_low, phase, metric)
     return phi, A

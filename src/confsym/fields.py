@@ -6,12 +6,15 @@ layout (derivative axes last):
 
 * scalar multiplet: ``value (N,)``, ``grad (N, D)``, ``hess (N, D, D)``,
   ``third (N, D, D, D)`` with ``grad[i, mu] = d_mu phi_i``;
-* vector potential: lower-component ``value (D,)`` giving A_alpha and
-  ``grad[alpha, mu] = d_mu A_alpha`` and so on;
 * spinors carry complex values and first derivatives only.
 
 A single scalar field is a one-component multiplet: its evaluators keep the
-component axis, ``value (1,)``, ``grad (1, D)`` and so on.
+component axis, ``value (1,)``, ``grad (1, D)`` and so on.  A vector
+potential is the D-component multiplet of its lower components, A_alpha at
+component alpha, so ``grad[alpha, mu] = d_mu A_alpha``; a plane-wave
+potential is a :class:`CosineMultiplet` with the lowered polarisation as its
+amplitude.  What a field is, and so how it transforms, is the spin tag of
+the generator that varies it (:mod:`confsym.transforms`), not its class.
 
 Every evaluator takes points of shape ``(..., D)`` and returns the shapes
 above with the sample axes in front, C-ordered, each sample bit for bit its
@@ -41,21 +44,14 @@ NULLNESS_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-class ScalarMultiplet:
-    """N-component scalar field with exact derivatives to third order."""
-
-    def __init__(self, dim: int, n_comp: int):
-        self.dim = int(dim)
-        self.n_comp = int(n_comp)
-
-
-class CosineMultiplet(ScalarMultiplet):
+class CosineMultiplet:
     """amplitude_i * cos(k.x + phase); solves the wave equation iff k^2 = 0."""
 
     def __init__(self, k, amplitude, phase: float, metric: Metric):
         k = metric._check(k)
         amplitude = np.atleast_1d(np.asarray(amplitude, dtype=float))
-        super().__init__(metric.dim, amplitude.shape[0])
+        self.dim = metric.dim
+        self.n_comp = amplitude.shape[0]
         self.k = k.copy()
         self.k_low = metric.lower(k)
         self.amplitude = amplitude
@@ -81,11 +77,12 @@ class CosineMultiplet(ScalarMultiplet):
         return np.einsum("i,m,n,r->imnr", self.amplitude, kl, kl, kl) * _lift(s, 4)
 
 
-class PolynomialMultiplet(ScalarMultiplet):
+class PolynomialMultiplet:
     """Per-component polynomials given as [(coef, exponent-tuple), ...]."""
 
     def __init__(self, dim: int, components):
-        super().__init__(dim, len(components))
+        self.dim = int(dim)
+        self.n_comp = len(components)
         cleaned = []
         for mono_list in components:
             comp = []
@@ -168,12 +165,13 @@ class PolynomialMultiplet(ScalarMultiplet):
         return self._derive_eval(x, 3)
 
 
-class GaussianMultiplet(ScalarMultiplet):
+class GaussianMultiplet:
     """amplitude_i * exp(b.x + x.G x) with symmetric G (componentwise sums)."""
 
     def __init__(self, dim: int, amplitude, linear, quad):
         amplitude = np.atleast_1d(np.asarray(amplitude, dtype=float))
-        super().__init__(dim, amplitude.shape[0])
+        self.dim = int(dim)
+        self.n_comp = amplitude.shape[0]
         linear = np.asarray(linear, dtype=float)
         quad = np.asarray(quad, dtype=float)
         if linear.shape != (dim,) or quad.shape != (dim, dim):
@@ -214,58 +212,19 @@ class GaussianMultiplet(ScalarMultiplet):
 
 
 # ---------------------------------------------------------------------------
-# vector potentials and field strengths
+# vector potentials
 # ---------------------------------------------------------------------------
 
 
-class VectorPotential:
-    """Covariant vector field A_alpha with exact derivatives to third order."""
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-
-class CosineVectorPotential(VectorPotential):
-    """A_alpha = eps_alpha cos(k.x + phase), eps stored with the index down."""
-
-    def __init__(self, k, eps, phase: float, metric: Metric):
-        k = metric._check(k)
-        eps = metric._check(eps)
-        super().__init__(metric.dim)
-        self.k = k.copy()
-        self.k_low = metric.lower(k)
-        self.eps_low = metric.lower(eps)
-        self.phase = float(phase)
-
-    def _angle(self, x):
-        return _inner(np.asarray(x, dtype=float), self.k_low) + self.phase
-
-    def value(self, x):
-        return self.eps_low * _lift(np.cos(self._angle(x)))
-
-    def grad(self, x):
-        return -np.outer(self.eps_low, self.k_low) * _lift(np.sin(self._angle(x)), 2)
-
-    def hess(self, x):
-        kl = self.k_low
-        return -np.einsum("a,m,n->amn", self.eps_low, kl, kl) * _lift(np.cos(self._angle(x)), 3)
-
-    def third(self, x):
-        kl = self.k_low
-        return np.einsum("a,m,n,r->amnr", self.eps_low, kl, kl, kl) * _lift(
-            np.sin(self._angle(x)), 4
-        )
-
-
-class ShiftedPotential(VectorPotential):
+class ShiftedPotential:
     """Gauge-shifted potential A_alpha + d_alpha Omega, with Omega component 0
     of the ``gauge`` multiplet.  ``base`` and ``gauge`` are fixtures or their
     jets, read through their jets on the points evaluated."""
 
-    def __init__(self, base: VectorPotential, gauge: ScalarMultiplet):
+    def __init__(self, base, gauge):
         if gauge.dim != base.dim:
             raise DimensionMismatch("gauge function dimension mismatch")
-        super().__init__(base.dim)
+        self.dim = base.dim
         self.base = base
         self.gauge = gauge
 
@@ -279,10 +238,9 @@ class ShiftedPotential(VectorPotential):
         return as_jet(self.base, x).hess + as_jet(self.gauge, x).third[..., 0, :, :, :]
 
 
-def make_onshell_maxwell_plane_wave(
-    k, eps, metric: Metric, phase: float = 0.0
-) -> CosineVectorPotential:
-    """Plane-wave potential solving the free Maxwell equations exactly.
+def make_onshell_maxwell_plane_wave(k, eps, metric: Metric, phase: float = 0.0) -> CosineMultiplet:
+    """Plane-wave potential eps_alpha cos(k.x + phase) solving the free
+    Maxwell equations exactly, ``eps`` given with its index up.
 
     Requires a null wave vector and a transverse polarisation; violations
     beyond 1e-12 raise :class:`OffShellParameters`.
@@ -293,7 +251,7 @@ def make_onshell_maxwell_plane_wave(
         raise OffShellParameters(f"wave vector is not null: k^2 = {k2}")
     if abs(ke) > NULLNESS_TOL:
         raise OffShellParameters(f"polarisation is not transverse: k.eps = {ke}")
-    return CosineVectorPotential(k, eps, phase, metric)
+    return CosineMultiplet(k, metric.lower(eps), phase, metric)
 
 
 # ---------------------------------------------------------------------------

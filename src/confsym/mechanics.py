@@ -155,7 +155,11 @@ def _kernel(n: int):
         return "r2 = " + _sum_source([f"{q}_{k} * {q}_{k}" for k in range(n)])
 
     def force(a, q):
-        return "f = two_lam / r4 if (r4 := r2 * r2) else inf; " + each(f"{a}_{{k}} = f * {q}_{{k}}")
+        """One stage's radius test at ``q``, then its force ``a``."""
+        return "\n            ".join([
+            r2(q), "if sqrt(r2) < min_radius:", "    return i",
+            "f = two_lam / (r2 * r2); " + each(f"{a}_{{k}} = f * {q}_{{k}}"),
+        ])
 
     row = ", ".join([f"q_{k}" for k in range(n)] + [f"p_{k}" for k in range(n)])
     source = f"""
@@ -164,25 +168,22 @@ def rk4(q0, p0, repulsive, two_lam, half, dt, sixth, nsteps, min_radius, extend)
     extend(({row}))
     for i in range(nsteps):
         if repulsive:
-            {r2("q")}
-            if sqrt(r2) < min_radius:
-                return i
             {force("a1", "q")}
         {each("q2_{k} = q_{k} + half * p_{k}; p2_{k} = p_{k} + half * a1_{k}")}
         if repulsive:
-            {r2("q2")}; {force("a2", "q2")}
+            {force("a2", "q2")}
         {each("q3_{k} = q_{k} + half * p2_{k}; p3_{k} = p_{k} + half * a2_{k}")}
         if repulsive:
-            {r2("q3")}; {force("a3", "q3")}
+            {force("a3", "q3")}
         {each("q4_{k} = q_{k} + dt * p3_{k}; p4_{k} = p_{k} + dt * a3_{k}")}
         if repulsive:
-            {r2("q4")}; {force("a4", "q4")}
+            {force("a4", "q4")}
         {each("q_{k} = q_{k} + sixth * (p_{k} + 2.0 * p2_{k} + 2.0 * p3_{k} + p4_{k})")}
         {each("p_{k} = p_{k} + sixth * (a1_{k} + 2.0 * a2_{k} + 2.0 * a3_{k} + a4_{k})")}
         extend(({row}))
     return nsteps
 """
-    namespace = {"sqrt": math.sqrt, "inf": math.inf}
+    namespace = {"sqrt": math.sqrt}
     exec(compile(source, f"<rk4 kernel, n = {n}>", "exec"), namespace)
     return namespace["rk4"]
 
@@ -193,11 +194,11 @@ def _rk4_core(q0, p0, lam, dt, nsteps, min_radius):
 
     Returns the completed steps ``done`` and the (done + 1, n) rows of q and
     of p.  A free call (``lam == 0.0``) never evaluates the force, so it may
-    pass through q = 0; a repulsive one stops when the radius drops below
-    ``min_radius``.  The kernel does numpy's float64 operations in numpy's
+    pass through q = 0; a repulsive one stops when the radius at any of a
+    step's four stages is below ``min_radius`` (> 0), so the force never
+    divides by zero.  The kernel does numpy's float64 operations in numpy's
     order, ``r2`` included, so a trajectory keeps the bits of an array-wise
-    RK4 step; where a stage lands on q = 0 the force factor is inf and the
-    force NaN, as numpy's ``2 lam / 0.0`` gives.
+    RK4 step.
     """
     n = q0.shape[0]
     rows = array("d")
@@ -257,39 +258,15 @@ def _start(state0: MechState, params: MechParams, t_end: float, step: float):
 def integrate(
     state0: MechState, params: MechParams, t_end: float, step: float
 ) -> Trajectory:
-    """Integrate the flow from ``state0`` to ``t_end`` at fixed ``step``."""
-    return integrate_many([state0], [params], t_end, step)[0]
-
-
-def integrate_many(states, params_list, t_end: float, step: float) -> list:
-    """Integrate trajectories that share their start time: returns
-    ``[integrate(s, p, t_end, step) for s, p in ...]``.
-
-    Every member's arguments and start are checked, in member order, before
-    any member is integrated.  Each member then runs through the kernel on
-    its own; if any comes inside the singular radius, the ``SingularApproach``
-    raised names the fewest completed steps among the members that stopped.
-    """
-    states, params_list = list(states), list(params_list)
-    if len(states) != len(params_list):
-        raise ValueError("one MechParams per state")
-    if len({s.t for s in states}) > 1:
-        raise ValueError("ensemble members must share their start time")
-    starts = [_start(state0, params, t_end, step) for state0, params in zip(states, params_list)]
-    runs = [
-        _rk4_core(q0, p0, float(params.coupling), float(step), nsteps, MIN_RADIUS)
-        for (nsteps, q0, p0), params in zip(starts, params_list)
-    ]
-    if not runs:
-        return []
-    t0, nsteps = states[0].t, starts[0][0]
-    done = min(run[0] for run in runs)
+    """Integrate the flow from ``state0`` to ``t_end`` at fixed ``step``;
+    raises ``SingularApproach`` when it comes inside the singular radius."""
+    nsteps, q0, p0 = _start(state0, params, t_end, step)
+    done, qs, ps = _rk4_core(q0, p0, float(params.coupling), float(step), nsteps, MIN_RADIUS)
     if done < nsteps:
         raise SingularApproach(
-            f"radius dropped below {MIN_RADIUS} after {done} steps (t = {t0 + done * step})"
+            f"radius dropped below {MIN_RADIUS} after {done} steps (t = {state0.t + done * step})"
         )
-    times = t0 + step * np.arange(nsteps + 1)
-    return [Trajectory(times, qs, ps, params) for (_, qs, ps), params in zip(runs, params_list)]
+    return Trajectory(state0.t + step * np.arange(nsteps + 1), qs, ps, params)
 
 
 def dump_trajectory(traj: Trajectory, stream) -> None:

@@ -27,7 +27,10 @@ Each kernel takes ``fields`` as a fixture or as its
 ValueError) and reads the fixture only through that jet; a kernel built on
 others passes its jet down, so one call evaluates each derivative order of
 a fixture at most once (the gauge shift's shifted potential reads the
-potential and the gauge function through their jets).
+potential and the gauge function through their jets).  A Maxwell potential
+is the D-component multiplet of its lower components; what sets it apart
+from a scalar multiplet is the ``vector`` spin tag of the generators that
+vary it (:func:`~confsym.transforms.delta_with_gradient`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FieldDomainError, UnsupportedDimension
-from .fields import Jet, ScalarMultiplet, ShiftedPotential, VectorPotential, as_jet
+from .fields import Jet, ShiftedPotential, as_jet
 from .geometry import (
     KIND_CONFORMAL,
     GeneratorAction,
@@ -54,11 +57,7 @@ from .geometry import (
     killing_vector,
     sigma_basis_conformal,
 )
-from .transforms import (
-    delta_field_strength_primary,
-    delta_scalar_with_gradient,
-    delta_vector_potential_with_gradient,
-)
+from .transforms import delta_with_gradient, variation
 
 # ---------------------------------------------------------------------------
 # models
@@ -281,7 +280,7 @@ def _density_gradient(model, value, grad, hess, metric: Metric) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def maxwell_stress(A: VectorPotential, x, metric: Metric) -> np.ndarray:
+def maxwell_stress(A, x, metric: Metric) -> np.ndarray:
     """theta^{mn} = -F^{ma} F^n_a + g^{mn} F^2 / 4; symmetric, conserved on
     shell, traceless only at D = 4."""
     F = as_jet(A, x).F
@@ -292,7 +291,7 @@ def maxwell_stress(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     return theta
 
 
-def maxwell_stress_divergence(A: VectorPotential, x, metric: Metric) -> np.ndarray:
+def maxwell_stress_divergence(A, x, metric: Metric) -> np.ndarray:
     """d_m theta^{mn}; vanishes on shell."""
     jet = as_jet(A, x)
     f_up = _raise2(jet.F, metric)
@@ -306,7 +305,7 @@ def maxwell_stress_divergence(A: VectorPotential, x, metric: Metric) -> np.ndarr
     return np.einsum("...mnm->...n", dtheta)
 
 
-def maxwell_stress_trace(A: VectorPotential, x, metric: Metric):
+def maxwell_stress_trace(A, x, metric: Metric):
     """g_{mn} theta^{mn}; equals (-1 + D/4) F^2 identically."""
     theta = maxwell_stress(A, x, metric)
     return _one(np.einsum("m,...mm->...", metric.diag, theta))
@@ -446,7 +445,7 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
     return VirialInfo(v, True, potential)
 
 
-def maxwell_virial_first_principles(A: VectorPotential, x, metric: Metric):
+def maxwell_virial_first_principles(A, x, metric: Metric):
     """The virial evaluated straight from its definition with the vector spin
     matrix; an independent route to the (4 - D)/2 F A closed form."""
     d = canonical_weight(metric.dim)
@@ -465,7 +464,7 @@ def maxwell_virial_first_principles(A: VectorPotential, x, metric: Metric):
 # ---------------------------------------------------------------------------
 
 
-def scale_current_maxwell(A: VectorPotential, x, metric: Metric) -> np.ndarray:
+def scale_current_maxwell(A, x, metric: Metric) -> np.ndarray:
     """J^m = theta^m_a x^a + (4 - D)/2 F^{ma} A_a (the improved form)."""
     x = metric._check(x)
     jet = as_jet(A, x)
@@ -475,7 +474,7 @@ def scale_current_maxwell(A: VectorPotential, x, metric: Metric) -> np.ndarray:
     )
 
 
-def scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric):
+def scale_current_maxwell_divergence(A, x, metric: Metric):
     """d_m J^m for the improved scale current; zero on shell in every D."""
     x = metric._check(x)
     jet = as_jet(A, x)
@@ -484,14 +483,14 @@ def scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric):
     return out + 0.5 * (4.0 - metric.dim) * _div_f_times(jet, jet.value, jet.grad, metric)
 
 
-def noether_scale_current_maxwell_divergence(A: VectorPotential, x, metric: Metric):
+def noether_scale_current_maxwell_divergence(A, x, metric: Metric):
     """Divergence of the raw Noether scale current, momentum times the
     dilation variation minus x^m times the density, before the trivially
     conserved piece is dropped; equals the improved one identically."""
     x = metric._check(x)
     gen = dilation(1.0, metric.dim, spin="vector")
     jet = as_jet(A, x)
-    delta, ddelta = delta_vector_potential_with_gradient(gen, jet, x, metric)
+    delta, ddelta = delta_with_gradient(gen, jet, x, metric)
     lag, dlag = lagrangian(MaxwellModel(metric.dim), jet, x, metric)
     return -_div_f_times(jet, delta, ddelta, metric) - metric.dim * lag - _inner(x, dlag)
 
@@ -536,7 +535,7 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
     return killing_current_divergence(theta, theta_div, gen, x, metric)
 
 
-def current_divergence_identity(gen: GeneratorAction, A: VectorPotential, x, metric):
+def current_divergence_identity(gen: GeneratorAction, A, x, metric):
     """(computed, predicted) divergence of the Maxwell Killing current.
 
     The prediction is zero for Poincare and scale transformations and
@@ -558,7 +557,7 @@ def current_divergence_identity(gen: GeneratorAction, A: VectorPotential, x, met
 # ---------------------------------------------------------------------------
 
 
-def gauge_shift_scale_current(A: VectorPotential, gauge: ScalarMultiplet, x, metric):
+def gauge_shift_scale_current(A, gauge, x, metric):
     """(shift, predicted) change of the scale current under A -> A + d Omega,
     with Omega component 0 of ``gauge``.
 
@@ -576,7 +575,7 @@ def gauge_shift_scale_current(A: VectorPotential, gauge: ScalarMultiplet, x, met
     return shift, coeff * (trace_df * _lift(omega.value[..., 0]) + f_d_omega)
 
 
-def gauge_shift_divergence(A: VectorPotential, gauge: ScalarMultiplet, x, metric):
+def gauge_shift_divergence(A, gauge, x, metric):
     """d_m of the scale-current shift; trivially conserved on shell."""
     x = metric._check(x)
     omega = as_jet(gauge, x)
@@ -591,10 +590,9 @@ def gauge_shift_divergence(A: VectorPotential, gauge: ScalarMultiplet, x, metric
 
 def _delta_lagrangian(model, gen, jet, x, metric):
     """delta L = dL/dPhi . delta Phi + Pi . d(delta Phi); Maxwell's Pi is -F."""
+    delta, ddelta = delta_with_gradient(gen, jet, x, metric)
     if isinstance(model, MaxwellModel):
-        _, ddelta = delta_vector_potential_with_gradient(gen, jet, x, metric)
         return -np.einsum("...ma,...am->...", _raise2(jet.F, metric), ddelta)
-    delta, ddelta = delta_scalar_with_gradient(gen, jet, x, metric)
     dl_dphi, mom = model.conjugates(jet.value, jet.grad, metric)
     return _inner(dl_dphi, delta) + np.sum(mom * ddelta, axis=(-2, -1))
 
@@ -656,6 +654,6 @@ def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma
         d_sq_sigma = 2.0 * diag_sigma * _sum_left_to_right(jet.value * _at(jet.grad, sigma[..., None]))
         return _one(delta_l - total_derivative - kappa * d_sq_sigma)
 
-    delta_f = delta_field_strength_primary(gen, jet.F, jet.dF, x, metric)
+    delta_f = variation(gen, jet.F, jet.dF, x, metric)
     delta_l = -0.5 * np.sum(_raise2(jet.F, metric) * delta_f, axis=(-2, -1))
     return _one(delta_l - total_derivative)

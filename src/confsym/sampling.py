@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import (
-    CosineMultiplet,
-    CosineSpinor,
-    CosineVectorPotential,
-    PolynomialMultiplet,
-)
+from .fields import CosineMultiplet, CosineSpinor, PolynomialMultiplet
 from .geometry import Metric, _inner, conformal_factor
 
 
@@ -142,18 +137,18 @@ def random_plane_wave_multiplet(
     return CosineMultiplet(k, amp, rng.uniform(0.0, 2.0 * np.pi), metric)
 
 
-def random_onshell_potential(rng, metric: Metric) -> CosineVectorPotential:
+def random_onshell_potential(rng, metric: Metric) -> CosineMultiplet:
     """On-shell Maxwell plane wave: null wave vector, transverse polarisation."""
     k = null_vector(rng, metric.dim, scale=rng.uniform(0.5, 1.5))
     eps = transverse_polarisation(rng, k, metric)
-    return CosineVectorPotential(k, eps, rng.uniform(0.0, 2.0 * np.pi), metric)
+    return CosineMultiplet(k, metric.lower(eps), rng.uniform(0.0, 2.0 * np.pi), metric)
 
 
-def random_offshell_potential(rng, metric: Metric) -> CosineVectorPotential:
+def random_offshell_potential(rng, metric: Metric) -> CosineMultiplet:
     """Generic plane-wave potential with no on-shell constraints."""
     k = rng.normal(0.0, 0.8, size=metric.dim)
     eps = rng.normal(0.0, 1.0, size=metric.dim)
-    return CosineVectorPotential(k, eps, rng.uniform(0.0, 2.0 * np.pi), metric)
+    return CosineMultiplet(k, metric.lower(eps), rng.uniform(0.0, 2.0 * np.pi), metric)
 
 
 def random_spinor(rng, metric: Metric, size: int) -> CosineSpinor:

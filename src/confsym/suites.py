@@ -66,7 +66,6 @@ from .mechanics import (
     delta_scale_q,
     initial_state,
     integrate,
-    integrate_many,
     so21_bracket_residuals,
 )
 from .modelspec import FIELD_KINDS, ModelSpec
@@ -102,14 +101,12 @@ from .transforms import (
     decoupled_spinor_residual,
     decoupled_vector_residual,
     decoupling_bracket_residual,
+    delta,
     delta_field_strength,
-    delta_field_strength_primary,
-    delta_scalar,
-    delta_spinor,
-    delta_vector_potential,
     eom_violation_conformal,
     finite_variation_fd,
     lie_derivative_vector,
+    variation,
 )
 
 
@@ -407,7 +404,7 @@ def _chk_order_scalar(spec, metric, rng):
     return _order_residuals(
         rng, metric,
         lambda c, d: FiniteScalarTransform(phi, c, d, metric),
-        lambda c, x: delta_scalar(special_conformal(c), phi, x, metric),
+        lambda c, x: delta(special_conformal(c), phi, x, metric),
     )
 
 
@@ -417,7 +414,7 @@ def _chk_order_vector(spec, metric, rng):
     return _order_residuals(
         rng, metric,
         lambda c, d: FiniteVectorTransform(A, c, d, metric),
-        lambda c, x: delta_vector_potential(special_conformal(c, spin="vector"), A, x, metric),
+        lambda c, x: delta(special_conformal(c, spin="vector"), A, x, metric),
     )
 
 
@@ -428,7 +425,7 @@ def _chk_order_spinor(spec, metric, rng):
     return _order_residuals(
         rng, metric,
         lambda c, d: FiniteSpinorTransform(psi, c, d, metric, gammas, route="compact"),
-        lambda c, x: delta_spinor(special_conformal(c, spin="spinor"), psi, x, metric, gammas),
+        lambda c, x: delta(special_conformal(c, spin="spinor"), psi, x, metric, gammas),
     )
 
 
@@ -634,9 +631,9 @@ def _chk_lie_weight(spec, metric, rng):
 
     def residual(gen):
         lie, _ = lie_derivative_vector(gen, jet, jet.x, metric)
-        delta = delta_vector_potential(gen, jet, jet.x, metric)
+        varied = delta(gen, jet, jet.x, metric)
         shift = _lift(((dim - 4.0) / (2.0 * dim)) * killing_divergence(gen, jet.x, metric)) * jet.value
-        return _sample_gap(delta - lie, shift)
+        return _sample_gap(varied - lie, shift)
 
     return _points_major([residual(gen) for gen in gens])
 
@@ -649,7 +646,7 @@ def _chk_primary_disc(spec, metric, rng):
     cs = rng.normal(0.0, 0.3, (len(jet.x), dim))
     induced = delta_field_strength(special_conformal(cs, spin="vector"), jet, jet.x, metric)
     gen_f = special_conformal(cs, weight=dim / 2.0, spin="field-strength")
-    primary = delta_field_strength_primary(gen_f, jet.F, jet.dF, jet.x, metric)
+    primary = variation(gen_f, jet.F, jet.dF, jet.x, metric)
     outer = _outer(metric.lower(cs), jet.value)
     expected = (dim - 4.0) * (outer - np.swapaxes(outer, -1, -2))
     return _sample_gap(induced - primary, expected).tolist()
@@ -790,11 +787,10 @@ def _chk_mech_drift(spec, metric, rng):
     t_end, step = mech.get("t-end", 10.0), mech.get("step", 1e-3)
     couplings = [spec.coupling] if spec.coupling else [0.0, 0.5, 2.0]
     sizes = [len(mech["q0"])] if "q0" in mech else [1, 2, 3]
-    grid = [(lam, n) for lam in couplings for n in sizes]
-    trajs = integrate_many(
-        [initial_state(mech, n) for _, n in grid], [MechParams(n, lam) for lam, n in grid], t_end, step
-    )
-    return [float(np.max(traj.charge_drift())) for traj in trajs]
+    return [
+        float(np.max(integrate(initial_state(mech, n), MechParams(n, lam), t_end, step).charge_drift()))
+        for lam in couplings for n in sizes
+    ]
 
 
 @_register("mech-so21", ("mechanics",), "exact", "charge Poisson brackets close on the hand-derived table")
@@ -826,8 +822,8 @@ def _chk_mech_reduction(spec, metric, rng):
         jet = Jet(poly, np.array([t]))
         state = MechState.make(t, jet.value, jet.grad[:, 0])
         return float(np.maximum(
-            _gap(delta_scalar(gen_s, jet, jet.x, one), delta_scale_q(state)),
-            _gap(delta_scalar(gen_c, jet, jet.x, one), delta_conformal_q(state)),
+            _gap(delta(gen_s, jet, jet.x, one), delta_scale_q(state)),
+            _gap(delta(gen_c, jet, jet.x, one), delta_conformal_q(state)),
         ))
 
     return [residual(t) for t in rng.uniform(-2.0, 2.0, 12)]

@@ -8,7 +8,11 @@ only depend on the generator through its coordinate vector field f:
                 + (1/4)(d_mu f_nu - d_nu f_mu) Sigma^{mu nu} field
 
 which reproduces the conventional translation / rotation / dilation /
-special-conformal rules for every spin representation.
+special-conformal rules for every spin representation.  The representation
+is the generator's spin tag alone: :func:`delta` varies any field, a scalar
+multiplet, a vector potential (the multiplet of its lower components) or a
+spinor, by the tag of the generator it is given, and :func:`variation`
+applies the rule to a value and gradient given directly.
 
 A note on operator composition: commutators of variations compose through
 the field argument, so successive variations multiply in the opposite order
@@ -30,7 +34,7 @@ import numpy as np
 
 from .clifford import GammaSet, gamma_slash_unit
 from .errors import NonTimelikePoint, SingularMap
-from .fields import VectorPotential, as_jet
+from .fields import as_jet
 from .geometry import (
     SINGULARITY_FLOOR,
     GeneratorAction,
@@ -56,12 +60,9 @@ from .geometry import (
 
 __all__ = [
     "spin_coefficient",
-    "delta_scalar",
-    "delta_scalar_with_gradient",
-    "delta_vector_potential",
-    "delta_vector_potential_with_gradient",
-    "delta_spinor",
-    "delta_field_strength_primary",
+    "variation",
+    "delta",
+    "delta_with_gradient",
     "delta_field_strength",
     "delta_field_strength_gradient",
     "eom_violation_conformal",
@@ -127,7 +128,16 @@ def _spin_action(C, value, spin, metric: Metric, gammas: GammaSet | None):
     raise ValueError(f"unknown spin representation {spin!r}")
 
 
-def _variation(gen, value, grad, x, metric, gammas=None):
+def variation(gen: GeneratorAction, value, grad, x, metric: Metric, gammas: GammaSet | None = None):
+    """Infinitesimal variation under ``gen`` of a field with ``value`` and
+    ``grad`` (derivative axis last) at x, in the representation of the
+    generator's spin tag; a spinor tag needs ``gammas``.
+
+    With a ``field-strength`` tag, F_{ab} and ``dF[a, b, m] = d_m F_{ab}``
+    vary by the rule that pretends F is primary.  The physically induced
+    variation (from the potential, :func:`delta_field_strength`) differs
+    from it by (D - 4)(g^s_a A_b - g^s_b A_a); the two coincide only at D = 4.
+    """
     f = killing_vector(gen, x, metric)
     div = killing_divergence(gen, x, metric)
     out = _contract(grad, f)
@@ -137,65 +147,23 @@ def _variation(gen, value, grad, x, metric, gammas=None):
 
 
 # ---------------------------------------------------------------------------
-# parametrised variations per representation
+# parametrised variations of fields
 # ---------------------------------------------------------------------------
 
 
-def delta_scalar(gen: GeneratorAction, field, x, metric: Metric) -> np.ndarray:
-    """Infinitesimal variation of a scalar multiplet under ``gen``."""
-    if gen.spin != "scalar":
-        raise ValueError("generator is not tagged for scalar fields")
+def delta(gen: GeneratorAction, field, x, metric: Metric, gammas: GammaSet | None = None):
+    """Infinitesimal variation of ``field`` (a fixture or its jet on x) under
+    ``gen``, in the representation of the generator's spin tag."""
     jet = as_jet(field, x)
-    return _variation(gen, jet.value, jet.grad, x, metric)
+    return variation(gen, jet.value, jet.grad, x, metric, gammas)
 
 
-def delta_vector_potential(gen: GeneratorAction, A: VectorPotential, x, metric: Metric):
-    """Infinitesimal variation of a covariant vector field under ``gen``."""
-    if gen.spin != "vector":
-        raise ValueError("generator is not tagged for vector fields")
-    jet = as_jet(A, x)
-    return _variation(gen, jet.value, jet.grad, x, metric)
-
-
-def delta_spinor(gen: GeneratorAction, psi, x, metric: Metric, gammas: GammaSet):
-    """Infinitesimal variation of a spinor field under ``gen``."""
-    if gen.spin != "spinor":
-        raise ValueError("generator is not tagged for spinor fields")
-    jet = as_jet(psi, x)
-    return _variation(gen, jet.value, jet.grad, x, metric, gammas)
-
-
-def delta_field_strength_primary(gen: GeneratorAction, F, dF, x, metric: Metric):
-    """Variation of F under the rule that pretends F is primary, from F_{ab}
-    and its derivatives ``dF[a, b, m] = d_m F_{ab}``.
-
-    The physically induced variation (from the potential) differs from this
-    by (D - 4)(g^s_a A_b - g^s_b A_a); the two coincide only at D = 4.
-    """
-    if gen.spin != "field-strength":
-        raise ValueError("generator is not tagged for field-strength values")
-    return _variation(gen, F, dF, x, metric)
-
-
-def delta_scalar_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
-    """(delta phi, d(delta phi)) for a scalar multiplet, all analytic."""
-    if gen.spin != "scalar":
-        raise ValueError("generator is not tagged for scalar fields")
-    return _delta_with_gradient(gen, field, x, metric)
-
-
-def delta_vector_potential_with_gradient(
-    gen: GeneratorAction, A: VectorPotential, x, metric: Metric
-):
-    """(delta A, d(delta A)) with dout[a, m] = d_m (delta A)_a, all analytic."""
-    if gen.spin != "vector":
-        raise ValueError("generator is not tagged for vector fields")
-    return _delta_with_gradient(gen, A, x, metric)
-
-
-def _delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
-    """(delta, d(delta)) with dout[a, m] = d_m delta_a for the components a
-    of a scalar multiplet or a covector; the vector case adds two spin terms."""
+def delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
+    """(delta, d(delta)) with dout[a, m] = d_m delta_a, all analytic, for the
+    components a of a scalar multiplet (scalar tag) or a covector (vector
+    tag, which adds two spin terms); another tag raises ValueError."""
+    if gen.spin not in ("scalar", "vector"):
+        raise ValueError(f"no analytic gradient of the {gen.spin!r} variation")
     x = metric._check(x)
     jet = as_jet(field, x)
     value, grad, hess = jet.value, jet.grad, jet.hess
@@ -205,7 +173,6 @@ def _delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
     ddiv = killing_divergence_gradient(gen, metric)
     w = gen.weight / metric.dim
 
-    delta = _contract(grad, f) + _lift(w * div) * value
     dout = np.einsum("...rm,...ar->...am", df, grad)
     dout += np.einsum("...arm,...r->...am", hess, f)
     dout += w * _outer(value, ddiv)
@@ -213,13 +180,12 @@ def _delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
     if gen.spin == "vector":
         C = spin_coefficient(gen, x, metric)
         dC = _spin_coefficient_gradient(gen, metric)
-        delta = delta + _spin_action(C, value, "vector", metric, None)
         upper = metric.diag * value
         dupper = metric.diag[:, None] * grad  # d_m A^k stored [k, m]
         asym = C - np.swapaxes(C, -1, -2)
         dout += np.einsum("...akm,...k->...am", dC - np.swapaxes(dC, -3, -2), upper)
         dout += np.einsum("...ak,...km->...am", asym, dupper)
-    return delta, dout
+    return variation(gen, value, grad, x, metric), dout
 
 
 def _spin_coefficient_gradient(gen, metric: Metric) -> np.ndarray:
@@ -237,19 +203,19 @@ def _as_vector_generator(gen: GeneratorAction, metric: Metric) -> GeneratorActio
     return GeneratorAction(gen.kind, gen.param, gen.dim, canonical_weight(metric.dim), "vector")
 
 
-def delta_field_strength(gen: GeneratorAction, A: VectorPotential, x, metric: Metric):
+def delta_field_strength(gen: GeneratorAction, A, x, metric: Metric):
     """Variation of F induced from the potential: the curl of delta A.
 
     The potential always transforms at its canonical weight here, whatever
     weight ``gen`` carries for the field it was built for.
     """
     gen_vec = _as_vector_generator(gen, metric)
-    _, dout = delta_vector_potential_with_gradient(gen_vec, A, x, metric)
+    _, dout = delta_with_gradient(gen_vec, A, x, metric)
     return np.swapaxes(dout, -1, -2) - dout
 
 
 def delta_field_strength_gradient(
-    gen: GeneratorAction, A: VectorPotential, x, metric: Metric
+    gen: GeneratorAction, A, x, metric: Metric
 ):
     """d(delta F) from the potential route, ``[a, b, m] = d_m (delta F)_{ab}``;
     needs third derivatives of A because delta F already contains first
@@ -288,7 +254,7 @@ def delta_field_strength_gradient(
     return np.einsum("...bam->...abm", d2) - d2
 
 
-def eom_violation_conformal(A: VectorPotential, x, metric: Metric, c):
+def eom_violation_conformal(A, x, metric: Metric, c):
     """Divergence of the conformally varied field strength, contracted with c.
 
     Returns ``(lhs, rhs)`` where ``lhs^b = d_a (delta F)^{ab}`` for the
@@ -317,7 +283,7 @@ def eom_violation_conformal(A: VectorPotential, x, metric: Metric, c):
 # ---------------------------------------------------------------------------
 
 
-def lie_derivative_vector(gen: GeneratorAction, A: VectorPotential, x, metric: Metric):
+def lie_derivative_vector(gen: GeneratorAction, A, x, metric: Metric):
     """Both presentations of the Lie derivative of a covariant vector.
 
     Returns ``(direct, via_field_strength)``: the transport form
@@ -550,19 +516,19 @@ def _scalar_rule(gen, tilde, d_tilde, x, metric):
     return _mv(d_tilde, f) + _lift(2.0 * cx * gen.weight) * tilde
 
 
-def decoupled_vector_residual(A: VectorPotential, x, c, metric: Metric):
+def decoupled_vector_residual(A, x, c, metric: Metric):
     """Reflected vector transforms by the scalar rule: max-norm residual of
     I . (delta A) against f.d(I A) + 2 (c.x) weight (I A)."""
     x = metric._check(x)
     gen = special_conformal(c, spin="vector")
     jet = as_jet(A, x)
-    delta = delta_vector_potential(gen, jet, x, metric)
+    varied = delta(gen, jet, x, metric)
     imat = inversion_matrix(x, metric)
     grad_i = inversion_matrix_gradient(x, metric)
     value = jet.value
     tilde = _mv(imat, value)
     d_tilde = np.einsum("...abm,...b->...am", grad_i, value) + imat @ jet.grad
-    return _max_abs(_mv(imat, delta) - _scalar_rule(gen, tilde, d_tilde, x, metric), 1)
+    return _max_abs(_mv(imat, varied) - _scalar_rule(gen, tilde, d_tilde, x, metric), 1)
 
 
 def decoupled_spinor_residual(psi, x, c, metric: Metric, gammas: GammaSet):
@@ -572,7 +538,7 @@ def decoupled_spinor_residual(psi, x, c, metric: Metric, gammas: GammaSet):
     x = metric._check(x)
     gen = special_conformal(c, spin="spinor")
     jet = as_jet(psi, x)
-    delta = delta_spinor(gen, jet, x, metric, gammas)
+    varied = delta(gen, jet, x, metric, gammas)
     x2 = metric.norm2(x)
     _reject(x2 <= 0, x2, NonTimelikePoint, "x^2 = {} must be positive")
     slash = gamma_slash_unit(x, gammas, metric)
@@ -587,4 +553,4 @@ def decoupled_spinor_residual(psi, x, c, metric: Metric, gammas: GammaSet):
     # C order per sample, as one point's np.stack(axis=-1) gives it: the
     # layout selects the BLAS routine the product with f runs
     d_tilde = np.ascontiguousarray(np.swapaxes(columns, -1, -2))
-    return _max_abs(_mv(slash, delta) - _scalar_rule(gen, tilde, d_tilde, x, metric), 1)
+    return _max_abs(_mv(slash, varied) - _scalar_rule(gen, tilde, d_tilde, x, metric), 1)

@@ -50,9 +50,7 @@ from confsym.transforms import (
     FiniteVectorTransform,
     commutator_stack,
     decoupling_bracket_residual,
-    delta_scalar,
-    delta_spinor,
-    delta_vector_potential,
+    delta,
     finite_variation_fd,
 )
 from confsym import sampling
@@ -249,11 +247,11 @@ def test_criterion_10_finite_infinitesimal_order():
         psi = sampling.random_spinor(rng, g, gammas.size)
         cases = [
             (lambda c: FiniteScalarTransform(phi, c, d, g),
-             lambda c, x: delta_scalar(special_conformal(c), phi, x, g)),
+             lambda c, x: delta(special_conformal(c), phi, x, g)),
             (lambda c: FiniteVectorTransform(A, c, d, g),
-             lambda c, x: delta_vector_potential(special_conformal(c, spin="vector"), A, x, g)),
+             lambda c, x: delta(special_conformal(c, spin="vector"), A, x, g)),
             (lambda c: FiniteSpinorTransform(psi, c, d, g, gammas, route="compact"),
-             lambda c, x: delta_spinor(special_conformal(c, spin="spinor"), psi, x, g, gammas)),
+             lambda c, x: delta(special_conformal(c, spin="spinor"), psi, x, g, gammas)),
         ]
         for make_view, variation in cases:
             for x in sampling.timelike_points(rng, dim, 4):

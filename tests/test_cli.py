@@ -210,13 +210,13 @@ def test_audit_and_mech_sim_start_from_the_same_state(tmp_path, monkeypatch):
         "[mechanics]\nq0 = 3.0, 1.0\nt-end = 0.5\nstep = 0.01\n"
         "[suite]\nchecks = mech-charge-drift\n"
     )
-    starts, integrate_many = [], suites.integrate_many
+    starts, integrate = [], suites.integrate
 
-    def recording(states, params, t_end, step):
-        starts.extend(states)
-        return integrate_many(states, params, t_end, step)
+    def recording(state0, params, t_end, step):
+        starts.append(state0)
+        return integrate(state0, params, t_end, step)
 
-    monkeypatch.setattr(suites, "integrate_many", recording)
+    monkeypatch.setattr(suites, "integrate", recording)
     assert main(["audit", str(spec)]) == 0
     out = tmp_path / "traj.txt"
     assert main(["mech-sim", str(spec), "--out", str(out)]) == 0
@@ -286,17 +286,17 @@ def test_too_many_steps_exits_two(command, mechanics, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("spec error: t-end / step must be at most")
 
 
-def test_mech_sim_stage_on_zero_radius_writes_nan_rows(tmp_path, capsys):
-    # RK4 stage 2 of the first step lands on q = 0 exactly: the rows turn NaN
-    # and the NaN drift fails the run, without a traceback
+def test_mech_sim_stage_on_zero_radius_exits_two(tmp_path, capsys):
+    # RK4 stage 2 of the first step lands on q = 0 exactly: the stage's radius
+    # test stops the run as a singular approach, without a traceback or rows
     spec, out = tmp_path / "zero.spec", tmp_path / "traj.txt"
     spec.write_text("[model]\nkind = mechanics\ndimension = 1\n[params]\nlambda = 1.0\n"
                     "[mechanics]\nq0 = 1.0\np0 = -4.0\nt-end = 2.0\nstep = 0.5\n")
-    assert main(["mech-sim", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().out == "steps: 4  coupling: 1.0  drift H/D/K: nan nan nan\n"
-    assert out.read_text().splitlines()[1:] == ["0 1 -4 9 2 0.5"] + [
-        f"{t} nan nan nan nan nan" for t in ("0.5", "1", "1.5", "2")
-    ]
+    assert main(["mech-sim", str(spec), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: radius dropped below 1e-06 after 0 steps (t = 0.0)\n"
+    assert not out.exists()
 
 
 def test_negative_suite_seed_exits_two(tmp_path, capsys):

@@ -148,9 +148,7 @@ class TestDualStress:
 class TestDualityMismatch:
     def test_zero_pair(self, metric3):
         phi = CosineMultiplet(np.zeros(3), [0.0], 0.0, metric3)
-        from confsym.fields import CosineVectorPotential
-
-        A = CosineVectorPotential(np.zeros(3), np.zeros(3), 0.0, metric3)
+        A = CosineMultiplet(np.zeros(3), np.zeros(3), 0.0, metric3)
         npt.assert_array_equal(duality_mismatch(A, phi, np.zeros(3), metric3), 0.0)
 
     def test_matched_pair_is_dual(self, metric3, rng):

@@ -5,7 +5,6 @@ import pytest
 from confsym.errors import OffShellParameters
 from confsym.fields import (
     CosineMultiplet,
-    CosineVectorPotential,
     GaussianMultiplet,
     Jet,
     PolynomialMultiplet,
@@ -15,7 +14,7 @@ from confsym.fields import (
     make_onshell_maxwell_plane_wave,
 )
 from confsym.geometry import Metric
-from confsym import sampling
+from confsym import dual3, sampling
 
 
 class TestPlaneWaveScalar:
@@ -66,9 +65,44 @@ class TestOnShellMaxwellWave:
             )
 
 
+class TestPlaneWavePotential:
+    """A plane-wave potential is the D-component cosine multiplet of its
+    lower components, whichever constructor builds it."""
+
+    @staticmethod
+    def _potentials(g):
+        """(A, k, eps, phase) per constructor, eps with its index up; the
+        random ones are redrawn from a generator in the same state."""
+        dim = g.dim
+        rng, mirror = np.random.default_rng([dim, 1]), np.random.default_rng([dim, 1])
+        A = sampling.random_offshell_potential(rng, g)
+        yield A, mirror.normal(0.0, 0.8, dim), mirror.normal(0.0, 1.0, dim), mirror.uniform(0.0, 2.0 * np.pi)
+        A = sampling.random_onshell_potential(rng, g)
+        k = sampling.null_vector(mirror, dim, scale=mirror.uniform(0.5, 1.5))
+        eps = sampling.transverse_polarisation(mirror, k, g)
+        yield A, k, eps, mirror.uniform(0.0, 2.0 * np.pi)
+        yield make_onshell_maxwell_plane_wave(k, eps, g, 0.3), k, eps, 0.3
+        if dim == 3:
+            # the polarisation solves the duality condition (tested in
+            # test_dual3); lowering it twice is exact
+            _, A = dual3.matched_plane_wave_pair(k, 0.9, 0.4, g)
+            yield A, k, g.lower(A.amplitude), 0.4
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_value_is_the_lowered_polarisation_times_the_cosine(self, dim):
+        g = Metric(dim)
+        xs = sampling.points(np.random.default_rng(dim), dim, 7)
+        for A, k, eps, phase in self._potentials(g):
+            assert A.dim == A.n_comp == dim
+            rows = [g.lower(eps) * np.cos(float(x @ g.lower(k)) + phase) for x in xs]
+            for x, row in zip(xs, rows):
+                assert A.value(x).tobytes() == row.tobytes()
+            assert A.value(xs).tobytes() == np.array(rows).tobytes()
+
+
 class TestFieldStrength:
     def test_constant_potential_gives_zero(self, metric4, rng):
-        A = CosineVectorPotential(np.zeros(4), np.array([0.3, 1, 0, 0]), 0.0, metric4)
+        A = CosineMultiplet(np.zeros(4), metric4.lower([0.3, 1, 0, 0]), 0.0, metric4)
         fs = Jet(A, rng.normal(size=4))
         assert np.all(fs.F == 0)
         assert np.all(fs.dF == 0)
@@ -76,7 +110,7 @@ class TestFieldStrength:
     def test_linear_potential_hand_values(self, metric4):
         # A_1 = sin(x^0), linear in x^0 at x^0 = 0: F_{01} = 1, F_{10} = -1,
         # everything else zero
-        A = CosineVectorPotential([1.0, 0, 0, 0], [0.0, -1, 0, 0], -np.pi / 2, metric4)
+        A = CosineMultiplet([1.0, 0, 0, 0], metric4.lower([0.0, -1, 0, 0]), -np.pi / 2, metric4)
         fs = Jet(A, np.array([0.0, -0.2, 0.5, 0.1]))
         expected = np.zeros((4, 4))
         expected[0, 1] = 1.0
@@ -87,7 +121,7 @@ class TestFieldStrength:
         # F_{ab} = -(k_a eps_b - k_b eps_a) sin(k.x + phase)
         k = rng.normal(size=4)
         eps = rng.normal(size=4)
-        A = CosineVectorPotential(k, eps, 0.4, metric4)
+        A = CosineMultiplet(k, metric4.lower(eps), 0.4, metric4)
         kl, el = metric4.lower(k), metric4.lower(eps)
         wedge = np.outer(kl, el) - np.outer(el, kl)
         for x in sampling.points(rng, 4, 10):

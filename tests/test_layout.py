@@ -8,6 +8,8 @@ No function or method is a stub whose body only raises NotImplementedError:
 every field family defines the evaluators it has.  No check loops over its
 drawn samples: each kernel takes the whole sample array in one call.  No
 rejection loop of ``sampling`` draws one try per pass: the tries come in blocks.
+How a field transforms is decided by the generator's spin tag in one place,
+and every fixture class of ``fields`` is a field, not a nominal base class.
 """
 
 import ast
@@ -207,3 +209,50 @@ def test_no_sampler_draws_one_try_per_loop_pass():
     }
     assert sorted(looping - set(PER_TRY_SAMPLERS)) == [], "draw the tries in blocks with sampling._accepted"
     assert sorted(set(PER_TRY_SAMPLERS) - looping) == [], "these no longer loop; drop them from PER_TRY_SAMPLERS"
+
+
+# The functions that read a spin tag: the tag's own check, the spin matrix
+# action of each representation, and the one variation that has an analytic
+# gradient only for some representations.
+SPIN_READERS = {"GeneratorAction.__post_init__", "_spin_action", "delta_with_gradient"}
+
+
+def _spin_compares(tree):
+    """Qualified names of the functions that compare a ``.spin`` attribute
+    or a ``spin`` variable with anything."""
+    found = set()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Compare) and any(
+            (isinstance(side, ast.Attribute) and side.attr == "spin")
+            or (isinstance(side, ast.Name) and side.id == "spin")
+            for side in [node.left, *node.comparators]
+        ):
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_only_the_spin_readers_compare_a_spin_tag():
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        readers |= _spin_compares(ast.parse(path.read_text()))
+    assert sorted(readers - SPIN_READERS) == [], "vary fields through transforms.delta; the tag decides"
+    assert sorted(SPIN_READERS - readers) == [], "these no longer read the tag; drop them from SPIN_READERS"
+
+
+def test_every_fixture_class_is_a_field():
+    # a class that defines no value is a nominal type no kernel reads
+    tree = ast.parse((SRC / "fields.py").read_text())
+    nominal = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name != "Jet"
+        and not any(isinstance(sub, ast.FunctionDef) and sub.name == "value" for sub in node.body)
+    ]
+    assert nominal == [], "a fixture class defines value; a potential is a multiplet"

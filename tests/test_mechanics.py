@@ -19,10 +19,9 @@ from confsym.mechanics import (
     hamiltonian,
     initial_state,
     integrate,
-    integrate_many,
     so21_bracket_residuals,
 )
-from confsym.transforms import delta_scalar
+from confsym.transforms import delta
 from confsym import mechanics, sampling
 
 
@@ -162,15 +161,17 @@ class TestIntegrator:
         npt.assert_allclose(traj.q[-1, 0], q0 + v * traj.times[-1], atol=1e-10)
 
 
-def _serial(states, params, t_end, step):
-    return [integrate(s, p, t_end, step) for s, p in zip(states, params)]
-
-
-def _same_bits(a, b):
-    return all(
-        x.tobytes() == y.tobytes() and x.shape == y.shape
-        for x, y in ((a.times, b.times), (a.q, b.q), (a.p, b.p))
-    )
+def _assert_oracle_bits(traj, state, params, t_end, step):
+    """``traj`` has the times, the rows and the params of the numpy RK4 step
+    from ``state``, bit for bit."""
+    nsteps = int(round((t_end - state.t) / step))
+    qs = np.empty((nsteps + 1, state.q.shape[0]))
+    ps = np.empty_like(qs)
+    assert _numpy_rk4(state.q, state.p, params.coupling, step, nsteps, qs, ps, mechanics.MIN_RADIUS) == nsteps
+    times = state.t + step * np.arange(nsteps + 1)
+    for got, want in ((traj.times, times), (traj.q, qs), (traj.p, ps)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert traj.params == params
 
 
 def _raised(fn):
@@ -183,82 +184,48 @@ class TestEnsemble:
     @pytest.mark.parametrize("couplings", [(0.0, 0.5, 2.0), (0.7,), (0.0,)])
     def test_grid_matches_serial_bit_for_bit(self, couplings):
         # the mech-charge-drift grid: free and repulsive members of 1 to 3 components
-        grid = [(lam, n) for lam in couplings for n in (1, 2, 3)]
-        states = [initial_state({}, n) for _, n in grid]
-        params = [MechParams(n, lam) for lam, n in grid]
-        many = integrate_many(states, params, 2.0, 1e-3)
-        serial = _serial(states, params, 2.0, 1e-3)
-        for a, b in zip(many, serial):
-            assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
-            assert _same_bits(a, b)
-            assert a.params == b.params
+        for lam in couplings:
+            for n in (1, 2, 3):
+                state, params = initial_state({}, n), MechParams(n, lam)
+                _assert_oracle_bits(integrate(state, params, 2.0, 1e-3), state, params, 2.0, 1e-3)
 
     def test_signed_zero_and_wide_states_keep_their_bits(self):
         # free member at rest at q < 0 with p = -0.0: its run adds +0.0 forces and
         # reaches p = +0.0; a force formed as 0 * q = -0.0 would keep p = -0.0
-        states = [MechState.make(0.0, [-1.0, -0.0], [-0.0, 0.5]), MechState.make(0.0, [2.0], [-0.0])]
-        params = [MechParams(2, 0.0), MechParams(1, 1.0)]
-        for a, b in zip(integrate_many(states, params, 1.0, 0.01), _serial(states, params, 1.0, 0.01)):
-            assert _same_bits(a, b)
+        members = [(MechState.make(0.0, [-1.0, -0.0], [-0.0, 0.5]), MechParams(2, 0.0)),
+                   (MechState.make(0.0, [2.0], [-0.0]), MechParams(1, 1.0))]
         # nine components: numpy sums them pairwise, not left to right
-        wide = [MechState.make(0.0, np.linspace(1.0, 2.0, 9) * k, np.full(9, 0.1)) for k in (1, 2)]
-        wide_params = [MechParams(9, 0.7), MechParams(9, 0.3)]
-        for a, b in zip(integrate_many(wide, wide_params, 1.0, 0.01), _serial(wide, wide_params, 1.0, 0.01)):
-            assert _same_bits(a, b)
+        members += [(MechState.make(0.0, np.linspace(1.0, 2.0, 9) * k, np.full(9, 0.1)), MechParams(9, lam))
+                    for k, lam in ((1, 0.7), (2, 0.3))]
+        for state, params in members:
+            _assert_oracle_bits(integrate(state, params, 1.0, 0.01), state, params, 1.0, 0.01)
 
     def test_free_member_through_the_origin(self):
         # q = -1 + t reaches q = 0 exactly at t = 1 (step 0.25), where the
         # force 2 lam q / (q.q)^2 of a repulsive member would read 0 / 0
-        states = [MechState.make(0.0, [-1.0], [1.0]), initial_state({}, 2), MechState.make(0.0, [3.0], [-1.0])]
-        params = [MechParams(1, 0.0), MechParams(2, 0.5), MechParams(1, 1.0)]
+        members = [(MechState.make(0.0, [-1.0], [1.0]), MechParams(1, 0.0)),
+                   (initial_state({}, 2), MechParams(2, 0.5)),
+                   (MechState.make(0.0, [3.0], [-1.0]), MechParams(1, 1.0))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            many = integrate_many(states, params, 2.0, 0.25)
-        assert many[0].q[4, 0] == 0.0
-        assert all(np.all(np.isfinite(t.q)) and np.all(np.isfinite(t.p)) for t in many)
-        for a, b in zip(many, _serial(states, params, 2.0, 0.25)):
-            assert _same_bits(a, b)
+            trajs = [integrate(state, params, 2.0, 0.25) for state, params in members]
+        assert trajs[0].q[4, 0] == 0.0
+        assert all(np.all(np.isfinite(t.q)) and np.all(np.isfinite(t.p)) for t in trajs)
+        for traj, (state, params) in zip(trajs, members):
+            _assert_oracle_bits(traj, state, params, 2.0, 0.25)
 
     def test_singular_approach_is_the_kernels_first_stop(self):
-        # member 2 dips inside the radius after 10 steps, member 1 after 40;
-        # the stop raised is the one with the fewest completed steps
-        states = [
-            initial_state({}, 2),
-            MechState.make(0.0, [0.02], [-5.0]),
-            MechState.make(0.0, [0.005], [-5.0]),
-        ]
-        params = [MechParams(2, 0.0), MechParams(1, 1e-13), MechParams(1, 1e-13)]
-        first_stop = _raised(lambda: integrate(states[2], params[2], 1.0, 1e-4))
-        assert first_stop == (SingularApproach, "radius dropped below 1e-06 after 10 steps (t = 0.001)")
-        assert _raised(lambda: integrate_many(states, params, 1.0, 1e-4)) == first_stop
-
-    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_singular_start_is_raised_before_any_member_runs(self, order, monkeypatch):
-        # the first member of the pair would come inside the radius after 40
-        # steps; the second starts inside it
-        pair = [(MechState.make(0.0, [0.02], [-5.0]), MechParams(1, 1e-13)),
-                (MechState.make(0.0, [1e-8], [0.0]), MechParams(1, 1.0))]
-        states, params = zip(*[pair[i] for i in order])
-        calls, kernel = [], mechanics._rk4_core
-        monkeypatch.setattr(mechanics, "_rk4_core", lambda *args: calls.append(args) or kernel(*args))
-        raised = _raised(lambda: integrate_many(states, params, 1.0, 1e-4))
-        assert raised == (SingularConfiguration, "initial point is inside the singular radius")
-        assert calls == []
-
-    def test_lone_member_and_empty_ensemble(self):
-        state, params = initial_state({}, 3), MechParams(3, 0.5)
-        (one,) = integrate_many([state], [params], 1.0, 1e-2)
-        assert _same_bits(one, integrate(state, params, 1.0, 1e-2))
-        assert integrate_many([], [], 1.0, 1e-2) == []
-
-    def test_rejects_mismatched_members(self):
-        with pytest.raises(ValueError):
-            integrate_many([initial_state({}, 1)], [], 1.0, 0.1)
-        with pytest.raises(ValueError):
-            integrate_many(
-                [initial_state({}, 1), MechState.make(0.5, [1.0], [0.0])],
-                [MechParams(1, 0.0), MechParams(1, 0.0)], 1.0, 0.1,
-            )
+        # each trajectory reports the steps it completed before a stage came
+        # inside the radius, as the numpy step counts them: the last stage of
+        # step 40 dips inside from q0 = 0.02, of step 10 from q0 = 0.005
+        stops = []
+        for q0 in (0.02, 0.005):
+            qs = np.empty((10_001, 1))
+            done = _numpy_rk4(np.array([q0]), np.array([-5.0]), 1e-13, 1e-4, 10_000, qs, np.empty_like(qs), 1e-6)
+            raised = _raised(lambda: integrate(MechState.make(0.0, [q0], [-5.0]), MechParams(1, 1e-13), 1.0, 1e-4))
+            assert raised == (SingularApproach, f"radius dropped below 1e-06 after {done} steps (t = {done * 1e-4})")
+            stops.append(done)
+        assert stops == [39, 9]
 
 
 def _numpy_rk4(q0, p0, lam, dt, nsteps, qs, ps, min_radius):
@@ -284,16 +251,22 @@ def _numpy_rk4(q0, p0, lam, dt, nsteps, qs, ps, min_radius):
         p2 = p + half * a1
         if repulsive:
             r2 = np.add.reduce(q2 * q2, 0)
+            if bool(np.sqrt(r2) < min_radius):
+                return i
             a2 = (two_lam / (r2 * r2)) * q2
         q3 = q + half * p2
         p3 = p + half * a2
         if repulsive:
             r2 = np.add.reduce(q3 * q3, 0)
+            if bool(np.sqrt(r2) < min_radius):
+                return i
             a3 = (two_lam / (r2 * r2)) * q3
         q4 = q + dt * p3
         p4 = p + dt * a3
         if repulsive:
             r2 = np.add.reduce(q4 * q4, 0)
+            if bool(np.sqrt(r2) < min_radius):
+                return i
             a4 = (two_lam / (r2 * r2)) * q4
         q = np.add(q, sixth * (p + 2.0 * p2 + 2.0 * p3 + p4), out=qs[i + 1])
         p = np.add(p, sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4), out=ps[i + 1])
@@ -330,18 +303,18 @@ class TestKernelOracle:
         _assert_kernel_matches_numpy([2.0], [-0.0], 1.0, 0.01, 100)
 
     def test_early_stop(self):
+        # step 10 ends on q = 0 to rounding; its last stage lands there first
         done, q, _ = _assert_kernel_matches_numpy([0.005], [-5.0], 1e-13, 1e-4, 10_000)
-        assert done == 10 and q.shape == (11, 1)
+        assert done == 9 and q.shape == (10, 1)
 
-    def test_stage_on_zero_radius_gives_nan_rows(self):
+    def test_stage_on_zero_radius_stops(self):
         # stage 1 passes the radius test at q = 1; stage 2 lands on q = 0
-        # exactly, where the force factor 2 lam / (q.q)^2 is inf and inf * 0 NaN
+        # exactly, where the force 2 lam q / (q.q)^2 would read 0 / 0: the
+        # stage's radius test stops the run before it, with no step completed
         done, q, p = _assert_kernel_matches_numpy([1.0], [-4.0], 1.0, 0.5, 4)
-        assert done == 4 and np.isnan(q[1:]).all() and np.isnan(p[1:]).all()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            traj = integrate(MechState.make(0.0, [1.0], [-4.0]), MechParams(1, 1.0), 2.0, 0.5)
-        assert np.isnan(traj.charge_drift()).all()
+        assert done == 0 and q.tolist() == [[1.0]] and p.tolist() == [[-4.0]]
+        with pytest.raises(SingularApproach, match=r"after 0 steps \(t = 0.0\)"):
+            integrate(MechState.make(0.0, [1.0], [-4.0]), MechParams(1, 1.0), 2.0, 0.5)
 
     def test_r2_source_sums_in_numpys_order(self):
         rng = np.random.default_rng(7)
@@ -404,8 +377,8 @@ class TestDimensionalReduction:
             x = np.array([t])
             state = MechState.make(t, poly.value(x), poly.grad(x)[:, 0])
             npt.assert_allclose(
-                delta_scalar(gen_scale, poly, x, one), delta_scale_q(state), atol=1e-12
+                delta(gen_scale, poly, x, one), delta_scale_q(state), atol=1e-12
             )
             npt.assert_allclose(
-                delta_scalar(gen_conf, poly, x, one), delta_conformal_q(state), atol=1e-12
+                delta(gen_conf, poly, x, one), delta_conformal_q(state), atol=1e-12
             )

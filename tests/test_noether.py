@@ -7,7 +7,6 @@ import pytest
 from confsym.errors import ConfsymError, FieldDomainError
 from confsym.fields import (
     CosineMultiplet,
-    CosineVectorPotential,
     GaussianMultiplet,
     Jet,
     fd_gradient,
@@ -56,11 +55,10 @@ from confsym.transforms import (
     commutator_stack,
     delta_field_strength,
     delta_field_strength_gradient,
-    delta_field_strength_primary,
-    delta_scalar_with_gradient,
-    delta_vector_potential_with_gradient,
+    delta_with_gradient,
     eom_violation_conformal,
     lie_derivative_vector,
+    variation,
 )
 from confsym import dual3, sampling
 from confsym.suites import CheckReport
@@ -73,7 +71,7 @@ def _f_squared(F, metric):
 
 class TestLagrangianValues:
     def test_maxwell_constant_potential(self, metric4, rng):
-        A = CosineVectorPotential(np.zeros(4), rng.normal(size=4), 0.0, metric4)
+        A = CosineMultiplet(np.zeros(4), metric4.lower(rng.normal(size=4)), 0.0, metric4)
         assert lagrangian(MaxwellModel(4), A, rng.normal(size=4), metric4)[0] == 0.0
 
     def test_dual_scalar_closed_form(self, metric3, rng):
@@ -153,7 +151,7 @@ class TestModelConjugates:
 
 class TestMaxwellStress:
     def test_vanishes_for_zero_field(self, metric4, rng):
-        A = CosineVectorPotential(np.zeros(4), rng.normal(size=4), 0.0, metric4)
+        A = CosineMultiplet(np.zeros(4), metric4.lower(rng.normal(size=4)), 0.0, metric4)
         npt.assert_array_equal(maxwell_stress(A, rng.normal(size=4), metric4), 0.0)
 
     def test_trace_law(self, metric, rng):
@@ -600,12 +598,12 @@ class TestSampleAxis:
             if isinstance(model, MaxwellModel):
                 check(lambda x, c, s: action_variation_identity("conformal-assumed-primary", model, off, x, g, s))
                 check(lambda x, c, s: (Jet(off, x).F, Jet(off, x).dF))
-                check(lambda x, c, s: delta_field_strength_primary(
+                check(lambda x, c, s: variation(
                     special_conformal(c, weight=0.5 * dim, spin="field-strength"),
                     Jet(off, x).F, Jet(off, x).dF, x, g))
                 check(lambda x, c, s: maxwell_virial_first_principles(off, x, g))
                 for gen in (lambda c: special_conformal(c, spin="vector"), lambda c: dilation(0.7, dim, spin="vector")):
-                    check(lambda x, c, s: delta_vector_potential_with_gradient(gen(c), off, x, g))
+                    check(lambda x, c, s: delta_with_gradient(gen(c), off, x, g))
                 for kernel in (maxwell_stress, maxwell_stress_divergence, maxwell_stress_trace,
                                scale_current_maxwell, scale_current_maxwell_divergence,
                                noether_scale_current_maxwell_divergence):
@@ -625,7 +623,7 @@ class TestSampleAxis:
             check(lambda x, c, s: offshell_trace_law(off, x, g, 0.7))
             if model.linear_part is not None:
                 check(lambda x, c, s: field_virial(model, off, x, g).potential(x))
-            check(lambda x, c, s: delta_scalar_with_gradient(sigma_basis_conformal(s, g, 0.5, "scalar"), off, x, g))
+            check(lambda x, c, s: delta_with_gradient(sigma_basis_conformal(s, g, 0.5, "scalar"), off, x, g))
             check(lambda x, c, s: commutator_stack(off, x, g))
             if isinstance(model, DualScalarModel):
                 A = sampling.random_offshell_potential(rng, g)

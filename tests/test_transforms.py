@@ -8,7 +8,6 @@ from confsym.clifford import build_gammas, gamma_slash_unit
 from confsym.errors import SingularMap
 from confsym.fields import (
     CosineMultiplet,
-    CosineVectorPotential,
     Jet,
     PolynomialMultiplet,
     ShiftedPotential,
@@ -37,18 +36,15 @@ from confsym.transforms import (
     decoupled_vector_residual,
     decoupling_bracket_residual,
     decoupling_bracket_with,
+    delta,
     delta_field_strength,
-    delta_field_strength_primary,
     delta_field_strength_gradient,
-    delta_scalar,
-    delta_scalar_with_gradient,
-    delta_spinor,
-    delta_vector_potential,
-    delta_vector_potential_with_gradient,
+    delta_with_gradient,
     eom_violation_conformal,
     finite_variation_fd,
     lie_derivative_vector,
     spin_coefficient,
+    variation,
     vector_spin_term,
 )
 from confsym import sampling
@@ -60,7 +56,7 @@ class TestDeltaScalar:
         gen = dilation(1.0, metric.dim)
         x = rng.normal(size=metric.dim)
         npt.assert_allclose(
-            delta_scalar(gen, f, x, metric),
+            delta(gen, f, x, metric),
             canonical_weight(metric.dim) * f.value(x),
             atol=1e-14,
         )
@@ -74,41 +70,42 @@ class TestDeltaScalar:
         for x in sampling.points(rng, 4, 5):
             phase = metric4.dot(k, x) + 0.2
             expected = -metric4.dot(a, k) * 1.3 * np.sin(phase)
-            npt.assert_allclose(delta_scalar(gen, f, x, metric4), [expected], atol=1e-12)
+            npt.assert_allclose(delta(gen, f, x, metric4), [expected], atol=1e-12)
 
     def test_conformal_vanishes_at_origin(self, metric, rng):
         f = sampling.random_plane_wave_multiplet(rng, metric, 2)
         gen = special_conformal(rng.normal(size=metric.dim))
         npt.assert_allclose(
-            delta_scalar(gen, f, np.zeros(metric.dim), metric), 0.0, atol=1e-14
+            delta(gen, f, np.zeros(metric.dim), metric), 0.0, atol=1e-14
         )
 
     def test_tag_mismatch_rejected(self, metric4, rng):
-        f = sampling.random_plane_wave_multiplet(rng, metric4, 1)
-        gen = special_conformal(np.ones(4), spin="vector")
-        with pytest.raises(ValueError):
-            delta_scalar(gen, f, np.zeros(4), metric4)
+        # the analytic gradient has a rule for scalar and vector tags only
+        f = sampling.random_plane_wave_multiplet(rng, metric4, 4)
+        for spin in ("spinor", "field-strength"):
+            with pytest.raises(ValueError):
+                delta_with_gradient(special_conformal(np.ones(4), spin=spin), f, np.zeros(4), metric4)
 
     def test_gradient_helper_matches_fd(self, metric4, rng):
         f = sampling.random_plane_wave_multiplet(rng, metric4, 2)
         gen = special_conformal(rng.normal(0, 0.3, 4))
         x = rng.normal(size=4)
-        _, dout = delta_scalar_with_gradient(gen, f, x, metric4)
+        _, dout = delta_with_gradient(gen, f, x, metric4)
         from confsym.fields import fd_gradient
 
-        fd = fd_gradient(lambda y: delta_scalar(gen, f, y, metric4), x, 1e-5)
+        fd = fd_gradient(lambda y: delta(gen, f, y, metric4), x, 1e-5)
         npt.assert_allclose(dout, fd, atol=1e-6)
 
 
 class TestDeltaVector:
     def test_dilation_on_constant_potential(self, metric, rng):
-        A = CosineVectorPotential(
-            np.zeros(metric.dim), rng.normal(size=metric.dim), 0.0, metric
+        A = CosineMultiplet(
+            np.zeros(metric.dim), metric.lower(rng.normal(size=metric.dim)), 0.0, metric
         )
         gen = dilation(1.0, metric.dim, spin="vector")
         x = rng.normal(size=metric.dim)
         npt.assert_allclose(
-            delta_vector_potential(gen, A, x, metric),
+            delta(gen, A, x, metric),
             canonical_weight(metric.dim) * A.value(x),
             atol=1e-14,
         )
@@ -117,7 +114,7 @@ class TestDeltaVector:
         A = sampling.random_offshell_potential(rng, metric)
         gen = special_conformal(rng.normal(size=metric.dim), spin="vector")
         npt.assert_allclose(
-            delta_vector_potential(gen, A, np.zeros(metric.dim), metric),
+            delta(gen, A, np.zeros(metric.dim), metric),
             0.0,
             atol=1e-14,
         )
@@ -129,7 +126,7 @@ class TestDeltaVector:
         c = rng.normal(0, 0.3, 4)
         gen = special_conformal(c, spin="vector")
         for x in sampling.timelike_points(rng, 4, 5):
-            target = delta_vector_potential(gen, A, x, metric4)
+            target = delta(gen, A, x, metric4)
             factory = lambda t: FiniteVectorTransform(A, t * c, d, metric4)
             coarse = finite_variation_fd(factory, x, 2e-2)
             fine = finite_variation_fd(factory, x, 1e-2)
@@ -140,10 +137,10 @@ class TestDeltaVector:
         A = sampling.random_offshell_potential(rng, metric4)
         gen = special_conformal(rng.normal(0, 0.3, 4), spin="vector")
         x = rng.normal(size=4)
-        _, dout = delta_vector_potential_with_gradient(gen, A, x, metric4)
+        _, dout = delta_with_gradient(gen, A, x, metric4)
         from confsym.fields import fd_gradient
 
-        fd = fd_gradient(lambda y: delta_vector_potential(gen, A, y, metric4), x, 1e-5)
+        fd = fd_gradient(lambda y: delta(gen, A, y, metric4), x, 1e-5)
         npt.assert_allclose(dout, fd, atol=1e-6)
 
 
@@ -157,7 +154,7 @@ class TestDeltaFieldStrength:
         for x in sampling.points(rng, 4, 6):
             induced = delta_field_strength(gen, A, x, g)
             fs = Jet(A, x)
-            primary = delta_field_strength_primary(gen_f, fs.F, fs.dF, x, g)
+            primary = variation(gen_f, fs.F, fs.dF, x, g)
             npt.assert_allclose(induced, primary, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [3, 5, 6])
@@ -170,7 +167,7 @@ class TestDeltaFieldStrength:
         for x in sampling.points(rng, dim, 6):
             induced = delta_field_strength(gen, A, x, g)
             fs = Jet(A, x)
-            primary = delta_field_strength_primary(gen_f, fs.F, fs.dF, x, g)
+            primary = variation(gen_f, fs.F, fs.dF, x, g)
             cl = g.lower(c)
             val = A.value(x)
             expected = (dim - 4.0) * (np.outer(cl, val) - np.outer(cl, val).T)
@@ -182,7 +179,7 @@ class TestDeltaFieldStrength:
         gen = dilation(1.0, metric.dim, weight=metric.dim / 2.0, spin="field-strength")
         for x in sampling.points(rng, metric.dim, 5):
             fs = Jet(A, x)
-            via_primary = delta_field_strength_primary(gen, fs.F, fs.dF, x, metric)
+            via_primary = variation(gen, fs.F, fs.dF, x, metric)
             expected = np.einsum("abm,m->ab", fs.dF, x) + 0.5 * metric.dim * fs.F
             npt.assert_allclose(via_primary, expected, atol=1e-12)
             # the induced variation agrees: dilations never mix in the potential
@@ -219,7 +216,7 @@ class TestEomViolation:
             npt.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_constant_potential_gives_zero(self, metric, rng):
-        A = CosineVectorPotential(np.zeros(metric.dim), rng.normal(size=metric.dim), 0.0, metric)
+        A = CosineMultiplet(np.zeros(metric.dim), metric.lower(rng.normal(size=metric.dim)), 0.0, metric)
         lhs, rhs = eom_violation_conformal(
             A, rng.normal(size=metric.dim), metric, np.ones(metric.dim)
         )
@@ -259,14 +256,14 @@ class TestLieDerivative:
         for x in sampling.points(rng, dim, 5):
             for gen in gens:
                 lie, _ = lie_derivative_vector(gen, A, x, metric)
-                delta = delta_vector_potential(gen, A, x, metric)
+                varied = delta(gen, A, x, metric)
                 shift = (
                     (dim - 4.0)
                     / (2.0 * dim)
                     * killing_divergence(gen, x, metric)
                     * A.value(x)
                 )
-                npt.assert_allclose(delta - lie, shift, atol=1e-12)
+                npt.assert_allclose(varied - lie, shift, atol=1e-12)
 
     def test_gauge_response(self, metric, rng):
         # the delta-minus-Lie piece shifts by its weight factor times dOmega,
@@ -280,11 +277,11 @@ class TestLieDerivative:
             div = killing_divergence(gen, x, metric)
             d_om = om.grad(x)[0]
             diff_base = (
-                delta_vector_potential(gen, A, x, metric)
+                delta(gen, A, x, metric)
                 - lie_derivative_vector(gen, A, x, metric)[0]
             )
             diff_shifted = (
-                delta_vector_potential(gen, shifted, x, metric)
+                delta(gen, shifted, x, metric)
                 - lie_derivative_vector(gen, shifted, x, metric)[0]
             )
             npt.assert_allclose(
@@ -380,7 +377,7 @@ class TestFiniteScalar:
         c = rng.normal(0, 0.4, 4)
         gen = special_conformal(c)
         for x in sampling.timelike_points(rng, 4, 4):
-            target = delta_scalar(gen, f, x, metric4)
+            target = delta(gen, f, x, metric4)
             errs = []
             for eps in (1e-2, 1e-3):
                 est = finite_variation_fd(
@@ -431,7 +428,7 @@ class TestFiniteVector:
         c = rng.normal(0, 0.4, 4)
         gen = special_conformal(c, spin="vector")
         for x in sampling.timelike_points(rng, 4, 4):
-            target = delta_vector_potential(gen, A, x, metric4)
+            target = delta(gen, A, x, metric4)
             errs = []
             for eps in (1e-2, 1e-3):
                 est = finite_variation_fd(
@@ -474,7 +471,7 @@ class TestFiniteSpinor:
         c = rng.normal(0, 0.3, 4)
         gen = special_conformal(c, spin="spinor")
         for x in sampling.timelike_points(rng, 4, 4):
-            target = delta_spinor(gen, psi, x, metric4, gammas)
+            target = delta(gen, psi, x, metric4, gammas)
             errs = []
             for eps in (1e-2, 1e-3):
                 est = finite_variation_fd(
@@ -557,15 +554,15 @@ class TestSampleAxis:
             stack = special_conformal(cs, spin=spin)
             same_bits(spin_coefficient(stack, xs, g),
                       [spin_coefficient(special_conformal(c, spin=spin), x, g) for x, c in pairs])
-        same_bits(delta_vector_potential(special_conformal(cs, spin="vector"), A, xs, g),
-                  [delta_vector_potential(special_conformal(c, spin="vector"), A, x, g) for x, c in pairs])
+        same_bits(delta(special_conformal(cs, spin="vector"), A, xs, g),
+                  [delta(special_conformal(c, spin="vector"), A, x, g) for x, c in pairs])
         for gen in basis_generators(dim):
             vec, spinor = replace(gen, spin="vector"), replace(gen, spin="spinor")
-            same_bits(delta_vector_potential(vec, A, xs, g), [delta_vector_potential(vec, A, x, g) for x in xs])
-            same_bits(delta_spinor(spinor, psi, xs, g, gammas), [delta_spinor(spinor, psi, x, g, gammas) for x in xs])
-        batch = delta_spinor(special_conformal(cs, spin="spinor"), psi, xs, g, gammas)
+            same_bits(delta(vec, A, xs, g), [delta(vec, A, x, g) for x in xs])
+            same_bits(delta(spinor, psi, xs, g, gammas), [delta(spinor, psi, x, g, gammas) for x in xs])
+        batch = delta(special_conformal(cs, spin="spinor"), psi, xs, g, gammas)
         assert batch.dtype == complex
-        same_bits(batch, [delta_spinor(special_conformal(c, spin="spinor"), psi, x, g, gammas) for x, c in pairs])
+        same_bits(batch, [delta(special_conformal(c, spin="spinor"), psi, x, g, gammas) for x, c in pairs])
         same_bits(vector_spin_term(cs, xs, g), [vector_spin_term(c, x, g) for x, c in pairs])
         same_bits(decoupling_bracket_residual(xs, cs, g),
                   [decoupling_bracket_residual(x, c, g) for x, c in pairs])
@@ -581,6 +578,22 @@ class TestSampleAxis:
             for make in [scalar] + self._finite_transforms(A, psi, g, gammas, weight):
                 same_bits(make(cs).value(xs), [make(c).value(x) for x, c in pairs])
         assert make(cs).value(xs).dtype == complex
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_gradient_route_keeps_the_variation(self, dim):
+        # delta_with_gradient takes its delta from variation, so on stacks it
+        # gives delta's bits for every scalar and vector generator
+        g, rng, xs, cs = self._case(dim, 33)
+        fields = {"scalar": sampling.random_polynomial_multiplet(rng, dim, 2),
+                  "vector": sampling.random_offshell_potential(rng, g)}
+        for spin, field in fields.items():
+            gens = [special_conformal(cs, spin=spin)] + [replace(gen, spin=spin) for gen in basis_generators(dim)]
+            for gen in gens:
+                varied, _ = delta_with_gradient(gen, Jet(field, xs), xs, g)
+                assert varied.tobytes() == delta(gen, field, xs, g).tobytes()
+        psi = sampling.random_spinor(rng, g, build_gammas(dim).size)
+        with pytest.raises(ValueError):
+            delta_with_gradient(special_conformal(cs, spin="spinor"), psi, xs, g)
 
     @staticmethod
     def _finite_transforms(A, psi, g, gammas, weight=1.0):
@@ -666,17 +679,17 @@ def _scalar_rule_per_point(tilde, d_tilde, x, c, g, weight):
 
 def _vector_residual_per_point(A, x, c, g):
     gen = special_conformal(c, spin="vector")
-    delta = delta_vector_potential(gen, A, x, g)
+    varied = delta(gen, A, x, g)
     imat, grad_i = _inversion_per_point(x, g)
     value = A.value(x)
     d_tilde = np.einsum("abm,b->am", grad_i, value) + imat @ A.grad(x)
     rule = _scalar_rule_per_point(imat @ value, d_tilde, x, c, g, gen.weight)
-    return float(np.max(np.abs(imat @ delta - rule)))
+    return float(np.max(np.abs(imat @ varied - rule)))
 
 
 def _spinor_residual_per_point(psi, x, c, g, gammas):
     gen = special_conformal(c, spin="spinor")
-    delta = delta_spinor(gen, psi, x, g, gammas)
+    varied = delta(gen, psi, x, g, gammas)
     x2 = g.norm2(x)
     slash = gammas.slash_lower(g.lower(x) / np.sqrt(x2))
     value, grad = psi.value(x), psi.grad(x)
@@ -686,7 +699,7 @@ def _spinor_residual_per_point(psi, x, c, g, gammas):
         axis=-1,
     )
     rule = _scalar_rule_per_point(slash @ value, d_tilde, x, c, g, gen.weight)
-    return float(np.max(np.abs(slash @ delta - rule)))
+    return float(np.max(np.abs(slash @ varied - rule)))
 
 
 def _finite_vector_per_point(A, c, weight, g, route, y):
