@@ -44,12 +44,8 @@ from .geometry import (
     translation,
 )
 
-try:
-    from importlib.metadata import version as _pkg_version
-
-    __version__ = _pkg_version("confsym")
-except Exception:  # pragma: no cover
-    __version__ = "0.1.0"
+# the one home of the version: pyproject.toml reads it from here
+__version__ = "0.1.0"
 
 __all__ = [
     "ConfsymError",

@@ -11,6 +11,8 @@ over the samples.  A single vector gives the array or float it always gave.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonTimelikePoint, UnsupportedDimension
@@ -65,12 +67,14 @@ class GammaSet:
         return out
 
 
+@cache
 def build_gammas(dim: int) -> GammaSet:
     """Recursive tensor-product construction of a gamma set for 2 <= D <= 6.
 
     Starting from the two-dimensional pair, odd dimensions append the
     normalised product of all matrices so far, and even dimensions tensor the
-    set up one Pauli level.  Matrix size is 2^floor(D/2).
+    set up one Pauli level.  Matrix size is 2^floor(D/2).  The set is built
+    once per dimension and then shared: its arrays are read-only.
     """
     if not MIN_DIM <= dim <= MAX_DIM:
         raise UnsupportedDimension(f"gamma sets support {MIN_DIM} <= D <= {MAX_DIM}")

@@ -336,26 +336,23 @@ def as_jet(field, x) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def fd_oracle(func, x, direction: int, step: float):
-    """Central difference (f(x + h e_mu) - f(x - h e_mu)) / 2h.
+def fd_gradient(func, x, step: float):
+    """Central differences (f(x + h e_mu) - f(x - h e_mu)) / 2h over every
+    direction mu, derivative axis last.
 
     Exact for polynomials of degree <= 2 in the stepped coordinate; the
     independent check against every analytic derivative in this module.
+    ``func`` is called once, on the stack of stepped points of shape
+    ``(D, 2, ..., D)``: direction-major and + before -, the order in which a
+    loop over directions would step them.  So ``func`` takes points
+    ``(..., D)``, and parameters it holds per sample of ``x`` broadcast
+    against the stack's trailing sample axes.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
-    e = np.zeros(x.shape[-1])
-    e[direction] = step
-    plus = np.asarray(func(x + e))
-    minus = np.asarray(func(x - e))
-    return (plus - minus) / (2.0 * step)
-
-
-def fd_gradient(func, x, step: float):
-    """Stack :func:`fd_oracle` over all directions, derivative axis last.
-
-    ``x`` may carry a leading sample axis, points ``(..., D)``, when ``func``
-    takes one; each direction is then one call over all samples."""
-    cols = [fd_oracle(func, x, mu, step) for mu in range(np.shape(x)[-1])]
-    return np.stack(cols, axis=-1)
+    dim = x.shape[-1]
+    e = (step * np.eye(dim)).reshape((dim, 1) + (1,) * (x.ndim - 1) + (dim,))
+    values = np.asarray(func(np.concatenate([x + e, x - e], axis=1)))
+    # C-ordered, as a stack of the directions' columns is
+    return np.ascontiguousarray(np.moveaxis((values[:, 0] - values[:, 1]) / (2.0 * step), 0, -1))

@@ -5,9 +5,11 @@ residual per drawn sample (``None`` for a sample it skips); :func:`run_suite`
 reduces them into a :class:`CheckReport` with the maximum, the number of
 samples evaluated, and an ``error`` when a residual is not finite or fewer
 than half of the samples (or none) were evaluated.  A
-batched check evaluates its whole sample array once: when a kernel meets a
-singular sample the check raises the first error any kernel raises, which
-names that kernel's first bad sample, and that error becomes the report's.
+batched check evaluates its whole sample array once, with the step, sigma,
+direction or generator of an identity stated per index stacked onto it:
+when a kernel meets a singular sample the check raises the first error any
+kernel raises on the whole stack, which names that kernel's first bad
+sample, and that error becomes the report's.
 Each fold of per-sample terms propagates NaN, so a non-finite term reaches
 the non-finite error rather than a pass.  The mapping from check names to
 the identities they verify is tabulated in the README.  Checks draw their
@@ -52,7 +54,8 @@ from .geometry import (
     inversion,
     inversion_matrix,
     killing_divergence,
-    killing_residual,
+    killing_gradient,
+    killing_residual_from_gradient,
     large_parameter_map,
     map_jacobian,
     special_conformal,
@@ -152,6 +155,13 @@ def _points_major(columns) -> list:
     """One residual per (point, column), points-major, from one residual
     array per column (a generator, a sigma), each with one entry per point."""
     return np.stack(columns, axis=-1).ravel().tolist()
+
+
+def _sigma_stack(pts, dim):
+    """Each point once per sigma = 0..D-1, points-major, and the matching
+    sigma index stack: one sample per (point, sigma), in the order that
+    :func:`_points_major` gives per-sigma columns."""
+    return np.repeat(pts, dim, axis=0), np.tile(np.arange(dim), len(pts))
 
 
 def _scatter(keep, values) -> list:
@@ -320,7 +330,10 @@ def _chk_jacobian_fd(spec, metric, rng):
 @_register("killing-equation", FIELD_KINDS, "exact", "every generator satisfies the conformal Killing equation")
 def _chk_killing(spec, metric, rng):
     pts = sampling.points(rng, metric.dim, 20, scale=1.0)
-    return [r for gen in basis_generators(metric.dim) for r in killing_residual(gen, pts, metric).tolist()]
+    # generator-major; the basis mixes four kinds of generator, so each gives
+    # its own gradient, and the equation is one call on their stack
+    grads = np.stack([killing_gradient(gen, pts, metric) for gen in basis_generators(metric.dim)])
+    return killing_residual_from_gradient(grads, metric).ravel().tolist()
 
 
 @_register("commutator-algebra", FIELD_KINDS, "identity", "translation/conformal commutator closes on dilation plus rotation")
@@ -381,15 +394,15 @@ def _order_residuals(rng, metric, make_view, variation):
     a finite transform ``make_view(c, weight)`` towards the infinitesimal
     variation falls short of 1.9; 1.0 at least where the third regresses,
     and the first non-finite error where a step has one.  One parameter is
-    drawn per point."""
+    drawn per point.  The three steps and their signs are one parameter
+    stack in front of the points' parameters (:func:`finite_variation_fd`),
+    so the transform is built and evaluated once."""
     d = canonical_weight(metric.dim)
     xs = sampling.timelike_points(rng, metric.dim, 5)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
     target = variation(cs, xs)
-    errs = np.stack([
-        _sample_gap(finite_variation_fd(lambda t: make_view(t * cs, d), xs, eps), target) + 1e-30
-        for eps in (1e-2, 1e-3, 1e-4)
-    ], axis=-1)
+    fd = finite_variation_fd(lambda t: make_view(t * cs, d), xs, np.array([1e-2, 1e-3, 1e-4]))
+    errs = _max_abs(fd - target, target.ndim - 1).T + 1e-30
     finite = np.isfinite(errs)
     with np.errstate(invalid="ignore"):
         shortfall = 1.9 - np.log10(errs[:, 0] / errs[:, 1])
@@ -478,9 +491,9 @@ def _chk_action_scale(spec, metric, rng):
 
 def _per_sigma(kind, model, fixture, pts, metric):
     """|identity| of ``kind`` at every point once per sigma = 0..D-1,
-    points-major, from one jet of the fixture on the points."""
-    jet = Jet(fixture, pts)
-    return _points_major([abs(action_variation_identity(kind, model, jet, pts, metric, s)) for s in range(metric.dim)])
+    points-major, from one call on the (point, sigma) stack."""
+    xs, sigma = _sigma_stack(pts, metric.dim)
+    return abs(action_variation_identity(kind, model, fixture, xs, metric, sigma)).tolist()
 
 
 @_register("action-conformal-identity", FIELD_KINDS, "identity", "conformal variation of the density is the stated total derivative",
@@ -736,20 +749,16 @@ def _chk_dual_bianchi(spec, metric, rng):
 @_register("dual-nonprimary-shift", ("dual-scalar-3",), "exact", "dual F variation exceeds the primary rule by the symbol times phi")
 def _chk_dual_nonprimary(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
-    jet = Jet(phi, sampling.points(rng, 3, 8))
-    per_sigma = [dual3.nonprimary_shift_residual(jet, jet.x, s, metric) for s in range(3)]
-    return _points_major(per_sigma)
+    xs, sigma = _sigma_stack(sampling.points(rng, 3, 8), 3)
+    return dual3.nonprimary_shift_residual(phi, xs, sigma, metric).tolist()
 
 
 @_register("dual-variation-consistency", ("dual-scalar-3",), "identity", "explicit dual F variation equals the chain rule through the gradient")
 def _chk_dual_chain(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
-    jet = Jet(phi, sampling.points(rng, 3, 8))
-    per_sigma = [
-        _sample_gap(dual3.delta_bar_F(jet, jet.x, s, metric), dual3.delta_bar_F_chain_rule(jet, jet.x, s, metric))
-        for s in range(3)
-    ]
-    return _points_major(per_sigma)
+    xs, sigma = _sigma_stack(sampling.points(rng, 3, 8), 3)
+    jet = Jet(phi, xs)
+    return _sample_gap(dual3.delta_bar_F(jet, xs, sigma, metric), dual3.delta_bar_F_chain_rule(jet, xs, sigma, metric)).tolist()
 
 
 @_register("dual-stress-equality", ("dual-scalar-3",), "identity", "F-form and scalar-form improved stress tensors agree on shell")

@@ -100,7 +100,11 @@ def spin_coefficient(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
     C is one quarter of the curl of the Killing co-vector; symmetric parts of
     the gradient never reach the spin matrix.
     """
-    df = killing_gradient(gen, x, metric)
+    return _curl_quarter(killing_gradient(gen, x, metric), metric)
+
+
+def _curl_quarter(df, metric: Metric) -> np.ndarray:
+    """C from the Killing gradient ``df[m, n] = d_n f^m``."""
     lowered = np.swapaxes(metric.diag[:, None] * df, -1, -2)  # P[m, n] = d_m f_n
     return 0.25 * (lowered - np.swapaxes(lowered, -1, -2))
 
@@ -140,10 +144,16 @@ def variation(gen: GeneratorAction, value, grad, x, metric: Metric, gammas: Gamm
     """
     f = killing_vector(gen, x, metric)
     div = killing_divergence(gen, x, metric)
+    return _variation(gen, value, grad, f, div, spin_coefficient(gen, x, metric), metric, gammas)
+
+
+def _variation(gen, value, grad, f, div, C, metric: Metric, gammas=None):
+    """The body of :func:`variation`, from the Killing vector f of ``gen``,
+    its divergence and its spin coefficient C at the field's points."""
     out = _contract(grad, f)
     # one trailing axis per component index of the value
     out = out + _lift((gen.weight / metric.dim) * div, value.ndim - f.ndim + 1) * value
-    return out + _spin_action(spin_coefficient(gen, x, metric), value, gen.spin, metric, gammas)
+    return out + _spin_action(C, value, gen.spin, metric, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +181,7 @@ def delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
     df = killing_gradient(gen, x, metric)
     div = killing_divergence(gen, x, metric)
     ddiv = killing_divergence_gradient(gen, metric)
+    C = _curl_quarter(df, metric)
     w = gen.weight / metric.dim
 
     dout = np.einsum("...rm,...ar->...am", df, grad)
@@ -178,14 +189,13 @@ def delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
     dout += w * _outer(value, ddiv)
     dout += _lift(w * div, 2) * grad
     if gen.spin == "vector":
-        C = spin_coefficient(gen, x, metric)
         dC = _spin_coefficient_gradient(gen, metric)
         upper = metric.diag * value
         dupper = metric.diag[:, None] * grad  # d_m A^k stored [k, m]
         asym = C - np.swapaxes(C, -1, -2)
         dout += np.einsum("...akm,...k->...am", dC - np.swapaxes(dC, -3, -2), upper)
         dout += np.einsum("...ak,...km->...am", asym, dupper)
-    return variation(gen, value, grad, x, metric), dout
+    return _variation(gen, value, grad, f, div, C, metric), dout
 
 
 def _spin_coefficient_gradient(gen, metric: Metric) -> np.ndarray:
@@ -229,7 +239,7 @@ def delta_field_strength_gradient(
     d2f = killing_second_gradient(gen, metric)
     div = killing_divergence(gen, x, metric)
     ddiv = killing_divergence_gradient(gen, metric)
-    C = spin_coefficient(gen, x, metric)
+    C = _curl_quarter(df, metric)
     dC = _spin_coefficient_gradient(gen, metric)
     w = gen.weight / metric.dim
 
@@ -464,16 +474,25 @@ class FiniteSpinorTransform:
         return _lift(scale) * _mv(mat, v)
 
 
-def finite_variation_fd(factory, x, eps: float):
+def finite_variation_fd(factory, x, eps):
     """Central difference in the parameter scale of a finite transform family.
 
     ``factory(t)`` must return a transformed-field view at parameter t*c; the
     derivative at t = 0 estimates the infinitesimal variation with an error
-    of second order in ``eps``.
+    of second order in ``eps``.  ``eps`` is one step or an array of steps,
+    whose shape the result has in front.  The family is built and evaluated
+    once: ``t`` is the stack of +eps and -eps, step-major with + before -,
+    with one unit axis per axis of ``x`` behind it, so that ``t * c`` puts
+    the stack in front of a parameter or a parameter stack matching ``x``,
+    and the view is evaluated on ``x`` repeated to match.
     """
-    plus = factory(eps).value(x)
-    minus = factory(-eps).value(x)
-    return (np.asarray(plus) - np.asarray(minus)) / (2.0 * eps)
+    x = np.asarray(x, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    t = np.stack([eps, -eps], axis=-1)
+    t = t.reshape(t.shape + (1,) * x.ndim)
+    values = np.asarray(factory(t).value(np.broadcast_to(x, t.shape[:eps.ndim + 1] + x.shape).copy()))
+    plus, minus = np.moveaxis(values, eps.ndim, 0)
+    return (plus - minus) / _lift(2.0 * eps, plus.ndim - eps.ndim)
 
 
 # ---------------------------------------------------------------------------

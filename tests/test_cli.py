@@ -569,8 +569,9 @@ class _CubicFamily:
     """Stand-in finite transform family, exact up to a cubic term in the
     parameter: value t c + (t c)^3 against the variation c, so the parameter
     derivative's error falls 100-fold per 10-fold step (order 2).  The view
-    is NaN at the step ``nan_step``.  ``c`` is the check's parameter stack,
-    one parameter per point."""
+    is NaN at every row whose step is ``nan_step``.  ``c`` is the check's
+    parameter stack, one parameter per point; the view gets it with the
+    signed steps stacked in front."""
 
     def __init__(self, nan_step):
         self.nan_step = nan_step
@@ -580,9 +581,11 @@ class _CubicFamily:
         return c
 
     def view(self, tc, weight):
-        if self.nan_step and np.isclose(abs(tc.flat[0] / self.c.flat[0]), self.nan_step):
-            return SimpleNamespace(value=lambda x: np.full_like(tc, np.nan))
-        return SimpleNamespace(value=lambda x: tc + tc**3)
+        value = tc + tc**3
+        if self.nan_step:
+            at_step = np.isclose(abs(tc[..., 0] / self.c[..., 0]), self.nan_step)
+            value = np.where(at_step[..., None], np.nan, value)
+        return SimpleNamespace(value=lambda x: value)
 
 
 def test_order_residuals_of_an_order_two_family_pass():

@@ -45,6 +45,16 @@ def test_three_dimensional_pauli_oracle():
     assert anticommutator_residual(oracle, Metric(3)) == 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_build_gammas_shares_one_read_only_set_per_dimension(dim):
+    gammas = build_gammas(dim)
+    assert build_gammas(dim) is gammas
+    assert not any(m.flags.writeable for m in gammas.matrices + (gammas.spins,))
+    fresh = GammaSet(dim, gammas.matrices)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh.matrices, gammas.matrices))
+    assert fresh.spins.tobytes() == gammas.spins.tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 7])
 def test_unsupported_dimension(dim):
     with pytest.raises(UnsupportedDimension):
@@ -88,9 +98,10 @@ def test_spin_matrices_are_stored_commutators(dim):
 
 def test_spinor_spin_action_reads_the_stored_spin_matrices(rng):
     # with every stored spin matrix replaced by one marker matrix the action
-    # is that marker times the summed coefficients
+    # is that marker times the summed coefficients; the marker goes on a set
+    # of its own, since build_gammas shares one set per dimension
     g = Metric(4)
-    gammas = build_gammas(4)
+    gammas = GammaSet(4, build_gammas(4).matrices)
     marker = np.arange(16.0).reshape(4, 4).astype(complex)
     gammas.spins = np.broadcast_to(marker, gammas.spins.shape)
     C = rng.normal(size=(4, 4))

@@ -10,11 +10,21 @@ from confsym.fields import (
     PolynomialMultiplet,
     ShiftedPotential,
     fd_gradient,
-    fd_oracle,
     make_onshell_maxwell_plane_wave,
 )
-from confsym.geometry import Metric
+from confsym.geometry import Metric, inversion, killing_vector, special_conformal, special_conformal_map
 from confsym import dual3, sampling
+
+
+def fd_oracle(func, x, direction: int, step: float):
+    """Central difference (f(x + h e_mu) - f(x - h e_mu)) / 2h in one
+    direction, two calls of ``func``: the loop that fd_gradient stacks."""
+    x = np.asarray(x, dtype=float)
+    e = np.zeros(x.shape[-1])
+    e[direction] = step
+    plus = np.asarray(func(x + e))
+    minus = np.asarray(func(x - e))
+    return (plus - minus) / (2.0 * step)
 
 
 class TestPlaneWaveScalar:
@@ -138,29 +148,66 @@ class TestFieldStrength:
 
 class TestFdOracle:
     def test_linear_field_exact(self):
-        func = lambda x: 3.0 * x[0] - 2.0 * x[2]
+        func = lambda x: 3.0 * x[..., 0] - 2.0 * x[..., 2]
         x = np.array([0.3, 0.1, -0.4, 0.2])
         for h in (1e-1, 1e-3, 1e-6):
-            assert fd_oracle(func, x, 0, h) == pytest.approx(3.0, abs=1e-9)
-            assert fd_oracle(func, x, 2, h) == pytest.approx(-2.0, abs=1e-9)
+            fd = fd_gradient(func, x, h)
+            assert fd[0] == pytest.approx(3.0, abs=1e-9)
+            assert fd[2] == pytest.approx(-2.0, abs=1e-9)
 
     def test_cosine_within_taylor_bound(self, metric4, rng):
         k = rng.normal(size=4)
         kl = metric4.lower(k)
-        func = lambda x: np.cos(float(kl @ x))
+        func = lambda x: np.cos(x @ kl)
         for x in sampling.points(rng, 4, 10):
+            fd = fd_gradient(func, x, 1e-5)
             for mu in range(4):
                 exact = -kl[mu] * np.sin(float(kl @ x))
-                assert abs(fd_oracle(func, x, mu, 1e-5) - exact) < 1e-6
+                assert abs(fd[mu] - exact) < 1e-6
 
     def test_quadratic_exact_up_to_rounding(self):
-        func = lambda x: x[1] * x[1] + 2.0 * x[0] * x[1]
+        func = lambda x: x[..., 1] * x[..., 1] + 2.0 * x[..., 0] * x[..., 1]
         x = np.array([0.7, -0.3])
-        npt.assert_allclose(fd_oracle(func, x, 1, 0.1), 2 * x[1] + 2 * x[0], atol=1e-12)
+        npt.assert_allclose(fd_gradient(func, x, 0.1)[1], 2 * x[1] + 2 * x[0], atol=1e-12)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            fd_oracle(lambda x: x[0], np.zeros(2), 0, 0.0)
+            fd_gradient(lambda x: x[..., 0], np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_one_call_equals_the_direction_loop(self, dim):
+        # fd_gradient calls func once, on every stepped point, and gives the
+        # bits of the two-calls-per-direction loop, on one point and on a
+        # stack whose per-sample parameters broadcast against the steps
+        g = Metric(dim)
+        rng = np.random.default_rng(dim)
+        xs = sampling.off_cone_points(rng, dim, 7)
+        cs = sampling.small_parameters(rng, dim, len(xs))
+        wave = sampling.random_plane_wave_multiplet(rng, g, 2)
+        gen = special_conformal(rng.normal(size=dim))
+        calls = []
+
+        def counted(func):
+            def wrapped(y):
+                calls.append(np.shape(y))
+                return func(y)
+            return wrapped
+
+        cases = [
+            (lambda y: inversion(y, g), xs, 1e-6),
+            (lambda y: special_conformal_map(y, cs, g), xs, 1e-5),
+            (lambda y: killing_vector(gen, y, g), xs[0], 1e-6),
+            (wave.value, xs, 1e-5),
+            (wave.grad, xs[0], 1e-5),
+        ]
+        for func, x, step in cases:
+            loop = np.stack([fd_oracle(func, x, mu, step) for mu in range(dim)], axis=-1)
+            calls.clear()
+            fd = fd_gradient(counted(func), x, step)
+            assert calls == [(dim, 2) + x.shape]
+            assert fd.flags.c_contiguous
+            assert fd.dtype == loop.dtype and fd.shape == loop.shape
+            assert [v.hex() for v in fd.ravel()] == [v.hex() for v in loop.ravel()]
 
 
 class TestPolynomialFields:
