@@ -253,7 +253,15 @@ def _cmd_report(args) -> int:
     return 0 if report.overall_ok else 1
 
 
+_parser = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after:
+    each parse starts from a new namespace and leaves the parser unchanged."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="confsym",
         description="verify scale and conformal symmetry identities of classical fields",
@@ -294,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_report)
 
+    _parser = parser
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, SemanticError) as exc:

@@ -29,30 +29,40 @@ class GammaSet:
     """Gamma matrices satisfying {gamma^mu, gamma^nu} = 2 g^{mu nu} exactly.
 
     Holds read-only copies of the ``dim`` matrices and the spin matrices
-    ``spins[mu, nu]``, built once from each index pair's two products.
+    ``spins[mu, nu]``, built once from each index pair's two products.  A set
+    is immutable, since :func:`build_gammas` shares one per dimension: its
+    arrays cannot be written, and rebinding or deleting ``dim``, ``size``,
+    ``matrices`` or ``spins`` raises AttributeError.
     """
 
+    __slots__ = ("dim", "matrices", "size", "spins")
+
     def __init__(self, dim: int, matrices):
-        self.dim = int(dim)
+        dim = int(dim)
         matrices = tuple(np.array(m, dtype=complex) for m in matrices)
-        if not matrices or len(matrices) != self.dim:
-            raise DimensionMismatch(f"need {self.dim} gamma matrices, got {len(matrices)}")
+        if not matrices or len(matrices) != dim:
+            raise DimensionMismatch(f"need {dim} gamma matrices, got {len(matrices)}")
         shape = matrices[0].shape
         if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in matrices):
             raise DimensionMismatch("gamma matrices must be square and of one size")
         size = shape[0]
-        spins = np.zeros((self.dim, self.dim, size, size), dtype=complex)
-        for mu in range(self.dim):
-            for nu in range(mu + 1, self.dim):
+        spins = np.zeros((dim, dim, size, size), dtype=complex)
+        for mu in range(dim):
+            for nu in range(mu + 1, dim):
                 forward = matrices[mu] @ matrices[nu]
                 backward = matrices[nu] @ matrices[mu]
                 spins[mu, nu] = 0.25 * (forward - backward)
                 spins[nu, mu] = 0.25 * (backward - forward)
         for m in matrices + (spins,):
             m.flags.writeable = False
-        self.matrices = matrices
-        self.size = size
-        self.spins = spins
+        for name, value in (("dim", dim), ("matrices", matrices), ("size", size), ("spins", spins)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a GammaSet is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a GammaSet is read-only: cannot delete {name!r}")
 
     def __getitem__(self, mu: int) -> np.ndarray:
         return self.matrices[mu]

@@ -495,14 +495,16 @@ def noether_scale_current_maxwell_divergence(A, x, metric: Metric):
     return -_div_f_times(jet, delta, ddelta, metric) - metric.dim * lag - _inner(x, dlag)
 
 
-def killing_current_divergence(theta, theta_div, gen: GeneratorAction, x, metric: Metric):
+def killing_current_divergence(theta, theta_div, f, df, metric: Metric):
     """d_m (theta^{mn} f_n) for a stress tensor ``theta`` with divergence
-    ``theta_div`` at x and f the conformal Killing vector of ``gen``: the
-    stress may be built once and contracted with every generator."""
-    x = metric._check(x)
-    f_low = metric.lower(killing_vector(gen, x, metric))
+    ``theta_div`` at some points, and a conformal Killing vector f^n with
+    gradient df[n, m] = d_m f^n at the same points.  ``f`` and ``df`` may
+    carry axes in front of the points', such as a generator-major stack of
+    :func:`killing_vector` and :func:`killing_gradient`: the stress is built
+    once and contracted with every generator in one call."""
+    f_low = metric.lower(f)
     # [m, n] = d_m f_n
-    grad_f_low = np.swapaxes(metric.diag[:, None] * killing_gradient(gen, x, metric), -1, -2)
+    grad_f_low = np.swapaxes(metric.diag[:, None] * df, -1, -2)
     return _one(_inner(theta_div, f_low) + np.sum(theta * grad_f_low, axis=(-2, -1)))
 
 
@@ -518,11 +520,12 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
         raise TypeError(f"no stress-tensor current is built for {model!r}")
     x = metric._check(x)
     jet = as_jet(fields, x)
+    f, df = killing_vector(gen, x, metric), killing_gradient(gen, x, metric)
     if isinstance(model, MaxwellModel):
         dim = metric.dim
         theta = maxwell_stress(jet, x, metric)
         theta_div = maxwell_stress_divergence(jet, x, metric)
-        out = killing_current_divergence(theta, theta_div, gen, x, metric)
+        out = killing_current_divergence(theta, theta_div, f, df, metric)
         coeff = (4.0 - dim) / (2.0 * dim)
         div = killing_divergence(gen, x, metric)
         ddiv = killing_divergence_gradient(gen, metric)
@@ -532,7 +535,7 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
     coupling = model.coupling if isinstance(model, MultipletModel) else 0.0
     theta = improved_scalar_stress(jet, x, metric, coupling)
     theta_div = improved_scalar_stress_divergence(jet, x, metric, coupling)
-    return killing_current_divergence(theta, theta_div, gen, x, metric)
+    return killing_current_divergence(theta, theta_div, f, df, metric)
 
 
 def current_divergence_identity(gen: GeneratorAction, A, x, metric):

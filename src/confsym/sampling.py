@@ -4,6 +4,12 @@ Every generator takes a ``numpy.random.Generator`` so runs are reproducible
 from a single recorded seed.  A rejection sampler draws its tries in blocks,
 yet gives the values of its one-try loop and leaves the generator in that
 loop's end state (:func:`_accepted`): the sample stream is the loop's.
+
+:func:`timelike_points` cannot draw a block: a try's sign reads the bit
+generator's buffered 32-bit half-word between its normal and uniform draws.
+It draws its tries one by one, in rounds of as many tries as it still needs
+points (the one-try loop draws all of them too), and tests a round's
+acceptance with one stacked ``norm2``, so it also keeps the loop's stream.
 """
 
 from __future__ import annotations
@@ -55,11 +61,18 @@ def timelike_points(rng, dim: int, n: int, min_square: float = 0.2) -> np.ndarra
     out = np.empty((n, dim))
     count = 0
     while count < n:
-        x = rng.normal(0.0, 0.4, size=dim)
-        x[0] = (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(1.0, 2.0)
-        if metric.norm2(x) > min_square:
-            out[count] = x
-            count += 1
+        # the one-try loop draws at least this many more tries, so none is
+        # drawn ahead; acceptance is one stacked norm2, each value its
+        # one-point bits
+        tries = np.empty((n - count, dim))
+        for x in tries:
+            x[:] = rng.normal(0.0, 0.4, size=dim)
+            # the top bit of the next 32-bit output, as integers(0, 2) reads
+            # it, times uniform(1.0, 2.0), which is 1.0 + random()
+            x[0] = (1.0 if rng.random(dtype=np.float32) >= 0.5 else -1.0) * (1.0 + rng.random())
+        passed = tries[metric.norm2(tries) > min_square]
+        out[count:count + len(passed)] = passed
+        count += len(passed)
     return out
 
 

@@ -56,6 +56,7 @@ from .geometry import (
     killing_divergence,
     killing_gradient,
     killing_residual_from_gradient,
+    killing_vector,
     large_parameter_map,
     map_jacobian,
     special_conformal,
@@ -715,8 +716,11 @@ def _chk_killing_current(spec, metric, rng):
     jet = Jet(phi, pts)
     theta = improved_scalar_stress(jet, pts, metric)
     theta_div = improved_scalar_stress_divergence(jet, pts, metric)
-    per_gen = [killing_current_divergence(theta, theta_div, gen, pts, metric) for gen in basis_generators(metric.dim)]
-    return _points_major([abs(div) for div in per_gen])
+    # generator-major Killing stacks, as killing-equation builds them
+    gens = basis_generators(metric.dim)
+    f = np.stack([killing_vector(gen, pts, metric) for gen in gens])
+    df = np.stack([killing_gradient(gen, pts, metric) for gen in gens])
+    return _points_major(abs(killing_current_divergence(theta, theta_div, f, df, metric)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -730,3 +733,84 @@ def test_killing_current_check_keeps_the_per_point_order(dim):
     expected = [abs(bessel_hagen_divergence(gen, model, phi, x, metric))
                 for x in sampling.points(rng, dim, 4) for gen in gens]
     assert got == expected and len(got) == 4 * len(gens)
+
+
+SHORT_MECHANICS = """
+[model]
+kind = mechanics
+dimension = 1
+
+[params]
+lambda = 0.5
+components = 2
+
+[mechanics]
+q0 = 1.2, 0.4
+p0 = 0.3, -0.2
+t-end = 0.05
+step = 0.01
+"""
+
+# One process, one parser: commands interleaved, an --out then none, and
+# errors (argparse's and confsym's) between the calls.
+REUSE_CALLS = [
+    ["audit", "small.spec", "--format", "json", "--out", "first.json"],
+    ["audit", "small.spec", "--format", "json"],
+    ["mech-sim", "short.spec"],
+    ["audit", "small.spec", "--no-such-flag"],
+    ["algebra", "--dim", "2", "--format", "json"],
+    ["report", "first.json", "--format", "text"],
+    ["scan-dims", "--kind", "maxwell", "--dims", "3", "--format", "json", "--out", "scan.json"],
+    ["algebra"],
+    ["mech-sim", "short.spec", "--out", "traj.txt"],
+    ["algebra", "--dim", "9"],
+    ["report", "first.json", "--format", "json", "--out", "again.json"],
+    ["--version"],
+    ["audit", "small.spec", "--format", "json"],
+]
+REUSE_FILES = ["first.json", "scan.json", "traj.txt", "again.json"]
+
+
+def _reuse_workdir(path):
+    path.mkdir()
+    (path / "small.spec").write_text(SMALL_MAXWELL)
+    (path / "short.spec").write_text(SHORT_MECHANICS)
+    return path
+
+
+def _child_env():
+    """The environment for a new interpreter that imports this confsym."""
+    import confsym
+
+    src = Path(confsym.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_parser_is_built_on_first_use_and_then_shared():
+    code = ("import confsym.cli as cli; assert cli._parser is None; "
+            "parser = cli.build_parser(); assert cli.build_parser() is parser")
+    subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True, timeout=300)
+
+
+def test_reused_parser_gives_the_bytes_of_a_fresh_process(tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    warm, cold = _reuse_workdir(tmp_path / "warm"), _reuse_workdir(tmp_path / "cold")
+    env = _child_env()
+    monkeypatch.chdir(warm)
+    statuses, stdouts = [], []
+    for argv in REUSE_CALLS:
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        out, err = capsysbinary.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "confsym.cli", *argv], cwd=cold, env=env,
+                               capture_output=True, timeout=300)
+        assert (status, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        statuses.append(status)
+        stdouts.append(out)
+    assert statuses == [0, 0, 0, 2, 0, 0, 0, 2, 0, 2, 0, 0, 0]
+    # an audit after one with --out writes its report to stdout
+    assert stdouts[1] == stdouts[-1] == (warm / "first.json").read_bytes()
+    for name in REUSE_FILES:
+        assert (warm / name).read_bytes() == (cold / name).read_bytes(), name

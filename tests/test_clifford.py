@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -55,6 +57,24 @@ def test_build_gammas_shares_one_read_only_set_per_dimension(dim):
     assert fresh.spins.tobytes() == gammas.spins.tobytes()
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["dim", "size", "matrices", "spins"])
+def test_shared_set_cannot_be_rebound(dim, name):
+    gammas = build_gammas(dim)
+    before = (gammas.dim, gammas.size, [m.tobytes() for m in gammas.matrices], gammas.spins.tobytes())
+    other = build_gammas(2 if dim > 2 else 3)
+    with pytest.raises(AttributeError):
+        setattr(gammas, name, getattr(other, name))
+    with pytest.raises(AttributeError):
+        delattr(gammas, name)
+    with pytest.raises(AttributeError):
+        gammas.extra = None
+    assert build_gammas(dim) is gammas
+    after = (gammas.dim, gammas.size, [m.tobytes() for m in gammas.matrices], gammas.spins.tobytes())
+    assert after == before
+    assert anticommutator_residual(gammas, Metric(dim)) == 0.0
+
+
 @pytest.mark.parametrize("dim", [1, 7])
 def test_unsupported_dimension(dim):
     with pytest.raises(UnsupportedDimension):
@@ -98,12 +118,11 @@ def test_spin_matrices_are_stored_commutators(dim):
 
 def test_spinor_spin_action_reads_the_stored_spin_matrices(rng):
     # with every stored spin matrix replaced by one marker matrix the action
-    # is that marker times the summed coefficients; the marker goes on a set
-    # of its own, since build_gammas shares one set per dimension
+    # is that marker times the summed coefficients; a gamma set cannot be
+    # rebound, so the marker goes on a stand-in with the attributes read
     g = Metric(4)
-    gammas = GammaSet(4, build_gammas(4).matrices)
     marker = np.arange(16.0).reshape(4, 4).astype(complex)
-    gammas.spins = np.broadcast_to(marker, gammas.spins.shape)
+    gammas = SimpleNamespace(size=4, spins=np.broadcast_to(marker, build_gammas(4).spins.shape))
     C = rng.normal(size=(4, 4))
     value = rng.normal(size=4) + 0j
     coefficient = sum(C[mu, nu] - C[nu, mu] for mu in range(4) for nu in range(mu + 1, 4))

@@ -189,9 +189,10 @@ def test_no_check_loops_over_its_samples():
 # reason; every other sampler draws its tries in blocks through
 # sampling._accepted, which keeps the one-try loop's stream.
 PER_TRY_SAMPLERS = {
-    "timelike_points": "a try mixes normal, bounded-integer and uniform draws, and the "
-                       "integer comes from the bit generator's half-word buffer, so no "
-                       "block draw gives the loop's stream",
+    "timelike_points": "a try's sign reads the bit generator's buffered 32-bit half-word "
+                       "between its normal and uniform draws, so no block draw gives the "
+                       "loop's stream; tries are drawn one by one in rounds, and each "
+                       "round's acceptance is one stacked norm2",
     "transverse_polarisation": "a polarisation is rejected almost never, so the loop "
                                "runs once",
 }

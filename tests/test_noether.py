@@ -16,7 +16,9 @@ from confsym.geometry import (
     Metric,
     basis_generators,
     dilation,
+    killing_gradient,
     killing_second_gradient,
+    killing_vector,
     sigma_basis_conformal,
     special_conformal,
     translation,
@@ -645,7 +647,8 @@ class TestSampleAxis:
             for gen in gens:
                 check(lambda x, c, s: bessel_hagen_divergence(gen(c), model, on, x, g))
                 check(lambda x, c, s: killing_current_divergence(
-                    improved_scalar_stress(on, x, g), improved_scalar_stress_divergence(on, x, g), gen(c), x, g))
+                    improved_scalar_stress(on, x, g), improved_scalar_stress_divergence(on, x, g),
+                    killing_vector(gen(c), x, g), killing_gradient(gen(c), x, g), g))
 
     # the scalar conformal identity's residuals at N = 3, as the per-point
     # code rounded them: the stacked and single-point forms share one sum

@@ -119,6 +119,36 @@ def test_rare_acceptance_draws_several_blocks(dim):
     )
 
 
+@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("n", [1, 7, 250])
+def test_timelike_points_keeps_the_one_try_stream_on_many_seeds(seed, n):
+    for dim in (3, 6):
+        _same_stream(sampling.timelike_points, ref_timelike_points, seed, dim, n)
+
+
+class _CountingMetric(Metric):
+    """A metric that records the number of points each ``norm2`` call gets."""
+
+    calls = []
+
+    def norm2(self, x):
+        self.calls.append(len(x))
+        return super().norm2(x)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_timelike_points_rare_acceptance_takes_several_rounds(monkeypatch, seed, dim):
+    # few tries pass, so the sampler draws several rounds, each of as many
+    # tries as it still needs points, and tests each round once
+    monkeypatch.setattr(_CountingMetric, "calls", [])
+    monkeypatch.setattr(sampling, "Metric", _CountingMetric)
+    _same_stream(sampling.timelike_points, ref_timelike_points, seed, dim, 40, min_square=3.0)
+    rounds = _CountingMetric.calls
+    assert len(rounds) >= 3 and rounds[0] == 40
+    assert all(later <= earlier for earlier, later in zip(rounds, rounds[1:]))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_polynomial_multiplet_at_both_extremes(seed):
     # about 2% of exponent tries pass at D = 6; every try passes at D = 1

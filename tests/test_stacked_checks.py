@@ -17,9 +17,17 @@ import pytest
 import confsym.suites as suites
 from confsym import dual3, sampling, transforms
 from confsym.fields import Jet
-from confsym.geometry import Metric, basis_generators, canonical_weight, killing_residual
+from confsym.geometry import (
+    Metric,
+    _inner,
+    basis_generators,
+    canonical_weight,
+    killing_gradient,
+    killing_residual,
+    killing_vector,
+)
 from confsym.modelspec import ModelSpec
-from confsym.noether import action_variation_identity
+from confsym.noether import action_variation_identity, improved_scalar_stress, improved_scalar_stress_divergence
 from confsym.suites import run_suite
 
 DIMS = [3, 4, 5, 6]
@@ -167,6 +175,32 @@ def test_killing_equation_matches_the_generator_loop(dim, seed):
     assert _hex(_run_check("killing-equation", spec)) == _hex(loop)
 
 
+def _killing_current_loop(theta, theta_div, pts, metric):
+    # the kernel as it was, one basis generator per call
+    per_gen = []
+    for gen in basis_generators(metric.dim):
+        f_low = metric.lower(killing_vector(gen, pts, metric))
+        grad_f_low = np.swapaxes(metric.diag[:, None] * killing_gradient(gen, pts, metric), -1, -2)
+        per_gen.append(abs(_inner(theta_div, f_low) + np.sum(theta * grad_f_low, axis=(-2, -1))))
+    return suites._points_major(per_gen)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("components", [1, 3])
+def test_killing_current_matches_the_generator_loop(components, dim, seed):
+    spec = ModelSpec(kind="interacting-multiplet", dimension=dim, components=components, coupling=0.4, seed=seed)
+    metric = Metric(dim)
+    rng = suites._rng_for(spec, "killing-current-conservation")
+    phi = suites._scalar_fixture(spec, metric, rng, null=True)
+    pts = sampling.points(rng, dim, 4)
+    jet = Jet(phi, pts)
+    theta = improved_scalar_stress(jet, pts, metric)
+    theta_div = improved_scalar_stress_divergence(jet, pts, metric)
+    loop = _killing_current_loop(theta, theta_div, pts, metric)
+    assert _hex(_run_check("killing-current-conservation", spec)) == _hex(loop)
+
+
 def _dual_sigma_loop(name, jet, metric):
     if name == "dual-nonprimary-shift":
         return [dual3.nonprimary_shift_residual(jet, jet.x, s, metric) for s in range(3)]
@@ -250,3 +284,15 @@ def test_killing_equation_calls_the_residual_once(monkeypatch, dim):
     report = run_suite(ModelSpec(kind="maxwell", dimension=dim, checks=["killing-equation"]))
     assert report.checks[0].ok and report.checks[0].samples == 20 * len(basis_generators(dim))
     assert calls == {"residual": 1}
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_killing_current_calls_the_kernel_once(monkeypatch, dim):
+    # one contraction with the generator-major Killing stacks
+    calls = Counter()
+    monkeypatch.setattr(suites, "killing_current_divergence",
+                        _counting(calls, "current", suites.killing_current_divergence))
+    report = run_suite(ModelSpec(kind="interacting-multiplet", dimension=dim, components=2,
+                                 checks=["killing-current-conservation"]))
+    assert report.checks[0].ok and report.checks[0].samples == 4 * len(basis_generators(dim))
+    assert calls == {"current": 1}
