@@ -12,12 +12,18 @@ Conventions used across the package:
   and in :mod:`confsym.fields`, :mod:`confsym.clifford`,
   :mod:`confsym.transforms`, :mod:`confsym.noether` and
   :mod:`confsym.dual3`, takes points of shape ``(..., D)`` and returns one
-  result per sample.  A special conformal generator may carry a parameter
-  stack ``(..., D)``, one parameter per sample, which
-  ``killing_divergence_gradient`` and ``killing_second_gradient`` follow,
-  and ``sigma_basis_conformal`` builds one from an index stack.  A single
-  point is the case without that axis and gives the float or array it always
-  gave.  Each sample's result is bit for bit its single-point result, by
+  result per sample.  The parameters of a :class:`GeneratorAction` may carry
+  leading stack axes, which broadcast against the points' sample axes by
+  numpy's rules: a stack of the points' sample shape is one generator per
+  sample (``special_conformal`` takes a parameter stack ``(..., D)`` and
+  ``sigma_basis_conformal`` builds one from an index stack), and a stack of
+  G generators acts on N points ``(N, 1, D)`` as a ``(N, G)`` result, or on
+  points ``(N, D)`` once its parameters carry a unit axis, ``(G, 1, D)``, as
+  a ``(G, N)`` result.  ``killing_divergence_gradient`` and
+  ``killing_second_gradient`` take no points and follow the stack alone.  A
+  single point is the case without a sample axis and gives the float or
+  array it always gave.  Each sample's result is bit for bit its
+  single-point result, and each generator's in a stack its own result, by
   mirroring the single point's operations: per-sample dot products are
   stacked ``matmul`` calls, ``(..., 1, D) @ (..., D, 1)``, which sum in the
   order a 1-D ``u @ v`` sums (``einsum`` and ``sum(-1)`` do not); a
@@ -37,6 +43,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -318,53 +325,55 @@ def levi_civita3_upper(metric: Metric) -> np.ndarray:
 
 SPIN_TAGS = ("scalar", "vector", "field-strength", "spinor")
 
-KIND_TRANSLATION = "translation"
-KIND_LORENTZ = "lorentz"
-KIND_SCALE = "scale"
-KIND_CONFORMAL = "special-conformal"
-
 
 def canonical_weight(dim: int) -> float:
     """Scale dimension (D - 2) / 2 of a canonical bosonic field."""
     return 0.5 * (dim - 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorAction:
-    """One conformal-group generator with its parameters and field action.
+    """One element of the conformal algebra so(D, 2), or a stack of them,
+    with the field it acts on.
 
-    ``param`` is a D-vector for translations and special conformal
-    transformations (for the latter also a ``(..., D)`` stack, one parameter
-    per sample), an exactly antisymmetric DxD matrix for Lorentz rotations,
-    and a scalar for dilations.  ``weight`` is the scale dimension
-    assigned to the transformed field and ``spin`` selects how the spin
-    matrix acts on its components.
+    The element is the set of coefficients of its Killing vector
+    f^mu = a^mu + omega^{mu nu} x_nu + lam x^mu + 2 (c.x) x^mu - c^mu x^2:
+    D-vectors ``a`` and ``c``, a DxD matrix ``omega`` and a scalar ``lam``,
+    each zero when not given.  Each is held as a read-only float array and
+    may carry leading stack axes (the module's sample-axis contract).
+    ``weight`` is the scale dimension assigned to the transformed field and
+    ``spin`` selects how the spin matrix acts on its components.  A
+    generator is immutable, since :func:`basis_generators` shares one per
+    dimension, and compares and hashes by identity, as a ``GammaSet`` does.
     """
 
-    kind: str
-    param: object
     dim: int
     weight: float
+    a: np.ndarray = None
+    omega: np.ndarray = None
+    lam: np.ndarray = None
+    c: np.ndarray = None
     spin: str = "scalar"
 
     def __post_init__(self):
         if self.spin not in SPIN_TAGS:
             raise ValueError(f"unknown spin tag {self.spin!r}")
-
-
-def _vector_param(param, dim, stack=()):
-    param = np.array(param, dtype=float)
-    if param.shape != stack + (dim,):
-        raise DimensionMismatch(f"parameter must be a {dim}-vector")
-    param.flags.writeable = False
-    return param
+        if self.dim < 1:
+            raise UnsupportedDimension(f"dimension must be >= 1, got {self.dim}")
+        for name, axes in (("a", 1), ("omega", 2), ("lam", 0), ("c", 1)):
+            part = getattr(self, name)
+            part = np.zeros((self.dim,) * axes) if part is None else np.array(part, dtype=float)
+            if part.shape[part.ndim - axes:] != (self.dim,) * axes:
+                raise DimensionMismatch(f"{name} must end in {axes} axes of length {self.dim}, got {part.shape}")
+            part.flags.writeable = False
+            object.__setattr__(self, name, part)
 
 
 def translation(a, spin="scalar") -> GeneratorAction:
     a = np.asarray(a, dtype=float)
-    dim = a.shape[0]
-    w = canonical_weight(dim)
-    return GeneratorAction(KIND_TRANSLATION, _vector_param(a, dim), dim, w, spin)
+    if a.ndim != 1:
+        raise DimensionMismatch(f"translation parameter must be a D-vector, got shape {a.shape}")
+    return GeneratorAction(a.shape[0], canonical_weight(a.shape[0]), a=a, spin=spin)
 
 
 def lorentz_rotation(omega) -> GeneratorAction:
@@ -373,24 +382,22 @@ def lorentz_rotation(omega) -> GeneratorAction:
         raise DimensionMismatch("Lorentz parameter must be a square matrix")
     if not np.array_equal(omega, -omega.T):
         raise ValueError("Lorentz parameter must be exactly antisymmetric")
-    dim = omega.shape[0]
-    omega = np.array(omega, dtype=float)
-    omega.flags.writeable = False
-    return GeneratorAction(KIND_LORENTZ, omega, dim, canonical_weight(dim))
+    return GeneratorAction(omega.shape[0], canonical_weight(omega.shape[0]), omega=omega)
 
 
 def dilation(strength, dim, weight=None, spin="scalar") -> GeneratorAction:
     w = canonical_weight(dim) if weight is None else float(weight)
-    return GeneratorAction(KIND_SCALE, float(strength), int(dim), w, spin)
+    return GeneratorAction(int(dim), w, lam=float(strength), spin=spin)
 
 
 def special_conformal(c, weight=None, spin="scalar") -> GeneratorAction:
     """Special conformal generator of parameter c, or of a parameter stack
     ``(..., D)`` with one parameter per sample."""
     c = np.asarray(c, dtype=float)
-    dim = c.shape[-1]
-    w = canonical_weight(dim) if weight is None else float(weight)
-    return GeneratorAction(KIND_CONFORMAL, _vector_param(c, dim, c.shape[:-1]), dim, w, spin)
+    if c.ndim == 0:
+        raise DimensionMismatch("special conformal parameter must be a D-vector or a stack of them")
+    w = canonical_weight(c.shape[-1]) if weight is None else float(weight)
+    return GeneratorAction(c.shape[-1], w, c=c, spin=spin)
 
 
 def sigma_basis_conformal(sigma, metric: Metric, weight, spin) -> GeneratorAction:
@@ -414,59 +421,47 @@ def _axis_index(sigma, dim: int) -> np.ndarray:
     return index
 
 
-def killing_vector(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
-    """Coordinate vector field f^mu generated by ``gen`` at the point x.
+def _parts(gen: GeneratorAction, metric: Metric):
+    """(a, omega, lam, c) of ``gen``, which must act at the metric's
+    dimension."""
+    if gen.dim != metric.dim:
+        raise DimensionMismatch(f"a D = {gen.dim} generator cannot act at D = {metric.dim}")
+    return gen.a, gen.omega, gen.lam, gen.c
 
-    Translations give the constant a^mu, Lorentz rotations omega^{mu a} x_a,
-    dilations c x^mu, and special conformal transformations
-    2 (c.x) x^mu - c^mu x^2.
-    """
+
+# Each Killing formula below computes the special conformal part first, in
+# the order that the special conformal generator alone was computed in, then
+# adds the other parts: a generator with one part keeps the bits it had, up
+# to the sign of a zero.
+
+
+def killing_vector(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
+    """Coordinate vector field f^mu generated by ``gen`` at the point x:
+    a^mu + omega^{mu nu} x_nu + lam x^mu + 2 (c.x) x^mu - c^mu x^2."""
+    a, omega, lam, c = _parts(gen, metric)
     x = metric._check(x)
-    if gen.kind == KIND_TRANSLATION:
-        return np.broadcast_to(gen.param, x.shape).copy()
-    if gen.kind == KIND_LORENTZ:
-        return _mv(gen.param, metric.lower(x))
-    if gen.kind == KIND_SCALE:
-        return gen.param * x
-    if gen.kind == KIND_CONFORMAL:
-        c = gen.param
-        return 2.0 * _lift(metric.dot(c, x)) * x - c * _lift(metric.norm2(x))
-    raise ValueError(f"unknown generator kind {gen.kind!r}")
+    xl = metric.diag * x
+    f = 2.0 * _lift(_inner(c, xl)) * x - c * _lift(_inner(x, xl))
+    return f + a + _mv(omega, xl) + _lift(lam) * x
 
 
 def killing_gradient(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
     """Exact gradient df[mu, nu] = d_nu f^mu (f is polynomial in x)."""
+    a, omega, lam, c = _parts(gen, metric)
     x = metric._check(x)
-    dim = metric.dim
-    shape = x.shape[:-1] + (dim, dim)
-    if gen.kind == KIND_TRANSLATION:
-        return np.zeros(shape)
-    if gen.kind == KIND_LORENTZ:
-        return np.broadcast_to(gen.param * metric.diag[None, :], shape)
-    if gen.kind == KIND_SCALE:
-        return np.broadcast_to(gen.param * np.eye(dim), shape)
-    if gen.kind == KIND_CONFORMAL:
-        c = gen.param
-        cl = metric.lower(c)
-        xl = metric.lower(x)
-        return (
-            2.0 * _outer(x, cl)
-            + 2.0 * _lift(metric.dot(c, x), 2) * np.eye(dim)
-            - 2.0 * _outer(c, xl)
-        )
-    raise ValueError(f"unknown generator kind {gen.kind!r}")
+    xl = metric.diag * x
+    eye = np.eye(metric.dim)
+    df = 2.0 * _outer(x, metric.diag * c) + 2.0 * _lift(_inner(c, xl), 2) * eye - 2.0 * _outer(c, xl)
+    return df + omega * metric.diag + _lift(lam, 2) * eye
 
 
 def killing_second_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:
     """Constant second gradient d2f[mu, nu, rho] = d_rho d_nu f^mu, one per
-    parameter of a special conformal parameter stack."""
-    dim = metric.dim
-    if gen.kind != KIND_CONFORMAL:
-        return np.zeros((dim, dim, dim))
-    c = gen.param
-    cl = metric.lower(c)
-    eye = np.eye(dim)
-    d2 = np.zeros(c.shape[:-1] + (dim, dim, dim))
+    special conformal parameter of a stack."""
+    *_, c = _parts(gen, metric)
+    cl = metric.diag * c
+    eye = np.eye(metric.dim)
+    d2 = np.zeros(c.shape[:-1] + (metric.dim,) * 3)
     d2 += 2.0 * np.einsum("...n,mr->...mnr", cl, eye)
     d2 += 2.0 * np.einsum("...r,mn->...mnr", cl, eye)
     d2 -= 2.0 * np.einsum("...m,nr->...mnr", c, metric.matrix)
@@ -474,24 +469,16 @@ def killing_second_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:
 
 
 def killing_divergence(gen: GeneratorAction, x, metric: Metric):
-    """d_mu f^mu; vanishes for Poincare, c D for dilations, 2 D c.x here."""
-    if gen.kind == KIND_CONFORMAL:
-        return 2.0 * metric.dim * metric.dot(gen.param, x)
-    if gen.kind in (KIND_TRANSLATION, KIND_LORENTZ):
-        div = 0.0
-    elif gen.kind == KIND_SCALE:
-        div = gen.param * metric.dim
-    else:
-        raise ValueError(f"unknown generator kind {gen.kind!r}")
-    x = metric._check(x)
-    return div if x.ndim == 1 else np.full(x.shape[:-1], div)
+    """d_mu f^mu = 2 D c.x + D lam; Poincare generators are divergence-free."""
+    _, _, lam, c = _parts(gen, metric)
+    div = 2.0 * metric.dim * _inner(c, metric.lower(x)) + lam * metric.dim
+    return div if np.ndim(div) else float(div)
 
 
 def killing_divergence_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:
-    """d_m (d.f); nonzero only for special conformal generators (2 D c_m)."""
-    if gen.kind == KIND_CONFORMAL:
-        return 2.0 * metric.dim * metric.lower(gen.param)
-    return np.zeros(metric.dim)
+    """d_m (d.f) = 2 D c_m."""
+    *_, c = _parts(gen, metric)
+    return 2.0 * metric.dim * (metric.diag * c)
 
 
 def killing_residual_from_gradient(df, metric: Metric):
@@ -509,23 +496,18 @@ def killing_residual(gen: GeneratorAction, x, metric: Metric):
     return killing_residual_from_gradient(killing_gradient(gen, x, metric), metric)
 
 
-def basis_generators(dim: int):
+@cache
+def basis_generators(dim: int) -> GeneratorAction:
     """The full (D+1)(D+2)/2 generator basis at dimension ``dim``, acting on
-    scalars of canonical weight."""
-    gens = []
-    for mu in range(dim):
-        a = np.zeros(dim)
-        a[mu] = 1.0
-        gens.append(translation(a))
-    for mu in range(dim):
-        for nu in range(mu + 1, dim):
-            omega = np.zeros((dim, dim))
-            omega[mu, nu] = 1.0
-            omega[nu, mu] = -1.0
-            gens.append(lorentz_rotation(omega))
-    gens.append(dilation(1.0, dim))
-    for mu in range(dim):
-        c = np.zeros(dim)
-        c[mu] = 1.0
-        gens.append(special_conformal(c))
-    return gens
+    scalars of canonical weight, as one stack along a leading axis: the
+    translations along each axis, the rotations in each plane mu < nu, the
+    dilation and the special conformal transformations along each axis.
+    The stack is built once per dimension and shared."""
+    planes = [(mu, nu) for mu in range(dim) for nu in range(mu + 1, dim)]
+    count = 2 * dim + len(planes) + 1
+    a, omega, lam, c = np.zeros((count, dim)), np.zeros((count, dim, dim)), np.zeros(count), np.zeros((count, dim))
+    a[:dim] = c[count - dim:] = np.eye(dim)
+    for k, (mu, nu) in enumerate(planes, start=dim):
+        omega[k, mu, nu], omega[k, nu, mu] = 1.0, -1.0
+    lam[dim + len(planes)] = 1.0
+    return GeneratorAction(dim, canonical_weight(dim), a, omega, lam, c)

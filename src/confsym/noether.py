@@ -43,7 +43,6 @@ import numpy as np
 from .errors import FieldDomainError, UnsupportedDimension
 from .fields import Jet, ShiftedPotential, as_jet
 from .geometry import (
-    KIND_CONFORMAL,
     GeneratorAction,
     Metric,
     _inner,
@@ -541,16 +540,14 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
 def current_divergence_identity(gen: GeneratorAction, A, x, metric):
     """(computed, predicted) divergence of the Maxwell Killing current.
 
-    The prediction is zero for Poincare and scale transformations and
-    (4 - D) c_m F^{mb} A_b for special conformal ones; on shell the computed
-    value matches it.
+    The prediction is (4 - D) c_m F^{mb} A_b, which vanishes for Poincare
+    and scale transformations (c = 0); on shell the computed value matches
+    it.
     """
     x = metric._check(x)
     jet = as_jet(A, x)
     lhs = bessel_hagen_divergence(gen, MaxwellModel(metric.dim), jet, x, metric)
-    if gen.kind != KIND_CONFORMAL:
-        return lhs, _one(np.zeros(np.shape(lhs)))
-    cl = metric.lower(gen.param)
+    cl = metric.lower(gen.c)
     rhs = (4.0 - metric.dim) * _inner(cl, _mv(_raise2(jet.F, metric), jet.value))
     return lhs, rhs
 

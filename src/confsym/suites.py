@@ -42,6 +42,7 @@ from .fields import (
     make_onshell_maxwell_plane_wave,
 )
 from .geometry import (
+    GeneratorAction,
     Metric,
     _lift,
     _max_abs,
@@ -152,16 +153,9 @@ def _sample_gap(a, b):
     return _max_abs(gap, gap.ndim - 1)
 
 
-def _points_major(columns) -> list:
-    """One residual per (point, column), points-major, from one residual
-    array per column (a generator, a sigma), each with one entry per point."""
-    return np.stack(columns, axis=-1).ravel().tolist()
-
-
 def _sigma_stack(pts, dim):
     """Each point once per sigma = 0..D-1, points-major, and the matching
-    sigma index stack: one sample per (point, sigma), in the order that
-    :func:`_points_major` gives per-sigma columns."""
+    sigma index stack: one sample per (point, sigma), points-major."""
     return np.repeat(pts, dim, axis=0), np.tile(np.arange(dim), len(pts))
 
 
@@ -331,10 +325,10 @@ def _chk_jacobian_fd(spec, metric, rng):
 @_register("killing-equation", FIELD_KINDS, "exact", "every generator satisfies the conformal Killing equation")
 def _chk_killing(spec, metric, rng):
     pts = sampling.points(rng, metric.dim, 20, scale=1.0)
-    # generator-major; the basis mixes four kinds of generator, so each gives
-    # its own gradient, and the equation is one call on their stack
-    grads = np.stack([killing_gradient(gen, pts, metric) for gen in basis_generators(metric.dim)])
-    return killing_residual_from_gradient(grads, metric).ravel().tolist()
+    # the basis stack behind each point; the report lists the residuals
+    # generator-major
+    grads = killing_gradient(basis_generators(metric.dim), pts[:, None, :], metric)
+    return killing_residual_from_gradient(grads, metric).T.ravel().tolist()
 
 
 @_register("commutator-algebra", FIELD_KINDS, "identity", "translation/conformal commutator closes on dilation plus rotation")
@@ -619,37 +613,33 @@ def _chk_gauge_shift_div(spec, metric, rng):
     return abs(gauge_shift_divergence(A, omega, pts, metric)).tolist()
 
 
-def _vector_generators(metric, rng):
-    """A dilation and a random special conformal generator acting on vectors."""
-    return [
-        dilation(0.7, metric.dim, spin="vector"),
-        special_conformal(rng.normal(0.0, 0.3, metric.dim), spin="vector"),
-    ]
+def _lie_case(metric, rng):
+    """A dilation and a random special conformal generator acting on
+    vectors, as one stack of two, and a jet of a random potential on points
+    ``(N, 1, D)``, behind which the stack gives one sample per (point,
+    generator), points-major."""
+    dim = metric.dim
+    A = sampling.random_offshell_potential(rng, metric)
+    c = np.stack([np.zeros(dim), rng.normal(0.0, 0.3, dim)])
+    gens = GeneratorAction(dim, canonical_weight(dim), lam=[0.7, 0.0], c=c, spin="vector")
+    return gens, Jet(A, sampling.points(rng, dim, 8)[:, None, :])
 
 
 @_register("lie-derivative-forms", ("maxwell",), "exact", "transport and gauge-covariant Lie derivative forms agree")
 def _chk_lie_forms(spec, metric, rng):
-    A = sampling.random_offshell_potential(rng, metric)
-    gens = _vector_generators(metric, rng)
-    jet = Jet(A, sampling.points(rng, metric.dim, 8))
-    per_gen = [_sample_gap(*lie_derivative_vector(gen, jet, jet.x, metric)) for gen in gens]
-    return _points_major(per_gen)
+    gens, jet = _lie_case(metric, rng)
+    direct, via_field_strength = lie_derivative_vector(gens, jet, jet.x, metric)
+    return _max_abs(direct - via_field_strength, 1).ravel().tolist()
 
 
 @_register("lie-derivative-weight", ("maxwell",), "exact", "field variation differs from the Lie derivative by the weight term")
 def _chk_lie_weight(spec, metric, rng):
-    A = sampling.random_offshell_potential(rng, metric)
+    gens, jet = _lie_case(metric, rng)
     dim = metric.dim
-    gens = _vector_generators(metric, rng)
-    jet = Jet(A, sampling.points(rng, dim, 8))
-
-    def residual(gen):
-        lie, _ = lie_derivative_vector(gen, jet, jet.x, metric)
-        varied = delta(gen, jet, jet.x, metric)
-        shift = _lift(((dim - 4.0) / (2.0 * dim)) * killing_divergence(gen, jet.x, metric)) * jet.value
-        return _sample_gap(varied - lie, shift)
-
-    return _points_major([residual(gen) for gen in gens])
+    lie, _ = lie_derivative_vector(gens, jet, jet.x, metric)
+    varied = delta(gens, jet, jet.x, metric)
+    shift = _lift(((dim - 4.0) / (2.0 * dim)) * killing_divergence(gens, jet.x, metric)) * jet.value
+    return _max_abs(varied - lie - shift, 1).ravel().tolist()
 
 
 @_register("primary-rule-discrepancy", ("maxwell",), "exact", "induced and pretend-primary F variations differ by (D-4) potential terms")
@@ -712,15 +702,15 @@ def _chk_improved_cons(spec, metric, rng):
 def _chk_killing_current(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True)
     pts = sampling.points(rng, metric.dim, 4)
-    # the free improved stress, built once and contracted with every generator
-    jet = Jet(phi, pts)
-    theta = improved_scalar_stress(jet, pts, metric)
-    theta_div = improved_scalar_stress_divergence(jet, pts, metric)
-    # generator-major Killing stacks, as killing-equation builds them
-    gens = basis_generators(metric.dim)
-    f = np.stack([killing_vector(gen, pts, metric) for gen in gens])
-    df = np.stack([killing_gradient(gen, pts, metric) for gen in gens])
-    return _points_major(abs(killing_current_divergence(theta, theta_div, f, df, metric)))
+    # the free improved stress, built once and contracted with the basis
+    # stack behind each point
+    x = pts[:, None, :]
+    jet = Jet(phi, x)
+    theta = improved_scalar_stress(jet, x, metric)
+    theta_div = improved_scalar_stress_divergence(jet, x, metric)
+    basis = basis_generators(metric.dim)
+    f, df = killing_vector(basis, x, metric), killing_gradient(basis, x, metric)
+    return abs(killing_current_divergence(theta, theta_div, f, df, metric)).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------

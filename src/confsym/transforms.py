@@ -30,6 +30,8 @@ evaluate the field they wrap.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .clifford import GammaSet, gamma_slash_unit
@@ -86,12 +88,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _contract(grad, f):
+def _contract(grad, f, samples: int):
     """grad[..., i, m] f^m per sample, every component index i in one
     matrix-vector product, as ``tensordot(grad, f, axes=([-1], [0]))`` forms
-    it for one point."""
-    rows = grad.reshape(f.shape[:-1] + (-1, f.shape[-1]))
-    return _mv(rows, f).reshape(grad.shape[:-1])
+    it for one point.  ``grad`` has ``samples`` leading sample axes, against
+    which ``f`` may broadcast a generator stack."""
+    rows = grad.reshape(grad.shape[:samples] + (-1, grad.shape[-1]))
+    out = _mv(rows, f)
+    return out.reshape(out.shape[:-1] + grad.shape[samples:-1])
 
 
 def spin_coefficient(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
@@ -144,15 +148,18 @@ def variation(gen: GeneratorAction, value, grad, x, metric: Metric, gammas: Gamm
     """
     f = killing_vector(gen, x, metric)
     div = killing_divergence(gen, x, metric)
-    return _variation(gen, value, grad, f, div, spin_coefficient(gen, x, metric), metric, gammas)
+    C = spin_coefficient(gen, x, metric)
+    return _variation(gen, value, grad, f, div, C, np.ndim(x) - 1, metric, gammas)
 
 
-def _variation(gen, value, grad, f, div, C, metric: Metric, gammas=None):
+def _variation(gen, value, grad, f, div, C, samples: int, metric: Metric, gammas=None):
     """The body of :func:`variation`, from the Killing vector f of ``gen``,
-    its divergence and its spin coefficient C at the field's points."""
-    out = _contract(grad, f)
+    its divergence and its spin coefficient C at the field's points, which
+    have ``samples`` sample axes; the Killing data may carry a generator
+    stack, which the field's arrays broadcast against."""
+    out = _contract(grad, f, samples)
     # one trailing axis per component index of the value
-    out = out + _lift((gen.weight / metric.dim) * div, value.ndim - f.ndim + 1) * value
+    out = out + _lift((gen.weight / metric.dim) * div, value.ndim - samples) * value
     return out + _spin_action(C, value, gen.spin, metric, gammas)
 
 
@@ -195,7 +202,7 @@ def delta_with_gradient(gen: GeneratorAction, field, x, metric: Metric):
         asym = C - np.swapaxes(C, -1, -2)
         dout += np.einsum("...akm,...k->...am", dC - np.swapaxes(dC, -3, -2), upper)
         dout += np.einsum("...ak,...km->...am", asym, dupper)
-    return _variation(gen, value, grad, f, div, C, metric), dout
+    return _variation(gen, value, grad, f, div, C, x.ndim - 1, metric), dout
 
 
 def _spin_coefficient_gradient(gen, metric: Metric) -> np.ndarray:
@@ -208,18 +215,13 @@ def _spin_coefficient_gradient(gen, metric: Metric) -> np.ndarray:
     return 0.25 * (term - low)
 
 
-def _as_vector_generator(gen: GeneratorAction, metric: Metric) -> GeneratorAction:
-    """Same transformation acting on the potential at its canonical weight."""
-    return GeneratorAction(gen.kind, gen.param, gen.dim, canonical_weight(metric.dim), "vector")
-
-
 def delta_field_strength(gen: GeneratorAction, A, x, metric: Metric):
     """Variation of F induced from the potential: the curl of delta A.
 
     The potential always transforms at its canonical weight here, whatever
     weight ``gen`` carries for the field it was built for.
     """
-    gen_vec = _as_vector_generator(gen, metric)
+    gen_vec = replace(gen, weight=canonical_weight(metric.dim), spin="vector")
     _, dout = delta_with_gradient(gen_vec, A, x, metric)
     return np.swapaxes(dout, -1, -2) - dout
 
@@ -230,7 +232,7 @@ def delta_field_strength_gradient(
     """d(delta F) from the potential route, ``[a, b, m] = d_m (delta F)_{ab}``;
     needs third derivatives of A because delta F already contains first
     derivatives."""
-    gen = _as_vector_generator(gen, metric)
+    gen = replace(gen, weight=canonical_weight(metric.dim), spin="vector")
     x = metric._check(x)
     jet = as_jet(A, x)
     grad, hess, third = jet.grad, jet.hess, jet.third
@@ -531,7 +533,7 @@ def _scalar_rule(gen, tilde, d_tilde, x, metric):
     """f.d(tilde) + 2 (c.x) weight tilde: the scalar rule's special conformal
     variation of a field ``tilde`` with gradient ``d_tilde``."""
     f = killing_vector(gen, x, metric)
-    cx = metric.dot(gen.param, x)
+    cx = metric.dot(gen.c, x)
     return _mv(d_tilde, f) + _lift(2.0 * cx * gen.weight) * tilde
 
 

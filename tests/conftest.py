@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confsym.geometry import Metric
+from confsym.geometry import Metric, dilation, lorentz_rotation, special_conformal, translation
 
 SEED = 42
 
@@ -40,3 +40,22 @@ def _same_bits(batch, rows):
 @pytest.fixture
 def same_bits():
     return _same_bits
+
+
+def _basis_rows(dim):
+    """The generators of ``basis_generators(dim)`` one at a time, in its
+    order, each from its own constructor: the per-generator oracle of the
+    basis stack."""
+    eye = np.eye(dim)
+    rotations = []
+    for mu in range(dim):
+        for nu in range(mu + 1, dim):
+            omega = np.zeros((dim, dim))
+            omega[mu, nu], omega[nu, mu] = 1.0, -1.0
+            rotations.append(lorentz_rotation(omega))
+    return [translation(e) for e in eye] + rotations + [dilation(1.0, dim)] + [special_conformal(e) for e in eye]
+
+
+@pytest.fixture
+def basis_rows():
+    return _basis_rows

@@ -721,15 +721,14 @@ def test_maxwell_current_checks_keep_the_per_point_order(dim):
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
-def test_killing_current_check_keeps_the_per_point_order(dim):
+def test_killing_current_check_keeps_the_per_point_order(dim, basis_rows):
     from confsym import sampling
-    from confsym.geometry import basis_generators
     from confsym.noether import MultipletModel, bessel_hagen_divergence
 
     spec, metric, got, rng = _order_case("interacting-multiplet", dim, "killing-current-conservation")
     phi = suites._scalar_fixture(spec, metric, rng, null=True)
     model = MultipletModel(dim, spec.components, 0.0)
-    gens = basis_generators(dim)
+    gens = basis_rows(dim)
     expected = [abs(bessel_hagen_divergence(gen, model, phi, x, metric))
                 for x in sampling.points(rng, dim, 4) for gen in gens]
     assert got == expected and len(got) == 4 * len(gens)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,6 +18,7 @@ from confsym.geometry import (
     Metric,
     _regular_factor,
     basis_generators,
+    canonical_weight,
     conformal_factor,
     conformal_jacobian,
     dilation,
@@ -24,9 +27,11 @@ from confsym.geometry import (
     inversion_matrix_gradient,
     invariant_square,
     killing_divergence,
+    killing_divergence_gradient,
     killing_gradient,
     killing_residual,
     killing_residual_from_gradient,
+    killing_second_gradient,
     killing_vector,
     large_parameter_map,
     levi_civita3,
@@ -256,16 +261,51 @@ class TestKillingVectors:
         x = np.array([0.0, 1, 0, 0])
         npt.assert_array_equal(killing_vector(gen, x, g), np.array([1.0, 0, 0, 0]))
 
-    def test_gradients_match_fd(self, metric, rng):
-        gens = basis_generators(metric.dim)
-        x = rng.normal(size=metric.dim)
-        for gen in gens:
-            fd = fd_gradient(lambda y: killing_vector(gen, y, metric), x, 1e-6)
-            npt.assert_allclose(killing_gradient(gen, x, metric), fd, atol=1e-8)
-
-    def test_basis_size(self, metric):
+    @pytest.mark.parametrize("stack", [(), (5,), (2, 3), "basis"])
+    def test_killing_data_match_finite_differences(self, metric, rng, stack):
+        # generators that mix all four parts, alone or stacked, and the basis
         dim = metric.dim
-        assert len(basis_generators(dim)) == (dim + 1) * (dim + 2) // 2
+        if stack == "basis":
+            gens = basis_generators(dim)
+            stack = gens.lam.shape
+        else:
+            omega = rng.normal(size=stack + (dim, dim))
+            gens = GeneratorAction(dim, 1.0, a=rng.normal(size=stack + (dim,)),
+                                   omega=omega - np.swapaxes(omega, -1, -2),
+                                   lam=rng.normal(size=stack), c=rng.normal(0.0, 0.5, stack + (dim,)))
+        # the stack behind each of four points
+        x = sampling.points(rng, dim, 4).reshape((4,) + (1,) * len(stack) + (dim,))
+        df = killing_gradient(gens, x, metric)
+        div = killing_divergence(gens, x, metric)
+        fd = lambda fn: fd_gradient(lambda y: fn(gens, y, metric), x, 1e-3)
+        npt.assert_allclose(df, fd(killing_vector), atol=1e-9)
+        npt.assert_allclose(np.broadcast_to(killing_second_gradient(gens, metric), df.shape + (dim,)),
+                            fd(killing_gradient), atol=1e-9)
+        npt.assert_allclose(np.broadcast_to(killing_divergence_gradient(gens, metric), div.shape + (dim,)),
+                            fd(killing_divergence), atol=1e-9)
+        npt.assert_allclose(div, np.trace(df, axis1=-2, axis2=-1), atol=1e-12)
+        assert df.shape == (4,) + stack + (dim, dim)
+        assert np.max(killing_residual(gens, x, metric)) < 1e-12
+
+    def test_basis_stacks_the_constructors(self, metric, basis_rows):
+        dim = metric.dim
+        basis, rows = basis_generators(dim), basis_rows(dim)
+        assert len(rows) == (dim + 1) * (dim + 2) // 2
+        for name in ("a", "omega", "lam", "c"):
+            npt.assert_array_equal(getattr(basis, name), np.stack([getattr(row, name) for row in rows]))
+        assert (basis.dim, basis.weight, basis.spin) == (dim, canonical_weight(dim), "scalar")
+
+    def test_basis_is_built_once_and_read_only(self):
+        basis = basis_generators(4)
+        assert basis_generators(4) is basis
+        for name in ("a", "omega", "lam", "c"):
+            with pytest.raises(ValueError):
+                getattr(basis, name)[0] = 2.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(basis, name, np.zeros(4))
+        # compared and hashed by identity, as a GammaSet is: no array truth test
+        assert basis == basis and {basis: 1}[basis_generators(4)] == 1
+        assert dilation(1.0, 4) != dilation(1.0, 4)
 
     def test_lorentz_parameter_must_be_antisymmetric(self):
         with pytest.raises(ValueError):
@@ -273,14 +313,41 @@ class TestKillingVectors:
 
     def test_unknown_spin_tag(self):
         with pytest.raises(ValueError):
-            GeneratorAction("scale", 1.0, 4, 1.0, "tensor-soup")
+            GeneratorAction(4, 1.0, lam=1.0, spin="tensor-soup")
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: translation(1.0), DimensionMismatch),
+        (lambda: special_conformal(1.0), DimensionMismatch),
+        (lambda: lorentz_rotation(np.zeros(3)), DimensionMismatch),
+        (lambda: GeneratorAction(3, 0.5, omega=np.zeros((3, 4))), DimensionMismatch),
+        (lambda: GeneratorAction(3, 0.5, c=np.zeros((3, 1))), DimensionMismatch),
+        (lambda: translation(np.zeros(0)), UnsupportedDimension),
+        (lambda: special_conformal(np.zeros((4, 0))), UnsupportedDimension),
+        (lambda: dilation(1.0, 0), UnsupportedDimension),
+        (lambda: lorentz_rotation(np.zeros((0, 0))), UnsupportedDimension),
+        (lambda: basis_generators(0), UnsupportedDimension),
+    ], ids=["translation-scalar", "conformal-scalar", "rotation-vector",
+            "omega-shape", "c-shape", "translation-d0", "conformal-d0", "dilation-d0", "rotation-d0", "basis-d0"])
+    def test_constructors_reject_bad_dimensions(self, make, error):
+        with pytest.raises(error):
+            make()
+
+    def test_generator_must_act_at_the_metric_dimension(self, metric3, basis_rows):
+        x = np.full(3, 0.1)
+        for gen in basis_rows(4) + [basis_generators(4)]:
+            for fn in (killing_vector, killing_gradient, killing_divergence, killing_residual):
+                with pytest.raises(DimensionMismatch):
+                    fn(gen, x, metric3)
+            for fn in (killing_second_gradient, killing_divergence_gradient):
+                with pytest.raises(DimensionMismatch):
+                    fn(gen, metric3)
 
 
 class TestKillingEquation:
     def test_all_generators_satisfy_it(self, metric, rng):
-        for gen in basis_generators(metric.dim):
-            for x in sampling.points(rng, metric.dim, 10, scale=1.0):
-                assert killing_residual(gen, x, metric) < 1e-12
+        # the basis stack behind each point
+        xs = sampling.points(rng, metric.dim, 10, scale=1.0)[:, None, :]
+        assert np.max(killing_residual(basis_generators(metric.dim), xs, metric)) < 1e-12
 
     def test_corrupted_rotation_fails(self, metric):
         # a symmetric spatial part injected by hand violates the equation
@@ -367,7 +434,7 @@ class TestSampleAxis:
 
     @pytest.mark.parametrize("n", [1, 257])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-    def test_stack_equals_rows(self, dim, n, same_bits):
+    def test_stack_equals_rows(self, dim, n, same_bits, basis_rows):
         g, xs, cs = _sample_axis_case(dim, n)
         pairs = list(zip(xs, cs))
         same_bits(g.dot(xs, cs), [g.dot(x, c) for x, c in pairs])
@@ -390,7 +457,8 @@ class TestSampleAxis:
         same_bits(special_conformal_map(xs, cs[0], g), [special_conformal_map(x, cs[0], g) for x in xs])
         same_bits(fd_gradient(lambda y: inversion(y, g), xs, 1e-6),
                    [fd_gradient(lambda y: inversion(y, g), x, 1e-6) for x in xs])
-        for gen in basis_generators(dim) + [special_conformal(cs[0])]:
+        rows = basis_rows(dim)
+        for gen in rows + [special_conformal(cs[0])]:
             for fn in (killing_vector, killing_divergence):
                 same_bits(fn(gen, xs, g), [fn(gen, x, g) for x in xs])
             df = killing_gradient(gen, xs, g)
@@ -402,17 +470,25 @@ class TestSampleAxis:
         stack = special_conformal(cs)
         for fn in (killing_vector, killing_gradient, killing_divergence):
             same_bits(fn(stack, xs, g), [fn(special_conformal(c), x, g) for x, c in pairs])
+        # the basis stack behind the points and, with a unit axis, in front
+        basis = basis_generators(dim)
+        front = replace(basis, **{name: getattr(basis, name)[:, None] for name in ("a", "omega", "lam", "c")})
+        for fn in (killing_vector, killing_gradient, killing_divergence, killing_residual):
+            same_bits(fn(basis, xs[:, None, :], g), np.stack([fn(gen, xs, g) for gen in rows], axis=1))
+            same_bits(fn(front, xs, g), [fn(gen, xs, g) for gen in rows])
+        for fn in (killing_second_gradient, killing_divergence_gradient):
+            same_bits(fn(basis, g), [fn(gen, g) for gen in rows])
 
     def test_parameter_stack_must_end_in_the_dimension(self):
-        assert special_conformal(np.zeros((5, 3))).param.shape == (5, 3)
+        assert special_conformal(np.zeros((5, 3))).c.shape == (5, 3)
         with pytest.raises(DimensionMismatch):
             translation(np.zeros((5, 3)))
 
-    def test_single_point_returns_floats(self, metric4):
+    def test_single_point_returns_floats(self, metric4, basis_rows):
         x, c = np.array([0.3, 0.1, -0.2, 0.4]), np.array([0.05, 0.0, 0.1, -0.02])
         for value in (metric4.dot(x, c), metric4.norm2(x), conformal_factor(x, c, metric4),
                       killing_residual(special_conformal(c), x, metric4),
-                      *(killing_divergence(gen, x, metric4) for gen in basis_generators(4))):
+                      *(killing_divergence(gen, x, metric4) for gen in basis_rows(4))):
             assert type(value) is float
         assert special_conformal_map(x, c, metric4).shape == (4,)
         assert map_jacobian(x, c, metric4).shape == (4, 4)

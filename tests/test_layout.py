@@ -247,6 +247,42 @@ def test_only_the_spin_readers_compare_a_spin_tag():
     assert sorted(SPIN_READERS - readers) == [], "these no longer read the tag; drop them from SPIN_READERS"
 
 
+# The functions that read a generator's parts: the Killing formulas read
+# them through _parts, which checks the generator's dimension against the
+# metric's, and two rules read the special conformal parameter c itself.
+GENERATOR_READERS = {"_parts", "_scalar_rule", "current_divergence_identity"}
+
+
+def _part_readers(tree):
+    """Qualified names of the functions that read an attribute ``a``,
+    ``omega``, ``lam`` or ``c`` of anything but ``self``."""
+    found = set()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in ("a", "omega", "lam", "c")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ):
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_only_the_generator_readers_read_its_parts():
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        readers |= _part_readers(ast.parse(path.read_text()))
+    assert sorted(readers - GENERATOR_READERS) == [], "read a generator through the killing_* formulas"
+    assert sorted(GENERATOR_READERS - readers) == [], "these no longer read a generator; drop them from GENERATOR_READERS"
+
+
 def test_every_fixture_class_is_a_field():
     # a class that defines no value is a nominal type no kernel reads
     tree = ast.parse((SRC / "fields.py").read_text())

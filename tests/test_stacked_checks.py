@@ -20,15 +20,18 @@ from confsym.fields import Jet
 from confsym.geometry import (
     Metric,
     _inner,
-    basis_generators,
     canonical_weight,
+    dilation,
+    killing_divergence,
     killing_gradient,
     killing_residual,
     killing_vector,
+    special_conformal,
 )
 from confsym.modelspec import ModelSpec
 from confsym.noether import action_variation_identity, improved_scalar_stress, improved_scalar_stress_divergence
 from confsym.suites import run_suite
+from confsym.transforms import delta, lie_derivative_vector
 
 DIMS = [3, 4, 5, 6]
 SEEDS = [1, 2, 3]
@@ -36,6 +39,12 @@ SEEDS = [1, 2, 3]
 
 def _hex(residuals):
     return [None if r is None else float(r).hex() for r in residuals]
+
+
+def _points_major(columns) -> list:
+    """One residual per (point, column), points-major, from one residual
+    array per column (a generator, a sigma), each with one entry per point."""
+    return np.stack(columns, axis=-1).ravel().tolist()
 
 
 def _run_check(name, spec):
@@ -80,7 +89,7 @@ def _order_residuals_loop(rng, metric, make_view, variation):
 
 def _per_sigma_loop(kind, model, fixture, pts, metric):
     jet = Jet(fixture, pts)
-    return suites._points_major(
+    return _points_major(
         [abs(action_variation_identity(kind, model, jet, pts, metric, s)) for s in range(metric.dim)]
     )
 
@@ -166,29 +175,29 @@ def test_fd_checks_match_the_direction_loop(monkeypatch, name, dim, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("dim", DIMS)
-def test_killing_equation_matches_the_generator_loop(dim, seed):
+def test_killing_equation_matches_the_generator_loop(dim, seed, basis_rows):
     spec = ModelSpec(kind="maxwell", dimension=dim, seed=seed)
     metric = Metric(dim)
     rng = suites._rng_for(spec, "killing-equation")
     pts = sampling.points(rng, dim, 20, scale=1.0)
-    loop = [r for gen in basis_generators(dim) for r in killing_residual(gen, pts, metric).tolist()]
+    loop = [r for gen in basis_rows(dim) for r in killing_residual(gen, pts, metric).tolist()]
     assert _hex(_run_check("killing-equation", spec)) == _hex(loop)
 
 
-def _killing_current_loop(theta, theta_div, pts, metric):
+def _killing_current_loop(theta, theta_div, pts, metric, gens):
     # the kernel as it was, one basis generator per call
     per_gen = []
-    for gen in basis_generators(metric.dim):
+    for gen in gens:
         f_low = metric.lower(killing_vector(gen, pts, metric))
         grad_f_low = np.swapaxes(metric.diag[:, None] * killing_gradient(gen, pts, metric), -1, -2)
         per_gen.append(abs(_inner(theta_div, f_low) + np.sum(theta * grad_f_low, axis=(-2, -1))))
-    return suites._points_major(per_gen)
+    return _points_major(per_gen)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("components", [1, 3])
-def test_killing_current_matches_the_generator_loop(components, dim, seed):
+def test_killing_current_matches_the_generator_loop(components, dim, seed, basis_rows):
     spec = ModelSpec(kind="interacting-multiplet", dimension=dim, components=components, coupling=0.4, seed=seed)
     metric = Metric(dim)
     rng = suites._rng_for(spec, "killing-current-conservation")
@@ -197,8 +206,36 @@ def test_killing_current_matches_the_generator_loop(components, dim, seed):
     jet = Jet(phi, pts)
     theta = improved_scalar_stress(jet, pts, metric)
     theta_div = improved_scalar_stress_divergence(jet, pts, metric)
-    loop = _killing_current_loop(theta, theta_div, pts, metric)
+    loop = _killing_current_loop(theta, theta_div, pts, metric, basis_rows(dim))
     assert _hex(_run_check("killing-current-conservation", spec)) == _hex(loop)
+
+
+def _lie_loop(name, spec):
+    # the check's body as it was, one generator per call
+    metric = Metric(spec.dimension)
+    dim = metric.dim
+    rng = suites._rng_for(spec, name)
+    A = sampling.random_offshell_potential(rng, metric)
+    gens = [dilation(0.7, dim, spin="vector"), special_conformal(rng.normal(0.0, 0.3, dim), spin="vector")]
+    jet = Jet(A, sampling.points(rng, dim, 8))
+
+    def residual(gen):
+        lie, via_field_strength = lie_derivative_vector(gen, jet, jet.x, metric)
+        if name == "lie-derivative-forms":
+            return suites._sample_gap(lie, via_field_strength)
+        varied = delta(gen, jet, jet.x, metric)
+        shift = ((dim - 4.0) / (2.0 * dim)) * killing_divergence(gen, jet.x, metric)[:, None] * jet.value
+        return suites._sample_gap(varied - lie, shift)
+
+    return _points_major([residual(gen) for gen in gens])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("name", ["lie-derivative-forms", "lie-derivative-weight"])
+def test_lie_checks_match_the_generator_loop(name, dim, seed):
+    spec = ModelSpec(kind="maxwell", dimension=dim, seed=seed)
+    assert _hex(_run_check(name, spec)) == _hex(_lie_loop(name, spec))
 
 
 def _dual_sigma_loop(name, jet, metric):
@@ -220,7 +257,7 @@ def test_dual_sigma_checks_match_the_sigma_loop(name, fixture, seed):
     rng = suites._rng_for(spec, name)
     phi = suites._scalar_fixture(spec, metric, rng, n_comp=1)
     jet = Jet(phi, sampling.points(rng, 3, 8))
-    loop = suites._points_major(_dual_sigma_loop(name, jet, metric))
+    loop = _points_major(_dual_sigma_loop(name, jet, metric))
     assert _hex(_run_check(name, spec)) == _hex(loop)
 
 
@@ -276,23 +313,21 @@ def test_dual_sigma_checks_call_each_kernel_once(monkeypatch, name, kernels):
 
 
 @pytest.mark.parametrize("dim", DIMS)
-def test_killing_equation_calls_the_residual_once(monkeypatch, dim):
-    # one call on the generator-major gradient stack, not one per generator
+@pytest.mark.parametrize("name,kind,points,kernels", [
+    ("killing-equation", "maxwell", 20, ["killing_gradient", "killing_residual_from_gradient"]),
+    ("killing-current-conservation", "interacting-multiplet", 4,
+     ["killing_vector", "killing_gradient", "killing_current_divergence"]),
+    ("lie-derivative-forms", "maxwell", 8, ["lie_derivative_vector"]),
+    ("lie-derivative-weight", "maxwell", 8, ["lie_derivative_vector", "delta", "killing_divergence"]),
+])
+def test_generator_checks_call_each_kernel_once(monkeypatch, name, kind, points, kernels, dim):
+    # one call on the generator stack, not one per generator: the whole
+    # basis, or the (dilation, special conformal) pair of the lie checks
     calls = Counter()
-    monkeypatch.setattr(suites, "killing_residual_from_gradient",
-                        _counting(calls, "residual", suites.killing_residual_from_gradient))
-    report = run_suite(ModelSpec(kind="maxwell", dimension=dim, checks=["killing-equation"]))
-    assert report.checks[0].ok and report.checks[0].samples == 20 * len(basis_generators(dim))
-    assert calls == {"residual": 1}
-
-
-@pytest.mark.parametrize("dim", DIMS)
-def test_killing_current_calls_the_kernel_once(monkeypatch, dim):
-    # one contraction with the generator-major Killing stacks
-    calls = Counter()
-    monkeypatch.setattr(suites, "killing_current_divergence",
-                        _counting(calls, "current", suites.killing_current_divergence))
-    report = run_suite(ModelSpec(kind="interacting-multiplet", dimension=dim, components=2,
-                                 checks=["killing-current-conservation"]))
-    assert report.checks[0].ok and report.checks[0].samples == 4 * len(basis_generators(dim))
-    assert calls == {"current": 1}
+    for kernel in kernels:
+        monkeypatch.setattr(suites, kernel, _counting(calls, kernel, getattr(suites, kernel)))
+    components = 2 if kind == "interacting-multiplet" else 1
+    report = run_suite(ModelSpec(kind=kind, dimension=dim, components=components, checks=[name]))
+    generators = 2 if name.startswith("lie") else (dim + 1) * (dim + 2) // 2
+    assert report.checks[0].ok and report.checks[0].samples == points * generators
+    assert calls == {kernel: 1 for kernel in kernels}

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from confsym.clifford import build_gammas, gamma_slash_unit
-from confsym.errors import SingularMap
+from confsym.errors import DimensionMismatch, SingularMap
 from confsym.fields import (
     CosineMultiplet,
     Jet,
@@ -85,6 +85,13 @@ class TestDeltaScalar:
         for spin in ("spinor", "field-strength"):
             with pytest.raises(ValueError):
                 delta_with_gradient(special_conformal(np.ones(4), spin=spin), f, np.zeros(4), metric4)
+
+    def test_generator_of_another_dimension_rejected(self, metric3, rng):
+        # a D = 4 dilation would vary a D = 3 field with the D = 4 weight
+        f = sampling.random_plane_wave_multiplet(rng, metric3, 2)
+        for gen in (dilation(1.0, 4), translation(np.ones(4)), special_conformal(np.ones(4))):
+            with pytest.raises(DimensionMismatch):
+                delta(gen, f, np.full(3, 0.1), metric3)
 
     def test_gradient_helper_matches_fd(self, metric4, rng):
         f = sampling.random_plane_wave_multiplet(rng, metric4, 2)
@@ -543,7 +550,7 @@ class TestSampleAxis:
 
     @pytest.mark.parametrize("n", [1, 257])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-    def test_stack_equals_rows(self, dim, n, same_bits):
+    def test_stack_equals_rows(self, dim, n, same_bits, basis_rows):
         g, rng, xs, cs = self._case(dim, n)
         pairs = list(zip(xs, cs))
         gammas = build_gammas(dim)
@@ -556,10 +563,22 @@ class TestSampleAxis:
                       [spin_coefficient(special_conformal(c, spin=spin), x, g) for x, c in pairs])
         same_bits(delta(special_conformal(cs, spin="vector"), A, xs, g),
                   [delta(special_conformal(c, spin="vector"), A, x, g) for x, c in pairs])
-        for gen in basis_generators(dim):
+        for gen in basis_rows(dim):
             vec, spinor = replace(gen, spin="vector"), replace(gen, spin="spinor")
             same_bits(delta(vec, A, xs, g), [delta(vec, A, x, g) for x in xs])
             same_bits(delta(spinor, psi, xs, g, gammas), [delta(spinor, psi, x, g, gammas) for x in xs])
+        # the basis stack behind the points and, with a unit axis, in front
+        # of them gives each generator's bits
+        basis = basis_generators(dim)
+        front = replace(basis, **{name: getattr(basis, name)[:, None] for name in ("a", "omega", "lam", "c")})
+        for spin, field, extra in (("vector", A, ()), ("spinor", psi, (gammas,))):
+            rows = [delta(replace(gen, spin=spin), field, xs, g, *extra) for gen in basis_rows(dim)]
+            same_bits(delta(replace(basis, spin=spin), field, xs[:, None, :], g, *extra), np.stack(rows, axis=1))
+            same_bits(delta(replace(front, spin=spin), field, xs, g, *extra), rows)
+        for part in (0, 1):
+            rows = [lie_derivative_vector(gen, A, xs, g)[part] for gen in basis_rows(dim)]
+            same_bits(lie_derivative_vector(basis, A, xs[:, None, :], g)[part], np.stack(rows, axis=1))
+            same_bits(lie_derivative_vector(front, A, xs, g)[part], rows)
         batch = delta(special_conformal(cs, spin="spinor"), psi, xs, g, gammas)
         assert batch.dtype == complex
         same_bits(batch, [delta(special_conformal(c, spin="spinor"), psi, x, g, gammas) for x, c in pairs])
@@ -580,14 +599,14 @@ class TestSampleAxis:
         assert make(cs).value(xs).dtype == complex
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-    def test_gradient_route_keeps_the_variation(self, dim):
+    def test_gradient_route_keeps_the_variation(self, dim, basis_rows):
         # delta_with_gradient takes its delta from variation, so on stacks it
         # gives delta's bits for every scalar and vector generator
         g, rng, xs, cs = self._case(dim, 33)
         fields = {"scalar": sampling.random_polynomial_multiplet(rng, dim, 2),
                   "vector": sampling.random_offshell_potential(rng, g)}
         for spin, field in fields.items():
-            gens = [special_conformal(cs, spin=spin)] + [replace(gen, spin=spin) for gen in basis_generators(dim)]
+            gens = [special_conformal(cs, spin=spin)] + [replace(gen, spin=spin) for gen in basis_rows(dim)]
             for gen in gens:
                 varied, _ = delta_with_gradient(gen, Jet(field, xs), xs, g)
                 assert varied.tobytes() == delta(gen, field, xs, g).tobytes()
