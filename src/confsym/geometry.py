@@ -25,8 +25,8 @@ Conventions used across the package:
   array it always gave.  Each sample's result is bit for bit its
   single-point result, and each generator's in a stack its own result, by
   mirroring the single point's operations: per-sample dot products are
-  stacked ``matmul`` calls, ``(..., 1, D) @ (..., D, 1)``, which sum in the
-  order a 1-D ``u @ v`` sums (``einsum`` and ``sum(-1)`` do not); a
+  ``vecdot`` calls, which run the dot routine of a 1-D ``u @ v`` once per
+  sample and so sum in its order (``einsum`` and ``sum(-1)`` do not); a
   per-point ``@``, ``dot`` or ``tensordot`` is a stacked ``matmul`` on
   operands of the same memory layout (the layout selects the BLAS routine,
   so a fixture returns C-ordered samples); a per-point ``einsum`` is the
@@ -42,7 +42,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
 
@@ -59,20 +59,28 @@ from .errors import (
 SINGULARITY_FLOOR = 1e-9
 
 
+@dataclass(frozen=True, eq=False)
 class Metric:
-    """Diagonal Minkowski metric diag(1, -1, ..., -1) in ``dim`` dimensions."""
+    """Diagonal Minkowski metric diag(1, -1, ..., -1) in ``dim`` dimensions,
+    immutable, since :meth:`shared` hands one per dimension to every caller."""
 
-    def __init__(self, dim: int):
-        if int(dim) < 1:
-            raise UnsupportedDimension(f"dimension must be >= 1, got {dim}")
-        self.dim = int(dim)
-        diag = -np.ones(self.dim)
+    dim: int
+    diag: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if int(self.dim) < 1:
+            raise UnsupportedDimension(f"dimension must be >= 1, got {self.dim}")
+        diag = -np.ones(int(self.dim))
         diag[0] = 1.0
         diag.flags.writeable = False
-        self.diag = diag
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "diag", diag)
 
-    def __repr__(self):
-        return f"Metric(dim={self.dim})"
+    @classmethod
+    @cache
+    def shared(cls, dim: int):
+        """The one instance of this class at ``dim``, built on first use."""
+        return cls(dim)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -102,13 +110,12 @@ class Metric:
 
 
 def _inner(u, v):
-    """u . v over the last axis: a float for two single vectors, else one
-    value per sample.  The stacked matmul runs numpy's dot routine once per
-    sample, the routine a 1-D ``u @ v`` runs, so each value has the bits of
-    the single-vector product."""
+    """u . v over the last axis of real arrays: a float for two single
+    vectors, else one value per sample, with the bits of the 1-D ``u @ v``
+    (``vecdot`` runs its dot routine per sample, and conjugates ``u``)."""
     if u.ndim == 1 and v.ndim == 1:
         return float(u @ v)
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return np.vecdot(u, v)
 
 
 def _lift(a, axes: int = 1):
@@ -148,7 +155,7 @@ def _reject(bad, value, error, message):
 def _max_abs(a, axes: int):
     """Largest |entry| over the last ``axes`` axes: one value per sample, a
     float for a single sample."""
-    worst = np.max(np.abs(a), axis=tuple(range(-axes, 0)))
+    worst = np.abs(a).max(axis=tuple(range(-axes, 0)))
     return float(worst) if worst.ndim == 0 else worst
 
 
@@ -163,25 +170,29 @@ def invariant_square(x, metric: Metric):
 def conformal_factor(x, c, metric: Metric):
     """Scalar denominator 1 + 2 c.x + c^2 x^2 of the special conformal map."""
     x = metric._check(x)
-    c = metric._check(c)
-    xl = metric.diag * x
-    return 1.0 + 2.0 * _inner(c, xl) + _inner(c, metric.diag * c) * _inner(x, xl)
+    return _factor(x, metric._check(c), metric.norm2(x), metric)
+
+
+def _factor(x, c, x2, metric: Metric):
+    """The conformal factor of checked x and c, given x2 = x.x."""
+    cl = metric.diag * c
+    return 1.0 + 2.0 * _inner(cl, x) + _inner(c, cl) * x2
 
 
 def _regular_factor(x, c, metric: Metric):
-    """(x, c, sigma) with x and c checked, raising :class:`SingularMap` where
-    the conformal factor sigma is numerically zero."""
-    x = metric._check(x)
-    c = metric._check(c)
-    s = conformal_factor(x, c, metric)
+    """(x, c, sigma, x.x) with x and c checked, raising :class:`SingularMap`
+    where the conformal factor sigma is numerically zero."""
+    x, c = metric._check(x), metric._check(c)
+    x2 = metric.norm2(x)
+    s = _factor(x, c, x2, metric)
     _reject(abs(s) < _scale_floor(x), s, SingularMap, "conformal factor {} is below the singularity floor")
-    return x, c, s
+    return x, c, s, x2
 
 
 def special_conformal_map(x, c, metric: Metric):
     """Finite special conformal coordinate map x -> (x + c x^2) / sigma."""
-    x, c, s = _regular_factor(x, c, metric)
-    return (x + c * _lift(metric.norm2(x))) / _lift(s)
+    x, c, s, x2 = _regular_factor(x, c, metric)
+    return (x + c * _lift(x2)) / _lift(s)
 
 
 def inversion(x, metric: Metric):
@@ -232,8 +243,7 @@ def map_jacobian(x, c, metric: Metric):
 
     Valid wherever the map itself is (x^2 may vanish here).
     """
-    x, c, s = _regular_factor(x, c, metric)
-    x2 = metric.norm2(x)
+    x, c, s, x2 = _regular_factor(x, c, metric)
     c2 = metric.norm2(c)
     xl = metric.lower(x)
     cl = metric.lower(c)
@@ -255,8 +265,8 @@ def conformal_jacobian(x, c, metric: Metric):
     I(x') I(x) sigma.  Needs x^2 != 0 and x'^2 != 0 in addition to sigma != 0;
     use :func:`map_jacobian` for the unrestricted closed form.
     """
-    x, c, s = _regular_factor(x, c, metric)
-    xp = (x + c * _lift(metric.norm2(x))) / _lift(s)
+    x, c, s, x2 = _regular_factor(x, c, metric)
+    xp = (x + c * _lift(x2)) / _lift(s)
     ix = inversion_matrix(x, metric)
     ixp = inversion_matrix(xp, metric)
     # (I(x) I(x'))_b^m carries (lower b, upper m); transpose to row = output.

@@ -3,7 +3,10 @@
 Every generator takes a ``numpy.random.Generator`` so runs are reproducible
 from a single recorded seed.  A rejection sampler draws its tries in blocks,
 yet gives the values of its one-try loop and leaves the generator in that
-loop's end state (:func:`_accepted`): the sample stream is the loop's.
+loop's end state (:func:`_accepted`): the sample stream is the loop's.  The
+first block is sized by the sampler's acceptance, so most calls draw once.
+``0.0 + scales * rng.standard_normal(size)`` is ``rng.normal(0.0, scales,
+size)`` bit for bit, through numpy's fill path, not its broadcast loop.
 
 :func:`timelike_points` cannot draw a block: a try's sign reads the bit
 generator's buffered 32-bit half-word between its normal and uniform draws.
@@ -14,22 +17,26 @@ acceptance with one stacked ``norm2``, so it also keeps the loop's stream.
 
 from __future__ import annotations
 
+from math import ceil, comb, sqrt
+
 import numpy as np
 
 from .fields import CosineMultiplet, CosineSpinor, PolynomialMultiplet
 from .geometry import Metric, _inner, conformal_factor
 
 
-def _accepted(rng, n: int, draw, accept) -> np.ndarray:
+def _accepted(rng, n: int, draw, accept, rate: float) -> np.ndarray:
     """The first ``n`` accepted tries of a rejection loop, one per row.
 
     ``draw(m)`` gives m tries as rows, the values m one-try draws give in
-    turn, and ``accept`` one bool per row.  When the blocks drew past the n-th
-    accepted try, the generator is set back and exactly the used tries are
-    drawn again, so it ends where the one-try loop ends.
+    turn, and ``accept`` one bool per row.  At acceptance ``rate`` (or a
+    floor of it) the first block passes n tries plus two standard deviations,
+    so most calls test once, and it is n tries when every try passes.  When
+    the blocks drew past the n-th accepted try, the generator is set back and
+    exactly the used tries are drawn again, so it ends where the loop ends.
     """
     start = rng.bit_generator.state
-    tries = draw(n)
+    tries = draw(ceil((n + 2 * sqrt(max(n, 0) * (1.0 - rate))) / rate))
     passed = accept(tries)
     while np.count_nonzero(passed) < n:
         more = draw(len(tries) + 16)
@@ -48,16 +55,17 @@ def points(rng, dim: int, n: int, scale: float = 0.6) -> np.ndarray:
 
 def off_cone_points(rng, dim: int, n: int, scale: float = 0.6, min_frac: float = 0.05):
     """Points with |x.x| bounded away from zero relative to their size."""
-    metric = Metric(dim)
+    metric = Metric.shared(dim)
     return _accepted(
         rng, n, lambda m: rng.normal(0.0, scale, size=(m, dim)),
         lambda x: abs(metric.norm2(x)) > min_frac * (1.0 + _inner(x, x)),
+        0.5,  # over half of the tries pass at min_frac <= 0.15 from D = 2 on
     )
 
 
 def timelike_points(rng, dim: int, n: int, min_square: float = 0.2) -> np.ndarray:
     """Points with x.x comfortably positive (both time orientations)."""
-    metric = Metric(dim)
+    metric = Metric.shared(dim)
     out = np.empty((n, dim))
     count = 0
     while count < n:
@@ -85,11 +93,12 @@ def nonsingular_pairs(
     min_factor: float = 0.2,
 ):
     """(x, c) samples keeping the conformal factor away from zero."""
-    metric = Metric(dim)
+    metric = Metric.shared(dim)
     scales = np.repeat([point_scale, param_scale], dim)
     pairs = _accepted(
-        rng, n, lambda m: rng.normal(0.0, scales, size=(m, 2 * dim)),
+        rng, n, lambda m: 0.0 + scales * rng.standard_normal((m, 2 * dim)),
         lambda xc: abs(conformal_factor(xc[:, :dim], xc[:, dim:], metric)) > min_factor,
+        0.9,  # about 99% of tries pass at the default min_factor, any D
     )
     return pairs[:, :dim], pairs[:, dim:]
 
@@ -125,13 +134,14 @@ def random_polynomial_multiplet(
     rng, dim: int, n_comp: int, degree: int = 3, n_terms: int = 6, scale: float = 0.5
 ) -> PolynomialMultiplet:
     """Random polynomial multiplet of bounded total degree."""
+    rate = comb(degree + dim, dim) / (degree + 1) ** dim  # exact acceptance
     components = []
     for _ in range(n_comp):
         monos = []
         for _ in range(n_terms):
             exps = _accepted(
                 rng, 1, lambda m: rng.integers(0, degree + 1, size=(m, dim)),
-                lambda e: e.sum(axis=1) <= degree,
+                lambda e: e.sum(axis=1) <= degree, rate,
             )[0]
             monos.append((float(rng.normal(0.0, scale)), tuple(exps.tolist())))
         components.append(monos)

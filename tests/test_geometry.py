@@ -16,6 +16,7 @@ from confsym.fields import fd_gradient
 from confsym.geometry import (
     GeneratorAction,
     Metric,
+    _inner,
     _regular_factor,
     basis_generators,
     canonical_weight,
@@ -543,3 +544,42 @@ def test_commutator_algebra_evaluates_each_fixture_once(dim, monkeypatch):
                                  checks=["commutator-algebra"]))
     assert report.checks[0].ok and report.checks[0].samples == 8 * dim * dim
     assert calls == {"value": 2, "grad": 2, "hess": 2}
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_inner_has_the_bits_of_the_one_vector_dot(dim):
+    # magnitudes spread over 16 decades, so a different summation order
+    # shows in the last bits
+    rng = np.random.default_rng(dim)
+    wide = rng.normal(size=(40, 2 * dim)) * 10.0 ** rng.integers(-8, 8, size=(40, 2 * dim))
+    xs, ys = np.ascontiguousarray(wide[:, :dim]), np.ascontiguousarray(wide[:, dim:])
+    stack = wide[:3, None, ::-1][..., :dim]
+    assert _hexes(_inner(xs, ys)) == _hexes([float(u @ v) for u, v in zip(xs, ys)])
+    # column slices of one array, as a sampler's pairs are
+    cols = wide[:, :dim], wide[:, dim:]
+    assert _hexes(_inner(*cols)) == _hexes([float(u @ v) for u, v in zip(*cols)])
+    assert _hexes(_inner(ys[0], xs)) == _hexes([float(ys[0] @ v) for v in xs])
+    got = _inner(stack, xs)
+    assert got.shape == (3, 40)
+    assert _hexes(got) == _hexes([float(g[0] @ v) for g in stack for v in xs])
+    assert isinstance(_inner(xs[0], ys[0]), float)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_shared_metric_is_read_only(dim):
+    g = Metric.shared(dim)
+    assert Metric.shared(dim) is g
+    diag = g.diag.copy()
+    for name in ("dim", "diag"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    with pytest.raises(ValueError):
+        g.diag[0] = 2.0
+    assert g.dim == dim and g.diag.tobytes() == diag.tobytes()
+    assert Metric.shared(dim) is g

@@ -174,3 +174,61 @@ def test_zero_count_draws_nothing(name, dim):
     width = 2 * dim if name == "nonsingular_pairs" else dim
     assert new(rng, dim, 0).shape == (0, width)
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_default_acceptance_takes_one_round(monkeypatch, seed, dim):
+    # the first block holds enough accepted tries, so each call tests
+    # acceptance once (a first block of n tries needs a second round)
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(len(args[0])) or fn(*args)
+
+    monkeypatch.setattr(sampling, "_inner", counted(sampling._inner))
+    monkeypatch.setattr(sampling, "conformal_factor", counted(sampling.conformal_factor))
+    sampling.off_cone_points(np.random.default_rng(seed), dim, 100)
+    assert len(calls) == 1 and calls[0] > 100
+    calls.clear()
+    sampling.nonsingular_pairs(np.random.default_rng(seed), dim, 250)
+    assert len(calls) == 1 and calls[0] > 250
+
+
+class _Recorder:
+    """Stands in for a generator: counts its ``integers`` calls and each
+    time its bit generator's state is set."""
+
+    def __init__(self, rng):
+        self.rng, self.integers_calls, self.state_sets = rng, 0, 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.state_sets += 1
+        self.rng.bit_generator.state = value
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def normal(self, *args, **kwargs):
+        return self.rng.normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("degree", [1, 3, 4])
+def test_no_over_draw_where_every_try_passes(seed, degree):
+    # at D = 1 every exponent try passes: one integers call per monomial,
+    # and nothing drawn ahead, so the state is never set back
+    rng = _Recorder(np.random.default_rng(seed))
+    components = sampling.random_polynomial_multiplet(rng, 1, 3, degree=degree).components
+    assert rng.integers_calls == 3 * 6 and rng.state_sets == 0
+    assert components == ref_polynomial_components(np.random.default_rng(seed), 1, 3, degree=degree)
