@@ -798,12 +798,15 @@ def _chk_mech_drift(spec, metric, rng):
 
 @_register("mech-so21", ("mechanics",), "exact", "charge Poisson brackets close on the hand-derived table")
 def _chk_mech_so21(spec, metric, rng):
-    def residual(lam):
-        q = rng.normal(0.0, 1.0, 3) + 2.0
-        p = rng.normal(0.0, 1.0, 3)
-        return float(np.max(so21_bracket_residuals(MechState.make(0.0, q, p), MechParams(3, lam))))
+    # (coupling, sample, q or p, component): the values of one draw of three
+    # per q and per p, sample by sample, since numpy fills normals in order
+    draws = rng.normal(0.0, 1.0, (2, 10, 2, 3))
 
-    return [residual(lam) for lam in (0.0, spec.coupling or 1.0) for _ in range(10)]
+    def residuals(lam, qp):
+        state = MechState.make(np.zeros(len(qp)), qp[:, 0] + 2.0, qp[:, 1])
+        return so21_bracket_residuals(state, MechParams(3, lam)).max(axis=1)
+
+    return np.concatenate([residuals(0.0, draws[0]), residuals(spec.coupling or 1.0, draws[1])]).tolist()
 
 
 @_register("mech-rk4-order", ("mechanics",), 0.5, "halving the step cuts the drift sixteenfold")
@@ -818,18 +821,13 @@ def _chk_mech_order(spec, metric, rng):
 def _chk_mech_reduction(spec, metric, rng):
     one = Metric(1)
     poly = sampling.random_polynomial_multiplet(rng, 1, 3, degree=4)
-    gen_s = dilation(1.0, 1)
-    gen_c = special_conformal(np.array([1.0]))
-
-    def residual(t):
-        jet = Jet(poly, np.array([t]))
-        state = MechState.make(t, jet.value, jet.grad[:, 0])
-        return float(np.maximum(
-            _gap(delta(gen_s, jet, jet.x, one), delta_scale_q(state)),
-            _gap(delta(gen_c, jet, jet.x, one), delta_conformal_q(state)),
-        ))
-
-    return [residual(t) for t in rng.uniform(-2.0, 2.0, 12)]
+    ts = rng.uniform(-2.0, 2.0, 12)
+    jet = Jet(poly, ts[:, None])
+    state = MechState.make(ts, jet.value, jet.grad[..., 0])
+    return np.maximum(
+        _sample_gap(delta(dilation(1.0, 1), jet, jet.x, one), delta_scale_q(state)),
+        _sample_gap(delta(special_conformal(np.array([1.0])), jet, jet.x, one), delta_conformal_q(state)),
+    ).tolist()
 
 
 # ---------------------------------------------------------------------------

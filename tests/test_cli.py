@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confsym.suites as suites
+from confsym import mechanics
 from confsym.cli import emit_report, main, report_from_dict
 from confsym.errors import ConfsymError
 from confsym.modelspec import ModelSpec
@@ -204,6 +206,38 @@ def test_mech_sim_dump_is_pinned(tmp_path):
     out = tmp_path / "traj.txt"
     assert main(["mech-sim", str(SPEC_DIR / "mechanics.spec"), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MECH_SIM_SHA256
+
+
+def _mech_sweep_specs():
+    """Mechanics specs of 1 to 3 components, free and repulsive, whose step
+    counts take every residue modulo the kernel's block of steps."""
+    specs = []
+    for i, (n, lam, steps) in enumerate(itertools.product((1, 2, 3), (0.0, 0.7), range(40, 44))):
+        q0 = ", ".join(str(round(1.2 - 0.1 * k + 0.01 * i, 2)) for k in range(n))
+        p0 = ", ".join(str(round(0.3 * (-1) ** k - 0.02 * i, 2)) for k in range(n))
+        specs.append(
+            f"[model]\nkind = mechanics\ndimension = 1\n[params]\nlambda = {lam}\ncomponents = {n}\n"
+            f"[mechanics]\nq0 = {q0}\np0 = {p0}\nt-end = {steps / 100}\nstep = 0.01\n"
+            f"[suite]\nchecks = all\nseed = {11 + i}\n"
+        )
+    assert {steps % mechanics._BLOCK for steps in range(40, 44)} == set(range(mechanics._BLOCK))
+    return specs
+
+
+# sha256 over the exit status and output of `audit --format json` and of
+# `mech-sim --out` for each spec of _mech_sweep_specs, as written before the
+# RK4 kernel stepped in blocks and the mechanics checks took stacked states
+MECH_SWEEP_SHA256 = "d32c55fcfcf059608ecc634cbb6b37900065326eff1c89abfad3d34a8c60058d"
+
+
+def test_mechanics_sweep_is_pinned(tmp_path):
+    spec, out = tmp_path / "m.spec", tmp_path / "out"
+    digest = hashlib.sha256()
+    for text in _mech_sweep_specs():
+        spec.write_text(text)
+        for argv in (["audit", str(spec), "--format", "json"], ["mech-sim", str(spec)]):
+            digest.update(b"%d" % main(argv + ["--out", str(out)]) + out.read_bytes())
+    assert digest.hexdigest() == MECH_SWEEP_SHA256
 
 
 def test_audit_and_mech_sim_start_from_the_same_state(tmp_path, monkeypatch):

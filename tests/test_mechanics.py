@@ -1,4 +1,6 @@
 import io
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -316,6 +318,29 @@ class TestKernelOracle:
         with pytest.raises(SingularApproach, match=r"after 0 steps \(t = 0.0\)"):
             integrate(MechState.make(0.0, [1.0], [-4.0]), MechParams(1, 1.0), 2.0, 0.5)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_step_count_modulo_the_block(self, n, lam):
+        # the block loop, the remainder loop, and both
+        counts = range(1, 3 * mechanics._BLOCK + 1)
+        assert {c % mechanics._BLOCK for c in counts} == set(range(mechanics._BLOCK))
+        q0, p0 = initial_state({}, n).q, initial_state({}, n).p
+        for nsteps in counts:
+            assert _assert_kernel_matches_numpy(q0, p0, lam, 0.05, nsteps)[0] == nsteps
+
+    def test_early_stop_at_each_step_of_a_block(self):
+        # a particle at -5 crosses 5e-4 per step, so a start m * 5e-4 away
+        # stops after m - 1 steps: one stop at each step of a block
+        dones = [_assert_kernel_matches_numpy([5e-4 * m], [-5.0], 1e-13, 1e-4, 10_000)[0] for m in range(9, 13)]
+        assert dones == [8, 9, 10, 11]
+        assert {done % mechanics._BLOCK for done in dones} == set(range(mechanics._BLOCK))
+
+    def test_early_stop_in_the_remainder_loop(self):
+        # ten steps: the block loop runs steps 0-7, the remainder 8 and 9
+        assert 10 % mechanics._BLOCK and 10 - 10 % mechanics._BLOCK <= 9
+        done, q, _ = _assert_kernel_matches_numpy([0.005], [-5.0], 1e-13, 1e-4, 10)
+        assert done == 9 and q.shape == (10, 1)
+
     def test_r2_source_sums_in_numpys_order(self):
         rng = np.random.default_rng(7)
         for n in range(1, 301):
@@ -324,6 +349,100 @@ class TestKernelOracle:
             for _ in range(3):
                 q = rng.normal(size=n) * np.exp(rng.normal(size=n) * 5)
                 assert r2(q.tolist()) == np.add.reduce(q * q, 0), n
+
+
+def _neighbours(x, count=3):
+    """``x`` and the ``count`` doubles on either side of it."""
+    out, up, down = [x], x, x
+    for _ in range(count):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+class TestStopThreshold:
+    RADII = [mechanics.MIN_RADIUS, 1e-6, 0.3, 1.0, 1e-160, 1e-300, 1e200]
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_squared_test_is_the_radius_test(self, radius):
+        min_r2 = mechanics._min_r2(radius)
+        assert math.sqrt(min_r2) >= radius
+        assert min_r2 == 0.0 or math.sqrt(math.nextafter(min_r2, 0.0)) < radius
+        tiny = sys.float_info.min
+        values = [0.0, -0.0, 5e-324, 2e-323, math.nextafter(tiny, 0.0), tiny, math.inf, math.nan,
+                  sys.float_info.max, *_neighbours(min_r2), *_neighbours(radius * radius)]
+        for r2 in values:
+            if r2 >= 0.0 or math.isnan(r2):
+                assert (r2 < min_r2) == (math.sqrt(r2) < radius), (radius, r2)
+
+    @given(st.floats().map(abs))
+    @settings(max_examples=300, deadline=None)
+    def test_squared_test_on_any_double(self, r2):
+        for radius in (mechanics.MIN_RADIUS, 1e-6):
+            assert (r2 < mechanics._min_r2(radius)) == (math.sqrt(r2) < radius)
+
+    @pytest.mark.parametrize("radius", [0.0, -1e-6, math.nan])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="positive"):
+            mechanics._min_r2(radius)
+
+
+def _stack(rng, n, size=7):
+    """(t, q, p) of ``size`` states with magnitudes spread over decades; q
+    and p are strided slices of one (size, 2, n) draw, as in mech-so21."""
+    t = rng.normal(size=size) * np.exp(rng.normal(size=size) * 3)
+    t[0] = 0.0
+    qp = rng.normal(size=(size, 2, n)) * np.exp(rng.normal(size=(size, 2, 1)) * 3)
+    return t, qp[:, 0], qp[:, 1]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStackedStates:
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_sample_has_its_single_state_bits(self, n, lam):
+        params = MechParams(n, lam)
+        t, q, p = _stack(np.random.default_rng([n, int(10 * lam)]), n)
+        stack = MechState.make(t, q, p)
+        singles = [MechState.make(*row) for row in zip(t, q, p)]
+        for fn in (lambda s: hamiltonian(s, params), lambda s: mechanics._q2(s.q, lam), delta_scale_q,
+                   delta_conformal_q, lambda s: so21_bracket_residuals(s, params)):
+            got = fn(stack)
+            assert len(got) == len(singles)
+            assert all(_same_bits(g, fn(single)) for g, single in zip(got, singles))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    def test_single_states_keep_their_python_float_bits(self, lam):
+        # the formulas as Python floats: ** is libm's pow, as np.float_power
+        rng = np.random.default_rng(3)
+        for t, q, p in zip(*_stack(rng, 3, size=20)):
+            state, t = MechState.make(t, q, p), float(t)
+            r2 = float(q @ q)
+            h = 0.5 * float(p @ p) + (lam / r2 if lam else 0.0)
+            assert hamiltonian(state, MechParams(3, lam)) == h
+            assert _same_bits(delta_scale_q(state), t * p - 0.5 * q)
+            assert _same_bits(delta_conformal_q(state), t**2 * p - t * q)
+            if lam:
+                assert _same_bits(-2.0 * lam * q / r2**2, -2.0 * lam * q / np.float_power(r2, 2))
+
+    def test_coupled_stack_with_a_zero_q_raises(self):
+        t, q, p = _stack(np.random.default_rng(4), 2)
+        q[3] = 0.0
+        stack = MechState.make(t, q, p)
+        for fn in (hamiltonian, so21_bracket_residuals):
+            with pytest.raises(SingularConfiguration):
+                fn(stack, MechParams(2, 0.5))
+            assert np.all(np.isfinite(fn(stack, MechParams(2, 0.0))))
+
+    def test_times_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="one row per time"):
+            MechState.make(0.0, np.ones((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="one row per time"):
+            MechState.make(np.zeros(2), np.ones((3, 2)), np.ones((3, 2)))
 
 
 class TestStepCeiling:

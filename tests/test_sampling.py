@@ -195,6 +195,26 @@ def test_default_acceptance_takes_one_round(monkeypatch, seed, dim):
     assert len(calls) == 1 and calls[0] > 250
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("min_frac", [0.05, 0.1, 0.15])
+def test_off_cone_rate_is_a_floor_of_the_acceptance(dim, min_frac):
+    x = np.random.default_rng([dim, round(100 * min_frac)]).normal(0.0, 0.6, (20_000, dim))
+    passed = abs(Metric(dim).norm2(x)) > min_frac * (1.0 + np.vecdot(x, x))
+    assert sampling._off_cone_rate(dim, min_frac) < np.mean(passed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_off_cone_first_block_follows_the_dimension(monkeypatch, seed, dim):
+    # most tries pass from D = 3 on: a 100-point call tests one block well
+    # under the 229 tries that a floor of one half asks for
+    sizes = []
+    inner = sampling._inner
+    monkeypatch.setattr(sampling, "_inner", lambda u, v: sizes.append(len(u)) or inner(u, v))
+    sampling.off_cone_points(np.random.default_rng(seed), dim, 100)
+    assert len(sizes) == 1 and 100 < sizes[0] < 140
+
+
 class _Recorder:
     """Stands in for a generator: counts its ``integers`` calls and each
     time its bit generator's state is set."""
