@@ -3,14 +3,16 @@ mechanics simulator, and re-emit saved reports.
 
 Exit status is 0 exactly when every check in the run is ok (expected
 failures count as ok).  JSON output is stable-ordered and excludes timing,
-so identical spec + seed produce byte-identical reports.
+so identical spec + seed produce byte-identical reports.  The saved format
+itself belongs to :class:`~confsym.suites.RunReport`; this module only
+renders it, through one JSON encoder, and every report command writes and
+sets its exit status through one path.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -19,17 +21,20 @@ from . import __version__
 from .clifford import MAX_DIM, MIN_DIM
 from .errors import ConfsymError, ParseError, SemanticError
 from .mechanics import MechParams, dump_trajectory, initial_state, integrate
-from .modelspec import DEFAULT_TOLERANCES, ModelSpec, check_dimension, parse_spec
-from .suites import CheckReport, RunReport, run_suite
+from .modelspec import ModelSpec, check_dimension, parse_spec, time_span
+from .suites import RunReport, run_suite
+
+
+def _json_bytes(data: dict) -> bytes:
+    """The one json encoding of every report: sorted keys, two-space indent,
+    no NaN or infinity, and a final newline."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False).encode() + b"\n"
 
 
 def emit_report(report: RunReport, fmt: str) -> bytes:
     """Render a run report; json form is byte-stable for golden files."""
     if fmt == "json":
-        payload = json.dumps(
-            report.to_dict(), sort_keys=True, indent=2, allow_nan=False
-        )
-        return payload.encode() + b"\n"
+        return _json_bytes(report.to_dict())
     if fmt == "text":
         lines = [f"conformal symmetry verification report (confsym {report.version})"]
         spec = report.spec_echo
@@ -58,62 +63,6 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-_NUMBER = (int, float)
-_MISSING = object()
-
-
-def _field(record, key, kind, where, default=_MISSING):
-    """``record[key]`` (``default`` when absent and optional), checked to be of
-    ``kind``; a bool never passes for a number."""
-    value = record.get(key, default)
-    if value is _MISSING:
-        raise ConfsymError(f"saved report: {where} has no {key!r}")
-    if not isinstance(value, kind) or (isinstance(value, bool) and bool not in kind):
-        raise ConfsymError(f"saved report: {where} {key!r} has the wrong type")
-    return value
-
-
-def _reject_non_finite(value, where="report"):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfsymError(f"saved report: non-finite number {value} in {where}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_non_finite(item, f"{where}.{key}")
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            _reject_non_finite(item, f"{where}[{index}]")
-
-
-def report_from_dict(data: dict) -> RunReport:
-    """Rebuild a run report from its saved json; raises ConfsymError on a
-    missing key, a value of the wrong type or a non-finite number."""
-    if not isinstance(data, dict):
-        raise ConfsymError("saved report: not a json object")
-    _reject_non_finite(data)
-    checks = []
-    for index, c in enumerate(_field(data, "checks", (list,), "report")):
-        where = f"check {index}"
-        if not isinstance(c, dict):
-            raise ConfsymError(f"saved report: {where} is not a json object")
-        checks.append(CheckReport(
-            name=_field(c, "name", (str,), where),
-            dim=_field(c, "dim", (int,), where),
-            samples=_field(c, "samples", (int,), where),
-            max_residual=_field(c, "max_residual", _NUMBER, where),
-            tolerance=_field(c, "tolerance", _NUMBER, where),
-            seed=_field(c, "seed", (int,), where),
-            expected_fail=_field(c, "expected_fail", (bool,), where, False),
-            error=_field(c, "error", (str, type(None)), where, None),
-        ))
-    return RunReport(
-        _field(data, "version", (str,), "report"),
-        _field(data, "spec", (dict,), "report"),
-        checks,
-        _field(data, "seed", (int,), "report"),
-        _field(data, "wall_time_seconds", _NUMBER, "report", 0.0),
-    )
-
-
 def _write_output(payload: bytes, out_path):
     if out_path:
         with open(out_path, "wb") as handle:
@@ -122,12 +71,17 @@ def _write_output(payload: bytes, out_path):
         sys.stdout.buffer.write(payload)
 
 
+def _finish(report: RunReport, args) -> int:
+    """Write ``report`` as ``--format`` asks to ``--out`` or stdout; the exit
+    status is 0 exactly when every check is ok."""
+    _write_output(emit_report(report, args.format), args.out)
+    return 0 if report.overall_ok else 1
+
+
 def _cmd_audit(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = parse_spec(handle.read())
-    report = run_suite(spec)
-    _write_output(emit_report(report, args.format), args.out)
-    return 0 if report.overall_ok else 1
+    return _finish(run_suite(spec), args)
 
 
 def _parse_dims(raw: str):
@@ -164,26 +118,15 @@ def _cmd_scan_dims(args) -> int:
             dimension=dim,
             components=2 if args.kind == "interacting-multiplet" else 1,
             seed=args.seed,
-            tolerances=dict(DEFAULT_TOLERANCES),
         )
         reports.append(run_suite(spec))
     ok = all(r.overall_ok for r in reports)
     if args.format == "json":
-        payload = json.dumps(
-            {
-                "version": __version__,
-                "kind": args.kind,
-                "overall_ok": ok,
-                "scans": [r.to_dict() for r in reports],
-            },
-            sort_keys=True,
-            indent=2,
-            allow_nan=False,
-        ).encode() + b"\n"
-        _write_output(payload, args.out)
+        scans = [r.to_dict() for r in reports]
+        payload = _json_bytes({"version": __version__, "kind": args.kind, "overall_ok": ok, "scans": scans})
     else:
-        chunks = [emit_report(r, "text") for r in reports]
-        _write_output(b"\n".join(chunks), args.out)
+        payload = b"\n".join(emit_report(r, "text") for r in reports)
+    _write_output(payload, args.out)
     return 0 if ok else 1
 
 
@@ -195,12 +138,7 @@ def _cmd_mech_sim(args) -> int:
     mech = spec.mechanics
     state0 = initial_state(mech, spec.components)
     params = MechParams(state0.q.shape[0], spec.coupling)
-    traj = integrate(
-        state0,
-        params,
-        mech.get("t-end", 10.0),
-        mech.get("step", 1e-3),
-    )
+    traj = integrate(state0, params, *time_span(mech))
     drift = traj.charge_drift()
     summary = (
         f"steps: {traj.times.size - 1}  coupling: {params.coupling}  "
@@ -213,8 +151,7 @@ def _cmd_mech_sim(args) -> int:
     else:
         dump_trajectory(traj, sys.stdout)
         sys.stderr.write(summary)
-    tol = spec.tolerances.get("drift", DEFAULT_TOLERANCES["drift"])
-    return 0 if float(np.max(drift)) <= tol else 1
+    return 0 if float(np.max(drift)) <= spec.tolerances["drift"] else 1
 
 
 ALGEBRA_CHECKS = [
@@ -230,16 +167,8 @@ def _cmd_algebra(args) -> int:
     if not MIN_DIM <= args.dim <= MAX_DIM:
         raise ConfsymError(f"algebra supports {MIN_DIM} <= D <= {MAX_DIM}, got --dim {args.dim}")
     _check_seed(args.seed)
-    spec = ModelSpec(
-        kind="maxwell",
-        dimension=args.dim,
-        checks=list(ALGEBRA_CHECKS),
-        seed=args.seed,
-        tolerances=dict(DEFAULT_TOLERANCES),
-    )
-    report = run_suite(spec)
-    _write_output(emit_report(report, args.format), args.out)
-    return 0 if report.overall_ok else 1
+    spec = ModelSpec(kind="maxwell", dimension=args.dim, checks=list(ALGEBRA_CHECKS), seed=args.seed)
+    return _finish(run_suite(spec), args)
 
 
 def _cmd_report(args) -> int:
@@ -248,9 +177,14 @@ def _cmd_report(args) -> int:
             data = json.load(handle)
         except ValueError as exc:  # not json, or not utf-8
             raise ConfsymError(f"{args.file} is not a json report: {exc}") from exc
-    report = report_from_dict(data)
-    _write_output(emit_report(report, args.format), args.out)
-    return 0 if report.overall_ok else 1
+    return _finish(RunReport.from_dict(data), args)
+
+
+def _output_args(p: argparse.ArgumentParser) -> None:
+    """``--format`` and ``--out`` of a report command, declared after its own
+    arguments so that they close its usage and help."""
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--out", default=None)
 
 
 _parser = None
@@ -271,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run the check suite for a model spec file")
     p.add_argument("spec")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", default=None)
+    _output_args(p)
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("scan-dims", help="run one model kind across a dimension range")
@@ -280,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("maxwell", "interacting-multiplet", "general-scalar"))
     p.add_argument("--dims", default="3..6", help="range like 3..6 or list like 3,5")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", default=None)
+    _output_args(p)
     p.set_defaults(fn=_cmd_scan_dims)
 
     p = sub.add_parser("mech-sim", help="integrate a mechanics spec and dump the trajectory")
@@ -292,14 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("algebra", help="generator-algebra checks at one dimension, 2..6")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", default=None)
+    _output_args(p)
     p.set_defaults(fn=_cmd_algebra)
 
     p = sub.add_parser("report", help="re-emit a saved json report")
     p.add_argument("file")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", default=None)
+    _output_args(p)
     p.set_defaults(fn=_cmd_report)
 
     _parser = parser

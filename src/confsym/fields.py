@@ -238,19 +238,27 @@ class ShiftedPotential:
         return as_jet(self.base, x).hess + as_jet(self.gauge, x).third[..., 0, :, :, :]
 
 
-def make_onshell_maxwell_plane_wave(k, eps, metric: Metric, phase: float = 0.0) -> CosineMultiplet:
-    """Plane-wave potential eps_alpha cos(k.x + phase) solving the free
-    Maxwell equations exactly, ``eps`` given with its index up.
-
-    Requires a null wave vector and a transverse polarisation; violations
-    beyond 1e-12 raise :class:`OffShellParameters`.
-    """
+def check_maxwell_plane_wave(k, eps, metric: Metric) -> None:
+    """Raise :class:`OffShellParameters` unless the wave vector ``k`` is null
+    and the polarisation ``eps`` (index up) transverse, each to 1e-12, and
+    the field strength k ^ eps exceeds 1e-12 |k| |eps|: F = 0 solves the
+    field equations vacuously.  NaN fails every test."""
     k2 = metric.norm2(k)
     ke = metric.dot(k, eps)
-    if abs(k2) > NULLNESS_TOL:
+    if not abs(k2) <= NULLNESS_TOL:
         raise OffShellParameters(f"wave vector is not null: k^2 = {k2}")
-    if abs(ke) > NULLNESS_TOL:
+    if not abs(ke) <= NULLNESS_TOL:
         raise OffShellParameters(f"polarisation is not transverse: k.eps = {ke}")
+    wedge = np.outer(k, eps) - np.outer(eps, k)
+    if not np.linalg.norm(wedge) > NULLNESS_TOL * np.linalg.norm(k) * np.linalg.norm(eps):
+        raise OffShellParameters("F = 0: k and eps must be nonzero and not parallel")
+
+
+def make_onshell_maxwell_plane_wave(k, eps, metric: Metric, phase: float = 0.0) -> CosineMultiplet:
+    """Plane-wave potential eps_alpha cos(k.x + phase) solving the free
+    Maxwell equations exactly, ``eps`` given with its index up; parameters
+    that fail :func:`check_maxwell_plane_wave` raise its error."""
+    check_maxwell_plane_wave(k, eps, metric)
     return CosineMultiplet(k, metric.lower(eps), phase, metric)
 
 

@@ -6,10 +6,13 @@ an exact line number: unknown sections, unknown keys, duplicated keys,
 malformed or non-finite values, number lists without a number.  Semantic
 constraints (dimension versus model kind, ``p0`` without ``q0``,
 ``components`` other than the length of ``q0``, a ``[fixture]`` whose
-``kind`` is not ``plane-wave``, a ``t-end`` shorter than half a ``step``
-or longer than ``MAX_STEPS`` steps, a negative seed, an empty check
-selection) raise :class:`SemanticError` after parsing.  A mechanics spec with ``q0`` and no
-``components`` takes its component count from ``q0``.
+``kind`` is not ``plane-wave``, a Maxwell ``k`` and ``epsilon`` that fail
+:func:`~confsym.fields.check_maxwell_plane_wave`, a ``t-end`` shorter
+than half a ``step`` or longer than ``MAX_STEPS`` steps, a negative seed,
+an empty check selection) raise :class:`SemanticError` after parsing.  A
+mechanics spec with ``q0`` and no ``components`` takes its component count
+from ``q0``; an absent ``t-end`` or ``step`` reads as its
+``DEFAULT_TIME_SPAN`` value.
 """
 
 from __future__ import annotations
@@ -18,7 +21,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ParseError, SemanticError
+import numpy as np
+
+from .errors import OffShellParameters, ParseError, SemanticError
+from .fields import check_maxwell_plane_wave
+from .geometry import Metric
 from .mechanics import MAX_STEPS
 
 MODEL_KINDS = (
@@ -37,6 +44,9 @@ DEFAULT_TOLERANCES = {
     "oracle": 1e-6,
     "drift": 1e-8,
 }
+
+# the mechanics trajectory's span and step when a spec leaves them out
+DEFAULT_TIME_SPAN = {"t-end": 10.0, "step": 1e-3}
 
 _SCHEMA = {
     "model": {"kind": "str", "dimension": "int"},
@@ -61,12 +71,7 @@ _SCHEMA = {
         "step": "float",
     },
     "suite": {"checks": "str", "seed": "int"},
-    "tolerances": {
-        "exact": "float",
-        "identity": "float",
-        "oracle": "float",
-        "drift": "float",
-    },
+    "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, "float"),
 }
 
 
@@ -108,6 +113,12 @@ class ModelSpec:
             out["mechanics"] = {k: self.mechanics[k] for k in sorted(self.mechanics)}
         out["checks"] = "all" if self.checks is None else list(self.checks)
         return out
+
+
+def time_span(mechanics: dict) -> tuple:
+    """(t-end, step) of a ``[mechanics]`` section, defaults filled in; the
+    section itself keeps only what the spec set, since reports echo it."""
+    return tuple(mechanics.get(key, value) for key, value in DEFAULT_TIME_SPAN.items())
 
 
 def check_dimension(kind: str, dimension: int) -> None:
@@ -212,6 +223,12 @@ def _validate(sections) -> ModelSpec:
     for key in ("k", "epsilon"):
         if key in fixture and len(fixture[key]) != dimension:
             raise SemanticError(f"fixture {key} must have {dimension} components")
+    if kind == "maxwell" and "k" in fixture and "epsilon" in fixture:
+        try:
+            with np.errstate(all="ignore"):  # an overflow reads as NaN or inf, and fails
+                check_maxwell_plane_wave(fixture["k"], fixture["epsilon"], Metric.shared(dimension))
+        except OffShellParameters as exc:
+            raise SemanticError(f"fixture is not a Maxwell plane wave: {exc}") from None
 
     mech = {k: v[0] for k, v in sections.get("mechanics", {}).items()}
     if kind != "mechanics" and mech:
@@ -224,9 +241,10 @@ def _validate(sections) -> ModelSpec:
         if components is not None and components != len(mech["q0"]):
             raise SemanticError(f"components = {components} but q0 has {len(mech['q0'])}")
         components = len(mech["q0"])
-    if mech.get("step", 1.0) <= 0:
+    t_end, step = time_span(mech)
+    if step <= 0:
         raise SemanticError("step must be positive")
-    steps = mech.get("t-end", 10.0) / mech.get("step", 1e-3)
+    steps = t_end / step
     if steps > MAX_STEPS:
         raise SemanticError(f"t-end / step must be at most {MAX_STEPS}")
     if round(steps) < 1:

@@ -641,6 +641,8 @@ def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma
     sigma = np.broadcast_to(sigma, x.shape[:-1])
     x_sigma, diag_sigma = _at(x, sigma), metric.diag[sigma]
     x2 = metric.norm2(x)
+    # written out, not taken from killing_vector: the one independent copy of
+    # the special conformal Killing vector, so the action checks see its faults
     k_vec = 2.0 * _lift(x_sigma) * x - _lift(diag_sigma) * np.eye(dim)[sigma] * _lift(x2)
     total_derivative = 2.0 * dim * x_sigma * lag + _inner(k_vec, dlag)
 

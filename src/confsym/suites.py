@@ -19,6 +19,7 @@ deterministic however the checks are scheduled.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import zlib
@@ -57,7 +58,6 @@ from .geometry import (
     killing_divergence,
     killing_gradient,
     killing_residual_from_gradient,
-    killing_vector,
     large_parameter_map,
     map_jacobian,
     special_conformal,
@@ -73,20 +73,19 @@ from .mechanics import (
     integrate,
     so21_bracket_residuals,
 )
-from .modelspec import FIELD_KINDS, ModelSpec
+from .modelspec import FIELD_KINDS, ModelSpec, time_span
 from .noether import (
     DualScalarModel,
     MaxwellModel,
     MultipletModel,
     action_variation_identity,
+    bessel_hagen_divergence,
     current_divergence_identity,
     field_virial,
     gauge_shift_divergence,
     gauge_shift_scale_current,
-    improved_scalar_stress,
     improved_scalar_stress_divergence,
     improved_scalar_stress_trace,
-    killing_current_divergence,
     linear_scalar_model,
     maxwell_stress_divergence,
     maxwell_stress_trace,
@@ -702,15 +701,10 @@ def _chk_improved_cons(spec, metric, rng):
 def _chk_killing_current(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True)
     pts = sampling.points(rng, metric.dim, 4)
-    # the free improved stress, built once and contracted with the basis
-    # stack behind each point
-    x = pts[:, None, :]
-    jet = Jet(phi, x)
-    theta = improved_scalar_stress(jet, x, metric)
-    theta_div = improved_scalar_stress_divergence(jet, x, metric)
-    basis = basis_generators(metric.dim)
-    f, df = killing_vector(basis, x, metric), killing_gradient(basis, x, metric)
-    return abs(killing_current_divergence(theta, theta_div, f, df, metric)).ravel().tolist()
+    # the free model's current for the basis stack behind each point
+    model = MultipletModel(metric.dim, spec.components)
+    divergence = bessel_hagen_divergence(basis_generators(metric.dim), model, phi, pts[:, None, :], metric)
+    return abs(divergence).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +781,7 @@ def _chk_mech_free(spec, metric, rng):
 @_register("mech-charge-drift", ("mechanics",), "drift", "energy, dilation and conformal charges hold along trajectories")
 def _chk_mech_drift(spec, metric, rng):
     mech = spec.mechanics
-    t_end, step = mech.get("t-end", 10.0), mech.get("step", 1e-3)
+    t_end, step = time_span(mech)
     couplings = [spec.coupling] if spec.coupling else [0.0, 0.5, 2.0]
     sizes = [len(mech["q0"])] if "q0" in mech else [1, 2, 3]
     return [
@@ -835,6 +829,42 @@ def _chk_mech_reduction(spec, metric, rng):
 # ---------------------------------------------------------------------------
 
 
+# The saved check: each field CheckReport.to_dict writes and RunReport.from_dict
+# reads, in reading order, with the JSON types it may take (a bool is never a
+# number); one with a default may be absent.  passed and ok are recomputed.
+_SAVED_CHECK_FIELDS = {
+    "name": (str,),
+    "dim": (int,),
+    "samples": (int,),
+    "max_residual": (int, float),
+    "tolerance": (int, float),
+    "seed": (int,),
+    "expected_fail": (bool,),
+    "error": (str, type(None)),
+}
+
+
+def _field(record, key, kinds, where, default=dataclasses.MISSING):
+    """``record[key]``, or ``default`` when it is absent, checked against ``kinds``."""
+    value = record.get(key, default)
+    if value is dataclasses.MISSING:
+        raise ConfsymError(f"saved report: {where} has no {key!r}")
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ConfsymError(f"saved report: {where} {key!r} has the wrong type")
+    return value
+
+
+def _reject_non_finite(value, where="report"):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfsymError(f"saved report: non-finite number {value} in {where}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{index}]")
+
+
 @dataclass
 class CheckReport:
     """Structured outcome of one verification: residual against tolerance.
@@ -865,18 +895,8 @@ class CheckReport:
         return self.passed
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "expected_fail": self.expected_fail,
-            "passed": self.passed,
-            "ok": self.ok,
-            "error": self.error,
-        }
+        saved = {key: getattr(self, key) for key in _SAVED_CHECK_FIELDS}
+        return saved | {"passed": self.passed, "ok": self.ok}
 
 
 @dataclass
@@ -902,6 +922,24 @@ class RunReport:
             "checks": [check.to_dict() for check in self.checks],
             "overall_ok": self.overall_ok,
         }
+
+    @classmethod
+    def from_dict(cls, data) -> "RunReport":
+        """Rebuild a run report from its saved json; raises ConfsymError on a
+        missing key, a value of the wrong type or a non-finite number."""
+        if not isinstance(data, dict):
+            raise ConfsymError("saved report: not a json object")
+        _reject_non_finite(data)
+        defaults = {f.name: f.default for f in dataclasses.fields(CheckReport)}
+        checks = []
+        for index, record in enumerate(_field(data, "checks", (list,), "report")):
+            where = f"check {index}"
+            if not isinstance(record, dict):
+                raise ConfsymError(f"saved report: {where} is not a json object")
+            checks.append(CheckReport(**{key: _field(record, key, kinds, where, defaults[key])
+                                         for key, kinds in _SAVED_CHECK_FIELDS.items()}))
+        return cls(_field(data, "version", (str,), "report"), _field(data, "spec", (dict,), "report"),
+                   checks, _field(data, "seed", (int,), "report"))
 
 
 def applicable_checks(kind: str) -> list:

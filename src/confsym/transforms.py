@@ -56,6 +56,7 @@ from .geometry import (
     killing_second_gradient,
     killing_vector,
     map_jacobian,
+    sigma_basis_conformal,
     special_conformal,
     special_conformal_map,
 )
@@ -341,11 +342,9 @@ def commutator_stack(field, x, metric: Metric):
     # the special conformal operator by tau: its vector field k[tau] and
     # weight term w[tau], their gradients dk[tau] and dw[tau], and the
     # gradient of the varied field [tau, i, m]
-    k = 2.0 * x[..., :, None] * x[..., None, :] - (d[:, None] * eye) * _lift(metric.norm2(x), 2)
+    gen = sigma_basis_conformal(np.arange(metric.dim), metric, weight, "scalar")
+    k, dk = killing_vector(gen, x[..., None, :], metric), killing_gradient(gen, x[..., None, :], metric)
     w = 2.0 * weight * x
-    dk = 2.0 * np.einsum("...r,tm->...trm", x, eye)
-    dk += _lift(2.0 * x, 2) * eye
-    dk -= 2.0 * d[:, None, None] * np.einsum("tr,...m->...trm", eye, metric.lower(x))
     dw = 2.0 * weight * eye
     c_grad = np.einsum("...nr,...trm->...tnm", grad, dk)
     c_grad += np.einsum("...nrm,...tr->...tnm", hess, k)

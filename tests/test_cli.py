@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 import confsym.suites as suites
 from confsym import mechanics
-from confsym.cli import emit_report, main, report_from_dict
+from confsym.cli import emit_report, main
 from confsym.errors import ConfsymError
 from confsym.modelspec import ModelSpec
-from confsym.suites import applicable_checks, run_suite
+from confsym.suites import RunReport, applicable_checks, run_suite
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -118,7 +118,7 @@ def test_json_round_trip_preserves_residuals():
     report = run_suite(spec)
     payload = emit_report(report, "json")
     data = json.loads(payload)
-    rebuilt = report_from_dict(data)
+    rebuilt = RunReport.from_dict(data)
     assert emit_report(rebuilt, "json") == payload
     for orig, back in zip(report.checks, rebuilt.checks):
         assert back.max_residual == orig.max_residual
@@ -287,6 +287,24 @@ def test_fixture_without_the_plane_wave_kind_exits_two(kind_line, tmp_path, caps
     assert capsys.readouterr().err.startswith("spec error:")
 
 
+@pytest.mark.parametrize("k, epsilon, error", [
+    ("1, 0, 0, 0.5", "0, 1, 0, 0", "not null"),
+    ("1, 0, 0, 1", "1, 0, 0, 0", "not transverse"),
+    ("0, 0, 0, 0", "0, 1, 0, 0", "F = 0"),
+    ("1, 0, 0, 1", "0, 0, 0, 0", "F = 0"),
+    ("1, 0, 0, 1", "2, 0, 0, 2", "F = 0"),
+], ids=["off-shell-k", "longitudinal", "zero-k", "zero-epsilon", "parallel"])
+def test_maxwell_fixture_off_shell_or_with_no_field_exits_two(k, epsilon, error, tmp_path, capsys):
+    # off shell, such a wave failed 8 checks at run time; with F = 0 every
+    # check passed
+    spec = tmp_path / "bad.spec"
+    spec.write_text("[model]\nkind = maxwell\ndimension = 4\n"
+                    f"[fixture]\nkind = plane-wave\nk = {k}\nepsilon = {epsilon}\n")
+    assert main(["audit", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: fixture") and error in err
+
+
 MECH_HEAD = "[model]\nkind = mechanics\ndimension = 1\n[params]\ncomponents = 2\nlambda = 0.5\n"
 
 
@@ -441,6 +459,77 @@ def test_command_json_matches_golden_file(name, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
+# sha256 of the output of commands whose bytes no golden file holds, as
+# written when the saved-report reader still lived in the cli module; a live
+# run's wall times are masked, and a saved report has none to mask
+PINNED_OUTPUT = {
+    "report-text": (["report", str(GOLDEN_DIR / "maxwell_d4.json"), "--format", "text"],
+                    "39c5fed928d64252d9e3aad37d589e08389acf5445265f1750e675826e25f72b"),
+    "report-json": (["report", str(GOLDEN_DIR / "maxwell_d4.json"), "--format", "json"],
+                    "bfba7a835a60900c751d33e46194ccaa3342669e0322af1a332c6f67b760c39c"),
+    "scan-dims-text": (["scan-dims", "--kind", "maxwell", "--dims", "3..4", "--format", "text"],
+                       "a8c2adb5edc913939269d944ef9d7cd314c07cc5777b27b2cdea31da9382042b"),
+}
+
+
+def _without_timing(text: bytes) -> bytes:
+    """Text output with the wall times of a live run masked."""
+    text = re.sub(rb", [0-9.]+ ms\)", b", - ms)", text)
+    return re.sub(rb"wall: [0-9.]+s", b"wall: -s", text)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUT))
+def test_command_output_is_pinned(name, tmp_path):
+    argv, sha256 = PINNED_OUTPUT[name]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    payload = out.read_bytes() if argv[0] == "report" else _without_timing(out.read_bytes())
+    assert hashlib.sha256(payload).hexdigest() == sha256
+
+
+HELP_SHA256 = {
+    "audit": "8104608592a1eec6299994c6ae0d569f6adce8fa6b3b8f3f11197ea9dd1d1724",
+    "scan-dims": "1e4df09c5f3cfa5ca6fc42b4e2fa7c5b98f4b5bdd99cbae67fa52053122ee7f1",
+    "mech-sim": "9e1a22525167b0776a306df1e263a70e7050de2892187b334b0ca09a8552ee40",
+    "algebra": "8b2b4e6cea47329b42ba90dfebce567ee70c46d3c7ac28a7cec4a40c690cde5f",
+    "report": "7f3054eaa3ae806b7b5b6f3b830c53b775e844e3f5d8dc1f5e66dbaa0757e8d1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_subcommand_help_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda check: check.pop("name"), "check 0 has no 'name'"),
+    (lambda check: check.update(samples=True), "check 0 'samples' has the wrong type"),
+    (lambda check: check.update(max_residual=float("nan")),
+     "non-finite number nan in report.checks[0].max_residual"),
+], ids=["no-name", "bool-samples", "nan-residual"])
+def test_bad_saved_report_messages_are_pinned(edit, message, tmp_path, capsys):
+    data = json.loads((GOLDEN_DIR / "maxwell_d4.json").read_text())
+    edit(data["checks"][0])
+    saved = tmp_path / "bad.json"
+    saved.write_text(json.dumps(data))
+    assert main(["report", str(saved)]) == 2
+    assert capsys.readouterr().err == f"error: saved report: {message}\n"
+
+
+def test_readme_schema_has_the_keys_a_report_writes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("JSON report schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    documented = json.loads(block)
+    written = json.loads(emit_report(run_suite(ModelSpec(kind="maxwell", dimension=4,
+                                                         checks=["map-composition"])), "json"))
+    assert documented.keys() == written.keys()
+    assert documented["checks"][0].keys() == written["checks"][0].keys()
+
+
 def _run_patched(monkeypatch, residuals, tolerance="exact"):
     """Run map-composition with its function replaced by one returning
     ``residuals``; return its check report."""
@@ -523,7 +612,7 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_report_from_dict_accepts_or_rejects_cleanly(path, value):
     try:
-        report = report_from_dict(_edited_saved(path, value))
+        report = RunReport.from_dict(_edited_saved(path, value))
     except ConfsymError:
         return
     json.loads(emit_report(report, "json"))
@@ -534,7 +623,7 @@ def test_report_from_dict_accepts_or_rejects_cleanly(path, value):
 @settings(max_examples=50, deadline=None)
 def test_report_from_dict_rejects_missing_keys(path):
     with pytest.raises(ConfsymError, match="has no"):
-        report_from_dict(_edited_saved(path, delete=True))
+        RunReport.from_dict(_edited_saved(path, delete=True))
 
 
 @given(
@@ -545,7 +634,7 @@ def test_report_from_dict_rejects_missing_keys(path):
 @settings(max_examples=30, deadline=None)
 def test_report_from_dict_rejects_non_finite_numbers(path, value):
     with pytest.raises(ConfsymError, match="non-finite"):
-        report_from_dict(_edited_saved(path, value))
+        RunReport.from_dict(_edited_saved(path, value))
 
 
 @pytest.mark.parametrize("text", [

@@ -74,6 +74,12 @@ class TestOnShellMaxwellWave:
                 np.array([1.0, 0, 0, 1]), np.array([1.0, 0, 0, 0]), metric4
             )
 
+    @pytest.mark.parametrize("k, eps", [([0.0, 0, 0, 0], [0.0, 1, 0, 0]), ([1.0, 0, 0, 1], [0.0, 0, 0, 0]),
+                                        ([1.0, 0, 0, 1], [2.0, 0, 0, 2])])
+    def test_wave_with_no_field_strength_rejected(self, metric4, k, eps):
+        with pytest.raises(OffShellParameters, match="F = 0"):
+            make_onshell_maxwell_plane_wave(np.array(k), np.array(eps), metric4)
+
 
 class TestPlaneWavePotential:
     """A plane-wave potential is the D-component cosine multiplet of its
