@@ -54,10 +54,8 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
             timing = "" if check.wall_ms is None else f", {check.wall_ms:.1f} ms"
             lines.append(f"  {status:<15} {check.name:<32} {detail}  (n={check.samples}{timing})")
         n_ok = sum(1 for c in report.checks if c.ok)
-        lines.append(
-            f"checks: {len(report.checks)}  ok: {n_ok}  "
-            f"not ok: {len(report.checks) - n_ok}  wall: {report.wall_time:.2f}s"
-        )
+        wall = "" if report.wall_time is None else f"  wall: {report.wall_time:.2f}s"
+        lines.append(f"checks: {len(report.checks)}  ok: {n_ok}  not ok: {len(report.checks) - n_ok}{wall}")
         lines.append(f"overall: {'PASS' if report.overall_ok else 'FAIL'}")
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="maxwell",
                    choices=("maxwell", "interacting-multiplet", "general-scalar"))
     p.add_argument("--dims", default="3..6", help="range like 3..6 or list like 3,5")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=ModelSpec.seed)
     _output_args(p)
     p.set_defaults(fn=_cmd_scan_dims)
 
@@ -223,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra", help="generator-algebra checks at one dimension, 2..6")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=ModelSpec.seed)
     _output_args(p)
     p.set_defaults(fn=_cmd_algebra)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OffShellParameters, WrongDimension
-from .fields import CosineMultiplet, Jet, as_jet
+from .fields import CosineMultiplet, Jet, as_jet, check_null
 from .geometry import Metric, _lift, _max_abs, levi_civita3, levi_civita3_upper, sigma_basis_conformal
 from .noether import improved_scalar_stress, _f_squared, _raise2
 from .transforms import delta_with_gradient, variation
@@ -163,8 +163,7 @@ def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):
     """
     _check_dim3(metric)
     k = metric._check(k)
-    if abs(metric.norm2(k)) > 1e-12:
-        raise OffShellParameters("matched pair requires a null wave vector")
+    check_null(k, metric)
     eps_up = levi_civita3_upper(metric)
     m = np.einsum("mab,a->mb", eps_up, metric.lower(k))
     rhs = float(amplitude) * k

@@ -2,7 +2,10 @@
 
 
 class ConfsymError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  ``sample`` is the index of the
+    sample a floor test of a stacked kernel rejected, else None."""
+
+    sample = None
 
 
 class DimensionMismatch(ConfsymError, ValueError):

@@ -238,19 +238,29 @@ class ShiftedPotential:
         return as_jet(self.base, x).hess + as_jet(self.gauge, x).third[..., 0, :, :, :]
 
 
+def check_null(k, metric: Metric) -> None:
+    """Raise :class:`OffShellParameters` unless the wave vector ``k`` is
+    null, |k^2| <= 1e-12 k.k with the Euclidean k.k, so that the test does
+    not depend on the size of ``k``.  NaN fails."""
+    k = metric._check(k)
+    k2 = metric.norm2(k)
+    if not abs(k2) <= NULLNESS_TOL * _inner(k, k):
+        raise OffShellParameters(f"wave vector is not null: k^2 = {k2}")
+
+
 def check_maxwell_plane_wave(k, eps, metric: Metric) -> None:
     """Raise :class:`OffShellParameters` unless the wave vector ``k`` is null
-    and the polarisation ``eps`` (index up) transverse, each to 1e-12, and
-    the field strength k ^ eps exceeds 1e-12 |k| |eps|: F = 0 solves the
-    field equations vacuously.  NaN fails every test."""
-    k2 = metric.norm2(k)
+    (:func:`check_null`), the polarisation ``eps`` (index up) transverse,
+    |k.eps| <= 1e-12 |k| |eps| with Euclidean norms, and the field strength
+    k ^ eps exceeds 1e-12 |k| |eps|: F = 0 solves the field equations
+    vacuously.  NaN fails every test."""
+    check_null(k, metric)
+    bound = NULLNESS_TOL * np.linalg.norm(k) * np.linalg.norm(eps)
     ke = metric.dot(k, eps)
-    if not abs(k2) <= NULLNESS_TOL:
-        raise OffShellParameters(f"wave vector is not null: k^2 = {k2}")
-    if not abs(ke) <= NULLNESS_TOL:
+    if not abs(ke) <= bound:
         raise OffShellParameters(f"polarisation is not transverse: k.eps = {ke}")
     wedge = np.outer(k, eps) - np.outer(eps, k)
-    if not np.linalg.norm(wedge) > NULLNESS_TOL * np.linalg.norm(k) * np.linalg.norm(eps):
+    if not np.linalg.norm(wedge) > bound:
         raise OffShellParameters("F = 0: k and eps must be nonzero and not parallel")
 
 

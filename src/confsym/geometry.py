@@ -34,10 +34,11 @@ Conventions used across the package:
   ``trace`` reduces the trailing axes of the same layout; and a power of a
   per-sample value is ``np.float_power``, which calls libm's ``pow`` as a
   Python float's ``**`` does (numpy's ``**`` squares or takes ``sqrt``).  A
-  floor test raises for the first sample in sample order that fails it, so
-  a chain of kernels over a sample array raises the error of the first
-  kernel that meets a singular sample, naming that kernel's first bad
-  sample; a per-sample loop may meet another error first.
+  floor test raises for the first sample in sample order that fails it,
+  with that sample's index as the error's ``sample``, so a chain of kernels
+  over a sample array raises the error of the first kernel that meets a
+  singular sample, naming that kernel's first bad sample; a per-sample loop
+  may meet another error first.
 """
 
 from __future__ import annotations
@@ -141,15 +142,20 @@ def _scale_floor(x):
 
 def _reject(bad, value, error, message):
     """Raise ``error`` with ``message`` formatted with ``value`` at the first
-    sample where ``bad`` holds (``bad`` and ``value`` are scalars for a
-    single sample)."""
+    sample where ``bad`` holds, its flat index set as the error's ``sample``
+    (``bad`` and ``value`` are scalars for a single point, whose error has
+    ``sample`` None)."""
+    sample = None
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return
-        value = np.broadcast_to(value, bad.shape).flat[np.argmax(bad)]
+        sample = int(np.argmax(bad))
+        value = np.broadcast_to(value, bad.shape).flat[sample]
     elif not bad:
         return
-    raise error(message.format(float(value)))
+    exc = error(message.format(float(value)))
+    exc.sample = sample
+    raise exc
 
 
 def _max_abs(a, axes: int):

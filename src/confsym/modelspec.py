@@ -190,9 +190,10 @@ def parse_spec(text: str) -> ModelSpec:
     return _validate(sections)
 
 
-def _take(sections, section, key, default=None):
+def _take(sections, section, key):
+    """The value of ``key`` in ``[section]``, or None where the spec leaves it out."""
     entry = sections.get(section, {}).get(key)
-    return default if entry is None else entry[0]
+    return None if entry is None else entry[0]
 
 
 def _validate(sections) -> ModelSpec:
@@ -207,14 +208,14 @@ def _validate(sections) -> ModelSpec:
 
     check_dimension(kind, dimension)
 
-    coupling = _take(sections, "params", "lambda", 0.0)
-    if coupling < 0:
+    coupling = _take(sections, "params", "lambda")
+    if coupling is not None and coupling < 0:
         raise SemanticError("lambda must be non-negative")
     components = _take(sections, "params", "components")
     if components is not None and components < 1:
         raise SemanticError("components must be >= 1")
-    profile = _take(sections, "params", "profile", "linear")
-    if profile not in ("linear", "quadratic"):
+    profile = _take(sections, "params", "profile")
+    if profile not in (None, "linear", "quadratic"):
         raise SemanticError(f"unknown profile {profile!r}")
 
     fixture = {k: v[0] for k, v in sections.get("fixture", {}).items()}
@@ -250,12 +251,12 @@ def _validate(sections) -> ModelSpec:
     if round(steps) < 1:
         raise SemanticError("t-end / step must round to at least one step")
 
-    seed = _take(sections, "suite", "seed", 42)
-    if seed < 0:
+    seed = _take(sections, "suite", "seed")
+    if seed is not None and seed < 0:
         raise SemanticError("seed must be non-negative")
-    checks_raw = _take(sections, "suite", "checks", "all")
+    checks_raw = _take(sections, "suite", "checks")
     checks = None
-    if checks_raw != "all":
+    if checks_raw not in (None, "all"):
         checks = [part.strip() for part in checks_raw.split(",") if part.strip()]
         if not checks:
             raise SemanticError("checks selects no check")
@@ -273,17 +274,8 @@ def _validate(sections) -> ModelSpec:
             raise SemanticError(f"tolerance {key} must be positive")
         tolerances[key] = entry[0]
 
-    return ModelSpec(
-        kind=kind,
-        dimension=dimension,
-        coupling=coupling,
-        components=1 if components is None else components,
-        profile=profile,
-        l0=_take(sections, "params", "l0", 0.0),
-        l1=_take(sections, "params", "l1", 0.5),
-        fixture=fixture,
-        mechanics=mech,
-        checks=checks,
-        seed=seed,
-        tolerances=tolerances,
-    )
+    # a key the spec leaves out keeps ModelSpec's default
+    given = dict(coupling=coupling, components=components, profile=profile, seed=seed,
+                 l0=_take(sections, "params", "l0"), l1=_take(sections, "params", "l1"))
+    return ModelSpec(kind=kind, dimension=dimension, fixture=fixture, mechanics=mech, checks=checks,
+                     tolerances=tolerances, **{key: value for key, value in given.items() if value is not None})

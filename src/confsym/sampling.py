@@ -24,6 +24,14 @@ import numpy as np
 from .fields import CosineMultiplet, CosineSpinor, PolynomialMultiplet
 from .geometry import Metric, _inner, conformal_factor
 
+# spread of drawn points and special conformal parameters
+POINT_SCALE = 0.6
+PARAM_SCALE = 0.15
+# floors of the rejection samplers: x.x of a timelike point, and the
+# conformal factor of a nonsingular pair
+MIN_SQUARE = 0.2
+MIN_FACTOR = 0.2
+
 
 def _accepted(rng, n: int, draw, accept, rate: float) -> np.ndarray:
     """The first ``n`` accepted tries of a rejection loop, one per row.
@@ -49,28 +57,28 @@ def _accepted(rng, n: int, draw, accept, rate: float) -> np.ndarray:
     return tries[used]
 
 
-def points(rng, dim: int, n: int, scale: float = 0.6) -> np.ndarray:
+def points(rng, dim: int, n: int, scale: float = POINT_SCALE) -> np.ndarray:
     return rng.normal(0.0, scale, size=(n, dim))
 
 
 def _off_cone_rate(dim: int, min_frac: float) -> float:
-    """A floor of the share of ``off_cone_points`` tries that pass at the
-    default scale, for min_frac <= 0.15 from D = 2 on: over half pass, and
-    fewer than 11 min_frac / D fail (measured on 200k tries at D = 2..8)."""
+    """A floor of the share of ``off_cone_points`` tries that pass, for
+    min_frac <= 0.15 from D = 2 on: over half pass, and fewer than
+    11 min_frac / D fail (measured on 200k tries at D = 2..8)."""
     return max(0.5, 1.0 - 11.0 * min_frac / dim)
 
 
-def off_cone_points(rng, dim: int, n: int, scale: float = 0.6, min_frac: float = 0.05):
+def off_cone_points(rng, dim: int, n: int, min_frac: float = 0.05):
     """Points with |x.x| bounded away from zero relative to their size."""
     metric = Metric.shared(dim)
     return _accepted(
-        rng, n, lambda m: rng.normal(0.0, scale, size=(m, dim)),
+        rng, n, lambda m: rng.normal(0.0, POINT_SCALE, size=(m, dim)),
         lambda x: abs(metric.norm2(x)) > min_frac * (1.0 + _inner(x, x)),
         _off_cone_rate(dim, min_frac),
     )
 
 
-def timelike_points(rng, dim: int, n: int, min_square: float = 0.2) -> np.ndarray:
+def timelike_points(rng, dim: int, n: int) -> np.ndarray:
     """Points with x.x comfortably positive (both time orientations)."""
     metric = Metric.shared(dim)
     out = np.empty((n, dim))
@@ -85,27 +93,24 @@ def timelike_points(rng, dim: int, n: int, min_square: float = 0.2) -> np.ndarra
             # the top bit of the next 32-bit output, as integers(0, 2) reads
             # it, times uniform(1.0, 2.0), which is 1.0 + random()
             x[0] = (1.0 if rng.random(dtype=np.float32) >= 0.5 else -1.0) * (1.0 + rng.random())
-        passed = tries[metric.norm2(tries) > min_square]
+        passed = tries[metric.norm2(tries) > MIN_SQUARE]
         out[count:count + len(passed)] = passed
         count += len(passed)
     return out
 
 
-def small_parameters(rng, dim: int, n: int, scale: float = 0.15) -> np.ndarray:
+def small_parameters(rng, dim: int, n: int, scale: float = PARAM_SCALE) -> np.ndarray:
     return rng.normal(0.0, scale, size=(n, dim))
 
 
-def nonsingular_pairs(
-    rng, dim: int, n: int, point_scale: float = 0.6, param_scale: float = 0.15,
-    min_factor: float = 0.2,
-):
+def nonsingular_pairs(rng, dim: int, n: int):
     """(x, c) samples keeping the conformal factor away from zero."""
     metric = Metric.shared(dim)
-    scales = np.repeat([point_scale, param_scale], dim)
+    scales = np.repeat([POINT_SCALE, PARAM_SCALE], dim)
     pairs = _accepted(
         rng, n, lambda m: 0.0 + scales * rng.standard_normal((m, 2 * dim)),
-        lambda xc: abs(conformal_factor(xc[:, :dim], xc[:, dim:], metric)) > min_factor,
-        0.9,  # about 99% of tries pass at the default min_factor, any D
+        lambda xc: abs(conformal_factor(xc[:, :dim], xc[:, dim:], metric)) > MIN_FACTOR,
+        0.9,  # about 99% of tries pass at MIN_FACTOR, any D
     )
     return pairs[:, :dim], pairs[:, dim:]
 

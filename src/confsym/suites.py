@@ -1,15 +1,17 @@
 """Named verification checks and the suite runner behind the CLI.
 
-Each check exercises one identity through the library API and returns one
-residual per drawn sample (``None`` for a sample it skips); :func:`run_suite`
-reduces them into a :class:`CheckReport` with the maximum, the number of
-samples evaluated, and an ``error`` when a residual is not finite or fewer
-than half of the samples (or none) were evaluated.  A
-batched check evaluates its whole sample array once, with the step, sigma,
+Each check exercises one identity through the library API and returns its
+residuals as one 1-D float array in draw order, or, when it skips samples,
+the pair (evaluated residuals, bool mask over the samples drawn);
+:func:`run_suite` reduces either into a :class:`CheckReport` with the
+maximum, the number of samples evaluated, and an ``error`` when a residual
+is not finite or fewer than half of the samples (or none) were evaluated.
+A check evaluates its whole sample array once, with the step, sigma,
 direction or generator of an identity stated per index stacked onto it:
 when a kernel meets a singular sample the check raises the first error any
 kernel raises on the whole stack, which names that kernel's first bad
-sample, and that error becomes the report's.
+sample (``ConfsymError.sample``), and that error becomes the report's; only
+the route checks drop that sample and run the rest again.
 Each fold of per-sample terms propagates NaN, so a non-finite term reaches
 the non-finite error rather than a pass.  The mapping from check names to
 the identities they verify is tabulated in the README.  Checks draw their
@@ -116,7 +118,7 @@ from .transforms import (
 
 @dataclass(frozen=True)
 class CheckDef:
-    """A registered check; ``fn(spec, metric, rng)`` returns its residuals."""
+    """A registered check; ``fn(spec, metric, rng)`` returns residuals or (residuals, keep)."""
 
     name: str
     kinds: tuple
@@ -141,11 +143,6 @@ def _rng_for(spec: ModelSpec, name: str) -> np.random.Generator:
     return np.random.default_rng([spec.seed, zlib.crc32(name.encode())])
 
 
-def _gap(a, b) -> float:
-    """Largest entry of |a - b|."""
-    return float(np.max(np.abs(a - b)))
-
-
 def _sample_gap(a, b):
     """Largest entry of |a - b| per sample (the leading axis)."""
     gap = a - b
@@ -158,33 +155,23 @@ def _sigma_stack(pts, dim):
     return np.repeat(pts, dim, axis=0), np.tile(np.arange(dim), len(pts))
 
 
-def _scatter(keep, values) -> list:
-    """One residual per sample: ``values`` at the kept samples, in order, and
-    None at the skipped ones."""
-    out = [None] * len(keep)
-    for index, value in zip(np.flatnonzero(keep).tolist(), values.tolist()):
-        out[index] = value
-    return out
-
-
 def _route_gaps(make, routes, ys, cs):
-    """Per sample, the gap between the finite transforms that ``make`` builds
-    on the parameter stack ``cs`` by the two ``routes``, at ``ys``.  When a
-    route raises a ConfsymError the samples run again one at a time through
-    :func:`_agreement`, which gives None where either route raises."""
+    """(gaps, keep): per kept sample, the gap between the finite transforms
+    that ``make`` builds on the parameter stack ``cs`` by the two ``routes``,
+    at ``ys``.  A sample a route rejects leaves ``keep`` and the rest run
+    again as one stack; a sample rejected in a stack is rejected alone, so
+    ``keep`` is false exactly where a route rejects the sample alone."""
     first, second = routes
-    try:
-        return _sample_gap(make(cs, first).value(ys), make(cs, second).value(ys)).tolist()
-    except ConfsymError:
-        return [_agreement(make(c, first), make(c, second), y) for y, c in zip(ys, cs)]
-
-
-def _agreement(first, second, x):
-    """Gap between two finite transforms at x, or None where either is singular."""
-    try:
-        return _gap(first.value(x), second.value(x))
-    except ConfsymError:
-        return None
+    keep = np.ones(len(ys), dtype=bool)
+    while keep.any():
+        y, c = ys[keep], cs[keep]
+        try:
+            return _sample_gap(make(c, first).value(y), make(c, second).value(y)), keep
+        except ConfsymError as exc:
+            if exc.sample is None:
+                raise
+            keep[np.flatnonzero(keep)[exc.sample]] = False
+    return np.empty(0), keep
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +248,7 @@ def _chk_map_composition(spec, metric, rng):
     keep = ~((abs(s2) < 0.2) | (abs(s12) < 0.2))
     two_step = special_conformal_map(xps[keep], cps[keep], metric)
     one_step = special_conformal_map(xs[keep], (cs + cps)[keep], metric)
-    return _scatter(keep, np.maximum(abs(s1 * s2 - s12)[keep], _sample_gap(two_step, one_step)))
+    return np.maximum(abs(s1 * s2 - s12)[keep], _sample_gap(two_step, one_step)), keep
 
 
 @_register("map-inversion-route", FIELD_KINDS, "exact", "the map equals invert, translate, invert")
@@ -271,13 +258,13 @@ def _chk_map_route(spec, metric, rng):
     keep = abs(conformal_factor(xs, cs, metric)) >= 0.2
     xs, cs = xs[keep], cs[keep]
     route = special_conformal_map_via_inversion(xs, cs, metric)
-    return _scatter(keep, _sample_gap(special_conformal_map(xs, cs, metric), route))
+    return _sample_gap(special_conformal_map(xs, cs, metric), route), keep
 
 
 @_register("inversion-involution", FIELD_KINDS, "exact", "inversion applied twice is the identity")
 def _chk_involution(spec, metric, rng):
     pts = sampling.off_cone_points(rng, metric.dim, 100)
-    return _sample_gap(inversion(inversion(pts, metric), metric), pts).tolist()
+    return _sample_gap(inversion(inversion(pts, metric), metric), pts)
 
 
 @_register("reflection-matrix", FIELD_KINDS, "exact", "reflection matrix squares to one, preserves the metric, det = -1")
@@ -286,7 +273,7 @@ def _chk_reflection(spec, metric, rng):
     g = metric.matrix
     square_gap = _sample_gap(imat @ imat, np.eye(metric.dim))
     metric_gap = _sample_gap(imat @ g @ np.swapaxes(imat, -1, -2), g)
-    return np.maximum.reduce([square_gap, metric_gap, abs(np.linalg.det(imat) + 1.0)]).tolist()
+    return np.maximum.reduce([square_gap, metric_gap, abs(np.linalg.det(imat) + 1.0)])
 
 
 @_register("reflection-derivative", FIELD_KINDS, "oracle", "reflection matrix equals x^2 times the inversion Jacobian")
@@ -295,7 +282,7 @@ def _chk_reflection_fd(spec, metric, rng):
     imat = inversion_matrix(pts, metric)
     x2 = metric.norm2(pts)[:, None, None]
     fd = fd_gradient(lambda y: inversion(y, metric), pts, 1e-6)
-    return _sample_gap(imat, x2 * np.swapaxes(fd, -1, -2)).tolist()
+    return _sample_gap(imat, x2 * np.swapaxes(fd, -1, -2))
 
 
 @_register("jacobian-identity", FIELD_KINDS, "exact", "map Jacobian factorises through the two reflection matrices")
@@ -308,7 +295,7 @@ def _chk_jacobian(spec, metric, rng):
     xs, cs = xs[keep], cs[keep]
     fwd, inv = conformal_jacobian(xs, cs, metric)
     jac_gap = _sample_gap(fwd, map_jacobian(xs, cs, metric))
-    return _scatter(keep, np.maximum(jac_gap, _sample_gap(fwd @ inv, np.eye(metric.dim))))
+    return np.maximum(jac_gap, _sample_gap(fwd @ inv, np.eye(metric.dim))), keep
 
 
 @_register("jacobian-oracle", FIELD_KINDS, "oracle", "map Jacobian agrees with central finite differences")
@@ -318,7 +305,7 @@ def _chk_jacobian_fd(spec, metric, rng):
     keep = ~(abs(conformal_factor(xs, cs, metric)) < 0.3)
     xs, cs = xs[keep], cs[keep]
     fd = fd_gradient(lambda y: special_conformal_map(y, cs, metric), xs, 1e-5)
-    return _scatter(keep, _sample_gap(map_jacobian(xs, cs, metric), fd))
+    return _sample_gap(map_jacobian(xs, cs, metric), fd), keep
 
 
 @_register("killing-equation", FIELD_KINDS, "exact", "every generator satisfies the conformal Killing equation")
@@ -327,7 +314,7 @@ def _chk_killing(spec, metric, rng):
     # the basis stack behind each point; the report lists the residuals
     # generator-major
     grads = killing_gradient(basis_generators(metric.dim), pts[:, None, :], metric)
-    return killing_residual_from_gradient(grads, metric).T.ravel().tolist()
+    return killing_residual_from_gradient(grads, metric).T.ravel()
 
 
 @_register("commutator-algebra", FIELD_KINDS, "identity", "translation/conformal commutator closes on dilation plus rotation")
@@ -337,7 +324,7 @@ def _chk_commutator(spec, metric, rng):
     # four points per field, drawn one block after the other
     pts = sampling.points(rng, metric.dim, 8)
     stacks = [commutator_stack(f, x, metric) for f, x in ((wave, pts[:4]), (poly, pts[4:]))]
-    return np.concatenate([_max_abs(lhs - rhs, 1) for lhs, rhs in stacks]).ravel().tolist()
+    return np.concatenate([_max_abs(lhs - rhs, 1) for lhs, rhs in stacks]).ravel()
 
 
 @_register("gamma-reflection", FIELD_KINDS, "exact", "gamma algebra holds and slashed units reproduce the reflection matrix")
@@ -345,14 +332,14 @@ def _chk_gamma(spec, metric, rng):
     gammas = build_gammas(metric.dim)
     anti = anticommutator_residual(gammas, metric)
     pts = sampling.timelike_points(rng, metric.dim, 50)
-    return np.maximum(anti, sandwich_identity_residual(pts, gammas, metric)).tolist()
+    return np.maximum(anti, sandwich_identity_residual(pts, gammas, metric))
 
 
 @_register("decoupling-bracket", FIELD_KINDS, "identity", "the reflection-matrix transport bracket vanishes")
 def _chk_bracket(spec, metric, rng):
     xs = sampling.off_cone_points(rng, metric.dim, 50, min_frac=0.1)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
-    return _max_abs(decoupling_bracket_residual(xs, cs, metric), 2).tolist()
+    return _max_abs(decoupling_bracket_residual(xs, cs, metric), 2)
 
 
 @_register("vector-decoupling", FIELD_KINDS, "identity", "reflected vectors follow the scalar transformation rule")
@@ -360,7 +347,7 @@ def _chk_vec_decoupling(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     xs = sampling.off_cone_points(rng, metric.dim, 30, min_frac=0.1)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
-    return decoupled_vector_residual(A, xs, cs, metric).tolist()
+    return decoupled_vector_residual(A, xs, cs, metric)
 
 
 @_register("spinor-decoupling", FIELD_KINDS, "identity", "slashed spinors follow the scalar transformation rule")
@@ -369,7 +356,7 @@ def _chk_spin_decoupling(spec, metric, rng):
     psi = sampling.random_spinor(rng, metric, gammas.size)
     xs = sampling.timelike_points(rng, metric.dim, 30)
     cs = sampling.small_parameters(rng, metric.dim, len(xs), scale=0.4)
-    return decoupled_spinor_residual(psi, xs, cs, metric, gammas).tolist()
+    return decoupled_spinor_residual(psi, xs, cs, metric, gammas)
 
 
 @_register("large-parameter-decay", FIELD_KINDS, 0.2, "large-parameter map error decays with the inverse parameter cube")
@@ -380,7 +367,7 @@ def _chk_large_c(spec, metric, rng):
     xs = np.repeat(pts[0::2], 3, axis=0)
     cs = (np.array([10.0, 20.0, 40.0])[:, None] * pts[1::2, None, :]).reshape(xs.shape)
     errs = _sample_gap(special_conformal_map(xs, cs, metric), large_parameter_map(xs, cs, metric)).reshape(5, 3)
-    return np.max(abs(errs[:, :-1] / errs[:, 1:] - 8.0) / 8.0, axis=1).tolist()
+    return np.max(abs(errs[:, :-1] / errs[:, 1:] - 8.0) / 8.0, axis=1)
 
 
 def _order_residuals(rng, metric, make_view, variation):
@@ -402,7 +389,7 @@ def _order_residuals(rng, metric, make_view, variation):
         shortfall = 1.9 - np.log10(errs[:, 0] / errs[:, 1])
     shortfall = np.where(errs[:, 2] > 10.0 * errs[:, 1], np.maximum(shortfall, 1.0), shortfall)
     first_bad = np.take_along_axis(errs, np.argmin(finite, axis=-1)[:, None], -1)[:, 0]
-    return np.where(finite.all(axis=-1), shortfall, first_bad).tolist()
+    return np.where(finite.all(axis=-1), shortfall, first_bad)
 
 
 @_register("finite-infinitesimal-scalar", FIELD_KINDS, 0.0, "finite scalar transform linearises to the scalar variation")
@@ -480,14 +467,14 @@ def _chk_scalar_composition(spec, metric, rng):
 def _chk_action_scale(spec, metric, rng):
     model, fixture = _model_fixture(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 8)
-    return abs(action_variation_identity("scale", model, fixture, pts, metric)).tolist()
+    return abs(action_variation_identity("scale", model, fixture, pts, metric))
 
 
 def _per_sigma(kind, model, fixture, pts, metric):
     """|identity| of ``kind`` at every point once per sigma = 0..D-1,
     points-major, from one call on the (point, sigma) stack."""
     xs, sigma = _sigma_stack(pts, metric.dim)
-    return abs(action_variation_identity(kind, model, fixture, xs, metric, sigma)).tolist()
+    return abs(action_variation_identity(kind, model, fixture, xs, metric, sigma))
 
 
 @_register("action-conformal-identity", FIELD_KINDS, "identity", "conformal variation of the density is the stated total derivative",
@@ -511,9 +498,9 @@ def _chk_virial_structure(spec, metric, rng):
     info = field_virial(model, fixture, pts, metric)
     flag_error = 0.0 if info.is_total_divergence == expect_flag else 1.0
     if not info.is_total_divergence or info.potential is None:
-        return [flag_error] * len(pts)
+        return np.full(len(pts), flag_error)
     fd = fd_gradient(info.potential, pts, 1e-5)  # fd[..., m, a, r] = d_r sigma^{ma}
-    return np.maximum(flag_error, _sample_gap(np.einsum("...mam->...a", fd), info.value)).tolist()
+    return np.maximum(flag_error, _sample_gap(np.einsum("...mam->...a", fd), info.value))
 
 
 # ---------------------------------------------------------------------------
@@ -526,21 +513,21 @@ def _chk_trace_law(spec, metric, rng):
     A = sampling.random_offshell_potential(rng, metric)
     jet = Jet(A, sampling.points(rng, metric.dim, 10))
     expected = (-1.0 + metric.dim / 4.0) * _f_squared(jet.F, metric)
-    return abs(maxwell_stress_trace(jet, jet.x, metric) - expected).tolist()
+    return abs(maxwell_stress_trace(jet, jet.x, metric) - expected)
 
 
 @_register("stress-conservation", ("maxwell",), "identity", "stress tensor is conserved on shell")
 def _chk_stress_cons(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
-    return _max_abs(maxwell_stress_divergence(A, pts, metric), 1).tolist()
+    return _max_abs(maxwell_stress_divergence(A, pts, metric), 1)
 
 
 @_register("scale-current-conservation", ("maxwell",), "identity", "improved scale current is conserved on shell in every D")
 def _chk_scale_current(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
-    return abs(scale_current_maxwell_divergence(A, pts, metric)).tolist()
+    return abs(scale_current_maxwell_divergence(A, pts, metric))
 
 
 @_register("current-construction-equivalence", ("maxwell",), "identity", "raw and improved scale currents share one divergence")
@@ -548,7 +535,7 @@ def _chk_current_equiv(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
     jet = Jet(A, sampling.points(rng, metric.dim, 10))
     raw = noether_scale_current_maxwell_divergence(jet, jet.x, metric)
-    return abs(raw - scale_current_maxwell_divergence(jet, jet.x, metric)).tolist()
+    return abs(raw - scale_current_maxwell_divergence(jet, jet.x, metric))
 
 
 def _conformal_current_sides(spec, metric, rng):
@@ -564,14 +551,14 @@ def _conformal_current_sides(spec, metric, rng):
 @_register("conformal-current-identity", ("maxwell",), "identity", "conformal current divergence equals its closed-form anomaly")
 def _chk_conf_current(spec, metric, rng):
     lhs, rhs = _conformal_current_sides(spec, metric, rng)
-    return abs(lhs - rhs).tolist()
+    return abs(lhs - rhs)
 
 
 @_register("conformal-current-naive", ("maxwell",), "identity", "naive conformal conservation: holds only in four dimensions",
            expected_fail=lambda spec: spec.dimension != 4)
 def _chk_conf_naive(spec, metric, rng):
     lhs, _ = _conformal_current_sides(spec, metric, rng)
-    return abs(lhs).tolist()
+    return abs(lhs)
 
 
 @_register("virial-closed-form", ("maxwell",), "exact", "first-principles virial equals its (4-D)/2 F A closed form")
@@ -582,7 +569,7 @@ def _chk_virial(spec, metric, rng):
     mismatch = _sample_gap(info.value, maxwell_virial_first_principles(jet, jet.x, metric))
     if metric.dim == 4:
         mismatch = np.maximum(mismatch, _max_abs(info.value, 1))
-    return mismatch.tolist()
+    return mismatch
 
 
 @_register("action-assumed-primary", ("maxwell",), "identity", "pretend-primary conformal rule makes the action invariant")
@@ -602,14 +589,14 @@ def _gauge_fixture(spec, metric, rng):
 def _chk_gauge_shift(spec, metric, rng):
     A, omega = _gauge_fixture(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
-    return _sample_gap(*gauge_shift_scale_current(A, omega, pts, metric)).tolist()
+    return _sample_gap(*gauge_shift_scale_current(A, omega, pts, metric))
 
 
 @_register("gauge-shift-conserved", ("maxwell",), "identity", "the gauge-induced current shift is trivially conserved on shell")
 def _chk_gauge_shift_div(spec, metric, rng):
     A, omega = _gauge_fixture(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
-    return abs(gauge_shift_divergence(A, omega, pts, metric)).tolist()
+    return abs(gauge_shift_divergence(A, omega, pts, metric))
 
 
 def _lie_case(metric, rng):
@@ -628,7 +615,7 @@ def _lie_case(metric, rng):
 def _chk_lie_forms(spec, metric, rng):
     gens, jet = _lie_case(metric, rng)
     direct, via_field_strength = lie_derivative_vector(gens, jet, jet.x, metric)
-    return _max_abs(direct - via_field_strength, 1).ravel().tolist()
+    return _max_abs(direct - via_field_strength, 1).ravel()
 
 
 @_register("lie-derivative-weight", ("maxwell",), "exact", "field variation differs from the Lie derivative by the weight term")
@@ -638,7 +625,7 @@ def _chk_lie_weight(spec, metric, rng):
     lie, _ = lie_derivative_vector(gens, jet, jet.x, metric)
     varied = delta(gens, jet, jet.x, metric)
     shift = _lift(((dim - 4.0) / (2.0 * dim)) * killing_divergence(gens, jet.x, metric)) * jet.value
-    return _max_abs(varied - lie - shift, 1).ravel().tolist()
+    return _max_abs(varied - lie - shift, 1).ravel()
 
 
 @_register("primary-rule-discrepancy", ("maxwell",), "exact", "induced and pretend-primary F variations differ by (D-4) potential terms")
@@ -652,7 +639,7 @@ def _chk_primary_disc(spec, metric, rng):
     primary = variation(gen_f, jet.F, jet.dF, jet.x, metric)
     outer = _outer(metric.lower(cs), jet.value)
     expected = (dim - 4.0) * (outer - np.swapaxes(outer, -1, -2))
-    return _sample_gap(induced - primary, expected).tolist()
+    return _sample_gap(induced - primary, expected)
 
 
 @_register("eom-conformal-violation", ("maxwell",), "identity", "the varied field strength violates the equations of motion off D = 4")
@@ -660,7 +647,7 @@ def _chk_eom_violation(spec, metric, rng):
     A = _onshell_potential(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 8)
     cs = rng.normal(0.0, 0.3, pts.shape)
-    return _sample_gap(*eom_violation_conformal(A, pts, metric, cs)).tolist()
+    return _sample_gap(*eom_violation_conformal(A, pts, metric, cs))
 
 
 # ---------------------------------------------------------------------------
@@ -672,14 +659,14 @@ def _chk_eom_violation(spec, metric, rng):
 def _chk_mult_cons(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True)
     pts = sampling.points(rng, metric.dim, 10)
-    return _max_abs(scalar_stress_divergence(phi, pts, metric), 1).tolist()
+    return _max_abs(scalar_stress_divergence(phi, pts, metric), 1)
 
 
 @_register("improved-trace-onshell", ("interacting-multiplet", "dual-scalar-3"), "identity", "improved stress tensor is traceless on shell")
 def _chk_improved_trace(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True, n_comp=max(1, spec.components))
     pts = sampling.points(rng, metric.dim, 10)
-    return abs(improved_scalar_stress_trace(phi, pts, metric)).tolist()
+    return abs(improved_scalar_stress_trace(phi, pts, metric))
 
 
 @_register("improved-trace-law", ("interacting-multiplet",), "identity", "improved trace follows its hand-derived off-shell closed form")
@@ -687,14 +674,14 @@ def _chk_trace_law_offshell(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng)
     jet = Jet(phi, sampling.points(rng, metric.dim, 10))
     lhs = improved_scalar_stress_trace(jet, jet.x, metric, spec.coupling)
-    return abs(lhs - offshell_trace_law(jet, jet.x, metric, spec.coupling)).tolist()
+    return abs(lhs - offshell_trace_law(jet, jet.x, metric, spec.coupling))
 
 
 @_register("improved-conservation", ("interacting-multiplet", "dual-scalar-3"), "identity", "improved stress tensor stays conserved on shell")
 def _chk_improved_cons(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, null=True, n_comp=max(1, spec.components))
     pts = sampling.points(rng, metric.dim, 10)
-    return _max_abs(improved_scalar_stress_divergence(phi, pts, metric), 1).tolist()
+    return _max_abs(improved_scalar_stress_divergence(phi, pts, metric), 1)
 
 
 @_register("killing-current-conservation", ("interacting-multiplet",), "identity", "stress-times-Killing currents are conserved on shell (free)")
@@ -704,7 +691,7 @@ def _chk_killing_current(spec, metric, rng):
     # the free model's current for the basis stack behind each point
     model = MultipletModel(metric.dim, spec.components)
     divergence = bessel_hagen_divergence(basis_generators(metric.dim), model, phi, pts[:, None, :], metric)
-    return abs(divergence).ravel().tolist()
+    return abs(divergence).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +702,7 @@ def _chk_killing_current(spec, metric, rng):
 @_register("dual-roundtrip", ("dual-scalar-3",), "exact", "the dual map inverts: half the symbol contraction rebuilds the gradient")
 def _chk_dual_roundtrip(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
-    return dual3.dual_roundtrip_residual(phi, sampling.points(rng, 3, 10), metric).tolist()
+    return dual3.dual_roundtrip_residual(phi, sampling.points(rng, 3, 10), metric)
 
 
 @_register("dual-motion-identity", ("dual-scalar-3",), "exact", "the field equation holds identically for any dual scalar")
@@ -725,20 +712,20 @@ def _chk_dual_motion(spec, metric, rng):
     # eight points per field, drawn one block after the other
     pts = sampling.points(rng, 3, 16)
     eom = [dual3.maxwell_eom_from_dual(phi, x, metric) for phi, x in ((poly, pts[:8]), (wave, pts[8:]))]
-    return _max_abs(np.concatenate(eom), 1).tolist()
+    return _max_abs(np.concatenate(eom), 1)
 
 
 @_register("dual-bianchi-dynamics", ("dual-scalar-3",), "exact", "the cyclic identity carries the wave operator of the dual scalar")
 def _chk_dual_bianchi(spec, metric, rng):
     phi = sampling.random_polynomial_multiplet(rng, 3, 1)
-    return dual3.bianchi_pattern_residual(phi, sampling.points(rng, 3, 10), metric).tolist()
+    return dual3.bianchi_pattern_residual(phi, sampling.points(rng, 3, 10), metric)
 
 
 @_register("dual-nonprimary-shift", ("dual-scalar-3",), "exact", "dual F variation exceeds the primary rule by the symbol times phi")
 def _chk_dual_nonprimary(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
     xs, sigma = _sigma_stack(sampling.points(rng, 3, 8), 3)
-    return dual3.nonprimary_shift_residual(phi, xs, sigma, metric).tolist()
+    return dual3.nonprimary_shift_residual(phi, xs, sigma, metric)
 
 
 @_register("dual-variation-consistency", ("dual-scalar-3",), "identity", "explicit dual F variation equals the chain rule through the gradient")
@@ -746,7 +733,7 @@ def _chk_dual_chain(spec, metric, rng):
     phi = _scalar_fixture(spec, metric, rng, n_comp=1)
     xs, sigma = _sigma_stack(sampling.points(rng, 3, 8), 3)
     jet = Jet(phi, xs)
-    return _sample_gap(dual3.delta_bar_F(jet, xs, sigma, metric), dual3.delta_bar_F_chain_rule(jet, xs, sigma, metric)).tolist()
+    return _sample_gap(dual3.delta_bar_F(jet, xs, sigma, metric), dual3.delta_bar_F_chain_rule(jet, xs, sigma, metric))
 
 
 @_register("dual-stress-equality", ("dual-scalar-3",), "identity", "F-form and scalar-form improved stress tensors agree on shell")
@@ -755,14 +742,14 @@ def _chk_dual_stress(spec, metric, rng):
     jet = Jet(phi, sampling.points(rng, 3, 10))
     a = dual3.improved_stress_from_F(jet, jet.x, metric)
     b = dual3.improved_stress_scalar_form(jet, jet.x, metric)
-    return np.maximum(_sample_gap(a, b), abs(np.einsum("m,...mm->...", metric.diag, a))).tolist()
+    return np.maximum(_sample_gap(a, b), abs(np.einsum("m,...mm->...", metric.diag, a)))
 
 
 @_register("duality-match", ("dual-scalar-3",), 1e-10, "a matched plane-wave pair satisfies the duality relation pointwise")
 def _chk_duality_match(spec, metric, rng):
     k = sampling.null_vector(rng, 3, scale=1.2)
     phi, A = dual3.matched_plane_wave_pair(k, 0.9, 0.4, metric)
-    return _max_abs(dual3.duality_mismatch(A, phi, sampling.points(rng, 3, 10), metric), 1).tolist()
+    return _max_abs(dual3.duality_mismatch(A, phi, sampling.points(rng, 3, 10), metric), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +762,7 @@ def _chk_mech_free(spec, metric, rng):
     start = MechState.make(0.0, [1.0, 2.0], [0.3, -0.1])
     traj = integrate(start, MechParams(2, 0.0), 2.0, 1e-3)
     exact = start.q[None, :] + traj.times[:, None] * start.p[None, :]
-    return list(np.max(np.abs(traj.q - exact), axis=1))
+    return np.max(np.abs(traj.q - exact), axis=1)
 
 
 @_register("mech-charge-drift", ("mechanics",), "drift", "energy, dilation and conformal charges hold along trajectories")
@@ -784,10 +771,10 @@ def _chk_mech_drift(spec, metric, rng):
     t_end, step = time_span(mech)
     couplings = [spec.coupling] if spec.coupling else [0.0, 0.5, 2.0]
     sizes = [len(mech["q0"])] if "q0" in mech else [1, 2, 3]
-    return [
-        float(np.max(integrate(initial_state(mech, n), MechParams(n, lam), t_end, step).charge_drift()))
+    return np.array([
+        np.max(integrate(initial_state(mech, n), MechParams(n, lam), t_end, step).charge_drift())
         for lam in couplings for n in sizes
-    ]
+    ])
 
 
 @_register("mech-so21", ("mechanics",), "exact", "charge Poisson brackets close on the hand-derived table")
@@ -800,7 +787,7 @@ def _chk_mech_so21(spec, metric, rng):
         state = MechState.make(np.zeros(len(qp)), qp[:, 0] + 2.0, qp[:, 1])
         return so21_bracket_residuals(state, MechParams(3, lam)).max(axis=1)
 
-    return np.concatenate([residuals(0.0, draws[0]), residuals(spec.coupling or 1.0, draws[1])]).tolist()
+    return np.concatenate([residuals(0.0, draws[0]), residuals(spec.coupling or 1.0, draws[1])])
 
 
 @_register("mech-rk4-order", ("mechanics",), 0.5, "halving the step cuts the drift sixteenfold")
@@ -808,7 +795,7 @@ def _chk_mech_order(spec, metric, rng):
     start = MechState.make(0.0, [3.0], [-1.0])
     d1 = integrate(start, MechParams(1, 1.0), 8.0, 0.05).charge_drift()[0]
     d2 = integrate(start, MechParams(1, 1.0), 8.0, 0.025).charge_drift()[0]
-    return [abs(float(np.log2(d1 / d2)) - 4.0)]
+    return np.array([abs(float(np.log2(d1 / d2)) - 4.0)])
 
 
 @_register("mech-reduction", ("mechanics",), "identity", "one-dimensional scalar variations reduce to the mechanics rules")
@@ -821,7 +808,7 @@ def _chk_mech_reduction(spec, metric, rng):
     return np.maximum(
         _sample_gap(delta(dilation(1.0, 1), jet, jet.x, one), delta_scale_q(state)),
         _sample_gap(delta(special_conformal(np.array([1.0])), jet, jet.x, one), delta_conformal_q(state)),
-    ).tolist()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -901,13 +888,17 @@ class CheckReport:
 
 @dataclass
 class RunReport:
-    """Outcome of one suite run: per-check reports plus provenance."""
+    """Outcome of one suite run: per-check reports plus provenance.
+
+    ``wall_time`` is the run's wall time when it ran in this process, None
+    for a loaded report; it stays out of :meth:`to_dict`.
+    """
 
     version: str
     spec_echo: dict
     checks: list
     seed: int
-    wall_time: float = 0.0
+    wall_time: Optional[float] = None
 
     @property
     def overall_ok(self) -> bool:
@@ -946,16 +937,20 @@ def applicable_checks(kind: str) -> list:
     return [name for name, cd in CHECKS.items() if kind in cd.kinds]
 
 
-def _reduce(residuals: list):
-    """(samples evaluated, max residual, error) of one check's residuals; the
-    max residual is 0.0 when there is an error, which keeps the json finite."""
-    values = [r for r in residuals if r is not None]
-    for index, r in enumerate(residuals):
-        if r is not None and not math.isfinite(r):
-            return len(values), 0.0, f"non-finite residual {r} at sample {index}"
-    if 2 * len(values) < len(residuals) or not values:
-        return len(values), 0.0, f"only {len(values)} of {len(residuals)} samples evaluated"
-    return len(values), float(max(values)), None
+def _reduce(result):
+    """(samples evaluated, max residual, error) of one check's result, its
+    residuals or the pair (residuals, keep mask); the max residual is 0.0
+    when there is an error, which keeps the json finite, and an error's
+    sample index counts every sample drawn."""
+    values, keep = result if isinstance(result, tuple) else (result, np.ones(len(result), dtype=bool))
+    evaluated, drawn = len(values), len(keep)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        index = int(np.argmax(bad))
+        return evaluated, 0.0, f"non-finite residual {float(values[index])} at sample {np.flatnonzero(keep)[index]}"
+    if 2 * evaluated < drawn or not evaluated:
+        return evaluated, 0.0, f"only {evaluated} of {drawn} samples evaluated"
+    return evaluated, float(values.max()), None
 
 
 def _run_check(spec: ModelSpec, metric: Metric, name: str) -> CheckReport:

@@ -61,28 +61,6 @@ from .geometry import (
     special_conformal_map,
 )
 
-__all__ = [
-    "spin_coefficient",
-    "variation",
-    "delta",
-    "delta_with_gradient",
-    "delta_field_strength",
-    "delta_field_strength_gradient",
-    "eom_violation_conformal",
-    "lie_derivative_vector",
-    "commutator_stack",
-    "commutator_residual",
-    "FiniteScalarTransform",
-    "FiniteVectorTransform",
-    "FiniteSpinorTransform",
-    "vector_spin_term",
-    "decoupling_bracket_residual",
-    "decoupling_bracket_with",
-    "decoupled_vector_residual",
-    "decoupled_spinor_residual",
-    "finite_variation_fd",
-]
-
 
 # ---------------------------------------------------------------------------
 # spin actions

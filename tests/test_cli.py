@@ -125,6 +125,16 @@ def test_json_round_trip_preserves_residuals():
         assert back.tolerance == orig.tolerance
 
 
+def test_loaded_report_has_no_wall_time():
+    # a saved report carries no timing, so its text shows none
+    report = run_suite(ModelSpec(kind="maxwell", dimension=4, checks=["map-composition"]))
+    assert b"  wall: " in emit_report(report, "text")
+    rebuilt = RunReport.from_dict(json.loads(emit_report(report, "json")))
+    assert rebuilt.wall_time is None and rebuilt.checks[0].wall_ms is None
+    footer = emit_report(rebuilt, "text").decode().splitlines()[-2]
+    assert footer == "checks: 1  ok: 1  not ok: 0"
+
+
 def test_empty_selection_passes():
     spec = ModelSpec(kind="maxwell", dimension=4, checks=[])
     report = run_suite(spec)
@@ -289,11 +299,12 @@ def test_fixture_without_the_plane_wave_kind_exits_two(kind_line, tmp_path, caps
 
 @pytest.mark.parametrize("k, epsilon, error", [
     ("1, 0, 0, 0.5", "0, 1, 0, 0", "not null"),
+    ("1e-7, 0, 0, 5e-8", "0, 1, 0, 0", "not null"),
     ("1, 0, 0, 1", "1, 0, 0, 0", "not transverse"),
     ("0, 0, 0, 0", "0, 1, 0, 0", "F = 0"),
     ("1, 0, 0, 1", "0, 0, 0, 0", "F = 0"),
     ("1, 0, 0, 1", "2, 0, 0, 2", "F = 0"),
-], ids=["off-shell-k", "longitudinal", "zero-k", "zero-epsilon", "parallel"])
+], ids=["off-shell-k", "small-off-shell-k", "longitudinal", "zero-k", "zero-epsilon", "parallel"])
 def test_maxwell_fixture_off_shell_or_with_no_field_exits_two(k, epsilon, error, tmp_path, capsys):
     # off shell, such a wave failed 8 checks at run time; with F = 0 every
     # check passed
@@ -303,6 +314,19 @@ def test_maxwell_fixture_off_shell_or_with_no_field_exits_two(k, epsilon, error,
     assert main(["audit", str(spec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("spec error: fixture") and error in err
+
+
+@pytest.mark.parametrize("k, status, not_ok", [("1e-7, 0, 0, 1e-7", 0, 0), ("1e150, 0, 0, 1e150", 1, 10)],
+                         ids=["small", "large"])
+def test_null_wave_vector_parses_at_any_size(k, status, not_ok, tmp_path):
+    # nullness is tested against k.k, so the size of k does not decide it;
+    # at 1e150 ten checks still fail, at their fixed tolerances
+    spec = tmp_path / "wave.spec"
+    spec.write_text("[model]\nkind = maxwell\ndimension = 4\n"
+                    f"[fixture]\nkind = plane-wave\nk = {k}\nepsilon = 0, 1, 0, 0\n")
+    out = tmp_path / "report.json"
+    assert main(["audit", str(spec), "--format", "json", "--out", str(out)]) == status
+    assert sum(not check["ok"] for check in json.loads(out.read_text())["checks"]) == not_ok
 
 
 MECH_HEAD = "[model]\nkind = mechanics\ndimension = 1\n[params]\ncomponents = 2\nlambda = 0.5\n"
@@ -460,11 +484,12 @@ def test_command_json_matches_golden_file(name, tmp_path):
 
 
 # sha256 of the output of commands whose bytes no golden file holds, as
-# written when the saved-report reader still lived in the cli module; a live
-# run's wall times are masked, and a saved report has none to mask
+# written when the saved-report reader still lived in the cli module, but
+# for the footer of a saved report's text, which leaves out the wall time
+# it does not know; a live run's wall times are masked
 PINNED_OUTPUT = {
     "report-text": (["report", str(GOLDEN_DIR / "maxwell_d4.json"), "--format", "text"],
-                    "39c5fed928d64252d9e3aad37d589e08389acf5445265f1750e675826e25f72b"),
+                    "9665bce0a04c19088c384bd1f43329e794836c5dc2e062d5bcf80365658096b7"),
     "report-json": (["report", str(GOLDEN_DIR / "maxwell_d4.json"), "--format", "json"],
                     "bfba7a835a60900c751d33e46194ccaa3342669e0322af1a332c6f67b760c39c"),
     "scan-dims-text": (["scan-dims", "--kind", "maxwell", "--dims", "3..4", "--format", "text"],
@@ -532,12 +557,17 @@ def test_readme_schema_has_the_keys_a_report_writes():
 
 def _run_patched(monkeypatch, residuals, tolerance="exact"):
     """Run map-composition with its function replaced by one returning
-    ``residuals``; return its check report."""
+    ``residuals`` in draw order, None at a skipped sample: the residual
+    array, or with a skip the pair (evaluated residuals, keep mask); return
+    its check report."""
+    keep = np.array([r is not None for r in residuals], dtype=bool)
+    values = np.array([r for r in residuals if r is not None], dtype=float)
+    result = values if keep.all() else (values, keep)
     monkeypatch.setitem(
         suites.CHECKS,
         "map-composition",
         suites.CheckDef("map-composition", ("maxwell",), "demo",
-                        lambda spec, metric, rng: list(residuals), tolerance),
+                        lambda spec, metric, rng: result, tolerance),
     )
     report = run_suite(ModelSpec(kind="maxwell", dimension=4, checks=["map-composition"]))
     json.loads(emit_report(report, "json"))  # stays valid, finite json
@@ -558,6 +588,13 @@ def test_non_finite_residual_is_an_error(monkeypatch, bad):
     assert "non-finite residual" in check.error and "sample 1" in check.error
 
 
+def test_non_finite_residual_after_a_skip_names_its_drawn_sample(monkeypatch):
+    # the NaN is the second evaluated residual and the third sample drawn
+    check = _run_patched(monkeypatch, [None, 1e-15, float("nan"), 1e-15])
+    assert not check.ok and check.samples == 3
+    assert check.error == "non-finite residual nan at sample 2"
+
+
 @pytest.mark.parametrize("residuals", [[None] * 5, [], [None, None, None, 0.0, 0.0]])
 def test_vacuous_or_mostly_skipped_check_is_an_error(monkeypatch, residuals):
     check = _run_patched(monkeypatch, residuals)
@@ -569,6 +606,25 @@ def test_vacuous_or_mostly_skipped_check_is_an_error(monkeypatch, residuals):
 def test_half_evaluated_check_passes(monkeypatch):
     check = _run_patched(monkeypatch, [None, 0.0])
     assert check.ok and check.samples == 1
+
+
+# one shipped spec of each kind
+SPEC_PER_KIND = ["maxwell_d4", "general_scalar_linear_d5", "multiplet_d4", "dual_scalar_d3", "mechanics"]
+
+
+@pytest.mark.parametrize("stem", SPEC_PER_KIND)
+def test_every_check_returns_an_array_or_an_array_and_its_mask(stem):
+    from confsym.geometry import Metric
+    from confsym.modelspec import parse_spec
+
+    spec = parse_spec((Path(__file__).resolve().parents[1] / "specs" / f"{stem}.spec").read_text())
+    for name in applicable_checks(spec.kind):
+        result = suites.CHECKS[name].fn(spec, Metric(spec.dimension), suites._rng_for(spec, name))
+        values, keep = result if isinstance(result, tuple) else (result, None)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1, name
+        if keep is not None:
+            assert isinstance(keep, np.ndarray) and keep.dtype == bool and keep.ndim == 1, name
+            assert keep.sum() == len(values), name
 
 
 def _saved_report():
@@ -747,12 +803,24 @@ def test_finite_vector_routes_skips_the_samples_the_serial_loop_skipped(seed, sk
 
     text = f"[model]\nkind = maxwell\ndimension = 4\n\n[suite]\nchecks = all\nseed = {seed}\n"
     spec = parse_spec(text)
-    residuals = suites.CHECKS["finite-vector-routes"].fn(spec, Metric(4), suites._rng_for(spec, "finite-vector-routes"))
-    assert len(residuals) == 40
-    assert [i for i, r in enumerate(residuals) if r is None] == skipped
+    gaps, keep = suites.CHECKS["finite-vector-routes"].fn(spec, Metric(4), suites._rng_for(spec, "finite-vector-routes"))
+    assert len(keep) == 40 and len(gaps) == keep.sum()
+    assert np.flatnonzero(~keep).tolist() == skipped
     report = next(c for c in run_suite(spec).checks if c.name == "finite-vector-routes")
     assert report.ok and report.samples == samples
     assert report.max_residual.hex() == max_residual
+
+
+def _agreement_loop(make, routes, ys, cs):
+    """The per-sample loop the route checks once ran: per sample, the gap
+    between the two routes' transforms, or None where either raises."""
+    gaps = []
+    for y, c in zip(ys, cs):
+        try:
+            gaps.append(float(np.max(np.abs(make(c, routes[0]).value(y) - make(c, routes[1]).value(y)))))
+        except ConfsymError:
+            gaps.append(None)
+    return gaps
 
 
 @pytest.mark.parametrize("bad_rows", [[0, 5, 6, 11], list(range(12))], ids=["some", "all"])
@@ -773,9 +841,25 @@ def test_route_gaps_skip_exactly_where_the_serial_agreement_skips(bad_rows):
         ys[row] = [1.0, 0.0, 0.0, 0.0]
         cs[row] = [1.0, 0.5 + 0.01 * row, 0.0, 0.0]
     make = lambda c, route: FiniteVectorTransform(A, c, 1.0, g, route=route)
-    serial = [suites._agreement(make(c, "jacobian"), make(c, "reflection"), y) for y, c in zip(ys, cs)]
+    routes = ("jacobian", "reflection")
+    serial = _agreement_loop(make, routes, ys, cs)
     assert [i for i, r in enumerate(serial) if r is None] == sorted(set(bad_rows) | {8})
-    assert suites._route_gaps(make, ("jacobian", "reflection"), ys, cs) == serial
+    gaps, keep = suites._route_gaps(make, routes, ys, cs)
+    assert keep.tolist() == [r is not None for r in serial]
+    assert gaps.tolist() == [r for r in serial if r is not None]
+    evaluated = 12 - len(set(bad_rows) | {8})
+    assert suites._reduce((gaps, keep))[:2] == (evaluated, max(gaps.tolist(), default=0.0))
+    if not evaluated:
+        assert suites._reduce((gaps, keep))[2] == "only 0 of 12 samples evaluated"
+
+
+def test_route_gaps_raise_an_error_that_names_no_sample():
+    # only a floor test's error names a sample to drop; any other is the check's
+    def make(c, route):
+        raise ConfsymError("no sample named")
+
+    with pytest.raises(ConfsymError, match="no sample named"):
+        suites._route_gaps(make, ("first", "second"), np.ones((3, 4)), np.zeros((3, 4)))
 
 
 # The six Noether-layer checks evaluate whole sample arrays; each must return
@@ -812,13 +896,13 @@ def test_action_checks_keep_the_per_point_order(kind, dim):
     model, fixture = suites._model_fixture(spec, metric, rng)
     expected = [abs(action_variation_identity("scale", model, fixture, x, metric))
                 for x in sampling.points(rng, dim, 8)]
-    assert got == expected and len(got) == 8
+    assert got.tolist() == expected and len(got) == 8
 
     spec, metric, got, rng = _order_case(kind, dim, "action-conformal-identity")
     model, fixture = suites._model_fixture(spec, metric, rng)
     expected = [abs(action_variation_identity("conformal", model, fixture, x, metric, s))
                 for x in sampling.points(rng, dim, 8) for s in range(dim)]
-    assert got == expected and len(got) == 8 * dim
+    assert got.tolist() == expected and len(got) == 8 * dim
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
@@ -831,7 +915,7 @@ def test_maxwell_current_checks_keep_the_per_point_order(dim):
     A = sampling.random_offshell_potential(rng, metric)
     expected = [abs(action_variation_identity("conformal-assumed-primary", MaxwellModel(dim), A, x, metric, s))
                 for x in sampling.points(rng, dim, 6) for s in range(dim)]
-    assert got == expected and len(got) == 6 * dim
+    assert got.tolist() == expected and len(got) == 6 * dim
 
     for name in ("conformal-current-identity", "conformal-current-naive"):
         spec, metric, got, rng = _order_case("maxwell", dim, name)
@@ -840,7 +924,7 @@ def test_maxwell_current_checks_keep_the_per_point_order(dim):
         sides = [current_divergence_identity(special_conformal(rng.normal(0.0, 0.4, dim)), A, x, metric)
                  for x in sampling.points(rng, dim, 10)]
         expected = [abs(lhs - rhs) if name.endswith("identity") else abs(lhs) for lhs, rhs in sides]
-        assert got == expected and len(got) == 10
+        assert got.tolist() == expected and len(got) == 10
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
@@ -854,7 +938,7 @@ def test_killing_current_check_keeps_the_per_point_order(dim, basis_rows):
     gens = basis_rows(dim)
     expected = [abs(bessel_hagen_divergence(gen, model, phi, x, metric))
                 for x in sampling.points(rng, dim, 4) for gen in gens]
-    assert got == expected and len(got) == 4 * len(gens)
+    assert got.tolist() == expected and len(got) == 4 * len(gens)
 
 
 SHORT_MECHANICS = """

@@ -168,3 +168,8 @@ class TestDualityMismatch:
     def test_non_null_wavevector_rejected(self, metric3):
         with pytest.raises(OffShellParameters):
             matched_plane_wave_pair(np.array([1.0, 0.0, 0.0]), 1.0, 0.0, metric3)
+
+    def test_nullness_is_relative_to_the_wave_vector(self, metric3):
+        # k^2 = 7.5e-15 is below 1e-12, but 0.6 of k.k
+        with pytest.raises(OffShellParameters, match="not null"):
+            matched_plane_wave_pair(np.array([1e-7, 0.0, 5e-8]), 1.0, 0.0, metric3)

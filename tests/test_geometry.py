@@ -521,6 +521,24 @@ class TestSampleAxis:
                 messages.append(str(err.value))
             assert messages[0] == messages[1] != messages[2]
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_floor_error_names_its_sample(self, dim):
+        # a stack's error carries the index of its first rejected sample, a
+        # single point's and any error but a floor test's carry None
+        g, xs, cs = _sample_axis_case(dim, 257)
+        null = xs.copy()
+        null[[3, 5], :2] = 1.0, 1.0
+        null[[3, 5], 2:] = 0.0
+        with pytest.raises(LightConePoint) as err:
+            inversion(null, g)
+        assert err.value.sample == 3
+        with pytest.raises(LightConePoint) as err:
+            inversion(null[5], g)
+        assert err.value.sample is None
+        with pytest.raises(DimensionMismatch) as err:
+            inversion(xs[:, :-1], g)
+        assert err.value.sample is None
+
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_commutator_algebra_evaluates_each_fixture_once(dim, monkeypatch):

@@ -128,8 +128,10 @@ def _draws(node):
 def _sample_loops(function):
     """Line numbers of the loops in ``function`` (nested functions included)
     that run over drawn samples: their iterable is a draw, or a name bound to
-    one, possibly inside zip() or enumerate(); or their body draws, directly
-    or through a nested function that draws."""
+    one, possibly inside zip() or enumerate(), or zip() of two or more of the
+    function's own parameters, which a helper is handed as sample arrays; or
+    their body draws, directly or through a nested function that draws."""
+    params = {arg.arg for arg in function.args.posonlyargs + function.args.args + function.args.kwonlyargs}
     drawn, drawing = set(), set()
     for node in ast.walk(function):
         if isinstance(node, ast.Assign) and _draws(node.value):
@@ -141,7 +143,8 @@ def _sample_loops(function):
 
     def over_draws(iterable):
         if isinstance(iterable, ast.Call) and getattr(iterable.func, "id", None) in ("zip", "enumerate"):
-            return any(over_draws(arg) for arg in iterable.args)
+            zipped = sum(isinstance(arg, ast.Name) and arg.id in params for arg in iterable.args)
+            return (iterable.func.id == "zip" and zipped >= 2) or any(over_draws(arg) for arg in iterable.args)
         return _draws(iterable) or (isinstance(iterable, ast.Name) and iterable.id in drawn)
 
     def body_draws(nodes):
@@ -181,6 +184,25 @@ def test_no_check_loops_over_its_samples():
     looping = {name for name, lines in loops.items() if lines}
     assert sorted(looping - set(PER_SAMPLE_CHECKS)) == [], "pass the whole sample array to each kernel"
     assert sorted(set(PER_SAMPLE_CHECKS) - looping) == [], "these no longer loop; drop them from PER_SAMPLE_CHECKS"
+
+
+# The per-sample fallback that _route_gaps once ran, a loop over zip() of
+# the sample arrays it was handed.
+SERIAL_ROUTE_GAPS = """
+def _route_gaps(make, routes, ys, cs):
+    first, second = routes
+    try:
+        return _sample_gap(make(cs, first).value(ys), make(cs, second).value(ys)).tolist()
+    except ConfsymError:
+        return [_agreement(make(c, first), make(c, second), y) for y, c in zip(ys, cs)]
+"""
+
+
+def test_a_loop_over_zipped_parameters_is_a_sample_loop():
+    assert _sample_loops(ast.parse(SERIAL_ROUTE_GAPS).body[0]) != []
+    tree = ast.parse((SRC / "suites.py").read_text())
+    helper = next(node for node in tree.body if getattr(node, "name", None) == "_reject_non_finite")
+    assert _sample_loops(helper) == []
 
 
 # Rejection loops in sampling that still draw one try per pass, each with the

@@ -27,6 +27,15 @@ def test_minimal_maxwell_spec():
     assert spec.tolerances == DEFAULT_TOLERANCES
 
 
+@pytest.mark.parametrize("kind,dimension", [
+    ("maxwell", 4), ("general-scalar", 5), ("interacting-multiplet", 3), ("dual-scalar-3", 3), ("mechanics", 1),
+])
+def test_left_out_keys_take_the_model_spec_defaults(kind, dimension):
+    spec = parse_spec(f"[model]\nkind = {kind}\ndimension = {dimension}\n")
+    assert spec == ModelSpec(kind=kind, dimension=dimension)
+    assert spec.echo() == ModelSpec(kind=kind, dimension=dimension).echo()
+
+
 def test_dual_scalar_requires_three_dimensions():
     with pytest.raises(SemanticError):
         parse_spec("[model]\nkind = dual-scalar-3\ndimension = 4\n")

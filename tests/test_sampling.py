@@ -111,11 +111,13 @@ def test_polynomial_multiplet_keeps_the_one_try_stream(dim, n_comp):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-def test_rare_acceptance_draws_several_blocks(dim):
+def test_rare_acceptance_draws_several_blocks(monkeypatch, dim):
     # few tries pass, so each call needs more than its first block
     _same_stream(sampling.off_cone_points, ref_off_cone_points, dim, dim, 40, min_frac=0.5)
+    monkeypatch.setattr(sampling, "MIN_FACTOR", 0.9)
     _same_stream(
-        _pairs(sampling.nonsingular_pairs), _pairs(ref_nonsingular_pairs), dim, dim, 40, min_factor=0.9
+        _pairs(sampling.nonsingular_pairs), lambda *args: _pairs(ref_nonsingular_pairs)(*args, min_factor=0.9),
+        dim, dim, 40,
     )
 
 
@@ -143,7 +145,8 @@ def test_timelike_points_rare_acceptance_takes_several_rounds(monkeypatch, seed,
     # tries as it still needs points, and tests each round once
     monkeypatch.setattr(_CountingMetric, "calls", [])
     monkeypatch.setattr(sampling, "Metric", _CountingMetric)
-    _same_stream(sampling.timelike_points, ref_timelike_points, seed, dim, 40, min_square=3.0)
+    monkeypatch.setattr(sampling, "MIN_SQUARE", 3.0)
+    _same_stream(sampling.timelike_points, lambda *args: ref_timelike_points(*args, min_square=3.0), seed, dim, 40)
     rounds = _CountingMetric.calls
     assert len(rounds) >= 3 and rounds[0] == 40
     assert all(later <= earlier for earlier, later in zip(rounds, rounds[1:]))

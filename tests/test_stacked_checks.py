@@ -37,8 +37,13 @@ DIMS = [3, 4, 5, 6]
 SEEDS = [1, 2, 3]
 
 
-def _hex(residuals):
-    return [None if r is None else float(r).hex() for r in residuals]
+def _hex(result):
+    """Hex strings of residuals; for a check's (residuals, keep) pair, the
+    strings and the mask."""
+    if isinstance(result, tuple):
+        values, keep = result
+        return _hex(values), keep.tolist()
+    return [float(r).hex() for r in result]
 
 
 def _points_major(columns) -> list:
