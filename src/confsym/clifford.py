@@ -6,7 +6,7 @@ Leading sample axis: ``GammaSet.slash_lower``, :func:`gamma_slash_unit` and
 return one result per sample, each bit for bit its single-point result, by
 the rules stated in :mod:`confsym.geometry`: a per-point matrix product is a
 stacked ``matmul`` and a sum over the vector index keeps its order, broadcast
-over the samples.  A single vector gives the array or float it always gave.
+over the samples.  A single vector is a stack with no sample axis.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 
 class ConfsymError(Exception):
     """Base class for all toolkit errors.  ``sample`` is the index of the
-    sample a floor test of a stacked kernel rejected, else None."""
+    sample a floor test rejected, else None."""
 
     sample = None
 

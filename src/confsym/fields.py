@@ -18,7 +18,8 @@ the generator that varies it (:mod:`confsym.transforms`), not its class.
 
 Every evaluator takes points of shape ``(..., D)`` and returns the shapes
 above with the sample axes in front, C-ordered, each sample bit for bit its
-single-point result (the contract of :mod:`confsym.geometry`).
+single-point result; a single point is a stack with no sample axis (the
+contract of :mod:`confsym.geometry`).
 
 The kernels of :mod:`confsym.noether`, :mod:`confsym.transforms` and
 :mod:`confsym.dual3` read a fixture only through its :class:`Jet` on their
@@ -32,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, OffShellParameters
-from .geometry import Metric, _inner, _lift, _mv, _outer
+from .geometry import Metric, _inner, _lift, _mv, _outer, _sum_left_to_right
 
 MAX_POLY_DEGREE = 4
 
@@ -147,10 +148,7 @@ class PolynomialMultiplet:
         terms = coefs
         for mu in range(self.dim):
             terms = terms * np.take(powers[..., mu, :], exps[..., mu], axis=-1)
-        total = 0.0
-        for col in range(terms.shape[-1]):
-            total = total + terms[..., col]
-        return total.reshape(x.shape[:-1] + (self.n_comp,) + (self.dim,) * order)
+        return _sum_left_to_right(terms).reshape(x.shape[:-1] + (self.n_comp,) + (self.dim,) * order)
 
     def value(self, x):
         return self._derive_eval(x, 0)

@@ -21,23 +21,24 @@ Conventions used across the package:
   points ``(N, D)`` once its parameters carry a unit axis, ``(G, 1, D)``, as
   a ``(G, N)`` result.  ``killing_divergence_gradient`` and
   ``killing_second_gradient`` take no points and follow the stack alone.  A
-  single point is the case without a sample axis and gives the float or
-  array it always gave.  Each sample's result is bit for bit its
-  single-point result, and each generator's in a stack its own result, by
-  mirroring the single point's operations: per-sample dot products are
-  ``vecdot`` calls, which run the dot routine of a 1-D ``u @ v`` once per
-  sample and so sum in its order (``einsum`` and ``sum(-1)`` do not); a
-  per-point ``@``, ``dot`` or ``tensordot`` is a stacked ``matmul`` on
-  operands of the same memory layout (the layout selects the BLAS routine,
-  so a fixture returns C-ordered samples); a per-point ``einsum`` is the
-  same ``einsum`` with a leading sample index; a per-point ``sum`` or
-  ``trace`` reduces the trailing axes of the same layout; and a power of a
-  per-sample value is ``np.float_power``, which calls libm's ``pow`` as a
-  Python float's ``**`` does (numpy's ``**`` squares or takes ``sqrt``).  A
-  floor test raises for the first sample in sample order that fails it,
-  with that sample's index as the error's ``sample``, so a chain of kernels
-  over a sample array raises the error of the first kernel that meets a
-  singular sample, naming that kernel's first bad sample; a per-sample loop
+  single point is a stack with no sample axis: it runs the same code and
+  returns numpy values, a scalar result as an ``np.float64``.  Each
+  sample's result is bit for bit its single-point result, and each
+  generator's in a stack its own result, by mirroring the single point's
+  operations: per-sample dot products are ``vecdot`` calls, which run the
+  dot routine of a 1-D ``u @ v`` once per sample and so sum in its order
+  (``einsum`` and ``sum(-1)`` do not); a per-point ``@``, ``dot`` or
+  ``tensordot`` is a stacked ``matmul`` on operands of the same memory
+  layout (the layout selects the BLAS routine, so a fixture returns
+  C-ordered samples); a per-point ``einsum`` is the same ``einsum`` with a
+  leading sample index; a per-point ``sum`` or ``trace`` reduces the
+  trailing axes of the same layout; and a power of a per-sample value is
+  ``np.float_power``, which calls libm's ``pow`` as a Python float's ``**``
+  does (numpy's ``**`` squares or takes ``sqrt``).  A floor test raises for
+  the first sample in sample order that fails it, with that sample's index
+  as the error's ``sample``, so a chain of kernels over a sample array
+  raises the error of the first kernel that meets a singular sample, naming
+  that kernel's first bad sample (0 for a single point); a per-sample loop
   may meet another error first.
 """
 
@@ -111,18 +112,17 @@ class Metric:
 
 
 def _inner(u, v):
-    """u . v over the last axis of real arrays: a float for two single
-    vectors, else one value per sample, with the bits of the 1-D ``u @ v``
-    (``vecdot`` runs its dot routine per sample, and conjugates ``u``)."""
-    if u.ndim == 1 and v.ndim == 1:
-        return float(u @ v)
+    """u . v over the last axis of real arrays, one value per sample, with
+    the bits of the 1-D ``u @ v`` (``vecdot`` runs its dot routine per
+    sample, and conjugates ``u``)."""
     return np.vecdot(u, v)
 
 
 def _lift(a, axes: int = 1):
     """Per-sample values with ``axes`` trailing axes, to broadcast against
-    per-sample vectors (1) or matrices (2); a single sample's float as is."""
-    return a.reshape(a.shape + (1,) * axes) if isinstance(a, np.ndarray) else a
+    per-sample vectors (1) or matrices (2)."""
+    a = np.asarray(a)
+    return a.reshape(a.shape + (1,) * axes)
 
 
 def _outer(u, v):
@@ -136,33 +136,37 @@ def _mv(matrix, vector):
     return (matrix @ vector[..., None])[..., 0]
 
 
+def _sum_left_to_right(terms):
+    """sum_i terms[..., i], accumulated from 0.0 left to right as numpy's 1-D
+    ``einsum("i,i->", u, v)`` sums when ``v`` is strided (its contiguous and
+    stacked forms may add in SIMD lanes)."""
+    total = 0.0
+    for i in range(terms.shape[-1]):
+        total = total + terms[..., i]
+    return total
+
+
 def _scale_floor(x):
     return SINGULARITY_FLOOR * (1.0 + _inner(x, x))
 
 
 def _reject(bad, value, error, message):
-    """Raise ``error`` with ``message`` formatted with ``value`` at the first
-    sample where ``bad`` holds, its flat index set as the error's ``sample``
-    (``bad`` and ``value`` are scalars for a single point, whose error has
-    ``sample`` None)."""
-    sample = None
-    if isinstance(bad, np.ndarray):
-        if not bad.any():
-            return
-        sample = int(np.argmax(bad))
-        value = np.broadcast_to(value, bad.shape).flat[sample]
-    elif not bad:
+    """Raise ``error`` at the first sample where ``bad`` holds, its flat
+    index set as the error's ``sample``, with ``message`` formatted with that
+    sample's ``value`` and with the index as ``{sample}``."""
+    bad = np.asarray(bad)
+    if not bad.any():
         return
-    exc = error(message.format(float(value)))
+    sample = int(np.argmax(bad))
+    value = np.broadcast_to(value, bad.shape).flat[sample]
+    exc = error(message.format(float(value), sample=sample))
     exc.sample = sample
     raise exc
 
 
 def _max_abs(a, axes: int):
-    """Largest |entry| over the last ``axes`` axes: one value per sample, a
-    float for a single sample."""
-    worst = np.abs(a).max(axis=tuple(range(-axes, 0)))
-    return float(worst) if worst.ndim == 0 else worst
+    """Largest |entry| over the last ``axes`` axes, one value per sample."""
+    return np.abs(a).max(axis=tuple(range(-axes, 0)))
 
 
 def invariant_square(x, metric: Metric):
@@ -487,8 +491,7 @@ def killing_second_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:
 def killing_divergence(gen: GeneratorAction, x, metric: Metric):
     """d_mu f^mu = 2 D c.x + D lam; Poincare generators are divergence-free."""
     _, _, lam, c = _parts(gen, metric)
-    div = 2.0 * metric.dim * _inner(c, metric.lower(x)) + lam * metric.dim
-    return div if np.ndim(div) else float(div)
+    return 2.0 * metric.dim * _inner(c, metric.lower(x)) + lam * metric.dim
 
 
 def killing_divergence_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:

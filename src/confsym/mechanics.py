@@ -11,7 +11,8 @@ no sqrt per stage.
 
 A :class:`MechState` is one state or a stack of them, and the charges and
 variations follow the sample-axis contract of :mod:`confsym.geometry`: one
-result per state of a stack, each with its single-state bits.
+result per state of a stack, each with its single-state bits, and a single
+state is a stack with no sample axis.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularApproach, SingularConfiguration
-from .geometry import _inner, _lift
+from .geometry import _inner, _lift, _reject
 
 MIN_RADIUS = 1e-6
 MAX_STEPS = 10**7  # longest trajectory; its rows are held in memory
@@ -48,10 +49,10 @@ class MechParams:
 
 @dataclass(frozen=True)
 class MechState:
-    """Phase-space point (t, q, p) with p the velocity conjugate: a float t
+    """Phase-space point (t, q, p) with p the velocity conjugate: a 0-d t
     and (n,) q and p, or a stack of N states, t (N,) and q and p (N, n)."""
 
-    t: float | np.ndarray
+    t: np.ndarray
     q: np.ndarray
     p: np.ndarray
 
@@ -62,7 +63,7 @@ class MechState:
         p = np.atleast_1d(np.asarray(p, dtype=float))
         if q.shape != p.shape or q.shape[:-1] != t.shape:
             raise ValueError("q and p must have the same shape, one row per time")
-        return MechState(float(t) if t.ndim == 0 else t, q, p)
+        return MechState(t, q, p)
 
 
 def initial_state(mech: dict, n: int) -> MechState:
@@ -76,11 +77,11 @@ def initial_state(mech: dict, n: int) -> MechState:
 
 
 def _q2(q, coupling):
-    """q.q, one value per state of a stack; raises when a coupled state sits
-    at q = 0."""
+    """q.q, one value per state of a stack; raises for the first coupled
+    state at q = 0."""
     r2 = _inner(q, q)
-    if coupling > 0.0 and np.any(r2 == 0.0):
-        raise SingularConfiguration("q = 0 sits on the potential singularity")
+    if coupling > 0.0:
+        _reject(r2 == 0.0, r2, SingularConfiguration, "q = 0 sits on the potential singularity")
     return r2
 
 
@@ -300,11 +301,13 @@ class Trajectory:
 
 
 def _start(state0: MechState, params: MechParams, t_end: float, step: float):
-    """Step count and initial arrays of one trajectory, after the argument and
-    singular-start checks."""
+    """Step count, start time and initial arrays of one trajectory, after the
+    argument and singular-start checks.  The start time is a Python float, so
+    a step count that overflows is inf, not a numpy overflow warning."""
     if step <= 0:
         raise ValueError("step must be positive")
-    steps = (t_end - state0.t) / step
+    t0 = float(state0.t)
+    steps = (t_end - t0) / step
     if steps > MAX_STEPS:
         raise ValueError(f"a trajectory takes at most {MAX_STEPS} steps")
     nsteps = int(round(steps))
@@ -314,7 +317,7 @@ def _start(state0: MechState, params: MechParams, t_end: float, step: float):
     p0 = np.asarray(state0.p, dtype=float)
     if params.coupling > 0.0 and np.sqrt(q0 @ q0) < MIN_RADIUS:
         raise SingularConfiguration("initial point is inside the singular radius")
-    return nsteps, q0, p0
+    return nsteps, t0, q0, p0
 
 
 def integrate(
@@ -322,13 +325,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate the flow from ``state0`` to ``t_end`` at fixed ``step``;
     raises ``SingularApproach`` when it comes inside the singular radius."""
-    nsteps, q0, p0 = _start(state0, params, t_end, step)
+    nsteps, t0, q0, p0 = _start(state0, params, t_end, step)
     done, qs, ps = _rk4_core(q0, p0, float(params.coupling), float(step), nsteps, MIN_RADIUS)
     if done < nsteps:
         raise SingularApproach(
-            f"radius dropped below {MIN_RADIUS} after {done} steps (t = {state0.t + done * step})"
+            f"radius dropped below {MIN_RADIUS} after {done} steps (t = {t0 + done * step})"
         )
-    return Trajectory(state0.t + step * np.arange(nsteps + 1), qs, ps, params)
+    return Trajectory(t0 + step * np.arange(nsteps + 1), qs, ps, params)
 
 
 def dump_trajectory(traj: Trajectory, stream) -> None:

@@ -15,12 +15,11 @@ Leading sample axis: every kernel here, and each model's ``density`` and
 ``conjugates`` on value and gradient stacks ``(..., N)`` and ``(..., N, D)``,
 takes points ``x`` of shape ``(..., D)`` (with a special conformal parameter
 stack of the same shape, or a ``sigma`` index stack of shape ``(...)``) and
-returns one result per sample.  Each sample's result is bit for bit its
-single-point result, by the rules of :mod:`confsym.geometry`.  The one
-exception is the 1-D ``einsum`` over a
-strided column in the scalar conformal identity, which sums left to right;
-its stacked form is that sum written out (:func:`_sum_left_to_right`).  A
-single point gives the float or array it always gave.
+returns one result per sample; a single point is a stack with no sample
+axis.  Each sample's result is bit for bit its single-point result, by the
+rules of :mod:`confsym.geometry`; the scalar conformal identity sums a
+strided column left to right, as a 1-D ``einsum`` over it does
+(:func:`~confsym.geometry._sum_left_to_right`).
 
 Each kernel takes ``fields`` as a fixture or as its
 :class:`~confsym.fields.Jet` on the same ``x`` (a jet on other points raises
@@ -48,6 +47,8 @@ from .geometry import (
     _inner,
     _lift,
     _mv,
+    _reject,
+    _sum_left_to_right,
     canonical_weight,
     dilation,
     killing_divergence,
@@ -145,13 +146,8 @@ class GeneralScalarModel:
         """(phi, phi^p, z) per sample, after the domain test."""
         phi = value[..., 0]
         bad = phi == 0.0 if self.power.is_integer() else ~(phi > 0.0)
-        if np.any(bad):
-            index = int(np.argmax(bad))
-            where = f" at sample {index}" if np.ndim(bad) else ""
-            raise FieldDomainError(
-                f"phi = {float(np.ravel(phi)[index])}{where}: the general scalar "
-                f"needs phi^p real and nonzero, p = {self.power:g}"
-            )
+        _reject(bad, phi, FieldDomainError,
+                f"phi = {{}} at sample {{sample}}: the general scalar needs phi^p real and nonzero, p = {self.power:g}")
         power_term = np.float_power(phi, self.power)
         s = np.einsum("m,...m,...m->...", metric.diag, grad[..., 0, :], grad[..., 0, :])
         return phi, power_term, s / power_term
@@ -207,29 +203,14 @@ class DualScalarModel:
 # ---------------------------------------------------------------------------
 
 
-def _one(a):
-    """A single sample's 0-d result as a float; per-sample results as they are."""
-    return float(a) if np.ndim(a) == 0 else a
-
-
 def _vm(v, m):
-    """Per-sample vector @ matrix; for one sample the product ``v @ m``."""
-    return v @ m if v.ndim == 1 else (v[..., None, :] @ m)[..., 0, :]
+    """Per-sample vector @ matrix."""
+    return (v[..., None, :] @ m)[..., 0, :]
 
 
 def _at(a, index):
     """``a[..., index]`` with one index per sample from an index stack."""
     return np.take_along_axis(a, index[..., None], axis=-1)[..., 0]
-
-
-def _sum_left_to_right(terms):
-    """sum_i terms[..., i], accumulated from 0.0 left to right as numpy's 1-D
-    ``einsum("i,i->", u, v)`` sums when ``v`` is strided (its contiguous and
-    stacked forms may add in SIMD lanes)."""
-    total = 0.0
-    for i in range(terms.shape[-1]):
-        total = total + terms[..., i]
-    return total
 
 
 def _raise2(T, metric: Metric):
@@ -242,14 +223,14 @@ def _raise_dF(dF, metric: Metric):
 
 
 def _f_squared(F, metric: Metric):
-    return _one(np.sum(_raise2(F, metric) * F, axis=(-2, -1)))
+    return np.sum(_raise2(F, metric) * F, axis=(-2, -1))
 
 
 def _div_f_times(jet, v, dv, metric: Metric):
     """d_m (F^{ma} v_a) for the potential's jet and a co-vector v with
     ``dv[a, m] = d_m v_a``."""
     out = np.einsum("...mam,...a->...", _raise_dF(jet.dF, metric), v)
-    return _one(out + np.einsum("...ma,...am->...", _raise2(jet.F, metric), dv))
+    return out + np.einsum("...ma,...am->...", _raise2(jet.F, metric), dv)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +246,7 @@ def lagrangian(model, fields, x, metric: Metric):
         lag = -0.25 * _f_squared(jet.F, metric)
         return lag, -0.5 * np.einsum("...ab,...abm->...m", _raise2(jet.F, metric), jet.dF)
     density = model.density(jet.value, jet.grad, metric)
-    return _one(density), _density_gradient(model, jet.value, jet.grad, jet.hess, metric)
+    return density, _density_gradient(model, jet.value, jet.grad, jet.hess, metric)
 
 
 def _density_gradient(model, value, grad, hess, metric: Metric) -> np.ndarray:
@@ -307,7 +288,7 @@ def maxwell_stress_divergence(A, x, metric: Metric) -> np.ndarray:
 def maxwell_stress_trace(A, x, metric: Metric):
     """g_{mn} theta^{mn}; equals (-1 + D/4) F^2 identically."""
     theta = maxwell_stress(A, x, metric)
-    return _one(np.einsum("m,...mm->...", metric.diag, theta))
+    return np.einsum("m,...mm->...", metric.diag, theta)
 
 
 def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
@@ -387,7 +368,7 @@ def improved_scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 
 def improved_scalar_stress_trace(phi, x, metric: Metric, coupling: float = 0.0):
     """g_{mn} theta_improved^{mn}; vanishes on shell."""
     theta = improved_scalar_stress(phi, x, metric, coupling)
-    return _one(np.einsum("m,...mm->...", metric.diag, theta))
+    return np.einsum("m,...mm->...", metric.diag, theta)
 
 
 def offshell_trace_law(phi, x, metric: Metric, coupling: float = 0.0):
@@ -398,7 +379,7 @@ def offshell_trace_law(phi, x, metric: Metric, coupling: float = 0.0):
     dim = metric.dim
     model = MultipletModel(dim, jet.value.shape[-1], coupling)
     potential = dim * model.potential(_inner(jet.value, jet.value))
-    return _one(potential + 0.5 * (dim - 2.0) * _inner(jet.value, jet.box(metric)))
+    return potential + 0.5 * (dim - 2.0) * _inner(jet.value, jet.box(metric))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +485,7 @@ def killing_current_divergence(theta, theta_div, f, df, metric: Metric):
     f_low = metric.lower(f)
     # [m, n] = d_m f_n
     grad_f_low = np.swapaxes(metric.diag[:, None] * df, -1, -2)
-    return _one(_inner(theta_div, f_low) + np.sum(theta * grad_f_low, axis=(-2, -1)))
+    return _inner(theta_div, f_low) + np.sum(theta * grad_f_low, axis=(-2, -1))
 
 
 def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metric):
@@ -530,7 +511,7 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
         ddiv = killing_divergence_gradient(gen, metric)
         fa = _mv(_raise2(jet.F, metric), jet.value)
         div_fa = _div_f_times(jet, jet.value, jet.grad, metric)
-        return _one(out + coeff * (_inner(ddiv, fa) + div * div_fa))
+        return out + coeff * (_inner(ddiv, fa) + div * div_fa)
     coupling = model.coupling if isinstance(model, MultipletModel) else 0.0
     theta = improved_scalar_stress(jet, x, metric, coupling)
     theta_div = improved_scalar_stress_divergence(jet, x, metric, coupling)
@@ -636,7 +617,7 @@ def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma
 
     if kind == "scale":
         delta_l = _delta_lagrangian(model, gen, jet, x, metric)
-        return _one(delta_l - (dim * lag + _inner(x, dlag)))
+        return delta_l - (dim * lag + _inner(x, dlag))
 
     sigma = np.broadcast_to(sigma, x.shape[:-1])
     x_sigma, diag_sigma = _at(x, sigma), metric.diag[sigma]
@@ -650,12 +631,12 @@ def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma
         delta_l = _delta_lagrangian(model, gen, jet, x, metric)
         if maxwell:
             anomaly = (4.0 - dim) * _at(_mv(_raise2(jet.F, metric), jet.value), sigma)
-            return _one(delta_l - total_derivative - anomaly)
+            return delta_l - total_derivative - anomaly
         # the g^{st} Phi^2 improvement: twice the weight times the kinetic coefficient
         kappa = 2.0 * canonical_weight(dim) * model.kinetic_coefficient
         d_sq_sigma = 2.0 * diag_sigma * _sum_left_to_right(jet.value * _at(jet.grad, sigma[..., None]))
-        return _one(delta_l - total_derivative - kappa * d_sq_sigma)
+        return delta_l - total_derivative - kappa * d_sq_sigma
 
     delta_f = variation(gen, jet.F, jet.dF, x, metric)
     delta_l = -0.5 * np.sum(_raise2(jet.F, metric) * delta_f, axis=(-2, -1))
-    return _one(delta_l - total_derivative)
+    return delta_l - total_derivative

@@ -21,7 +21,7 @@ from math import ceil, comb, sqrt
 
 import numpy as np
 
-from .fields import CosineMultiplet, CosineSpinor, PolynomialMultiplet
+from .fields import CosineMultiplet, CosineSpinor, PolynomialMultiplet, make_onshell_maxwell_plane_wave
 from .geometry import Metric, _inner, conformal_factor
 
 # spread of drawn points and special conformal parameters
@@ -176,7 +176,7 @@ def random_onshell_potential(rng, metric: Metric) -> CosineMultiplet:
     """On-shell Maxwell plane wave: null wave vector, transverse polarisation."""
     k = null_vector(rng, metric.dim, scale=rng.uniform(0.5, 1.5))
     eps = transverse_polarisation(rng, k, metric)
-    return CosineMultiplet(k, metric.lower(eps), rng.uniform(0.0, 2.0 * np.pi), metric)
+    return make_onshell_maxwell_plane_wave(k, eps, metric, rng.uniform(0.0, 2.0 * np.pi))
 
 
 def random_offshell_potential(rng, metric: Metric) -> CosineMultiplet:

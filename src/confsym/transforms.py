@@ -21,11 +21,12 @@ successive-variation convention.
 
 Every kernel takes points ``x`` (or ``y``) of shape ``(..., D)``, with a
 parameter stack ``c`` of the same shape, and returns one result per sample,
-bit for bit its single-point result (the contract of :mod:`confsym.geometry`);
-a floor or timelike test raises for the first sample that fails it.  Every
-kernel reads a fixture through its :class:`~confsym.fields.Jet` on ``x``, as
-in :mod:`confsym.noether`; the finite transforms are field views and
-evaluate the field they wrap.
+bit for bit its single-point result; a single point is a stack with no
+sample axis (the contract of :mod:`confsym.geometry`).  A floor or timelike
+test raises for the first sample that fails it.  Every kernel reads a
+fixture through its :class:`~confsym.fields.Jet` on ``x``, as in
+:mod:`confsym.noether`; the finite transforms are field views and evaluate
+the field they wrap.
 """
 
 from __future__ import annotations

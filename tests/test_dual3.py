@@ -169,6 +169,16 @@ class TestDualityMismatch:
         with pytest.raises(OffShellParameters):
             matched_plane_wave_pair(np.array([1.0, 0.0, 0.0]), 1.0, 0.0, metric3)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e9])
+    def test_polarisation_bound_follows_the_wave_vector(self, metric3, scale):
+        # the least-squares residual grows with |k|, and so does its bound
+        k = scale * np.array([1.0, 0.6, 0.8])
+        phi, A = matched_plane_wave_pair(k, 0.9, 0.4, metric3)
+        x = sampling.points(np.random.default_rng(7), 3, 10)
+        assert np.max(np.abs(duality_mismatch(A, phi, x, metric3))) < 1e-12 * scale
+        with pytest.raises(OffShellParameters, match="not null"):
+            matched_plane_wave_pair(scale * np.array([1.0, 0.6, 0.0]), 0.9, 0.4, metric3)
+
     def test_nullness_is_relative_to_the_wave_vector(self, metric3):
         # k^2 = 7.5e-15 is below 1e-12, but 0.6 of k.k
         with pytest.raises(OffShellParameters, match="not null"):

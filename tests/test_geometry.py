@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confsym.clifford import build_gammas, sandwich_identity_residual
 from confsym.errors import (
     DimensionMismatch,
     LightConePoint,
@@ -44,6 +45,15 @@ from confsym.geometry import (
     special_conformal_map_via_inversion,
     translation,
 )
+from confsym.noether import (
+    MaxwellModel,
+    MultipletModel,
+    action_variation_identity,
+    bessel_hagen_divergence,
+    current_divergence_identity,
+    maxwell_stress_trace,
+)
+from confsym.transforms import decoupled_spinor_residual, decoupled_vector_residual
 from confsym import sampling
 
 
@@ -485,14 +495,36 @@ class TestSampleAxis:
         with pytest.raises(DimensionMismatch):
             translation(np.zeros((5, 3)))
 
-    def test_single_point_returns_floats(self, metric4, basis_rows):
-        x, c = np.array([0.3, 0.1, -0.2, 0.4]), np.array([0.05, 0.0, 0.1, -0.02])
-        for value in (metric4.dot(x, c), metric4.norm2(x), conformal_factor(x, c, metric4),
-                      killing_residual(special_conformal(c), x, metric4),
-                      *(killing_divergence(gen, x, metric4) for gen in basis_rows(4))):
-            assert type(value) is float
-        assert special_conformal_map(x, c, metric4).shape == (4,)
-        assert map_jacobian(x, c, metric4).shape == (4, 4)
+    def test_a_single_point_is_a_one_row_stack(self, metric4, rng, basis_rows):
+        # a single point runs the stack code: a scalar result is an
+        # np.float64 with the bits of the one-row stack's row
+        g, x, c = metric4, sampling.timelike_points(rng, 4, 1)[0], rng.normal(0.0, 0.1, 4)
+        A = sampling.random_offshell_potential(rng, g)
+        phi = sampling.random_plane_wave_multiplet(rng, g, 2, null=True)
+        gammas = build_gammas(4)
+        psi = sampling.random_spinor(rng, g, gammas.size)
+        scalars = [
+            lambda x, c: g.dot(x, c),
+            lambda x, c: g.norm2(x),
+            lambda x, c: conformal_factor(x, c, g),
+            lambda x, c: killing_residual(special_conformal(c), x, g),
+            *(lambda x, c, gen=gen: killing_divergence(gen, x, g) for gen in basis_rows(4)),
+            lambda x, c: sandwich_identity_residual(x, gammas, g),
+            lambda x, c: action_variation_identity("conformal", MaxwellModel(4), A, x, g, 2),
+            lambda x, c: maxwell_stress_trace(A, x, g),
+            lambda x, c: bessel_hagen_divergence(special_conformal(c), MultipletModel(4, 2), phi, x, g),
+            lambda x, c: decoupled_vector_residual(A, x, c, g),
+            lambda x, c: decoupled_spinor_residual(psi, x, c, g, gammas),
+        ]
+        for kernel in scalars:
+            single, rows = kernel(x, c), kernel(x[None], c[None])
+            assert type(single) is np.float64 and rows.shape == (1,)
+            assert single.tobytes() == rows[0].tobytes()
+        for kernel, shape in ((special_conformal_map, (4,)), (map_jacobian, (4, 4))):
+            single = kernel(x, c, g)
+            assert single.shape == shape
+            assert single.tobytes() == kernel(x[None], c[None], g)[0].tobytes()
+        assert current_divergence_identity(dilation(1.0, 4), A, x, g)[1] == 0.0
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_first_singular_row_raises(self, dim):
@@ -524,7 +556,7 @@ class TestSampleAxis:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_floor_error_names_its_sample(self, dim):
         # a stack's error carries the index of its first rejected sample, a
-        # single point's and any error but a floor test's carry None
+        # single point's carries 0 and any error but a floor test's None
         g, xs, cs = _sample_axis_case(dim, 257)
         null = xs.copy()
         null[[3, 5], :2] = 1.0, 1.0
@@ -534,7 +566,7 @@ class TestSampleAxis:
         assert err.value.sample == 3
         with pytest.raises(LightConePoint) as err:
             inversion(null[5], g)
-        assert err.value.sample is None
+        assert err.value.sample == 0
         with pytest.raises(DimensionMismatch) as err:
             inversion(xs[:, :-1], g)
         assert err.value.sample is None

@@ -10,6 +10,8 @@ drawn samples: each kernel takes the whole sample array in one call.  No
 rejection loop of ``sampling`` draws one try per pass: the tries come in blocks.
 How a field transforms is decided by the generator's spin tag in one place,
 and every fixture class of ``fields`` is a field, not a nominal base class.
+A kernel has one path for a single point and a stack: a branch on an array's
+dimension only rejects bad input.
 """
 
 import ast
@@ -313,3 +315,51 @@ def test_every_fixture_class_is_a_field():
         and not any(isinstance(sub, ast.FunctionDef) and sub.name == "value" for sub in node.body)
     ]
     assert nominal == [], "a fixture class defines value; a potential is a multiplet"
+
+
+# The modules whose kernels take points (..., D): a single point is a stack
+# with no sample axis and runs the same code.
+KERNEL_MODULES = ("geometry", "fields", "clifford", "transforms", "noether", "dual3", "mechanics")
+
+
+def _reads_shape_kind(test):
+    """True when ``test`` reads ``.ndim`` (``np.ndim`` included) or calls
+    ``isinstance(..., np.ndarray)``."""
+    for node in ast.walk(test):
+        if isinstance(node, ast.Attribute) and node.attr == "ndim":
+            return True
+        if (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "ndarray" for sub in ast.walk(node.args[1]))
+        ):
+            return True
+    return False
+
+
+def _shape_forks(tree):
+    """Qualified names of the functions holding an ``if`` or a conditional
+    expression that tests an array's dimension or type and does anything but
+    raise: a second path for a single point beside the stack path."""
+    found = set()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, (ast.If, ast.IfExp)) and _reads_shape_kind(node.test):
+            if isinstance(node, ast.IfExp) or not all(isinstance(stmt, ast.Raise) for stmt in node.body):
+                found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_no_kernel_forks_on_a_single_point():
+    forks = {
+        f"{stem}.{name}"
+        for stem in KERNEL_MODULES
+        for name in _shape_forks(ast.parse((SRC / f"{stem}.py").read_text()))
+    }
+    assert sorted(forks) == [], "a single point is a stack with no sample axis; run the stack path"

@@ -438,6 +438,16 @@ class TestStackedStates:
                 fn(stack, MechParams(2, 0.5))
             assert np.all(np.isfinite(fn(stack, MechParams(2, 0.0))))
 
+    def test_zero_q_error_names_its_state(self):
+        t, q, p = _stack(np.random.default_rng(4), 2)
+        q[[3, 5]] = 0.0
+        with pytest.raises(SingularConfiguration) as err:
+            hamiltonian(MechState.make(t, q, p), MechParams(2, 0.5))
+        assert err.value.sample == 3
+        with pytest.raises(SingularConfiguration) as err:
+            so21_bracket_residuals(MechState.make(t[5], q[5], p[5]), MechParams(2, 0.5))
+        assert err.value.sample == 0
+
     def test_times_must_match_the_rows(self):
         with pytest.raises(ValueError, match="one row per time"):
             MechState.make(0.0, np.ones((3, 2)), np.ones((3, 2)))

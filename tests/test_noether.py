@@ -679,15 +679,6 @@ class TestSampleAxis:
             rows = [np.einsum("i,i->", v, gr[:, s]) for v, gr, s in zip(value, grad, sigma)]
             assert _sum_left_to_right(value * columns).tobytes() == np.array(rows).tobytes()
 
-    def test_single_points_give_floats(self, metric4, rng):
-        x = rng.normal(0.0, 0.6, 4)
-        A = sampling.random_offshell_potential(rng, metric4)
-        phi = sampling.random_plane_wave_multiplet(rng, metric4, 2, null=True)
-        assert type(action_variation_identity("conformal", MaxwellModel(4), A, x, metric4, 2)) is float
-        assert type(maxwell_stress_trace(A, x, metric4)) is float
-        assert type(bessel_hagen_divergence(special_conformal(x), MultipletModel(4, 2), phi, x, metric4)) is float
-        assert current_divergence_identity(dilation(1.0, 4), A, x, metric4)[1] == 0.0
-
 
 class TestOneJetPerCall:
     """Each kernel call evaluates each derivative order of its fixture at most
@@ -782,7 +773,7 @@ class TestGeneralScalarDomain:
         value, grad = np.array([-0.7]), rng.normal(0.0, 0.5, (1, 5))
         for model in (linear_scalar_model(5, -0.4, 0.5), quadratic_scalar_model(5)):
             for method in (model.density, model.conjugates):
-                with pytest.raises(FieldDomainError, match=r"phi = -0\.7: .*p = 3\.33333"):
+                with pytest.raises(FieldDomainError, match=r"phi = -0\.7 at sample 0: .*p = 3\.33333"):
                     method(value, grad, g)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
@@ -803,6 +794,20 @@ class TestGeneralScalarDomain:
             quadratic_scalar_model(5).conjugates(value, grad, g)
         with pytest.raises(FieldDomainError, match=r"phi = 0\.0 at sample 3"):
             quadratic_scalar_model(4).density(value, grad[..., :4], Metric(4))
+
+    def test_domain_error_names_its_sample(self, rng):
+        value = np.array([[0.4], [-0.2], [0.9], [0.0]])
+        grad = rng.normal(0.0, 0.5, (4, 1, 5))
+        # p = 10/3 at D = 5 needs phi > 0, p = 4 at D = 4 needs phi != 0
+        for dim, first in ((5, 1), (4, 3)):
+            model = linear_scalar_model(dim, -0.4, 0.5)
+            for method in (model.density, model.conjugates):
+                with pytest.raises(FieldDomainError) as err:
+                    method(value, grad[..., :dim], Metric(dim))
+                assert err.value.sample == first
+            with pytest.raises(FieldDomainError) as err:
+                model.density(value[first], grad[first, :, :dim], Metric(dim))
+            assert err.value.sample == 0
 
     def test_negative_phi_at_an_integer_power(self, rng):
         # p = 4 at D = 4: phi^p is real, and the density is even in phi

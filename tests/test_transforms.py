@@ -623,14 +623,6 @@ class TestSampleAxis:
             lambda c: FiniteSpinorTransform(psi, c, weight, g, gammas, route="compact"),
         ]
 
-    def test_single_point_residuals_are_floats(self, metric4, rng):
-        x, c = sampling.timelike_points(rng, 4, 1)[0], rng.normal(0.0, 0.1, 4)
-        A = sampling.random_offshell_potential(rng, metric4)
-        gammas = build_gammas(4)
-        psi = sampling.random_spinor(rng, metric4, gammas.size)
-        assert type(decoupled_vector_residual(A, x, c, metric4)) is float
-        assert type(decoupled_spinor_residual(psi, x, c, metric4, gammas)) is float
-
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_first_row_off_the_positive_branch_raises(self, dim):
         g, rng, ys, cs = self._case(dim, 9)
