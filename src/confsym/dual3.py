@@ -161,16 +161,20 @@ def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):
     Solves the algebraic cross-product condition for the polarisation; only
     null wave vectors admit a solution.  The least-squares residual is
     bounded relative to the largest entry of the right-hand side, so the test
-    does not depend on the size of ``k``.
+    does not depend on the size of ``k``; a NaN residual fails it.  The
+    amplitude must be finite and non-zero: a NaN pair would make every
+    duality residual NaN, and a zero pair makes them vacuous.
     """
     _check_dim3(metric)
     k = metric._check(k)
     check_null(k, metric)
+    if not (np.isfinite(amplitude) and amplitude != 0.0):
+        raise OffShellParameters(f"the wave amplitude must be finite and non-zero, not {amplitude}")
     eps_up = levi_civita3_upper(metric)
     m = np.einsum("mab,a->mb", eps_up, metric.lower(k))
     rhs = float(amplitude) * k
     w_low, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    if np.max(np.abs(m @ w_low - rhs)) > 1e-10 * np.max(np.abs(rhs)):
+    if not np.max(np.abs(m @ w_low - rhs)) <= 1e-10 * np.max(np.abs(rhs)):
         raise OffShellParameters("no polarisation solves the duality condition")
     phi = CosineMultiplet(k, [amplitude], phase, metric)
     A = CosineMultiplet(k, w_low, phase, metric)

@@ -1,13 +1,16 @@
 """N-dimensional conformal mechanics: the inverse-square system obtained by
 reducing the conformal scalar multiplet to a single time dimension.
 
-The trajectory integrator is the one genuinely hot loop in the package: a
+A trajectory costs two passes over its rows.  The integrator is a
 fixed-step RK4 kernel in float arithmetic, generated per component count,
 free or repulsive, and unrolled over the components and over blocks of
 ``_BLOCK`` steps, that steps one trajectory at a time and appends a block's
 rows in one call.  Its radius test compares q.q with the least double whose
 sqrt reaches the radius, which stops exactly where the sqrt test stops, with
-no sqrt per stage.
+no sqrt per stage.  The dump writes every value as C's ``%.17g`` through
+:func:`_g17`, which decides the 17 digits exactly in array arithmetic and
+lays out the text in fixed byte columns, with Python's ``%`` only for the
+values outside its range.
 
 A :class:`MechState` is one state or a stack of them, and the charges and
 variations follow the sample-axis contract of :mod:`confsym.geometry`: one
@@ -29,7 +32,7 @@ from .geometry import _inner, _lift, _reject
 
 MIN_RADIUS = 1e-6
 MAX_STEPS = 10**7  # longest trajectory; its rows are held in memory
-_DUMP_ROWS = 4096  # rows formatted per write, which bounds the dump's memory
+_DUMP_VALUES = 4096  # values formatted per write: bounds the dump's memory, keeps its arrays cache-sized
 _BLOCK = 4  # RK4 steps per pass of the kernel's main loop, appended in one call
 
 
@@ -283,11 +286,11 @@ class Trajectory:
     def _charges(self) -> np.ndarray:
         t = self.times
         lam = self.params.coupling
+        q2 = np.einsum("in,in->i", self.q, self.q)
         h = 0.5 * np.einsum("in,in->i", self.p, self.p)
         if lam:
-            h = h + lam / np.einsum("in,in->i", self.q, self.q)
+            h = h + lam / q2
         qp = np.einsum("in,in->i", self.q, self.p)
-        q2 = np.einsum("in,in->i", self.q, self.q)
         d = t * h - 0.5 * qp
         k = t**2 * h - t * qp + 0.5 * q2
         series = np.stack([h, d, k], axis=1)
@@ -334,8 +337,148 @@ def integrate(
     return Trajectory(t0 + step * np.arange(nsteps + 1), qs, ps, params)
 
 
+# ---------------------------------------------------------------------------
+# trajectory dump: C's %.17g at array speed
+# ---------------------------------------------------------------------------
+
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for binary64
+
+
+def _split(a):
+    """Veltkamp's split ``a = high + low``, each half at most 26 bits wide, so
+    a product of halves is exact."""
+    t = a * _SPLIT
+    high = t - (t - a)
+    return high, a - high
+
+
+@functools.cache
+def _g17_tables():
+    """Tables of :func:`_g17`, built on first use.
+
+    ``digits[n]`` holds the four ASCII digits of n < 10^4 in its low bytes
+    and above them 64 plus the place (1 to 4) of n's last non-zero digit,
+    or 52 for n = 0.  ``tens[:, s]`` is 10^s = hi + lo exactly, s = 0..46,
+    with hi split.  Row ``17 (X + 30) + last`` of ``lower``, ``upper`` and
+    ``text`` serves the values of decimal exponent X = -30..16 whose digits
+    after digit ``last`` (0..16) are zeros: per word of the slot, the masks
+    of the digits before and after the point, and the point, ``e-NN`` and a
+    space.
+    """
+    n = np.arange(10000, dtype=np.uint64)
+    d = [n // 1000, n // 100 % 10, n // 10 % 10, n % 10]
+    place = np.select([d[3] > 0, d[2] > 0, d[1] > 0, d[0] > 0], [68, 67, 66, 65], 52).astype(np.uint64)
+    digits = 0x30303030 + d[0] + (d[1] << 8) + (d[2] << 16) + (d[3] << 24) + (place << 32)
+    hi = np.array([float(10**s) for s in range(47)])
+    lo = [float(10**s - int(h)) for s, h in zip(range(47), hi)]
+    tens = np.stack([hi, *_split(hi), lo])
+    x = np.arange(-30, 17)[:, None, None]
+    z = 4 + np.arange(17)[:, None]  # the last non-zero digit in "0000" + digits
+    pos = np.arange(32, dtype=np.int8)
+    point = np.where(x < -4, 4, 4 + x)  # the digit the point follows
+    frac = z > point
+    end = np.where(frac, z + 2, point + 1)
+    lower = (pos > np.minimum(point, 4)) & (pos <= np.minimum(end, point + 1))
+    upper = (pos >= point + 3) & (pos <= end)
+    text = (frac & (pos == point + 2)) * np.uint8(ord("."))
+    e = -x[..., 0]
+    text[..., 23:27] = (x < -4) * np.stack(np.broadcast_arrays(ord("e"), ord("-"), 48 + e // 10, 48 + e % 10), -1)
+    text[..., 27] = ord(" ")
+    masks = (lower * np.uint8(255), upper * np.uint8(255), text)
+    return digits, tens, [np.ascontiguousarray(m.view("<u8").reshape(-1, 4).T, np.uint64) for m in masks]
+
+
+def _times_ten_to(x, s, tens):
+    """x 10^s rounded half to even, as int64, with the remainder
+    ``x 10^s - M`` and whether that remainder is exact.
+
+    x 10^s = p + e + x lo, with p + e = x hi exactly (Dekker's product), and
+    p an even integer when at least 2^53.  The rest r = e + x lo is off by at
+    most 2^-48 while |r| < 32, and exact when lo = 0.
+    """
+    hi, hi_h, hi_l, lo = tens.take(s, axis=1)
+    x_h, x_l = _split(x)
+    p = x * hi
+    q = x * lo
+    r = (((x_h * hi_h - p) + x_h * hi_l + x_l * hi_h) + x_l * hi_l) + q
+    k = np.rint(r)
+    return p.astype(np.int64) + k.astype(np.int64), r - k, q == 0.0
+
+
+def _g17(table: np.ndarray) -> bytes:
+    """``b"%.17g" % v`` for each value of a 2-D float table, with a space
+    after each value of a row and a newline after its last.
+
+    Each value fills a 32-byte slot: byte 0 the sign, bytes 1..22 "0000" and
+    the 17 digits with a point after digit ``point`` (the digits after it one
+    byte further on), 23..26 ``e-NN``, 27 the separator.  Masks blank what
+    the value does not print, and one pass deletes the zero bytes of every
+    slot, so no byte moves between slots.
+
+    A zero, or a |v| from just above 1e-30 to just below 1e17, is formatted
+    here.  Its digits are M = |v| 10^s rounded half to even, s = 16 - X,
+    decided exactly: X = floor(log10 |v|) is a guess, moved by one where M
+    falls outside [1e16, 1e17]; a carry to 1e17 raises X.  The leading term
+    of the product is an even integer above 2^53, so rounding the rest keeps
+    the parity of a tie.  A remainder within 2^-40 of a half, when 10^s is
+    not a double, leaves M undecided: that value, like every value outside
+    the range, takes Python's correctly rounded ``%``.
+    """
+    digits, tens, (lower, upper, text) = _g17_tables()
+    v = table.ravel()
+    x = np.abs(v)
+    zero = x == 0.0
+    ok = (x >= 1.000000000001e-30) & (x < 9.99999999999e16)  # False on inf and NaN; log10 keeps 0 <= s <= 46
+    x[~ok] = 1.0
+    s = 16 - np.floor(np.log10(x)).astype(np.int64)
+    ok |= zero
+    m, f, exact = _times_ten_to(x, s, tens)
+    under = (m < 10**16) | ((m == 10**16) & (f < 0.0))
+    redo = np.flatnonzero(under | (m > 10**17))
+    if redo.size:
+        s[redo] += 2 * under[redo] - 1
+        ok[redo] &= (s[redo] >= 0) & (s[redo] <= 46)
+        s[redo] = np.clip(s[redo], 0, 46)
+        m[redo], f[redo], exact[redo] = _times_ten_to(x[redo], s[redo], tens)
+        ok[redo] &= (m[redo] >= 10**16) & (m[redo] <= 10**17)
+    ok &= exact | (np.abs(f) < 0.5 - 2.0**-40)
+    carry = m == 10**17
+    m[carry] = 10**16
+    m[zero] = 0
+    # M is the lead digit and four groups of four, a b c d
+    high = m // 10**8
+    low = m - high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    a = high // 10**4
+    c = low // 10**4
+    a, b, c, d = digits[a], digits[high - a * 10**4], digits[c], digits[low - c * 10**4]
+    # 64 plus the place of M's last non-zero digit after the lead, 64 when there is none
+    last = np.maximum(np.maximum(a >> 32, (b >> 32) + 4), np.maximum((c >> 32) + 8, (d >> 32) + 12))
+    code = last.view(np.int64) + 17 * (carry - s) + 718  # the row 17 (X + 30) + last, X = 16 - s + carry
+    code[~ok] = 0
+    w1 = a & 0xFFFFFFFF | b << 32
+    w2 = c & 0xFFFFFFFF | d << 32
+    z0 = 0x30303030 << 8 | (lead.view(np.uint64) + 48) << 40 | w1 << 48
+    z1 = w1 >> 16 | w2 << 48
+    out = np.empty((v.size, 4), "<u8")
+    out[:, 0] = z0 & lower[0][code] | z0 << 8 & upper[0][code] | text[0][code] | np.signbit(v) * np.uint64(45)
+    out[:, 1] = z1 & lower[1][code] | (z1 << 8 | z0 >> 56) & upper[1][code] | text[1][code]
+    out[:, 2] = w2 >> 16 & lower[2][code] | w2 >> 8 & upper[2][code] | text[2][code]
+    out[:, 3] = text[3][code]
+    raw = out.view(np.uint8)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        printed = b"".join([(b"%.17g" % value).ljust(27, b"\0") for value in v[rest].tolist()])
+        raw[rest, :27] = np.frombuffer(printed, np.uint8).reshape(-1, 27)
+    raw.reshape(table.shape[0], -1)[:, -5] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
+
+
 def dump_trajectory(traj: Trajectory, stream) -> None:
-    """Write the delimited text dump: t, q components, p components, H, D, K."""
+    """Write the delimited text dump to a text stream: a header, then one
+    row per sample of t, the q components, the p components, H, D and K,
+    each value as C's ``%.17g``, which round-trips."""
     table = np.column_stack([traj.times, traj.q, traj.p, traj.charge_series()])
     n = traj.q.shape[1]
     header = ["t"]
@@ -343,7 +486,6 @@ def dump_trajectory(traj: Trajectory, stream) -> None:
     header += [f"p{i}" for i in range(n)]
     header += ["H", "D", "K"]
     stream.write("# " + " ".join(header) + "\n")
-    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
-    for start in range(0, table.shape[0], _DUMP_ROWS):
-        block = table[start : start + _DUMP_ROWS]
-        stream.write((row * len(block)) % tuple(block.ravel().tolist()))
+    rows = max(1, _DUMP_VALUES // table.shape[1])
+    for start in range(0, table.shape[0], rows):
+        stream.write(_g17(table[start : start + rows]).decode("ascii"))

@@ -218,6 +218,16 @@ def test_mech_sim_dump_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MECH_SIM_SHA256
 
 
+def test_mech_sim_stdout_is_the_out_file(tmp_path, capsys):
+    out = tmp_path / "traj.txt"
+    assert main(["mech-sim", str(SPEC_DIR / "mechanics.spec"), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert main(["mech-sim", str(SPEC_DIR / "mechanics.spec")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == out.read_bytes()
+    assert captured.err == summary
+
+
 def _mech_sweep_specs():
     """Mechanics specs of 1 to 3 components, free and repulsive, whose step
     counts take every residue modulo the kernel's block of steps."""

@@ -169,6 +169,22 @@ class TestDualityMismatch:
         with pytest.raises(OffShellParameters):
             matched_plane_wave_pair(np.array([1.0, 0.0, 0.0]), 1.0, 0.0, metric3)
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, 0.0, -0.0])
+    def test_non_finite_or_zero_amplitude_rejected(self, metric3, amplitude):
+        # a NaN pair makes every duality residual NaN, a zero pair makes them vacuous
+        with pytest.raises(OffShellParameters, match="finite and non-zero"):
+            matched_plane_wave_pair(np.array([1.0, 0.6, 0.8]), amplitude, 0.4, metric3)
+
+    def test_amplitude_bits_are_kept(self, metric3):
+        # the pair the duality-match check builds; the amplitude guard keeps its bits
+        phi, A = matched_plane_wave_pair(np.array([1.0, 0.6, 0.8]), 0.9, 0.4, metric3)
+        npt.assert_array_equal(phi.amplitude, [0.9])
+        npt.assert_array_equal(
+            A.amplitude,
+            [float.fromhex(h) for h in ("-0x1.823563f6a7c90p-105", "0x1.70a3d70a3d70bp-1", "-0x1.147ae147ae148p-1")],
+        )
+        assert (phi.phase, A.phase) == (0.4, 0.4)
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e9])
     def test_polarisation_bound_follows_the_wave_vector(self, metric3, scale):
         # the least-squares residual grows with |k|, and so does its bound

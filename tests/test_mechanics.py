@@ -2,6 +2,8 @@ import io
 import math
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -477,6 +479,83 @@ class TestInitialState:
         npt.assert_array_equal(state.p, [0.3, -0.3, 0.3])
 
 
+def _printf_g17(table) -> bytes:
+    """The reference rows: each value of the 2-D ``table`` through Python's
+    ``%.17g``, a space between the values of a row."""
+    rows, cols = table.shape
+    return ((b" ".join([b"%.17g"] * cols) + b"\n") * rows) % tuple(table.ravel().tolist())
+
+
+def _decade_neighbours(k):
+    """10^k and the 17-digit rounding boundary 10^k - 5e(k-18), each with its
+    four nearest doubles on either side."""
+    out = []
+    for edge in (Fraction(10) ** k, Fraction(10) ** k - 5 * Fraction(10) ** (k - 18)):
+        x = float(edge)
+        for step in range(-4, 5):
+            y = x
+            for _ in range(abs(step)):
+                y = math.nextafter(y, math.inf if step > 0 else 0.0)
+            out += [y, -y]
+    return out
+
+
+def _ties(rng, count):
+    """Doubles odd / 2^j with exactly 18 significant digits, the last a 5: each
+    lies exactly halfway between two 17-digit decimals."""
+    out = []
+    while len(out) < count:
+        for x in ((rng.integers(1, 2**53, 1000) | 1) / 2.0 ** rng.integers(2, 60, 1000)).tolist():
+            if len(Decimal(x).as_tuple().digits) == 18:
+                out += [x, -x]
+    return out[:count]
+
+
+class TestG17Format:
+    def test_powers_of_ten_are_exact_double_doubles(self):
+        _, tens, _ = mechanics._g17_tables()
+        hi, hi_h, hi_l, lo = tens
+        for s in range(47):
+            assert int(hi[s]) + int(lo[s]) == 10**s, s
+            assert hi_h[s] + hi_l[s] == hi[s]
+            for half in (abs(int(hi_h[s])), abs(int(hi_l[s]))):  # products of halves are exact
+                assert half == 0 or (half // (half & -half)).bit_length() <= 26
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_any_double(self, values):
+        # NaN, inf, -0.0 and subnormals included; as one column and as one row
+        table = np.array(values).reshape(-1, 1)
+        assert mechanics._g17(table) == _printf_g17(table)
+        assert mechanics._g17(table.T.copy()) == _printf_g17(table.T)
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**64, 150_000, dtype=np.uint64).view(float)
+        exponents = np.repeat(np.arange(-30, 19), 17_500)
+        decades = rng.uniform(1.0, 10.0, exponents.size) * 10.0**exponents * rng.choice([-1.0, 1.0], exponents.size)
+        for table in (bits.reshape(-1, 8), decades.reshape(-1, 10)):
+            for start in range(0, len(table), 4096):
+                block = table[start : start + 4096]
+                assert mechanics._g17(block) == _printf_g17(block)
+
+    def test_decade_edges_and_rounding_boundaries(self):
+        table = np.array([x for k in range(-34, 24) for x in _decade_neighbours(k)]).reshape(-1, 6)
+        assert mechanics._g17(table) == _printf_g17(table)
+
+    def test_exact_ties_round_half_to_even(self):
+        table = np.array(_ties(np.random.default_rng(5), 2000)).reshape(-1, 8)
+        assert mechanics._g17(table) == _printf_g17(table)
+
+    @pytest.mark.parametrize("cols", [1, 6, 8, 10])
+    @pytest.mark.parametrize("rows", [1, 7, 513, 1700])
+    def test_table_shapes(self, cols, rows):
+        rng = np.random.default_rng([cols, rows])
+        table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-20, 18, size=(rows, cols))
+        table[rng.random((rows, cols)) < 0.05] = 0.0
+        assert mechanics._g17(table) == _printf_g17(table)
+
+
 class TestTrajectoryDump:
     def test_format_and_roundtrip(self):
         traj = integrate(
@@ -488,9 +567,24 @@ class TestTrajectoryDump:
         assert lines[0].startswith("# t q0 q1 p0 p1 H D K")
         data = np.loadtxt(io.StringIO("\n".join(lines[1:])))
         assert data.shape == (traj.times.size, 1 + 2 + 2 + 3)
-        npt.assert_allclose(data[:, 0], traj.times)
-        npt.assert_allclose(data[:, 1:3], traj.q)
-        npt.assert_allclose(data[:, 5], traj.charge_series()[:, 0])
+        # %.17g round-trips, so every column reads back bit for bit
+        npt.assert_array_equal(data[:, 0], traj.times)
+        npt.assert_array_equal(data[:, 1:3], traj.q)
+        npt.assert_array_equal(data[:, 3:5], traj.p)
+        npt.assert_array_equal(data[:, 5:], traj.charge_series())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_across_write_blocks(self, n):
+        # 1500 rows of 6, 8 or 10 columns: not a multiple of the rows per write
+        rng = np.random.default_rng(n)
+        q, p = rng.normal(size=(2, 1500, n)) * 10.0 ** rng.integers(-12, 6, size=(2, 1500, n))
+        traj = Trajectory(np.arange(1500) * 0.001, q, p, MechParams(n, 0.5))
+        buf = io.StringIO()
+        dump_trajectory(traj, buf)
+        _, body = buf.getvalue().split("\n", 1)
+        table = np.column_stack([traj.times, q, p, traj.charge_series()])
+        assert 1500 % (mechanics._DUMP_VALUES // table.shape[1]) != 0
+        assert body.encode() == _printf_g17(table)
 
 
 class TestDimensionalReduction:
