@@ -1,16 +1,18 @@
 """N-dimensional conformal mechanics: the inverse-square system obtained by
 reducing the conformal scalar multiplet to a single time dimension.
 
-A trajectory costs two passes over its rows.  The integrator is a
-fixed-step RK4 kernel in float arithmetic, generated per component count,
-free or repulsive, and unrolled over the components and over blocks of
-``_BLOCK`` steps, that steps one trajectory at a time and appends a block's
-rows in one call.  Its radius test compares q.q with the least double whose
-sqrt reaches the radius, which stops exactly where the sqrt test stops, with
-no sqrt per stage.  The dump writes every value as C's ``%.17g`` through
-:func:`_g17`, which decides the 17 digits exactly in array arithmetic and
-lays out the text in fixed byte columns, with Python's ``%`` only for the
-values outside its range.
+A trajectory costs two passes over its rows.  A repulsive one runs a
+fixed-step RK4 kernel in float arithmetic, generated per component count
+and unrolled over the components and over blocks of ``_BLOCK`` steps, that
+steps one trajectory at a time and appends a block's rows in one call.  Its
+radius test compares q.q with the least double whose sqrt reaches the
+radius, which stops exactly where the sqrt test stops, with no sqrt per
+stage.  A free one has RK4's rows in closed form: with no force, p is
+constant after one step and q gains the same increment every step, so one
+``np.add.accumulate`` adds them with the step loop's bits.  The dump writes
+every value as C's ``%.17g`` through :func:`_g17`, which decides the 17
+digits exactly in array arithmetic and lays out the text in fixed byte
+columns, with Python's ``%`` only for the values outside its range.
 
 A :class:`MechState` is one state or a stack of them, and the charges and
 variations follow the sample-axis contract of :mod:`confsym.geometry`: one
@@ -46,8 +48,8 @@ class MechParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("configuration dimension must be >= 1")
-        if self.coupling < 0:
-            raise ValueError("attractive couplings (fall to the centre) are rejected")
+        if not 0.0 <= self.coupling < math.inf:
+            raise ValueError("the coupling must be finite and non-negative: attractive ones fall to the centre")
 
 
 @dataclass(frozen=True)
@@ -164,13 +166,11 @@ def _sum_source(terms: list) -> str:
 
 
 @functools.cache
-def _kernel(n: int, repulsive: bool):
-    """The RK4 loop for ``n`` components, unrolled over them and over blocks
-    of ``_BLOCK`` steps in float arithmetic, compiled on first use (see
-    ``_rk4_core``).  Row ``j`` of a block is ``(r{j}q_*, r{j}p_*)``; its last
-    step writes row 0, the first of the next block.  A free loop has no
-    force and no radius test; its zero forces still reach p, as they do in
-    numpy's step."""
+def _kernel(n: int):
+    """The repulsive RK4 loop for ``n`` components, unrolled over them and
+    over blocks of ``_BLOCK`` steps in float arithmetic, compiled on first
+    use (see ``_rk4_core``).  Row ``j`` of a block is ``(r{j}q_*, r{j}p_*)``;
+    its last step writes row 0, the first of the next block."""
 
     def each(template):
         return "; ".join(template.format(k=k) for k in range(n))
@@ -184,8 +184,6 @@ def _kernel(n: int, repulsive: bool):
         q, p = f"r{j}q", f"r{j}p"
 
         def force(a, at):
-            if not repulsive:
-                return []
             r2 = _sum_source([f"{at}_{k} * {at}_{k}" for k in range(n)])
             return [
                 f"r2 = {r2}", "if r2 < min_r2:", f"    {stop}",
@@ -215,7 +213,7 @@ def _kernel(n: int, repulsive: bool):
     block = [line for j in range(_BLOCK) for line in step(j, (j + 1) % _BLOCK, stop(j))]
     source = f"""
 def rk4(q0, p0, two_lam, half, dt, sixth, nsteps, min_r2, extend):
-    {each("r0q_{k} = q0[{k}]; r0p_{k} = p0[{k}]; a1_{k} = a2_{k} = a3_{k} = a4_{k} = 0.0")}
+    {each("r0q_{k} = q0[{k}]; r0p_{k} = p0[{k}]")}
     extend(({row(0)}))
     blocked = nsteps - nsteps % {_BLOCK}
     for i in range(0, blocked, {_BLOCK}):
@@ -227,7 +225,7 @@ def rk4(q0, p0, two_lam, half, dt, sixth, nsteps, min_r2, extend):
     return nsteps
 """
     namespace = {}
-    exec(compile(source, f"<rk4 kernel, n = {n}, repulsive = {repulsive}>", "exec"), namespace)
+    exec(compile(source, f"<rk4 kernel, n = {n}>", "exec"), namespace)
     return namespace["rk4"]
 
 
@@ -248,24 +246,36 @@ def _min_r2(min_radius: float) -> float:
 
 def _rk4_core(q0, p0, lam, dt, nsteps, min_radius):
     """Classic fixed-step RK4 for q' = p, p' = 2 lam q / (q.q)^2 from the
-    (n,) start ``q0``, ``p0``.
+    (n,) start ``q0``, ``p0``, with the bits of an array-wise numpy step.
 
     Returns the completed steps ``done`` and the (done + 1, n) rows of q and
-    of p.  A free call (``lam == 0.0``) never evaluates the force, so it may
-    pass through q = 0; a repulsive one stops when the radius at any of a
-    step's four stages is below ``min_radius`` (> 0), so the force never
-    divides by zero.  The kernel does numpy's float64 operations in numpy's
-    order, ``r2`` included, so a trajectory keeps the bits of an array-wise
-    RK4 step; it tests ``r2`` against ``_min_r2(min_radius)``, which stops
-    where the radius test stops.
+    of p.  A repulsive call (``lam > 0.0``) runs the kernel, which does
+    numpy's float64 operations in numpy's order, ``r2`` included; it stops
+    when the radius at any of a step's four stages is below ``min_radius``
+    (> 0), tested as ``r2 < _min_r2(min_radius)``, so the force never
+    divides by zero.  Any other call is free and never evaluates the force,
+    so it may pass through q = 0.  With dt > 0 finite its forces are +0.0,
+    so every stage's p and the new p are ``p + 0.0``: after one step p is
+    constant and q gains the same increment every step, which
+    ``np.add.accumulate`` adds left to right, as the loop does.
     """
-    n = q0.shape[0]
-    rows = array("d")
-    done = _kernel(n, lam > 0.0)(
-        q0.tolist(), p0.tolist(), 2.0 * lam, 0.5 * dt, dt, dt / 6.0, nsteps, _min_r2(min_radius), rows.extend
-    )
-    rows = np.frombuffer(rows).reshape(done + 1, 2 * n)
-    return done, np.ascontiguousarray(rows[:, :n]), np.ascontiguousarray(rows[:, n:])
+    if lam > 0.0:
+        n = q0.shape[0]
+        rows = array("d")
+        done = _kernel(n)(
+            q0.tolist(), p0.tolist(), 2.0 * lam, 0.5 * dt, dt, dt / 6.0, nsteps, _min_r2(min_radius), rows.extend
+        )
+        rows = np.frombuffer(rows).reshape(done + 1, 2 * n)
+        return done, np.ascontiguousarray(rows[:, :n]), np.ascontiguousarray(rows[:, n:])
+    sixth = dt / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):  # float arithmetic never warns
+        p = p0 + 0.0
+        qs = np.empty((nsteps + 1, q0.shape[0]))
+        qs[0], qs[1], qs[2:] = q0, sixth * (p0 + 2.0 * p + 2.0 * p + p), sixth * (p + 2.0 * p + 2.0 * p + p)
+        np.add.accumulate(qs, axis=0, out=qs)
+    ps = np.empty_like(qs)
+    ps[0], ps[1:] = p0, p
+    return nsteps, qs, ps
 
 
 @dataclass(frozen=True)
@@ -307,12 +317,14 @@ def _start(state0: MechState, params: MechParams, t_end: float, step: float):
     """Step count, start time and initial arrays of one trajectory, after the
     argument and singular-start checks.  The start time is a Python float, so
     a step count that overflows is inf, not a numpy overflow warning."""
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     t0 = float(state0.t)
     steps = (t_end - t0) / step
     if steps > MAX_STEPS:
         raise ValueError(f"a trajectory takes at most {MAX_STEPS} steps")
+    if not math.isfinite(steps):
+        raise ValueError("t_end and the initial time must be finite")
     nsteps = int(round(steps))
     if nsteps < 1:
         raise ValueError("t_end must lie at least half a step past the initial time")

@@ -76,6 +76,14 @@ def test_audit_bad_spec_exits_two(tmp_path):
     assert main(["audit", str(path)]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_audit_non_finite_coupling_exits_two(tmp_path, capsys, value):
+    path = tmp_path / "coupling.spec"
+    path.write_text(f"[model]\nkind = mechanics\ndimension = 1\n[params]\nlambda = {value}\n")
+    assert main(["audit", str(path)]) == 2
+    assert f"bad float value '{value}'" in capsys.readouterr().err
+
+
 def test_audit_failing_tolerance_exits_one(tmp_path):
     path = tmp_path / "strict.spec"
     path.write_text(

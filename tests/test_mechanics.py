@@ -51,6 +51,14 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             MechParams(1, -0.5)
 
+    @pytest.mark.parametrize("coupling", [math.nan, math.inf])
+    def test_non_finite_coupling_rejected(self, coupling):
+        # nan < 0 is false, so a sign test alone lets NaN through: it would
+        # take the free closed form while every charge reads NaN, and an
+        # infinite coupling would give NaN rows
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            MechParams(1, coupling)
+
 
 class TestVariations:
     def test_values_at_time_zero(self, rng):
@@ -155,6 +163,14 @@ class TestIntegrator:
             integrate(state, MechParams(1, 0.0), -1.0, 0.1)
         with pytest.raises(ValueError):  # rounds to zero steps
             integrate(state, MechParams(1, 0.0), 0.04, 0.1)
+
+    def test_non_finite_step_or_span(self):
+        state, params = MechState.make(0.0, [1.0], [0.1]), MechParams(1, 0.0)
+        with pytest.raises(ValueError, match="^step must be positive$"):
+            mechanics._start(state, params, 1.0, math.nan)
+        for start, t_end in ((state, math.nan), (state, -math.inf), (MechState.make(math.nan, [1.0], [0.1]), 1.0)):
+            with pytest.raises(ValueError, match="^t_end and the initial time must be finite$"):
+                mechanics._start(start, params, t_end, 1e-3)
 
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 2))
     @settings(max_examples=20, deadline=None)
@@ -351,6 +367,39 @@ class TestKernelOracle:
             for _ in range(3):
                 q = rng.normal(size=n) * np.exp(rng.normal(size=n) * 5)
                 assert r2(q.tolist()) == np.add.reduce(q * q, 0), n
+
+
+class TestFreeClosedForm:
+    """A free run takes its rows from one ``np.add.accumulate`` and keeps
+    the bits of the numpy step loop."""
+
+    @pytest.mark.parametrize("dt", [1 / 3, 7e-4, 0.05])
+    def test_matches_numpy_bit_for_bit(self, dt):
+        # -0.0 in q and p: the first step turns p = -0.0 into +0.0
+        starts = [([-0.0], [-0.0]), ([1.2, -0.0, -3.5], [-0.0, 0.3, -0.7]), ([0.0, 2.0], [-1e-3, -0.0])]
+        for q0, p0 in starts:
+            for nsteps in (1, 2, 3, 4, 5, 10_000):
+                assert _assert_kernel_matches_numpy(q0, p0, 0.0, dt, nsteps)[0] == nsteps
+
+    def test_overflow_keeps_the_bits_and_never_warns(self):
+        # q0 = p0 = 1e308 overflows to inf; a start at q = inf moving back
+        # meets inf - inf, which is NaN; the float loop warned about neither
+        q0, p0 = np.array([1e308, math.inf, -1e308]), np.array([1e308, -1e308, -0.0])
+        for nsteps in (1, 2, 5, 100):
+            qs = np.empty((nsteps + 1, 3))
+            ps = np.empty_like(qs)
+            with np.errstate(all="ignore"):
+                assert _numpy_rk4(q0, p0, 0.0, 0.05, nsteps, qs, ps, mechanics.MIN_RADIUS) == nsteps
+            with warnings.catch_warnings(), np.errstate(all="warn"):
+                warnings.simplefilter("error")
+                done, q, p = mechanics._rk4_core(q0, p0, 0.0, 0.05, nsteps, mechanics.MIN_RADIUS)
+            assert done == nsteps and q.tobytes() == qs.tobytes() and p.tobytes() == ps.tobytes()
+            assert np.isinf(q[1:, 0]).all() and np.isnan(q[1:, 1]).all()
+
+    def test_free_run_builds_no_kernel(self):
+        before = mechanics._kernel.cache_info()
+        integrate(MechState.make(0.0, np.ones(23), np.full(23, 0.1)), MechParams(23, 0.0), 1.0, 1e-3)
+        assert mechanics._kernel.cache_info() == before
 
 
 def _neighbours(x, count=3):
