@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DimensionMismatch, NonTimelikePoint, UnsupportedDimension
-from .geometry import Metric, _lift, _max_abs, _reject, inversion_matrix
+from .geometry import Metric, _lift, _max_abs, _mm, _reject, inversion_matrix
 
 MIN_DIM = 2
 MAX_DIM = 6
@@ -49,8 +49,8 @@ class GammaSet:
         spins = np.zeros((dim, dim, size, size), dtype=complex)
         for mu in range(dim):
             for nu in range(mu + 1, dim):
-                forward = matrices[mu] @ matrices[nu]
-                backward = matrices[nu] @ matrices[mu]
+                forward = _mm(matrices[mu], matrices[nu])
+                backward = _mm(matrices[nu], matrices[mu])
                 spins[mu, nu] = 0.25 * (forward - backward)
                 spins[nu, mu] = 0.25 * (backward - forward)
         for m in matrices + (spins,):
@@ -93,8 +93,8 @@ def build_gammas(dim: int) -> GammaSet:
         if len(gammas) % 2 == 0:
             prod = gammas[0]
             for m in gammas[1:]:
-                prod = prod @ m
-            square = prod @ prod
+                prod = _mm(prod, m)
+            square = _mm(prod, prod)
             # spatial matrices must square to -1
             if square[0, 0].real > 0:
                 prod = 1.0j * prod
@@ -109,7 +109,7 @@ def build_gammas(dim: int) -> GammaSet:
 def anticommutator_residual(gammas: GammaSet, metric: Metric) -> float:
     """Max-norm violation of the defining relation over all index pairs."""
     g = np.stack(gammas.matrices)
-    acomm = g[:, None] @ g[None, :] + g[None, :] @ g[:, None]
+    acomm = _mm(g[:, None], g[None, :]) + _mm(g[None, :], g[:, None])
     target = 2.0 * _lift(np.diag(metric.diag), 2) * np.eye(gammas.size)
     return _max_abs(acomm - target, 4)
 
@@ -130,7 +130,7 @@ def sandwich_identity_residual(x, gammas: GammaSet, metric: Metric):
     slash = gamma_slash_unit(x, gammas, metric)[..., None, :, :]
     imat = inversion_matrix(x, metric)
     # axis -3 runs over mu
-    lhs = slash @ (metric.diag[:, None, None] * np.stack(gammas.matrices)) @ slash
+    lhs = _mm(_mm(slash, metric.diag[:, None, None] * np.stack(gammas.matrices)), slash)
     rhs = np.zeros_like(lhs)
     for nu in range(gammas.dim):
         rhs -= _lift(imat[..., :, nu] * metric.diag[nu], 2) * gammas[nu]

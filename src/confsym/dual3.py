@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OffShellParameters, WrongDimension
 from .fields import CosineMultiplet, Jet, as_jet, check_null
-from .geometry import Metric, _lift, _max_abs, levi_civita3, levi_civita3_upper, sigma_basis_conformal
+from .geometry import Metric, _lift, _lstsq, _max_abs, _mm, levi_civita3, levi_civita3_upper, sigma_basis_conformal
 from .noether import improved_scalar_stress, _f_squared, _raise2
 from .transforms import delta_with_gradient, variation
 
@@ -173,8 +173,8 @@ def matched_plane_wave_pair(k, amplitude, phase, metric: Metric):
     eps_up = levi_civita3_upper(metric)
     m = np.einsum("mab,a->mb", eps_up, metric.lower(k))
     rhs = float(amplitude) * k
-    w_low, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    if not np.max(np.abs(m @ w_low - rhs)) <= 1e-10 * np.max(np.abs(rhs)):
+    w_low = _lstsq(m, rhs)
+    if not np.max(np.abs(_mm(m, w_low) - rhs)) <= 1e-10 * np.max(np.abs(rhs)):
         raise OffShellParameters("no polarisation solves the duality condition")
     phi = CosineMultiplet(k, [amplitude], phase, metric)
     A = CosineMultiplet(k, w_low, phase, metric)

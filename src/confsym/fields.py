@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, OffShellParameters
-from .geometry import Metric, _inner, _lift, _mv, _outer, _sum_left_to_right
+from .geometry import Metric, _inner, _lift, _mv, _norm, _outer, _sum_left_to_right, _vm
 
 MAX_POLY_DEGREE = 4
 
@@ -180,7 +180,7 @@ class GaussianMultiplet:
 
     def _core(self, x):
         x = np.asarray(x, dtype=float)
-        x_quad = (x[..., None, :] @ self.quad)[..., 0, :]
+        x_quad = _vm(x, self.quad)
         q = _inner(self.linear, x) + _inner(x_quad, x)
         u = self.linear + _mv(2.0 * self.quad, x)
         return np.exp(q), u
@@ -253,12 +253,12 @@ def check_maxwell_plane_wave(k, eps, metric: Metric) -> None:
     k ^ eps exceeds 1e-12 |k| |eps|: F = 0 solves the field equations
     vacuously.  NaN fails every test."""
     check_null(k, metric)
-    bound = NULLNESS_TOL * np.linalg.norm(k) * np.linalg.norm(eps)
+    bound = NULLNESS_TOL * _norm(k) * _norm(eps)
     ke = metric.dot(k, eps)
     if not abs(ke) <= bound:
         raise OffShellParameters(f"polarisation is not transverse: k.eps = {ke}")
     wedge = np.outer(k, eps) - np.outer(eps, k)
-    if not np.linalg.norm(wedge) > bound:
+    if not _norm(wedge) > bound:
         raise OffShellParameters("F = 0: k and eps must be nonzero and not parallel")
 
 

@@ -27,14 +27,16 @@ Conventions used across the package:
   generator's in a stack its own result, by mirroring the single point's
   operations: per-sample dot products are ``vecdot`` calls, which run the
   dot routine of a 1-D ``u @ v`` once per sample and so sum in its order
-  (``einsum`` and ``sum(-1)`` do not); a per-point ``@``, ``dot`` or
-  ``tensordot`` is a stacked ``matmul`` on operands of the same memory
-  layout (the layout selects the BLAS routine, so a fixture returns
-  C-ordered samples); a per-point ``einsum`` is the same ``einsum`` with a
-  leading sample index; a per-point ``sum`` or ``trace`` reduces the
-  trailing axes of the same layout; and a power of a per-sample value is
-  ``np.float_power``, which calls libm's ``pow`` as a Python float's ``**``
-  does (numpy's ``**`` squares or takes ``sqrt``).  A floor test raises for
+  (``einsum`` and ``sum(-1)`` do not); every BLAS or LAPACK call of the
+  package is one of ``_inner``, ``_mv``, ``_vm``, ``_mm``, ``_norm``,
+  ``_det`` and ``_lstsq`` here, each one plain numpy call, so a per-point
+  product is the same stacked ``matmul``, and the operands' memory layout
+  still selects the routine (so a fixture returns C-ordered samples); a
+  per-point ``einsum`` is the same ``einsum`` with a leading sample index;
+  a per-point ``sum`` or ``trace`` reduces the trailing axes of the same
+  layout; and a power of a per-sample value is ``np.float_power``, which
+  calls libm's ``pow`` as a Python float's ``**`` does (numpy's ``**``
+  squares or takes ``sqrt``).  A floor test raises for
   the first sample in sample order that fails it, with that sample's index
   as the error's ``sample``, so a chain of kernels over a sample array
   raises the error of the first kernel that meets a singular sample, naming
@@ -134,6 +136,31 @@ def _mv(matrix, vector):
     """Per-sample matrix @ vector as a stacked matmul; for one sample it is
     the matrix-vector product ``matrix @ vector`` itself."""
     return (matrix @ vector[..., None])[..., 0]
+
+
+def _vm(vector, matrix):
+    """Per-sample vector @ matrix as a stacked matmul."""
+    return (vector[..., None, :] @ matrix)[..., 0, :]
+
+
+def _mm(a, b):
+    """``a @ b``: a stacked matmul, or the dot routine for two 1-D arrays."""
+    return a @ b
+
+
+def _norm(a):
+    """``np.linalg.norm(a)``: the 2-norm of a vector, Frobenius of a matrix."""
+    return np.linalg.norm(a)
+
+
+def _det(a):
+    """``np.linalg.det(a)``: per-sample determinant of a matrix stack."""
+    return np.linalg.det(a)
+
+
+def _lstsq(a, b):
+    """``np.linalg.lstsq(a, b, rcond=None)``'s least-squares solution."""
+    return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def _sum_left_to_right(terms):
@@ -281,8 +308,8 @@ def conformal_jacobian(x, c, metric: Metric):
     ixp = inversion_matrix(xp, metric)
     # (I(x) I(x'))_b^m carries (lower b, upper m); transpose to row = output.
     s = _lift(s, 2)
-    fwd = np.swapaxes(ix @ ixp, -1, -2) / s
-    inv = np.swapaxes(ixp @ ix, -1, -2) * s
+    fwd = np.swapaxes(_mm(ix, ixp), -1, -2) / s
+    inv = np.swapaxes(_mm(ixp, ix), -1, -2) * s
     return fwd, inv
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularApproach, SingularConfiguration
-from .geometry import _inner, _lift, _reject
+from .geometry import _inner, _lift, _mm, _reject
 
 MIN_RADIUS = 1e-6
 MAX_STEPS = 10**7  # longest trajectory; its rows are held in memory
@@ -330,7 +330,9 @@ def _start(state0: MechState, params: MechParams, t_end: float, step: float):
         raise ValueError("t_end must lie at least half a step past the initial time")
     q0 = np.asarray(state0.q, dtype=float)
     p0 = np.asarray(state0.p, dtype=float)
-    if params.coupling > 0.0 and np.sqrt(q0 @ q0) < MIN_RADIUS:
+    if not (np.isfinite(q0).all() and np.isfinite(p0).all()):
+        raise ValueError("the initial q and p must be finite")
+    if params.coupling > 0.0 and np.sqrt(_mm(q0, q0)) < MIN_RADIUS:
         raise SingularConfiguration("initial point is inside the singular radius")
     return nsteps, t0, q0, p0
 

@@ -49,6 +49,7 @@ from .geometry import (
     _mv,
     _reject,
     _sum_left_to_right,
+    _vm,
     canonical_weight,
     dilation,
     killing_divergence,
@@ -201,11 +202,6 @@ class DualScalarModel:
 # ---------------------------------------------------------------------------
 # small index helpers
 # ---------------------------------------------------------------------------
-
-
-def _vm(v, m):
-    """Per-sample vector @ matrix."""
-    return (v[..., None, :] @ m)[..., 0, :]
 
 
 def _at(a, index):

@@ -22,7 +22,7 @@ from math import ceil, comb, sqrt
 import numpy as np
 
 from .fields import CosineMultiplet, CosineSpinor, PolynomialMultiplet, make_onshell_maxwell_plane_wave
-from .geometry import Metric, _inner, conformal_factor
+from .geometry import Metric, _inner, _norm, conformal_factor
 
 # spread of drawn points and special conformal parameters
 POINT_SCALE = 0.6
@@ -118,7 +118,7 @@ def nonsingular_pairs(rng, dim: int, n: int):
 def null_vector(rng, dim: int, scale: float = 1.0) -> np.ndarray:
     """A null wave vector with unit-magnitude spatial direction."""
     space = rng.normal(0.0, 1.0, size=dim - 1)
-    space /= np.linalg.norm(space)
+    space /= _norm(space)
     k = np.empty(dim)
     k[0] = 1.0
     k[1:] = space
@@ -138,7 +138,7 @@ def transverse_polarisation(rng, k, metric: Metric) -> np.ndarray:
     while True:
         eps = rng.normal(0.0, 1.0, size=dim)
         eps = eps - ref * metric.dot(k, eps) / denom
-        if np.linalg.norm(eps) > 0.1:
+        if _norm(eps) > 0.1:
             return eps
 
 

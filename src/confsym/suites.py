@@ -47,8 +47,10 @@ from .fields import (
 from .geometry import (
     GeneratorAction,
     Metric,
+    _det,
     _lift,
     _max_abs,
+    _mm,
     _outer,
     basis_generators,
     canonical_weight,
@@ -271,9 +273,9 @@ def _chk_involution(spec, metric, rng):
 def _chk_reflection(spec, metric, rng):
     imat = inversion_matrix(sampling.off_cone_points(rng, metric.dim, 100), metric)
     g = metric.matrix
-    square_gap = _sample_gap(imat @ imat, np.eye(metric.dim))
-    metric_gap = _sample_gap(imat @ g @ np.swapaxes(imat, -1, -2), g)
-    return np.maximum.reduce([square_gap, metric_gap, abs(np.linalg.det(imat) + 1.0)])
+    square_gap = _sample_gap(_mm(imat, imat), np.eye(metric.dim))
+    metric_gap = _sample_gap(_mm(_mm(imat, g), np.swapaxes(imat, -1, -2)), g)
+    return np.maximum.reduce([square_gap, metric_gap, abs(_det(imat) + 1.0)])
 
 
 @_register("reflection-derivative", FIELD_KINDS, "oracle", "reflection matrix equals x^2 times the inversion Jacobian")
@@ -295,7 +297,7 @@ def _chk_jacobian(spec, metric, rng):
     xs, cs = xs[keep], cs[keep]
     fwd, inv = conformal_jacobian(xs, cs, metric)
     jac_gap = _sample_gap(fwd, map_jacobian(xs, cs, metric))
-    return np.maximum(jac_gap, _sample_gap(fwd @ inv, np.eye(metric.dim))), keep
+    return np.maximum(jac_gap, _sample_gap(_mm(fwd, inv), np.eye(metric.dim))), keep
 
 
 @_register("jacobian-oracle", FIELD_KINDS, "oracle", "map Jacobian agrees with central finite differences")

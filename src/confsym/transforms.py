@@ -44,6 +44,7 @@ from .geometry import (
     Metric,
     _lift,
     _max_abs,
+    _mm,
     _mv,
     _outer,
     _reject,
@@ -104,7 +105,7 @@ def _spin_action(C, value, spin, metric: Metric, gammas: GammaSet | None):
     if spin == "field-strength":
         up_first = metric.diag[:, None] * value  # F^m_b
         up_second = value * metric.diag[None, :]  # F_a^m
-        return asym @ up_first + up_second @ np.swapaxes(asym, -1, -2)
+        return _mm(asym, up_first) + _mm(up_second, np.swapaxes(asym, -1, -2))
     if spin == "spinor":
         if gammas is None:
             raise ValueError("spinor action requires a GammaSet")
@@ -414,7 +415,7 @@ class FiniteVectorTransform:
             mat = np.swapaxes(jac_inv, -1, -2)
         else:
             scale = np.float_power(s, self.weight)
-            mat = inversion_matrix(y, self.metric) @ inversion_matrix(x, self.metric)
+            mat = _mm(inversion_matrix(y, self.metric), inversion_matrix(x, self.metric))
         return _lift(scale) * _mv(mat, v)
 
 
@@ -444,12 +445,12 @@ class FiniteSpinorTransform:
         v = self.psi.value(x)
         if self.route == "pair":
             scale = np.float_power(s, self.weight)
-            mat = gamma_slash_unit(y, gammas, metric) @ gamma_slash_unit(x, gammas, metric)
+            mat = _mm(gamma_slash_unit(y, gammas, metric), gamma_slash_unit(x, gammas, metric))
         else:
             spacelike = (metric.norm2(x) <= 0) | (metric.norm2(y) <= 0)
             _reject(spacelike, 0.0, NonTimelikePoint, "spinor transform requires timelike points")
             scale = np.float_power(s, self.weight - 0.5)
-            slashes = gammas.slash_lower(metric.diag * self.c) @ gammas.slash_lower(metric.diag * x)
+            slashes = _mm(gammas.slash_lower(metric.diag * self.c), gammas.slash_lower(metric.diag * x))
             mat = np.eye(gammas.size, dtype=complex) + slashes
         return _lift(scale) * _mv(mat, v)
 
@@ -497,7 +498,7 @@ def decoupling_bracket_with(f, x, c, metric: Metric) -> np.ndarray:
     grad_i = inversion_matrix_gradient(x, metric)
     imat = inversion_matrix(x, metric)
     n = vector_spin_term(c, x, metric)
-    return np.einsum("...abm,...m->...ab", grad_i, f) - imat @ n
+    return np.einsum("...abm,...m->...ab", grad_i, f) - _mm(imat, n)
 
 
 def decoupling_bracket_residual(x, c, metric: Metric) -> np.ndarray:
@@ -526,7 +527,7 @@ def decoupled_vector_residual(A, x, c, metric: Metric):
     grad_i = inversion_matrix_gradient(x, metric)
     value = jet.value
     tilde = _mv(imat, value)
-    d_tilde = np.einsum("...abm,...b->...am", grad_i, value) + imat @ jet.grad
+    d_tilde = np.einsum("...abm,...b->...am", grad_i, value) + _mm(imat, jet.grad)
     return _max_abs(_mv(imat, varied) - _scalar_rule(gen, tilde, d_tilde, x, metric), 1)
 
 

@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import importlib.util
+import io
 import itertools
 import json
 import os
@@ -266,6 +269,46 @@ def test_mechanics_sweep_is_pinned(tmp_path):
         for argv in (["audit", str(spec), "--format", "json"], ["mech-sim", str(spec)]):
             digest.update(b"%d" % main(argv + ["--out", str(out)]) + out.read_bytes())
     assert digest.hexdigest() == MECH_SWEEP_SHA256
+
+
+def _specgen():
+    """The benchmark's spec generator, ``perfbench/specgen.py``, loaded from
+    its file: it imports nothing of confsym and writes nothing."""
+    path = SPEC_DIR.parent / "perfbench" / "specgen.py"
+    spec = importlib.util.spec_from_file_location("specgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 over the exit status and `--out` bytes of `audit --format json` for
+# each spec of specgen.field_specs at seeds 1-40 and each spec of specs/, then
+# of `algebra --dim N --format json` for N = 2..6
+AUDIT_SWEEP_SHA256 = "935e1d3113d10f36c5fbe0f39d748547e81022e13a3265c6da4d3ba22fdf4e36"
+
+
+def test_audit_sweep_is_pinned(tmp_path):
+    """The 535 reports of the field sweep keep their bytes and exit statuses.
+
+    Like the golden files, the digest holds only on hosts whose OpenBLAS
+    picks the same kernels: a BLAS product's rounding depends on the kernel.
+    """
+    specgen = _specgen()
+    texts = [text for seed in range(1, 41) for _, text in specgen.field_specs(seed)]
+    texts += [path.read_text() for path in sorted(SPEC_DIR.glob("*.spec"))]
+    assert len(texts) == 530
+    spec, out = tmp_path / "s.spec", tmp_path / "out"
+    digest = hashlib.sha256()
+
+    def run(argv):
+        digest.update(b"%d" % main(argv + ["--format", "json", "--out", str(out)]) + out.read_bytes())
+
+    for text in texts:
+        spec.write_text(text)
+        run(["audit", str(spec)])
+    for dim in range(2, 7):
+        run(["algebra", "--dim", str(dim)])
+    assert digest.hexdigest() == AUDIT_SWEEP_SHA256
 
 
 def test_audit_and_mech_sim_start_from_the_same_state(tmp_path, monkeypatch):
@@ -1038,3 +1081,30 @@ def test_reused_parser_gives_the_bytes_of_a_fresh_process(tmp_path, monkeypatch,
     assert stdouts[1] == stdouts[-1] == (warm / "first.json").read_bytes()
     for name in REUSE_FILES:
         assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
+
+
+def test_out_runs_write_nothing_past_their_files(tmp_path, capfd):
+    # a caller that prints its own last line after a run, in the same
+    # process or in a parent reading this one's stdout, keeps that line last
+    # only if no command writes to a stream bound at import, to fd 1 or 2
+    # directly, or at interpreter exit
+    work = _reuse_workdir(tmp_path / "work")
+    calls = [
+        ["audit", "small.spec", "--format", "json", "--out", "report.json"],
+        ["algebra", "--dim", "3", "--format", "json", "--out", "algebra.json"],
+        ["report", "report.json", "--format", "text", "--out", "report.txt"],
+        ["mech-sim", "short.spec", "--out", "traj.txt"],
+    ]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.chdir(work), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        statuses = [main(argv) for argv in calls]
+    assert statuses == [0, 0, 0, 0]
+    assert capfd.readouterr() == ("", "")
+    assert stderr.getvalue() == ""
+    summary = stdout.getvalue()
+    assert re.fullmatch(r"steps: 5  coupling: 0\.5  drift H/D/K: \S+ \S+ \S+\n", summary)
+    cold = _reuse_workdir(tmp_path / "cold")
+    fresh = subprocess.run([sys.executable, "-m", "confsym.cli", *calls[-1]], cwd=cold, env=_child_env(),
+                           capture_output=True, timeout=300)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, summary.encode(), b"")
+    assert (cold / "traj.txt").read_bytes() == (work / "traj.txt").read_bytes()

@@ -11,7 +11,11 @@ rejection loop of ``sampling`` draws one try per pass: the tries come in blocks.
 How a field transforms is decided by the generator's spin tag in one place,
 and every fixture class of ``fields`` is a field, not a nominal base class.
 A kernel has one path for a single point and a stack: a branch on an array's
-dimension only rejects bad input.
+dimension only rejects bad input.  Only ``geometry`` calls BLAS or LAPACK,
+through its primitives ``_inner``, ``_mv``, ``_vm``, ``_mm``, ``_norm``,
+``_det`` and ``_lstsq``; every other module reaches them only through these,
+so one module decides how a product, a norm, a determinant or a solve is
+summed.
 """
 
 import ast
@@ -363,3 +367,86 @@ def test_no_kernel_forks_on_a_single_point():
         for name in _shape_forks(ast.parse((SRC / f"{stem}.py").read_text()))
     }
     assert sorted(forks) == [], "a single point is a stack with no sample axis; run the stack path"
+
+
+# numpy's product functions: each hands its sums to BLAS, whose kernel, and
+# so the order and fusing of each sum, the host picks at run time.
+NUMPY_PRODUCTS = {"matmul", "dot", "vdot", "inner", "vecdot", "tensordot"}
+
+
+def _blas_sites(tree):
+    """(line, what) of each product, norm, determinant or solve that may reach
+    BLAS or LAPACK: ``@`` and ``@=``; numpy's product functions and anything
+    of ``numpy.linalg``, imported or read as an attribute; an array's ``.dot``
+    (a Metric's is its own inner product); and an ``einsum`` with
+    ``optimize=``, which may hand its contraction to ``tensordot``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and node.attr in NUMPY_PRODUCTS | {"linalg"}:
+            owner = ast.unparse(node.value)
+            if owner in ("np", "numpy") or (node.attr == "dot" and owner.split(".")[-1] != "metric"):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Call) and any(kw.arg == "optimize" for kw in node.keywords):
+            if ast.unparse(node.func).split(".")[-1] == "einsum":
+                yield node.lineno, "einsum(optimize=)"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if name.startswith("numpy.linalg") or (node.module == "numpy" and alias.name in NUMPY_PRODUCTS):
+                    yield node.lineno, f"import {name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("numpy.linalg"):
+                    yield node.lineno, f"import {alias.name}"
+
+
+def _blas_sites_outside_geometry(sources):
+    return [
+        f"{stem}:{line} {what}"
+        for stem, text in sorted(sources.items())
+        if stem != "geometry"
+        for line, what in sorted(_blas_sites(ast.parse(text)))
+    ]
+
+
+def _sources():
+    return {path.stem: path.read_text() for path in SRC.glob("*.py")}
+
+
+def test_only_geometry_calls_blas_or_lapack():
+    # one module decides how a product is summed; its primitives _inner, _mv,
+    # _vm, _mm, _norm, _det and _lstsq are each the numpy call they name
+    sites = _blas_sites_outside_geometry(_sources())
+    assert sites == [], "route products, norms, determinants and solves through geometry's primitives"
+
+
+BLAS_FORMS = """
+import numpy.linalg
+from numpy.linalg import norm
+from numpy import dot, linalg
+a @ b
+a @= b
+np.matmul(a, b); np.dot(a, b); np.vdot(a, b); np.inner(a, b)
+np.vecdot(a, b); np.tensordot(a, b); np.linalg.det(a); numpy.linalg.norm(a)
+a.dot(b)
+np.einsum("ij,jk->ik", a, b, optimize=True)
+"""
+
+NOT_BLAS_FORMS = """
+from numpy import einsum, sum
+metric.dot(u, v); self.metric.dot(u, v)
+np.einsum("ij,jk->ik", a, b)
+np.outer(a, b); np.sum(a * b, axis=-1); np.trace(a)
+"""
+
+
+def test_the_blas_gate_sees_every_form():
+    assert len(list(_blas_sites(ast.parse(BLAS_FORMS)))) == 16
+    assert list(_blas_sites(ast.parse(NOT_BLAS_FORMS))) == []
+    sources = _sources()
+    before = _blas_sites_outside_geometry(sources)
+    sources["suites"] += "\ngap = a @ b\n"
+    line = sources["suites"].count("\n")
+    after = _blas_sites_outside_geometry(sources)
+    assert sorted(set(after) - set(before)) == [f"suites:{line} @"]

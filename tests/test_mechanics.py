@@ -172,6 +172,17 @@ class TestIntegrator:
             with pytest.raises(ValueError, match="^t_end and the initial time must be finite$"):
                 mechanics._start(start, params, t_end, 1e-3)
 
+    @pytest.mark.parametrize("coupling", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, coupling, bad):
+        # sqrt(nan) < MIN_RADIUS is false, so the singular-start test alone
+        # let q0 = [nan] run to NaN rows and a NaN drift with no error
+        for q0, p0 in (([bad], [0.1]), ([1.0], [bad])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^the initial q and p must be finite$"):
+                    integrate(MechState.make(0.0, q0, p0), MechParams(1, coupling), 1.0, 1e-3)
+
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 2))
     @settings(max_examples=20, deadline=None)
     def test_free_flow_matches_lines(self, q0, v, t_end):
