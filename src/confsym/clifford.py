@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DimensionMismatch, NonTimelikePoint, UnsupportedDimension
-from .geometry import Metric, _lift, _max_abs, _mm, _reject, inversion_matrix
+from .geometry import Metric, _ReadOnly, _lift, _max_abs, _mm, _reject, inversion_matrix
 
 MIN_DIM = 2
 MAX_DIM = 6
@@ -25,7 +25,7 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
-class GammaSet:
+class GammaSet(_ReadOnly):
     """Gamma matrices satisfying {gamma^mu, gamma^nu} = 2 g^{mu nu} exactly.
 
     Holds read-only copies of the ``dim`` matrices and the spin matrices
@@ -55,14 +55,7 @@ class GammaSet:
                 spins[nu, mu] = 0.25 * (backward - forward)
         for m in matrices + (spins,):
             m.flags.writeable = False
-        for name, value in (("dim", dim), ("matrices", matrices), ("size", size), ("spins", spins)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a GammaSet is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"a GammaSet is read-only: cannot delete {name!r}")
+        self._bind(dim=dim, matrices=matrices, size=size, spins=spins)
 
     def __getitem__(self, mu: int) -> np.ndarray:
         return self.matrices[mu]

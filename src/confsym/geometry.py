@@ -63,6 +63,26 @@ from .errors import (
 SINGULARITY_FLOOR = 1e-9
 
 
+class _ReadOnly:
+    """Base of the package's immutable records, which compare and hash by
+    identity.  ``__init__`` binds each attribute once through :meth:`_bind`;
+    rebinding or deleting one afterwards raises AttributeError.  A
+    ``functools.cached_property`` still fills on first use, since it writes
+    the instance dict directly."""
+
+    __slots__ = ()
+
+    def _bind(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a {type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a {type(self).__name__} is read-only: cannot delete {name!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Metric:
     """Diagonal Minkowski metric diag(1, -1, ..., -1) in ``dim`` dimensions,

@@ -25,12 +25,11 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularApproach, SingularConfiguration
-from .geometry import _inner, _lift, _mm, _reject
+from .geometry import _ReadOnly, _inner, _lift, _mm, _reject
 
 MIN_RADIUS = 1e-6
 MAX_STEPS = 10**7  # longest trajectory; its rows are held in memory
@@ -38,28 +37,23 @@ _DUMP_VALUES = 4096  # values formatted per write: bounds the dump's memory, kee
 _BLOCK = 4  # RK4 steps per pass of the kernel's main loop, appended in one call
 
 
-@dataclass(frozen=True)
-class MechParams:
+class MechParams(_ReadOnly):
     """Configuration-space dimension and the inverse-square coupling."""
 
-    n: int
-    coupling: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, coupling: float = 0.0):
+        if n < 1:
             raise ValueError("configuration dimension must be >= 1")
-        if not 0.0 <= self.coupling < math.inf:
+        if not 0.0 <= coupling < math.inf:
             raise ValueError("the coupling must be finite and non-negative: attractive ones fall to the centre")
+        self._bind(n=n, coupling=coupling)
 
 
-@dataclass(frozen=True)
-class MechState:
+class MechState(_ReadOnly):
     """Phase-space point (t, q, p) with p the velocity conjugate: a 0-d t
     and (n,) q and p, or a stack of N states, t (N,) and q and p (N, n)."""
 
-    t: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
+    def __init__(self, t: np.ndarray, q: np.ndarray, p: np.ndarray):
+        self._bind(t=t, q=q, p=p)
 
     @staticmethod
     def make(t, q, p) -> "MechState":
@@ -278,14 +272,11 @@ def _rk4_core(q0, p0, lam, dt, nsteps, min_radius):
     return nsteps, qs, ps
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_ReadOnly):
     """Fixed-step trajectory with per-sample conserved-charge series."""
 
-    times: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    params: MechParams
+    def __init__(self, times: np.ndarray, q: np.ndarray, p: np.ndarray, params: MechParams):
+        self._bind(times=times, q=q, p=p, params=params)
 
     def charge_series(self) -> np.ndarray:
         """(n_samples, 3) read-only array of (H, D, K) along the trajectory,
@@ -308,9 +299,10 @@ class Trajectory:
         return series
 
     def charge_drift(self) -> np.ndarray:
-        """Max absolute deviation of each charge from its initial value."""
-        series = self.charge_series()
-        return np.max(np.abs(series - series[0]), axis=0)
+        """Max absolute deviation of each charge from its initial value,
+        reduced one charge column at a time: a reduction over the series'
+        3-wide rows takes numpy's slow path, about ten times slower."""
+        return np.array([np.max(np.abs(column - column[0])) for column in self.charge_series().T])
 
 
 def _start(state0: MechState, params: MechParams, t_end: float, step: float):

@@ -18,7 +18,6 @@ from ``q0``; an absent ``t-end`` or ``step`` reads as its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -75,22 +74,38 @@ _SCHEMA = {
 }
 
 
-@dataclass
 class ModelSpec:
-    """Parsed and validated declarative model description."""
+    """Parsed and validated declarative model description.
 
-    kind: str
-    dimension: int
-    coupling: float = 0.0
-    components: int = 1
-    profile: str = "linear"
-    l0: float = 0.0
-    l1: float = 0.5
-    fixture: dict = field(default_factory=dict)
-    mechanics: dict = field(default_factory=dict)
-    checks: Optional[list] = None  # None means the full applicable set
-    seed: int = 42
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    ``fixture``, ``mechanics`` and ``tolerances`` default to a fresh dict
+    per spec (the tolerances a copy of ``DEFAULT_TOLERANCES``), and
+    ``checks`` to None, the full applicable set.  Two specs are equal when
+    every attribute is.
+    """
+
+    seed = 42  # the default seed, which cli also offers for --seed
+
+    def __init__(self, kind: str, dimension: int, coupling: float = 0.0, components: int = 1,
+                 profile: str = "linear", l0: float = 0.0, l1: float = 0.5, fixture: Optional[dict] = None,
+                 mechanics: Optional[dict] = None, checks: Optional[list] = None, seed: int = seed,
+                 tolerances: Optional[dict] = None):
+        self.kind = kind
+        self.dimension = dimension
+        self.coupling = coupling
+        self.components = components
+        self.profile = profile
+        self.l0 = l0
+        self.l1 = l1
+        self.fixture = {} if fixture is None else fixture
+        self.mechanics = {} if mechanics is None else mechanics
+        self.checks = checks
+        self.seed = seed
+        self.tolerances = dict(DEFAULT_TOLERANCES) if tolerances is None else tolerances
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def echo(self) -> dict:
         """Normalised key/value form embedded in reports."""

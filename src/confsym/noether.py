@@ -34,7 +34,6 @@ vary it (:func:`~confsym.transforms.delta_with_gradient`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +43,7 @@ from .fields import Jet, ShiftedPotential, as_jet
 from .geometry import (
     GeneratorAction,
     Metric,
+    _ReadOnly,
     _inner,
     _lift,
     _mv,
@@ -65,31 +65,28 @@ from .transforms import delta_with_gradient, variation
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaxwellModel:
+class MaxwellModel(_ReadOnly):
     """Free electromagnetic field formulated through a vector potential."""
 
-    dim: int
+    def __init__(self, dim: int):
+        self._bind(dim=dim)
 
 
-@dataclass(frozen=True)
-class MultipletModel:
+class MultipletModel(_ReadOnly):
     """N-component scalar with the scale/conformal-invariant power potential.
 
     Density: half the kinetic square minus coupling * (Phi.Phi)^(D/(D-2)).
     Requires D >= 3 so the exponent is finite.
     """
 
-    dim: int
-    n_comp: int
-    coupling: float = 0.0
     kinetic_coefficient = 0.5
 
-    def __post_init__(self):
-        if self.dim < 3:
+    def __init__(self, dim: int, n_comp: int, coupling: float = 0.0):
+        if dim < 3:
             raise UnsupportedDimension("the power potential needs D >= 3")
-        if self.coupling < 0:
+        if coupling < 0:
             raise ValueError("coupling must be non-negative")
+        self._bind(dim=dim, n_comp=n_comp, coupling=coupling)
 
     @property
     def power(self) -> float:
@@ -113,8 +110,7 @@ class MultipletModel:
         return _lift(scale) * value, grad * metric.diag
 
 
-@dataclass(frozen=True)
-class GeneralScalarModel:
+class GeneralScalarModel(_ReadOnly):
     """Single scalar with density L(z) phi^p, z = (dphi.dphi) / phi^p.
 
     Scale invariant for every profile L; conformally invariant only when L is
@@ -125,14 +121,11 @@ class GeneralScalarModel:
     :class:`~confsym.errors.FieldDomainError`.
     """
 
-    dim: int
-    profile: Callable[[float], float]
-    profile_prime: Callable[[float], float]
-    linear_part: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.dim < 3:
+    def __init__(self, dim: int, profile: Callable[[float], float], profile_prime: Callable[[float], float],
+                 linear_part: Optional[tuple] = None):
+        if dim < 3:
             raise UnsupportedDimension("the scale-invariant power needs D >= 3")
+        self._bind(dim=dim, profile=profile, profile_prime=profile_prime, linear_part=linear_part)
 
     @property
     def power(self) -> float:
@@ -176,21 +169,20 @@ def quadratic_scalar_model(dim: int) -> GeneralScalarModel:
     return GeneralScalarModel(dim, lambda z: z * z, lambda z: 2.0 * z)
 
 
-@dataclass(frozen=True)
-class DualScalarModel:
+class DualScalarModel(_ReadOnly):
     """Scalar-potential formulation of the D = 3 Maxwell theory.
 
     The density is minus half the kinetic square: the duality map fixes this
     sign, and the quadratic improvement term inherits it.
     """
 
-    dim: int = 3
     kinetic_coefficient = -0.5
     linear_part = (0.0, -0.5)
 
-    def __post_init__(self):
-        if self.dim != 3:
+    def __init__(self, dim: int = 3):
+        if dim != 3:
             raise UnsupportedDimension("the dual scalar formulation lives at D = 3")
+        self._bind(dim=dim)
 
     def density(self, value, grad, metric: Metric):
         return -0.5 * np.einsum("m,...m,...m->...", metric.diag, grad[..., 0, :], grad[..., 0, :])
@@ -383,8 +375,7 @@ def offshell_trace_law(phi, x, metric: Metric, coupling: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VirialInfo:
+class VirialInfo(_ReadOnly):
     """Virial value with its total-divergence status.
 
     When ``is_total_divergence`` the ``potential`` callable returns the
@@ -392,9 +383,8 @@ class VirialInfo:
     reproduces the virial.
     """
 
-    value: np.ndarray
-    is_total_divergence: bool
-    potential: Optional[Callable] = None
+    def __init__(self, value: np.ndarray, is_total_divergence: bool, potential: Optional[Callable] = None):
+        self._bind(value=value, is_total_divergence=is_total_divergence, potential=potential)
 
 
 def field_virial(model, fields, x, metric: Metric) -> VirialInfo:

@@ -743,6 +743,15 @@ def test_report_from_dict_rejects_missing_keys(path):
         RunReport.from_dict(_edited_saved(path, delete=True))
 
 
+def test_report_from_dict_fills_the_optional_check_keys():
+    data = _edited_saved(("checks", 0, "expected_fail"), delete=True)
+    del data["checks"][0]["error"]
+    data["checks"][1]["error"] = "kept"
+    first, second = RunReport.from_dict(data).checks
+    assert (first.expected_fail, first.error) == (False, None)
+    assert (second.expected_fail, second.error) == (SAVED["checks"][1]["expected_fail"], "kept")
+
+
 @given(
     path=st.sampled_from([("checks", 0, "max_residual"), ("checks", 1, "tolerance"),
                           ("spec", "tolerances", "exact"), ("wall_time_seconds",)]),
@@ -1108,3 +1117,33 @@ def test_out_runs_write_nothing_past_their_files(tmp_path, capfd):
                            capture_output=True, timeout=300)
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, summary.encode(), b"")
     assert (cold / "traj.txt").read_bytes() == (work / "traj.txt").read_bytes()
+
+
+# Prints the exit status of ``main(argv)`` and whether ``numpy.random`` was
+# imported, on the last line of stdout.
+NUMPY_RANDOM_PROBE = """
+import sys
+from confsym.cli import main
+try:
+    status = main(sys.argv[1:]) if sys.argv[1:] else 0
+except SystemExit as exc:
+    status = exc.code
+print(status, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, imported", [
+    ([], False),
+    (["--version"], False),
+    (["report", "saved.json", "--format", "text", "--out", "report.txt"], False),
+    (["mech-sim", "short.spec", "--out", "traj.txt"], False),
+    (["audit", "small.spec", "--format", "json", "--out", "report.json"], True),
+])
+def test_only_a_run_of_checks_imports_numpy_random(tmp_path, argv, imported):
+    # importing numpy.random costs a fresh process about 10-14 ms (2-vCPU
+    # Xeon host), so the commands that draw no sample leave it unimported
+    work = _reuse_workdir(tmp_path / "work")
+    (work / "saved.json").write_text(json.dumps(SAVED))
+    child = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE, *argv], cwd=work, env=_child_env(),
+                           capture_output=True, text=True, timeout=300)
+    assert child.stdout.splitlines()[-1] == f"0 {imported}", child.stderr

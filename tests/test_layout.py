@@ -16,6 +16,9 @@ through its primitives ``_inner``, ``_mv``, ``_vm``, ``_mm``, ``_norm``,
 ``_det`` and ``_lstsq``; every other module reaches them only through these,
 so one module decides how a product, a norm, a determinant or a solve is
 summed.
+Only ``Metric``, ``GeneratorAction`` and ``CheckDef`` are dataclasses: a
+dataclass compiles its generated methods when its module is imported, which
+every fresh interpreter pays.
 """
 
 import ast
@@ -450,3 +453,57 @@ def test_the_blas_gate_sees_every_form():
     line = sources["suites"].count("\n")
     after = _blas_sites_outside_geometry(sources)
     assert sorted(set(after) - set(before)) == [f"suites:{line} @"]
+
+
+# The dataclasses of the package, each with the reason it stays one; every
+# other record class has a hand-written __init__.
+DATACLASSES = {
+    "geometry.Metric": "tests expect FrozenInstanceError when an attribute is set",
+    "geometry.GeneratorAction": "transforms and the tests derive generators with dataclasses.replace",
+    "suites.CheckDef": "the benchmark's tracer rebuilds every registered check with dataclasses.replace",
+}
+
+
+def _dataclass_sites(tree):
+    """Names of the classes decorated with ``dataclass``, called or not, by
+    name or as ``dataclasses.dataclass``; a call of ``dataclass`` or
+    ``make_dataclass`` anywhere else is named by its line."""
+    decorators = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if ast.unparse(target).split(".")[-1] == "dataclass":
+                    decorators.add(id(decorator))
+                    yield node.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in decorators:
+            if ast.unparse(node.func).split(".")[-1] in ("dataclass", "make_dataclass"):
+                yield f"line {node.lineno}"
+
+
+def _dataclasses(sources):
+    return {f"{stem}.{name}" for stem, text in sources.items() for name in _dataclass_sites(ast.parse(text))}
+
+
+def test_only_the_listed_classes_are_dataclasses():
+    found = _dataclasses(_sources())
+    assert sorted(found - set(DATACLASSES)) == [], "write a plain class with an __init__"
+    assert sorted(set(DATACLASSES) - found) == [], "these are no longer dataclasses; drop them from DATACLASSES"
+
+
+DATACLASS_FORMS = """
+@dataclass
+class Bare: pass
+@dataclass(frozen=True)
+class Called: pass
+@dataclasses.dataclass(eq=False)
+class Qualified: pass
+Wrapped = dataclass(Bare)
+Made = make_dataclass("Made", ["x"])
+"""
+
+
+def test_the_dataclass_gate_sees_every_form():
+    found = sorted(_dataclass_sites(ast.parse(DATACLASS_FORMS)))
+    assert found == ["Bare", "Called", "Qualified", "line 8", "line 9"]

@@ -105,6 +105,26 @@ class TestCharges:
         traj = integrate(MechState.make(0.0, q0, p0), MechParams(n, lam), 10.0, 1e-3)
         assert np.max(traj.charge_drift()) < 1e-8
 
+    @pytest.mark.parametrize("special", [[], [np.nan], [np.inf], [-np.inf], [-0.0], [np.nan, np.inf, -0.0]])
+    @pytest.mark.parametrize("rows", [1, 2, 10001])
+    def test_drift_has_the_bits_of_the_row_reduction(self, rng, rows, special):
+        # the column-by-column drift against the reduction over (H, D, K) rows
+        series = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-3, 4, size=(rows, 3))
+        places = rng.integers(0, series.size, size=len(special))
+        series.flat[places] = special
+        traj = integrate(MechState.make(0.0, [1.0], [0.5]), MechParams(1, 0.0), 1.0, 0.5)
+        vars(traj)["_charges"] = series  # the cached series the drift reads
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.max(np.abs(series - series[0]), axis=0)
+            got = traj.charge_drift()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_charges_are_computed_once(self):
+        traj = integrate(MechState.make(0.0, [1.0, 0.5], [0.2, -0.1]), MechParams(2, 0.5), 1.0, 0.01)
+        assert "_charges" not in vars(traj)
+        series = traj.charge_series()
+        assert traj.charge_series() is series and not series.flags.writeable
+
 
 class TestBrackets:
     @pytest.mark.parametrize("lam", [0.0, 1.0])
