@@ -4,15 +4,16 @@ reducing the conformal scalar multiplet to a single time dimension.
 A trajectory costs two passes over its rows.  A repulsive one runs a
 fixed-step RK4 kernel in float arithmetic, generated per component count
 and unrolled over the components and over blocks of ``_BLOCK`` steps, that
-steps one trajectory at a time and appends a block's rows in one call.  Its
-radius test compares q.q with the least double whose sqrt reaches the
-radius, which stops exactly where the sqrt test stops, with no sqrt per
-stage.  A free one has RK4's rows in closed form: with no force, p is
-constant after one step and q gains the same increment every step, so one
-``np.add.accumulate`` adds them with the step loop's bits.  The dump writes
-every value as C's ``%.17g`` through :func:`_g17`, which decides the 17
-digits exactly in array arithmetic and lays out the text in fixed byte
-columns, with Python's ``%`` only for the values outside its range.
+steps one trajectory at a time and writes a block's rows as raw float64
+bytes with one ``struct`` pack.  Its radius test compares q.q with the
+least double whose sqrt reaches the radius, which stops exactly where the
+sqrt test stops, with no sqrt per stage.  A free one has RK4's rows in
+closed form: with no force, p is constant after one step and q gains the
+same increment every step, so one ``np.add.accumulate`` adds them with the
+step loop's bits.  The dump writes every value as C's ``%.17g`` through
+:func:`_g17`, which decides the 17 digits exactly in array arithmetic and
+lays out the text in fixed byte columns, with Python's ``%`` only for the
+values outside its range.
 
 A :class:`MechState` is one state or a stack of them, and the charges and
 variations follow the sample-axis contract of :mod:`confsym.geometry`: one
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
+import struct
 
 import numpy as np
 
@@ -164,7 +165,9 @@ def _kernel(n: int):
     """The repulsive RK4 loop for ``n`` components, unrolled over them and
     over blocks of ``_BLOCK`` steps in float arithmetic, compiled on first
     use (see ``_rk4_core``).  Row ``j`` of a block is ``(r{j}q_*, r{j}p_*)``;
-    its last step writes row 0, the first of the next block."""
+    its last step writes row 0, the first of the next block.  ``pack{j}``
+    packs ``j`` finished rows as native doubles, which copies each value's
+    bits, -0.0, inf and NaN included, and ``extend`` appends those bytes."""
 
     def each(template):
         return "; ".join(template.format(k=k) for k in range(n))
@@ -199,7 +202,7 @@ def _kernel(n: int):
     def stop(j):
         """A stop at step ``j`` of a block, which first appends the rows of
         the block's finished steps."""
-        return f"extend(({', '.join(row(i) for i in range(1, j + 1))})); return i + {j}" if j else "return i"
+        return f"extend(pack{j}({', '.join(row(i) for i in range(1, j + 1))})); return i + {j}" if j else "return i"
 
     def body(lines):
         return "\n        ".join(lines)
@@ -208,17 +211,17 @@ def _kernel(n: int):
     source = f"""
 def rk4(q0, p0, two_lam, half, dt, sixth, nsteps, min_r2, extend):
     {each("r0q_{k} = q0[{k}]; r0p_{k} = p0[{k}]")}
-    extend(({row(0)}))
+    extend(pack1({row(0)}))
     blocked = nsteps - nsteps % {_BLOCK}
     for i in range(0, blocked, {_BLOCK}):
         {body(block)}
-        extend(({", ".join(row((j + 1) % _BLOCK) for j in range(_BLOCK))}))
+        extend(pack{_BLOCK}({", ".join(row((j + 1) % _BLOCK) for j in range(_BLOCK))}))
     for i in range(blocked, nsteps):
         {body(step(0, 0, "return i"))}
-        extend(({row(0)}))
+        extend(pack1({row(0)}))
     return nsteps
 """
-    namespace = {}
+    namespace = {f"pack{j}": struct.Struct(f"{2 * n * j}d").pack for j in range(1, _BLOCK + 1)}
     exec(compile(source, f"<rk4 kernel, n = {n}>", "exec"), namespace)
     return namespace["rk4"]
 
@@ -243,19 +246,21 @@ def _rk4_core(q0, p0, lam, dt, nsteps, min_radius):
     (n,) start ``q0``, ``p0``, with the bits of an array-wise numpy step.
 
     Returns the completed steps ``done`` and the (done + 1, n) rows of q and
-    of p.  A repulsive call (``lam > 0.0``) runs the kernel, which does
-    numpy's float64 operations in numpy's order, ``r2`` included; it stops
-    when the radius at any of a step's four stages is below ``min_radius``
-    (> 0), tested as ``r2 < _min_r2(min_radius)``, so the force never
-    divides by zero.  Any other call is free and never evaluates the force,
-    so it may pass through q = 0.  With dt > 0 finite its forces are +0.0,
-    so every stage's p and the new p are ``p + 0.0``: after one step p is
-    constant and q gains the same increment every step, which
-    ``np.add.accumulate`` adds left to right, as the loop does.
+    of p.  A repulsive call (``lam > 0.0``) runs the kernel, which writes its
+    rows as float64 bytes into a ``bytearray`` that ``np.frombuffer`` reads
+    back.  The kernel does numpy's float64 operations in numpy's order,
+    ``r2`` included; it stops when the radius at any of a step's four
+    stages is below ``min_radius`` (> 0), tested as
+    ``r2 < _min_r2(min_radius)``, so the force never divides by zero.  Any
+    other call is free and never evaluates the force, so it may pass
+    through q = 0.  With dt > 0 finite its forces are +0.0, so every
+    stage's p and the new p are ``p + 0.0``: after one step p is constant
+    and q gains the same increment every step, which ``np.add.accumulate``
+    adds left to right, as the loop does.
     """
     if lam > 0.0:
         n = q0.shape[0]
-        rows = array("d")
+        rows = bytearray()
         done = _kernel(n)(
             q0.tolist(), p0.tolist(), 2.0 * lam, 0.5 * dt, dt, dt / 6.0, nsteps, _min_r2(min_radius), rows.extend
         )

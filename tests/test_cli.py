@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -1117,6 +1118,29 @@ def test_out_runs_write_nothing_past_their_files(tmp_path, capfd):
                            capture_output=True, timeout=300)
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, summary.encode(), b"")
     assert (cold / "traj.txt").read_bytes() == (work / "traj.txt").read_bytes()
+
+
+def _traced_layers():
+    """The ``LAYERS`` tuple of the benchmark's tracer, read from its source
+    without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def test_importing_the_cli_imports_every_traced_layer():
+    # a traced benchmark run reads each layer's import time from this same
+    # `-X importtime` child and fails the run when a layer is missing, so a
+    # layer imported lazily would pass every other test and still fail it
+    layers = _traced_layers()
+    assert "mechanics" in layers and "cli" in layers
+    child = subprocess.run([sys.executable, "-X", "importtime", "-c", "import confsym.cli"], env=_child_env(),
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    imported = {line.split("|")[-1].strip() for line in child.stderr.splitlines() if line.count("|") == 2}
+    assert {f"confsym.{layer}" for layer in layers} <= imported
 
 
 # Prints the exit status of ``main(argv)`` and whether ``numpy.random`` was

@@ -377,18 +377,27 @@ class TestKernelOracle:
         for nsteps in counts:
             assert _assert_kernel_matches_numpy(q0, p0, lam, 0.05, nsteps)[0] == nsteps
 
-    def test_early_stop_at_each_step_of_a_block(self):
+    @staticmethod
+    def _head_on(m, n):
+        """A start 5e-4 * m out along axis 0 moving in at 5, cut to ``n``
+        components; the signed zeros of the others reach the packed rows."""
+        return [5e-4 * m, -0.0, 0.0][:n], [-5.0, 0.0, -0.0][:n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_early_stop_at_each_step_of_a_block(self, n):
         # a particle at -5 crosses 5e-4 per step, so a start m * 5e-4 away
-        # stops after m - 1 steps: one stop at each step of a block
-        dones = [_assert_kernel_matches_numpy([5e-4 * m], [-5.0], 1e-13, 1e-4, 10_000)[0] for m in range(9, 13)]
+        # stops after m - 1 steps: one stop at each step of a block, each
+        # appending the rows of that block's finished steps
+        dones = [_assert_kernel_matches_numpy(*self._head_on(m, n), 1e-13, 1e-4, 10_000)[0] for m in range(9, 13)]
         assert dones == [8, 9, 10, 11]
         assert {done % mechanics._BLOCK for done in dones} == set(range(mechanics._BLOCK))
 
-    def test_early_stop_in_the_remainder_loop(self):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_early_stop_in_the_remainder_loop(self, n):
         # ten steps: the block loop runs steps 0-7, the remainder 8 and 9
         assert 10 % mechanics._BLOCK and 10 - 10 % mechanics._BLOCK <= 9
-        done, q, _ = _assert_kernel_matches_numpy([0.005], [-5.0], 1e-13, 1e-4, 10)
-        assert done == 9 and q.shape == (10, 1)
+        done, q, _ = _assert_kernel_matches_numpy(*self._head_on(10, n), 1e-13, 1e-4, 10)
+        assert done == 9 and q.shape == (10, n)
 
     def test_r2_source_sums_in_numpys_order(self):
         rng = np.random.default_rng(7)
