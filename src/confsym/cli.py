@@ -25,10 +25,54 @@ from .modelspec import ModelSpec, check_dimension, parse_spec, time_span
 from .suites import RunReport, run_suite
 
 
+# The types json writes as one token.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _json_bytes(data: dict) -> bytes:
     """The one json encoding of every report: sorted keys, two-space indent,
-    no NaN or infinity, and a final newline."""
-    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False).encode() + b"\n"
+    no NaN or infinity, and a final newline; the bytes of
+    ``json.dumps(data, sort_keys=True, indent=2, allow_nan=False)``.
+
+    ``indent`` puts ``json`` on its pure-Python encoder, so the indent is
+    written here and only single-line encodings are left to ``json``, which
+    then runs its C encoder: a container whose items are all scalars is one
+    ``encode`` whose item separator is the comma, the newline and the items'
+    indent; any other container is rendered item by item.  A dict with a
+    key that is not a string goes to ``json.dumps`` whole."""
+    encoders = {}
+
+    def encode(value, newline):
+        # newline is "\n" and the indent of value's own items
+        if newline not in encoders:
+            encoders[newline] = json.JSONEncoder(
+                sort_keys=True, allow_nan=False, separators=("," + newline, ": ")
+            ).encode
+        return encoders[newline](value)
+
+    def render(value, newline):
+        # newline is "\n" and the indent of the line that value starts on
+        if isinstance(value, dict):
+            brackets, items = "{}", value.values()
+        elif isinstance(value, (list, tuple)):
+            brackets, items = "[]", value
+        else:
+            return encode(value, newline)
+        if not items:
+            return brackets
+        inner = newline + "  "
+        if set(map(type, items)) <= _SCALARS:
+            body = encode(value, inner)[1:-1]
+        elif brackets == "[]":
+            body = ("," + inner).join([render(item, inner) for item in value])
+        elif set(map(type, value)) == {str}:
+            pairs = [f"{encode(key, inner)}: {render(value[key], inner)}" for key in sorted(value)]
+            body = ("," + inner).join(pairs)
+        else:
+            return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", newline)
+        return brackets[0] + inner + body + newline + brackets[1]
+
+    return (render(data, "\n") + "\n").encode()
 
 
 def emit_report(report: RunReport, fmt: str) -> bytes:

@@ -28,14 +28,15 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 class GammaSet(_ReadOnly):
     """Gamma matrices satisfying {gamma^mu, gamma^nu} = 2 g^{mu nu} exactly.
 
-    Holds read-only copies of the ``dim`` matrices and the spin matrices
+    Holds a read-only copy of the ``dim`` matrices as one stack ``stack[mu]``,
+    ``matrices`` as the tuple of its rows, and the spin matrices
     ``spins[mu, nu]``, built once from each index pair's two products.  A set
     is immutable, since :func:`build_gammas` shares one per dimension: its
     arrays cannot be written, and rebinding or deleting ``dim``, ``size``,
-    ``matrices`` or ``spins`` raises AttributeError.
+    ``stack``, ``matrices`` or ``spins`` raises AttributeError.
     """
 
-    __slots__ = ("dim", "matrices", "size", "spins")
+    __slots__ = ("dim", "matrices", "size", "spins", "stack")
 
     def __init__(self, dim: int, matrices):
         dim = int(dim)
@@ -46,6 +47,9 @@ class GammaSet(_ReadOnly):
         if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in matrices):
             raise DimensionMismatch("gamma matrices must be square and of one size")
         size = shape[0]
+        stack = np.stack(matrices)
+        stack.flags.writeable = False
+        matrices = tuple(stack)
         spins = np.zeros((dim, dim, size, size), dtype=complex)
         for mu in range(dim):
             for nu in range(mu + 1, dim):
@@ -53,9 +57,8 @@ class GammaSet(_ReadOnly):
                 backward = _mm(matrices[nu], matrices[mu])
                 spins[mu, nu] = 0.25 * (forward - backward)
                 spins[nu, mu] = 0.25 * (backward - forward)
-        for m in matrices + (spins,):
-            m.flags.writeable = False
-        self._bind(dim=dim, matrices=matrices, size=size, spins=spins)
+        spins.flags.writeable = False
+        self._bind(dim=dim, matrices=matrices, size=size, spins=spins, stack=stack)
 
     def __getitem__(self, mu: int) -> np.ndarray:
         return self.matrices[mu]
@@ -101,9 +104,9 @@ def build_gammas(dim: int) -> GammaSet:
 
 def anticommutator_residual(gammas: GammaSet, metric: Metric) -> float:
     """Max-norm violation of the defining relation over all index pairs."""
-    g = np.stack(gammas.matrices)
+    g = gammas.stack
     acomm = _mm(g[:, None], g[None, :]) + _mm(g[None, :], g[:, None])
-    target = 2.0 * _lift(np.diag(metric.diag), 2) * np.eye(gammas.size)
+    target = 2.0 * _lift(metric.matrix, 2) * np.eye(gammas.size)
     return _max_abs(acomm - target, 4)
 
 
@@ -123,7 +126,7 @@ def sandwich_identity_residual(x, gammas: GammaSet, metric: Metric):
     slash = gamma_slash_unit(x, gammas, metric)[..., None, :, :]
     imat = inversion_matrix(x, metric)
     # axis -3 runs over mu
-    lhs = _mm(_mm(slash, metric.diag[:, None, None] * np.stack(gammas.matrices)), slash)
+    lhs = _mm(_mm(slash, metric.diag[:, None, None] * gammas.stack), slash)
     rhs = np.zeros_like(lhs)
     for nu in range(gammas.dim):
         rhs -= _lift(imat[..., :, nu] * metric.diag[nu], 2) * gammas[nu]

@@ -130,7 +130,7 @@ def improved_stress_from_F(phi, x, metric: Metric) -> np.ndarray:
     dW = np.einsum("nab,...abr->...nr", eps_up, dF)
     dW_up = dW * metric.diag[None, :]
     theta = -0.75 * np.einsum("...ma,...na->...mn", f_up, mixed)
-    theta += 0.25 * np.diag(metric.diag) * _lift(_f_squared(F, metric), 2)
+    theta += 0.25 * metric.matrix * _lift(_f_squared(F, metric), 2)
     theta -= _lift(jet.value[..., 0] / 16.0, 2) * (dW_up + np.swapaxes(dW_up, -1, -2))
     return theta
 

@@ -100,42 +100,52 @@ class PolynomialMultiplet:
                 comp.append((float(coef), exps))
             cleaned.append(tuple(comp))
         self.components = tuple(cleaned)
+        self._terms = {}
         self._tables = {}
 
-    @staticmethod
-    def _mono_derive(coef, exps, direction):
-        e = exps[direction]
-        if e == 0:
-            return 0.0, exps
-        new = list(exps)
-        new[direction] = e - 1
-        return coef * e, tuple(new)
+    def _entries(self, order: int):
+        """The monomials (coefficient, exponents) of every derivative entry
+        ``[i, mu_1, ..., mu_order]``, one list per entry in C order, built on
+        first use from the previous order's: entry ``idx + (mu,)`` takes
+        d_mu of each monomial of entry ``idx``, in order, and drops those
+        whose coefficient becomes zero, so each coefficient is its
+        monomial's product taken factor by factor in the order of ``idx``."""
+        if order not in self._terms:
+            if order == 0:
+                entries = [list(comp) for comp in self.components]
+            else:
+                entries = []
+                for terms in self._entries(order - 1):
+                    for mu in range(self.dim):
+                        derived = []
+                        for coef, exps in terms:
+                            e = exps[mu]
+                            if e and coef * e != 0.0:
+                                derived.append((coef * e, exps[:mu] + (e - 1,) + exps[mu + 1:]))
+                        entries.append(derived)
+            self._terms[order] = entries
+        return self._terms[order]
 
     def _table(self, order: int):
-        """(coefficients, exponents) of the monomials of every derivative entry
-        ``[i, mu_1, ..., mu_order]``, one row per entry in C order, padded with
-        zero monomials to a common width; built on first use."""
+        """(coefficients, exponents) of :meth:`_entries` as arrays, one row
+        per entry, padded with zero monomials to a common width; built on
+        first use."""
         if order not in self._tables:
-            entries = []
-            for comp in self.components:
-                for idx in np.ndindex(*(self.dim,) * order):
-                    terms = []
-                    for coef, exps in comp:
-                        for d in idx:
-                            coef, exps = self._mono_derive(coef, exps, d)
-                            if coef == 0.0:
-                                break
-                        else:
-                            terms.append((coef, exps))
-                    entries.append(terms)
+            entries = self._entries(order)
             width = max([1] + [len(terms) for terms in entries])
-            coefs = np.zeros((len(entries), width))
-            exps = np.zeros((len(entries), width, self.dim), dtype=int)
-            for row, terms in enumerate(entries):
-                for col, (coef, e) in enumerate(terms):
-                    coefs[row, col] = coef
-                    exps[row, col] = e
-            self._tables[order] = coefs, exps
+            zero = (0,) * self.dim
+            coefs, exps = [], []
+            for terms in entries:
+                for coef, e in terms:
+                    coefs.append(coef)
+                    exps += e
+                pad = width - len(terms)
+                coefs += [0.0] * pad
+                exps += zero * pad
+            self._tables[order] = (
+                np.array(coefs, dtype=float).reshape(len(entries), width),
+                np.array(exps, dtype=int).reshape(len(entries), width, self.dim),
+            )
         return self._tables[order]
 
     def _derive_eval(self, x, order: int):

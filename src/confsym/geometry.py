@@ -4,6 +4,10 @@ and conformal Killing vectors.
 Conventions used across the package:
 
 * the signature is (+, -, ..., -) and is not configurable;
+* a :class:`Metric` holds its dimension's constants, each built once and
+  read-only: ``diag``, ``matrix`` (the D x D metric) and ``identity`` (the
+  D x D unit matrix); a kernel reads them rather than building its own
+  ``np.diag`` or ``np.eye`` on every call;
 * coordinate arrays hold upper components ``x^mu``;
 * mixed-index matrices store the lower index first, ``M[a, b] = M_a^b``,
   so index chains contract as ordinary matrix products;
@@ -86,29 +90,33 @@ class _ReadOnly:
 @dataclass(frozen=True, eq=False)
 class Metric:
     """Diagonal Minkowski metric diag(1, -1, ..., -1) in ``dim`` dimensions,
-    immutable, since :meth:`shared` hands one per dimension to every caller."""
+    immutable, since :meth:`shared` hands one per dimension to every caller.
+
+    Its constants are built once, read-only: ``diag``, the diagonal;
+    ``matrix``, the D x D metric ``np.diag(diag)``; and ``identity``, the
+    D x D ``np.eye(dim)``.  A kernel reads these instead of building them."""
 
     dim: int
     diag: np.ndarray = field(init=False, repr=False)
+    matrix: np.ndarray = field(init=False, repr=False)
+    identity: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if int(self.dim) < 1:
             raise UnsupportedDimension(f"dimension must be >= 1, got {self.dim}")
-        diag = -np.ones(int(self.dim))
+        dim = int(self.dim)
+        diag = -np.ones(dim)
         diag[0] = 1.0
-        diag.flags.writeable = False
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "dim", dim)
+        for name, value in (("diag", diag), ("matrix", np.diag(diag)), ("identity", np.eye(dim))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     @cache
     def shared(cls, dim: int):
         """The one instance of this class at ``dim``, built on first use."""
         return cls(dim)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
 
     def _check(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -278,7 +286,7 @@ def inversion_matrix(x, metric: Metric):
     """
     x = metric._check(x)
     x2 = invariant_square(x, metric)
-    return np.eye(metric.dim) - 2.0 * _outer(metric.lower(x), x) / _lift(x2, 2)
+    return metric.identity - 2.0 * _outer(metric.lower(x), x) / _lift(x2, 2)
 
 
 def inversion_matrix_gradient(x, metric: Metric):
@@ -290,7 +298,7 @@ def inversion_matrix_gradient(x, metric: Metric):
     grad = np.zeros(x.shape[:-1] + (dim, dim, dim))
     g = metric.matrix
     # d_m (x_a x^b) = g_{am} x^b + x_a delta^b_m
-    grad -= 2.0 * (g[:, None, :] * x[..., None, :, None] + xl[..., :, None, None] * np.eye(dim)) / x2
+    grad -= 2.0 * (g[:, None, :] * x[..., None, :, None] + xl[..., :, None, None] * metric.identity) / x2
     grad += 4.0 * np.einsum("...a,...b,...m->...abm", xl, x, xl) / np.float_power(x2, 2)
     return grad
 
@@ -307,7 +315,7 @@ def map_jacobian(x, c, metric: Metric):
     num = x + c * _lift(x2)
     ds = 2.0 * cl + 2.0 * _lift(c2) * xl  # d_beta sigma
     s = _lift(s, 2)
-    jac = (np.eye(metric.dim) + 2.0 * _outer(c, xl)) / s
+    jac = (metric.identity + 2.0 * _outer(c, xl)) / s
     # a float's s**2 is libm's pow, which is not always s * s; float_power
     # calls pow for an array too, where ** would square
     jac -= _outer(num, ds) / np.float_power(s, 2)
@@ -473,9 +481,7 @@ def sigma_basis_conformal(sigma, metric: Metric, weight, spin) -> GeneratorActio
     c gives the sigma-indexed variation.  ``sigma`` is an integer or an
     integer index stack, one index per sample, each in 0..D-1; anything else
     raises ValueError."""
-    sigma = _axis_index(sigma, metric.dim)
-    c = np.zeros(sigma.shape + (metric.dim,))
-    np.put_along_axis(c, sigma[..., None], metric.diag[sigma][..., None], axis=-1)
+    c = metric.matrix[_axis_index(sigma, metric.dim)]
     return special_conformal(c, weight=weight, spin=spin)
 
 
@@ -517,7 +523,7 @@ def killing_gradient(gen: GeneratorAction, x, metric: Metric) -> np.ndarray:
     a, omega, lam, c = _parts(gen, metric)
     x = metric._check(x)
     xl = metric.diag * x
-    eye = np.eye(metric.dim)
+    eye = metric.identity
     df = 2.0 * _outer(x, metric.diag * c) + 2.0 * _lift(_inner(c, xl), 2) * eye - 2.0 * _outer(c, xl)
     return df + omega * metric.diag + _lift(lam, 2) * eye
 
@@ -527,7 +533,7 @@ def killing_second_gradient(gen: GeneratorAction, metric: Metric) -> np.ndarray:
     special conformal parameter of a stack."""
     *_, c = _parts(gen, metric)
     cl = metric.diag * c
-    eye = np.eye(metric.dim)
+    eye = metric.identity
     d2 = np.zeros(c.shape[:-1] + (metric.dim,) * 3)
     d2 += 2.0 * np.einsum("...n,mr->...mnr", cl, eye)
     d2 += 2.0 * np.einsum("...r,mn->...mnr", cl, eye)

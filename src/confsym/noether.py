@@ -255,7 +255,7 @@ def maxwell_stress(A, x, metric: Metric) -> np.ndarray:
     f_up = _raise2(F, metric)
     mixed = metric.diag[:, None] * F  # F^n_a stored [n, a]
     theta = -np.einsum("...ma,...na->...mn", f_up, mixed)
-    theta += np.diag(metric.diag) * _lift(0.25 * _f_squared(F, metric), 2)
+    theta += metric.matrix * _lift(0.25 * _f_squared(F, metric), 2)
     return theta
 
 
@@ -269,7 +269,7 @@ def maxwell_stress_divergence(A, x, metric: Metric) -> np.ndarray:
     dtheta = -np.einsum("...mar,...na->...mnr", df_up, mixed)
     dtheta -= np.einsum("...ma,...nar->...mnr", f_up, dmixed)
     df2 = 2.0 * np.einsum("...ab,...abr->...r", f_up, jet.dF)
-    dtheta += 0.25 * np.einsum("mn,...r->...mnr", np.diag(metric.diag), df2)
+    dtheta += 0.25 * np.einsum("mn,...r->...mnr", metric.matrix, df2)
     return np.einsum("...mnm->...n", dtheta)
 
 
@@ -292,7 +292,7 @@ def scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.ndarray:
     grad_up = grad * metric.diag[None, :]
     theta = np.einsum("...im,...in->...mn", grad_up, grad_up)
     model = MultipletModel(metric.dim, value.shape[-1], coupling)
-    theta -= np.diag(metric.diag) * _lift(model.density(value, grad, metric), 2)
+    theta -= metric.matrix * _lift(model.density(value, grad, metric), 2)
     return theta
 
 
@@ -306,7 +306,7 @@ def scalar_stress_divergence(phi, x, metric: Metric, coupling: float = 0.0):
     dtheta = np.einsum("...imr,...in->...mnr", hess_up, grad_up)
     dtheta += np.einsum("...im,...inr->...mnr", grad_up, hess_up)
     dl = _density_gradient(model, value, grad, hess, metric)
-    dtheta -= np.einsum("mn,...r->...mnr", np.diag(metric.diag), dl)
+    dtheta -= np.einsum("mn,...r->...mnr", metric.matrix, dl)
     return np.einsum("...mnm->...n", dtheta)
 
 
@@ -332,7 +332,7 @@ def improved_scalar_stress(phi, x, metric: Metric, coupling: float = 0.0) -> np.
         + np.einsum("...i,...imn->...mn", value, hess)
     )
     box_s = np.einsum("m,...mm->...", metric.diag, s_hess)
-    improvement = np.diag(metric.diag) * _lift(box_s, 2) - _raise2(s_hess, metric)
+    improvement = metric.matrix * _lift(box_s, 2) - _raise2(s_hess, metric)
     return theta + xi * improvement
 
 
@@ -406,7 +406,7 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
 
     def potential(y):
         val = Jet(jet.field, y).value
-        return coeff * np.diag(metric.diag) * _lift(_inner(val, val), 2)
+        return coeff * metric.matrix * _lift(_inner(val, val), 2)
 
     return VirialInfo(v, True, potential)
 
@@ -610,7 +610,7 @@ def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma
     x2 = metric.norm2(x)
     # written out, not taken from killing_vector: the one independent copy of
     # the special conformal Killing vector, so the action checks see its faults
-    k_vec = 2.0 * _lift(x_sigma) * x - _lift(diag_sigma) * np.eye(dim)[sigma] * _lift(x2)
+    k_vec = 2.0 * _lift(x_sigma) * x - _lift(diag_sigma) * metric.identity[sigma] * _lift(x2)
     total_derivative = 2.0 * dim * x_sigma * lag + _inner(k_vec, dlag)
 
     if kind == "conformal":

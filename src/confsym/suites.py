@@ -142,7 +142,19 @@ def _register(name, kinds, tolerance, description, expected_fail=None):
 
 
 def _rng_for(spec: ModelSpec, name: str) -> np.random.Generator:
-    return np.random.default_rng([spec.seed, zlib.crc32(name.encode())])
+    """The generator ``np.random.default_rng([spec.seed, crc32(name)])``,
+    its ``SeedSequence`` given the 32-bit words numpy derives from that list
+    (each integer's words, low word first) as one uint32 array, which numpy
+    takes without converting each entry."""
+    seed = spec.seed
+    if seed < 0:
+        raise ValueError(f"a check generator needs a non-negative seed, got {seed}")
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    words.append(zlib.crc32(name.encode()))
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(entropy))
 
 
 def _sample_gap(a, b):
@@ -227,7 +239,7 @@ def _model_fixture(spec, metric, rng):
     if spec.kind == "general-scalar":
         # fractional powers of the field require a positive configuration
         linear = rng.normal(0.0, 0.2, metric.dim)
-        gaussian = GaussianMultiplet(metric.dim, [1.3], linear, 0.08 * np.eye(metric.dim))
+        gaussian = GaussianMultiplet(metric.dim, [1.3], linear, 0.08 * metric.identity)
         return model, gaussian
     if spec.kind == "dual-scalar-3":
         return model, _scalar_fixture(spec, metric, rng, n_comp=1)
@@ -273,7 +285,7 @@ def _chk_involution(spec, metric, rng):
 def _chk_reflection(spec, metric, rng):
     imat = inversion_matrix(sampling.off_cone_points(rng, metric.dim, 100), metric)
     g = metric.matrix
-    square_gap = _sample_gap(_mm(imat, imat), np.eye(metric.dim))
+    square_gap = _sample_gap(_mm(imat, imat), metric.identity)
     metric_gap = _sample_gap(_mm(_mm(imat, g), np.swapaxes(imat, -1, -2)), g)
     return np.maximum.reduce([square_gap, metric_gap, abs(_det(imat) + 1.0)])
 
@@ -297,7 +309,7 @@ def _chk_jacobian(spec, metric, rng):
     xs, cs = xs[keep], cs[keep]
     fwd, inv = conformal_jacobian(xs, cs, metric)
     jac_gap = _sample_gap(fwd, map_jacobian(xs, cs, metric))
-    return np.maximum(jac_gap, _sample_gap(_mm(fwd, inv), np.eye(metric.dim))), keep
+    return np.maximum(jac_gap, _sample_gap(_mm(fwd, inv), metric.identity)), keep
 
 
 @_register("jacobian-oracle", FIELD_KINDS, "oracle", "map Jacobian agrees with central finite differences")

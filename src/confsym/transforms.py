@@ -312,7 +312,7 @@ def commutator_stack(field, x, metric: Metric):
     x = metric._check(x)
     jet = as_jet(field, x)
     value, grad, hess = jet.value, jet.grad, jet.hess
-    d, eye = metric.diag, np.eye(metric.dim)
+    d, eye = metric.diag, metric.identity
     weight = canonical_weight(metric.dim)
     grad_t = np.swapaxes(grad, -1, -2)  # [..., mu, i] = d_mu phi_i
     # the translation by sigma, an upper-index derivative: value [sigma, i],
@@ -341,7 +341,7 @@ def commutator_stack(field, x, metric: Metric):
     x_d = x[..., :, None] * d
     lorentz = x_d[..., None] * grad_t[..., None, :, :]
     lorentz = lorentz - np.swapaxes(x_d, -1, -2)[..., None] * grad_t[..., :, None, :]
-    rhs = (-2.0 * np.diag(d))[..., None] * dilat[..., None, None, :] + 2.0 * lorentz
+    rhs = (-2.0 * metric.matrix)[..., None] * dilat[..., None, None, :] + 2.0 * lorentz
     return first - second, rhs
 
 
@@ -546,7 +546,7 @@ def decoupled_spinor_residual(psi, x, c, metric: Metric, gammas: GammaSet):
     tilde = _mv(slash, value)
     # d_m (x^n / sqrt(x^2)) = delta^n_m / sqrt(x^2) - x^n x_m / (x^2)^(3/2)
     x2 = _lift(x2, 2)
-    dxhat = np.eye(metric.dim) / np.sqrt(x2) - _outer(x, metric.diag * x) / np.float_power(x2, 1.5)
+    dxhat = metric.identity / np.sqrt(x2) - _outer(x, metric.diag * x) / np.float_power(x2, 1.5)
     # column m of d_tilde, one slashed derivative per m on axis -3
     dslash = gammas.slash_lower(metric.diag * np.swapaxes(dxhat, -1, -2))
     columns = _mv(dslash, value[..., None, :]) + _mv(slash[..., None, :, :], np.swapaxes(jet.grad, -1, -2))

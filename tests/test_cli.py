@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import confsym.suites as suites
 from confsym import mechanics
-from confsym.cli import emit_report, main
+from confsym.cli import _json_bytes, emit_report, main
 from confsym.errors import ConfsymError
 from confsym.modelspec import ModelSpec
 from confsym.suites import RunReport, applicable_checks, run_suite
@@ -1147,6 +1148,7 @@ def test_importing_the_cli_imports_every_traced_layer():
 # imported, on the last line of stdout.
 NUMPY_RANDOM_PROBE = """
 import sys
+import zlib
 from confsym.cli import main
 try:
     status = main(sys.argv[1:]) if sys.argv[1:] else 0
@@ -1171,3 +1173,142 @@ def test_only_a_run_of_checks_imports_numpy_random(tmp_path, argv, imported):
     child = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE, *argv], cwd=work, env=_child_env(),
                            capture_output=True, text=True, timeout=300)
     assert child.stdout.splitlines()[-1] == f"0 {imported}", child.stderr
+
+
+# -- the report renderer ----------------------------------------------------
+
+
+def _dumps_bytes(data) -> bytes:
+    """The report bytes as the pure-Python ``indent=2`` encoder writes them."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False).encode() + b"\n"
+
+
+RENDER_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.sampled_from([2**63, -2**63 - 1, 2**64 + 3, 10**30]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, 2.0**-1074, 1.1e-14]),
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "\n", "},\n      {", "],\n    [", "élan ∂μ 中", " ", ""]),
+)
+
+RENDER_VALUES = st.recursive(
+    RENDER_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.sampled_from(['"', "\n", "é"])), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(data=st.dictionaries(st.text(max_size=4), RENDER_VALUES, max_size=5))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_renderer_writes_the_indent_2_bytes(data):
+    assert _json_bytes(data) == _dumps_bytes(data)
+
+
+@pytest.mark.parametrize("data", [
+    {}, [], {"a": {}, "b": [], "c": [[], {}], "d": [{}]},
+    {"a": (1, (2, {"b": ()}))},  # tuples are json arrays
+    {1: "int keys", 2: [1.5]},  # keys json converts to strings
+    {"outer": {2.5: {"x": [1]}, 1: None}},
+    {"q": [np.float64(-0.0), np.float64(1e300)]},  # float subclasses
+    [{"a": 1}, {"b": [2, {"c": 3}]}, 4],
+])
+def test_renderer_writes_the_indent_2_bytes_on_unusual_shapes(data):
+    assert _json_bytes(data) == _dumps_bytes(data)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_renderer_rewrites_every_golden_file(path):
+    golden = path.read_bytes()
+    assert _json_bytes(json.loads(golden)) == golden == _dumps_bytes(json.loads(golden))
+
+
+def test_renderer_writes_the_scan_dims_payload(tmp_path):
+    out = tmp_path / "scan.json"
+    main(["scan-dims", "--kind", "general-scalar", "--dims", "3,5", "--format", "json", "--out", str(out)])
+    payload = out.read_bytes()
+    assert payload == _dumps_bytes(json.loads(payload))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", [
+    lambda v: v, lambda v: {"a": v}, lambda v: {"a": [1, v]}, lambda v: {"a": {"b": [{"c": v}]}},
+    lambda v: {"a": {v: 1}}, lambda v: {v: [1]},
+], ids=["top", "dict", "list", "nested", "key", "key-of-nested"])
+def test_renderer_rejects_non_finite_numbers(bad, where):
+    with pytest.raises(ValueError):
+        _dumps_bytes(where(bad))
+    with pytest.raises(ValueError):
+        _json_bytes(where(bad))
+
+
+# -- the check generators ----------------------------------------------------
+
+RNG_SEEDS = [0, 42, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS)
+def test_check_generators_keep_the_stream_of_default_rng(seed):
+    spec = ModelSpec(kind="maxwell", dimension=4, seed=seed)
+    for name in suites.CHECKS:
+        want = np.random.default_rng([seed, zlib.crc32(name.encode())])
+        assert suites._rng_for(spec, name).bit_generator.state == want.bit_generator.state, name
+
+
+def test_the_generator_seeds_reach_past_the_low_word():
+    # an entropy array of the seed's low word alone gives the same state up
+    # to 2^32 - 1 and another one from 2^32 on, which the seeds above catch
+    def low_word_only(seed, name):
+        words = np.array([seed & 0xFFFFFFFF, zlib.crc32(name.encode())], dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words))).bit_generator.state
+
+    def reference(seed, name):
+        return np.random.default_rng([seed, zlib.crc32(name.encode())]).bit_generator.state
+
+    assert low_word_only(2**32 - 1, "killing-equation") == reference(2**32 - 1, "killing-equation")
+    assert low_word_only(2**32, "killing-equation") != reference(2**32, "killing-equation")
+
+
+def test_check_generators_reject_a_negative_seed():
+    with pytest.raises(ValueError):
+        suites._rng_for(ModelSpec(kind="maxwell", dimension=4, seed=-1), "killing-equation")
+
+
+# -- README's report schema ---------------------------------------------------
+
+
+def _readme_schema():
+    """The JSON report example in README, and the keys of each of its
+    objects in the order written."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("JSON report schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    orders = []
+
+    def keep_order(pairs):
+        orders.append([key for key, _ in pairs])
+        return dict(pairs)
+
+    return json.loads(block, object_pairs_hook=keep_order), orders
+
+
+def _key_tree(value):
+    """The keys of every object in ``value``, nested as the objects are; a
+    list contributes its first item."""
+    if isinstance(value, dict):
+        return {key: _key_tree(item) for key, item in value.items()}
+    if isinstance(value, list) and value:
+        return [_key_tree(value[0])]
+    return None
+
+
+def test_readme_schema_lists_a_reports_keys_in_rendered_order():
+    example, orders = _readme_schema()
+    report = json.loads((GOLDEN_DIR / "maxwell_d4.json").read_text())
+    assert _key_tree(example) == _key_tree(report)
+    assert set(example["checks"][0]) == CHECK_KEYS
+    assert all(keys == sorted(keys) for keys in orders), "list keys in the order the renderer writes them"

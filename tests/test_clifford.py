@@ -75,6 +75,21 @@ def test_shared_set_cannot_be_rebound(dim, name):
     assert anticommutator_residual(gammas, Metric(dim)) == 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_the_matrices_are_one_read_only_stack(dim):
+    gammas = build_gammas(dim)
+    stack = gammas.stack
+    assert stack.shape == (dim, gammas.size, gammas.size) and stack.dtype == complex
+    assert stack.tobytes() == np.stack(gammas.matrices).tobytes()
+    assert all(np.shares_memory(m, stack) for m in gammas.matrices)
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        gammas.stack = stack.copy()
+    with pytest.raises(AttributeError):
+        del gammas.stack
+
+
 @pytest.mark.parametrize("dim", [1, 7])
 def test_unsupported_dimension(dim):
     with pytest.raises(UnsupportedDimension):

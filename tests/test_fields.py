@@ -233,6 +233,84 @@ class TestPolynomialFields:
         npt.assert_allclose(f.third(x), fd_gradient(f.hess, x, 1e-4), atol=1e-5)
 
 
+def per_monomial_table(poly, order):
+    """The derivative tables as built one entry at a time: every monomial of
+    a component is differentiated along the entry's whole index, dropped
+    when its coefficient becomes zero, and written into zero-padded arrays
+    element by element.  The oracle of the order-by-order tables."""
+    def derive(coef, exps, direction):
+        e = exps[direction]
+        if e == 0:
+            return 0.0, exps
+        new = list(exps)
+        new[direction] = e - 1
+        return coef * e, tuple(new)
+
+    entries = []
+    for comp in poly.components:
+        for idx in np.ndindex(*(poly.dim,) * order):
+            terms = []
+            for coef, exps in comp:
+                for d in idx:
+                    coef, exps = derive(coef, exps, d)
+                    if coef == 0.0:
+                        break
+                else:
+                    terms.append((coef, exps))
+            entries.append(terms)
+    width = max([1] + [len(terms) for terms in entries])
+    coefs = np.zeros((len(entries), width))
+    exps = np.zeros((len(entries), width, poly.dim), dtype=int)
+    for row, terms in enumerate(entries):
+        for col, (coef, e) in enumerate(terms):
+            coefs[row, col] = coef
+            exps[row, col] = e
+    return coefs, exps
+
+
+def _random_components(rng, dim):
+    """One to three components of up to six monomials, with zero and signed
+    zero coefficients and zero exponents among them, total degree <= 4."""
+    components = []
+    for _ in range(int(rng.integers(1, 4))):
+        monos = []
+        for _ in range(int(rng.integers(0, 7))):
+            coef = [0.0, -0.0, 1.0, -2.5, float(rng.normal())][int(rng.integers(0, 5))]
+            exps = rng.integers(0, 3, dim)
+            while exps.sum() > 4:
+                exps = rng.integers(0, 2, dim)
+            monos.append((coef, tuple(exps.tolist())))
+        components.append(monos)
+    return components
+
+
+class TestPolynomialTables:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_order_by_order_equals_the_per_monomial_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        polys = [PolynomialMultiplet(dim, _random_components(rng, dim)) for _ in range(12)]
+        polys.append(sampling.random_polynomial_multiplet(rng, dim, 2))
+        ones = tuple(int(mu < 4) for mu in range(dim))
+        polys.append(PolynomialMultiplet(dim, [[(0.0, ones)], [(3.0, (0,) * dim), (-0.0, (0,) * dim)]]))
+        for poly in polys:
+            # highest order first: the tables below it are built on the way
+            for order in (3, 2, 1, 0):
+                got, want = poly._table(order), per_monomial_table(poly, order)
+                for a, b in zip(got, want):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                    assert a.tobytes() == b.tobytes()
+
+    def test_zero_terms_drop_after_order_zero(self):
+        poly = PolynomialMultiplet(2, [[(0.0, (2, 0)), (1.5, (0, 0)), (2.0, (1, 1))]])
+        coefs, exps = poly._table(0)
+        assert coefs.tolist() == [[0.0, 1.5, 2.0]]
+        coefs, exps = poly._table(1)
+        assert coefs.tolist() == [[2.0], [2.0]]
+        assert exps.tolist() == [[[0, 1]], [[1, 0]]]
+        coefs, exps = poly._table(2)
+        assert coefs.tolist() == [[0.0], [2.0], [2.0], [0.0]]
+
+
 class TestGaussianFields:
     def test_derivatives_against_fd(self, rng):
         f = GaussianMultiplet(4, [1.2, -0.5], rng.normal(0, 0.3, 4), 0.1 * np.eye(4))

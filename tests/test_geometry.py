@@ -40,6 +40,7 @@ from confsym.geometry import (
     levi_civita3_upper,
     lorentz_rotation,
     map_jacobian,
+    sigma_basis_conformal,
     special_conformal,
     special_conformal_map,
     special_conformal_map_via_inversion,
@@ -104,6 +105,33 @@ class TestMinkowskiDot:
     def test_rejects_dim_zero(self):
         with pytest.raises(UnsupportedDimension):
             Metric(0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_constants_are_built_once_and_read_only(self, dim):
+        metric = Metric(dim)
+        diag = np.array([1.0] + [-1.0] * (dim - 1))
+        for name, want in (("diag", diag), ("matrix", np.diag(diag)), ("identity", np.eye(dim))):
+            value = getattr(metric, name)
+            assert getattr(metric, name) is value
+            assert (value.dtype, value.shape) == (want.dtype, want.shape)
+            assert value.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                value[(0,) * value.ndim] = 2.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(metric, name, want)
+        assert Metric.shared(dim).identity is Metric.shared(dim).identity
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 6])
+    def test_sigma_parameters_are_rows_of_the_metric(self, dim):
+        # the parameter stack as once built: zeros with diag[sigma] put at sigma
+        metric = Metric(dim)
+        for sigma in (dim - 1, np.arange(dim), np.arange(2 * dim).reshape(2, dim) % dim):
+            sigma = np.asarray(sigma)
+            want = np.zeros(sigma.shape + (dim,))
+            np.put_along_axis(want, sigma[..., None], metric.diag[sigma][..., None], axis=-1)
+            got = sigma_basis_conformal(sigma, metric, 1.0, "scalar").c
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable and not np.shares_memory(got, metric.matrix)
 
 
 class TestConformalFactor:

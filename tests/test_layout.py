@@ -18,7 +18,9 @@ so one module decides how a product, a norm, a determinant or a solve is
 summed.
 Only ``Metric``, ``GeneratorAction`` and ``CheckDef`` are dataclasses: a
 dataclass compiles its generated methods when its module is imported, which
-every fresh interpreter pays.
+every fresh interpreter pays.  No kernel builds ``np.eye`` or ``np.diag`` of
+a metric's dimension or diagonal: a ``Metric`` holds them, built once, as
+``identity`` and ``matrix``.
 """
 
 import ast
@@ -507,3 +509,93 @@ Made = make_dataclass("Made", ["x"])
 def test_the_dataclass_gate_sees_every_form():
     found = sorted(_dataclass_sites(ast.parse(DATACLASS_FORMS)))
     assert found == ["Bare", "Called", "Qualified", "line 8", "line 9"]
+
+
+# numpy's constructors of a unit or diagonal matrix, by attribute or by name.
+MATRIX_BUILDERS = {"eye", "identity", "diag"}
+
+
+def _metric_matrix_sites(tree):
+    """(line, call) of each ``np.eye``, ``np.identity`` or ``np.diag`` call
+    outside class ``Metric`` whose first argument is a ``.dim`` or ``.diag``
+    attribute, or a name that its function binds to one (a tuple assignment
+    included)."""
+    found = []
+
+    def bound_names(function):
+        names = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = list(zip(target.elts, node.value.elts))
+                    names |= {
+                        name.id for name, value in pairs
+                        if isinstance(name, ast.Name) and isinstance(value, ast.Attribute)
+                        and value.attr in ("dim", "diag")
+                    }
+        return names
+
+    def walk(node, names):
+        if isinstance(node, ast.ClassDef) and node.name == "Metric":
+            return
+        if isinstance(node, ast.FunctionDef):
+            names = names | bound_names(node)
+        if isinstance(node, ast.Call) and node.args:
+            func = ast.unparse(node.func).split(".")
+            arg = node.args[0]
+            if func[-1] in MATRIX_BUILDERS and func[0] in ("np", "numpy", func[-1]) and (
+                (isinstance(arg, ast.Attribute) and arg.attr in ("dim", "diag"))
+                or (isinstance(arg, ast.Name) and arg.id in names)
+            ):
+                found.append((node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            walk(child, names)
+
+    walk(tree, set())
+    return found
+
+
+def _metric_matrix_sites_in(sources):
+    return [
+        f"{stem}:{line} {call}"
+        for stem, text in sorted(sources.items())
+        for line, call in sorted(_metric_matrix_sites(ast.parse(text)))
+    ]
+
+
+def test_no_kernel_builds_a_metric_matrix():
+    sites = _metric_matrix_sites_in(_sources())
+    assert sites == [], "read metric.identity or metric.matrix, built once per Metric"
+
+
+METRIC_MATRIX_FORMS = """
+def kernel(metric, gammas):
+    np.eye(metric.dim); numpy.identity(metric.dim); np.diag(metric.diag)
+    np.eye(self.metric.dim, dtype=complex); diag(metric.diag)
+    dim = metric.dim
+    d, other = metric.diag, 1.0
+    np.eye(dim); np.diag(d)
+"""
+
+NOT_METRIC_MATRIX_FORMS = """
+def kernel(x, dim, gammas):
+    np.eye(gammas.size); np.eye(3); np.eye(dim); np.eye(x.shape[-1])
+    metric.identity; metric.matrix; metric.matrix[sigma]
+
+class Metric:
+    def __post_init__(self):
+        np.eye(self.dim); np.diag(self.diag)
+"""
+
+
+def test_the_metric_matrix_gate_sees_every_form():
+    assert len(_metric_matrix_sites(ast.parse(METRIC_MATRIX_FORMS))) == 7
+    assert _metric_matrix_sites(ast.parse(NOT_METRIC_MATRIX_FORMS)) == []
+    sources = _sources()
+    before = _metric_matrix_sites_in(sources)
+    sources["suites"] += "\ndef gap(metric):\n    return np.eye(metric.dim)\n"
+    line = sources["suites"].count("\n")
+    after = _metric_matrix_sites_in(sources)
+    assert sorted(set(after) - set(before)) == [f"suites:{line} np.eye(metric.dim)"]
