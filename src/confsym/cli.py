@@ -1,9 +1,9 @@
 """Command-line front-end: audit model specs, scan dimensions, run the
 mechanics simulator, and re-emit saved reports.
 
-Exit status is 0 exactly when every check in the run is ok (expected
-failures count as ok).  JSON output is stable-ordered and excludes timing,
-so identical spec + seed produce byte-identical reports.  The saved format
+Exit status is 0 exactly when every check in the run is ok.  JSON output is
+stable-ordered and excludes timing, so identical spec + seed produce
+byte-identical reports.  The saved format
 itself belongs to :class:`~confsym.suites.RunReport`; this module only
 renders it, through one JSON encoder, and every report command writes and
 sets its exit status through one path.
@@ -86,15 +86,8 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
             f"model: {spec.get('kind')}  D={spec.get('dimension')}  seed={report.seed}"
         )
         for check in report.checks:
-            if check.error is not None:
-                status = "ERROR"
-                detail = check.error
-            elif check.expected_fail:
-                status = "XFAIL" if check.ok else "UNEXPECTED-PASS"
-                detail = f"max {check.max_residual:.3e}  tol {check.tolerance:.1e}"
-            else:
-                status = "PASS" if check.ok else "FAIL"
-                detail = f"max {check.max_residual:.3e}  tol {check.tolerance:.1e}"
+            status = "ERROR" if check.error is not None else "PASS" if check.ok else "FAIL"
+            detail = check.error if check.error is not None else f"max {check.max_residual:.3e}  tol {check.tolerance:.1e}"
             timing = "" if check.wall_ms is None else f", {check.wall_ms:.1f} ms"
             lines.append(f"  {status:<15} {check.name:<32} {detail}  (n={check.samples}{timing})")
         n_ok = sum(1 for c in report.checks if c.ok)

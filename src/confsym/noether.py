@@ -17,9 +17,7 @@ takes points ``x`` of shape ``(..., D)`` (with a special conformal parameter
 stack of the same shape, or a ``sigma`` index stack of shape ``(...)``) and
 returns one result per sample; a single point is a stack with no sample
 axis.  Each sample's result is bit for bit its single-point result, by the
-rules of :mod:`confsym.geometry`; the scalar conformal identity sums a
-strided column left to right, as a 1-D ``einsum`` over it does
-(:func:`~confsym.geometry._sum_left_to_right`).
+rules of :mod:`confsym.geometry`.
 
 Each kernel takes ``fields`` as a fixture or as its
 :class:`~confsym.fields.Jet` on the same ``x`` (a jet on other points raises
@@ -48,7 +46,6 @@ from .geometry import (
     _lift,
     _mv,
     _reject,
-    _sum_left_to_right,
     _vm,
     canonical_weight,
     dilation,
@@ -388,8 +385,12 @@ class VirialInfo(_ReadOnly):
 
 
 def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
-    """The field virial: the obstruction to promoting scale symmetry to
-    conformal symmetry when it fails to be a total divergence."""
+    """The field virial V^m, index up: d Phi_i Pi^{im} for a scalar of weight
+    d, (4 - D)/2 F^{ma} A_a for Maxwell.  A conformal variation of the
+    density is a total derivative plus 2 V (:func:`action_variation_identity`),
+    so the theory is conformal exactly when V is a divergence d_n sigma^{nm},
+    sigma the ``potential``: for a density linear in the kinetic ratio
+    (sigma = d L'(0) g Phi.Phi) and for Maxwell at D = 4 (V = 0)."""
     dim = metric.dim
     d = canonical_weight(dim)
     jet = as_jet(fields, x)
@@ -571,12 +572,11 @@ def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma
 
     * ``"scale"``: delta_S L minus d_m (x^m L); zero for every model here,
       including the general scalar with arbitrary profile.
-    * ``"conformal"``: the sigma-indexed conformal variation of L minus its
-      total-derivative form.  For Maxwell the anomaly (4 - D) F^{st} A_t is
-      part of the identity; for the scalar family the total derivative
-      carries the kappa g^{st} Phi^2 improvement and the residual vanishes
-      iff the virial is a total divergence (it is not for nonlinear
-      profiles).
+    * ``"conformal"``: delta_s L - d_m (k_s^m L) - 2 V^s for the special
+      conformal generator of index s, k_s^m = 2 x_s x^m - g^{sm} x^2 and
+      V the :func:`field_virial`; zero for every model.  The theory is
+      conformal exactly when V^s = d_n sigma^{ns}, which makes 2 V^s a total
+      derivative too.
     * ``"conformal-assumed-primary"``: Maxwell only; the variation computed
       with the pretend-primary rule for F is a pure total derivative.
 
@@ -615,13 +615,7 @@ def action_variation_identity(kind: str, model, fields, x, metric: Metric, sigma
 
     if kind == "conformal":
         delta_l = _delta_lagrangian(model, gen, jet, x, metric)
-        if maxwell:
-            anomaly = (4.0 - dim) * _at(_mv(_raise2(jet.F, metric), jet.value), sigma)
-            return delta_l - total_derivative - anomaly
-        # the g^{st} Phi^2 improvement: twice the weight times the kinetic coefficient
-        kappa = 2.0 * canonical_weight(dim) * model.kinetic_coefficient
-        d_sq_sigma = 2.0 * diag_sigma * _sum_left_to_right(jet.value * _at(jet.grad, sigma[..., None]))
-        return delta_l - total_derivative - kappa * d_sq_sigma
+        return delta_l - total_derivative - 2.0 * _at(field_virial(model, jet, x, metric).value, sigma)
 
     delta_f = variation(gen, jet.F, jet.dF, x, metric)
     delta_l = -0.5 * np.sum(_raise2(jet.F, metric) * delta_f, axis=(-2, -1))

@@ -336,8 +336,10 @@ def test_criterion_14_cli(tmp_path):
         identical = out1.read_bytes() == out2.read_bytes()
         if code1 != 0 or code2 != 0 or not identical:
             worst = 1.0
+    # off D = 4 the conformal current is not conserved, and its check holds
+    # the divergence to twice the virial rather than expecting it to fail
     data = json.loads((tmp_path / "maxwell_d5-1.json").read_text())
-    naive = [c for c in data["checks"] if c["name"] == "conformal-current-naive"]
-    if not (naive and naive[0]["expected_fail"] and not naive[0]["passed"] and naive[0]["ok"]):
+    current = [c for c in data["checks"] if c["name"] == "conformal-current-naive"]
+    if not (current and current[0]["ok"]):
         worst = 1.0
-    _announce(14, "audit determinism, exit codes and expected failure", worst, 0.0)
+    _announce(14, "audit determinism, exit codes and the D = 5 conformal current", worst, 0.0)

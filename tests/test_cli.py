@@ -28,7 +28,7 @@ from confsym.suites import RunReport, applicable_checks, run_suite
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-CHECK_KEYS = {"name", "dim", "samples", "max_residual", "tolerance", "seed", "expected_fail", "passed", "ok", "error"}
+CHECK_KEYS = {"name", "dim", "samples", "max_residual", "tolerance", "seed", "ok", "error"}
 
 SMALL_MAXWELL = """
 [model]
@@ -113,16 +113,85 @@ def test_shipped_specs_all_pass(tmp_path):
         assert code == 0, spec_path.name
 
 
-def test_d5_maxwell_reports_expected_failure(tmp_path):
+def test_d5_maxwell_passes_every_check(tmp_path):
     out = tmp_path / "d5.json"
     assert main(["audit", str(SPEC_DIR / "maxwell_d5.spec"), "--format", "json",
                  "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    naive = [c for c in data["checks"] if c["name"] == "conformal-current-naive"]
-    assert len(naive) == 1
-    assert naive[0]["expected_fail"] is True
-    assert naive[0]["passed"] is False
-    assert naive[0]["ok"] is True
+    assert [c["name"] for c in data["checks"]] == applicable_checks("maxwell")
+    assert all(c["ok"] for c in data["checks"])
+
+
+# -- faults in the virial that the conformal checks must see -----------------
+
+
+def _audit_with_virial(monkeypatch, spec_stem, edit):
+    """The audit of a shipped spec, with every field_virial result of a
+    model passed through ``edit(model, info)``."""
+    from confsym import noether
+    from confsym.modelspec import parse_spec
+
+    original = noether.field_virial
+    faulty = lambda model, fields, x, metric: edit(model, original(model, fields, x, metric))
+    monkeypatch.setattr(noether, "field_virial", faulty)
+    monkeypatch.setattr(suites, "field_virial", faulty)
+    report = run_suite(parse_spec((SPEC_DIR / f"{spec_stem}.spec").read_text()))
+    return {check.name: check for check in report.checks}
+
+
+def _scaled(kind, factor):
+    from confsym.noether import VirialInfo
+
+    def edit(model, info):
+        if not isinstance(model, kind):
+            return info
+        return VirialInfo(info.value * factor, info.is_total_divergence, info.potential)
+
+    return edit
+
+
+@pytest.mark.parametrize("stem", ["general_scalar_quadratic_d4", "general_scalar_quadratic_d6"])
+def test_a_scaled_scalar_virial_fails_the_conformal_identity(monkeypatch, stem):
+    from confsym.noether import GeneralScalarModel
+
+    checks = _audit_with_virial(monkeypatch, stem, _scaled(GeneralScalarModel, 1.0 + 1e-6))
+    assert not checks["action-conformal-identity"].ok
+
+
+@pytest.mark.parametrize("dim", [3, 5, 6])
+def test_a_scaled_maxwell_virial_fails_the_conformal_current(monkeypatch, dim):
+    from confsym.noether import MaxwellModel
+
+    checks = _audit_with_virial(monkeypatch, f"maxwell_d{dim}", _scaled(MaxwellModel, 1.0 + 1e-6))
+    assert not checks["conformal-current-naive"].ok
+
+
+@pytest.mark.parametrize("stem", ["general_scalar_quadratic_d4", "general_scalar_quadratic_d6"])
+def test_a_claimed_divergence_fails_on_its_witness(monkeypatch, stem):
+    from confsym.noether import VirialInfo
+
+    def claim(model, info):
+        # sigma^{0a}(y) = y^0 V^a: its divergence reproduces V at every
+        # sample, so the finite-difference test alone would pass it
+        def potential(y):
+            sigma = np.zeros(np.shape(y) + np.shape(y)[-1:])
+            sigma[..., 0, :] = y[..., :1] * info.value
+            return sigma
+
+        return VirialInfo(info.value, True, potential)
+
+    check = _audit_with_virial(monkeypatch, stem, claim)["virial-structure"]
+    # V(2 dPhi) = 8 V(dPhi) for the z^2 profile: the witness reads 3
+    assert not check.ok and check.error is None and abs(check.max_residual - 3.0) < 1e-9
+
+
+def test_a_denied_divergence_fails_on_its_witness(monkeypatch):
+    from confsym.noether import VirialInfo
+
+    deny = lambda model, info: VirialInfo(info.value, False)
+    check = _audit_with_virial(monkeypatch, "general_scalar_linear_d5", deny)["virial-structure"]
+    # the linear profile's V is exactly linear in dPhi: the witness reads 0
+    assert not check.ok and check.max_residual == suites.NO_DIVERGENCE_FLOOR
 
 
 def test_json_round_trip_preserves_residuals():
@@ -259,8 +328,9 @@ def _mech_sweep_specs():
 
 # sha256 over the exit status and output of `audit --format json` and of
 # `mech-sim --out` for each spec of _mech_sweep_specs, as written before the
-# RK4 kernel stepped in blocks and the mechanics checks took stacked states
-MECH_SWEEP_SHA256 = "d32c55fcfcf059608ecc634cbb6b37900065326eff1c89abfad3d34a8c60058d"
+# RK4 kernel stepped in blocks and the mechanics checks took stacked states,
+# in the report schema that gives each check one verdict
+MECH_SWEEP_SHA256 = "d2cec637fdb8738661e978e239e234b79f4985a694d62ea2e2356d28518179c4"
 
 
 def test_mechanics_sweep_is_pinned(tmp_path):
@@ -286,7 +356,7 @@ def _specgen():
 # sha256 over the exit status and `--out` bytes of `audit --format json` for
 # each spec of specgen.field_specs at seeds 1-40 and each spec of specs/, then
 # of `algebra --dim N --format json` for N = 2..6
-AUDIT_SWEEP_SHA256 = "935e1d3113d10f36c5fbe0f39d748547e81022e13a3265c6da4d3ba22fdf4e36"
+AUDIT_SWEEP_SHA256 = "e01fbf6a7441aeed6daa5648baadad62143a0ba7da2aabe4ab7fc8b3cd9e1354"
 
 
 def test_audit_sweep_is_pinned(tmp_path):
@@ -549,14 +619,15 @@ def test_command_json_matches_golden_file(name, tmp_path):
 # sha256 of the output of commands whose bytes no golden file holds, as
 # written when the saved-report reader still lived in the cli module, but
 # for the footer of a saved report's text, which leaves out the wall time
-# it does not know; a live run's wall times are masked
+# it does not know, and for the one-verdict report schema; a live run's wall
+# times are masked
 PINNED_OUTPUT = {
     "report-text": (["report", str(GOLDEN_DIR / "maxwell_d4.json"), "--format", "text"],
                     "9665bce0a04c19088c384bd1f43329e794836c5dc2e062d5bcf80365658096b7"),
     "report-json": (["report", str(GOLDEN_DIR / "maxwell_d4.json"), "--format", "json"],
-                    "bfba7a835a60900c751d33e46194ccaa3342669e0322af1a332c6f67b760c39c"),
+                    "ceb16dccbb7c8e4bfc8dcedb2e020b4de0bdf254ee211223c90e1c445e384c45"),
     "scan-dims-text": (["scan-dims", "--kind", "maxwell", "--dims", "3..4", "--format", "text"],
-                       "a8c2adb5edc913939269d944ef9d7cd314c07cc5777b27b2cdea31da9382042b"),
+                       "80d97a7a5145342bddd48c08925d64b59f706e65a7566c10883c756836d8e2ce"),
 }
 
 
@@ -746,12 +817,26 @@ def test_report_from_dict_rejects_missing_keys(path):
 
 
 def test_report_from_dict_fills_the_optional_check_keys():
-    data = _edited_saved(("checks", 0, "expected_fail"), delete=True)
-    del data["checks"][0]["error"]
+    data = _edited_saved(("checks", 0, "error"), delete=True)
     data["checks"][1]["error"] = "kept"
     first, second = RunReport.from_dict(data).checks
-    assert (first.expected_fail, first.error) == (False, None)
-    assert (second.expected_fail, second.error) == (SAVED["checks"][1]["expected_fail"], "kept")
+    assert (first.error, second.error) == (None, "kept")
+
+
+def test_report_rejects_a_saved_expected_failure(tmp_path, capsys):
+    saved = tmp_path / "old.json"
+    saved.write_text(json.dumps(_edited_saved(("checks", 1, "expected_fail"), True)))
+    assert main(["report", str(saved)]) == 2
+    assert capsys.readouterr().err == "error: saved report: check 1 is an expected failure, which the schema no longer has\n"
+
+
+@pytest.mark.parametrize("old_keys", [{"expected_fail": False}, {"passed": True}, {"passed": False}],
+                         ids=["not-expected-to-fail", "passed", "not-passed"])
+def test_report_loads_old_keys_it_does_not_read(old_keys):
+    data = json.loads(json.dumps(SAVED))
+    for check in data["checks"]:
+        check.update(old_keys)
+    assert RunReport.from_dict(data).to_dict() == SAVED
 
 
 @given(
@@ -980,8 +1065,8 @@ def test_action_checks_keep_the_per_point_order(kind, dim):
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_maxwell_current_checks_keep_the_per_point_order(dim):
     from confsym import sampling
-    from confsym.geometry import special_conformal
-    from confsym.noether import MaxwellModel, action_variation_identity, current_divergence_identity
+    from confsym.geometry import _inner, special_conformal
+    from confsym.noether import MaxwellModel, action_variation_identity, current_divergence_identity, field_virial
 
     spec, metric, got, rng = _order_case("maxwell", dim, "action-assumed-primary")
     A = sampling.random_offshell_potential(rng, metric)
@@ -992,10 +1077,14 @@ def test_maxwell_current_checks_keep_the_per_point_order(dim):
     for name in ("conformal-current-identity", "conformal-current-naive"):
         spec, metric, got, rng = _order_case("maxwell", dim, name)
         A = suites._onshell_potential(spec, metric, rng)
-        # all points first, then one parameter per point
-        sides = [current_divergence_identity(special_conformal(rng.normal(0.0, 0.4, dim)), A, x, metric)
-                 for x in sampling.points(rng, dim, 10)]
-        expected = [abs(lhs - rhs) if name.endswith("identity") else abs(lhs) for lhs, rhs in sides]
+        pts = sampling.points(rng, dim, 10)
+        expected = []
+        for x in pts:  # all points first, then one parameter per point
+            gen = special_conformal(rng.normal(0.0, 0.4, dim))
+            lhs, rhs = current_divergence_identity(gen, A, x, metric)
+            if name.endswith("naive"):
+                rhs = 2.0 * _inner(metric.lower(gen.c), field_virial(MaxwellModel(dim), A, x, metric).value)
+            expected.append(abs(lhs - rhs))
         assert got.tolist() == expected and len(got) == 10
 
 
@@ -1304,6 +1393,19 @@ def _key_tree(value):
     if isinstance(value, list) and value:
         return [_key_tree(value[0])]
     return None
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_every_golden_check_has_one_verdict_and_the_written_keys(path):
+    # README's example has these keys too: test_readme_schema_has_the_keys_a_report_writes
+    written = RunReport.from_dict(SAVED).to_dict()
+    data = json.loads(path.read_text())
+    for report in data.get("scans", [data]):
+        assert report.keys() == written.keys()
+        for check in report["checks"]:
+            assert check.keys() == written["checks"][0].keys()
+            assert check["ok"] == (check["error"] is None and check["max_residual"] <= check["tolerance"])
+        assert report["overall_ok"] == all(check["ok"] for check in report["checks"])
 
 
 def test_readme_schema_lists_a_reports_keys_in_rendered_order():

@@ -14,6 +14,7 @@ from confsym.fields import (
 )
 from confsym.geometry import (
     Metric,
+    _sum_left_to_right,
     basis_generators,
     dilation,
     killing_gradient,
@@ -51,7 +52,6 @@ from confsym.noether import (
     scalar_stress_divergence,
     scale_current_maxwell,
     scale_current_maxwell_divergence,
-    _sum_left_to_right,
 )
 from confsym.transforms import (
     commutator_stack,
@@ -452,19 +452,20 @@ class TestActionVariationIdentities:
                 assert abs(action_variation_identity("scale", model, phi, x, g)) < 1e-10
 
     def test_general_scalar_conformal_obstruction(self, metric4, rng):
-        # linear profile passes; the quadratic profile fails strictly
+        # the identity holds for both profiles; the quadratic profile's
+        # obstruction is its virial, which is no divergence
         phi = GaussianMultiplet(4, [1.3], rng.normal(0, 0.2, 4), 0.08 * np.eye(4))
         lin = linear_scalar_model(4, -0.4, 0.5)
         quad = quadratic_scalar_model(4)
-        worst_quad = 0.0
+        worst_virial = 0.0
         for x in sampling.points(rng, 4, 6):
             for s in range(4):
                 assert abs(action_variation_identity("conformal", lin, phi, x, metric4, s)) < 1e-10
-                worst_quad = max(
-                    worst_quad,
-                    abs(action_variation_identity("conformal", quad, phi, x, metric4, s)),
-                )
-        assert worst_quad > 1e-6
+                assert abs(action_variation_identity("conformal", quad, phi, x, metric4, s)) < 1e-10
+            info = field_virial(quad, phi, x, metric4)
+            assert not info.is_total_divergence
+            worst_virial = max(worst_virial, np.max(abs(info.value)))
+        assert worst_virial > 1e-6
 
     def test_unknown_kind_rejected(self, metric4, rng):
         with pytest.raises(ValueError):
@@ -514,18 +515,19 @@ class TestCheckReport:
     def test_pass_iff_within_tolerance(self):
         good = CheckReport("demo", 4, 10, 1e-13, 1e-12, 42)
         bad = CheckReport("demo", 4, 10, 1e-11, 1e-12, 42)
-        assert good.passed and good.ok
-        assert not bad.passed and not bad.ok
+        assert good.ok and good.to_dict()["ok"] is True
+        assert not bad.ok and bad.to_dict()["ok"] is False
 
-    def test_expected_fail_inverts_ok(self):
-        xfail = CheckReport("demo", 5, 10, 1.0, 1e-12, 42, expected_fail=True)
-        surprise = CheckReport("demo", 5, 10, 0.0, 1e-12, 42, expected_fail=True)
-        assert not xfail.passed and xfail.ok
-        assert surprise.passed and not surprise.ok
+    def test_a_failure_is_never_expected(self):
+        with pytest.raises(TypeError):
+            CheckReport("demo", 5, 10, 1.0, 1e-12, 42, expected_fail=True)
+        report = CheckReport("demo", 5, 10, 1.0, 1e-12, 42)
+        assert not report.ok and not hasattr(report, "passed")
+        assert set(report.to_dict()) == {"name", "dim", "samples", "max_residual", "tolerance", "seed", "error", "ok"}
 
     def test_error_marks_failure(self):
         broken = CheckReport("demo", 4, 0, 0.0, 1e-12, 42, error="boom")
-        assert not broken.passed and not broken.ok
+        assert not broken.ok
         assert broken.to_dict()["error"] == "boom"
 
 

@@ -47,7 +47,7 @@ RECORDS = {
                  ("potential", None, _profile)],
     CheckReport: [("name", REQUIRED, "demo"), ("dim", REQUIRED, 4), ("samples", REQUIRED, 10),
                   ("max_residual", REQUIRED, 1e-13), ("tolerance", REQUIRED, 1e-12), ("seed", REQUIRED, 42),
-                  ("expected_fail", False, True), ("error", None, "boom"), ("wall_ms", None, 1.5)],
+                  ("error", None, "boom"), ("wall_ms", None, 1.5)],
     RunReport: [("version", REQUIRED, "0.1.0"), ("spec_echo", REQUIRED, {"kind": "maxwell"}),
                 ("checks", REQUIRED, []), ("seed", REQUIRED, 42), ("wall_time", None, 0.5)],
 }
