@@ -89,7 +89,7 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
             status = "ERROR" if check.error is not None else "PASS" if check.ok else "FAIL"
             detail = check.error if check.error is not None else f"max {check.max_residual:.3e}  tol {check.tolerance:.1e}"
             timing = "" if check.wall_ms is None else f", {check.wall_ms:.1f} ms"
-            lines.append(f"  {status:<15} {check.name:<32} {detail}  (n={check.samples}{timing})")
+            lines.append(f"  {status:<5} {check.name:<32} {detail}  (n={check.samples}{timing})")
         n_ok = sum(1 for c in report.checks if c.ok)
         wall = "" if report.wall_time is None else f"  wall: {report.wall_time:.2f}s"
         lines.append(f"checks: {len(report.checks)}  ok: {n_ok}  not ok: {len(report.checks) - n_ok}{wall}")

@@ -224,6 +224,25 @@ class GaussianMultiplet:
 # ---------------------------------------------------------------------------
 
 
+class ConstantFieldShift:
+    """base_a + M_{ab} x^b: ``base``'s field strength plus the constant
+    M^T - M, on shell when ``base`` is; ``base`` is read through its jet."""
+
+    def __init__(self, base, matrix):
+        self.dim = base.dim
+        self.base = base
+        self.matrix = np.asarray(matrix, dtype=float)
+
+    def value(self, x):
+        return as_jet(self.base, x).value + _mv(self.matrix, x)
+
+    def grad(self, x):
+        return as_jet(self.base, x).grad + self.matrix
+
+    def hess(self, x):
+        return as_jet(self.base, x).hess
+
+
 class ShiftedPotential:
     """Gauge-shifted potential A_alpha + d_alpha Omega, with Omega component 0
     of the ``gauge`` multiplet.  ``base`` and ``gauge`` are fixtures or their

@@ -18,7 +18,9 @@ values outside its range.
 A :class:`MechState` is one state or a stack of them, and the charges and
 variations follow the sample-axis contract of :mod:`confsym.geometry`: one
 result per state of a stack, each with its single-state bits, and a single
-state is a stack with no sample axis.
+state is a stack with no sample axis.  :func:`charges` is the one kernel of
+the SO(2,1) charges H, D and K; the trajectory's series and the bracket
+table read it, and a trajectory row has the bits of its state alone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import struct
 import numpy as np
 
 from .errors import SingularApproach, SingularConfiguration
-from .geometry import _ReadOnly, _inner, _lift, _mm, _reject
+from .geometry import _ReadOnly, _lift, _mm, _reject
 
 MIN_RADIUS = 1e-6
 MAX_STEPS = 10**7  # longest trajectory; its rows are held in memory
@@ -76,21 +78,23 @@ def initial_state(mech: dict, n: int) -> MechState:
     return MechState.make(0.0, 1.2 * np.ones(n), 0.3 * (-1.0) ** np.arange(n))
 
 
-def _q2(q, coupling):
-    """q.q, one value per state of a stack; raises for the first coupled
-    state at q = 0."""
-    r2 = _inner(q, q)
-    if coupling > 0.0:
-        _reject(r2 == 0.0, r2, SingularConfiguration, "q = 0 sits on the potential singularity")
-    return r2
+def _dot(a, b):
+    """a . b over the last axis, one value per state of a stack."""
+    return np.einsum("...n,...n->...", a, b)
 
 
-def hamiltonian(state: MechState, params: MechParams):
-    """H = p.p / 2 + coupling / q.q."""
-    h = 0.5 * _inner(state.p, state.p)
-    if params.coupling:
-        h += params.coupling / _q2(state.q, params.coupling)
-    return h
+def charges(state: MechState, params: MechParams):
+    """(H, D, K) at ``state.t``, one value per state: H = p.p / 2 + coupling / q.q,
+    D = t H - q.p / 2 and K = t^2 H - t q.p + q.q / 2.  A coupled state at
+    q = 0 raises, the first of a stack."""
+    t, q, p, lam = state.t, state.q, state.p, params.coupling
+    q2 = _dot(q, q)
+    h = 0.5 * _dot(p, p)
+    if lam:
+        _reject(q2 == 0.0, q2, SingularConfiguration, "q = 0 sits on the potential singularity")
+        h = h + lam / q2
+    qp = _dot(q, p)
+    return h, t * h - 0.5 * qp, t**2 * h - t * qp + 0.5 * q2
 
 
 def delta_scale_q(state: MechState) -> np.ndarray:
@@ -104,39 +108,23 @@ def delta_conformal_q(state: MechState) -> np.ndarray:
 
 
 def so21_bracket_residuals(state: MechState, params: MechParams) -> np.ndarray:
-    """Deviation of the Poisson brackets of (H, D0, K0) from the hand-derived
-    table {D0, H} = -H, {K0, H} = -2 D0, {D0, K0} = K0, with
-    D0 = -q.p / 2 and K0 = q.q / 2 the charges at t = 0 (``state.t`` is not
-    read): shape (3,), or (N, 3) for a stack.
+    """Deviation of the Poisson brackets of (H, D0, K0), the :func:`charges`
+    of (q, p) at t = 0 (``state.t`` is not read), from the hand-derived
+    table {D0, H} = -H, {K0, H} = -2 D0, {D0, K0} = K0: shape (3,), or
+    (N, 3) for a stack.  The gradients are written by hand from H and the
+    t = 0 forms D0 = -q.p / 2 and K0 = q.q / 2.
     """
     q, p, lam = state.q, state.p, params.coupling
-    h = hamiltonian(state, params)
-    d0 = -0.5 * _inner(q, p)
-    k0 = 0.5 * _inner(q, q)
+    h, d0, k0 = charges(MechState(np.zeros(q.shape[:-1]), q, p), params)
+    # each charge's (d/dq, d/dp)
+    grad_h = (-2.0 * lam * q / _lift(np.float_power(_dot(q, q), 2)) if lam else np.zeros_like(q), p)
+    grad_d0 = (-0.5 * p, -0.5 * q)
+    grad_k0 = (q, np.zeros_like(q))
 
-    if lam:
-        r2 = _q2(q, lam)
-        grad_q_h = -2.0 * lam * q / _lift(np.float_power(r2, 2))
-    else:
-        grad_q_h = np.zeros_like(q)
-    grad_p_h = p
-    grad_q_d0 = -0.5 * p
-    grad_p_d0 = -0.5 * q
-    grad_q_k0 = q
-    grad_p_k0 = np.zeros_like(q)
+    def pb(a, b):
+        return _dot(a[0], b[1]) - _dot(a[1], b[0])
 
-    def pb(aq, ap, bq, bp):
-        return _inner(aq, bp) - _inner(ap, bq)
-
-    res = np.stack(
-        [
-            pb(grad_q_d0, grad_p_d0, grad_q_h, grad_p_h) + h,
-            pb(grad_q_k0, grad_p_k0, grad_q_h, grad_p_h) + 2.0 * d0,
-            pb(grad_q_d0, grad_p_d0, grad_q_k0, grad_p_k0) - k0,
-        ],
-        axis=-1,
-    )
-    return np.abs(res)
+    return np.abs(np.stack([pb(grad_d0, grad_h) + h, pb(grad_k0, grad_h) + 2.0 * d0, pb(grad_d0, grad_k0) - k0], -1))
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +272,14 @@ class Trajectory(_ReadOnly):
         self._bind(times=times, q=q, p=p, params=params)
 
     def charge_series(self) -> np.ndarray:
-        """(n_samples, 3) read-only array of (H, D, K) along the trajectory,
-        computed on first use, so the drift and the dump share it."""
+        """(n_samples, 3) read-only array of the :func:`charges` (H, D, K)
+        along the trajectory, computed on first use, so the drift and the
+        dump share it."""
         return self._charges
 
     @functools.cached_property
     def _charges(self) -> np.ndarray:
-        t = self.times
-        lam = self.params.coupling
-        q2 = np.einsum("in,in->i", self.q, self.q)
-        h = 0.5 * np.einsum("in,in->i", self.p, self.p)
-        if lam:
-            h = h + lam / q2
-        qp = np.einsum("in,in->i", self.q, self.p)
-        d = t * h - 0.5 * qp
-        k = t**2 * h - t * qp + 0.5 * q2
-        series = np.stack([h, d, k], axis=1)
+        series = np.stack(charges(MechState(self.times, self.q, self.p), self.params), axis=1)
         series.flags.writeable = False
         return series
 

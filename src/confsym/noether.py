@@ -3,8 +3,8 @@
 Each scalar model owns its formulas: ``density(value, grad, metric)`` is L,
 ``conjugates(value, grad, metric)`` is (dL/dPhi_i, shape (N,); Pi^{im} =
 dL/d(d_m Phi_i), index up, shape (N, D)), ``kinetic_coefficient`` is L'(0)
-and ``linear_part`` is (L0, L1) when L is linear in the kinetic ratio z (the
-multiplet is -coupling + z/2, the dual scalar -z/2), else None.
+and ``linear`` is True when L is linear in the kinetic ratio z (the
+multiplet, -coupling + z/2, the dual scalar, -z/2, and a linear profile).
 
 Index conventions follow the rest of the package: stress tensors are stored
 with both indices up, ``theta[m, n] = theta^{mn}``, and their analytic
@@ -28,6 +28,9 @@ potential and the gauge function through their jets).  A Maxwell potential
 is the D-component multiplet of its lower components; what sets it apart
 from a scalar multiplet is the ``vector`` spin tag of the generators that
 vary it (:func:`~confsym.transforms.delta_with_gradient`).
+
+:func:`bessel_hagen_divergence` is the one divergence of each stress-tensor
+current, the improved Maxwell scale current theta.x + V (the dilation's) too.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ class MultipletModel(_ReadOnly):
     """
 
     kinetic_coefficient = 0.5
+    linear = True
 
     def __init__(self, dim: int, n_comp: int, coupling: float = 0.0):
         if dim < 3:
@@ -88,10 +92,6 @@ class MultipletModel(_ReadOnly):
     @property
     def power(self) -> float:
         return self.dim / (self.dim - 2.0)
-
-    @property
-    def linear_part(self) -> tuple:
-        return (-self.coupling, 0.5)
 
     def potential(self, s):
         """The power potential at s = Phi.Phi."""
@@ -111,18 +111,18 @@ class GeneralScalarModel(_ReadOnly):
     """Single scalar with density L(z) phi^p, z = (dphi.dphi) / phi^p.
 
     Scale invariant for every profile L; conformally invariant only when L is
-    linear.  ``linear_part`` carries (L0, L1) when the profile is known to be
-    linear, which also fixes the closed-form virial potential.  The density
+    linear.  ``linear`` is True when the profile is known to be linear,
+    which gives the virial its closed-form potential.  The density
     is defined where phi^p is real and nonzero: phi > 0, or phi != 0 when p
     is an integer; elsewhere ``density`` and ``conjugates`` raise
     :class:`~confsym.errors.FieldDomainError`.
     """
 
     def __init__(self, dim: int, profile: Callable[[float], float], profile_prime: Callable[[float], float],
-                 linear_part: Optional[tuple] = None):
+                 linear: bool = False):
         if dim < 3:
             raise UnsupportedDimension("the scale-invariant power needs D >= 3")
-        self._bind(dim=dim, profile=profile, profile_prime=profile_prime, linear_part=linear_part)
+        self._bind(dim=dim, profile=profile, profile_prime=profile_prime, linear=linear)
 
     @property
     def power(self) -> float:
@@ -156,9 +156,7 @@ class GeneralScalarModel(_ReadOnly):
 
 
 def linear_scalar_model(dim: int, l0: float, l1: float) -> GeneralScalarModel:
-    return GeneralScalarModel(
-        dim, lambda z: l0 + l1 * z, lambda z: l1, linear_part=(float(l0), float(l1))
-    )
+    return GeneralScalarModel(dim, lambda z: l0 + l1 * z, lambda z: l1, linear=True)
 
 
 def quadratic_scalar_model(dim: int) -> GeneralScalarModel:
@@ -174,7 +172,7 @@ class DualScalarModel(_ReadOnly):
     """
 
     kinetic_coefficient = -0.5
-    linear_part = (0.0, -0.5)
+    linear = True
 
     def __init__(self, dim: int = 3):
         if dim != 3:
@@ -401,7 +399,7 @@ def field_virial(model, fields, x, metric: Metric) -> VirialInfo:
         return VirialInfo(value, False)
     _, mom = model.conjugates(jet.value, jet.grad, metric)  # mom carries an upper index
     v = d * np.einsum("...i,...im->...m", jet.value, mom)
-    if model.linear_part is None:
+    if not model.linear:
         return VirialInfo(v, False)
     coeff = d * model.kinetic_coefficient
 
@@ -432,28 +430,19 @@ def maxwell_virial_first_principles(A, x, metric: Metric):
 
 
 def scale_current_maxwell(A, x, metric: Metric) -> np.ndarray:
-    """J^m = theta^m_a x^a + (4 - D)/2 F^{ma} A_a (the improved form)."""
+    """J^m = theta^m_a x^a + V^m, V the :func:`field_virial`: the improved
+    scale current, the dilation's Killing current, whose divergence
+    :func:`bessel_hagen_divergence` gives."""
     x = metric._check(x)
     jet = as_jet(A, x)
     theta = maxwell_stress(jet, x, metric)
-    return _mv(theta, metric.lower(x)) + 0.5 * (4.0 - metric.dim) * _mv(
-        _raise2(jet.F, metric), jet.value
-    )
-
-
-def scale_current_maxwell_divergence(A, x, metric: Metric):
-    """d_m J^m for the improved scale current; zero on shell in every D."""
-    x = metric._check(x)
-    jet = as_jet(A, x)
-    theta_div = maxwell_stress_divergence(jet, x, metric)
-    out = _inner(theta_div, metric.lower(x)) + maxwell_stress_trace(jet, x, metric)
-    return out + 0.5 * (4.0 - metric.dim) * _div_f_times(jet, jet.value, jet.grad, metric)
+    return _mv(theta, metric.lower(x)) + field_virial(MaxwellModel(metric.dim), jet, x, metric).value
 
 
 def noether_scale_current_maxwell_divergence(A, x, metric: Metric):
     """Divergence of the raw Noether scale current, momentum times the
     dilation variation minus x^m times the density, before the trivially
-    conserved piece is dropped; equals the improved one identically."""
+    conserved piece is dropped; equals the improved one on shell."""
     x = metric._check(x)
     gen = dilation(1.0, metric.dim, spin="vector")
     jet = as_jet(A, x)
@@ -479,7 +468,8 @@ def bessel_hagen_divergence(gen: GeneratorAction, model, fields, x, metric: Metr
     """d_m J^m of the current built from the stress tensor and a conformal
     Killing vector f, all derivatives analytic.
 
-    Maxwell: J^m = theta^{ma} f_a + (4 - D)/(2D) (d.f) F^{mb} A_b.
+    Maxwell: J^m = theta^{ma} f_a + (d.f / D) V^m, V the field virial
+    (4 - D)/2 F^{mb} A_b; the dilation's is :func:`scale_current_maxwell`.
     Multiplet and dual scalar: J^m = theta_improved^{mn} f_n.  The general
     scalar's stress tensor is not that tensor, so it raises TypeError.
     """

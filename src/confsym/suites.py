@@ -41,6 +41,7 @@ from .clifford import (
 )
 from .errors import ConfsymError
 from .fields import (
+    ConstantFieldShift,
     CosineMultiplet,
     GaussianMultiplet,
     Jet,
@@ -103,7 +104,6 @@ from .noether import (
     offshell_trace_law,
     quadratic_scalar_model,
     scalar_stress_divergence,
-    scale_current_maxwell_divergence,
     _f_squared,
 )
 from .transforms import (
@@ -506,6 +506,11 @@ def _chk_action_conformal(spec, metric, rng):
 NO_DIVERGENCE_FLOOR = 1e-3
 
 
+def _gauge_function(metric, rng):
+    """A gauge function Omega: a cosine wave on a drawn wave vector."""
+    return CosineMultiplet(rng.normal(0.0, 0.5, metric.dim), [0.8], 0.3, metric)
+
+
 def _virial_witness(model, jet, virial, metric, rng):
     """Per sample, a relative measure that is 0 when the virial is a
     divergence d_n sigma^{nm}.  Maxwell: how far V moves under A -> A + d
@@ -513,7 +518,7 @@ def _virial_witness(model, jet, virial, metric, rng):
     Scalars: how far V(Phi, 2 dPhi) departs from 2 V(Phi, dPhi), relative to
     the latter, which no sigma(Phi) allows."""
     if isinstance(model, MaxwellModel):
-        omega = Jet(CosineMultiplet(rng.normal(0.0, 0.5, metric.dim), [0.8], 0.3, metric), jet.x)
+        omega = Jet(_gauge_function(metric, rng), jet.x)
         moved = field_virial(model, ShiftedPotential(jet, omega), jet.x, metric).value - virial
         return _max_abs(moved, 1) / (_max_abs(jet.F, 2) * _max_abs(omega.grad, 2))
     # field_virial reads Phi and dPhi only: this jet holds the doubled gradient
@@ -554,19 +559,26 @@ def _chk_stress_cons(spec, metric, rng):
     return _max_abs(maxwell_stress_divergence(A, pts, metric), 1)
 
 
-@_register("scale-current-conservation", ("maxwell",), "identity", "improved scale current is conserved on shell in every D")
-def _chk_scale_current(spec, metric, rng):
+def _scale_current_case(spec, metric, rng):
+    """The on-shell potential plus a constant field, whose F^2 a null wave
+    lacks, on drawn points: its jet and the divergence of the dilation's
+    Killing current theta^m_a x^a + V^m there."""
     A = _onshell_potential(spec, metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
-    return abs(scale_current_maxwell_divergence(A, pts, metric))
+    jet = Jet(ConstantFieldShift(A, rng.normal(0.0, 0.5, (metric.dim, metric.dim))), pts)
+    scale = dilation(1.0, metric.dim, spin="vector")
+    return jet, bessel_hagen_divergence(scale, MaxwellModel(metric.dim), jet, pts, metric)
+
+
+@_register("scale-current-conservation", ("maxwell",), "identity", "improved scale current is conserved on shell in every D")
+def _chk_scale_current(spec, metric, rng):
+    return abs(_scale_current_case(spec, metric, rng)[1])
 
 
 @_register("current-construction-equivalence", ("maxwell",), "identity", "raw and improved scale currents share one divergence")
 def _chk_current_equiv(spec, metric, rng):
-    A = _onshell_potential(spec, metric, rng)
-    jet = Jet(A, sampling.points(rng, metric.dim, 10))
-    raw = noether_scale_current_maxwell_divergence(jet, jet.x, metric)
-    return abs(raw - scale_current_maxwell_divergence(jet, jet.x, metric))
+    jet, improved = _scale_current_case(spec, metric, rng)
+    return abs(noether_scale_current_maxwell_divergence(jet, jet.x, metric) - improved)
 
 
 def _conformal_current_case(spec, metric, rng):
@@ -611,22 +623,16 @@ def _chk_assumed_primary(spec, metric, rng):
     return _per_sigma("conformal-assumed-primary", MaxwellModel(metric.dim), A, pts, metric)
 
 
-def _gauge_fixture(spec, metric, rng):
-    A = _onshell_potential(spec, metric, rng)
-    omega = CosineMultiplet(rng.normal(0.0, 0.5, metric.dim), [0.8], 0.3, metric)
-    return A, omega
-
-
 @_register("gauge-shift-pointwise", ("maxwell",), "identity", "gauge change shifts the scale current by the predicted divergence")
 def _chk_gauge_shift(spec, metric, rng):
-    A, omega = _gauge_fixture(spec, metric, rng)
+    A, omega = _onshell_potential(spec, metric, rng), _gauge_function(metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
     return _sample_gap(*gauge_shift_scale_current(A, omega, pts, metric))
 
 
 @_register("gauge-shift-conserved", ("maxwell",), "identity", "the gauge-induced current shift is trivially conserved on shell")
 def _chk_gauge_shift_div(spec, metric, rng):
-    A, omega = _gauge_fixture(spec, metric, rng)
+    A, omega = _onshell_potential(spec, metric, rng), _gauge_function(metric, rng)
     pts = sampling.points(rng, metric.dim, 10)
     return abs(gauge_shift_divergence(A, omega, pts, metric))
 

@@ -125,18 +125,24 @@ def test_d5_maxwell_passes_every_check(tmp_path):
 # -- faults in the virial that the conformal checks must see -----------------
 
 
+def _audit(spec_stem):
+    """The checks of a shipped spec's audit, by name."""
+    from confsym.modelspec import parse_spec
+
+    report = run_suite(parse_spec((SPEC_DIR / f"{spec_stem}.spec").read_text()))
+    return {check.name: check for check in report.checks}
+
+
 def _audit_with_virial(monkeypatch, spec_stem, edit):
     """The audit of a shipped spec, with every field_virial result of a
     model passed through ``edit(model, info)``."""
     from confsym import noether
-    from confsym.modelspec import parse_spec
 
     original = noether.field_virial
     faulty = lambda model, fields, x, metric: edit(model, original(model, fields, x, metric))
     monkeypatch.setattr(noether, "field_virial", faulty)
     monkeypatch.setattr(suites, "field_virial", faulty)
-    report = run_suite(parse_spec((SPEC_DIR / f"{spec_stem}.spec").read_text()))
-    return {check.name: check for check in report.checks}
+    return _audit(spec_stem)
 
 
 def _scaled(kind, factor):
@@ -164,6 +170,34 @@ def test_a_scaled_maxwell_virial_fails_the_conformal_current(monkeypatch, dim):
 
     checks = _audit_with_virial(monkeypatch, f"maxwell_d{dim}", _scaled(MaxwellModel, 1.0 + 1e-6))
     assert not checks["conformal-current-naive"].ok
+
+
+@pytest.mark.parametrize("dim", [3, 5, 6])
+def test_a_scaled_maxwell_virial_current_fails_the_scale_current(monkeypatch, dim):
+    # the Maxwell branch's virial term of bessel_hagen_divergence,
+    # (4 - D)/(2D) (d(d.f) . F A + d.f d(F A)), is linear in d.f and its
+    # gradient: scaling both scales the term, which is 0 at D = 4
+    from confsym import noether
+
+    for name in ("killing_divergence", "killing_divergence_gradient"):
+        original = getattr(noether, name)
+        monkeypatch.setattr(noether, name, lambda *args, original=original: original(*args) * (1.0 + 1e-6))
+    checks = _audit(f"maxwell_d{dim}")
+    assert not checks["scale-current-conservation"].ok
+    assert not checks["current-construction-equivalence"].ok
+
+
+@pytest.mark.parametrize("charge", [0, 1, 2], ids=["H", "D", "K"])
+def test_a_scaled_charge_fails_the_bracket_table(monkeypatch, charge):
+    original = mechanics.charges
+
+    def faulty(state, params):
+        values = list(original(state, params))
+        values[charge] = values[charge] * (1.0 + 1e-6)
+        return tuple(values)
+
+    monkeypatch.setattr(mechanics, "charges", faulty)
+    assert not _audit("mechanics")["mech-so21"].ok
 
 
 @pytest.mark.parametrize("stem", ["general_scalar_quadratic_d4", "general_scalar_quadratic_d6"])
@@ -329,8 +363,9 @@ def _mech_sweep_specs():
 # sha256 over the exit status and output of `audit --format json` and of
 # `mech-sim --out` for each spec of _mech_sweep_specs, as written before the
 # RK4 kernel stepped in blocks and the mechanics checks took stacked states,
-# in the report schema that gives each check one verdict
-MECH_SWEEP_SHA256 = "d2cec637fdb8738661e978e239e234b79f4985a694d62ea2e2356d28518179c4"
+# in the report schema that gives each check one verdict, with mech-so21
+# reading the charges' einsum dot products
+MECH_SWEEP_SHA256 = "56c6772fbc0ac7b0a5ebd753f829e5539daf0802b230bf02b9147ff5fd9ffeb1"
 
 
 def test_mechanics_sweep_is_pinned(tmp_path):
@@ -355,8 +390,10 @@ def _specgen():
 
 # sha256 over the exit status and `--out` bytes of `audit --format json` for
 # each spec of specgen.field_specs at seeds 1-40 and each spec of specs/, then
-# of `algebra --dim N --format json` for N = 2..6
-AUDIT_SWEEP_SHA256 = "e01fbf6a7441aeed6daa5648baadad62143a0ba7da2aabe4ab7fc8b3cd9e1354"
+# of `algebra --dim N --format json` for N = 2..6, as written once the two
+# Maxwell scale-current checks took the dilation's Killing current on the
+# on-shell potential plus a constant field
+AUDIT_SWEEP_SHA256 = "8d146a2f54c1ed09ec9ccb45833ecee27cfede00fd663583e146416e5cf83a85"
 
 
 def test_audit_sweep_is_pinned(tmp_path):
@@ -619,15 +656,16 @@ def test_command_json_matches_golden_file(name, tmp_path):
 # sha256 of the output of commands whose bytes no golden file holds, as
 # written when the saved-report reader still lived in the cli module, but
 # for the footer of a saved report's text, which leaves out the wall time
-# it does not know, and for the one-verdict report schema; a live run's wall
-# times are masked
+# it does not know, for the one-verdict report schema, for the 5-wide status
+# column and for the scale-current rows of maxwell_d4.json; a live run's
+# wall times are masked
 PINNED_OUTPUT = {
     "report-text": (["report", str(GOLDEN_DIR / "maxwell_d4.json"), "--format", "text"],
-                    "9665bce0a04c19088c384bd1f43329e794836c5dc2e062d5bcf80365658096b7"),
+                    "9255c5a7551a09d275bbcc79dbbfa377fe41ec74d7d4ba74c09427b775d53d24"),
     "report-json": (["report", str(GOLDEN_DIR / "maxwell_d4.json"), "--format", "json"],
-                    "ceb16dccbb7c8e4bfc8dcedb2e020b4de0bdf254ee211223c90e1c445e384c45"),
+                    "5fbcaaec0ec9d190fe5c474b73298a8b8b1e54c3a2d7c1b71c8e2b07dd7f1702"),
     "scan-dims-text": (["scan-dims", "--kind", "maxwell", "--dims", "3..4", "--format", "text"],
-                       "80d97a7a5145342bddd48c08925d64b59f706e65a7566c10883c756836d8e2ce"),
+                       "9619ab00fb0f75c2ff945572258be73489513316a735d94a0a9efc1675f0a398"),
 }
 
 

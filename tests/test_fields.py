@@ -4,6 +4,7 @@ import pytest
 
 from confsym.errors import OffShellParameters
 from confsym.fields import (
+    ConstantFieldShift,
     CosineMultiplet,
     GaussianMultiplet,
     Jet,
@@ -360,6 +361,18 @@ class TestGaugeFunctions:
             fs1 = Jet(shifted, x)
             npt.assert_allclose(fs1.F, fs0.F, atol=1e-14)
 
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    def test_constant_field_shift_adds_a_constant_field_strength(self, dim, rng):
+        g = Metric(dim)
+        A = sampling.random_onshell_potential(rng, g)
+        matrix = rng.normal(size=(dim, dim))
+        shifted = ConstantFieldShift(A, matrix)
+        xs = sampling.points(rng, dim, 5)
+        base, jet = Jet(A, xs), Jet(shifted, xs)
+        npt.assert_allclose(jet.F, base.F + matrix.T - matrix, rtol=0.0, atol=1e-14)
+        assert np.array_equal(jet.dF, base.dF)  # on shell whenever the base is
+        npt.assert_allclose(shifted.grad(xs), fd_gradient(shifted.value, xs, 1e-5), atol=1e-8)
+
 
 class TestDerivativeContract:
     def test_every_family_agrees_with_fd(self, metric, rng):
@@ -397,12 +410,14 @@ class TestSampleAxis:
         xs = sampling.points(rng, dim, n)
         shifted = ShiftedPotential(potential, gauge)
         spinor = sampling.random_spinor(rng, g, 4)
+        constant = ConstantFieldShift(potential, rng.normal(size=(dim, dim)))
         evaluators = [
             getattr(field, method)
             for field in (multiplet, potential, gauge)
             for method in ("value", "grad", "hess", "third")
         ]
         evaluators += [shifted.value, shifted.grad, shifted.hess, spinor.value, spinor.grad]
+        evaluators += [constant.value, constant.grad, constant.hess]
         for fn in evaluators:
             same_bits(fn(xs), [fn(x) for x in xs])
         assert spinor.value(xs).dtype == spinor.grad(xs).dtype == complex

@@ -17,10 +17,10 @@ from confsym.mechanics import (
     MechParams,
     MechState,
     Trajectory,
+    charges,
     delta_conformal_q,
     delta_scale_q,
     dump_trajectory,
-    hamiltonian,
     initial_state,
     integrate,
     so21_bracket_residuals,
@@ -32,20 +32,20 @@ from confsym import mechanics, sampling
 class TestHamiltonian:
     def test_free_particle(self):
         state = MechState.make(0.0, [7.0, -3.0], [1.0, 0.0])
-        assert hamiltonian(state, MechParams(2, 0.0)) == 0.5
+        assert charges(state, MechParams(2, 0.0))[0] == 0.5
 
     def test_unit_coupling_at_unit_radius(self):
         state = MechState.make(0.0, [1.0, 0.0], [0.0, 0.0])
-        assert hamiltonian(state, MechParams(2, 1.0)) == 1.0
+        assert charges(state, MechParams(2, 1.0))[0] == 1.0
 
     def test_mixed_state_arithmetic_oracle(self):
         # 0.5 * 2 + 2 / 2 = 2
         state = MechState.make(0.0, [1.0, 1.0], [1.0, -1.0])
-        assert hamiltonian(state, MechParams(2, 2.0)) == 2.0
+        assert charges(state, MechParams(2, 2.0))[0] == 2.0
 
     def test_singular_configuration(self):
         with pytest.raises(SingularConfiguration):
-            hamiltonian(MechState.make(0.0, [0.0], [1.0]), MechParams(1, 1.0))
+            charges(MechState.make(0.0, [0.0], [1.0]), MechParams(1, 1.0))
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
@@ -118,6 +118,13 @@ class TestCharges:
             want = np.max(np.abs(series - series[0]), axis=0)
             got = traj.charge_drift()
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_each_row_has_its_single_state_charges(self, n):
+        params = MechParams(n, 0.7)
+        traj = integrate(MechState.make(0.0, 1.2 - 0.1 * np.arange(n), 0.3 * (-1.0) ** np.arange(n)), params, 4.0, 0.01)
+        rows = [np.array(charges(MechState.make(*row), params)) for row in zip(traj.times, traj.q, traj.p)]
+        assert np.array(rows).tobytes() == traj.charge_series().tobytes()
 
     def test_charges_are_computed_once(self):
         traj = integrate(MechState.make(0.0, [1.0, 0.5], [0.2, -0.1]), MechParams(2, 0.5), 1.0, 0.01)
@@ -500,7 +507,7 @@ class TestStackedStates:
         t, q, p = _stack(np.random.default_rng([n, int(10 * lam)]), n)
         stack = MechState.make(t, q, p)
         singles = [MechState.make(*row) for row in zip(t, q, p)]
-        for fn in (lambda s: hamiltonian(s, params), lambda s: mechanics._q2(s.q, lam), delta_scale_q,
+        for fn in (lambda s: np.stack(charges(s, params), -1), delta_scale_q,
                    delta_conformal_q, lambda s: so21_bracket_residuals(s, params)):
             got = fn(stack)
             assert len(got) == len(singles)
@@ -508,13 +515,14 @@ class TestStackedStates:
 
     @pytest.mark.parametrize("lam", [0.0, 0.8])
     def test_single_states_keep_their_python_float_bits(self, lam):
-        # the formulas as Python floats: ** is libm's pow, as np.float_power
+        # the formulas as Python floats around the einsum dot products the
+        # charges take: ** is libm's pow, as np.float_power
         rng = np.random.default_rng(3)
         for t, q, p in zip(*_stack(rng, 3, size=20)):
             state, t = MechState.make(t, q, p), float(t)
-            r2 = float(q @ q)
-            h = 0.5 * float(p @ p) + (lam / r2 if lam else 0.0)
-            assert hamiltonian(state, MechParams(3, lam)) == h
+            r2, qp = float(np.einsum("n,n->", q, q)), float(np.einsum("n,n->", q, p))
+            h = 0.5 * float(np.einsum("n,n->", p, p)) + (lam / r2 if lam else 0.0)
+            assert charges(state, MechParams(3, lam)) == (h, t * h - 0.5 * qp, t**2 * h - t * qp + 0.5 * r2)
             assert _same_bits(delta_scale_q(state), t * p - 0.5 * q)
             assert _same_bits(delta_conformal_q(state), t**2 * p - t * q)
             if lam:
@@ -524,7 +532,7 @@ class TestStackedStates:
         t, q, p = _stack(np.random.default_rng(4), 2)
         q[3] = 0.0
         stack = MechState.make(t, q, p)
-        for fn in (hamiltonian, so21_bracket_residuals):
+        for fn in (charges, so21_bracket_residuals):
             with pytest.raises(SingularConfiguration):
                 fn(stack, MechParams(2, 0.5))
             assert np.all(np.isfinite(fn(stack, MechParams(2, 0.0))))
@@ -533,7 +541,7 @@ class TestStackedStates:
         t, q, p = _stack(np.random.default_rng(4), 2)
         q[[3, 5]] = 0.0
         with pytest.raises(SingularConfiguration) as err:
-            hamiltonian(MechState.make(t, q, p), MechParams(2, 0.5))
+            charges(MechState.make(t, q, p), MechParams(2, 0.5))
         assert err.value.sample == 3
         with pytest.raises(SingularConfiguration) as err:
             so21_bracket_residuals(MechState.make(t[5], q[5], p[5]), MechParams(2, 0.5))

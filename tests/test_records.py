@@ -41,7 +41,7 @@ RECORDS = {
     MaxwellModel: [("dim", REQUIRED, 4)],
     MultipletModel: [("dim", REQUIRED, 4), ("n_comp", REQUIRED, 2), ("coupling", 0.0, 0.3)],
     GeneralScalarModel: [("dim", REQUIRED, 5), ("profile", REQUIRED, _profile),
-                         ("profile_prime", REQUIRED, _profile), ("linear_part", None, (0.0, 1.0))],
+                         ("profile_prime", REQUIRED, _profile), ("linear", False, True)],
     DualScalarModel: [("dim", 3, 3)],
     VirialInfo: [("value", REQUIRED, np.zeros(3)), ("is_total_divergence", REQUIRED, True),
                  ("potential", None, _profile)],
